@@ -62,7 +62,6 @@ from .solver import (
     competition_level,
     optimal_pg_revenue,
     optimal_plan,
-    price_from_allocation,
     replay_revenue,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "mc_second_price",
     "optimal_pg_revenue",
     "optimal_plan",
-    "price_from_allocation",
     "purchase_ratio",
     "read_log_csv",
     "reference_bid_model",

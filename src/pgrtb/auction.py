@@ -83,14 +83,15 @@ def _adaptive_rows(rows_fn, breakpoints, epsabs, max_panels=4096, max_iter=60):
     """Adaptive GK15 quadrature of a vectorized multi-row integrand on [0, 1].
 
     Panels are bisected until each row's summed error estimate drops below
-    ``epsabs``. Deterministic for a given integrand and breakpoints.
+    ``epsabs``. Deterministic for a given integrand and breakpoints. Stopping
+    at ``max_panels`` or ``max_iter`` with a row still above ``epsabs`` emits
+    a RuntimeWarning naming the error reached.
     """
     bp = np.asarray(breakpoints, dtype=float)
     lo, hi = bp[:-1], bp[1:]
     ik, err = _panel_rows(rows_fn, lo, hi)
     for _ in range(max_iter):
-        row_err = err.sum(axis=1)
-        if np.all(row_err <= epsabs) or lo.size >= max_panels:
+        if np.all(err.sum(axis=1) <= epsabs) or lo.size >= max_panels:
             break
         panel_err = err.max(axis=0)
         bad = panel_err > epsabs / (2.0 * lo.size)
@@ -105,46 +106,20 @@ def _adaptive_rows(rows_fn, breakpoints, epsabs, max_panels=4096, max_iter=60):
         lo, hi = new_lo, new_hi
         ik = np.concatenate([keep_ik, split_ik], axis=1)
         err = np.concatenate([keep_err, split_err], axis=1)
+    worst = float(err.sum(axis=1).max())
+    if worst > epsabs:
+        warnings.warn(
+            f"adaptive quadrature stopped at {lo.size} panels with error "
+            f"{worst:.3g} above the tolerance {epsabs:.3g}",
+            RuntimeWarning, stacklevel=2)
     return ik.sum(axis=1)
 
 
-def _moment_breakpoints(model, xi):
-    pts = [0.0, 1.0]
-    if xi > 16.0:
-        pts.extend([1.0 - 16.0 / xi, 1.0 - 4.0 / xi, 1.0 - 1.0 / xi])
-    pts.extend(model._quantile_knots())
-    arr = np.unique(np.clip(np.asarray(pts, dtype=float), 0.0, 1.0))
-    return arr
-
-
-def _payment_point(model, xi, epsabs=1e-8):
-    """(mean, std) of the second-highest of ``xi`` i.i.d. draws from ``model``.
-
-    Both moments are integrated in one adaptive pass over shared panels and
-    cached on the model, so within a model instance a given ``xi`` always
-    maps to the same floats no matter who asks.
-    """
-    cached = model._moment_cache.get(xi)
-    if cached is not None:
-        return cached
-    c = xi * (xi - 1.0)
-
-    def rows(u):
-        x = model.ppf(u)
-        w = c * (1.0 - u) * np.power(u, xi - 2.0)
-        xw = x * w
-        return np.stack([xw, x * xw])
-
-    m1, m2 = _adaptive_rows(rows, _moment_breakpoints(model, xi), epsabs)
-    std = math.sqrt(max(m2 - m1 * m1, 0.0))
-    result = (float(m1), std)
-    model._moment_cache[xi] = result
-    return result
-
-
 def _payment_points_batch(model, xis, epsabs=1e-8):
-    """Fill the model's moment cache for many ``xi`` at once.
+    """Fill the model's moment cache: (mean, std) of the second-highest of
+    ``xi`` i.i.d. draws from ``model``, for every new finite ``xi >= 2``.
 
+    Both moments are integrated in one adaptive pass over shared panels.
     Grouping by octave keeps each adaptive run on panels sized for its
     boundary layer; within a group all integrand rows share one panel set.
     Solver tables ask for a few hundred competition levels per call, and one
@@ -313,6 +288,18 @@ class BidModel:
 
     # -- payment moments ---------------------------------------------------
 
+    def _moments(self, xi):
+        """Cached ``(mean, std)`` at a finite ``xi >= 2``.
+
+        A miss runs the quadrature as a one-level batch, so scalar and array
+        callers share one integration path and one cache.
+        """
+        cached = self._moment_cache.get(xi)
+        if cached is None:
+            _payment_points_batch(self, [xi])
+            cached = self._moment_cache[xi]
+        return cached
+
     def payment_mean(self, xi, reserve=0.0):
         if xi < 2.0:
             return float(reserve)
@@ -320,14 +307,14 @@ class BidModel:
             return self.support()[1]
         if self.kind == "empirical" and self._point is not None:
             return self._point
-        return _payment_point(self, float(xi))[0]
+        return self._moments(float(xi))[0]
 
     def payment_std(self, xi):
         if xi < 2.0 or math.isinf(xi):
             return 0.0
         if self.kind == "empirical" and self._point is not None:
             return 0.0
-        return _payment_point(self, float(xi))[1]
+        return self._moments(float(xi))[1]
 
     def payment_moments(self, xis, reserve=0.0):
         xis = np.asarray(xis, dtype=float)
@@ -694,11 +681,9 @@ class RevenueCurves:
 
     def payment_moments(self, xis, reserve=0.0):
         xis = np.asarray(xis, dtype=float)
-        means = np.empty(xis.shape)
-        stds = np.empty(xis.shape)
-        for i, xi in enumerate(xis.ravel()):
-            means.flat[i] = self.payment_mean(xi, reserve=reserve)
-            stds.flat[i] = self.payment_std(xi)
+        thin = xis < 2.0
+        means = np.where(thin, float(reserve), self.mean_curve(xis))
+        stds = np.where(thin, 0.0, np.maximum(self.std_curve(xis), 0.0))
         return means, stds
 
     def to_dict(self):

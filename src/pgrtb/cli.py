@@ -45,7 +45,7 @@ _UNC_KEYS = {"epsilon", "noise_seed", "noise_kind"}
 _SEG_KEYS = {"feature"}
 _SYN_KEYS = {"hours", "auctions_per_hour", "bidders_per_hour", "slot_id",
              "start_time"}
-_SIM_KEYS = {"n_runs", "workers"}
+_SIM_KEYS = {"n_runs"}
 _OUT_KEYS = {"dir"}
 
 
@@ -86,7 +86,6 @@ class RunConfig:
     feature: str = "winning_bid"
     synthetic: dict | None = None
     n_runs: int = 200
-    workers: int = 1
     out_dir: str = "."
 
     @classmethod
@@ -134,7 +133,6 @@ class RunConfig:
         if "simulate" in raw:
             _check_keys(raw["simulate"], _SIM_KEYS, "simulate")
             rc.n_runs = int(raw["simulate"].get("n_runs", rc.n_runs))
-            rc.workers = int(raw["simulate"].get("workers", rc.workers))
         if "output" in raw:
             _check_keys(raw["output"], _OUT_KEYS, "output")
             rc.out_dir = str(raw["output"].get("dir", rc.out_dir))
@@ -212,7 +210,7 @@ def cmd_gen_data(rc: RunConfig, args):
     log_path = _out_path(rc, args, "auction_log.csv")
     truth_path = _out_path(rc, args, "ground_truth.json")
     write_log_csv(records, log_path)
-    _write_json(truth_path, truth)
+    _write_json(truth_path, {"schema_version": SCHEMA_VERSION, **truth})
     n_auctions = len({r.auction_id for r in records})
     print(f"wrote {n_auctions} auctions ({len(records)} bid rows) to {log_path}")
     return 0
@@ -311,11 +309,9 @@ def cmd_simulate(rc: RunConfig, args):
     else:
         raise UsageError("need either --model or a bid_model section")
     n_runs = args.runs if args.runs is not None else rc.n_runs
-    workers = args.threads if args.threads is not None else rc.workers
     seed = args.seed if args.seed is not None else rc.root_seed
     grid = TimeGrid.from_config(cfg)
-    summary, _ = evaluate_plan(plan, cfg, grid, bid_model, n_runs, seed,
-                               workers=workers)
+    summary, _ = evaluate_plan(plan, cfg, grid, bid_model, n_runs, seed)
     path = _out_path(rc, args, "simulation_summary.json")
     _write_json(path, {"schema_version": SCHEMA_VERSION, **summary})
     print(f"simulated {n_runs} markets: revenue {summary['mean_total']:.4f} "
@@ -415,7 +411,6 @@ def _build_parser():
     p.add_argument("--plan", required=True, help="plan JSON from optimize")
     p.add_argument("--model", default=None, help="fitted model JSON")
     p.add_argument("--runs", type=int, default=None, help="number of runs")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
     p = add("replan", "roll the horizon forward under demand noise")
     p.add_argument("--model", default=None, help="fitted model JSON")
     p = add("segment", "cluster the bid landscape and optimize per group")

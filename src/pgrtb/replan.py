@@ -7,14 +7,17 @@ Each shock redraws the tail solve's competition levels and price bounds;
 everything else (arrivals, time grid, bid distribution) stays fixed.
 
 With ``epsilon = 0`` the committed path reproduces the static plan's floats
-bit for bit: every tail solve shares the static solve's precomputed tables,
-prefix-revenue shifts cannot reorder tail comparisons except on ties closer
-than one ulp of the accumulated revenue, and the tie-break rules coincide.
+bit for bit. Each tail solve rebuilds its market tables, but the unchanged
+demand gives the same competition levels, and the model returns the same
+payment moments for them (a bid model from its per-level cache, fitted
+curves by evaluating the same function), so the rebuilt tables hold the
+static solve's floats. Prefix-revenue shifts cannot reorder tail comparisons
+except on ties closer than one ulp of the accumulated revenue, and the
+tie-break rules coincide.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,15 +132,6 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
             remaining_supply=S - presold,
             forecast_revenue=float(tail.revenue_total),
         ))
-    realized = PricePlan(
-        prices=prices, sales=sales, bounds=bnds,
-        gamma=presold / S,
-        revenue_pg=pg,
-        revenue_rtb=float(tail.revenue_rtb),
-        revenue_total=pg + float(tail.revenue_rtb),
-        xi_terminal=float(tail.xi_terminal) if math.isfinite(tail.xi_terminal)
-        else math.inf,
-        start_step=0,
-        presold=0,
-    )
+    realized = PricePlan.from_path(prices, sales, bnds, pg, tail.revenue_rtb,
+                                   supply=S, demand=demand_abs)
     return realized, trace

@@ -11,7 +11,6 @@ group.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -245,13 +244,5 @@ def _rtb_only_plan(cfg, grid, curves, bid_model):
     revenue = cfg.supply_S * model.payment_mean(xi0, reserve=cfg.reserve_price_r0)
     bounds = np.array([censored_bound(n, xi0, cfg, grid, model)
                        for n in range(grid.n_steps + 1)])
-    return PricePlan(
-        prices=bounds.copy(),
-        sales=np.zeros(grid.n_steps + 1, dtype=int),
-        bounds=bounds,
-        gamma=0.0,
-        revenue_pg=0.0,
-        revenue_rtb=float(revenue),
-        revenue_total=float(revenue),
-        xi_terminal=float(xi0),
-    )
+    return PricePlan.from_path(bounds, np.zeros(grid.n_steps + 1, dtype=int), bounds,
+                               0.0, revenue, supply=cfg.supply_S, demand=cfg.demand_Q)

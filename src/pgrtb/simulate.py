@@ -12,7 +12,6 @@ child streams, so a root seed pins the whole experiment.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -172,26 +171,16 @@ def run_market_once(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid,
 
 
 def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
-                  n_runs, seed, *, workers=1):
+                  n_runs, seed):
     """Monte Carlo summary of a plan over ``n_runs`` independent markets.
 
-    Deterministic for a given seed, and independent of ``workers``: run k
-    always uses the k-th spawned child stream.
+    Deterministic for a given seed: run k always uses the k-th spawned child
+    stream.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    children = _seed_sequence(seed).spawn(n_runs)
-
-    def one(child):
-        return run_market_once(plan, cfg, grid, bid_model, child)
-
-    if workers == 1:
-        outcomes = [one(c) for c in children]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, children))
+    outcomes = [run_market_once(plan, cfg, grid, bid_model, child)
+                for child in _seed_sequence(seed).spawn(n_runs)]
 
     totals = np.array([o.total_revenue for o in outcomes])
     pg = np.array([o.pg_revenue for o in outcomes])

@@ -44,7 +44,6 @@ __all__ = [
     "PricePlan",
     "DPTables",
     "competition_level",
-    "price_from_allocation",
     "optimal_pg_revenue",
     "optimal_plan",
     "brute_force_optimum",
@@ -65,28 +64,6 @@ def competition_level(demand_Q, supply_S, sold):
     if sold >= demand_Q:
         raise ValueError("sold cannot reach total demand")
     return (demand_Q - sold) / (supply_S - sold)
-
-
-def price_from_allocation(n, sell_now, sold_before, cum_arrivals, cfg: MarketConfig,
-                          grid: TimeGrid):
-    """Posted price that moves exactly ``sell_now`` buyers at step ``n``.
-
-    Inverts the purchase ratio against the expected waiting pool
-    ``cum_arrivals - sold_before``. Returns None for ``sell_now = 0``
-    (closing the step needs no price).
-    """
-    if not 0 <= n <= grid.n_steps:
-        raise IndexError(f"step {n} outside 0..{grid.n_steps}")
-    if sell_now < 0 or sold_before < 0:
-        raise ValueError("allocations must be non-negative")
-    if sell_now == 0:
-        return None
-    avail = cum_arrivals - sold_before
-    if sell_now > avail:
-        raise ValueError("cannot sell more than the expected waiting pool")
-    scale = cfg.price_effect_alpha * (
-        1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points[n]))
-    return float((np.log(avail) - np.log(float(sell_now))) / scale)
 
 
 @dataclass
@@ -149,6 +126,35 @@ class PricePlan:
             xi_terminal=(float(xi) if xi is not None else math.inf),
             start_step=int(d.get("start_step", 0)),
             presold=int(d.get("presold", 0)),
+        )
+
+    @classmethod
+    def from_path(cls, prices, sales, bounds, revenue_pg, revenue_rtb, *,
+                  supply, demand, start_step=0, presold=0):
+        """Assemble a plan from a chosen sales path and its revenue split.
+
+        Every solver route builds its plan here, so the plan rules live in
+        one place: closed steps display the ceiling whatever ``prices`` holds
+        there, ``gamma`` is the share of ``supply`` sold forward, the total
+        is ``revenue_pg + revenue_rtb``, and the terminal competition level
+        is ``(demand - sold) / (supply - sold)``, infinite at sell-out.
+        """
+        sales = np.asarray(sales, dtype=int)
+        bounds = np.asarray(bounds, dtype=float)
+        sold = presold + int(sales.sum())
+        pg, rtb = float(revenue_pg), float(revenue_rtb)
+        return cls(
+            prices=np.where(sales == 0, bounds, np.asarray(prices, dtype=float)),
+            sales=sales,
+            bounds=bounds,
+            gamma=sold / supply,
+            revenue_pg=pg,
+            revenue_rtb=rtb,
+            revenue_total=pg + rtb,
+            xi_terminal=(math.inf if sold == supply
+                         else (demand - sold) / (supply - sold)),
+            start_step=start_step,
+            presold=presold,
         )
 
 
@@ -335,30 +341,18 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=None,
     bnds = np.empty(steps)
     y = y_star
     for i in range(steps - 1, -1, -1):
-        n = start_step + i
         j = y - presold
         z1 = int(tables.back_prev[i][j])
-        z2 = y - z1
-        sales[i] = z2
-        bnds[i] = t.bounds[n, y]
-        prices[i] = t.bounds[n, y] if z2 == 0 else tables.back_price[i][j]
+        sales[i] = y - z1
+        bnds[i] = t.bounds[start_step + i, y]
+        prices[i] = tables.back_price[i][j]
         y = z1
     if y != presold:
         raise AssertionError("backpointer chain did not return to the start state")
 
-    revenue_pg = float(h_final[i_star])
-    revenue_rtb = float(rtb[i_star])
-    xi_terminal = math.inf if y_star == t.S else (t.D - y_star) / (t.S - y_star)
-    plan = PricePlan(
-        prices=prices, sales=sales, bounds=bnds,
-        gamma=y_star / t.S,
-        revenue_pg=revenue_pg,
-        revenue_rtb=revenue_rtb,
-        revenue_total=revenue_pg + revenue_rtb,
-        xi_terminal=xi_terminal,
-        start_step=start_step,
-        presold=presold,
-    )
+    plan = PricePlan.from_path(prices, sales, bnds, h_final[i_star], rtb[i_star],
+                               supply=t.S, demand=t.D, start_step=start_step,
+                               presold=presold)
     return plan, tables
 
 
@@ -384,7 +378,7 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=No
             ln_avail.append(np.log(t.cum[n] - z1_abs))
             prev_top = int(t.u[n])
 
-    best = {"rev": -math.inf, "key": None, "path": None}
+    best = {"rev": -math.inf, "key": None}
 
     def visit(n, y, pg, path):
         if n > N:
@@ -392,13 +386,13 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=No
             total = pg + rtb
             key = (y,) + tuple(z for z, _ in reversed(path))
             if total > best["rev"] or (total == best["rev"] and key < best["key"]):
-                best.update(rev=total, key=key, path=list(path))
+                best.update(rev=total, key=key, path=list(path), pg=pg, rtb=rtb)
             return
         top = int(t.u[n])
         bound_row = t.bounds[n]
         for z2 in range(0, top - y + 1):
             if z2 == 0:
-                path.append((0, None))
+                path.append((0, math.nan))
                 visit(n + 1, y, pg, path)
                 path.pop()
                 continue
@@ -409,31 +403,11 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=No
                 path.pop()
 
     visit(0, 0, 0.0, [])
-    path = best["path"]
-    prices = np.empty(N + 1)
-    sales = np.empty(N + 1, dtype=int)
-    bnds = np.empty(N + 1)
-    y = 0
-    for n, (z2, price) in enumerate(path):
-        y += z2
-        sales[n] = z2
-        bnds[n] = t.bounds[n, y]
-        prices[n] = t.bounds[n, y] if z2 == 0 else price
-    y_star = y
-    pg = 0.0
-    for n, (z2, price) in enumerate(path):
-        if z2:
-            pg = pg + (t.coef * price) * z2
-    rtb = 0.0 if y_star == t.S else float((t.S - y_star) * t.means[y_star])
-    xi_terminal = math.inf if y_star == t.S else (t.D - y_star) / (t.S - y_star)
-    return PricePlan(
-        prices=prices, sales=sales, bounds=bnds,
-        gamma=y_star / t.S,
-        revenue_pg=pg,
-        revenue_rtb=rtb,
-        revenue_total=pg + rtb,
-        xi_terminal=xi_terminal,
-    )
+    sales = np.array([z for z, _ in best["path"]], dtype=int)
+    prices = np.array([p for _, p in best["path"]])
+    bnds = t.bounds[np.arange(N + 1), np.cumsum(sales)]
+    return PricePlan.from_path(prices, sales, bnds, best["pg"], best["rtb"],
+                               supply=t.S, demand=t.D)
 
 
 def replay_revenue(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, model, *,

@@ -284,7 +284,7 @@ def test_criterion_08_simulator_matches_plan():
     grid = TimeGrid.from_config(cfg)
     model = reference_bid_model()
     plan, _ = optimal_plan(cfg, grid, model)
-    summary, _ = evaluate_plan(plan, cfg, grid, model, 1000, seed=0, workers=4)
+    summary, _ = evaluate_plan(plan, cfg, grid, model, 1000, seed=0)
     rel_gap = abs(summary["mean_total"] - plan.revenue_total) / plan.revenue_total
     worst_z = 0.0
     exact_bad = 0

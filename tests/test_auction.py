@@ -16,6 +16,7 @@ from pgrtb.auction import (
     BidModel,
     FittedCurve,
     RevenueCurves,
+    _adaptive_rows,
     aggregate_payment_points,
     estimate_max_value,
     expected_second_price,
@@ -158,6 +159,25 @@ def test_payment_moments_matches_scalar_calls():
     # within one instance the cache makes repeat lookups bit-identical
     assert batch_model.payment_mean(2.5, reserve=0.25) == means[1]
     assert batch_model.payment_std(33.3) == stds[3]
+    # a scalar call on a fresh model is a one-level batch: same quadrature,
+    # same floats
+    fresh = [lambda: BidModel.uniform(0.1, 0.9),
+             lambda: BidModel.lognormal(0.0, 0.5),
+             lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300))]
+    for make in fresh:
+        for xi in xis:
+            one_mean, one_std = make().payment_moments(np.array([xi]), reserve=0.25)
+            assert make().payment_mean(float(xi), reserve=0.25) == one_mean[0]
+            assert make().payment_std(float(xi)) == one_std[0]
+
+
+def test_adaptive_quadrature_warns_when_it_stops_short():
+    def rows(u):
+        return np.stack([np.sqrt(u)])
+
+    with pytest.warns(RuntimeWarning, match="error .* above the tolerance"):
+        (value,) = _adaptive_rows(rows, [0.0, 1.0], 1e-14, max_panels=2)
+    assert value == pytest.approx(2.0 / 3.0, abs=1e-3)
 
 
 def test_empirical_model_smoothed_law():
@@ -401,5 +421,15 @@ def test_revenue_curves_surface():
     assert means[1] == curves.payment_mean(4.0)
     # clamped beyond the training range
     assert means[2] == curves.payment_mean(9.0)
+    # the array path agrees with the scalar calls bit for bit, for every fit
+    pts_x = np.linspace(2.0, 12.0, 30)
+    pts = np.column_stack([pts_x, 0.2 + 0.6 / (1.0 + np.exp(-(pts_x - 6.0)))])
+    spread = np.column_stack([pts_x, 0.05 + 0.01 * np.sin(pts_x)])
+    xis = np.concatenate([np.linspace(0.5, 15.0, 59), [1.999, 2.0, math.inf]])
+    for fit in (lowess, fit_polynomial, fit_sigmoid):
+        fitted = RevenueCurves(fit(pts), fit(spread))
+        means, stds = fitted.payment_moments(xis, reserve=0.33)
+        assert means.tolist() == [fitted.payment_mean(float(x), reserve=0.33) for x in xis]
+        assert stds.tolist() == [fitted.payment_std(float(x)) for x in xis]
     clone = RevenueCurves.from_dict(curves.to_dict())
     assert clone.payment_mean(5.5) == curves.payment_mean(5.5)

@@ -30,7 +30,7 @@ def base_config(tmp_path):
         "synthetic": {"hours": 40, "auctions_per_hour": 6,
                       "bidders_per_hour": [2, 3, 4, 5], "slot_id": "slot-a"},
         "seeds": {"root": 11},
-        "simulate": {"n_runs": 20, "workers": 2},
+        "simulate": {"n_runs": 20},
         "output": {"dir": str(tmp_path / "out")},
     }
 
@@ -48,6 +48,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert main(["gen-data", "--config", cfg_path]) == 0
     log = out / "auction_log.csv"
     truth = json.loads((out / "ground_truth.json").read_text())
+    assert truth["schema_version"] == 1
     assert truth["hours"] == 40 and truth["seed"] == 11
     assert "wrote 240 auctions" in capsys.readouterr().out
 

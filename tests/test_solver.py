@@ -13,14 +13,20 @@ import numpy as np
 import pytest
 
 from pgrtb.auction import BidModel
-from pgrtb.market import MarketConfig, TimeGrid, censored_bound, purchase_ratio
+from pgrtb.market import (
+    MarketConfig,
+    TimeGrid,
+    backlog_demand,
+    censored_bound,
+    purchase_ratio,
+    reference_config,
+)
 from pgrtb.solver import (
     PricePlan,
     brute_force_optimum,
     competition_level,
     optimal_pg_revenue,
     optimal_plan,
-    price_from_allocation,
     replay_revenue,
 )
 
@@ -63,23 +69,27 @@ def test_competition_level():
         competition_level(12, 5, -1)
 
 
-def test_price_from_allocation_inverts_purchase_ratio():
-    """Posting the returned price moves exactly sell_now of the expected pool."""
-    cfg = MarketConfig(supply_S=10, demand_Q=40, horizon_T=8.0, steps_N=4,
-                       arrival_rate_lambda=3.0, initial_arrival_mass=0.3,
-                       price_effect_alpha=1.7, time_effect_beta=0.12)
-    grid = TimeGrid.from_config(cfg)
-    cum = 0.3 * 40 + 3.0 * 2.0 * 3  # arrivals through step 2
-    for sell_now in (1, 3, 7):
-        price = price_from_allocation(2, sell_now, 2, cum, cfg, grid)
-        pool = cum - 2
-        assert pool * purchase_ratio(2, price, cfg, grid) == pytest.approx(
-            sell_now, abs=1e-10)
-    assert price_from_allocation(2, 0, 2, cum, cfg, grid) is None
-    with pytest.raises(ValueError):
-        price_from_allocation(2, -1, 2, cum, cfg, grid)
-    with pytest.raises(IndexError):
-        price_from_allocation(9, 1, 0, cum, cfg, grid)
+def test_open_steps_sell_purchase_ratio_of_backlog():
+    """The DP's waiting pool is the backlog: every open step sells exactly
+    purchase_ratio(n, price) * backlog_demand(n, prior prices)."""
+    rng = np.random.default_rng(6061)
+    cases = [(random_tiny_config(rng), MODELS[trial % 3]) for trial in range(30)]
+    cases += [(reference_config(), BidModel.uniform(0.0, 1.0)),
+              (reference_config(), BidModel.lognormal(0.0, 0.5))]
+    open_steps = 0
+    for cfg, model in cases:
+        grid = TimeGrid.from_config(cfg)
+        plan, _ = optimal_plan(cfg, grid, model)
+        # a closed step posts no offer, so nobody leaves the pool there
+        posted = [float(p) if z else math.inf for p, z in zip(plan.prices, plan.sales)]
+        for n, z in enumerate(plan.sales):
+            if z == 0:
+                continue
+            open_steps += 1
+            moved = purchase_ratio(n, posted[n], cfg, grid) * backlog_demand(
+                n, posted[:n], cfg, grid)
+            assert moved == pytest.approx(float(z), rel=1e-9, abs=0.0)
+    assert open_steps >= 20
 
 
 def test_scalar_recursion_matches_dp_tables():
