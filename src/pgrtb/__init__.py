@@ -14,12 +14,10 @@ from .auction import (
     RevenueCurves,
     aggregate_payment_points,
     estimate_max_value,
-    expected_second_price,
     fit_payment_curves,
     lowess,
     mc_second_price,
     reference_bid_model,
-    second_price_std,
 )
 from .logs import (
     AuctionLogRecord,
@@ -91,7 +89,6 @@ __all__ = [
     "estimate_max_value",
     "evaluate_plan",
     "expected_arrivals",
-    "expected_second_price",
     "fit_payment_curves",
     "generate_arrivals",
     "generate_log",
@@ -108,7 +105,6 @@ __all__ = [
     "replay_revenue",
     "risk_preference",
     "run_market_once",
-    "second_price_std",
     "segment_and_optimize",
     "simulate_purchases",
     "simulate_rtb",

@@ -5,8 +5,9 @@ The delivery-day channel sells each impression by second-price auction. With
 payment is the second-highest draw. This module provides
 
 * bid distributions (uniform, lognormal, histogram-smoothed empirical),
-* the mean and spread of the second-highest of ``xi`` draws, by adaptive
-  quadrature (``xi`` may be any real >= 2, matching average bidder counts),
+* the mean and spread of the second-highest of ``xi`` draws, by one fixed
+  quadrature rule (``xi`` may be any real >= 2, matching average bidder
+  counts),
 * a Monte Carlo estimator of the same quantities, used as an oracle,
 * lowess / polynomial / sigmoid curve fitting of payment-vs-competition
   points aggregated from auction logs, and the ceiling estimate for posted
@@ -17,7 +18,10 @@ density of the second-highest order statistic turns the payment mean into
 ``integral_0^1 ppf(u) * xi*(xi-1) * (1-u) * u^(xi-2) du``, which is smooth,
 bounded to [0, 1], and equally valid for fractional ``xi`` and for piecewise
 linear empirical quantile functions. For large ``xi`` the mass concentrates
-near u = 1, so panels are pre-split inside that boundary layer.
+in a layer of width ~1/xi near u = 1, so a composite Gauss-Kronrod rule
+whose panels halve towards both ends of [0, 1] resolves it at every level.
+The panels depend on the bid model alone, so each level's floats depend on
+``xi`` alone, whatever other levels are computed with it.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ __all__ = [
     "BidModel",
     "FittedCurve",
     "RevenueCurves",
-    "expected_second_price",
-    "second_price_std",
     "mc_second_price",
     "lowess",
     "fit_polynomial",
@@ -64,99 +66,74 @@ _WG = np.array([
 
 _NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[:7][::-1]])
 _KRONROD_W = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[:7][::-1]])
-_GAUSS_W = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
+# The 7-point Gauss weights on the odd (embedded) nodes, zero elsewhere.
+_GAUSS_W = np.zeros(15)
+_GAUSS_W[1::2] = [_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]]
 
 
-def _panel_rows(rows_fn, lo, hi):
-    """Kronrod and error estimates of a multi-row integrand over panels [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = rows_fn(pts.ravel()).reshape(-1, lo.size, _NODES.size)
-    ik = (vals @ _KRONROD_W) * half
-    ig = (vals[:, :, 1::2] @ _GAUSS_W) * half
-    err = np.abs(ik - ig)
-    return ik, err
+# Panel edges shared by every level: dyadic towards both ends of [0, 1], so
+# panels shrink geometrically into the boundary layer of width ~1/xi near
+# u = 1 and onto the u^(xi-2) kink at u = 0 whatever the level.
+_DYADIC = 0.5 ** np.arange(1, 41)
+_EDGES = np.unique(np.concatenate([[0.0, 1.0], _DYADIC, 1.0 - _DYADIC]))
+# Levels integrated per vectorized pass; small, so the work arrays stay small.
+_CHUNK = 8
+# A level warns when a moment's K15 - G7 error estimate exceeds this share of it.
+_RTOL = 1e-8
 
 
-def _adaptive_rows(rows_fn, breakpoints, epsabs, max_panels=4096, max_iter=60):
-    """Adaptive GK15 quadrature of a vectorized multi-row integrand on [0, 1].
-
-    Panels are bisected until each row's summed error estimate drops below
-    ``epsabs``. Deterministic for a given integrand and breakpoints. Stopping
-    at ``max_panels`` or ``max_iter`` with a row still above ``epsabs`` emits
-    a RuntimeWarning naming the error reached.
-    """
-    bp = np.asarray(breakpoints, dtype=float)
-    lo, hi = bp[:-1], bp[1:]
-    ik, err = _panel_rows(rows_fn, lo, hi)
-    for _ in range(max_iter):
-        if np.all(err.sum(axis=1) <= epsabs) or lo.size >= max_panels:
-            break
-        panel_err = err.max(axis=0)
-        bad = panel_err > epsabs / (2.0 * lo.size)
-        if not bad.any():
-            bad = panel_err >= panel_err.max()
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[~bad], lo[bad], mid])
-        new_hi = np.concatenate([hi[~bad], mid, hi[bad]])
-        keep_ik, keep_err = ik[:, ~bad], err[:, ~bad]
-        split_ik, split_err = _panel_rows(rows_fn, np.concatenate([lo[bad], mid]),
-                                          np.concatenate([mid, hi[bad]]))
-        lo, hi = new_lo, new_hi
-        ik = np.concatenate([keep_ik, split_ik], axis=1)
-        err = np.concatenate([keep_err, split_err], axis=1)
-    worst = float(err.sum(axis=1).max())
-    if worst > epsabs:
-        warnings.warn(
-            f"adaptive quadrature stopped at {lo.size} panels with error "
-            f"{worst:.3g} above the tolerance {epsabs:.3g}",
-            RuntimeWarning, stacklevel=2)
-    return ik.sum(axis=1)
-
-
-def _payment_points_batch(model, xis, epsabs=1e-8):
+def _payment_points_batch(model, xis):
     """Fill the model's moment cache: (mean, std) of the second-highest of
     ``xi`` i.i.d. draws from ``model``, for every new finite ``xi >= 2``.
 
-    Both moments are integrated in one adaptive pass over shared panels.
-    Grouping by octave keeps each adaptive run on panels sized for its
-    boundary layer; within a group all integrand rows share one panel set.
-    Solver tables ask for a few hundred competition levels per call, and one
-    vectorized pass per octave is far cheaper than a pass per level.
+    One fixed composite GK15 rule on panels that depend on the model alone
+    (the dyadic edges plus the quantile knots): ``ppf`` is evaluated once on
+    its nodes, and each level only reweights those values. Every level is
+    reduced on its own, so its floats depend on ``xi`` alone, not on which
+    other levels share the call. A level whose error estimate exceeds
+    ``_RTOL`` of either moment emits a RuntimeWarning.
     """
     todo = sorted({float(xi) for xi in xis
                    if math.isfinite(xi) and xi >= 2.0
                    and float(xi) not in model._moment_cache})
     if not todo:
         return
-    groups = {}
-    for xi in todo:
-        groups.setdefault(int(math.floor(math.log2(xi))), []).append(xi)
-    for _, group in sorted(groups.items()):
-        arr = np.asarray(group)
-        pts = [0.0, 1.0]
-        for xi in (group[0], group[-1]):
-            if xi > 16.0:
-                pts.extend([1.0 - 16.0 / xi, 1.0 - 4.0 / xi, 1.0 - 1.0 / xi])
-        pts.extend(model._quantile_knots())
-        bp = np.unique(np.clip(np.asarray(pts, dtype=float), 0.0, 1.0))
-        coef = arr * (arr - 1.0)
-        expo = arr - 2.0
-
-        def rows(u, coef=coef, expo=expo):
-            x = model.ppf(u)
-            w = coef[:, None] * (1.0 - u)[None, :] * np.power(u[None, :],
-                                                              expo[:, None])
-            xw = x[None, :] * w
-            return np.concatenate([xw, x[None, :] * xw], axis=0)
-
-        vals = _adaptive_rows(rows, bp, epsabs)
-        k = arr.size
-        for i, xi in enumerate(group):
-            m1 = float(vals[i])
-            m2 = float(vals[k + i])
-            model._moment_cache[xi] = (m1, math.sqrt(max(m2 - m1 * m1, 0.0)))
+    edges = np.unique(np.concatenate([_EDGES, model._quantile_knots()]))
+    # (node, panel) layout: a panel's 15 nodes are summed along a leading
+    # axis, which numpy does faster than many 15-long inner reductions
+    half = 0.5 * np.diff(edges)
+    u = 0.5 * (edges[:-1] + edges[1:]) + half * _NODES[:, None]
+    x = model.ppf(u)
+    one_minus_u, log_u = 1.0 - u, np.log(u)
+    kronrod_w = half * _KRONROD_W[:, None]
+    error_w = kronrod_w - half * _GAUSS_W[:, None]
+    failed = None
+    for start in range(0, len(todo), _CHUNK):
+        levels = todo[start:start + _CHUNK]
+        xi = np.asarray(levels)[:, None, None]
+        # the order-statistic density in u, xi (xi-1) (1-u) u^(xi-2), built
+        # in place; multiplying by x once and then again gives the integrands
+        # of the first and second moments
+        f = (xi - 2.0) * log_u
+        np.exp(f, out=f)
+        f *= xi * (xi - 1.0)
+        f *= one_minus_u
+        moments, err = np.empty((2, len(levels))), np.empty((2, len(levels)))
+        for k in (0, 1):
+            f *= x
+            moments[k] = (f * kronrod_w).sum(axis=1).sum(axis=-1)
+            err[k] = np.abs((f * error_w).sum(axis=1)).sum(axis=-1)
+        for i, level in enumerate(levels):
+            m1, m2 = float(moments[0, i]), float(moments[1, i])
+            model._moment_cache[level] = (m1, math.sqrt(max(m2 - m1 * m1, 0.0)))
+            for k in (0, 1):
+                if failed is None and err[k, i] > _RTOL * abs(moments[k, i]):
+                    failed = (float(err[k, i]), float(moments[k, i]), level)
+    if failed is not None:
+        warnings.warn(
+            "payment quadrature error %.3g on a moment of %.6g at xi=%.6g "
+            "exceeds the relative tolerance %.3g" % (*failed, _RTOL),
+            RuntimeWarning, stacklevel=3)
 
 
 class BidModel:
@@ -291,8 +268,10 @@ class BidModel:
     def _moments(self, xi):
         """Cached ``(mean, std)`` at a finite ``xi >= 2``.
 
-        A miss runs the quadrature as a one-level batch, so scalar and array
-        callers share one integration path and one cache.
+        A miss runs the fixed quadrature rule on this one level. The rule
+        reduces every level on its own, so a scalar call gives the same
+        floats as any batch that contains ``xi``; scalar and array callers
+        share one integration path and one cache.
         """
         cached = self._moment_cache.get(xi)
         if cached is None:
@@ -353,27 +332,6 @@ class BidModel:
         if self.kind == "lognormal":
             return f"BidModel.lognormal({self.mu}, {self.sigma})"
         return f"BidModel.empirical(<{self.sample.size} bids>)"
-
-
-def expected_second_price(xi, bid_model, reserve=0.0):
-    """Expected second-highest of ``xi`` i.i.d. bids (adaptive quadrature).
-
-    ``xi`` may be fractional (it is usually an average bidder count). For
-    ``xi < 2`` there is no second bid and the reserve is returned.
-    """
-    if xi < 0:
-        raise ValueError("xi must be non-negative")
-    return bid_model.payment_mean(xi, reserve=reserve)
-
-
-def second_price_std(xi, bid_model):
-    """Standard deviation of the second-highest of ``xi`` i.i.d. bids.
-
-    Zero for ``xi < 2``: the payment then is the deterministic reserve.
-    """
-    if xi < 0:
-        raise ValueError("xi must be non-negative")
-    return bid_model.payment_std(xi)
 
 
 def mc_second_price(xi, bid_model, trials, seed):

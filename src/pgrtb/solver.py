@@ -180,16 +180,9 @@ class DPTables:
 class _MarketTables:
     """Shared float-exact precomputation for the DP and the exhaustive oracle."""
 
-    def __init__(self, cfg: MarketConfig, grid: TimeGrid, model, arrivals, demand_total):
-        N = grid.n_steps
-        if arrivals is None:
-            f = np.array([expected_arrivals(n, cfg) for n in range(N + 1)], dtype=float)
-        else:
-            f = np.asarray(arrivals, dtype=float)
-            if f.shape != (N + 1,):
-                raise ValueError(f"arrivals must have length {N + 1}")
-            if np.any(f < 0):
-                raise ValueError("arrivals must be non-negative")
+    def __init__(self, cfg: MarketConfig, grid: TimeGrid, model, demand_total):
+        f = np.array([expected_arrivals(n, cfg) for n in range(grid.n_steps + 1)],
+                     dtype=float)
         S = cfg.supply_S
         D = int(demand_total) if demand_total is not None else cfg.demand_Q
         if D <= S:
@@ -264,7 +257,7 @@ def optimal_pg_revenue(n, y, h_prev, cfg: MarketConfig, grid: TimeGrid, model):
     return best, pick
 
 
-def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=None,
+def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
                  start_step=0, presold=0, demand_total=None):
     """Revenue-maximizing price schedule and allocation.
 
@@ -284,7 +277,7 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=None,
         raise ValueError(f"start_step outside 0..{N}")
     if not 0 <= presold <= cfg.supply_S:
         raise ValueError("presold outside 0..supply_S")
-    t = _MarketTables(cfg, grid, model, arrivals, demand_total)
+    t = _MarketTables(cfg, grid, model, demand_total)
     if presold > t.u[start_step]:
         raise ValueError("presold exceeds cumulative arrivals at start_step")
 
@@ -356,7 +349,7 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=None,
     return plan, tables
 
 
-def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=None):
+def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
     """Exhaustive search over every feasible sales path (tiny instances only).
 
     Enumerates all cumulative-sales trajectories, prices each step off the
@@ -368,7 +361,7 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model, *, arrivals=No
         raise ValueError("exhaustive search is guarded to steps_N <= 5, supply_S <= 10")
     if grid.n_steps != cfg.steps_N:
         raise ValueError("grid does not match config steps_N")
-    t = _MarketTables(cfg, grid, model, arrivals, None)
+    t = _MarketTables(cfg, grid, model, None)
     N = cfg.steps_N
     ln_avail = []
     prev_top = 0

@@ -6,6 +6,7 @@ Monte Carlo estimator. None of these share code with the production path.
 """
 
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -16,17 +17,15 @@ from pgrtb.auction import (
     BidModel,
     FittedCurve,
     RevenueCurves,
-    _adaptive_rows,
     aggregate_payment_points,
     estimate_max_value,
-    expected_second_price,
     fit_payment_curves,
     fit_polynomial,
     fit_sigmoid,
     lowess,
     mc_second_price,
-    second_price_std,
 )
+from pgrtb import auction
 from pgrtb.logs import AuctionLogRecord, summarize_auctions
 
 UTC = timezone.utc
@@ -58,6 +57,15 @@ def test_uniform_closed_form_general_interval():
     for xi in (2.0, 3.5, 7.0, 25.0):
         assert model.payment_mean(xi) == pytest.approx(uniform_mean(0.5, 2.0, xi), abs=1e-9)
         assert model.payment_std(xi) == pytest.approx(uniform_std(0.5, 2.0, xi), abs=1e-9)
+    # deep in the boundary layer near the top of the support the payment
+    # spread is tiny next to its mean, so it is checked relative to itself
+    for lo, hi in ((0.0, 1.0), (0.5, 2.0)):
+        model = BidModel.uniform(lo, hi)
+        for xi in (1000.0, 3000.0, 6400.0, 1e5):
+            assert abs(model.payment_mean(xi) - uniform_mean(lo, hi, xi)) < 1e-11
+            if xi <= 6400.0:
+                assert model.payment_std(xi) == pytest.approx(
+                    uniform_std(lo, hi, xi), rel=1e-6)
 
 
 def test_uniform_closed_form_std_frozen():
@@ -81,10 +89,6 @@ def test_below_two_bidders_pays_reserve():
     assert model.payment_mean(1.5, reserve=0.3) == 0.3
     assert model.payment_mean(0.0) == 0.0
     assert model.payment_std(1.9) == 0.0
-    with pytest.raises(ValueError):
-        expected_second_price(-1.0, model)
-    with pytest.raises(ValueError):
-        second_price_std(-0.5, model)
 
 
 def quad_reference(model, xi, top):
@@ -151,33 +155,56 @@ def test_payment_moments_matches_scalar_calls():
     means, stds = batch_model.payment_moments(xis, reserve=0.25)
     scalar_model = BidModel.lognormal(0.0, 0.5)
     for i, xi in enumerate(xis):
-        # batched and one-at-a-time runs adapt different panel sets, so they
-        # agree to the quadrature tolerance, not bit for bit
-        assert means[i] == pytest.approx(
-            scalar_model.payment_mean(float(xi), reserve=0.25), abs=2e-8)
-        assert stds[i] == pytest.approx(scalar_model.payment_std(float(xi)), abs=2e-8)
+        assert means[i] == scalar_model.payment_mean(float(xi), reserve=0.25)
+        assert stds[i] == scalar_model.payment_std(float(xi))
     # within one instance the cache makes repeat lookups bit-identical
     assert batch_model.payment_mean(2.5, reserve=0.25) == means[1]
     assert batch_model.payment_std(33.3) == stds[3]
-    # a scalar call on a fresh model is a one-level batch: same quadrature,
-    # same floats
+    # a level's floats depend on xi alone: scalar calls on a fresh model are
+    # the reference, and shuffled batches of random sizes on other fresh
+    # models, in any order and mix, must reproduce them exactly
+    rng = np.random.default_rng(17)
+    S, D = 120, 480
+    levels = np.concatenate([
+        xis[np.isfinite(xis) & (xis >= 2.0)],
+        (D - np.arange(S)) / (S - np.arange(S)),
+        rng.uniform(2.0, 60.0, 40),
+        [1000.0, 3000.0, 6400.0, 1e5],
+    ])
     fresh = [lambda: BidModel.uniform(0.1, 0.9),
              lambda: BidModel.lognormal(0.0, 0.5),
              lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300))]
     for make in fresh:
-        for xi in xis:
-            one_mean, one_std = make().payment_moments(np.array([xi]), reserve=0.25)
-            assert make().payment_mean(float(xi), reserve=0.25) == one_mean[0]
-            assert make().payment_std(float(xi)) == one_std[0]
+        scalar = make()
+        ref = {float(xi): (scalar.payment_mean(float(xi)), scalar.payment_std(float(xi)))
+               for xi in levels}
+        for _ in range(6):
+            model = make()
+            order = rng.permutation(levels)
+            cuts = np.sort(rng.choice(np.arange(1, order.size), 5, replace=False))
+            for part in np.split(order, cuts):
+                part_means, part_stds = model.payment_moments(part)
+                for xi, mean, std in zip(part, part_means, part_stds):
+                    assert (mean, std) == ref[float(xi)]
 
 
-def test_adaptive_quadrature_warns_when_it_stops_short():
-    def rows(u):
-        return np.stack([np.sqrt(u)])
+def test_payment_quadrature_warns_past_its_tolerance(monkeypatch):
+    monkeypatch.setattr(auction, "_RTOL", 1e-20)
+    with pytest.warns(RuntimeWarning, match="payment quadrature error .* exceeds"):
+        BidModel.lognormal(0.0, 1.0).payment_moments(np.array([2.0, 40.0]))
+    with pytest.warns(RuntimeWarning, match="payment quadrature error"):
+        BidModel.uniform(0.0, 1.0).payment_mean(3.0)
 
-    with pytest.warns(RuntimeWarning, match="error .* above the tolerance"):
-        (value,) = _adaptive_rows(rows, [0.0, 1.0], 1e-14, max_panels=2)
-    assert value == pytest.approx(2.0 / 3.0, abs=1e-3)
+
+def test_payment_quadrature_silent_on_supported_laws():
+    levels = np.concatenate([np.linspace(2.0, 40.0, 77), [100.0, 1000.0, 3000.0, 6400.0]])
+    models = [BidModel.uniform(0.0, 1.0), BidModel.uniform(0.5, 2.0)]
+    models += [BidModel.lognormal(mu, sigma)
+               for mu in (-0.5, 0.0) for sigma in (0.25, 0.5, 1.0, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in models:
+            model.payment_moments(levels)
 
 
 def test_empirical_model_smoothed_law():

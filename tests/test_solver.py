@@ -238,14 +238,12 @@ def test_optimal_plan_validation():
     with pytest.raises(ValueError):
         optimal_plan(cfg, grid, model, presold=6)  # exceeds supply
     with pytest.raises(ValueError):
-        # exceeds the (zero) arrivals available at the start step
-        optimal_plan(cfg, grid, model, arrivals=np.zeros(6), presold=1)
-    with pytest.raises(ValueError):
         optimal_plan(cfg, grid, model, demand_total=5)
-    with pytest.raises(ValueError):
-        optimal_plan(cfg, grid, model, arrivals=np.ones(3))
-    with pytest.raises(ValueError):
-        optimal_plan(cfg, grid, model, arrivals=-np.ones(6))
+    # no arrivals at all: any presold exceeds what arrived by the start step
+    empty = MarketConfig(supply_S=5, demand_Q=20, horizon_T=5.0, steps_N=5,
+                         arrival_rate_lambda=0.0, initial_arrival_mass=0.0)
+    with pytest.raises(ValueError, match="presold exceeds cumulative arrivals"):
+        optimal_plan(empty, grid, model, presold=1)
 
 
 def test_brute_force_guard():
