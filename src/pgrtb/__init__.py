@@ -56,9 +56,7 @@ from .simulate import (
 from .solver import (
     DPTables,
     PricePlan,
-    brute_force_optimum,
     competition_level,
-    optimal_pg_revenue,
     optimal_plan,
     replay_revenue,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "UncertaintySpec",
     "aggregate_payment_points",
     "backlog_demand",
-    "brute_force_optimum",
     "censored_bound",
     "competition_level",
     "estimate_max_value",
@@ -95,7 +92,6 @@ __all__ = [
     "kmeans_1d",
     "lowess",
     "mc_second_price",
-    "optimal_pg_revenue",
     "optimal_plan",
     "purchase_ratio",
     "read_log_csv",

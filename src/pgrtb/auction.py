@@ -82,31 +82,38 @@ _CHUNK = 8
 _RTOL = 1e-8
 
 
+def _quadrature_nodes(model):
+    """``(ppf(u), 1 - u, log u, K15 weights, K15 - G7 weights)`` on the
+    model's panels, built on first use. In the (node, panel) layout a panel's
+    15 nodes sum along a leading axis, faster than many 15-long reductions.
+    """
+    if model._nodes is None:
+        edges = np.unique(np.concatenate([_EDGES, model._quantile_knots()]))
+        half = 0.5 * np.diff(edges)
+        u = 0.5 * (edges[:-1] + edges[1:]) + half * _NODES[:, None]
+        kronrod_w = half * _KRONROD_W[:, None]
+        model._nodes = (model.ppf(u), 1.0 - u, np.log(u), kronrod_w,
+                        kronrod_w - half * _GAUSS_W[:, None])
+    return model._nodes
+
+
 def _payment_points_batch(model, xis):
     """Fill the model's moment cache: (mean, std) of the second-highest of
     ``xi`` i.i.d. draws from ``model``, for every new finite ``xi >= 2``.
 
     One fixed composite GK15 rule on panels that depend on the model alone
-    (the dyadic edges plus the quantile knots): ``ppf`` is evaluated once on
-    its nodes, and each level only reweights those values. Every level is
-    reduced on its own, so its floats depend on ``xi`` alone, not on which
-    other levels share the call. A level whose error estimate exceeds
-    ``_RTOL`` of either moment emits a RuntimeWarning.
+    (the dyadic edges plus the quantile knots): ``ppf`` is evaluated on its
+    nodes once per model, and each level only reweights those values. Every
+    level is reduced on its own, so its floats depend on ``xi`` alone, not
+    on which other levels share the call. A level whose error estimate
+    exceeds ``_RTOL`` of either moment emits a RuntimeWarning.
     """
     todo = sorted({float(xi) for xi in xis
                    if math.isfinite(xi) and xi >= 2.0
                    and float(xi) not in model._moment_cache})
     if not todo:
         return
-    edges = np.unique(np.concatenate([_EDGES, model._quantile_knots()]))
-    # (node, panel) layout: a panel's 15 nodes are summed along a leading
-    # axis, which numpy does faster than many 15-long inner reductions
-    half = 0.5 * np.diff(edges)
-    u = 0.5 * (edges[:-1] + edges[1:]) + half * _NODES[:, None]
-    x = model.ppf(u)
-    one_minus_u, log_u = 1.0 - u, np.log(u)
-    kronrod_w = half * _KRONROD_W[:, None]
-    error_w = kronrod_w - half * _GAUSS_W[:, None]
+    x, one_minus_u, log_u, kronrod_w, error_w = _quadrature_nodes(model)
     failed = None
     for start in range(0, len(todo), _CHUNK):
         levels = todo[start:start + _CHUNK]
@@ -148,6 +155,7 @@ class BidModel:
     def __init__(self, kind, **params):
         self.kind = kind
         self._moment_cache = {}
+        self._nodes = None
         if kind == "uniform":
             low, high = float(params["low"]), float(params["high"])
             if not 0.0 <= low < high:

@@ -7,11 +7,12 @@ Each shock redraws the tail solve's competition levels and price bounds;
 everything else (arrivals, time grid, bid distribution) stays fixed.
 
 With ``epsilon = 0`` the committed path reproduces the static plan's floats
-bit for bit. Each tail solve rebuilds its market tables, but the unchanged
-demand gives the same competition levels, and the model returns the same
-payment moments for them (a bid model from its per-level cache, fitted
-curves by evaluating the same function), so the rebuilt tables hold the
-static solve's floats. Prefix-revenue shifts cannot reorder tail comparisons
+bit for bit. The walk builds the demand-independent market tables once and
+re-prices only the demand-dependent ones per round; the unchanged demand
+gives the same competition levels, and the model returns the same payment
+moments for them (a bid model from its per-level cache, fitted curves by
+evaluating the same function), so every round's tables hold the static
+solve's floats. Prefix-revenue shifts cannot reorder tail comparisons
 except on ties closer than one ulp of the accumulated revenue, and the
 tie-break rules coincide.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import MarketConfig, TimeGrid
-from .solver import PricePlan, optimal_plan
+from .solver import PricePlan, _MarketTables, _solve
 
 __all__ = ["UncertaintySpec", "ReplanStep", "update_demand", "replan"]
 
@@ -108,10 +109,10 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
     pg = 0.0
     trace = []
     tail = None
+    tables = _MarketTables(cfg, grid)
     for n in range(N + 1):
         demand_before = demand_abs - presold
-        tail, _ = optimal_plan(cfg, grid, model, start_step=n, presold=presold,
-                               demand_total=demand_abs)
+        tail, _ = _solve(tables.set_demand(model, demand_abs), n, presold)
         z_now = int(tail.sales[0])
         p_now = float(tail.prices[0])
         prices[n] = p_now

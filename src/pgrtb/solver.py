@@ -15,20 +15,22 @@ bound at ``(n, y)``. Terminal value adds ``(S - y) * payment_mean(xi(y))``.
 Cumulative sales can never exceed cumulative expected arrivals, which caps
 each step's state set and keeps the table O(N * S).
 
+The transition runs in blocks of target rows. A split's price
+``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``, so each row's
+feasible predecessors are a prefix with a closed-form end; a block scans
+only up to its rows' largest end, the float test ``price <= bound`` still
+decides each cell, and every cell repeats a dense scan's operations in
+order, so plans are bit-identical to one. Memory is O(N * S) for the tables
+plus O(_BLOCK_CELLS) per step.
+
 Tie-breaks are deterministic and documented: among equal-revenue terminal
 states the smallest cumulative sale wins; within a step, the smaller
-sell-now wins equal values (so no-sale beats any sale it ties with). The
-exhaustive oracle below ranks equal-revenue paths by the key
-``(y_N, z2_N, z2_{N-1}, ..., z2_0)`` ascending, which reproduces exactly the
-plan the backward reconstruction picks: a co-optimal path must make every
-prefix optimal, and from the terminal state backwards the reconstruction
-prefers the smallest sell-now at each node.
-
-The oracle shares the precomputed market tables (cumulative arrivals, price
-bounds, payment moments, log tables) with the DP and mirrors its float
-expressions operation for operation; its independence is the exhaustive path
-enumeration, not a re-derivation of the market primitives. That is what lets
-equality tests compare the two bit for bit.
+sell-now wins equal values (so no-sale beats any sale it ties with). An
+exhaustive search over sales paths reproduces exactly the plan the backward
+reconstruction picks when it ranks equal-revenue paths by the key
+``(y_N, z2_N, z2_{N-1}, ..., z2_0)`` ascending: a co-optimal path must make
+every prefix optimal, and from the terminal state backwards the
+reconstruction prefers the smallest sell-now at each node.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .market import MarketConfig, TimeGrid, expected_arrivals
 
@@ -44,11 +47,20 @@ __all__ = [
     "PricePlan",
     "DPTables",
     "competition_level",
-    "optimal_pg_revenue",
     "optimal_plan",
-    "brute_force_optimum",
     "replay_revenue",
 ]
+
+# Cells (rows x columns) of one transition block; rows per block follow
+# from the previous step's state count.
+_BLOCK_CELLS = 1 << 16
+# Columns scanned past the closed-form end of a block's feasible prefix.
+_SLACK = 2
+# The closed-form prefix end is used for log price ratios b * scale in this
+# range: below it exp(b * scale) - 1 keeps too few correct digits, and above
+# it the prefix is the whole row for any pool below e^30.
+_MIN_LOG_RATIO = 1e-6
+_MAX_LOG_RATIO = 30.0
 
 
 def competition_level(demand_Q, supply_S, sold):
@@ -166,7 +178,8 @@ class DPTables:
     holds the feasible cumulative sales at that step; ``H[i]`` the best
     guaranteed revenue per state (-inf marks states no bounded price can
     reach); ``back_prev``/``back_price`` the chosen predecessor state and
-    price (nan on no-sale carries).
+    price (nan on no-sale carries; -1 and nan on unreachable states). These
+    O(N * S) arrays are all a solve keeps; a step's blocks are temporary.
     """
 
     start_step: int
@@ -178,83 +191,49 @@ class DPTables:
 
 
 class _MarketTables:
-    """Shared float-exact precomputation for the DP and the exhaustive oracle."""
+    """Float-exact precomputation for the DP, shared with the test oracles.
 
-    def __init__(self, cfg: MarketConfig, grid: TimeGrid, model, demand_total):
-        f = np.array([expected_arrivals(n, cfg) for n in range(grid.n_steps + 1)],
-                     dtype=float)
-        S = cfg.supply_S
-        D = int(demand_total) if demand_total is not None else cfg.demand_Q
-        if D <= S:
-            raise ValueError("total demand must exceed supply")
-        self.f = f
-        self.cum = np.cumsum(f)
+    The constructor builds what the market and the grid fix: the running sum
+    ``cum`` of expected arrivals and its integer cap ``u``, the risk
+    preference and price scale per step, the contract coefficient and the
+    log tables. ``set_demand`` adds what total demand changes, the payment
+    moments and price bounds, so a replan walk builds the rest only once.
+    """
+
+    def __init__(self, cfg: MarketConfig, grid: TimeGrid):
+        if grid.n_steps != cfg.steps_N:
+            raise ValueError("grid does not match config steps_N")
+        S = self.S = cfg.supply_S
+        self.cfg = cfg
+        self.cum = np.cumsum([expected_arrivals(n, cfg) for n in range(grid.n_steps + 1)])
         self.u = np.minimum(S, np.floor(self.cum)).astype(int)
-        y = np.arange(S + 1)
-        xi = np.empty(S + 1)
-        xi[:S] = (D - y[:S]) / (S - y[:S])
-        xi[S] = math.inf
-        self.means, self.stds = model.payment_moments(xi, cfg.reserve_price_r0)
-        risk = cfg.risk_level_zeta * np.exp(-cfg.risk_decay_v * grid.points)
-        self.bounds = np.minimum(self.means[None, :] + risk[:, None] * self.stds[None, :],
-                                 cfg.max_value_pi)
+        self.risk = cfg.risk_level_zeta * np.exp(-cfg.risk_decay_v * grid.points)
         self.price_scale = cfg.price_effect_alpha * (
             1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points))
         self.coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
         with np.errstate(divide="ignore"):
             self.log_k = np.log(np.arange(S + 1, dtype=float))
-        self.S = S
-        self.D = D
-        self.xi = xi
+        # Row a of these views holds z2 = a - S - 1 + k at column k, and its
+        # log (nan for z2 < 1, failing every bound test): one row slice is a
+        # block row's sell-now over its columns from the largest z1 down.
+        z2 = np.arange(-S - 1, 2 * S + 2, dtype=float)
+        log_z2 = np.full(z2.size, np.nan)
+        log_z2[S + 2:2 * S + 2] = self.log_k[1:]
+        self.z2_rows = sliding_window_view(z2, S + 1)
+        self.log_z2_rows = sliding_window_view(log_z2, S + 1)
 
-
-def optimal_pg_revenue(n, y, h_prev, cfg: MarketConfig, grid: TimeGrid, model):
-    """Best guaranteed revenue through step ``n`` ending at ``y`` cumulative sales.
-
-    Reference implementation of the DP transition: scans the splits
-    ``y = z1 + z2`` with ``z1`` in the previous step's state set (``h_prev``
-    maps those states to their values; ignored at ``n = 0``), prices each
-    positive ``z2`` off the expected pool, discards prices above the censored
-    bound, and keeps the best value. Returns ``(value, (z1, z2, price))``,
-    with value ``-inf`` and pick ``None`` when no bounded split exists.
-
-    Smaller ``z2`` wins ties, so a no-sale carry beats any sale it ties with.
-    """
-    from .market import censored_bound  # local import keeps module load cheap
-
-    if not 0 <= n <= grid.n_steps:
-        raise IndexError(f"step {n} outside 0..{grid.n_steps}")
-    f = np.array([expected_arrivals(i, cfg) for i in range(n + 1)], dtype=float)
-    cum_n = float(np.cumsum(f)[n])
-    u_n = min(cfg.supply_S, math.floor(cum_n))
-    if not 0 <= y <= u_n:
-        raise ValueError(f"y={y} outside the step's feasible sales 0..{u_n}")
-    table = {0: 0.0} if n == 0 else dict(h_prev)
-    S, Q = cfg.supply_S, cfg.demand_Q
-    xi = math.inf if y == S else (Q - y) / (S - y)
-    bound = censored_bound(n, xi, cfg, grid, model)
-    scale = cfg.price_effect_alpha * (
-        1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points[n]))
-    coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
-    best = -math.inf
-    pick = None
-    for z2 in range(0, y + 1):
-        z1 = y - z2
-        if z1 not in table:
-            continue
-        hv = table[z1]
-        if z2 == 0:
-            val, price = hv, None
-        else:
-            if not math.isfinite(hv):
-                continue
-            price = float((np.log(cum_n - z1) - np.log(float(z2))) / scale)
-            if price > bound:
-                continue
-            val = hv + (coef * price) * z2
-        if val > best:
-            best, pick = val, (z1, z2, price)
-    return best, pick
+    def set_demand(self, model, demand_total):
+        """Price the tables for ``demand_total`` (the config's when None)."""
+        cfg, S = self.cfg, self.S
+        self.D = int(demand_total) if demand_total is not None else cfg.demand_Q
+        if self.D <= S:
+            raise ValueError("total demand must exceed supply")
+        y = np.arange(S)
+        xi = np.append((self.D - y) / (S - y), math.inf)
+        self.means, stds = model.payment_moments(xi, cfg.reserve_price_r0)
+        self.bounds = np.minimum(self.means[None, :] + self.risk[:, None] * stds[None, :],
+                                 cfg.max_value_pi)
+        return self
 
 
 def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
@@ -270,56 +249,32 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
     ``model`` is a bid distribution or fitted revenue curves; anything with
     ``payment_moments``.
     """
-    if grid.n_steps != cfg.steps_N:
-        raise ValueError("grid does not match config steps_N")
+    t = _MarketTables(cfg, grid)
     N = cfg.steps_N
     if not 0 <= start_step <= N:
         raise ValueError(f"start_step outside 0..{N}")
     if not 0 <= presold <= cfg.supply_S:
         raise ValueError("presold outside 0..supply_S")
-    t = _MarketTables(cfg, grid, model, demand_total)
+    t.set_demand(model, demand_total)
     if presold > t.u[start_step]:
         raise ValueError("presold exceeds cumulative arrivals at start_step")
+    return _solve(t, start_step, presold)
 
+
+def _solve(t: _MarketTables, start_step, presold):
+    """The DP on priced tables from ``(start_step, presold)``, and its plan."""
     tables = DPTables(start_step=start_step, presold=presold)
     h_prev = np.array([0.0])
     u_prev = presold
+    N = len(t.u) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(start_step, N + 1):
-            un = int(t.u[n])
-            ny = un - presold + 1
-            nz = u_prev - presold + 1
-            y_abs = np.arange(presold, un + 1)
-            z1_abs = np.arange(presold, u_prev + 1)
-            ln_avail = np.log(t.cum[n] - z1_abs)
-            z2 = np.arange(ny)[:, None] - np.arange(nz)[None, :]
-            selling = z2 >= 1
-            z2c = np.where(selling, z2, 1)
-            price = (ln_avail[None, :] - t.log_k[z2c]) / t.price_scale[n]
-            vals = h_prev[None, :] + (t.coef * price) * z2c
-            ok = selling & (price <= t.bounds[n, y_abs][:, None]) \
-                & np.isfinite(h_prev)[None, :]
-            vals = np.where(ok, vals, -np.inf)
-            rev = vals[:, ::-1]
-            idx_rev = np.argmax(rev, axis=1)
-            h_n = rev[np.arange(ny), idx_rev]
-            z1_pick = nz - 1 - idx_rev
-            prev_pick = z1_abs[z1_pick]
-            price_pick = price[np.arange(ny), z1_pick]
-            m = min(ny, nz)
-            carry = h_prev[:m] >= h_n[:m]
-            h_n[:m] = np.where(carry, h_prev[:m], h_n[:m])
-            prev_pick[:m] = np.where(carry, y_abs[:m], prev_pick[:m])
-            price_pick[:m] = np.where(carry, np.nan, price_pick[:m])
-            dead = ~np.isfinite(h_n)
-            prev_pick[dead] = -1
-            price_pick[dead] = np.nan
+            y_abs, h_prev, prev_pick, price_pick = _step(t, n, h_prev, presold, u_prev)
             tables.sale_sets.append(y_abs)
-            tables.H.append(h_n)
+            tables.H.append(h_prev)
             tables.back_prev.append(prev_pick)
             tables.back_price.append(price_pick)
-            h_prev = h_n
-            u_prev = un
+            u_prev = int(t.u[n])
 
         y_abs = tables.sale_sets[-1]
         rtb = np.where(y_abs < t.S, (t.S - y_abs) * t.means[y_abs], 0.0)
@@ -349,58 +304,84 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
     return plan, tables
 
 
-def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
-    """Exhaustive search over every feasible sales path (tiny instances only).
+def _step(t: _MarketTables, n, h_prev, presold, u_prev):
+    """One DP transition into step ``n``: ``(y_abs, H, back_prev, back_price)``.
 
-    Enumerates all cumulative-sales trajectories, prices each step off the
-    shared market tables, filters bound violations, and picks the maximal
-    revenue with the documented tie-break key. Guarded to ``steps_N <= 5``
-    and ``supply_S <= 10``; anything larger explodes combinatorially.
+    Rows ``i`` are the targets ``y = presold + i``, columns ``j`` the
+    predecessors ``z1 = presold + j``. A block of rows scans the columns up
+    to its :func:`_window_top` from the largest ``z1`` down, so ``argmax``
+    (first maximum) keeps the smallest sell-now among equal values.
     """
-    if cfg.steps_N > 5 or cfg.supply_S > 10:
-        raise ValueError("exhaustive search is guarded to steps_N <= 5, supply_S <= 10")
-    if grid.n_steps != cfg.steps_N:
-        raise ValueError("grid does not match config steps_N")
-    t = _MarketTables(cfg, grid, model, None)
-    N = cfg.steps_N
-    ln_avail = []
-    prev_top = 0
-    with np.errstate(divide="ignore"):
-        for n in range(N + 1):
-            z1_abs = np.arange(0, prev_top + 1)
-            ln_avail.append(np.log(t.cum[n] - z1_abs))
-            prev_top = int(t.u[n])
+    un = int(t.u[n])
+    ny = un - presold + 1
+    nz = u_prev - presold + 1
+    y_abs = np.arange(presold, un + 1)
+    scale = t.price_scale[n]
+    bound = t.bounds[n, presold:un + 1]
+    ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
+    ln_desc = ln_avail[::-1].copy()
+    h_desc = h_prev[::-1].copy()
+    live_desc = np.isfinite(h_desc)
+    h_n = np.full(ny, -np.inf)
+    prev_pick = np.full(ny, -1)
+    price_pick = np.full(ny, np.nan)
+    rows = max(1, _BLOCK_CELLS // nz)
+    for lo in range(0, ny, rows):
+        hi = min(lo + rows, ny)
+        top = _window_top(t, n, ln_avail, bound, lo, hi, presold)
+        if top < 0:
+            continue
+        cols = slice(nz - 1 - top, nz)
+        # view row S + 1 + i - top starts at row i's sell-now for z1 = presold + top
+        window = slice(t.S + 1 + lo - top, t.S + 1 + hi - top), slice(0, top + 1)
+        price = ln_desc[cols] - t.log_z2_rows[window]
+        price /= scale
+        ok = price <= bound[lo:hi, None]
+        ok &= live_desc[cols]
+        vals = t.coef * price
+        vals *= t.z2_rows[window]
+        vals += h_desc[cols]  # h + (coef * price) * z2: addition commutes exactly
+        vals[~ok] = -np.inf
+        pick = vals.argmax(axis=1)
+        r = np.arange(hi - lo)
+        h_n[lo:hi] = vals[r, pick]
+        prev_pick[lo:hi] = presold + top - pick
+        price_pick[lo:hi] = price[r, pick]
+    m = min(ny, nz)
+    carry = h_prev[:m] >= h_n[:m]
+    h_n[:m] = np.where(carry, h_prev[:m], h_n[:m])
+    prev_pick[:m] = np.where(carry, y_abs[:m], prev_pick[:m])
+    price_pick[:m] = np.where(carry, np.nan, price_pick[:m])
+    dead = ~np.isfinite(h_n)
+    prev_pick[dead] = -1
+    price_pick[dead] = np.nan
+    return y_abs, h_n, prev_pick, price_pick
 
-    best = {"rev": -math.inf, "key": None}
 
-    def visit(n, y, pg, path):
-        if n > N:
-            rtb = 0.0 if y == t.S else (t.S - y) * t.means[y]
-            total = pg + rtb
-            key = (y,) + tuple(z for z, _ in reversed(path))
-            if total > best["rev"] or (total == best["rev"] and key < best["key"]):
-                best.update(rev=total, key=key, path=list(path), pg=pg, rtb=rtb)
-            return
-        top = int(t.u[n])
-        bound_row = t.bounds[n]
-        for z2 in range(0, top - y + 1):
-            if z2 == 0:
-                path.append((0, math.nan))
-                visit(n + 1, y, pg, path)
-                path.pop()
-                continue
-            price = (ln_avail[n][y] - t.log_k[z2]) / t.price_scale[n]
-            if price <= bound_row[y + z2]:
-                path.append((z2, float(price)))
-                visit(n + 1, y + z2, pg + (t.coef * price) * z2, path)
-                path.pop()
+def _window_top(t: _MarketTables, n, ln_avail, bound, lo, hi, presold):
+    """Last predecessor column that rows ``lo..hi-1`` of step ``n`` must scan.
 
-    visit(0, 0, 0.0, [])
-    sales = np.array([z for z, _ in best["path"]], dtype=int)
-    prices = np.array([p for _, p in best["path"]])
-    bnds = t.bounds[np.arange(N + 1), np.cumsum(sales)]
-    return PricePlan.from_path(prices, sales, bnds, best["pg"], best["rtb"],
-                               supply=t.S, demand=t.D)
+    The splits within a bound ``b`` are ``z1 <= (R y - cum) / (R - 1)`` with
+    ``R = exp(b * scale)``, an end that rises with ``y`` and ``R``: the top
+    row and the largest bound give one end for the block, plus ``_SLACK``
+    columns for rounding. The whole row up to the top row's last sale is
+    scanned instead when ``R`` is outside the trusted range or some row's
+    first column past the window passes the float test. -1 scans nothing.
+    """
+    edge = min(ln_avail.size - 1, hi - 2)  # the top row's last column with a sale
+    lam = bound[lo:hi].max() * t.price_scale[n]
+    if not _MIN_LOG_RATIO < lam < _MAX_LOG_RATIO:
+        return edge
+    r = math.exp(lam)
+    end = math.floor((r * (presold + hi - 1) - t.cum[n]) / (r - 1.0)) + _SLACK
+    top = max(min(edge, end - presold), -1)
+    j = top + 1
+    if j <= edge:
+        first = max(lo, j + 1)  # rows that sell from column j
+        price = (ln_avail[j] - t.log_k[first - j:hi - j]) / t.price_scale[n]
+        if np.any(price <= bound[first:hi]):
+            return edge
+    return top
 
 
 def replay_revenue(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, model, *,

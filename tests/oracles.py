@@ -1,0 +1,208 @@
+"""Reference implementations the tests check the solver against.
+
+``dense_optimal_plan`` is the dynamic program with every step built as a
+dense ``(ny x nz)`` scan: the bit-identity oracle for the solver's blocked
+transition. ``optimal_pg_revenue`` re-derives one DP cell by a scalar scan,
+and ``brute_force_optimum`` enumerates every sales path of tiny markets.
+
+All three share the solver's precomputed market tables (cumulative
+arrivals, price bounds, payment moments, log tables) and mirror its float
+expressions operation for operation; their independence is the scan or the
+exhaustive path enumeration, not a re-derivation of the market primitives.
+That is what lets equality tests compare them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from pgrtb.market import MarketConfig, TimeGrid, censored_bound, expected_arrivals
+from pgrtb.solver import DPTables, PricePlan, _MarketTables
+
+
+def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
+                       start_step=0, presold=0, demand_total=None):
+    """The dense DP: ``optimal_plan`` with every step a full (ny x nz) scan.
+
+    Same arguments and results as :func:`pgrtb.solver.optimal_plan`, whose
+    blocked prefix-window transition must reproduce this one bit for bit;
+    it is also what the solver-scaling criterion times.
+    """
+    if grid.n_steps != cfg.steps_N:
+        raise ValueError("grid does not match config steps_N")
+    N = cfg.steps_N
+    if not 0 <= start_step <= N:
+        raise ValueError(f"start_step outside 0..{N}")
+    if not 0 <= presold <= cfg.supply_S:
+        raise ValueError("presold outside 0..supply_S")
+    t = _MarketTables(cfg, grid).set_demand(model, demand_total)
+    if presold > t.u[start_step]:
+        raise ValueError("presold exceeds cumulative arrivals at start_step")
+
+    tables = DPTables(start_step=start_step, presold=presold)
+    h_prev = np.array([0.0])
+    u_prev = presold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(start_step, N + 1):
+            un = int(t.u[n])
+            ny = un - presold + 1
+            nz = u_prev - presold + 1
+            y_abs = np.arange(presold, un + 1)
+            z1_abs = np.arange(presold, u_prev + 1)
+            ln_avail = np.log(t.cum[n] - z1_abs)
+            z2 = np.arange(ny)[:, None] - np.arange(nz)[None, :]
+            selling = z2 >= 1
+            z2c = np.where(selling, z2, 1)
+            price = (ln_avail[None, :] - t.log_k[z2c]) / t.price_scale[n]
+            vals = h_prev[None, :] + (t.coef * price) * z2c
+            ok = selling & (price <= t.bounds[n, y_abs][:, None]) \
+                & np.isfinite(h_prev)[None, :]
+            vals = np.where(ok, vals, -np.inf)
+            rev = vals[:, ::-1]
+            idx_rev = np.argmax(rev, axis=1)
+            h_n = rev[np.arange(ny), idx_rev]
+            z1_pick = nz - 1 - idx_rev
+            prev_pick = z1_abs[z1_pick]
+            price_pick = price[np.arange(ny), z1_pick]
+            m = min(ny, nz)
+            carry = h_prev[:m] >= h_n[:m]
+            h_n[:m] = np.where(carry, h_prev[:m], h_n[:m])
+            prev_pick[:m] = np.where(carry, y_abs[:m], prev_pick[:m])
+            price_pick[:m] = np.where(carry, np.nan, price_pick[:m])
+            dead = ~np.isfinite(h_n)
+            prev_pick[dead] = -1
+            price_pick[dead] = np.nan
+            tables.sale_sets.append(y_abs)
+            tables.H.append(h_n)
+            tables.back_prev.append(prev_pick)
+            tables.back_price.append(price_pick)
+            h_prev = h_n
+            u_prev = un
+
+        y_abs = tables.sale_sets[-1]
+        rtb = np.where(y_abs < t.S, (t.S - y_abs) * t.means[y_abs], 0.0)
+    h_final = tables.H[-1]
+    total = np.where(np.isfinite(h_final), h_final + rtb, -np.inf)
+    i_star = int(np.argmax(total))
+    y_star = int(y_abs[i_star])
+
+    steps = N - start_step + 1
+    prices = np.empty(steps)
+    sales = np.empty(steps, dtype=int)
+    bnds = np.empty(steps)
+    y = y_star
+    for i in range(steps - 1, -1, -1):
+        j = y - presold
+        z1 = int(tables.back_prev[i][j])
+        sales[i] = y - z1
+        bnds[i] = t.bounds[start_step + i, y]
+        prices[i] = tables.back_price[i][j]
+        y = z1
+    if y != presold:
+        raise AssertionError("backpointer chain did not return to the start state")
+
+    plan = PricePlan.from_path(prices, sales, bnds, h_final[i_star], rtb[i_star],
+                               supply=t.S, demand=t.D, start_step=start_step,
+                               presold=presold)
+    return plan, tables
+
+
+def optimal_pg_revenue(n, y, h_prev, cfg: MarketConfig, grid: TimeGrid, model):
+    """Best guaranteed revenue through step ``n`` ending at ``y`` cumulative sales.
+
+    Reference implementation of the DP transition: scans the splits
+    ``y = z1 + z2`` with ``z1`` in the previous step's state set (``h_prev``
+    maps those states to their values; ignored at ``n = 0``), prices each
+    positive ``z2`` off the expected pool, discards prices above the censored
+    bound, and keeps the best value. Returns ``(value, (z1, z2, price))``,
+    with value ``-inf`` and pick ``None`` when no bounded split exists.
+
+    Smaller ``z2`` wins ties, so a no-sale carry beats any sale it ties with.
+    """
+    if not 0 <= n <= grid.n_steps:
+        raise IndexError(f"step {n} outside 0..{grid.n_steps}")
+    f = np.array([expected_arrivals(i, cfg) for i in range(n + 1)], dtype=float)
+    cum_n = float(np.cumsum(f)[n])
+    u_n = min(cfg.supply_S, math.floor(cum_n))
+    if not 0 <= y <= u_n:
+        raise ValueError(f"y={y} outside the step's feasible sales 0..{u_n}")
+    table = {0: 0.0} if n == 0 else dict(h_prev)
+    S, Q = cfg.supply_S, cfg.demand_Q
+    xi = math.inf if y == S else (Q - y) / (S - y)
+    bound = censored_bound(n, xi, cfg, grid, model)
+    scale = cfg.price_effect_alpha * (
+        1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points[n]))
+    coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
+    best = -math.inf
+    pick = None
+    for z2 in range(0, y + 1):
+        z1 = y - z2
+        if z1 not in table:
+            continue
+        hv = table[z1]
+        if z2 == 0:
+            val, price = hv, None
+        else:
+            if not math.isfinite(hv):
+                continue
+            price = float((np.log(cum_n - z1) - np.log(float(z2))) / scale)
+            if price > bound:
+                continue
+            val = hv + (coef * price) * z2
+        if val > best:
+            best, pick = val, (z1, z2, price)
+    return best, pick
+
+
+def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
+    """Exhaustive search over every feasible sales path (tiny instances only).
+
+    Enumerates all cumulative-sales trajectories, prices each step off the
+    shared market tables, filters bound violations, and picks the maximal
+    revenue with the documented tie-break key. Guarded to ``steps_N <= 5``
+    and ``supply_S <= 10``; anything larger explodes combinatorially.
+    """
+    if cfg.steps_N > 5 or cfg.supply_S > 10:
+        raise ValueError("exhaustive search is guarded to steps_N <= 5, supply_S <= 10")
+    if grid.n_steps != cfg.steps_N:
+        raise ValueError("grid does not match config steps_N")
+    t = _MarketTables(cfg, grid).set_demand(model, None)
+    N = cfg.steps_N
+    ln_avail = []
+    prev_top = 0
+    with np.errstate(divide="ignore"):
+        for n in range(N + 1):
+            z1_abs = np.arange(0, prev_top + 1)
+            ln_avail.append(np.log(t.cum[n] - z1_abs))
+            prev_top = int(t.u[n])
+
+    best = {"rev": -math.inf, "key": None}
+
+    def visit(n, y, pg, path):
+        if n > N:
+            rtb = 0.0 if y == t.S else (t.S - y) * t.means[y]
+            total = pg + rtb
+            key = (y,) + tuple(z for z, _ in reversed(path))
+            if total > best["rev"] or (total == best["rev"] and key < best["key"]):
+                best.update(rev=total, key=key, path=list(path), pg=pg, rtb=rtb)
+            return
+        top = int(t.u[n])
+        bound_row = t.bounds[n]
+        for z2 in range(0, top - y + 1):
+            if z2 == 0:
+                path.append((0, math.nan))
+                visit(n + 1, y, pg, path)
+                path.pop()
+                continue
+            price = (ln_avail[n][y] - t.log_k[z2]) / t.price_scale[n]
+            if price <= bound_row[y + z2]:
+                path.append((z2, float(price)))
+                visit(n + 1, y + z2, pg + (t.coef * price) * z2, path)
+                path.pop()
+
+    visit(0, 0, 0.0, [])
+    sales = np.array([z for z, _ in best["path"]], dtype=int)
+    prices = np.array([p for _, p in best["path"]])
+    bnds = t.bounds[np.arange(N + 1), np.cumsum(sales)]
+    return PricePlan.from_path(prices, sales, bnds, best["pg"], best["rtb"],
+                               supply=t.S, demand=t.D)

@@ -188,6 +188,29 @@ def test_payment_moments_matches_scalar_calls():
                     assert (mean, std) == ref[float(xi)]
 
 
+def test_quadrature_nodes_built_once_per_model():
+    """ppf runs on the rule's nodes once per model, however many batches and
+    scalar misses follow, and the cached nodes give the same floats as a
+    fresh model's first call."""
+    fresh = [lambda: BidModel.uniform(0.1, 0.9),
+             lambda: BidModel.lognormal(-0.5, 0.5),
+             lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300))]
+    for make in fresh:
+        model = make()
+        ppf, calls = model.ppf, []
+        model.ppf = lambda u, ppf=ppf, calls=calls: (calls.append(1), ppf(u))[1]
+        model.payment_moments(np.array([2.0, 3.5, 8.0]))
+        model.payment_moments(np.linspace(2.0, 90.0, 37))
+        model.payment_moments(np.array([2.0, 3.5]))
+        model.payment_mean(11.25)
+        model.payment_std(400.0)
+        assert len(calls) == 1
+        for xi in (11.25, 400.0, 90.0):
+            other = make()
+            assert other.payment_mean(xi) == model.payment_mean(xi)
+            assert other.payment_std(xi) == model.payment_std(xi)
+
+
 def test_payment_quadrature_warns_past_its_tolerance(monkeypatch):
     monkeypatch.setattr(auction, "_RTOL", 1e-20)
     with pytest.warns(RuntimeWarning, match="payment quadrature error .* exceeds"):

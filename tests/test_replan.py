@@ -8,6 +8,7 @@ import pytest
 from pgrtb.auction import BidModel
 from pgrtb.market import MarketConfig, TimeGrid
 from pgrtb.replan import UncertaintySpec, replan, update_demand
+from pgrtb import solver
 from pgrtb.solver import optimal_plan, replay_revenue
 
 
@@ -137,3 +138,19 @@ def test_replan_determinism():
     assert a.revenue_total == b.revenue_total
     c, _ = replan(cfg, grid, model, UncertaintySpec(epsilon=0.4, noise_seed=100))
     assert not np.array_equal(a.sales, c.sales) or a.revenue_total != c.revenue_total
+
+
+def test_walk_builds_market_tables_once(monkeypatch):
+    """The demand-independent tables are built once per walk; each round
+    only re-prices them for its demand."""
+    cfg = mid_config()
+    grid = TimeGrid.from_config(cfg)
+    built, priced = [], []
+    init, set_demand = solver._MarketTables.__init__, solver._MarketTables.set_demand
+    monkeypatch.setattr(solver._MarketTables, "__init__",
+                        lambda self, *a: (built.append(1), init(self, *a))[1])
+    monkeypatch.setattr(solver._MarketTables, "set_demand",
+                        lambda self, *a: (priced.append(1), set_demand(self, *a))[1])
+    replan(cfg, grid, BidModel.uniform(0.0, 1.0), UncertaintySpec(epsilon=0.1))
+    assert len(built) == 1
+    assert len(priced) == cfg.steps_N + 1

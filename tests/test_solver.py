@@ -1,18 +1,23 @@
 """Optimal plan solver: pricing identities, DP internals, exhaustive oracle.
 
-The heavyweight check here is DP versus exhaustive search on seeded random
-tiny instances. The two share their market tables on purpose (documented in
-the solver module); independence comes from the exhaustive path enumeration,
-so agreement is asserted bit for bit, not within a tolerance.
+The heavyweight checks here are DP versus exhaustive search on seeded random
+tiny instances and the blocked DP versus the dense-scan DP. They share their
+market tables on purpose (documented in ``oracles``); independence comes
+from the path enumeration and the full scan, so agreement is asserted bit
+for bit, not within a tolerance.
 """
 
+import dataclasses
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from pgrtb.auction import BidModel
+from pgrtb import solver
+from pgrtb.auction import BidModel, RevenueCurves, fit_polynomial, lowess
 from pgrtb.market import (
     MarketConfig,
     TimeGrid,
@@ -23,12 +28,13 @@ from pgrtb.market import (
 )
 from pgrtb.solver import (
     PricePlan,
-    brute_force_optimum,
     competition_level,
-    optimal_pg_revenue,
     optimal_plan,
     replay_revenue,
 )
+
+from oracles import brute_force_optimum, dense_optimal_plan, optimal_pg_revenue
+from test_acceptance import random_market
 
 
 def random_tiny_config(rng):
@@ -293,3 +299,150 @@ def test_replay_revenue_with_demand_override():
     plan, _ = optimal_plan(cfg, grid, model, demand_total=24)
     pg, rtb, total = replay_revenue(plan, cfg, grid, model, demand_total=24)
     assert total == plan.revenue_total
+
+
+def _fitted_curves(fit):
+    """Payment curves fitted to the uniform(0, 1) closed forms on xi = 2..12."""
+    xi = np.linspace(2.0, 12.0, 21)
+    mean = (xi - 1.0) / (xi + 1.0)
+    std = np.sqrt(2.0 * (xi - 1.0) / ((xi + 1.0) ** 2 * (xi + 2.0)))
+    return RevenueCurves(fit(np.column_stack([xi, mean])),
+                         fit(np.column_stack([xi, std])))
+
+
+def _assert_same_as_dense(cfg, make_model, **kwargs):
+    """The blocked solve equals the dense oracle bit for bit: the plan's JSON
+    bytes and every step's states, values and backpointers."""
+    grid = TimeGrid.from_config(cfg)
+    plan, tables = optimal_plan(cfg, grid, make_model(), **kwargs)
+    ref_plan, ref = dense_optimal_plan(cfg, grid, make_model(), **kwargs)
+    assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict())
+    assert len(tables.H) == len(ref.H)
+    for i in range(len(ref.H)):
+        np.testing.assert_array_equal(tables.sale_sets[i], ref.sale_sets[i])
+        np.testing.assert_array_equal(tables.H[i], ref.H[i])
+        live = np.isfinite(ref.H[i])
+        np.testing.assert_array_equal(tables.back_prev[i][live], ref.back_prev[i][live])
+        np.testing.assert_array_equal(tables.back_price[i][live], ref.back_price[i][live])
+        np.testing.assert_array_equal(tables.back_prev[i][~live], -1)
+        assert np.all(np.isnan(tables.back_price[i][~live]))
+
+
+def _edge_configs():
+    """Markets on the edges of the prefix window's closed form.
+
+    With lambda * dt and the opening mass integral, every cumulative pool is
+    an integer, so some targets y equal it and their price ratio is exactly
+    1. Demand of S + 1 keeps xi below 2 almost everywhere, so the bound is
+    the reserve and exp(bound * scale) sits at or near 1; a tiny value cap
+    does the same from above.
+    """
+    base = MarketConfig(supply_S=24, demand_Q=50, horizon_T=10.0, steps_N=10,
+                        arrival_rate_lambda=2.0, initial_arrival_mass=0.2,
+                        price_effect_alpha=1.3, time_effect_beta=0.1,
+                        risk_level_zeta=6.0, risk_decay_v=0.3,
+                        miss_prob_omega=0.05, penalty_size_varpi=0.5)
+    configs = [base]
+    for r0 in (0.0, 1e-12, 1e-7, 1e-5, 1e-3):
+        configs.append(dataclasses.replace(base, demand_Q=25, reserve_price_r0=r0))
+    for pi in (1e-12, 1e-7, 1e-4, 0.02):
+        configs.append(dataclasses.replace(base, max_value_pi=pi))
+    configs.append(dataclasses.replace(base, miss_prob_omega=1.0, penalty_size_varpi=1.0))
+    return configs
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 48])
+def test_blocked_dp_matches_dense_oracle(monkeypatch, block_cells):
+    """Small blocks split each step's rows over many blocks and cut the
+    prefix windows mid-row; random, reference and edge markets all solve
+    exactly as the dense scan does."""
+    monkeypatch.setattr(solver, "_BLOCK_CELLS", block_cells)
+    makers = [lambda: BidModel.uniform(0.0, 1.0),
+              lambda: BidModel.lognormal(0.0, 0.5),
+              lambda: BidModel.empirical(np.random.default_rng(77).uniform(0.2, 1.4, 400))]
+    rng = np.random.default_rng(4040 + block_cells)
+    for trial in range(12):
+        _assert_same_as_dense(random_tiny_config(rng), makers[trial % 3])
+        _assert_same_as_dense(random_market(rng, tiny=False), makers[trial % 3])
+    for cfg in _edge_configs():
+        _assert_same_as_dense(cfg, makers[0])
+        _assert_same_as_dense(cfg, makers[1])
+
+
+def test_blocked_dp_matches_dense_oracle_on_tail_solves():
+    """Full and tail solves (start step, presold, shocked demand) on the
+    reference market with every kind of payment model."""
+    cfg = reference_config()
+    makers = [lambda: BidModel.uniform(0.0, 1.0),
+              lambda: BidModel.lognormal(-0.5, 0.5),
+              lambda: BidModel.empirical(np.random.default_rng(5).lognormal(0.0, 0.4, 2000)),
+              lambda: _fitted_curves(lowess),
+              lambda: _fitted_curves(fit_polynomial)]
+    for make in makers:
+        _assert_same_as_dense(cfg, make)
+        _assert_same_as_dense(cfg, make, start_step=9, presold=14)
+        _assert_same_as_dense(cfg, make, start_step=17, presold=20, demand_total=330)
+        _assert_same_as_dense(cfg, make, start_step=30, presold=33, demand_total=560)
+
+
+def test_blocked_dp_matches_dense_oracle_at_scale():
+    """One S=800 market at the real block size, where blocks hold a few
+    dozen rows of a few hundred columns."""
+    cfg = dataclasses.replace(reference_config(), supply_S=800, demand_Q=3000,
+                              arrival_rate_lambda=0.2 * 3000 / 30.0)
+    _assert_same_as_dense(cfg, lambda: BidModel.uniform(0.0, 1.0))
+
+
+@pytest.mark.parametrize("slack", [2, -4])
+def test_prefix_window_never_drops_a_feasible_split(monkeypatch, slack):
+    """Every split that passes the float bound test lies inside its block's
+    window. With the slack made negative the closed form falls short, so the
+    check on the first column past the window must widen it."""
+    monkeypatch.setattr(solver, "_SLACK", slack)
+    rng = np.random.default_rng(515)
+    configs = [random_market(rng, tiny=False) for _ in range(15)] + _edge_configs()
+    short = 0  # blocks where the closed form alone would drop a split
+    for k, cfg in enumerate(configs):
+        grid = TimeGrid.from_config(cfg)
+        t = solver._MarketTables(cfg, grid).set_demand(BidModel.lognormal(0.0, 0.5), None)
+        u_prev = 0
+        for n in range(cfg.steps_N + 1):
+            un = int(t.u[n])
+            ln_avail = np.log(t.cum[n] - np.arange(u_prev + 1))
+            bound = t.bounds[n, :un + 1]
+            i, j = np.meshgrid(np.arange(un + 1), np.arange(u_prev + 1), indexing="ij")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                price = (ln_avail[j] - t.log_k[np.maximum(i - j, 1)]) / t.price_scale[n]
+            feasible = (i - j >= 1) & (price <= bound[:, None])
+            for rows in (1, 3, 8):
+                for lo in range(0, un + 1, rows):
+                    hi = min(lo + rows, un + 1)
+                    top = solver._window_top(t, n, ln_avail, bound, lo, hi, 0)
+                    last = np.nonzero(feasible[lo:hi].any(axis=0))[0].max(initial=-1)
+                    assert last <= top, (k, n, lo, hi)
+                    lam = bound[lo:hi].max() * t.price_scale[n]
+                    if 1e-6 < lam < 30.0:
+                        r = math.exp(lam)
+                        end = math.floor((r * (hi - 1) - t.cum[n]) / (r - 1.0)) + slack
+                        short += last > max(end, -1)
+            u_prev = un
+        if slack < 0:
+            _assert_same_as_dense(cfg, lambda: BidModel.lognormal(0.0, 0.5))
+    assert (short > 0) == (slack < 0)
+
+
+def test_solve_memory_stays_bounded():
+    """A fresh-model S=1600 solve peaks far below the dense scan's ~125 MiB:
+    the tables are O(N * S) and each transition block O(_BLOCK_CELLS)."""
+    cfg = dataclasses.replace(reference_config(), supply_S=1600, demand_Q=6400,
+                              arrival_rate_lambda=0.2 * 6400 / 30.0)
+    grid = TimeGrid.from_config(cfg)
+    model = BidModel.uniform(0.0, 1.0)
+    tracemalloc.start()
+    try:
+        plan, _ = optimal_plan(cfg, grid, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.total_sold <= cfg.supply_S
+    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
