@@ -20,8 +20,8 @@ from .auction import (
     reference_bid_model,
 )
 from .logs import (
-    AuctionLogRecord,
     AuctionSummary,
+    BidLog,
     read_log_csv,
     summarize_auctions,
     write_log_csv,
@@ -29,7 +29,6 @@ from .logs import (
 from .market import (
     MarketConfig,
     TimeGrid,
-    backlog_demand,
     censored_bound,
     expected_arrivals,
     purchase_ratio,
@@ -64,8 +63,8 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionLogRecord",
     "AuctionSummary",
+    "BidLog",
     "BidModel",
     "DPTables",
     "FittedCurve",
@@ -80,7 +79,6 @@ __all__ = [
     "TimeGrid",
     "UncertaintySpec",
     "aggregate_payment_points",
-    "backlog_demand",
     "censored_bound",
     "competition_level",
     "estimate_max_value",

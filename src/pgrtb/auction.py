@@ -273,45 +273,31 @@ class BidModel:
 
     # -- payment moments ---------------------------------------------------
 
-    def _moments(self, xi):
-        """Cached ``(mean, std)`` at a finite ``xi >= 2``.
-
-        A miss runs the fixed quadrature rule on this one level. The rule
-        reduces every level on its own, so a scalar call gives the same
-        floats as any batch that contains ``xi``; scalar and array callers
-        share one integration path and one cache.
-        """
-        cached = self._moment_cache.get(xi)
-        if cached is None:
-            _payment_points_batch(self, [xi])
-            cached = self._moment_cache[xi]
-        return cached
-
     def payment_mean(self, xi, reserve=0.0):
-        if xi < 2.0:
-            return float(reserve)
-        if math.isinf(xi):
-            return self.support()[1]
-        if self.kind == "empirical" and self._point is not None:
-            return self._point
-        return self._moments(float(xi))[0]
+        return float(self.payment_moments(xi, reserve)[0])
 
     def payment_std(self, xi):
-        if xi < 2.0 or math.isinf(xi):
-            return 0.0
-        if self.kind == "empirical" and self._point is not None:
-            return 0.0
-        return self._moments(float(xi))[1]
+        return float(self.payment_moments(xi)[1])
 
     def payment_moments(self, xis, reserve=0.0):
+        """Mean and spread of the second-price payment at each level of ``xis``.
+
+        Below two bidders the payment is the reserve, at infinite competition
+        the support's top, and a point mass pays its point (spread 0 in all
+        three). Other levels come from the moment cache, which the fixed
+        quadrature fills once per new level; the rule reduces every level on
+        its own, so a level's floats are the same in any call that has it.
+        """
         xis = np.asarray(xis, dtype=float)
-        if not (self.kind == "empirical" and self._point is not None):
-            _payment_points_batch(self, xis.ravel())
-        means = np.empty(xis.shape)
-        stds = np.empty(xis.shape)
-        for i, xi in enumerate(xis.ravel()):
-            means.flat[i] = self.payment_mean(xi, reserve=reserve)
-            stds.flat[i] = self.payment_std(xi)
+        means, stds = np.full(xis.shape, float(reserve)), np.zeros(xis.shape)
+        means[xis == math.inf] = self.support()[1]
+        inner = ~((xis < 2.0) | (xis == math.inf))
+        if self.kind == "empirical" and self._point is not None:
+            means[inner] = self._point
+        elif inner.any():
+            levels = xis[inner].tolist()
+            _payment_points_batch(self, levels)
+            means[inner], stds[inner] = np.array([self._moment_cache[x] for x in levels]).T
         return means, stds
 
     # -- serialization ------------------------------------------------------

@@ -203,25 +203,24 @@ def cmd_gen_data(rc: RunConfig, args):
             raise UsageError(f"bad synthetic.start_time: {exc}") from exc
     seed = args.seed if args.seed is not None else rc.root_seed
     try:
-        records, truth = generate_log(rc.bid_model, seed=seed, start_time=start,
-                                      **syn)
+        log, truth = generate_log(rc.bid_model, seed=seed, start_time=start, **syn)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad synthetic section: {exc}") from exc
     log_path = _out_path(rc, args, "auction_log.csv")
     truth_path = _out_path(rc, args, "ground_truth.json")
-    write_log_csv(records, log_path)
+    write_log_csv(log, log_path)
     _write_json(truth_path, {"schema_version": SCHEMA_VERSION, **truth})
-    n_auctions = len({r.auction_id for r in records})
-    print(f"wrote {n_auctions} auctions ({len(records)} bid rows) to {log_path}")
+    n_auctions = len(set(log.auction_id))
+    print(f"wrote {n_auctions} auctions ({len(log)} bid rows) to {log_path}")
     return 0
 
 
 def _read_summaries(rc, log_path):
-    records = read_log_csv(log_path)
-    if not records:
+    log = read_log_csv(log_path)
+    if not len(log):
         raise UsageError(f"auction log {log_path} has no bid rows")
     reserve = rc.market.reserve_price_r0 if rc.market is not None else 0.0
-    return summarize_auctions(records, reserve=reserve)
+    return summarize_auctions(log, reserve=reserve)
 
 
 def cmd_fit(rc: RunConfig, args):

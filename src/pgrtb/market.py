@@ -8,9 +8,9 @@ left unsold (or undelivered) is cleared on the delivery day through
 second-price auctions.
 
 This module holds everything about the buyers: how many arrive at each step,
-the fraction of waiting buyers that accepts a posted price, how unfulfilled
-demand backlogs over the window, how much buyers value certainty over the
-auction lottery, and the resulting ceiling on the posted price.
+the fraction of waiting buyers that accepts a posted price, how much buyers
+value certainty over the auction lottery, and the resulting ceiling on the
+posted price.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "TimeGrid",
     "expected_arrivals",
     "purchase_ratio",
-    "backlog_demand",
     "risk_preference",
     "censored_bound",
     "reference_config",
@@ -197,25 +196,6 @@ def purchase_ratio(n: int, price: float, cfg: MarketConfig, grid: TimeGrid) -> f
     return math.exp(
         -cfg.price_effect_alpha * price * (1.0 + cfg.time_effect_beta * remaining)
     )
-
-
-def backlog_demand(n, prior_prices, cfg: MarketConfig, grid: TimeGrid) -> float:
-    """Expected advertisers waiting at step ``n`` given posted price history.
-
-    Arrivals at earlier steps survive into step ``n`` with probability
-    ``prod (1 - theta)`` over the prices they declined; arrivals at ``n``
-    itself are all present. ``prior_prices`` must have length ``n``.
-    """
-    _check_step(n, grid.n_steps)
-    prior_prices = list(prior_prices)
-    if len(prior_prices) != n:
-        raise ValueError(f"expected {n} prior prices, got {len(prior_prices)}")
-    total = expected_arrivals(n, cfg)
-    survive = 1.0
-    for i in range(n - 1, -1, -1):
-        survive *= 1.0 - purchase_ratio(i, prior_prices[i], cfg, grid)
-        total += expected_arrivals(i, cfg) * survive
-    return total
 
 
 def risk_preference(n: int, cfg: MarketConfig, grid: TimeGrid) -> float:

@@ -1,12 +1,12 @@
 """Synthetic market: sampled arrivals, posted-price purchases, delivery-day
-auctions, and auction-log generation.
+auctions, and synthetic auction logs (a :class:`~pgrtb.logs.BidLog`).
 
 The simulator is the plan's reality check. Arrivals are Poisson draws around
 the expected schedule, purchases are binomial thinning of the waiting pool at
 the posted price, sold contracts fail independently at delivery (costing the
 penalty), and the leftover impressions run second-price auctions against the
-leftover demand. Every randomized piece takes an explicit seed and spawns
-child streams, so a root seed pins the whole experiment.
+leftover demand, all at once through the log summaries' grouping kernel. Each
+randomized piece takes an explicit seed, so a root seed pins the experiment.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .logs import AuctionLogRecord
+from .logs import BidLog, _rank_groups
 from .market import MarketConfig, TimeGrid, purchase_ratio
 from .solver import PricePlan
 
@@ -84,47 +84,32 @@ def simulate_purchases(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, seed)
     return sold, revenue
 
 
-def simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,
-                 reserve=0.0, slot_id="slot-0", start_time=None,
-                 collect_log=False):
+def simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *, reserve=0.0):
     """Delivery-day second-price auctions over the leftover inventory.
 
     Each remaining contender lands on a uniformly random impression and bids
     a fresh draw from ``bid_model``. An impression with two or more bidders
-    pays its second-highest bid, otherwise the reserve. Returns
-    ``(revenue, records)``; ``records`` is a bid log (one row per bid, with
-    timestamps spread over a day) when ``collect_log`` is set, else empty.
+    pays its second-highest bid, otherwise the reserve. Returns the revenue,
+    summed impression by impression.
     """
-    supply = int(remaining_supply)
-    demand = int(remaining_demand)
+    supply, demand = int(remaining_supply), int(remaining_demand)
     if supply < 0 or demand < 0:
         raise ValueError("supply and demand must be non-negative")
     if supply == 0:
-        return 0.0, []
+        return 0.0
     rng = np.random.default_rng(_seed_sequence(seed))
-    start = _EPOCH if start_time is None else start_time
     if demand == 0:
-        return float(reserve) * supply, []
+        return float(reserve) * supply
     placement = rng.integers(0, supply, size=demand)
     bids = bid_model.sample_bids(rng, demand)
-    order = np.argsort(placement, kind="stable")
-    sorted_bids = bids[order]
-    counts = np.bincount(placement, minlength=supply)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    order, starts = _rank_groups(placement, bids)
+    contested = starts[np.diff(starts, append=demand) >= 2]
+    pay = np.full(supply, float(reserve))
+    pay[placement[order[contested]]] = bids[order[contested + 1]]
     revenue = 0.0
-    records = []
-    for i in range(supply):
-        seg = sorted_bids[offsets[i]:offsets[i + 1]]
-        if seg.size >= 2:
-            revenue += float(np.partition(seg, seg.size - 2)[seg.size - 2])
-        else:
-            revenue += float(reserve)
-        if collect_log and seg.size:
-            ts = start + timedelta(hours=24.0 * i / supply)
-            auction_id = f"{slot_id}-rtb-{i:06d}"
-            records.extend(
-                AuctionLogRecord(slot_id, auction_id, ts, float(b)) for b in seg)
-    return revenue, records
+    for p in pay.tolist():  # a running total, in impression order
+        revenue += p
+    return revenue
 
 
 @dataclass
@@ -157,7 +142,7 @@ def run_market_once(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid,
     failures = rng.binomial(sold, cfg.miss_prob_omega)
     penalty = cfg.penalty_size_varpi * float(np.sum(np.asarray(plan.prices) * failures))
     delivered = int(sold.sum() - failures.sum())
-    rtb_revenue, _ = simulate_rtb(
+    rtb_revenue = simulate_rtb(
         cfg.supply_S - delivered, cfg.demand_Q - delivered, bid_model, rtb_seed,
         reserve=cfg.reserve_price_r0)
     total_sold = int(sold.sum())
@@ -213,8 +198,8 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
 
     Hour ``h`` runs ``auctions_per_hour`` auctions, each with
     ``bidders_per_hour[h mod len]`` independent bids from ``bid_model``.
-    Returns ``(records, truth)`` where ``truth`` records everything needed
-    to check an estimator against the generator.
+    Returns ``(log, truth)``: a :class:`~pgrtb.logs.BidLog` with one row per
+    bid, and everything needed to check an estimator against the generator.
     """
     if hours < 1 or auctions_per_hour < 1:
         raise ValueError("hours and auctions_per_hour must be positive")
@@ -223,16 +208,15 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         raise ValueError("bidders_per_hour must be non-empty, non-negative ints")
     rng = np.random.default_rng(_seed_sequence(seed))
     start = _EPOCH if start_time is None else start_time
-    records = []
+    auction_ids, stamps, bids = [], [], []
     for h in range(hours):
         k = bidders[h % len(bidders)]
         hour_start = start + timedelta(hours=h)
         for a in range(auctions_per_hour):
-            ts = hour_start + timedelta(seconds=3600.0 * a / auctions_per_hour)
-            auction_id = f"{slot_id}-h{h:04d}-a{a:05d}"
-            bids = bid_model.sample_bids(rng, k)
-            records.extend(
-                AuctionLogRecord(slot_id, auction_id, ts, float(b)) for b in bids)
+            auction_ids += [f"{slot_id}-h{h:04d}-a{a:05d}"] * k
+            stamps += [hour_start + timedelta(seconds=3600.0 * a / auctions_per_hour)] * k
+        # the hour's auctions draw their bids in turn from one stream
+        bids.append(bid_model.sample_bids(rng, auctions_per_hour * k))
     truth = {
         "slot_id": slot_id,
         "hours": int(hours),
@@ -242,4 +226,4 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         "bid_model": bid_model.to_dict(),
         "start_time": (start.isoformat()),
     }
-    return records, truth
+    return BidLog([slot_id] * len(auction_ids), auction_ids, stamps, np.concatenate(bids)), truth

@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# Property tests replay the same examples on every run, and a loaded
+# machine cannot fail them on a deadline.
+settings.register_profile("pgrtb", derandomize=True, deadline=None, database=None)
+settings.load_profile("pgrtb")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance verdict lines so they survive output capture."""

@@ -1,4 +1,4 @@
-"""Reference implementations the tests check the solver against.
+"""Reference implementations the tests check the solver and simulator against.
 
 ``dense_optimal_plan`` is the dynamic program with every step built as a
 dense ``(ny x nz)`` scan: the bit-identity oracle for the solver's blocked
@@ -10,13 +10,31 @@ arrivals, price bounds, payment moments, log tables) and mirror its float
 expressions operation for operation; their independence is the scan or the
 exhaustive path enumeration, not a re-derivation of the market primitives.
 That is what lets equality tests compare them bit for bit.
+
+``backlog_demand`` folds the expected waiting pool step by step from posted
+prices, the reference for the pool the DP prices against.
+``scalar_payment_moments`` is one payment level's mean and spread by cases,
+the reference for ``BidModel.payment_moments``. ``loop_simulate_rtb`` is the
+delivery-day auction run impression by impression, the reference for the
+simulator's grouped version, and can also return the auctions as a bid log.
 """
 
 import math
+from datetime import timedelta
 
 import numpy as np
 
-from pgrtb.market import MarketConfig, TimeGrid, censored_bound, expected_arrivals
+from pgrtb.auction import _payment_points_batch
+from pgrtb.logs import BidLog
+from pgrtb.market import (
+    MarketConfig,
+    TimeGrid,
+    _check_step,
+    censored_bound,
+    expected_arrivals,
+    purchase_ratio,
+)
+from pgrtb.simulate import _EPOCH, _seed_sequence
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
 
 
@@ -206,3 +224,77 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
     bnds = t.bounds[np.arange(N + 1), np.cumsum(sales)]
     return PricePlan.from_path(prices, sales, bnds, best["pg"], best["rtb"],
                                supply=t.S, demand=t.D)
+
+
+def backlog_demand(n, prior_prices, cfg: MarketConfig, grid: TimeGrid) -> float:
+    """Expected advertisers waiting at step ``n`` given posted price history.
+
+    Arrivals at earlier steps survive into step ``n`` with probability
+    ``prod (1 - theta)`` over the prices they declined; arrivals at ``n``
+    itself are all present. ``prior_prices`` must have length ``n``.
+    """
+    _check_step(n, grid.n_steps)
+    prior_prices = list(prior_prices)
+    if len(prior_prices) != n:
+        raise ValueError(f"expected {n} prior prices, got {len(prior_prices)}")
+    total = expected_arrivals(n, cfg)
+    survive = 1.0
+    for i in range(n - 1, -1, -1):
+        survive *= 1.0 - purchase_ratio(i, prior_prices[i], cfg, grid)
+        total += expected_arrivals(i, cfg) * survive
+    return total
+
+
+def scalar_payment_moments(model, xi, reserve=0.0):
+    """``(mean, std)`` of the second-price payment at one level ``xi``.
+
+    The reserve below two bidders, the support's top at infinite
+    competition, the point of a point mass, else the model's cached moments,
+    filled by the quadrature as a one-level batch on a miss.
+    """
+    if xi < 2.0:
+        return float(reserve), 0.0
+    if math.isinf(xi):
+        return model.support()[1], 0.0
+    if model.kind == "empirical" and model._point is not None:
+        return model._point, 0.0
+    if float(xi) not in model._moment_cache:
+        _payment_points_batch(model, [float(xi)])
+    return model._moment_cache[float(xi)]
+
+
+def loop_simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,
+                      reserve=0.0, slot_id="slot-0", start_time=None):
+    """``simulate_rtb`` one impression at a time: ``(revenue, log)``.
+
+    Same draws and revenue as :func:`pgrtb.simulate.simulate_rtb`; ``log``
+    holds one row per bid, each impression an auction stamped at its share
+    of a day from ``start_time``.
+    """
+    supply = int(remaining_supply)
+    demand = int(remaining_demand)
+    if supply < 0 or demand < 0:
+        raise ValueError("supply and demand must be non-negative")
+    if supply == 0:
+        return 0.0, BidLog([], [], [], [])
+    rng = np.random.default_rng(_seed_sequence(seed))
+    start = _EPOCH if start_time is None else start_time
+    if demand == 0:
+        return float(reserve) * supply, BidLog([], [], [], [])
+    placement = rng.integers(0, supply, size=demand)
+    bids = bid_model.sample_bids(rng, demand)
+    order = np.argsort(placement, kind="stable")
+    sorted_bids = bids[order]
+    counts = np.bincount(placement, minlength=supply)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    revenue = 0.0
+    rows = []
+    for i in range(supply):
+        seg = sorted_bids[offsets[i]:offsets[i + 1]]
+        if seg.size >= 2:
+            revenue += float(np.partition(seg, seg.size - 2)[seg.size - 2])
+        else:
+            revenue += float(reserve)
+        ts = start + timedelta(hours=24.0 * i / supply)
+        rows.extend((slot_id, f"{slot_id}-rtb-{i:06d}", ts, float(b)) for b in seg)
+    return revenue, BidLog(*zip(*rows))

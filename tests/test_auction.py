@@ -26,7 +26,9 @@ from pgrtb.auction import (
     mc_second_price,
 )
 from pgrtb import auction
-from pgrtb.logs import AuctionLogRecord, summarize_auctions
+from pgrtb.logs import BidLog, summarize_auctions
+
+from oracles import scalar_payment_moments
 
 UTC = timezone.utc
 
@@ -150,18 +152,20 @@ def test_mc_determinism_and_edges():
 
 
 def test_payment_moments_matches_scalar_calls():
+    """Arrays and scalar calls give the per-level reference bit for bit: the
+    reserve below two bidders, the support top at infinite competition, the
+    point of a point mass, else the quadrature run on that level alone."""
     xis = np.array([2.0, 2.5, 17.0, 33.3, 1.0, math.inf])
     batch_model = BidModel.lognormal(0.0, 0.5)
     means, stds = batch_model.payment_moments(xis, reserve=0.25)
-    scalar_model = BidModel.lognormal(0.0, 0.5)
+    reference = BidModel.lognormal(0.0, 0.5)
     for i, xi in enumerate(xis):
-        assert means[i] == scalar_model.payment_mean(float(xi), reserve=0.25)
-        assert stds[i] == scalar_model.payment_std(float(xi))
+        assert (means[i], stds[i]) == scalar_payment_moments(reference, xi, reserve=0.25)
     # within one instance the cache makes repeat lookups bit-identical
     assert batch_model.payment_mean(2.5, reserve=0.25) == means[1]
     assert batch_model.payment_std(33.3) == stds[3]
-    # a level's floats depend on xi alone: scalar calls on a fresh model are
-    # the reference, and shuffled batches of random sizes on other fresh
+    # a level's floats depend on xi alone: one-level batches on a fresh model
+    # are the reference, and shuffled batches of random sizes on other fresh
     # models, in any order and mix, must reproduce them exactly
     rng = np.random.default_rng(17)
     S, D = 120, 480
@@ -175,9 +179,12 @@ def test_payment_moments_matches_scalar_calls():
              lambda: BidModel.lognormal(0.0, 0.5),
              lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300))]
     for make in fresh:
+        reference = make()
+        ref = {float(xi): scalar_payment_moments(reference, xi) for xi in levels}
         scalar = make()
-        ref = {float(xi): (scalar.payment_mean(float(xi)), scalar.payment_std(float(xi)))
-               for xi in levels}
+        for xi in rng.permutation(levels)[:30]:
+            assert (scalar.payment_mean(float(xi)), scalar.payment_std(float(xi))) == \
+                ref[float(xi)]
         for _ in range(6):
             model = make()
             order = rng.permutation(levels)
@@ -186,6 +193,22 @@ def test_payment_moments_matches_scalar_calls():
                 part_means, part_stds = model.payment_moments(part)
                 for xi, mean, std in zip(part, part_means, part_stds):
                     assert (mean, std) == ref[float(xi)]
+    # the cases hold in any shape, a 0-d input included, and for a point mass
+    grid = np.array([[0.0, 1.0, 1.999, -math.inf], [2.0, 3.5, 41.0, math.inf]])
+    for make in fresh + [lambda: BidModel.empirical([0.7, 0.7, 0.7])]:
+        means, stds = make().payment_moments(grid, reserve=0.3)
+        reference, scalar = make(), make()
+        want = np.array([[scalar_payment_moments(reference, xi, reserve=0.3) for xi in row]
+                         for row in grid])
+        assert means.shape == stds.shape == grid.shape
+        assert means.tobytes() == want[..., 0].tobytes()
+        assert stds.tobytes() == want[..., 1].tobytes()
+        for xi, mean, std in zip(grid.ravel(), want[..., 0].ravel(), want[..., 1].ravel()):
+            assert scalar.payment_mean(xi, reserve=0.3) == mean
+            assert scalar.payment_std(xi) == std
+        mean0, std0 = make().payment_moments(np.float64(3.5))
+        assert (mean0.shape, float(mean0), float(std0)) == \
+            ((), *scalar_payment_moments(make(), 3.5))
 
 
 def test_quadrature_nodes_built_once_per_model():
@@ -367,9 +390,9 @@ def test_fitted_curve_serialization():
         FittedCurve(method="spline", x_range=(0.0, 1.0))(0.5)
 
 
-def _records_for(payments_by_hour, bids_per_auction=3, auctions=8):
+def _log_for(payments_by_hour, bids_per_auction=3, auctions=8):
     """Craft a bid log whose hourly second prices are exactly controlled."""
-    records = []
+    rows = []
     base = datetime(2024, 3, 1, tzinfo=UTC)
     for h, second in enumerate(payments_by_hour):
         for a in range(auctions):
@@ -377,13 +400,12 @@ def _records_for(payments_by_hour, bids_per_auction=3, auctions=8):
             ts = base + timedelta(hours=h, minutes=a)
             bids = [second + 1.0, second] + [second / 2.0] * (bids_per_auction - 2)
             for b in bids:
-                records.append(AuctionLogRecord("s", aid, ts, b))
-    return records
+                rows.append(("s", aid, ts, b))
+    return BidLog(*zip(*rows))
 
 
 def test_aggregate_payment_points_hourly():
-    records = _records_for([0.4, 0.6, 0.8])
-    summaries = summarize_auctions(records)
+    summaries = summarize_auctions(_log_for([0.4, 0.6, 0.8]))
     xi, mean, std = aggregate_payment_points(summaries)
     assert xi.shape == (3,)
     np.testing.assert_allclose(xi, 3.0)
@@ -393,12 +415,12 @@ def test_aggregate_payment_points_hourly():
 
 def test_aggregate_payment_points_by_count():
     # without timestamps auctions group by their exact bidder count
-    records = []
+    rows = []
     for a in range(6):
         k = 2 + (a % 2)
         for b in range(k):
-            records.append(AuctionLogRecord("s", f"a{a}", None, 0.1 * (b + 1)))
-    summaries = summarize_auctions(records)
+            rows.append(("s", f"a{a}", None, 0.1 * (b + 1)))
+    summaries = summarize_auctions(BidLog(*zip(*rows)))
     xi, mean, std = aggregate_payment_points(summaries)
     np.testing.assert_array_equal(xi, [2.0, 3.0])
     np.testing.assert_allclose(mean, [0.1, 0.2], atol=1e-12)
@@ -407,9 +429,9 @@ def test_aggregate_payment_points_by_count():
 
 
 def test_fit_payment_curves_rejects_thin_auctions():
-    records = [AuctionLogRecord("s", "solo", None, 0.5)]
+    log = BidLog(["s"], ["solo"], [None], [0.5])
     with pytest.raises(ValueError, match="solo"):
-        fit_payment_curves(summarize_auctions(records))
+        fit_payment_curves(summarize_auctions(log))
     with pytest.raises(ValueError):
         fit_payment_curves([])
 
@@ -417,7 +439,7 @@ def test_fit_payment_curves_rejects_thin_auctions():
 def test_fit_payment_curves_on_planted_shape():
     """The winning candidate must sit close to a noiseless planted curve."""
     rng = np.random.default_rng(31)
-    records = []
+    rows = []
     base = datetime(2024, 3, 1, tzinfo=UTC)
     for h in range(48):
         k = 2 + (h % 5)
@@ -428,20 +450,18 @@ def test_fit_payment_curves_on_planted_shape():
             noise = rng.normal(0.0, 0.002)
             bids = [target + 0.5, target + noise] + [0.05] * (k - 2)
             for b in bids:
-                records.append(AuctionLogRecord("s", aid, ts, max(b, 0.0)))
-    mean_curve, std_curve = fit_payment_curves(summarize_auctions(records))
+                rows.append(("s", aid, ts, max(b, 0.0)))
+    mean_curve, std_curve = fit_payment_curves(summarize_auctions(BidLog(*zip(*rows))))
     for k in range(2, 7):
         assert mean_curve(float(k)) == pytest.approx(0.2 + 0.08 * k, abs=0.01)
     assert std_curve(4.0) < 0.01
 
 
 def test_estimate_max_value():
-    records = _records_for([0.4, 1.0, 0.6])
     # peak hourly mean of all bids: hour with second=1.0 has bids 2.0/1.0/0.5
-    est = estimate_max_value(summarize_auctions(records))
+    est = estimate_max_value(summarize_auctions(_log_for([0.4, 1.0, 0.6])))
     assert est == pytest.approx((2.0 + 1.0 + 0.5) / 3.0, abs=1e-12)
-    flat = [AuctionLogRecord("s", "a1", None, 0.3),
-            AuctionLogRecord("s", "a1", None, 0.9)]
+    flat = BidLog(["s", "s"], ["a1", "a1"], [None, None], [0.3, 0.9])
     assert estimate_max_value(summarize_auctions(flat)) == pytest.approx(0.6)
     with pytest.raises(ValueError):
         estimate_max_value([])
@@ -449,12 +469,10 @@ def test_estimate_max_value():
 
 def test_estimate_max_value_merges_unstamped_rows():
     ts = datetime(2024, 3, 1, tzinfo=UTC)
-    records = [AuctionLogRecord("s", "a1", ts, 2.0),
-               AuctionLogRecord("s", "a1", ts, 1.0),
-               AuctionLogRecord("s", "a2", None, 0.1),
-               AuctionLogRecord("s", "a2", None, 0.1)]
+    log = BidLog(["s"] * 4, ["a1", "a1", "a2", "a2"], [ts, ts, None, None],
+                 [2.0, 1.0, 0.1, 0.1])
     # a mixed log cannot be bucketed by hour, so everything pools
-    assert estimate_max_value(summarize_auctions(records)) == pytest.approx(0.8)
+    assert estimate_max_value(summarize_auctions(log)) == pytest.approx(0.8)
 
 
 def test_revenue_curves_surface():

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from pgrtb.cli import main
-from pgrtb.logs import AuctionLogRecord, write_log_csv
+from pgrtb.logs import BidLog, write_log_csv
 from pgrtb.solver import PricePlan
 
 MARKET = {
@@ -184,10 +184,10 @@ def test_commands_refuse_missing_sections(tmp_path, capsys):
 
 
 def test_fit_rejects_log_of_solo_auctions(tmp_path, capsys):
-    records = [AuctionLogRecord("s", f"a{i}", None, 0.4 + 0.001 * i)
-               for i in range(30)]
+    log = BidLog(["s"] * 30, [f"a{i}" for i in range(30)], [None] * 30,
+                 [0.4 + 0.001 * i for i in range(30)])
     log_path = tmp_path / "thin.csv"
-    write_log_csv(records, log_path)
+    write_log_csv(log, log_path)
     cfg_path = dump(tmp_path, base_config(tmp_path))
     assert main(["fit", "--config", cfg_path, "--log", str(log_path)]) == 2
     assert "two or more bids" in capsys.readouterr().err

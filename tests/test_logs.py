@@ -1,31 +1,123 @@
 """Bid-log CSV round trips and per-auction summaries."""
 
-from datetime import datetime, timezone
+import csv
+import io
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from pgrtb import logs
 from pgrtb.logs import (
-    AuctionLogRecord,
+    BidLog,
     read_log_csv,
     summarize_auctions,
     write_log_csv,
 )
 
 UTC = timezone.utc
+PLUS1 = timezone(timedelta(hours=1))
+
+
+def rows_log(rows):
+    """A BidLog from ``(slot_id, auction_id, timestamp, bid)`` rows."""
+    return BidLog(*zip(*rows)) if rows else BidLog([], [], [], [])
 
 
 def test_round_trip_preserves_everything(tmp_path):
     ts = datetime(2024, 5, 1, 14, 30, 15, tzinfo=UTC)
-    records = [
-        AuctionLogRecord("slot-a", "x1", ts, 0.1 + 0.2),  # a float with ugly repr
-        AuctionLogRecord("slot-a", "x1", None, 1.25),
-        AuctionLogRecord("slot-b", "x2", ts, 0.0),
-    ]
+    log = rows_log([
+        ("slot-a", "x1", ts, 0.1 + 0.2),  # a float with ugly repr
+        ("slot-a", "x1", None, 1.25),
+        ("slot-b", "x2", ts, 0.0),
+    ])
     path = tmp_path / "log.csv"
-    write_log_csv(records, path)
+    write_log_csv(log, path)
     back = read_log_csv(path)
-    assert back == records  # dataclass equality, floats exact via repr round trip
+    assert back == log  # column equality, floats exact via repr round trip
+
+
+def _csv_writer_bytes(rows):
+    """The log as the csv module writes it, one ``writerow`` per bid row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(logs.LOG_HEADER)
+    for slot_id, auction_id, ts, bid in rows:
+        writer.writerow([slot_id, auction_id, "" if ts is None else ts.isoformat(),
+                         repr(float(bid))])
+    return buf.getvalue().encode()
+
+
+_ID_CHARS = st.sampled_from('ab7-_.,"\r\n ')
+_IDS = st.builds(lambda head, body, tail: head + body + tail,
+                 st.sampled_from("sx"), st.text(_ID_CHARS, max_size=6),
+                 st.sampled_from('1,"'))
+_STAMPS = st.none() | st.builds(
+    lambda minutes, zone: datetime(2024, 5, 1, 12, tzinfo=UTC).astimezone(zone)
+    + timedelta(minutes=minutes),
+    st.integers(0, 600), st.sampled_from([UTC, PLUS1, timezone(-timedelta(hours=5.5))]))
+_AUCTIONS = st.lists(st.tuples(_IDS, _IDS, _STAMPS, st.lists(
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False), min_size=1,
+    max_size=4)), max_size=8)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(auctions=_AUCTIONS)
+def test_round_trip_property(tmp_path, auctions):
+    """Any ids (commas, quotes, line breaks inside), stamps at any offset
+    and bids: the bytes are the csv module's, and reading gives the log back
+    with each stamp's own offset."""
+    rows = [(slot, auction, ts, bid) for slot, auction, ts, bids in auctions
+            for bid in bids]
+    log = rows_log(rows)
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path)
+    assert path.read_bytes() == _csv_writer_bytes(rows)
+    back = read_log_csv(path)
+    assert back == log
+    assert [None if t is None else t.isoformat() for t in back.timestamp] == \
+        [None if t is None else t.isoformat() for t in log.timestamp]
+
+
+def test_round_trip_ids_with_commas_and_quotes(tmp_path):
+    log = rows_log([
+        ("slot,a", 'auction "1"', None, 0.5),
+        ("slot,a", 'auction "1"', None, 0.25),
+        ('"quoted"', "a,b,c", None, 1.0),
+    ])
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path)
+    assert path.read_bytes().splitlines()[1] == b'"slot,a","auction ""1""",,0.5'
+    assert read_log_csv(path) == log
+
+
+def test_equal_instants_keep_their_offsets(tmp_path):
+    utc_noon = datetime(2024, 5, 1, 12, tzinfo=UTC)
+    plus1_one = datetime(2024, 5, 1, 13, tzinfo=PLUS1)
+    assert utc_noon == plus1_one
+    log = rows_log([
+        ("s", "a", utc_noon, 0.4),   # one auction, both offsets
+        ("s", "a", plus1_one, 0.5),
+        ("s", "b", plus1_one, 0.3),  # across auctions
+        ("s", "c", utc_noon, 0.2),
+        ("s", "c", utc_noon, 0.1),
+    ])
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path)
+    stamps = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert stamps == ["2024-05-01T12:00:00+00:00", "2024-05-01T13:00:00+01:00",
+                      "2024-05-01T13:00:00+01:00", "2024-05-01T12:00:00+00:00",
+                      "2024-05-01T12:00:00+00:00"]
+    back = read_log_csv(path)
+    assert [t.utcoffset() for t in back.timestamp] == \
+        [timedelta(0), timedelta(hours=1), timedelta(hours=1), timedelta(0), timedelta(0)]
+    # of equal earliest instants an auction keeps its first row's, not the
+    # highest bid's
+    a, b, c = summarize_auctions(back)
+    assert a.timestamp.utcoffset() == timedelta(0)
+    assert b.timestamp.utcoffset() == timedelta(hours=1)
 
 
 def test_read_accepts_zulu_timestamps(tmp_path):
@@ -33,8 +125,7 @@ def test_read_accepts_zulu_timestamps(tmp_path):
     path.write_text(
         "slot_id,auction_id,timestamp,bid_cpm\n"
         "s,a1,2024-05-01T00:00:00Z,0.5\n")
-    rec = read_log_csv(path)[0]
-    assert rec.timestamp == datetime(2024, 5, 1, tzinfo=UTC)
+    assert read_log_csv(path).timestamp[0] == datetime(2024, 5, 1, tzinfo=UTC)
 
 
 def test_read_rejects_wrong_header(tmp_path):
@@ -59,6 +150,52 @@ def test_read_rejects_bad_rows(tmp_path, row, fragment):
         read_log_csv(path)
 
 
+# Each bad row with the exact message a row-by-row reader gives it.
+BAD_ROWS = [
+    ("s,a1,not-a-date,0.5", "bad timestamp 'not-a-date'"),
+    ("s,a1,,abc", "bad bid 'abc'"),
+    ("s,a1,,-0.5", "bid must be finite and non-negative"),
+    ("s,a1,,nan", "bid must be finite and non-negative"),
+    (" ,a1,,0.5", "empty slot or auction id"),
+    ("s,a1,0.5", "expected 4 fields"),
+    ("s,a1,,0.5,extra", "expected 4 fields"),
+    ("  ", "expected 4 fields"),
+]
+
+
+def _log_with_bad_rows(path, bad):
+    """Over two read chunks of good rows, some blank, then ``bad``: a list of
+    ``(offset, row)`` placed after them. Returns the line of each bad row."""
+    n_good = 2 * logs._READ_CHUNK + 37
+    lines = ["" if i % 1000 == 999 else
+             f"s,a{i // 5},2024-05-01T{i % 24:02d}:00:00+00:00,0.{i}"
+             for i in range(n_good + 12)]
+    for offset, row in bad:
+        lines[n_good + offset] = row
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n" + "\n".join(lines) + "\n")
+    return [n_good + offset + 2 for offset, _ in bad]  # the header is line 1
+
+
+@pytest.mark.parametrize("row,message", BAD_ROWS)
+def test_bad_row_after_chunks_reports_its_line(tmp_path, row, message):
+    path = tmp_path / "log.csv"
+    (line,) = _log_with_bad_rows(path, [(3, row)])
+    with pytest.raises(ValueError) as err:
+        read_log_csv(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("first,second", [(1, 5), (5, 1), (0, 7), (7, 2)])
+def test_first_of_two_bad_rows_wins(tmp_path, first, second):
+    """Whatever kinds the two rows are, the earlier one is reported."""
+    path = tmp_path / "log.csv"
+    line, _ = _log_with_bad_rows(path, [(2, BAD_ROWS[first][0]),
+                                        (9, BAD_ROWS[second][0])])
+    with pytest.raises(ValueError) as err:
+        read_log_csv(path)
+    assert str(err.value) == f"{path}:{line}: {BAD_ROWS[first][1]}"
+
+
 def test_read_skips_blank_lines(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("slot_id,auction_id,timestamp,bid_cpm\n\ns,a1,,0.5\n\n")
@@ -68,13 +205,13 @@ def test_read_skips_blank_lines(tmp_path):
 def test_summarize_auctions():
     t1 = datetime(2024, 5, 1, 10, tzinfo=UTC)
     t2 = datetime(2024, 5, 1, 11, tzinfo=UTC)
-    records = [
-        AuctionLogRecord("s", "big", t2, 0.4),
-        AuctionLogRecord("s", "big", t1, 0.9),
-        AuctionLogRecord("s", "big", None, 0.7),
-        AuctionLogRecord("s", "solo", t1, 0.3),
-    ]
-    summaries = summarize_auctions(records, reserve=0.05)
+    log = rows_log([
+        ("s", "big", t2, 0.4),
+        ("s", "big", t1, 0.9),
+        ("s", "big", None, 0.7),
+        ("s", "solo", t1, 0.3),
+    ])
+    summaries = summarize_auctions(log, reserve=0.05)
     assert [s.auction_id for s in summaries] == ["big", "solo"]  # first-seen order
     big, solo = summaries
     np.testing.assert_array_equal(big.bids, [0.9, 0.7, 0.4])
@@ -84,12 +221,48 @@ def test_summarize_auctions():
     assert big.timestamp == t1  # earliest stamped row
     assert solo.xi_observed == 1
     assert solo.payment == 0.05  # reserve fallback
-    assert summarize_auctions([]) == []
+    assert summarize_auctions(rows_log([])) == []
 
 
 def test_summarize_without_timestamps():
-    records = [AuctionLogRecord("s", "a", None, 0.2),
-               AuctionLogRecord("s", "a", None, 0.8)]
-    s = summarize_auctions(records)[0]
+    log = rows_log([("s", "a", None, 0.2), ("s", "a", None, 0.8)])
+    s = summarize_auctions(log)[0]
     assert s.timestamp is None
     assert s.payment == 0.2
+
+
+def _dict_grouped(rows, reserve):
+    """Per-auction summaries by grouping rows in a dict, one row at a time."""
+    grouped = {}
+    for row in rows:
+        grouped.setdefault(row[1], []).append(row)
+    out = []
+    for auction_id, group in grouped.items():
+        bids = np.sort(np.array([r[3] for r in group], dtype=float))[::-1]
+        stamps = [r[2] for r in group if r[2] is not None]
+        out.append((auction_id, group[0][0], min(stamps) if stamps else None,
+                    bids.tolist(), len(bids), float(bids[0]),
+                    float(bids[1]) if len(bids) >= 2 else float(reserve)))
+    return out
+
+
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(["s1", "s2"]), st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.none() | st.sampled_from([
+        datetime(2024, 5, 1, 12, tzinfo=UTC), datetime(2024, 5, 1, 13, tzinfo=PLUS1),
+        datetime(2024, 5, 1, 11, tzinfo=UTC), datetime(2024, 5, 1, 12, 30, tzinfo=PLUS1)]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=30),
+    reserve=st.sampled_from([0.0, 0.05]))
+@example(rows=[("s1", "a", datetime(2024, 5, 1, 13, tzinfo=PLUS1), 0.25),
+               ("s2", "a", datetime(2024, 5, 1, 12, tzinfo=UTC), 1.0),
+               ("s1", "b", None, 0.5)], reserve=0.05)
+def test_summarize_matches_dict_grouping(rows, reserve):
+    """Shuffled rows with tied bids and equal instants at two offsets: the
+    grouping kernel gives the dict oracle's first-seen order, earliest stamp
+    (the first of equal ones), descending bids and reserve for single bids."""
+    got = [(s.auction_id, s.slot_id, s.timestamp, s.bids.tolist(), s.xi_observed,
+            s.winning_bid, s.payment) for s in summarize_auctions(rows_log(rows), reserve)]
+    want = _dict_grouped(rows, reserve)
+    assert got == want
+    assert [None if g[2] is None else g[2].utcoffset() for g in got] == \
+        [None if w[2] is None else w[2].utcoffset() for w in want]

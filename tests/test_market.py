@@ -9,13 +9,14 @@ from pgrtb.auction import BidModel
 from pgrtb.market import (
     MarketConfig,
     TimeGrid,
-    backlog_demand,
     censored_bound,
     expected_arrivals,
     purchase_ratio,
     reference_config,
     risk_preference,
 )
+
+from oracles import backlog_demand
 
 
 def small_config(**overrides):

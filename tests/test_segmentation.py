@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgrtb.auction import BidModel
-from pgrtb.logs import AuctionLogRecord, summarize_auctions
+from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.market import MarketConfig
 from pgrtb.segmentation import kmeans_1d, segment_and_optimize
 from pgrtb.simulate import generate_log
@@ -126,14 +126,12 @@ def test_all_bids_feature_agrees_on_clean_split():
 def test_thin_competition_goes_auction_only():
     # every auction has one bid, so no payment curve can be certified
     rng = np.random.default_rng(9)
-    records = [
-        AuctionLogRecord("s", f"a{i:03d}", None, float(b))
-        for i, b in enumerate(np.concatenate([
-            0.3 + 0.01 * rng.standard_normal(60),
-            0.9 + 0.01 * rng.standard_normal(60),
-        ]))
-    ]
-    market = segment_and_optimize(summarize_auctions(records), seg_config(), seed=0)
+    bids = np.concatenate([
+        0.3 + 0.01 * rng.standard_normal(60),
+        0.9 + 0.01 * rng.standard_normal(60),
+    ])
+    log = BidLog(["s"] * 120, [f"a{i:03d}" for i in range(120)], [None] * 120, bids)
+    market = segment_and_optimize(summarize_auctions(log), seg_config(), seed=0)
     assert not market.fallback
     for sp in market.segments:
         assert sp.rtb_only
@@ -148,15 +146,11 @@ def test_thin_competition_goes_auction_only():
 
 
 def test_degenerate_bids_fall_back_to_one_group():
-    records = []
-    for i in range(40):
-        records.extend([
-            AuctionLogRecord("s", f"a{i:03d}", None, 0.5),
-            AuctionLogRecord("s", f"a{i:03d}", None, 0.5),
-        ])
+    log = BidLog(["s"] * 80, [f"a{i // 2:03d}" for i in range(80)], [None] * 80,
+                 [0.5] * 80)
     cfg = seg_config()
     with pytest.warns(RuntimeWarning, match="cannot support two clusters"):
-        market = segment_and_optimize(summarize_auctions(records), cfg, seed=0)
+        market = segment_and_optimize(summarize_auctions(log), cfg, seed=0)
     assert market.fallback
     assert len(market.segments) == 1
     only = market.segments[0]

@@ -16,6 +16,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pgrtb.auction import BidModel
 from pgrtb.logs import summarize_auctions
@@ -29,6 +31,8 @@ from pgrtb.simulate import (
     simulate_rtb,
 )
 from pgrtb.solver import PricePlan, optimal_plan
+
+from oracles import loop_simulate_rtb
 
 UTC = timezone.utc
 
@@ -116,35 +120,59 @@ def test_simulate_purchases_rejects_tail_plans():
 
 def test_simulate_rtb_edges():
     model = BidModel.uniform(0.0, 1.0)
-    assert simulate_rtb(0, 50, model, seed=1) == (0.0, [])
-    revenue, records = simulate_rtb(5, 0, model, seed=1, reserve=0.2)
-    assert revenue == 1.0 and records == []
+    assert simulate_rtb(0, 50, model, seed=1) == 0.0
+    assert simulate_rtb(5, 0, model, seed=1, reserve=0.2) == 1.0
     with pytest.raises(ValueError):
         simulate_rtb(-1, 5, model, seed=1)
 
 
 def test_simulate_rtb_log_reconciles_with_revenue():
-    """Summarizing the emitted log must reproduce the revenue bookkeeping."""
+    """Summarizing the per-impression oracle's log must reproduce the revenue
+    bookkeeping."""
     model = BidModel.uniform(0.1, 1.0)
     supply, demand, reserve = 40, 130, 0.05
-    revenue, records = simulate_rtb(supply, demand, model, seed=8,
-                                    reserve=reserve, collect_log=True)
-    assert len(records) == demand  # every bid lands on exactly one impression
-    summaries = summarize_auctions(records, reserve=reserve)
+    revenue, log = loop_simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
+    assert revenue == simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
+    assert len(log) == demand  # every bid lands on exactly one impression
+    summaries = summarize_auctions(log, reserve=reserve)
     covered = sum(s.payment for s in summaries if s.xi_observed >= 2)
     thin = sum(1 for s in summaries if s.xi_observed == 1)
     empty = supply - len(summaries)
     assert revenue == pytest.approx(covered + reserve * (thin + empty), abs=1e-9)
-    stamps = [r.timestamp for r in records]
-    assert all(ts is not None for ts in stamps)
+    assert all(ts is not None for ts in log.timestamp)
+
+
+_BID_LAWS = {
+    "uniform": BidModel.uniform(0.1, 1.0),
+    "lognormal": BidModel.lognormal(-0.5, 0.8),
+    "empirical": BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 50)),
+    "point mass": BidModel.empirical([0.4, 0.4]),  # every bid ties
+}
+
+
+@given(supply=st.integers(1, 40), demand=st.integers(0, 160),
+       law=st.sampled_from(sorted(_BID_LAWS)), reserve=st.sampled_from([0.0, 0.05, 0.7]),
+       seed=st.integers(0, 2**32 - 1))
+@example(supply=7, demand=0, law="uniform", reserve=0.05, seed=1)
+@example(supply=30, demand=12, law="lognormal", reserve=0.05, seed=2)
+@example(supply=1, demand=9, law="empirical", reserve=0.0, seed=3)
+@example(supply=1, demand=1, law="uniform", reserve=0.7, seed=4)
+@example(supply=15, demand=60, law="point mass", reserve=0.05, seed=5)
+def test_simulate_rtb_matches_per_impression_oracle(supply, demand, law, reserve, seed):
+    """The grouped auction's revenue equals the impression-by-impression
+    loop's bit for bit: no bidders, fewer bidders than impressions, one
+    impression, ties and a reserve included."""
+    model = _BID_LAWS[law]
+    want, _ = loop_simulate_rtb(supply, demand, model, seed, reserve=reserve)
+    assert simulate_rtb(supply, demand, model, seed, reserve=reserve) == want
 
 
 def test_simulate_rtb_deterministic():
     model = BidModel.lognormal(0.0, 0.5)
-    a = simulate_rtb(20, 60, model, seed=12)[0]
-    b = simulate_rtb(20, 60, model, seed=12)[0]
+    a = simulate_rtb(20, 60, model, seed=12)
+    b = simulate_rtb(20, 60, model, seed=12)
     assert a == b
-    assert simulate_rtb(20, 60, model, seed=13)[0] != a
+    assert simulate_rtb(20, 60, model, seed=13) != a
 
 
 def test_run_market_once_accounting():
@@ -183,11 +211,11 @@ def test_evaluate_plan_summary():
 
 def test_generate_log_structure():
     model = BidModel.uniform(0.2, 0.9)
-    records, truth = generate_log(model, hours=5, auctions_per_hour=4,
-                                  bidders_per_hour=[2, 3], seed=21)
+    log, truth = generate_log(model, hours=5, auctions_per_hour=4,
+                              bidders_per_hour=[2, 3], seed=21)
     assert truth["bidders_per_hour"] == [2, 3]
     assert truth["bid_model"] == {"kind": "uniform", "low": 0.2, "high": 0.9}
-    summaries = summarize_auctions(records)
+    summaries = summarize_auctions(log)
     assert len(summaries) == 20
     by_hour = {}
     for s in summaries:
@@ -196,7 +224,7 @@ def test_generate_log_structure():
     assert by_hour == {0: {2}, 1: {3}, 2: {2}, 3: {3}, 4: {2}}
     again, _ = generate_log(model, hours=5, auctions_per_hour=4,
                             bidders_per_hour=[2, 3], seed=21)
-    assert again == records
+    assert again == log
     with pytest.raises(ValueError):
         generate_log(model, hours=0, auctions_per_hour=4,
                      bidders_per_hour=[2], seed=0)
@@ -208,7 +236,21 @@ def test_generate_log_structure():
 def test_generate_log_custom_start():
     model = BidModel.uniform(0.0, 1.0)
     start = datetime(2023, 7, 1, 12, tzinfo=UTC)
-    records, truth = generate_log(model, hours=1, auctions_per_hour=2,
-                                  bidders_per_hour=[2], seed=0, start_time=start)
-    assert records[0].timestamp == start
+    log, truth = generate_log(model, hours=1, auctions_per_hour=2,
+                              bidders_per_hour=[2], seed=0, start_time=start)
+    assert log.timestamp[0] == start
     assert truth["start_time"] == start.isoformat()
+
+
+@pytest.mark.parametrize("law", sorted(_BID_LAWS))
+def test_generate_log_draws_like_one_auction_at_a_time(law):
+    """One draw per hour gives the bits of one draw per auction, in order,
+    also across hours without bidders."""
+    model, pattern = _BID_LAWS[law], [3, 0, 1, 5]
+    log, _ = generate_log(model, hours=6, auctions_per_hour=7,
+                          bidders_per_hour=pattern, seed=44)
+    rng = np.random.default_rng(44)
+    per_auction = [model.sample_bids(rng, pattern[h % 4])
+                   for h in range(6) for _ in range(7)]
+    assert log.bid_cpm.tobytes() == np.concatenate(per_auction).tobytes()
+    assert len(log) == 7 * (3 + 0 + 1 + 5 + 3 + 0)

@@ -21,7 +21,6 @@ from pgrtb.auction import BidModel, RevenueCurves, fit_polynomial, lowess
 from pgrtb.market import (
     MarketConfig,
     TimeGrid,
-    backlog_demand,
     censored_bound,
     purchase_ratio,
     reference_config,
@@ -33,7 +32,12 @@ from pgrtb.solver import (
     replay_revenue,
 )
 
-from oracles import brute_force_optimum, dense_optimal_plan, optimal_pg_revenue
+from oracles import (
+    backlog_demand,
+    brute_force_optimum,
+    dense_optimal_plan,
+    optimal_pg_revenue,
+)
 from test_acceptance import random_market
 
 
