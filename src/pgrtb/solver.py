@@ -15,13 +15,14 @@ bound at ``(n, y)``. Terminal value adds ``(S - y) * payment_mean(xi(y))``.
 Cumulative sales can never exceed cumulative expected arrivals, which caps
 each step's state set and keeps the table O(N * S).
 
-The transition runs in blocks of target rows. A split's price
-``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``, so each row's
-feasible predecessors are a prefix with a closed-form end; a block scans
-only up to its rows' largest end, the float test ``price <= bound`` still
-decides each cell, and every cell repeats a dense scan's operations in
-order, so plans are bit-identical to one. Memory is O(N * S) for the tables
-plus O(_BLOCK_CELLS) per step.
+A split's price ``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``,
+so each row's feasible predecessors are a prefix, and while those prefixes
+nest a row's best split never moves down as ``y`` rises: large steps find
+their row maxima by divide and conquer in O(S log S) cells, the rest scan
+their rows in blocks over each prefix. Every cell repeats a dense scan's
+float operations in order, so plans are bit-identical to one. Time is
+O(N * S log S) on large steps; memory is O(N * S) for the tables, capped by
+``_MAX_TABLE_CELLS``, plus O(_BLOCK_CELLS + S) per step.
 
 Tie-breaks are deterministic and documented: among equal-revenue terminal
 states the smallest cumulative sale wins; within a step, the smaller
@@ -51,6 +52,9 @@ __all__ = [
     "replay_revenue",
 ]
 
+# Budget on the DP's stored cells, (N + 1) * (S + 1): its tables keep four
+# 8-byte arrays per step, so this caps them near 128 MiB.
+_MAX_TABLE_CELLS = 1 << 22
 # Cells (rows x columns) of one transition block; rows per block follow
 # from the previous step's state count.
 _BLOCK_CELLS = 1 << 16
@@ -100,10 +104,6 @@ class PricePlan:
     xi_terminal: float
     start_step: int = 0
     presold: int = 0
-
-    @property
-    def cumulative_sales(self) -> np.ndarray:
-        return self.presold + np.cumsum(self.sales)
 
     @property
     def total_sold(self) -> int:
@@ -179,7 +179,7 @@ class DPTables:
     guaranteed revenue per state (-inf marks states no bounded price can
     reach); ``back_prev``/``back_price`` the chosen predecessor state and
     price (nan on no-sale carries; -1 and nan on unreachable states). These
-    O(N * S) arrays are all a solve keeps; a step's blocks are temporary.
+    O(N * S) arrays are all a solve keeps; a step's scans are temporary.
     """
 
     start_step: int
@@ -203,6 +203,12 @@ class _MarketTables:
     def __init__(self, cfg: MarketConfig, grid: TimeGrid):
         if grid.n_steps != cfg.steps_N:
             raise ValueError("grid does not match config steps_N")
+        cells = (cfg.steps_N + 1) * (cfg.supply_S + 1)
+        if cells > _MAX_TABLE_CELLS:
+            raise ValueError(
+                f"problem too large: {cfg.steps_N + 1} steps x {cfg.supply_S + 1} "
+                f"states = {cells:,} DP table cells, above the budget of "
+                f"{_MAX_TABLE_CELLS:,}")
         S = self.S = cfg.supply_S
         self.cfg = cfg
         self.cum = np.cumsum([expected_arrivals(n, cfg) for n in range(grid.n_steps + 1)])
@@ -213,14 +219,15 @@ class _MarketTables:
         self.coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
         with np.errstate(divide="ignore"):
             self.log_k = np.log(np.arange(S + 1, dtype=float))
-        # Row a of these views holds z2 = a - S - 1 + k at column k, and its
-        # log (nan for z2 < 1, failing every bound test): one row slice is a
-        # block row's sell-now over its columns from the largest z1 down.
-        z2 = np.arange(-S - 1, 2 * S + 2, dtype=float)
-        log_z2 = np.full(z2.size, np.nan)
-        log_z2[S + 2:2 * S + 2] = self.log_k[1:]
-        self.z2_rows = sliding_window_view(z2, S + 1)
-        self.log_z2_rows = sliding_window_view(log_z2, S + 1)
+        # Entry S + 1 + d of the flat arrays is z2 = d and its log (nan for
+        # z2 < 1, failing every bound test). Row a of the views holds
+        # z2 = a - S - 1 + k at column k: one row slice is a block row's
+        # sell-now over its columns from the largest z1 down.
+        self.z2 = np.arange(-S - 1, 2 * S + 2, dtype=float)
+        self.log_z2 = np.full(self.z2.size, np.nan)
+        self.log_z2[S + 2:2 * S + 2] = self.log_k[1:]
+        self.z2_rows = sliding_window_view(self.z2, S + 1)
+        self.log_z2_rows = sliding_window_view(self.log_z2, S + 1)
 
     def set_demand(self, model, demand_total):
         """Price the tables for ``demand_total`` (the config's when None)."""
@@ -247,7 +254,9 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
     shocks without leaving the original time/arrival coordinates.
 
     ``model`` is a bid distribution or fitted revenue curves; anything with
-    ``payment_moments``.
+    ``payment_moments``. Problems with more than ``_MAX_TABLE_CELLS`` = 2^22
+    table cells ``(N + 1) * (S + 1)`` are refused with a ``ValueError``
+    before anything is allocated.
     """
     t = _MarketTables(cfg, grid)
     N = cfg.steps_N
@@ -308,45 +317,46 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     """One DP transition into step ``n``: ``(y_abs, H, back_prev, back_price)``.
 
     Rows ``i`` are the targets ``y = presold + i``, columns ``j`` the
-    predecessors ``z1 = presold + j``. A block of rows scans the columns up
-    to its :func:`_window_top` from the largest ``z1`` down, so ``argmax``
-    (first maximum) keeps the smallest sell-now among equal values.
+    predecessors ``z1 = presold + j``. Each row keeps its largest maximising
+    column (the smallest sell-now) over cells priced by :func:`_cells`, then
+    the no-sale carry; two row schedules feed that one kernel. A step that
+    fits in one block (``ny * nz <= _BLOCK_CELLS``), whose bound falls
+    somewhere in ``y`` or whose ``ny * cum_n`` exceeds 2^40 takes
+    :func:`_scan_blocks`; every other step :func:`_scan_monotone`.
+
+    Why the divide and conquer is exact. With ``c = coef / scale`` a cell is
+    worth ``f(y, z1) = h(z1) + c z2 ln((cum - z1) / z2)``, whose mixed
+    difference ``c (1/(y - z1) - 1/(cum - z1))`` is >= 0. So while the
+    feasible sets nest (live prefixes whose end rises with ``y``) the
+    largest maximiser never falls as ``y`` rises (Aggarwal et al. 1987;
+    Galil & Park 1992). In floats, a price falls as ``y`` rises (``ln k``
+    rises, rounding is monotone), so under a bound that never falls the sets
+    nest; below the top row ``cum - y >= 1``, so two columns' prices differ
+    by more than ``1 / (ny cum scale)``, beyond their errors while ``ny cum
+    <= 2^40`` (``np.log`` within 4 ulp), and each set is a prefix. A
+    feasible cell's float value is within ``E = 20 u M`` of its exact one
+    (``u = 2^-53``, ``M`` the largest ``|h|`` plus ``coef ny (max bound + (1
+    + ln(cum + 1)) / scale)``). For rows ``l < i`` and columns ``b < a`` the
+    exchange ``f(l, b) - f(l, a) >= f(i, b) - f(i, a)``, and its mirror,
+    put every column within ``d`` of row ``i``'s float best within ``d + 4
+    E`` of its bracket row's best. Brackets reach out to every column within
+    ``tol = 2^-40 M`` of a bracket row's best, which covers ``4 E`` per depth
+    for 40 depths, so a float near-tie can widen a bracket but cannot put
+    the dense scan's pick outside it.
     """
     un = int(t.u[n])
     ny = un - presold + 1
     nz = u_prev - presold + 1
     y_abs = np.arange(presold, un + 1)
-    scale = t.price_scale[n]
     bound = t.bounds[n, presold:un + 1]
     ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
-    ln_desc = ln_avail[::-1].copy()
-    h_desc = h_prev[::-1].copy()
-    live_desc = np.isfinite(h_desc)
     h_n = np.full(ny, -np.inf)
     prev_pick = np.full(ny, -1)
     price_pick = np.full(ny, np.nan)
-    rows = max(1, _BLOCK_CELLS // nz)
-    for lo in range(0, ny, rows):
-        hi = min(lo + rows, ny)
-        top = _window_top(t, n, ln_avail, bound, lo, hi, presold)
-        if top < 0:
-            continue
-        cols = slice(nz - 1 - top, nz)
-        # view row S + 1 + i - top starts at row i's sell-now for z1 = presold + top
-        window = slice(t.S + 1 + lo - top, t.S + 1 + hi - top), slice(0, top + 1)
-        price = ln_desc[cols] - t.log_z2_rows[window]
-        price /= scale
-        ok = price <= bound[lo:hi, None]
-        ok &= live_desc[cols]
-        vals = t.coef * price
-        vals *= t.z2_rows[window]
-        vals += h_desc[cols]  # h + (coef * price) * z2: addition commutes exactly
-        vals[~ok] = -np.inf
-        pick = vals.argmax(axis=1)
-        r = np.arange(hi - lo)
-        h_n[lo:hi] = vals[r, pick]
-        prev_pick[lo:hi] = presold + top - pick
-        price_pick[lo:hi] = price[r, pick]
+    blocked = (ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0)
+               or ny * t.cum[n] > 2.0 ** 40)
+    scan = _scan_blocks if blocked else _scan_monotone
+    scan(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick, price_pick)
     m = min(ny, nz)
     carry = h_prev[:m] >= h_n[:m]
     h_n[:m] = np.where(carry, h_prev[:m], h_n[:m])
@@ -356,6 +366,97 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     prev_pick[dead] = -1
     price_pick[dead] = np.nan
     return y_abs, h_n, prev_pick, price_pick
+
+
+def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale):
+    """Prices and values of cells, in the dense scan's float order.
+
+    The arguments broadcast: ``ln(cum_n - z1)``, ``ln z2`` (nan where nothing
+    is sold), ``z2``, the predecessor's value and the target's bound. A cell
+    that fails ``price <= bound`` or leaves a dead state is worth -inf.
+    """
+    price = ln_avail - log_z2
+    price /= scale
+    ok = price <= bound
+    ok &= np.isfinite(h)
+    vals = t.coef * price
+    vals *= z2
+    vals += h  # h + (coef * price) * z2: addition commutes exactly
+    vals[~ok] = -np.inf
+    return price, vals
+
+
+def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
+                 h_n, prev_pick, price_pick):
+    """Fill the sale rows in blocks, each up to its :func:`_window_top`.
+
+    Columns run from the largest ``z1`` down, so ``argmax`` (first maximum)
+    keeps the smallest sell-now among equal values.
+    """
+    ny, nz = h_n.size, h_prev.size
+    ln_desc = ln_avail[::-1].copy()
+    h_desc = h_prev[::-1].copy()
+    rows = max(1, _BLOCK_CELLS // nz)
+    for lo in range(0, ny, rows):
+        hi = min(lo + rows, ny)
+        top = _window_top(t, n, ln_avail, bound, lo, hi, presold)
+        if top < 0:
+            continue
+        cols = slice(nz - 1 - top, nz)
+        # view row S + 1 + i - top starts at row i's sell-now for z1 = presold + top
+        window = slice(t.S + 1 + lo - top, t.S + 1 + hi - top), slice(0, top + 1)
+        price, vals = _cells(t, ln_desc[cols], t.log_z2_rows[window], t.z2_rows[window],
+                             h_desc[cols], bound[lo:hi, None], t.price_scale[n])
+        pick = vals.argmax(axis=1)
+        r = np.arange(hi - lo)
+        h_n[lo:hi] = vals[r, pick]
+        prev_pick[lo:hi] = presold + top - pick
+        price_pick[lo:hi] = price[r, pick]
+
+
+def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
+                   h_n, prev_pick, price_pick):
+    """Fill the sale rows by divide and conquer over the monotone argmax.
+
+    The top row scans every column; each lower row then scans only its
+    bracket, from the pick of the row below it to that of the row above
+    (widened by near-ties, see :func:`_step`), one recursion depth per numpy
+    pass over all of the depth's segments: about log2(S) passes of O(S)
+    cells.
+    """
+    ny, nz = h_n.size, h_prev.size
+    scale = t.price_scale[n]
+    live = np.isfinite(h_prev)
+    tol = 2.0 ** -40 * (np.abs(h_prev[live]).max(initial=0.0) + t.coef * ny * (
+        bound.max() + (1.0 + math.log(t.cum[n] + 1.0)) / scale))
+    # pending row ranges [lo, hi] whose picks lie in columns [first, last]
+    lo, hi = np.array([1]), np.array([ny - 1])
+    first, last = np.array([0]), np.array([nz - 1])
+    mid = hi  # the top row first, over every column
+    while mid.size:
+        end = np.maximum(first, np.minimum(last, mid - 1))
+        width = end - first + 1
+        starts = np.cumsum(width) - width
+        rows = np.repeat(mid, width)
+        cols = np.arange(starts[-1] + width[-1]) + np.repeat(first - starts, width)
+        k = rows - cols + t.S + 1
+        price, vals = _cells(t, ln_avail[cols], t.log_z2[k], t.z2[k], h_prev[cols],
+                             bound[rows], scale)
+        best = np.maximum.reduceat(vals, starts)
+        rep = np.repeat(best, width)
+        pick = np.maximum.reduceat(np.where(vals == rep, cols, -1), starts)
+        near = vals >= rep - tol
+        left = np.minimum.reduceat(np.where(near, cols, nz), starts)
+        right = np.maximum.reduceat(np.where(near, cols, -1), starts)
+        h_n[mid] = best
+        prev_pick[mid] = presold + pick
+        price_pick[mid] = price[starts + pick - first]
+        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid - 1, hi))
+        first, last = np.concatenate((first, left)), np.concatenate((right, last))
+        keep = lo <= hi
+        keep[:best.size] &= best > -np.inf  # rows below a dead row are dead too
+        lo, hi, first, last = lo[keep], hi[keep], first[keep], last[keep]
+        mid = (lo + hi) // 2
 
 
 def _window_top(t: _MarketTables, n, ln_avail, bound, lo, hi, presold):

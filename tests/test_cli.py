@@ -206,3 +206,15 @@ def test_simulate_rejects_malformed_plan(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
     assert main(["simulate", "--config", cfg_path,
                  "--plan", str(tmp_path / "nope.json")]) == 2
+
+
+def test_optimize_refuses_an_oversized_market(tmp_path, capsys):
+    """A market past the solver's table budget exits 2 with the sizes named,
+    before any output is written."""
+    cfg = base_config(tmp_path)
+    cfg["market"].update(supply_S=1_000_000, demand_Q=4_000_000)
+    assert main(["optimize", "--config", dump(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "problem too large: 6 steps x 1000001 states" in err
+    assert "budget of 4,194,304" in err
+    assert not (tmp_path / "out" / "plan.json").exists()

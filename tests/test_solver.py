@@ -1,10 +1,11 @@
 """Optimal plan solver: pricing identities, DP internals, exhaustive oracle.
 
 The heavyweight checks here are DP versus exhaustive search on seeded random
-tiny instances and the blocked DP versus the dense-scan DP. They share their
-market tables on purpose (documented in ``oracles``); independence comes
-from the path enumeration and the full scan, so agreement is asserted bit
-for bit, not within a tolerance.
+tiny instances and both row schedules of the DP transition (the blocked
+prefix scan and the monotone divide and conquer) versus the dense-scan DP.
+They share their market tables on purpose (documented in ``oracles``);
+independence comes from the path enumeration and the full scan, so
+agreement is asserted bit for bit, not within a tolerance.
 """
 
 import dataclasses
@@ -15,9 +16,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgrtb import solver
-from pgrtb.auction import BidModel, RevenueCurves, fit_polynomial, lowess
+from pgrtb.auction import (
+    BidModel,
+    RevenueCurves,
+    fit_polynomial,
+    lowess,
+    reference_bid_model,
+)
 from pgrtb.market import (
     MarketConfig,
     TimeGrid,
@@ -226,7 +235,7 @@ def test_tail_solve_agrees_with_static_suffix():
     model = BidModel.uniform(0.0, 1.0)
     static, _ = optimal_plan(cfg, grid, model)
     k = 3
-    presold = int(static.cumulative_sales[k - 1])
+    presold = int(static.presold + np.cumsum(static.sales)[k - 1])
     tail, _ = optimal_plan(cfg, grid, model, start_step=k, presold=presold)
     np.testing.assert_array_equal(tail.sales, static.sales[k:])
     np.testing.assert_array_equal(tail.prices, static.prices[k:])
@@ -450,3 +459,98 @@ def test_solve_memory_stays_bounded():
         tracemalloc.stop()
     assert plan.total_sold <= cfg.supply_S
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), law=st.integers(0, 2),
+       block_cells=st.sampled_from([1, 4, 30]))
+def test_monotone_schedule_properties(seed, law, block_cells):
+    """Random markets with blocks so small that nearly every step takes the
+    divide and conquer: plans and tables equal the dense oracle bit for bit,
+    prices stay under their bounds, the split replays, and a tail solve from
+    a state on the plan's path reproduces its suffix."""
+    makers = [lambda: BidModel.uniform(0.0, 1.0),
+              lambda: BidModel.lognormal(0.0, 0.5),
+              lambda: BidModel.empirical(np.random.default_rng(77).uniform(0.2, 1.4, 400))]
+    rng = np.random.default_rng(seed)
+    cfg = random_market(rng, tiny=seed % 4 == 0)
+    grid = TimeGrid.from_config(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BLOCK_CELLS", block_cells)
+        _assert_same_as_dense(cfg, makers[law])
+        model = makers[law]()
+        plan, _ = optimal_plan(cfg, grid, model)
+        k = 1 + seed % cfg.steps_N
+        presold = int(np.cumsum(plan.sales)[k - 1])
+        tail, _ = optimal_plan(cfg, grid, model, start_step=k, presold=presold)
+    assert np.all(plan.prices <= plan.bounds)
+    pg, rtb, total = replay_revenue(plan, cfg, grid, model)
+    assert pg == pytest.approx(plan.revenue_pg, rel=0.0, abs=1e-9)
+    assert rtb == pytest.approx(plan.revenue_rtb, rel=0.0, abs=1e-9)
+    assert total == pytest.approx(plan.revenue_total, rel=0.0, abs=1e-9)
+    np.testing.assert_array_equal(tail.sales, plan.sales[k:])
+    np.testing.assert_array_equal(tail.prices, plan.prices[k:])
+    assert tail.revenue_rtb == plan.revenue_rtb
+
+
+def _large_market(supply, demand):
+    return dataclasses.replace(reference_config(), supply_S=supply, demand_Q=demand,
+                               arrival_rate_lambda=0.2 * demand / 30.0)
+
+
+def test_monotone_schedule_matches_blocked_scan_at_scale(monkeypatch):
+    """An S=6400 solve writes the same plan bytes as the blocked scan, which
+    every step takes when the divide and conquer is swapped out for it."""
+    cfg = _large_market(6400, 25600)
+    grid = TimeGrid.from_config(cfg)
+    plan, _ = optimal_plan(cfg, grid, BidModel.uniform(0.0, 1.0))
+    monkeypatch.setattr(solver, "_scan_monotone", solver._scan_blocks)
+    ref, _ = optimal_plan(cfg, grid, BidModel.uniform(0.0, 1.0))
+    assert json.dumps(plan.to_dict()).encode() == json.dumps(ref.to_dict()).encode()
+
+
+def test_large_steps_take_the_monotone_schedule(monkeypatch):
+    """At S=1600, Q=4S at least 90% of the steps run the divide and conquer,
+    so the blocked scan cannot silently take them all."""
+    calls = {"monotone": 0, "blocks": 0}
+
+    def counting(name, scan):
+        def wrapped(*args):
+            calls[name] += 1
+            return scan(*args)
+        return wrapped
+
+    monkeypatch.setattr(solver, "_scan_monotone",
+                        counting("monotone", solver._scan_monotone))
+    monkeypatch.setattr(solver, "_scan_blocks", counting("blocks", solver._scan_blocks))
+    cfg = _large_market(1600, 6400)
+    optimal_plan(cfg, TimeGrid.from_config(cfg), BidModel.uniform(0.0, 1.0))
+    assert calls["monotone"] + calls["blocks"] == cfg.steps_N + 1
+    assert calls["monotone"] >= 0.9 * (cfg.steps_N + 1), calls
+
+
+def test_oversized_problems_are_refused():
+    """More table cells than the budget fail before any table is built;
+    the largest sizes the suite and the benchmark solve stay inside it."""
+    model = BidModel.uniform(0.0, 1.0)
+    cfg = _large_market(200_000, 800_000)
+    assert (cfg.steps_N + 1) * (cfg.supply_S + 1) > solver._MAX_TABLE_CELLS
+    with pytest.raises(ValueError, match="problem too large.*budget of 4,194,304"):
+        optimal_plan(cfg, TimeGrid.from_config(cfg), model)
+    assert (31 * 6401) <= solver._MAX_TABLE_CELLS
+
+
+def test_forward_share_falls_with_risk_when_the_premium_binds():
+    """Criterion 06's companion: with the value cap raised to 2 the risk
+    premium, not the cap, bounds open steps, and the forward-sold share
+    still does not rise over the risk levels 10/30/60/90."""
+    cfg = dataclasses.replace(reference_config(), max_value_pi=2.0)
+    grid = TimeGrid.from_config(cfg)
+    model = reference_bid_model()
+    gammas = []
+    for zeta in (10.0, 30.0, 60.0, 90.0):
+        plan, _ = optimal_plan(dataclasses.replace(cfg, risk_level_zeta=zeta), grid, model)
+        assert np.any(plan.bounds[plan.sales > 0] < cfg.max_value_pi), zeta
+        gammas.append(plan.gamma)
+    assert all(a >= b for a, b in zip(gammas, gammas[1:])), gammas
+    assert gammas[0] > gammas[-1]
