@@ -18,12 +18,11 @@ def main():
     records, truth = generate_log(true_model, hours=98, auctions_per_hour=30,
                                   bidders_per_hour=[2, 3, 4, 5, 6, 7, 8],
                                   seed=42)
-    summaries = summarize_auctions(records)
-    print(f"log: {len(summaries)} auctions, {len(records)} bids, "
+    table = summarize_auctions(records)
+    print(f"log: {len(table)} auctions, {len(records)} bids, "
           f"bidder pattern {truth['bidders_per_hour']} by hour")
 
-    mean_curve, std_curve = fit_payment_curves(
-        [s for s in summaries if s.xi_observed >= 2])
+    mean_curve, std_curve = fit_payment_curves(table.take(table.xi_observed >= 2))
     print(f"\nfitted curves: mean {mean_curve.method} "
           f"(rmse {mean_curve.rmse:.4f}), spread {std_curve.method} "
           f"(rmse {std_curve.rmse:.4f})")

@@ -20,7 +20,7 @@ from .auction import (
     reference_bid_model,
 )
 from .logs import (
-    AuctionSummary,
+    AuctionTable,
     BidLog,
     read_log_csv,
     summarize_auctions,
@@ -63,7 +63,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionSummary",
+    "AuctionTable",
     "BidLog",
     "BidModel",
     "DPTables",

@@ -359,6 +359,9 @@ def mc_second_price(xi, bid_model, trials, seed):
 # ---------------------------------------------------------------------------
 
 
+_CURVE_ARRAYS = ("knot_x", "knot_y", "coeffs")
+
+
 @dataclass
 class FittedCurve:
     """One fitted payment curve, evaluable at any competition level.
@@ -395,23 +398,16 @@ class FittedCurve:
         d = {"method": self.method,
              "x_range": [float(self.x_range[0]), float(self.x_range[1])],
              "rmse": float(self.rmse)}
-        if self.knot_x is not None:
-            d["knot_x"] = [float(v) for v in self.knot_x]
-            d["knot_y"] = [float(v) for v in self.knot_y]
-        if self.coeffs is not None:
-            d["coeffs"] = [float(v) for v in self.coeffs]
+        for key in _CURVE_ARRAYS:
+            if getattr(self, key) is not None:
+                d[key] = [float(v) for v in getattr(self, key)]
         return d
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            method=d["method"],
-            x_range=(d["x_range"][0], d["x_range"][1]),
-            knot_x=np.asarray(d["knot_x"], dtype=float) if "knot_x" in d else None,
-            knot_y=np.asarray(d["knot_y"], dtype=float) if "knot_y" in d else None,
-            coeffs=np.asarray(d["coeffs"], dtype=float) if "coeffs" in d else None,
-            rmse=d.get("rmse", math.nan),
-        )
+        arrays = {key: np.asarray(d[key], dtype=float) for key in _CURVE_ARRAYS if key in d}
+        return cls(method=d["method"], x_range=(d["x_range"][0], d["x_range"][1]),
+                   rmse=d.get("rmse", math.nan), **arrays)
 
 
 def _as_xy(points):
@@ -445,33 +441,31 @@ def lowess(points, fraction=0.3, iterations=3):
     if x[0] == x[-1]:
         raise ValueError("points need spread in x")
 
-    r = int(math.ceil(fraction * n))
-    r = min(max(r, 2), n - 1)
-    dist = np.abs(x[:, None] - x[None, :])
+    r = min(max(int(math.ceil(fraction * n)), 2), n - 1)
+    dx = x[None, :] - x[:, None]  # row i holds x - x[i]
+    dist = np.abs(dx)
     h = np.sort(dist, axis=1)[:, r]
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(h[:, None] > 0, dist / h[:, None], np.where(dist > 0, 2.0, 0.0))
     w = (1.0 - np.clip(scaled, 0.0, 1.0) ** 3) ** 3
+    del dist, scaled
 
     delta = np.ones(n)
-    yest = np.empty(n)
     for _ in range(iterations + 1):
-        for i in range(n):
-            wi = delta * w[i]
-            sw = wi.sum()
-            if sw <= 0.0:
-                yest[i] = y[i]
-                continue
-            dx = x - x[i]
-            swx = (wi * dx).sum()
-            swy = (wi * y).sum()
-            swxx = (wi * dx * dx).sum()
-            swxy = (wi * dx * y).sum()
-            denom = sw * swxx - swx * swx
-            if denom <= 1e-13 * max(abs(sw * swxx), 1e-30):
-                yest[i] = swy / sw
-            else:
-                yest[i] = (swxx * swy - swx * swxy) / denom
+        # every knot at once: row i of each product is knot i's weighted
+        # terms, and each row sum is the same contiguous sum a loop would take
+        wi = w * delta
+        sw = wi.sum(axis=1)
+        wdx = wi * dx
+        swx = wdx.sum(axis=1)
+        swy = np.multiply(wi, y, out=wi).sum(axis=1)
+        swxy = np.multiply(wdx, y, out=wi).sum(axis=1)
+        swxx = np.multiply(wdx, dx, out=wdx).sum(axis=1)
+        denom = sw * swxx - swx * swx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yest = np.where(sw <= 0.0, y, np.where(
+                denom <= 1e-13 * np.maximum(np.abs(sw * swxx), 1e-30),
+                swy / sw, (swxx * swy - swx * swxy) / denom))
         res = y - yest
         s = float(np.median(np.abs(res)))
         if s <= 0.0:
@@ -480,7 +474,7 @@ def lowess(points, fraction=0.3, iterations=3):
         delta = (1.0 - delta * delta) ** 2
     rmse = float(np.sqrt(np.mean((yest - y) ** 2)))
     return FittedCurve(method="lowess", x_range=(float(x[0]), float(x[-1])),
-                       knot_x=x.copy(), knot_y=yest.copy(), rmse=rmse)
+                       knot_x=x, knot_y=yest, rmse=rmse)
 
 
 def fit_polynomial(points, degree=2):
@@ -504,25 +498,22 @@ def fit_sigmoid(points):
     """Scaled sigmoid fit; a failed optimization is marked with infinite rmse."""
     x, y = _as_xy(points)
     if x.size < 4 or np.unique(x).size < 4:
-        return FittedCurve(method="sigmoid", x_range=(float(x[0]), float(x[-1])),
-                           coeffs=np.array([float(y.mean()), 0.0, 1.0, float(x.mean())]),
-                           rmse=math.inf)
-    span0 = float(y.max() - y.min()) or 1.0
-    p0 = [float(y.min()), span0, 4.0 / max(float(x[-1] - x[0]), 1e-9), float(np.median(x))]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            with np.errstate(over="ignore"):
-                popt, _ = curve_fit(_sigmoid, x, y, p0=p0, maxfev=10000)
-        fitted = _sigmoid(x, *popt)
-        rmse = float(np.sqrt(np.mean((fitted - y) ** 2)))
-        if not math.isfinite(rmse):
-            raise RuntimeError("diverged")
-    except Exception:
-        return FittedCurve(method="sigmoid", x_range=(float(x[0]), float(x[-1])),
-                           coeffs=np.asarray(p0, dtype=float), rmse=math.inf)
+        coeffs, rmse = [float(y.mean()), 0.0, 1.0, float(x.mean())], math.inf
+    else:
+        span0 = float(y.max() - y.min()) or 1.0
+        p0 = [float(y.min()), span0, 4.0 / max(float(x[-1] - x[0]), 1e-9), float(np.median(x))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OptimizeWarning)
+                with np.errstate(over="ignore"):
+                    coeffs, _ = curve_fit(_sigmoid, x, y, p0=p0, maxfev=10000)
+            rmse = float(np.sqrt(np.mean((_sigmoid(x, *coeffs) - y) ** 2)))
+            if not math.isfinite(rmse):
+                raise RuntimeError("diverged")
+        except Exception:
+            coeffs, rmse = p0, math.inf
     return FittedCurve(method="sigmoid", x_range=(float(x[0]), float(x[-1])),
-                       coeffs=np.asarray(popt, dtype=float), rmse=rmse)
+                       coeffs=np.asarray(coeffs, dtype=float), rmse=rmse)
 
 
 def _best_fit(x, y, *, lowess_fraction, lowess_iterations, poly_degree):
@@ -536,38 +527,35 @@ def _best_fit(x, y, *, lowess_fraction, lowess_iterations, poly_degree):
     return min(candidates, key=lambda c: (c.rmse if math.isfinite(c.rmse) else math.inf))
 
 
-def aggregate_payment_points(summaries, hourly=None):
-    """Aggregate auction summaries into (competition, payment mean, payment std) points.
+def aggregate_payment_points(table, hourly=None):
+    """Aggregate an auction table into (competition, payment mean, payment std) points.
 
     With timestamps the buckets are wall-clock hours (competition = the
     bucket's average observed bidder count); without, auctions group by their
     exact bidder count. Returns three aligned arrays sorted by competition.
     """
-    summaries = list(summaries)
-    if not summaries:
+    if not len(table):
         raise ValueError("no auctions to aggregate")
+    stamped = table.hour != table.UNSTAMPED
     if hourly is None:
-        hourly = all(s.timestamp is not None for s in summaries)
-    buckets = {}
-    for s in summaries:
-        if hourly:
-            key = s.timestamp.replace(minute=0, second=0, microsecond=0)
-        else:
-            key = s.xi_observed
-        buckets.setdefault(key, []).append(s)
-    xi_pts, mean_pts, std_pts = [], [], []
-    for key in sorted(buckets):
-        group = buckets[key]
-        pays = np.array([g.payment for g in group])
-        xi_pts.append(float(np.mean([g.xi_observed for g in group])))
-        mean_pts.append(float(pays.mean()))
-        std_pts.append(float(pays.std(ddof=0)))
+        hourly = stamped.all()
+    elif hourly and not stamped.all():
+        raise ValueError("hourly buckets need a timestamp on every auction")
+    _, inverse, counts = np.unique(table.hour if hourly else table.xi_observed,
+                                   return_inverse=True, return_counts=True)
+    # each bucket's auctions made contiguous, in order, so that each mean
+    # sums the same values in the same order as over the bucket alone
+    grouped = np.argsort(inverse, kind="stable")
+    xi, pays = table.xi_observed[grouped], table.payment[grouped]
+    bounds = np.cumsum(counts).tolist()
+    xi_pts, mean_pts, std_pts = np.array([
+        (np.mean(xi[lo:hi]), pays[lo:hi].mean(), pays[lo:hi].std(ddof=0))
+        for lo, hi in zip([0] + bounds[:-1], bounds)]).T
     order = np.argsort(xi_pts, kind="stable")
-    return (np.asarray(xi_pts)[order], np.asarray(mean_pts)[order],
-            np.asarray(std_pts)[order])
+    return xi_pts[order], mean_pts[order], std_pts[order]
 
 
-def fit_payment_curves(summaries, *, lowess_fraction=0.3, lowess_iterations=3,
+def fit_payment_curves(table, *, lowess_fraction=0.3, lowess_iterations=3,
                        poly_degree=2, hourly=None):
     """Fit payment mean and spread as functions of the competition level.
 
@@ -576,37 +564,36 @@ def fit_payment_curves(summaries, *, lowess_fraction=0.3, lowess_iterations=3,
     lowest-rmse candidate per curve. Auctions must have at least two bids
     (a lone bid has no second price to learn from).
     """
-    summaries = list(summaries)
-    if not summaries:
+    if not len(table):
         raise ValueError("empty auction log")
-    thin = [s.auction_id for s in summaries if s.xi_observed < 2]
-    if thin:
-        raise ValueError(
-            f"{len(thin)} auctions have fewer than two bids (first: {thin[0]})")
-    xi, pay_mean, pay_std = aggregate_payment_points(summaries, hourly=hourly)
+    thin = np.flatnonzero(table.xi_observed < 2)
+    if thin.size:
+        raise ValueError(f"{thin.size} auctions have fewer than two bids "
+                         f"(first: {table.auction_id[thin[0]]})")
+    xi, pay_mean, pay_std = aggregate_payment_points(table, hourly=hourly)
     kwargs = dict(lowess_fraction=lowess_fraction,
                   lowess_iterations=lowess_iterations, poly_degree=poly_degree)
     return _best_fit(xi, pay_mean, **kwargs), _best_fit(xi, pay_std, **kwargs)
 
 
-def estimate_max_value(summaries):
+def estimate_max_value(table):
     """Expected maximum impression value: the peak hourly average bid.
 
     Bids are bucketed by wall-clock hour; the estimate is the largest hourly
-    mean. Without timestamps the overall mean bid is returned.
+    mean. When some auctions have no timestamp, the buckets merge, in the
+    order they were first seen, into one mean over every bid.
     """
-    summaries = list(summaries)
-    if not summaries:
+    if not len(table):
         raise ValueError("empty auction log")
-    buckets = {}
-    for s in summaries:
-        key = (s.timestamp.replace(minute=0, second=0, microsecond=0)
-               if s.timestamp is not None else None)
-        buckets.setdefault(key, []).extend(s.bids)
-    if None in buckets and len(buckets) > 1:
-        merged = [b for group in buckets.values() for b in group]
-        buckets = {None: merged}
-    return max(float(np.mean(bids)) for bids in buckets.values())
+    hours, first, inverse, counts = np.unique(
+        table.hour, return_index=True, return_inverse=True, return_counts=True)
+    # the buckets in first-seen order, each bucket's bids contiguous and in order
+    seen = np.argsort(first)
+    picked = table.take(np.argsort(first[inverse], kind="stable"))
+    if hours[-1] == table.UNSTAMPED:
+        return float(np.mean(picked.bids))
+    bounds = picked.offsets[np.cumsum(counts[seen])].tolist()
+    return max(float(picked.bids[lo:hi].mean()) for lo, hi in zip([0] + bounds[:-1], bounds))
 
 
 @dataclass

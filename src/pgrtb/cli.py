@@ -35,18 +35,18 @@ class UsageError(Exception):
     """Bad flags, bad config, or unusable input data (exit code 2)."""
 
 
-_TOP_KEYS = {"schema_version", "market", "bid_model", "fit", "seeds",
-             "uncertainty", "segmentation", "synthetic", "simulate", "output"}
-_MARKET_KEYS = {f.name for f in dataclasses.fields(MarketConfig)}
-_BID_KEYS = {"kind", "low", "high", "mu", "sigma", "bids"}
-_FIT_KEYS = {"lowess_fraction", "lowess_iterations", "poly_degree", "hourly"}
-_SEED_KEYS = {"root"}
-_UNC_KEYS = {"epsilon", "noise_seed", "noise_kind"}
-_SEG_KEYS = {"feature"}
-_SYN_KEYS = {"hours", "auctions_per_hour", "bidders_per_hour", "slot_id",
-             "start_time"}
-_SIM_KEYS = {"n_runs"}
-_OUT_KEYS = {"dir"}
+# the keys each config section may hold
+_SECTIONS = {
+    "market": {f.name for f in dataclasses.fields(MarketConfig)},
+    "bid_model": {"kind", "low", "high", "mu", "sigma", "bids"},
+    "fit": {"lowess_fraction", "lowess_iterations", "poly_degree", "hourly"},
+    "seeds": {"root"},
+    "uncertainty": {"epsilon", "noise_seed", "noise_kind"},
+    "segmentation": {"feature"},
+    "synthetic": {"hours", "auctions_per_hour", "bidders_per_hour", "slot_id", "start_time"},
+    "simulate": {"n_runs"},
+    "output": {"dir"},
+}
 
 
 def _check_keys(section, allowed, where):
@@ -58,20 +58,15 @@ def _check_keys(section, allowed, where):
 
 
 def _bid_model_from_section(section):
-    _check_keys(section, _BID_KEYS, "bid_model")
     kind = section.get("kind")
+    if kind not in ("uniform", "lognormal", "empirical"):
+        raise UsageError("bid_model.kind must be uniform, lognormal, or empirical")
     try:
-        if kind == "uniform":
-            return BidModel.uniform(section["low"], section["high"])
-        if kind == "lognormal":
-            return BidModel.lognormal(section["mu"], section["sigma"])
-        if kind == "empirical":
-            return BidModel.empirical(section["bids"])
+        return BidModel.from_dict(section)
     except KeyError as exc:
         raise UsageError(f"bid_model {kind!r} is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad bid_model: {exc}") from exc
-    raise UsageError("bid_model.kind must be uniform, lognormal, or empirical")
 
 
 @dataclass
@@ -97,45 +92,34 @@ class RunConfig:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-        _check_keys(raw, _TOP_KEYS, "top level")
+        _check_keys(raw, {"schema_version", *_SECTIONS}, "top level")
         version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise UsageError(f"unsupported schema_version {version!r}")
+        for name, allowed in _SECTIONS.items():
+            if name in raw:
+                _check_keys(raw[name], allowed, name)
         rc = cls()
         if "market" in raw:
-            _check_keys(raw["market"], _MARKET_KEYS, "market")
             try:
                 rc.market = MarketConfig(**raw["market"])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad market section: {exc}") from exc
         if "bid_model" in raw:
             rc.bid_model = _bid_model_from_section(raw["bid_model"])
-        if "fit" in raw:
-            _check_keys(raw["fit"], _FIT_KEYS, "fit")
-            rc.fit_options = dict(raw["fit"])
-        if "seeds" in raw:
-            _check_keys(raw["seeds"], _SEED_KEYS, "seeds")
-            rc.root_seed = int(raw["seeds"].get("root", 0))
         if "uncertainty" in raw:
-            _check_keys(raw["uncertainty"], _UNC_KEYS, "uncertainty")
             try:
                 rc.uncertainty = UncertaintySpec(**raw["uncertainty"])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad uncertainty section: {exc}") from exc
-        if "segmentation" in raw:
-            _check_keys(raw["segmentation"], _SEG_KEYS, "segmentation")
-            rc.feature = raw["segmentation"].get("feature", "winning_bid")
-            if rc.feature not in ("winning_bid", "all_bids"):
-                raise UsageError("segmentation.feature must be winning_bid or all_bids")
-        if "synthetic" in raw:
-            _check_keys(raw["synthetic"], _SYN_KEYS, "synthetic")
-            rc.synthetic = dict(raw["synthetic"])
-        if "simulate" in raw:
-            _check_keys(raw["simulate"], _SIM_KEYS, "simulate")
-            rc.n_runs = int(raw["simulate"].get("n_runs", rc.n_runs))
-        if "output" in raw:
-            _check_keys(raw["output"], _OUT_KEYS, "output")
-            rc.out_dir = str(raw["output"].get("dir", rc.out_dir))
+        rc.fit_options = dict(raw.get("fit", {}))
+        rc.root_seed = int(raw.get("seeds", {}).get("root", 0))
+        rc.feature = raw.get("segmentation", {}).get("feature", "winning_bid")
+        if rc.feature not in ("winning_bid", "all_bids"):
+            raise UsageError("segmentation.feature must be winning_bid or all_bids")
+        rc.synthetic = dict(raw["synthetic"]) if "synthetic" in raw else None
+        rc.n_runs = int(raw.get("simulate", {}).get("n_runs", rc.n_runs))
+        rc.out_dir = str(raw.get("output", {}).get("dir", rc.out_dir))
         return rc
 
     def require_market(self):
@@ -215,7 +199,7 @@ def cmd_gen_data(rc: RunConfig, args):
     return 0
 
 
-def _read_summaries(rc, log_path):
+def _read_table(rc, log_path):
     log = read_log_csv(log_path)
     if not len(log):
         raise UsageError(f"auction log {log_path} has no bid rows")
@@ -224,25 +208,29 @@ def _read_summaries(rc, log_path):
 
 
 def cmd_fit(rc: RunConfig, args):
-    summaries = _read_summaries(rc, args.log)
-    eligible = [s for s in summaries if s.xi_observed >= 2]
-    if not eligible:
+    table = _read_table(rc, args.log)
+    eligible = table.take(table.xi_observed >= 2)
+    if not len(eligible):
         raise UsageError("no auction in the log has two or more bids")
     mean_curve, std_curve = fit_payment_curves(eligible, **rc.fit_options)
-    ceiling = estimate_max_value(summaries)
-    bids = [float(b) for s in summaries for b in s.bids]
+    ceiling = estimate_max_value(table)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "n_auctions": len(summaries),
+        "n_auctions": len(table),
         "n_used": len(eligible),
         "max_value": ceiling,
         "payment_mean_curve": mean_curve.to_dict(),
         "payment_std_curve": std_curve.to_dict(),
-        "bid_model": {"kind": "empirical", "bids": bids},
+        "bid_model": {"kind": "empirical", "bids": None},
     }
     path = _out_path(rc, args, "fitted_model.json")
-    _write_json(path, payload)
-    print(f"fitted {len(eligible)}/{len(summaries)} auctions: "
+    # json's indenting encoder is pure Python, slow on a long float list, so
+    # the bids (finite, as the reader checks) are joined at its indent
+    text = json.dumps(_clean(payload), indent=2, sort_keys=True)
+    bids = ",\n      ".join(map(repr, table.bids.tolist()))
+    with open(path, "w") as fh:
+        fh.write(text.replace('"bids": null', f'"bids": [\n      {bids}\n    ]') + "\n")
+    print(f"fitted {len(eligible)}/{len(table)} auctions: "
           f"mean curve {mean_curve.method} (rmse {mean_curve.rmse:.4f}), "
           f"spread curve {std_curve.method} (rmse {std_curve.rmse:.4f}), "
           f"value ceiling {ceiling:.4f} -> {path}")
@@ -353,9 +341,9 @@ def cmd_replan(rc: RunConfig, args):
 
 def cmd_segment(rc: RunConfig, args):
     cfg = rc.require_market()
-    summaries = _read_summaries(rc, args.log)
+    table = _read_table(rc, args.log)
     seed = args.seed if args.seed is not None else rc.root_seed
-    result = segment_and_optimize(summaries, cfg, feature=rc.feature, seed=seed,
+    result = segment_and_optimize(table, cfg, feature=rc.feature, seed=seed,
                                   **rc.fit_options)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -433,10 +421,7 @@ def main(argv=None):
     try:
         rc = RunConfig.load(args.config)
         return _COMMANDS[args.command](rc, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (UsageError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

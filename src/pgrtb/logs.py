@@ -1,23 +1,23 @@
 """Auction bid logs in columns, their CSV round trip, and per-auction summaries.
 
 A log is one row per bid: ``slot_id, auction_id, timestamp, bid_cpm``, held
-as four columns by :class:`BidLog`. Grouping rows by ``auction_id`` yields
-per-auction summaries with the observed competition (number of bids), the
-winning bid, and the second-price payment.
+as four columns by :class:`BidLog`. Grouping rows by ``auction_id`` yields an
+:class:`AuctionTable`: per-auction columns with the observed competition
+(number of bids), the winning bid, and the second-price payment.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
-from datetime import datetime
+from dataclasses import dataclass, fields
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 __all__ = [
     "LOG_HEADER",
-    "AuctionSummary",
+    "AuctionTable",
     "BidLog",
     "read_log_csv",
     "write_log_csv",
@@ -55,17 +55,43 @@ class BidLog:
                       np.concatenate([self.bid_cpm, other.bid_cpm]))
 
 
-@dataclass
-class AuctionSummary:
-    """One auction: its bids (descending) and derived second-price facts."""
+@dataclass(eq=False)
+class AuctionTable:
+    """Per-auction summaries as columns, one entry per auction in first-seen order.
 
-    auction_id: str
-    slot_id: str
-    timestamp: datetime | None
+    Auction ``i``'s bids, descending (ties in row order), are
+    ``bids[offsets[i]:offsets[i + 1]]``; ``xi_observed`` counts them,
+    ``winning_bid`` is the first and ``payment`` the second (the reserve for
+    a lone bid). ``auction_id``, ``slot_id`` (its first row's) and
+    ``timestamp`` (its earliest, or None) are object arrays. ``hour`` is that
+    stamp's wall-clock hour in its own offset as int64 microseconds since
+    the epoch (naive stamps count as UTC), or ``UNSTAMPED``.
+    """
+
+    auction_id: np.ndarray
+    slot_id: np.ndarray
+    timestamp: np.ndarray
+    hour: np.ndarray
+    xi_observed: np.ndarray
+    winning_bid: np.ndarray
+    payment: np.ndarray
     bids: np.ndarray
-    xi_observed: int
-    winning_bid: float
-    payment: float
+    offsets: np.ndarray
+
+    UNSTAMPED = np.iinfo(np.int64).max  # sorts after every stamp
+
+    def __len__(self):
+        return len(self.xi_observed)
+
+    def take(self, index):
+        """The auctions picked by an index array or a boolean mask, in that
+        order (a mask keeps the table's), each with its bids in order."""
+        index = np.arange(len(self))[index]
+        counts = self.xi_observed[index]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[index] - offsets[:-1], counts)
+        per_auction = (getattr(self, f.name)[index] for f in fields(self)[:7])  # per-auction
+        return AuctionTable(*per_auction, self.bids[rows], offsets)
 
 
 def _csv_field(value):
@@ -93,19 +119,28 @@ def write_log_csv(log, path):
 def _parse_rows(rows, texts, stamps):
     """The columns of non-blank CSV rows, or a ValueError naming the first
     failed check (the row's problem when given one row). ``texts`` and
-    ``stamps`` keep one string per id and one value per timestamp text."""
+    ``stamps`` keep one string per id and one value per timestamp text;
+    ``stamps[None]`` records whether the first stamped row's stamp is naive,
+    and a stamp of the other kind fails."""
     if set(map(len, rows)) - {len(LOG_HEADER)}:
         raise ValueError(f"expected {len(LOG_HEADER)} fields")
     slots, auctions, ts_texts, bid_texts = (
         (list(map(str.strip, column)) for column in zip(*rows)) if rows else ([],) * 4)
     if "" in slots or "" in auctions:
         raise ValueError("empty slot or auction id")
-    for text in set(ts_texts).difference(stamps):
+    new = set(ts_texts).difference(stamps)
+    for text in new:
         try:  # datetime.fromisoformat on 3.10 rejects a trailing Z
             stamps[text] = datetime.fromisoformat(
                 text[:-1] + "+00:00" if text.endswith("Z") else text)
         except ValueError:
             raise ValueError(f"bad timestamp {text!r}") from None
+    if new:  # a parsed stamp is naive exactly when it has no tzinfo
+        naive = stamps.setdefault(None, stamps[next(filter(None, ts_texts))].tzinfo is None)
+        for text in new:
+            if (stamps[text].tzinfo is None) != naive:
+                raise ValueError(f"timestamp {text!r} is {('naive', 'offset-aware')[naive]}, "
+                                 f"the first stamped row's is {('offset-aware', 'naive')[naive]}")
     try:
         bids = np.array(list(map(float, bid_texts)))
     except ValueError:  # names the bid of a row parsed on its own
@@ -132,9 +167,11 @@ def read_log_csv(path):
             try:  # blank rows are skipped
                 *parsed, chunk_bids = _parse_rows([row for row in chunk if row], texts, stamps)
             except ValueError:
-                for i, row in enumerate(chunk):  # the first bad row wins
+                # the first bad row wins; the stamp kind carries from row to row
+                seen = {"": None, **({None: stamps[None]} if None in stamps else {})}
+                for i, row in enumerate(chunk):
                     try:
-                        _parse_rows([row] if row else [], {}, {"": None})
+                        _parse_rows([row] if row else [], {}, seen)
                     except ValueError as exc:
                         raise ValueError(f"{path}:{lineno + i}: {exc}") from None
                 raise
@@ -153,25 +190,47 @@ def _rank_groups(codes, bids):
     return order, np.flatnonzero(np.diff(codes[order], prepend=-1))
 
 
-def summarize_auctions(log, reserve=0.0):
-    """Group a :class:`BidLog`'s rows into per-auction summaries, in first-seen order.
+def _instants(stamps):
+    """Each row's stamp as microseconds since the epoch (naive stamps count
+    as UTC; ``UNSTAMPED`` for None), converting each run of rows that share
+    a stamp object once. Naive and aware stamps together raise a ValueError."""
+    ids = np.fromiter(map(id, stamps), dtype=np.int64, count=len(stamps))
+    runs = np.flatnonzero(np.diff(ids, prepend=~ids[:1]))
+    instant, stamped = np.full(len(runs), AuctionTable.UNSTAMPED), ids[runs] != id(None)
+    heads = [stamps[i] for i in runs[stamped].tolist()]
+    aware = bool(heads) and heads[0].utcoffset() is not None
+    epoch, us = datetime(1970, 1, 1, tzinfo=timezone.utc if aware else None), timedelta(0, 0, 1)
+    try:
+        instant[stamped] = [(t - epoch) // us for t in heads]
+    except TypeError:  # a naive and an aware stamp do not subtract
+        raise ValueError("the log mixes naive and offset-aware timestamps") from None
+    return np.repeat(instant, np.diff(np.append(runs, len(stamps))))
 
-    An auction's timestamp is the earliest of its rows (None if none carry
-    one). Single-bid auctions pay the reserve.
+
+def summarize_auctions(log, reserve=0.0):
+    """Group a :class:`BidLog`'s rows into an :class:`AuctionTable`.
+
+    An auction's timestamp is the earliest of its rows (the first row's of
+    equal instants; None if no row carries one). Single-bid auctions pay
+    the reserve. A log that mixes naive and offset-aware stamps is refused
+    with a ValueError, as the two kinds do not compare.
     """
     first = {}  # an auction's code is its first row, so codes ascend in first-seen order
     codes = np.fromiter(map(first.setdefault, log.auction_id, itertools.count()),
                         dtype=np.intp, count=len(log))
     order, starts = _rank_groups(codes, log.bid_cpm)
-    ranked_bids = log.bid_cpm[order]
-    # stamps in row order within each auction: ``min`` keeps the first of equal instants
-    stamps = np.array(log.timestamp, dtype=object)[np.argsort(codes, kind="stable")]
-    summaries = []
-    for lo, hi, code in zip(starts.tolist(), np.append(starts[1:], len(log)).tolist(),
-                            codes[order[starts]].tolist()):
-        bids = ranked_bids[lo:hi]
-        stamped = [t for t in stamps[lo:hi] if t is not None]
-        summaries.append(AuctionSummary(
-            log.auction_id[code], log.slot_id[code], min(stamped) if stamped else None,
-            bids, hi - lo, float(bids[0]), float(bids[1]) if hi > lo + 1 else float(reserve)))
-    return summaries
+    bids, offsets, heads = log.bid_cpm[order], np.append(starts, len(log)), codes[order[starts]]
+    instant = _instants(log.timestamp)
+    # rows by auction, then instant: the stable sort keeps the first of equal
+    # instants, and unstamped rows come last
+    earliest = np.lexsort((instant, codes))[starts]
+    timestamp = np.fromiter(map(log.timestamp.__getitem__, earliest.tolist()), object, len(starts))
+    hour = instant[earliest]
+    stamped = hour != AuctionTable.UNSTAMPED
+    hour[stamped] -= np.array([(t.minute * 60 + t.second) * 1_000_000 + t.microsecond
+                               for t in timestamp[stamped]], dtype=np.int64)
+    xi = np.diff(offsets)
+    return AuctionTable(
+        np.array(log.auction_id, dtype=object)[heads], np.array(log.slot_id, dtype=object)[heads],
+        timestamp, hour, xi, bids[starts],
+        np.where(xi > 1, bids[np.minimum(starts + 1, len(log) - 1)], float(reserve)), bids, offsets)

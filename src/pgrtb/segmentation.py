@@ -82,22 +82,12 @@ def kmeans_1d(values, k=2, seed=0, max_iters=100):
     for rank, j in enumerate(order):
         members = np.nonzero(assign == j)[0]
         group = vals[members]
-        if k == 2:
-            label = "group1_high" if rank == 0 else "group2_low"
-        else:
-            label = f"group{rank + 1}"
+        label = ("group1_high", "group2_low")[rank] if k == 2 else f"group{rank + 1}"
         segments.append(Segment(
-            label=label,
-            members=[int(i) for i in members],
-            centroid=float(centroids[j]),
-            stats={
-                "count": int(members.size),
-                "mean": float(group.mean()),
-                "std": float(group.std(ddof=0)),
-                "min": float(group.min()),
-                "max": float(group.max()),
-            },
-        ))
+            label=label, members=[int(i) for i in members], centroid=float(centroids[j]),
+            stats={"count": int(members.size), "mean": float(group.mean()),
+                   "std": float(group.std(ddof=0)), "min": float(group.min()),
+                   "max": float(group.max())}))
     return segments
 
 
@@ -126,41 +116,34 @@ class SegmentedMarket:
     fallback: bool
 
 
-def _auction_groups(summaries, feature, seed):
+def _auction_groups(table, feature, seed):
     """Cluster auctions into two groups by the chosen bid feature.
 
     Returns ``(groups, fallback)`` where groups is a list of
     ``(label, indices)`` ordered high bids first.
     """
+    if feature not in ("winning_bid", "all_bids"):
+        raise ValueError(f"unknown feature {feature!r}; use winning_bid or all_bids")
+    everything = [("all", np.arange(len(table)))], True
+    try:
+        segs = kmeans_1d(table.winning_bid if feature == "winning_bid" else table.bids,
+                         k=2, seed=seed)
+    except ValueError:
+        return everything
     if feature == "winning_bid":
-        values = np.array([s.winning_bid for s in summaries])
-        try:
-            segs = kmeans_1d(values, k=2, seed=seed)
-        except ValueError:
-            return [("all", list(range(len(summaries))))], True
         return [(s.label, s.members) for s in segs], False
-    if feature == "all_bids":
-        flat = np.concatenate([s.bids for s in summaries])
-        try:
-            segs = kmeans_1d(flat, k=2, seed=seed)
-        except ValueError:
-            return [("all", list(range(len(summaries))))], True
-        centroids = np.array([s.centroid for s in segs])
-        groups = [(s.label, []) for s in segs]
-        for i, s in enumerate(summaries):
-            j = int(np.argmin(np.abs(centroids - s.winning_bid)))
-            groups[j][1].append(i)
-        groups = [(label, members) for label, members in groups if members]
-        if len(groups) < 2:
-            return [("all", list(range(len(summaries))))], True
-        return groups, False
-    raise ValueError(f"unknown feature {feature!r}; use winning_bid or all_bids")
+    # each auction joins the bid cluster nearest its winning bid
+    centroids = np.array([s.centroid for s in segs])
+    nearest = np.argmin(np.abs(centroids[None, :] - table.winning_bid[:, None]), axis=1)
+    groups = [(s.label, np.flatnonzero(nearest == j)) for j, s in enumerate(segs)]
+    groups = [(label, members) for label, members in groups if members.size]
+    return (groups, False) if len(groups) == 2 else everything
 
 
-def segment_and_optimize(summaries, cfg: MarketConfig, *, feature="winning_bid",
+def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
                          seed=0, lowess_fraction=0.3, lowess_iterations=3,
                          poly_degree=2, hourly=None):
-    """Split auctions into two bid-level groups and solve each market slice.
+    """Split an auction table into two bid-level groups and solve each market slice.
 
     Supply, demand, and arrival rate are split proportionally to each
     group's auction share (demand floored at supply + 1 to keep every slice
@@ -173,21 +156,19 @@ def segment_and_optimize(summaries, cfg: MarketConfig, *, feature="winning_bid",
     clusterer cannot split them; a warning is issued and the whole market is
     solved as one segment.
     """
-    summaries = list(summaries)
-    if not summaries:
+    if not len(table):
         raise ValueError("no auctions to segment")
-    groups, fallback = _auction_groups(summaries, feature, seed)
+    groups, fallback = _auction_groups(table, feature, seed)
     if fallback:
         warnings.warn("bid values cannot support two clusters; keeping one group",
                       RuntimeWarning, stacklevel=2)
 
     grid = TimeGrid.from_config(cfg)
-    total = len(summaries)
     plans = []
     combined = 0.0
     for label, members in groups:
-        subs = [summaries[i] for i in members]
-        share = len(subs) / total
+        subs = table.take(members)
+        share = len(subs) / len(table)
         if len(groups) == 1:
             supply, demand = cfg.supply_S, cfg.demand_Q
         else:
@@ -197,36 +178,21 @@ def segment_and_optimize(summaries, cfg: MarketConfig, *, feature="winning_bid",
         ceiling = estimate_max_value(subs)
         sub_cfg = replace(cfg, supply_S=supply, demand_Q=demand,
                           arrival_rate_lambda=lam, max_value_pi=ceiling)
-        bids = np.concatenate([s.bids for s in subs])
-        bid_model = BidModel.empirical(bids)
-        mean_xi = float(np.mean([s.xi_observed for s in subs]))
-        eligible = [s for s in subs if s.xi_observed >= 2]
-        if eligible:
-            mean_curve, std_curve = fit_payment_curves(
+        bid_model = BidModel.empirical(subs.bids)
+        mean_xi = float(np.mean(subs.xi_observed))
+        eligible, curves = subs.take(subs.xi_observed >= 2), None
+        if len(eligible):
+            curves = RevenueCurves(*fit_payment_curves(
                 eligible, lowess_fraction=lowess_fraction,
                 lowess_iterations=lowess_iterations, poly_degree=poly_degree,
-                hourly=hourly)
-            curves = RevenueCurves(mean_curve, std_curve)
-        else:
-            curves = None
-        if mean_xi < 2.0 or curves is None:
-            plan = _rtb_only_plan(sub_cfg, grid, curves, bid_model)
-            rtb_only = True
-        else:
-            plan, _ = optimal_plan(sub_cfg, grid, curves)
-            rtb_only = False
+                hourly=hourly))
+        rtb_only = mean_xi < 2.0 or curves is None
+        plan = (_rtb_only_plan(sub_cfg, grid, curves, bid_model) if rtb_only
+                else optimal_plan(sub_cfg, grid, curves)[0])
         plans.append(SegmentPlan(
-            label=label,
-            auction_count=len(subs),
-            supply=supply,
-            demand=demand,
-            mean_competition=mean_xi,
-            max_value=ceiling,
-            curves=curves,
-            bid_model=bid_model,
-            plan=plan,
-            rtb_only=rtb_only,
-        ))
+            label=label, auction_count=len(subs), supply=supply, demand=demand,
+            mean_competition=mean_xi, max_value=ceiling, curves=curves,
+            bid_model=bid_model, plan=plan, rtb_only=rtb_only))
         combined += plan.revenue_total
     return SegmentedMarket(segments=plans, combined_revenue=combined,
                            fallback=fallback)

@@ -424,8 +424,10 @@ def test_aggregate_payment_points_by_count():
     xi, mean, std = aggregate_payment_points(summaries)
     np.testing.assert_array_equal(xi, [2.0, 3.0])
     np.testing.assert_allclose(mean, [0.1, 0.2], atol=1e-12)
+    with pytest.raises(ValueError, match="hourly buckets need a timestamp"):
+        aggregate_payment_points(summaries, hourly=True)
     with pytest.raises(ValueError):
-        aggregate_payment_points([])
+        aggregate_payment_points(summarize_auctions(BidLog([], [], [], [])))
 
 
 def test_fit_payment_curves_rejects_thin_auctions():
@@ -433,7 +435,7 @@ def test_fit_payment_curves_rejects_thin_auctions():
     with pytest.raises(ValueError, match="solo"):
         fit_payment_curves(summarize_auctions(log))
     with pytest.raises(ValueError):
-        fit_payment_curves([])
+        fit_payment_curves(summarize_auctions(BidLog([], [], [], [])))
 
 
 def test_fit_payment_curves_on_planted_shape():
@@ -464,7 +466,7 @@ def test_estimate_max_value():
     flat = BidLog(["s", "s"], ["a1", "a1"], [None, None], [0.3, 0.9])
     assert estimate_max_value(summarize_auctions(flat)) == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        estimate_max_value([])
+        estimate_max_value(summarize_auctions(BidLog([], [], [], [])))
 
 
 def test_estimate_max_value_merges_unstamped_rows():
@@ -473,6 +475,10 @@ def test_estimate_max_value_merges_unstamped_rows():
                  [2.0, 1.0, 0.1, 0.1])
     # a mixed log cannot be bucketed by hour, so everything pools
     assert estimate_max_value(summarize_auctions(log)) == pytest.approx(0.8)
+    # the pool sums hour by hour in first-seen order, not auction by auction:
+    # 1 + 1 + 2**53 is exact, 1 + 2**53 + 1 rounds down twice
+    log = BidLog(["s"] * 3, ["x", "y", "z"], [ts, None, ts], [1.0, 2.0**53, 1.0])
+    assert estimate_max_value(summarize_auctions(log)) == (2.0 + 2.0**53) / 3
 
 
 def test_revenue_curves_surface():

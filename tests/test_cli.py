@@ -4,8 +4,11 @@ Calls ``main(argv)`` in-process; every command returns its exit code, so
 assertions stay cheap and stderr is captured by pytest as usual.
 """
 
+import hashlib
 import json
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from pgrtb.cli import main
@@ -198,6 +201,19 @@ def test_fit_rejects_log_of_solo_auctions(tmp_path, capsys):
     assert "no bid rows" in capsys.readouterr().err
 
 
+def test_fit_and_segment_refuse_mixed_stamp_kinds(tmp_path, capsys):
+    log_path = tmp_path / "mixed.csv"
+    log_path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
+                        "s,a1,2024-05-01T10:00:00+02:00,0.5\n"
+                        "s,a1,2024-05-01T10:30:00+02:00,0.4\n"
+                        "s,a2,2024-05-01T11:00:00,0.3\n")
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    for command in ("fit", "segment"):
+        assert main([command, "--config", cfg_path, "--log", str(log_path)]) == 2
+        assert (f"{log_path}:4: timestamp '2024-05-01T11:00:00' is naive, the first "
+                "stamped row's is offset-aware") in capsys.readouterr().err
+
+
 def test_simulate_rejects_malformed_plan(tmp_path, capsys):
     cfg_path = dump(tmp_path, base_config(tmp_path))
     plan_path = tmp_path / "plan.json"
@@ -218,3 +234,132 @@ def test_optimize_refuses_an_oversized_market(tmp_path, capsys):
     assert "problem too large: 6 steps x 1000001 states" in err
     assert "budget of 4,194,304" in err
     assert not (tmp_path / "out" / "plan.json").exists()
+
+
+# Golden SHA-256 digests of every CLI output on small fixed inputs (see
+# test_pipeline_outputs_are_golden for what they are tied to).
+GOLDEN_PIPELINE = {
+    "auction_log.csv":
+        "7f9d9f7c00e0e26a0427aedcc75916360ea5bd72f0a2aed811a67de3f0e847af",
+    "ground_truth.json":
+        "0095ec3c5199e17ca23d41523c2ea787dc18cab064ef81400e8e371173ee0a29",
+    "fitted_model.json":
+        "3e6ad7908e4a8ea3b69981796d5587cc62874483cb2265e6ac41435810114701",
+    "plan.json":
+        "f215d06ea637976287495f0a62c1f358ab8e101bec9f432bb769ab93f2b1806e",
+    "plan_curves.csv":
+        "cdd03c6eadeb279a9d75b3d328d8cafd1e3f185d1da3c18ae107b1b05775d408",
+    "simulation_summary.json":
+        "25b7a5f598e037b31fd1571b30fdb318a7405b4814067567cb0f7a3c6fe434c4",
+    "replan_plan.json":
+        "aa12be1e7c36844e52e680c6f2bbcfc6e14518977e0b603d44522cbe8048ef87",
+    "replan_trace.csv":
+        "d694ff264318ee9f69c536e1d076cfc18525e7070c79c56d3aed1ee6fd3f105e",
+    "segment_report.json":
+        "6a095f7c2b4385d690dee06d468b7e8da4622921df809b26e6bbdba08592ca42",
+}
+GOLDEN_ALL_BIDS = {
+    "auction_log.csv":
+        "077b74254ca2f58438cd981b16fdb899f765247719036090c4cd85e5b12cd897",
+    "fitted_model.json":
+        "8680e1e6dd379f0c08a0551cb71a8e3b7c8514a4d035cb942d75986b564d58af",
+    "segment_report.json":
+        "dcc96f98e64b90bd2c63a6a236ea5620224166aba5dafc4bc484ccc15d088740",
+}
+GOLDEN_MIXED_OFFSETS = {
+    "fitted_model.json":
+        "dc1a56039e2582455f6d0d6b4c2b504369f0c2b5ab006ccc8169494ef059086c",
+    "segment_report.json":
+        "10e5c6cbdf3e2a414a7c921588fac49c89dbd4fabb9b096bceba41501164d9e1",
+}
+GOLDEN_SPARSE_STAMPS = {
+    "fitted_model.json":
+        "fb1daafd3f92a836c0877339be351e60cc470a2806466480caf9e8797d544a85",
+    "segment_report.json":
+        "9fa91db76fa4f20274e47e3d7524d416c3045562869d7ad52f33c92217b40407",
+}
+GOLDEN_NO_STAMPS = {
+    "fitted_model.json":
+        "fb1daafd3f92a836c0877339be351e60cc470a2806466480caf9e8797d544a85",
+    "segment_report.json":
+        "e3f225d6eb8497fd47f318a5272f035c68100dcef818bcb978593431ad6fed56",
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_pipeline_outputs_are_golden(tmp_path):
+    """The six commands in README order write the same nine files, byte for byte.
+
+    The golden digests were recorded before the summaries became columns.
+    The bytes depend on the float results of numpy and the interpreter, so
+    the digests are tied to that toolchain (Python 3.11, numpy 2.4); on
+    another one, re-record them from a commit known to be right before
+    trusting a mismatch. A change that should keep its outputs keeps them.
+    """
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    log, model = str(out / "auction_log.csv"), str(out / "fitted_model.json")
+    for argv in (["gen-data"], ["fit", "--log", log], ["optimize", "--model", model],
+                 ["simulate", "--plan", str(out / "plan.json"), "--model", model],
+                 ["replan", "--model", model], ["segment", "--log", log]):
+        assert main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 0
+    assert _digests(out, GOLDEN_PIPELINE) == GOLDEN_PIPELINE
+
+
+def test_all_bids_segmentation_is_golden(tmp_path):
+    """Clustering on every bid, on a log with single-bid auctions and a
+    half-hour clock offset."""
+    cfg = base_config(tmp_path)
+    cfg["segmentation"] = {"feature": "all_bids"}
+    cfg["synthetic"].update(bidders_per_hour=[1, 3, 5, 2],
+                            start_time="2024-03-01T05:50:00+05:30")
+    cfg_path = dump(tmp_path, cfg)
+    log = str(tmp_path / "out" / "auction_log.csv")
+    for command in ("gen-data", "fit", "segment"):
+        argv = [command, "--config", cfg_path] + (["--log", log] if command != "gen-data" else [])
+        assert main(argv) == 0
+    assert _digests(tmp_path / "out", GOLDEN_ALL_BIDS) == GOLDEN_ALL_BIDS
+
+
+def _hand_log(stamps):
+    """A seeded log of 90 auctions with 1-6 bids each. Stamps are at three
+    clock offsets, one of them half an hour, so an auction's hour depends on
+    which of two equal instants it keeps. ``stamps`` is ``"all"`` (every row
+    stamped), ``"some"`` (a third of the auctions unstamped, and some rows of
+    others empty) or ``"none"``."""
+    rng = np.random.default_rng(8)
+    zones = [timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+             timezone(timedelta(hours=-3))]
+    start = datetime(2024, 6, 1, 9, 40, tzinfo=timezone.utc)
+    slots, auctions, rows_stamps, bids = [], [], [], []
+    for a in range(90):
+        k = int(rng.integers(1, 7))
+        instant = start + timedelta(minutes=int(rng.integers(0, 600)))
+        for j in range(k):
+            stamp = (instant + timedelta(minutes=int(rng.integers(0, 3)))
+                     ).astimezone(zones[int(rng.integers(0, 3))])
+            if stamps == "none" or (stamps == "some" and not (a % 3 and (j or a % 2))):
+                stamp = None
+            slots.append("slot-h" if a % 4 else "slot-g")
+            auctions.append(f"auc-{(a * 37) % 90:03d}")
+            rows_stamps.append(stamp)
+        bids.extend(np.round(rng.uniform(0.05, 1.5, k), 4).tolist())
+    return BidLog(slots, auctions, rows_stamps, bids)
+
+
+@pytest.mark.parametrize("stamps, golden", [("all", GOLDEN_MIXED_OFFSETS),
+                                            ("some", GOLDEN_SPARSE_STAMPS),
+                                            ("none", GOLDEN_NO_STAMPS)])
+def test_fit_and_segment_on_a_hand_log_are_golden(tmp_path, stamps, golden):
+    """Fit and segment on a hand-made log: hourly buckets across clock
+    offsets, and, with stamps partly or wholly missing, competition buckets
+    by bidder count and a value ceiling over the merged hours."""
+    log_path = tmp_path / "hand.csv"
+    write_log_csv(_hand_log(stamps), log_path)
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    for command in ("fit", "segment"):
+        assert main([command, "--config", cfg_path, "--log", str(log_path)]) == 0
+    assert _digests(tmp_path / "out", golden) == golden

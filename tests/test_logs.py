@@ -115,9 +115,9 @@ def test_equal_instants_keep_their_offsets(tmp_path):
         [timedelta(0), timedelta(hours=1), timedelta(hours=1), timedelta(0), timedelta(0)]
     # of equal earliest instants an auction keeps its first row's, not the
     # highest bid's
-    a, b, c = summarize_auctions(back)
-    assert a.timestamp.utcoffset() == timedelta(0)
-    assert b.timestamp.utcoffset() == timedelta(hours=1)
+    table = summarize_auctions(back)
+    assert table.timestamp[0].utcoffset() == timedelta(0)
+    assert table.timestamp[1].utcoffset() == timedelta(hours=1)
 
 
 def test_read_accepts_zulu_timestamps(tmp_path):
@@ -211,24 +211,95 @@ def test_summarize_auctions():
         ("s", "big", None, 0.7),
         ("s", "solo", t1, 0.3),
     ])
-    summaries = summarize_auctions(log, reserve=0.05)
-    assert [s.auction_id for s in summaries] == ["big", "solo"]  # first-seen order
-    big, solo = summaries
-    np.testing.assert_array_equal(big.bids, [0.9, 0.7, 0.4])
-    assert big.xi_observed == 3
-    assert big.winning_bid == 0.9
-    assert big.payment == 0.7
-    assert big.timestamp == t1  # earliest stamped row
-    assert solo.xi_observed == 1
-    assert solo.payment == 0.05  # reserve fallback
-    assert summarize_auctions(rows_log([])) == []
+    table = summarize_auctions(log, reserve=0.05)
+    assert table.auction_id.tolist() == ["big", "solo"]  # first-seen order
+    np.testing.assert_array_equal(table.bids, [0.9, 0.7, 0.4, 0.3])
+    np.testing.assert_array_equal(table.offsets, [0, 3, 4])
+    np.testing.assert_array_equal(table.xi_observed, [3, 1])
+    np.testing.assert_array_equal(table.winning_bid, [0.9, 0.3])
+    np.testing.assert_array_equal(table.payment, [0.7, 0.05])  # reserve fallback
+    assert table.timestamp.tolist() == [t1, t1]  # earliest stamped row
+    assert len(summarize_auctions(rows_log([]))) == 0
 
 
 def test_summarize_without_timestamps():
     log = rows_log([("s", "a", None, 0.2), ("s", "a", None, 0.8)])
-    s = summarize_auctions(log)[0]
-    assert s.timestamp is None
-    assert s.payment == 0.2
+    table = summarize_auctions(log)
+    assert table.timestamp.tolist() == [None]
+    assert table.hour.tolist() == [table.UNSTAMPED]
+    assert table.payment.tolist() == [0.2]
+
+
+def test_take_keeps_the_order_asked_for():
+    """An index array picks auctions in its order, a mask in the table's,
+    and each auction keeps its bids and its other columns."""
+    t1 = datetime(2024, 5, 1, 10, 20, tzinfo=UTC)
+    table = summarize_auctions(rows_log([
+        ("s", "a", None, 0.5), ("s", "b", t1, 0.2), ("s", "a", None, 0.9),
+        ("s", "c", t1, 0.7), ("s", "b", t1, 0.4), ("s", "b", t1, 0.3)]))
+    picked = table.take([2, 0])
+    assert picked.auction_id.tolist() == ["c", "a"]
+    np.testing.assert_array_equal(picked.bids, [0.7, 0.9, 0.5])
+    np.testing.assert_array_equal(picked.offsets, [0, 1, 3])
+    assert picked.timestamp.tolist() == [t1, None]
+    masked = table.take(table.xi_observed >= 2)
+    assert masked.auction_id.tolist() == ["a", "b"]
+    np.testing.assert_array_equal(masked.bids, [0.9, 0.5, 0.4, 0.3, 0.2])
+    np.testing.assert_array_equal(masked.payment, [0.5, 0.3])
+    assert masked.hour.tolist() == [table.UNSTAMPED, table.hour[1]]
+    assert len(table.take([])) == 0
+
+
+def test_hour_keys_follow_each_stamps_own_clock():
+    """An auction's hour is its earliest stamp's wall-clock hour in that
+    stamp's offset; of equal instants the first row's offset decides."""
+    half = timezone(timedelta(minutes=30))
+    t = datetime(2024, 5, 1, 10, 10, tzinfo=UTC)
+    table = summarize_auctions(rows_log([
+        ("s", "a", t, 0.1), ("s", "a", t.astimezone(half), 0.2),
+        ("s", "b", t.astimezone(half), 0.1), ("s", "b", t, 0.2)]))
+    hours = [t.replace(minute=0), t.astimezone(half).replace(minute=0)]
+    epoch = datetime(1970, 1, 1, tzinfo=UTC)
+    assert table.hour.tolist() == [(h - epoch) // timedelta(microseconds=1) for h in hours]
+    naive = summarize_auctions(rows_log([("s", "a", datetime(1970, 1, 1, 2, 59), 0.1)]))
+    assert naive.hour.tolist() == [2 * 3600 * 10**6]
+
+
+def test_mixed_stamp_kinds_are_refused(tmp_path):
+    """Naive and offset-aware stamps do not compare: the reader names the
+    first row whose kind differs from the first stamped row's, and an
+    in-memory log that mixes them is refused before any comparison."""
+    path = tmp_path / "log.csv"
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
+                    "s,a1,,0.5\n"
+                    "s,a1,2024-05-01T10:00:00,0.4\n"
+                    "s,a2,2024-05-01T10:00:00,0.3\n"
+                    "\n"
+                    "s,a2,2024-05-01T11:00:00Z,0.2\n"
+                    "s,a3,2024-05-01T09:00:00,0.2\n")
+    with pytest.raises(ValueError) as err:
+        read_log_csv(path)
+    assert str(err.value) == (f"{path}:6: timestamp '2024-05-01T11:00:00Z' is "
+                              "offset-aware, the first stamped row's is naive")
+    mixed = rows_log([("s", "a", datetime(2024, 5, 1, 10), 0.5),
+                      ("s", "b", datetime(2024, 5, 1, 10, tzinfo=UTC), 0.4)])
+    with pytest.raises(ValueError, match="mixes naive and offset-aware"):
+        summarize_auctions(mixed)
+
+
+def test_mixed_stamp_kinds_across_read_chunks(tmp_path):
+    """The first stamped row sets the kind for the rows of later chunks,
+    even for a row that opens a chunk."""
+    path = tmp_path / "log.csv"
+    lines = [f"s,a{i},2024-05-01T{i % 24:02d}:00:00+01:00,0.5"
+             for i in range(logs._READ_CHUNK + 10)]
+    lines[logs._READ_CHUNK] = "s,late,2024-05-01T08:00:00,0.5"
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_log_csv(path)
+    assert str(err.value) == (f"{path}:{logs._READ_CHUNK + 2}: timestamp "
+                              "'2024-05-01T08:00:00' is naive, the first stamped "
+                              "row's is offset-aware")
 
 
 def _dict_grouped(rows, reserve):
@@ -260,8 +331,10 @@ def test_summarize_matches_dict_grouping(rows, reserve):
     """Shuffled rows with tied bids and equal instants at two offsets: the
     grouping kernel gives the dict oracle's first-seen order, earliest stamp
     (the first of equal ones), descending bids and reserve for single bids."""
-    got = [(s.auction_id, s.slot_id, s.timestamp, s.bids.tolist(), s.xi_observed,
-            s.winning_bid, s.payment) for s in summarize_auctions(rows_log(rows), reserve)]
+    t = summarize_auctions(rows_log(rows), reserve)
+    got = list(zip(t.auction_id.tolist(), t.slot_id.tolist(), t.timestamp.tolist(),
+                   [t.bids[lo:hi].tolist() for lo, hi in zip(t.offsets[:-1], t.offsets[1:])],
+                   t.xi_observed.tolist(), t.winning_bid.tolist(), t.payment.tolist()))
     want = _dict_grouped(rows, reserve)
     assert got == want
     assert [None if g[2] is None else g[2].utcoffset() for g in got] == \

@@ -161,4 +161,4 @@ def test_degenerate_bids_fall_back_to_one_group():
 
 def test_empty_input_raises():
     with pytest.raises(ValueError, match="no auctions"):
-        segment_and_optimize([], seg_config())
+        segment_and_optimize(summarize_auctions(BidLog([], [], [], [])), seg_config())

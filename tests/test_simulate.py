@@ -134,10 +134,10 @@ def test_simulate_rtb_log_reconciles_with_revenue():
     revenue, log = loop_simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
     assert revenue == simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
     assert len(log) == demand  # every bid lands on exactly one impression
-    summaries = summarize_auctions(log, reserve=reserve)
-    covered = sum(s.payment for s in summaries if s.xi_observed >= 2)
-    thin = sum(1 for s in summaries if s.xi_observed == 1)
-    empty = supply - len(summaries)
+    table = summarize_auctions(log, reserve=reserve)
+    covered = sum(table.payment[table.xi_observed >= 2].tolist())
+    thin = int(np.sum(table.xi_observed == 1))
+    empty = supply - len(table)
     assert revenue == pytest.approx(covered + reserve * (thin + empty), abs=1e-9)
     assert all(ts is not None for ts in log.timestamp)
 
@@ -215,11 +215,11 @@ def test_generate_log_structure():
                               bidders_per_hour=[2, 3], seed=21)
     assert truth["bidders_per_hour"] == [2, 3]
     assert truth["bid_model"] == {"kind": "uniform", "low": 0.2, "high": 0.9}
-    summaries = summarize_auctions(log)
-    assert len(summaries) == 20
+    table = summarize_auctions(log)
+    assert len(table) == 20
     by_hour = {}
-    for s in summaries:
-        by_hour.setdefault(s.timestamp.hour, set()).add(s.xi_observed)
+    for stamp, xi in zip(table.timestamp, table.xi_observed.tolist()):
+        by_hour.setdefault(stamp.hour, set()).add(xi)
     # the planted pattern alternates bidder counts by hour
     assert by_hour == {0: {2}, 1: {3}, 2: {2}, 3: {3}, 4: {2}}
     again, _ = generate_log(model, hours=5, auctions_per_hour=4,

@@ -554,3 +554,26 @@ def test_forward_share_falls_with_risk_when_the_premium_binds():
         gammas.append(plan.gamma)
     assert all(a >= b for a, b in zip(gammas, gammas[1:])), gammas
     assert gammas[0] > gammas[-1]
+
+
+def test_scanned_cells_scale_near_linearly_in_supply():
+    """A deterministic scaling measure beside criterion 10's wall clock: the
+    cells the DP scans, counted at the cell kernel, on the reference market
+    with Q=4S. Each doubling of S multiplies them by about 2.15 (a quadratic
+    scan would give 4); the bound 2.4 leaves room for the log factor."""
+    counts = []
+    for supply in (800, 1600, 3200, 6400):
+        cells = [0]
+
+        def counting(*args, kernel=solver._cells):
+            price, vals = kernel(*args)
+            cells[0] += vals.size
+            return price, vals
+
+        cfg = _large_market(supply, 4 * supply)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_cells", counting)
+            optimal_plan(cfg, TimeGrid.from_config(cfg), BidModel.uniform(0.0, 1.0))
+        counts.append(cells[0])
+    factors = [b / a for a, b in zip(counts, counts[1:])]
+    assert all(f <= 2.4 for f in factors), (counts, factors)
