@@ -28,12 +28,9 @@ from .logs import (
 )
 from .market import (
     MarketConfig,
+    StepTerms,
     TimeGrid,
-    censored_bound,
-    expected_arrivals,
-    purchase_ratio,
     reference_config,
-    risk_preference,
 )
 from .replan import ReplanStep, UncertaintySpec, replan, update_demand
 from .segmentation import (
@@ -76,14 +73,13 @@ __all__ = [
     "SegmentPlan",
     "SegmentedMarket",
     "SimOutcome",
+    "StepTerms",
     "TimeGrid",
     "UncertaintySpec",
     "aggregate_payment_points",
-    "censored_bound",
     "competition_level",
     "estimate_max_value",
     "evaluate_plan",
-    "expected_arrivals",
     "fit_payment_curves",
     "generate_arrivals",
     "generate_log",
@@ -91,13 +87,11 @@ __all__ = [
     "lowess",
     "mc_second_price",
     "optimal_plan",
-    "purchase_ratio",
     "read_log_csv",
     "reference_bid_model",
     "reference_config",
     "replan",
     "replay_revenue",
-    "risk_preference",
     "run_market_once",
     "segment_and_optimize",
     "simulate_purchases",

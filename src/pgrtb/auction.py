@@ -602,21 +602,18 @@ class RevenueCurves:
 
     Exposes the same ``payment_mean`` / ``payment_std`` surface as
     :class:`BidModel`, but evaluates fitted curves instead of integrating a
-    distribution. Below two expected bidders the reserve convention applies.
+    distribution. The scalar calls read ``payment_moments``, which applies
+    the reserve below two expected bidders and clips the spread at 0.
     """
 
     mean_curve: FittedCurve
     std_curve: FittedCurve
 
     def payment_mean(self, xi, reserve=0.0):
-        if xi < 2.0:
-            return float(reserve)
-        return float(self.mean_curve(xi))
+        return float(self.payment_moments(xi, reserve)[0])
 
     def payment_std(self, xi):
-        if xi < 2.0:
-            return 0.0
-        return float(max(self.std_curve(xi), 0.0))
+        return float(self.payment_moments(xi)[1])
 
     def payment_moments(self, xis, reserve=0.0):
         xis = np.asarray(xis, dtype=float)

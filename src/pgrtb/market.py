@@ -7,26 +7,24 @@ which advertisers can buy guaranteed contracts at posted prices. Whatever is
 left unsold (or undelivered) is cleared on the delivery day through
 second-price auctions.
 
-This module holds everything about the buyers: how many arrive at each step,
-the fraction of waiting buyers that accepts a posted price, how much buyers
-value certainty over the auction lottery, and the resulting ceiling on the
-posted price.
+This module holds everything about the buyers. :class:`StepTerms` is the one
+place that computes their per-step terms: how many arrive at each step, the
+fraction of waiting buyers that accepts a posted price, how much buyers value
+certainty over the auction lottery, what a contract nets after delivery
+penalties, and the resulting ceiling on the posted price. The solver, the
+simulator, the replanner and the segmentation all read those arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MarketConfig",
+    "StepTerms",
     "TimeGrid",
-    "expected_arrivals",
-    "purchase_ratio",
-    "risk_preference",
-    "censored_bound",
     "reference_config",
 ]
 
@@ -158,74 +156,41 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.points.size - 1
 
-    @property
-    def delta_t(self) -> float:
-        return float(self.points[1] - self.points[0])
 
+class StepTerms:
+    """The market's per-step terms on one grid, as arrays over steps 0..N.
 
-def _check_step(n: int, last: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= last:
-        raise IndexError(f"step {n} outside 0..{last}")
-
-
-def expected_arrivals(n: int, cfg: MarketConfig) -> float:
-    """Expected new advertiser arrivals at step ``n``.
-
-    Every step contributes the rate mass ``lambda * dt``; the first step
-    additionally carries the advertisers already waiting when the window
-    opens, ``initial_arrival_mass * demand_Q``.
+    ``rate`` is every step's arrival mass ``lambda * dt``, ``waiting`` the
+    advertisers present when the window opens (``initial_arrival_mass *
+    demand_Q``) and ``cum`` the running expected arrivals, ``waiting`` among
+    them. ``risk`` is the weight ``zeta * exp(-v * t_n)`` on the auction's
+    spread. ``price_scale`` is ``alpha * (1 + beta * (t_N - t_n))``: a price
+    ``p`` posted at step ``n`` sells to the share ``exp(-price_scale[n] *
+    p)`` of the pool. ``coef = 1 - omega * varpi`` is what a contract nets
+    per unit price after expected penalties. Grids off the config's step
+    count or horizon are refused.
     """
-    _check_step(n, cfg.steps_N)
-    base = cfg.arrival_rate_lambda * cfg.delta_t
-    if n == 0:
-        return cfg.initial_arrival_mass * cfg.demand_Q + base
-    return base
 
+    def __init__(self, cfg: MarketConfig, grid: TimeGrid):
+        if grid.n_steps != cfg.steps_N or grid.points[-1] != cfg.horizon_T:
+            raise ValueError(f"grid ({grid.n_steps} steps to {float(grid.points[-1])!r}) does "
+                             f"not match the config ({cfg.steps_N} steps to {cfg.horizon_T!r})")
+        self.max_value_pi = cfg.max_value_pi
+        self.rate = cfg.arrival_rate_lambda * cfg.delta_t
+        self.waiting = cfg.initial_arrival_mass * cfg.demand_Q
+        arrivals = np.full(grid.n_steps + 1, self.rate)
+        arrivals[0] = self.waiting + self.rate
+        self.cum = np.cumsum(arrivals)
+        self.risk = cfg.risk_level_zeta * np.exp(-cfg.risk_decay_v * grid.points)
+        self.price_scale = cfg.price_effect_alpha * (
+            1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points))
+        self.coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
 
-def purchase_ratio(n: int, price: float, cfg: MarketConfig, grid: TimeGrid) -> float:
-    """Fraction of waiting advertisers that buys at ``price`` posted at step ``n``.
-
-    Exponential in the price, with sensitivity inflated early in the window:
-    ``exp(-alpha * price * (1 + beta * (t_N - t_n)))``. Decreasing in price,
-    increasing in time (for beta > 0), equal to 1 at price 0.
-    """
-    _check_step(n, grid.n_steps)
-    if price < 0:
-        raise ValueError("price must be non-negative")
-    remaining = grid.points[-1] - grid.points[n]
-    return math.exp(
-        -cfg.price_effect_alpha * price * (1.0 + cfg.time_effect_beta * remaining)
-    )
-
-
-def risk_preference(n: int, cfg: MarketConfig, grid: TimeGrid) -> float:
-    """Risk-aversion weight ``zeta * exp(-v * t_n)`` at step ``n``.
-
-    Buyers far from the delivery day pay a certainty premium over the
-    auction's expected payment; the premium decays as delivery approaches.
-    """
-    _check_step(n, grid.n_steps)
-    return cfg.risk_level_zeta * math.exp(-cfg.risk_decay_v * grid.points[n])
-
-
-def censored_bound(n: int, xi: float, cfg: MarketConfig, grid: TimeGrid, model) -> float:
-    """Upper bound on the posted price at step ``n`` under competition ``xi``.
-
-    The bound is the auction's expected payment plus the step's risk premium
-    on its spread, censored at the expected maximum impression value:
-    ``min(payment_mean + delta * payment_std, max_value_pi)``. With fewer
-    than two expected bidders there is no second price and the bound falls
-    back to the reserve.
-
-    ``model`` is anything exposing ``payment_mean(xi, reserve=...)`` and
-    ``payment_std(xi)`` -- a bid distribution or a pair of fitted curves.
-    """
-    _check_step(n, grid.n_steps)
-    if xi <= 1.0:
-        return cfg.reserve_price_r0
-    mean = model.payment_mean(xi, reserve=cfg.reserve_price_r0)
-    spread = model.payment_std(xi)
-    return min(mean + risk_preference(n, cfg, grid) * spread, cfg.max_value_pi)
+    def bounds(self, means, stds):
+        """Price bounds per (step, level), ``min(mean + risk * std, pi)``, from
+        the payment moments per competition level (``payment_moments``)."""
+        return np.minimum(means[None, :] + self.risk[:, None] * stds[None, :],
+                          self.max_value_pi)
 
 
 def reference_config() -> MarketConfig:

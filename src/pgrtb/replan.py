@@ -100,7 +100,6 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
     """
     N = cfg.steps_N
     S = cfg.supply_S
-    coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
     presold = 0
     demand_abs = cfg.demand_Q
     prices = np.empty(N + 1)
@@ -119,7 +118,7 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
         sales[n] = z_now
         bnds[n] = float(tail.bounds[0])
         if z_now > 0:
-            pg = pg + (coef * p_now) * z_now
+            pg = pg + (tables.coef * p_now) * z_now
         presold += z_now
         if n < N:
             shocked = update_demand(demand_abs - presold, spec, n, S - presold)

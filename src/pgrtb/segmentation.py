@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .auction import BidModel, RevenueCurves, estimate_max_value, fit_payment_curves
-from .market import MarketConfig, TimeGrid, censored_bound
+from .market import MarketConfig, StepTerms, TimeGrid
 from .solver import PricePlan, competition_level, optimal_plan
 
 __all__ = [
@@ -207,8 +207,8 @@ def _rtb_only_plan(cfg, grid, curves, bid_model):
     """
     model = curves if curves is not None else bid_model
     xi0 = competition_level(cfg.demand_Q, cfg.supply_S, 0)
-    revenue = cfg.supply_S * model.payment_mean(xi0, reserve=cfg.reserve_price_r0)
-    bounds = np.array([censored_bound(n, xi0, cfg, grid, model)
-                       for n in range(grid.n_steps + 1)])
+    means, stds = model.payment_moments(np.array([xi0]), cfg.reserve_price_r0)
+    bounds = StepTerms(cfg, grid).bounds(means, stds)[:, 0]
+    revenue = cfg.supply_S * float(means[0])
     return PricePlan.from_path(bounds, np.zeros(grid.n_steps + 1, dtype=int), bounds,
                                0.0, revenue, supply=cfg.supply_S, demand=cfg.demand_Q)

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .logs import BidLog, _rank_groups
-from .market import MarketConfig, TimeGrid, purchase_ratio
+from .market import MarketConfig, StepTerms, TimeGrid
 from .solver import PricePlan
 
 __all__ = [
@@ -46,10 +46,10 @@ def generate_arrivals(cfg: MarketConfig, grid: TimeGrid, seed):
     Poisson(lambda * dt) at every step, plus the deterministic opening block
     floor(mass * Q) at step 0.
     """
+    terms = StepTerms(cfg, grid)
     rng = np.random.default_rng(_seed_sequence(seed))
-    lam = cfg.arrival_rate_lambda * grid.delta_t
-    arrivals = rng.poisson(lam, grid.n_steps + 1)
-    arrivals[0] += int(math.floor(cfg.initial_arrival_mass * cfg.demand_Q))
+    arrivals = rng.poisson(terms.rate, grid.n_steps + 1)
+    arrivals[0] += int(math.floor(terms.waiting))
     return arrivals
 
 
@@ -58,11 +58,14 @@ def simulate_purchases(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, seed)
 
     Contenders accumulate in a waiting pool. At each step the plan leaves
     open, every waiting contender buys independently with the purchase ratio
-    at the posted price; sales are capped by remaining supply. Steps the plan
-    closes sell nothing. Returns ``(sold per step, gross contract revenue)``.
+    ``exp(-price_scale[n] * price)`` of :class:`~pgrtb.market.StepTerms`, the
+    ratio the solver inverts; sales are capped by remaining supply. Steps the
+    plan closes sell nothing. Returns ``(sold per step, gross contract
+    revenue)``.
     """
     if plan.start_step != 0:
         raise ValueError("simulation needs a full-horizon plan")
+    price_scale = StepTerms(cfg, grid).price_scale.tolist()
     arrivals_seed, buy_seed = _seed_sequence(seed).spawn(2)
     arrivals = generate_arrivals(cfg, grid, arrivals_seed)
     rng = np.random.default_rng(buy_seed)
@@ -74,13 +77,15 @@ def simulate_purchases(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, seed)
         pool += int(arrivals[n])
         if plan.sales[n] == 0 or remaining == 0 or pool == 0:
             continue
-        theta = purchase_ratio(n, float(plan.prices[n]), cfg, grid)
-        want = int(rng.binomial(pool, theta))
+        price = float(plan.prices[n])
+        if price < 0:
+            raise ValueError("price must be non-negative")
+        want = int(rng.binomial(pool, math.exp(-price_scale[n] * price)))
         take = min(want, remaining)
         sold[n] = take
         pool -= take
         remaining -= take
-        revenue += float(plan.prices[n]) * take
+        revenue += price * take
     return sold, revenue
 
 

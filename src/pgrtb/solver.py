@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .market import MarketConfig, TimeGrid, expected_arrivals
+from .market import MarketConfig, StepTerms, TimeGrid
 
 __all__ = [
     "PricePlan",
@@ -191,18 +191,15 @@ class DPTables:
 
 
 class _MarketTables:
-    """Float-exact precomputation for the DP, shared with the test oracles.
-
-    The constructor builds what the market and the grid fix: the running sum
-    ``cum`` of expected arrivals and its integer cap ``u``, the risk
-    preference and price scale per step, the contract coefficient and the
-    log tables. ``set_demand`` adds what total demand changes, the payment
-    moments and price bounds, so a replan walk builds the rest only once.
+    """The DP's tables, shared with the test oracles: the market's step terms
+    ``cum``, ``risk``, ``price_scale`` and ``coef``, plus what only the DP
+    needs, the integer cap ``u`` on cumulative sales and the log tables.
+    ``set_demand`` adds what total demand changes, the payment moments and
+    price bounds, so a replan walk builds the rest only once.
     """
 
     def __init__(self, cfg: MarketConfig, grid: TimeGrid):
-        if grid.n_steps != cfg.steps_N:
-            raise ValueError("grid does not match config steps_N")
+        self.terms = StepTerms(cfg, grid)
         cells = (cfg.steps_N + 1) * (cfg.supply_S + 1)
         if cells > _MAX_TABLE_CELLS:
             raise ValueError(
@@ -211,12 +208,9 @@ class _MarketTables:
                 f"{_MAX_TABLE_CELLS:,}")
         S = self.S = cfg.supply_S
         self.cfg = cfg
-        self.cum = np.cumsum([expected_arrivals(n, cfg) for n in range(grid.n_steps + 1)])
+        self.cum, self.risk = self.terms.cum, self.terms.risk
+        self.price_scale, self.coef = self.terms.price_scale, self.terms.coef
         self.u = np.minimum(S, np.floor(self.cum)).astype(int)
-        self.risk = cfg.risk_level_zeta * np.exp(-cfg.risk_decay_v * grid.points)
-        self.price_scale = cfg.price_effect_alpha * (
-            1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points))
-        self.coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
         with np.errstate(divide="ignore"):
             self.log_k = np.log(np.arange(S + 1, dtype=float))
         # Entry S + 1 + d of the flat arrays is z2 = d and its log (nan for
@@ -238,8 +232,7 @@ class _MarketTables:
         y = np.arange(S)
         xi = np.append((self.D - y) / (S - y), math.inf)
         self.means, stds = model.payment_moments(xi, cfg.reserve_price_r0)
-        self.bounds = np.minimum(self.means[None, :] + self.risk[:, None] * stds[None, :],
-                                 cfg.max_value_pi)
+        self.bounds = self.terms.bounds(self.means, stds)
         return self
 
 
@@ -493,7 +486,7 @@ def replay_revenue(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, model, *,
     step order and re-prices the leftover supply at the terminal competition
     level. Returns ``(pg, rtb, total)``.
     """
-    coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
+    coef = StepTerms(cfg, grid).coef
     pg = 0.0
     for price, z2 in zip(plan.prices, plan.sales):
         if z2:

@@ -1,15 +1,21 @@
 """Reference implementations the tests check the solver and simulator against.
 
+``expected_arrivals``, ``purchase_ratio``, ``risk_preference`` and
+``censored_bound`` are the market's per-step terms as scalar ``math.exp``
+formulas, one step at a time: independent references for the arrays of
+:class:`pgrtb.market.StepTerms`, which are the only copy the program uses.
+
 ``dense_optimal_plan`` is the dynamic program with every step built as a
 dense ``(ny x nz)`` scan: the bit-identity oracle for the solver's blocked
 transition. ``optimal_pg_revenue`` re-derives one DP cell by a scalar scan,
 and ``brute_force_optimum`` enumerates every sales path of tiny markets.
 
-All three share the solver's precomputed market tables (cumulative
-arrivals, price bounds, payment moments, log tables) and mirror its float
-expressions operation for operation; their independence is the scan or the
-exhaustive path enumeration, not a re-derivation of the market primitives.
-That is what lets equality tests compare them bit for bit.
+The dense DP and the exhaustive search share the solver's precomputed market
+tables (cumulative arrivals, price bounds, payment moments, log tables) and
+mirror its float expressions operation for operation; their independence is
+the scan or the exhaustive path enumeration, not a re-derivation of the
+market primitives. That is what lets equality tests compare them bit for
+bit. ``optimal_pg_revenue`` prices its cells from the scalar references.
 
 ``backlog_demand`` folds the expected waiting pool step by step from posted
 prices, the reference for the pool the DP prices against.
@@ -26,16 +32,52 @@ import numpy as np
 
 from pgrtb.auction import _payment_points_batch
 from pgrtb.logs import BidLog
-from pgrtb.market import (
-    MarketConfig,
-    TimeGrid,
-    _check_step,
-    censored_bound,
-    expected_arrivals,
-    purchase_ratio,
-)
+from pgrtb.market import MarketConfig, TimeGrid
 from pgrtb.simulate import _EPOCH, _seed_sequence
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
+
+
+def _check_step(n, last):
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= last:
+        raise IndexError(f"step {n} outside 0..{last}")
+
+
+def expected_arrivals(n, cfg: MarketConfig) -> float:
+    """Expected new advertiser arrivals at step ``n``: ``lambda * dt``, plus
+    ``initial_arrival_mass * demand_Q`` at the first step."""
+    _check_step(n, cfg.steps_N)
+    base = cfg.arrival_rate_lambda * cfg.delta_t
+    if n == 0:
+        return cfg.initial_arrival_mass * cfg.demand_Q + base
+    return base
+
+
+def purchase_ratio(n, price, cfg: MarketConfig, grid: TimeGrid) -> float:
+    """Share of waiting advertisers that buys at ``price`` posted at step ``n``:
+    ``exp(-alpha * price * (1 + beta * (t_N - t_n)))``."""
+    _check_step(n, grid.n_steps)
+    if price < 0:
+        raise ValueError("price must be non-negative")
+    remaining = grid.points[-1] - grid.points[n]
+    return math.exp(
+        -cfg.price_effect_alpha * price * (1.0 + cfg.time_effect_beta * remaining))
+
+
+def risk_preference(n, cfg: MarketConfig, grid: TimeGrid) -> float:
+    """Risk-aversion weight ``zeta * exp(-v * t_n)`` at step ``n``."""
+    _check_step(n, grid.n_steps)
+    return cfg.risk_level_zeta * math.exp(-cfg.risk_decay_v * grid.points[n])
+
+
+def censored_bound(n, xi, cfg: MarketConfig, grid: TimeGrid, model) -> float:
+    """Price ceiling at step ``n`` and level ``xi``: the reserve at or below
+    one bidder, else ``min(payment_mean + risk * payment_std, max_value_pi)``."""
+    _check_step(n, grid.n_steps)
+    if xi <= 1.0:
+        return cfg.reserve_price_r0
+    mean = model.payment_mean(xi, reserve=cfg.reserve_price_r0)
+    spread = model.payment_std(xi)
+    return min(mean + risk_preference(n, cfg, grid) * spread, cfg.max_value_pi)
 
 
 def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
@@ -46,8 +88,6 @@ def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
     blocked prefix-window transition must reproduce this one bit for bit;
     it is also what the solver-scaling criterion times.
     """
-    if grid.n_steps != cfg.steps_N:
-        raise ValueError("grid does not match config steps_N")
     N = cfg.steps_N
     if not 0 <= start_step <= N:
         raise ValueError(f"start_step outside 0..{N}")
@@ -182,8 +222,6 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
     """
     if cfg.steps_N > 5 or cfg.supply_S > 10:
         raise ValueError("exhaustive search is guarded to steps_N <= 5, supply_S <= 10")
-    if grid.n_steps != cfg.steps_N:
-        raise ValueError("grid does not match config steps_N")
     t = _MarketTables(cfg, grid).set_demand(model, None)
     N = cfg.steps_N
     ln_avail = []

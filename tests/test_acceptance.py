@@ -32,13 +32,13 @@ from pgrtb.auction import (
     reference_bid_model,
 )
 from pgrtb.logs import summarize_auctions
-from pgrtb.market import MarketConfig, TimeGrid, censored_bound, reference_config
+from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, replan
 from pgrtb.segmentation import segment_and_optimize
 from pgrtb.simulate import evaluate_plan, generate_log
 from pgrtb.solver import competition_level, optimal_plan, replay_revenue
 
-from oracles import brute_force_optimum, dense_optimal_plan
+from oracles import brute_force_optimum, censored_bound, dense_optimal_plan
 
 REPORT_LINES = []
 

@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 
 from pgrtb.auction import BidModel
-from pgrtb.market import (
-    MarketConfig,
-    TimeGrid,
-    censored_bound,
-    expected_arrivals,
-    purchase_ratio,
-    reference_config,
-    risk_preference,
-)
+from pgrtb.market import MarketConfig, StepTerms, TimeGrid, reference_config
+from pgrtb.replan import UncertaintySpec, replan
+from pgrtb.simulate import evaluate_plan, simulate_purchases
+from pgrtb.solver import PricePlan, optimal_plan
 
-from oracles import backlog_demand
+from oracles import backlog_demand, expected_arrivals
 
 
 def small_config(**overrides):
@@ -73,7 +68,6 @@ def test_grid_from_config():
     cfg = small_config()
     grid = TimeGrid.from_config(cfg)
     assert grid.n_steps == 2
-    assert grid.delta_t == 1.0
     np.testing.assert_allclose(grid.points, [0.0, 1.0, 2.0])
 
 
@@ -90,35 +84,39 @@ def test_grid_validation():
 
 def test_expected_arrivals():
     cfg = small_config()
+    terms = StepTerms(cfg, TimeGrid.from_config(cfg))
     # opening step carries the waiting block plus one step of the rate
-    assert expected_arrivals(0, cfg) == 0.25 * 12 + 3.0
-    assert expected_arrivals(1, cfg) == 3.0
-    assert expected_arrivals(2, cfg) == 3.0
-    with pytest.raises(IndexError):
-        expected_arrivals(3, cfg)
-    with pytest.raises(IndexError):
-        expected_arrivals(-1, cfg)
+    assert terms.rate == 3.0
+    assert np.diff(terms.cum, prepend=0.0).tolist() == [0.25 * 12 + 3.0, 3.0, 3.0]
+    # one entry per step 0..N
+    assert terms.cum.shape == terms.risk.shape == terms.price_scale.shape == (3,)
 
 
 def test_purchase_ratio_shape():
     """Price 0 moves everyone; higher prices move fewer; early steps move fewer."""
     cfg = small_config()
     grid = TimeGrid.from_config(cfg)
-    assert purchase_ratio(1, 0.0, cfg, grid) == 1.0
-    lo = purchase_ratio(1, 0.2, cfg, grid)
-    hi = purchase_ratio(1, 0.8, cfg, grid)
+    scale = StepTerms(cfg, grid).price_scale
+    assert math.exp(-scale[1] * 0.0) == 1.0
+    lo = math.exp(-scale[1] * 0.2)
+    hi = math.exp(-scale[1] * 0.8)
     assert 0.0 < hi < lo < 1.0
     # more time remaining inflates the price effect (beta > 0)
-    assert purchase_ratio(0, 0.5, cfg, grid) < purchase_ratio(2, 0.5, cfg, grid)
-    with pytest.raises(ValueError):
-        purchase_ratio(1, -0.1, cfg, grid)
+    assert math.exp(-scale[0] * 0.5) < math.exp(-scale[2] * 0.5)
+    # the simulated market refuses a negative posted price
+    plan = PricePlan.from_path([-0.1, 0.3, 0.3], [1, 1, 1], [0.5] * 3, 0.0, 0.0,
+                               supply=cfg.supply_S, demand=cfg.demand_Q)
+    with pytest.raises(ValueError, match="non-negative"):
+        simulate_purchases(plan, cfg, grid, seed=0)
 
 
 def test_purchase_ratio_value():
     cfg = small_config()
     grid = TimeGrid.from_config(cfg)
     # alpha=1, beta=0.5, t=0 of T=2: scale 2.0
-    assert purchase_ratio(0, 0.4, cfg, grid) == pytest.approx(0.44932896411722156, abs=1e-15)
+    scale = StepTerms(cfg, grid).price_scale
+    assert scale[0] == 2.0
+    assert math.exp(-scale[0] * 0.4) == pytest.approx(0.44932896411722156, abs=1e-15)
 
 
 def test_backlog_demand_frozen_values():
@@ -145,25 +143,28 @@ def test_backlog_demand_extremes():
 def test_risk_preference():
     cfg = small_config(risk_level_zeta=7.5, risk_decay_v=0.3)
     grid = TimeGrid.from_config(cfg)
-    assert risk_preference(0, cfg, grid) == 7.5
-    assert risk_preference(1, cfg, grid) == pytest.approx(5.556136655112884, abs=1e-12)
+    risk = StepTerms(cfg, grid).risk
+    assert risk[0] == 7.5
+    assert risk[1] == pytest.approx(5.556136655112884, abs=1e-12)
     flat = small_config()
-    assert risk_preference(2, flat, grid) == 0.0
+    assert StepTerms(flat, grid).risk[2] == 0.0
 
 
 def test_censored_bound_reserve_below_two_bidders():
     cfg = small_config(reserve_price_r0=0.15)
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
-    assert censored_bound(1, 1.0, cfg, grid, model) == 0.15
-    assert censored_bound(1, 0.3, cfg, grid, model) == 0.15
+    moments = model.payment_moments(np.array([1.0, 0.3]), cfg.reserve_price_r0)
+    bounds = StepTerms(cfg, grid).bounds(*moments)
+    assert bounds.shape == (3, 2)
+    assert bounds[1].tolist() == [0.15, 0.15]
 
 
 def test_censored_bound_censors_at_ceiling():
     cfg = small_config(max_value_pi=0.2, risk_level_zeta=50.0)
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
-    assert censored_bound(0, 6.0, cfg, grid, model) == 0.2
+    assert StepTerms(cfg, grid).bounds(*model.payment_moments(np.array([6.0])))[0, 0] == 0.2
 
 
 def test_censored_bound_adds_risk_premium():
@@ -171,11 +172,32 @@ def test_censored_bound_adds_risk_premium():
     cfg1 = small_config(risk_level_zeta=4.0, max_value_pi=10.0)
     grid = TimeGrid.from_config(cfg0)
     model = BidModel.uniform(0.0, 1.0)
-    base = censored_bound(1, 3.0, cfg0, grid, model)
+    moments = model.payment_moments(np.array([3.0]))
+    base = StepTerms(cfg0, grid).bounds(*moments)[1, 0]
     assert base == pytest.approx(model.payment_mean(3.0), abs=1e-12)
-    lifted = censored_bound(1, 3.0, cfg1, grid, model)
-    assert lifted == pytest.approx(base + risk_preference(1, cfg1, grid) * model.payment_std(3.0),
-                                   abs=1e-12)
+    terms = StepTerms(cfg1, grid)
+    lifted = terms.bounds(*moments)[1, 0]
+    assert lifted == pytest.approx(base + terms.risk[1] * model.payment_std(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("points", [
+    np.linspace(0.0, 5.0, 31),   # right step count, wrong horizon
+    np.linspace(0.0, 30.0, 11),  # right horizon, wrong step count
+])
+def test_grids_that_do_not_match_the_config_are_refused(points):
+    """Arrivals follow the config while risk and price scale follow the grid's
+    times, so a grid off the config's steps or horizon mixes two markets."""
+    cfg = reference_config()
+    good = TimeGrid.from_config(cfg)
+    bad = TimeGrid(points)
+    model = BidModel.uniform(0.0, 1.0)
+    plan, _ = optimal_plan(cfg, good, model)
+    with pytest.raises(ValueError, match="does not match"):
+        optimal_plan(cfg, bad, model)
+    with pytest.raises(ValueError, match="does not match"):
+        replan(cfg, bad, model, UncertaintySpec(epsilon=0.1))
+    with pytest.raises(ValueError, match="does not match"):
+        evaluate_plan(plan, cfg, bad, model, n_runs=5, seed=0)
 
 
 def test_reference_config_is_valid_and_frozen():

@@ -1,14 +1,16 @@
 """Clustering mixed bid landscapes and solving each slice on its own curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pgrtb.auction import BidModel
+from pgrtb.auction import BidModel, reference_bid_model
 from pgrtb.logs import BidLog, summarize_auctions
-from pgrtb.market import MarketConfig
-from pgrtb.segmentation import kmeans_1d, segment_and_optimize
+from pgrtb.market import MarketConfig, TimeGrid, reference_config
+from pgrtb.segmentation import _rtb_only_plan, kmeans_1d, segment_and_optimize
 from pgrtb.simulate import generate_log
-from pgrtb.solver import competition_level
+from pgrtb.solver import _MarketTables, competition_level
 
 
 def seg_config():
@@ -143,6 +145,24 @@ def test_thin_competition_goes_auction_only():
         assert sp.plan.revenue_total == pytest.approx(want)
         assert sp.plan.revenue_pg == 0.0
         np.testing.assert_array_equal(sp.plan.prices, sp.plan.bounds)
+
+
+def test_auction_only_bounds_equal_the_dp_bounds():
+    """An auction-only plan shows the DP's own ceiling at zero sales, bit for
+    bit: both read the market's step terms. The first risk setting is one
+    where a scalar math.exp risk weight put them an ulp apart."""
+    rng = np.random.default_rng(2024)
+    risks = [(34.296171063502776, 0.08190629654019113)]
+    risks += [(float(rng.uniform(0.0, 60.0)), float(rng.uniform(0.01, 1.0)))
+              for _ in range(6)]
+    model = reference_bid_model()
+    for zeta, v in risks:
+        cfg = dataclasses.replace(reference_config(), max_value_pi=100.0,
+                                  risk_level_zeta=zeta, risk_decay_v=v)
+        grid = TimeGrid.from_config(cfg)
+        plan = _rtb_only_plan(cfg, grid, None, model)
+        dp = _MarketTables(cfg, grid).set_demand(model, None)
+        assert plan.bounds.tolist() == dp.bounds[:, 0].tolist()
 
 
 def test_degenerate_bids_fall_back_to_one_group():

@@ -64,7 +64,7 @@ def test_generate_arrivals_mean():
     grid = TimeGrid.from_config(cfg)
     draws = np.array([generate_arrivals(cfg, grid, seed=s)[1:].sum()
                       for s in range(400)])
-    lam_total = cfg.arrival_rate_lambda * grid.delta_t * cfg.steps_N
+    lam_total = cfg.arrival_rate_lambda * cfg.delta_t * cfg.steps_N
     assert abs(draws.mean() - lam_total) < 5 * math.sqrt(lam_total / 400)
 
 

@@ -27,13 +27,7 @@ from pgrtb.auction import (
     lowess,
     reference_bid_model,
 )
-from pgrtb.market import (
-    MarketConfig,
-    TimeGrid,
-    censored_bound,
-    purchase_ratio,
-    reference_config,
-)
+from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.solver import (
     PricePlan,
     competition_level,
@@ -44,8 +38,10 @@ from pgrtb.solver import (
 from oracles import (
     backlog_demand,
     brute_force_optimum,
+    censored_bound,
     dense_optimal_plan,
     optimal_pg_revenue,
+    purchase_ratio,
 )
 from test_acceptance import random_market
 
