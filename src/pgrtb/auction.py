@@ -22,6 +22,11 @@ in a layer of width ~1/xi near u = 1, so a composite Gauss-Kronrod rule
 whose panels halve towards both ends of [0, 1] resolves it at every level.
 The panels depend on the bid model alone, so each level's floats depend on
 ``xi`` alone, whatever other levels are computed with it.
+
+A guaranteed price is capped by ``min(mean + r * spread, cap)`` with
+``r >= 0``, so a level whose mean reaches the cap never needs its spread:
+``payment_moments(..., cap=...)`` reports spread 0 there and the quadrature
+skips the second moment for chunks of such levels.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ _GAUSS_W[1::2] = [_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]]
 # u = 1 and onto the u^(xi-2) kink at u = 0 whatever the level.
 _DYADIC = 0.5 ** np.arange(1, 41)
 _EDGES = np.unique(np.concatenate([[0.0, 1.0], _DYADIC, 1.0 - _DYADIC]))
-# Levels integrated per vectorized pass; small, so the work arrays stay small.
-_CHUNK = 8
+# Levels integrated per vectorized pass; small, so the two work arrays
+# stay small.
+_CHUNK = 12
 # A level warns when a moment's K15 - G7 error estimate exceeds this share of it.
 _RTOL = 1e-8
 
@@ -97,49 +103,70 @@ def _quadrature_nodes(model):
     return model._nodes
 
 
-def _payment_points_batch(model, xis):
-    """Fill the model's moment cache: (mean, std) of the second-highest of
-    ``xi`` i.i.d. draws from ``model``, for every new finite ``xi >= 2``.
+def _moment(f, products, kronrod_w, error_w):
+    """One moment per level from its integrand ``f`` (level, node, panel):
+    each panel's K15 products summed in node order, then the panels, and the
+    summed K15 - G7 error estimate, which only gates the warning.
+    ``products`` is work space shaped like ``f``."""
+    np.multiply(f, kronrod_w, out=products)
+    return (products.sum(axis=1).sum(axis=-1),
+            np.abs(np.einsum("lnp,np->lp", f, error_w)).sum(axis=-1))
+
+
+def _payment_points_batch(model, xis, cap=math.inf):
+    """Fill the model's moment caches for every new finite level ``xi >= 2``:
+    the mean and spread of the second-highest of ``xi`` i.i.d. draws from
+    ``model``, or the mean alone for levels whose mean reaches ``cap``.
 
     One fixed composite GK15 rule on panels that depend on the model alone
     (the dyadic edges plus the quantile knots): ``ppf`` is evaluated on its
-    nodes once per model, and each level only reweights those values. Every
-    level is reduced on its own, so its floats depend on ``xi`` alone, not
-    on which other levels share the call. A level whose error estimate
-    exceeds ``_RTOL`` of either moment emits a RuntimeWarning.
+    nodes once per model, and each level only reweights those values. A
+    chunk of levels takes the second moment only when some mean in it is
+    below ``cap`` (or is nan); otherwise its means go to ``_mean_cache``
+    and a later call that needs their spread recomputes them. Every level is
+    reduced on its own, node products summed in node order and then over
+    panels, so its floats depend on ``xi`` alone, not on which other levels
+    share the call. A level whose K15 - G7 error estimate exceeds ``_RTOL``
+    of a moment it computed emits a RuntimeWarning.
     """
-    todo = sorted({float(xi) for xi in xis
-                   if math.isfinite(xi) and xi >= 2.0
-                   and float(xi) not in model._moment_cache})
-    if not todo:
+    full, mean_only = model._moment_cache, model._mean_cache
+    todo = np.array(sorted({xi for xi in map(float, xis)
+                            if math.isfinite(xi) and xi >= 2.0 and xi not in full
+                            and not mean_only.get(xi, -math.inf) >= cap}))
+    if not todo.size:
         return
     x, one_minus_u, log_u, kronrod_w, error_w = _quadrature_nodes(model)
-    failed = None
-    for start in range(0, len(todo), _CHUNK):
-        levels = todo[start:start + _CHUNK]
-        xi = np.asarray(levels)[:, None, None]
+    work = np.empty((2, min(_CHUNK, todo.size)) + x.shape)
+    power, scale = todo - 2.0, todo * (todo - 1.0)
+    moments, errors = np.full((2, todo.size), np.nan), np.zeros((2, todo.size))
+    spread = np.zeros(todo.size, dtype=bool)
+    for lo in range(0, todo.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        f, products = work[:, :todo[part].size]
         # the order-statistic density in u, xi (xi-1) (1-u) u^(xi-2), built
         # in place; multiplying by x once and then again gives the integrands
         # of the first and second moments
-        f = (xi - 2.0) * log_u
+        np.multiply(power[part, None, None], log_u, out=f)
         np.exp(f, out=f)
-        f *= xi * (xi - 1.0)
+        f *= scale[part, None, None]
         f *= one_minus_u
-        moments, err = np.empty((2, len(levels))), np.empty((2, len(levels)))
-        for k in (0, 1):
+        f *= x
+        moments[0, part], errors[0, part] = _moment(f, products, kronrod_w, error_w)
+        if not (moments[0, part] >= cap).all():
             f *= x
-            moments[k] = (f * kronrod_w).sum(axis=1).sum(axis=-1)
-            err[k] = np.abs((f * error_w).sum(axis=1)).sum(axis=-1)
-        for i, level in enumerate(levels):
-            m1, m2 = float(moments[0, i]), float(moments[1, i])
-            model._moment_cache[level] = (m1, math.sqrt(max(m2 - m1 * m1, 0.0)))
-            for k in (0, 1):
-                if failed is None and err[k, i] > _RTOL * abs(moments[k, i]):
-                    failed = (float(err[k, i]), float(moments[k, i]), level)
-    if failed is not None:
+            moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
+            spread[part] = True
+    m1, m2 = moments[:, spread]
+    full.update(zip(todo[spread].tolist(), zip(
+        m1.tolist(), np.sqrt(np.maximum(m2 - m1 * m1, 0.0)).tolist())))
+    mean_only.update(zip(todo[~spread].tolist(), moments[0, ~spread].tolist()))
+    bad = errors > _RTOL * np.abs(moments)  # nan, and so False, for skipped spreads
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        k = int(bad[:, i].argmax())
         warnings.warn(
             "payment quadrature error %.3g on a moment of %.6g at xi=%.6g "
-            "exceeds the relative tolerance %.3g" % (*failed, _RTOL),
+            "exceeds the relative tolerance %.3g" % (errors[k, i], moments[k, i], todo[i], _RTOL),
             RuntimeWarning, stacklevel=3)
 
 
@@ -154,7 +181,8 @@ class BidModel:
 
     def __init__(self, kind, **params):
         self.kind = kind
-        self._moment_cache = {}
+        self._moment_cache = {}  # xi -> (mean, std)
+        self._mean_cache = {}  # xi -> mean, for levels computed without their spread
         self._nodes = None
         if kind == "uniform":
             low, high = float(params["low"]), float(params["high"])
@@ -279,14 +307,20 @@ class BidModel:
     def payment_std(self, xi):
         return float(self.payment_moments(xi)[1])
 
-    def payment_moments(self, xis, reserve=0.0):
+    def payment_moments(self, xis, reserve=0.0, cap=math.inf):
         """Mean and spread of the second-price payment at each level of ``xis``.
 
         Below two bidders the payment is the reserve, at infinite competition
         the support's top, and a point mass pays its point (spread 0 in all
-        three). Other levels come from the moment cache, which the fixed
+        three). Other levels come from the moment caches, which the fixed
         quadrature fills once per new level; the rule reduces every level on
         its own, so a level's floats are the same in any call that has it.
+
+        ``cap`` is the ceiling of a bound ``min(mean + r * spread, cap)`` with
+        ``r >= 0``: a level whose mean reaches it reports spread 0, which
+        leaves that bound at ``cap``, and the quadrature skips the second
+        moment where no level needs it. Spreads below the cap, and every
+        spread at the default ``cap=inf``, are the uncapped floats.
         """
         xis = np.asarray(xis, dtype=float)
         means, stds = np.full(xis.shape, float(reserve)), np.zeros(xis.shape)
@@ -296,8 +330,11 @@ class BidModel:
             means[inner] = self._point
         elif inner.any():
             levels = xis[inner].tolist()
-            _payment_points_batch(self, levels)
-            means[inner], stds[inner] = np.array([self._moment_cache[x] for x in levels]).T
+            _payment_points_batch(self, levels, cap)
+            full, mean_only = self._moment_cache, self._mean_cache
+            means[inner], stds[inner] = np.array(
+                [full.get(x) or (mean_only[x], 0.0) for x in levels]).T
+        stds[means >= cap] = 0.0
         return means, stds
 
     # -- serialization ------------------------------------------------------
@@ -615,11 +652,13 @@ class RevenueCurves:
     def payment_std(self, xi):
         return float(self.payment_moments(xi)[1])
 
-    def payment_moments(self, xis, reserve=0.0):
+    def payment_moments(self, xis, reserve=0.0, cap=math.inf):
+        """The curves at ``xis``: :meth:`BidModel.payment_moments`'s cases and
+        ``cap`` rule, a level whose mean reaches ``cap`` reporting spread 0."""
         xis = np.asarray(xis, dtype=float)
         thin = xis < 2.0
         means = np.where(thin, float(reserve), self.mean_curve(xis))
-        stds = np.where(thin, 0.0, np.maximum(self.std_curve(xis), 0.0))
+        stds = np.where(thin | (means >= cap), 0.0, np.maximum(self.std_curve(xis), 0.0))
         return means, stds
 
     def to_dict(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 
@@ -26,6 +27,8 @@ __all__ = [
 
 LOG_HEADER = ("slot_id", "auction_id", "timestamp", "bid_cpm")
 _READ_CHUNK = 4096  # rows parsed per pass, which bounds the reader's memory
+_WRITE_CHUNK = 2048  # rows joined per write
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # fields the csv module quotes
 
 
 class BidLog:
@@ -97,23 +100,32 @@ class AuctionTable:
 def _csv_field(value):
     """``value`` as the csv module's default dialect writes it."""
     text = str(value)
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 def write_log_csv(log, path):
     """Write a :class:`BidLog` to ``path``; a None timestamp becomes an empty field."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
-        key = (None, None, None)
-        for slot, auction, ts, bid in zip(log.slot_id, log.auction_id, log.timestamp,
-                                          map(repr, log.bid_cpm.tolist())):
-            # rows of one auction share a prefix; the stamp is matched by
+        for lo in range(0, len(log), _WRITE_CHUNK):
+            hi = min(lo + _WRITE_CHUNK, len(log))
+            # rows of one auction share a prefix: a run of them ends where the
+            # slot or auction id or the stamp changes, the stamp matched by
             # identity, as equal instants at other offsets print otherwise
-            if ts is not key[2] or auction != key[1] or slot != key[0]:
-                key = (slot, auction, ts)
-                text = "" if ts is None else ts.isoformat()
-                prefix = ",".join(map(_csv_field, (slot, auction, text))) + ","
-            fh.write(prefix + bid + "\r\n")
+            stamp_ids = np.fromiter(map(id, log.timestamp[lo:hi]), dtype=np.int64, count=hi - lo)
+            slots = np.array(log.slot_id[lo:hi], dtype=object)
+            auctions = np.array(log.auction_id[lo:hi], dtype=object)
+            changed = ((stamp_ids[1:] != stamp_ids[:-1]) | (slots[1:] != slots[:-1])
+                       | (auctions[1:] != auctions[:-1]))
+            ends = np.append(np.flatnonzero(np.append(True, changed)), hi - lo).tolist()
+            bids = list(map(repr, log.bid_cpm[lo:hi].tolist()))
+            text = []
+            for start, end in zip(ends[:-1], ends[1:]):
+                ts = log.timestamp[lo + start]
+                stamp = "" if ts is None else _csv_field(ts.isoformat())
+                prefix = f"{_csv_field(slots[start])},{_csv_field(auctions[start])},{stamp},"
+                text += (prefix, ("\r\n" + prefix).join(bids[start:end]), "\r\n")
+            fh.write("".join(text))
 
 
 def _parse_rows(rows, texts, stamps):

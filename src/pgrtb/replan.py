@@ -111,7 +111,7 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
     tables = _MarketTables(cfg, grid)
     for n in range(N + 1):
         demand_before = demand_abs - presold
-        tail, _ = _solve(tables.set_demand(model, demand_abs), n, presold)
+        tail, _ = _solve(tables.set_demand(model, demand_abs, presold), n, presold)
         z_now = int(tail.sales[0])
         p_now = float(tail.prices[0])
         prices[n] = p_now

@@ -46,9 +46,12 @@ def generate_arrivals(cfg: MarketConfig, grid: TimeGrid, seed):
     Poisson(lambda * dt) at every step, plus the deterministic opening block
     floor(mass * Q) at step 0.
     """
-    terms = StepTerms(cfg, grid)
+    return _arrivals(StepTerms(cfg, grid), seed)
+
+
+def _arrivals(terms: StepTerms, seed):
     rng = np.random.default_rng(_seed_sequence(seed))
-    arrivals = rng.poisson(terms.rate, grid.n_steps + 1)
+    arrivals = rng.poisson(terms.rate, terms.cum.size)
     arrivals[0] += int(math.floor(terms.waiting))
     return arrivals
 
@@ -63,17 +66,21 @@ def simulate_purchases(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, seed)
     plan closes sell nothing. Returns ``(sold per step, gross contract
     revenue)``.
     """
+    return _purchases(plan, cfg, StepTerms(cfg, grid), seed)
+
+
+def _purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
     if plan.start_step != 0:
         raise ValueError("simulation needs a full-horizon plan")
-    price_scale = StepTerms(cfg, grid).price_scale.tolist()
+    price_scale = terms.price_scale.tolist()
     arrivals_seed, buy_seed = _seed_sequence(seed).spawn(2)
-    arrivals = generate_arrivals(cfg, grid, arrivals_seed)
+    arrivals = _arrivals(terms, arrivals_seed)
     rng = np.random.default_rng(buy_seed)
     remaining = cfg.supply_S - plan.presold
     pool = 0
-    sold = np.zeros(grid.n_steps + 1, dtype=int)
+    sold = np.zeros(len(price_scale), dtype=int)
     revenue = 0.0
-    for n in range(grid.n_steps + 1):
+    for n in range(len(price_scale)):
         pool += int(arrivals[n])
         if plan.sales[n] == 0 or remaining == 0 or pool == 0:
             continue
@@ -141,8 +148,12 @@ def run_market_once(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid,
     impression; the leftover supply then runs auctions against the leftover
     demand (failed buyers rejoin the demand side).
     """
+    return _market_once(plan, cfg, StepTerms(cfg, grid), bid_model, seed)
+
+
+def _market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
     purchase_seed, failure_seed, rtb_seed = _seed_sequence(seed).spawn(3)
-    sold, gross = simulate_purchases(plan, cfg, grid, purchase_seed)
+    sold, gross = _purchases(plan, cfg, terms, purchase_seed)
     rng = np.random.default_rng(failure_seed)
     failures = rng.binomial(sold, cfg.miss_prob_omega)
     penalty = cfg.penalty_size_varpi * float(np.sum(np.asarray(plan.prices) * failures))
@@ -169,7 +180,8 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    outcomes = [run_market_once(plan, cfg, grid, bid_model, child)
+    terms = StepTerms(cfg, grid)  # built once for every run
+    outcomes = [_market_once(plan, cfg, terms, bid_model, child)
                 for child in _seed_sequence(seed).spawn(n_runs)]
 
     totals = np.array([o.total_revenue for o in outcomes])

@@ -223,15 +223,19 @@ class _MarketTables:
         self.z2_rows = sliding_window_view(self.z2, S + 1)
         self.log_z2_rows = sliding_window_view(self.log_z2, S + 1)
 
-    def set_demand(self, model, demand_total):
-        """Price the tables for ``demand_total`` (the config's when None)."""
+    def set_demand(self, model, demand_total, presold=0):
+        """Price the tables for ``demand_total`` (the config's when None) on
+        the rows a solve from ``presold`` reads, ``y >= presold``; the rows
+        below get the reserve level and no quadrature. Spreads are asked for
+        under the cap ``pi``, where the bounds read them."""
         cfg, S = self.cfg, self.S
         self.D = int(demand_total) if demand_total is not None else cfg.demand_Q
         if self.D <= S:
             raise ValueError("total demand must exceed supply")
         y = np.arange(S)
         xi = np.append((self.D - y) / (S - y), math.inf)
-        self.means, stds = model.payment_moments(xi, cfg.reserve_price_r0)
+        xi[:presold] = 0.0
+        self.means, stds = model.payment_moments(xi, cfg.reserve_price_r0, cfg.max_value_pi)
         self.bounds = self.terms.bounds(self.means, stds)
         return self
 
@@ -257,7 +261,7 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
         raise ValueError(f"start_step outside 0..{N}")
     if not 0 <= presold <= cfg.supply_S:
         raise ValueError("presold outside 0..supply_S")
-    t.set_demand(model, demand_total)
+    t.set_demand(model, demand_total, presold)
     if presold > t.u[start_step]:
         raise ValueError("presold exceeds cumulative arrivals at start_step")
     return _solve(t, start_step, presold)
@@ -343,18 +347,19 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     y_abs = np.arange(presold, un + 1)
     bound = t.bounds[n, presold:un + 1]
     ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
+    # rows the scan leaves are worth -inf, so the carry or the dead rule
+    # below sets their picks
     h_n = np.full(ny, -np.inf)
-    prev_pick = np.full(ny, -1)
-    price_pick = np.full(ny, np.nan)
+    prev_pick, price_pick = np.empty(ny, dtype=int), np.empty(ny)
     blocked = (ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0)
                or ny * t.cum[n] > 2.0 ** 40)
     scan = _scan_blocks if blocked else _scan_monotone
     scan(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick, price_pick)
     m = min(ny, nz)
     carry = h_prev[:m] >= h_n[:m]
-    h_n[:m] = np.where(carry, h_prev[:m], h_n[:m])
-    prev_pick[:m] = np.where(carry, y_abs[:m], prev_pick[:m])
-    price_pick[:m] = np.where(carry, np.nan, price_pick[:m])
+    np.copyto(h_n[:m], h_prev[:m], where=carry)
+    np.copyto(prev_pick[:m], y_abs[:m], where=carry)
+    price_pick[:m][carry] = np.nan
     dead = ~np.isfinite(h_n)
     prev_pick[dead] = -1
     price_pick[dead] = np.nan

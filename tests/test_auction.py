@@ -211,6 +211,31 @@ def test_payment_moments_matches_scalar_calls():
             ((), *scalar_payment_moments(make(), 3.5))
 
 
+def test_spreads_skipped_under_a_cap_match_a_fresh_model():
+    """A level priced under a cap its mean reaches reports spread 0 and
+    keeps only its mean; asked later for its spread, with a higher cap or
+    none, it gives a fresh model's floats, and so does every other call."""
+    levels = np.concatenate([np.linspace(2.0, 9.0, 29), [17.0, 40.0, 1e3]])
+    fresh = [lambda: BidModel.uniform(0.1, 0.9),
+             lambda: BidModel.lognormal(-0.5, 0.5),
+             lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300))]
+    for make in fresh:
+        ref_means, ref_stds = make().payment_moments(levels)
+        for cap in (0.0, float(np.median(ref_means)), math.inf):
+            model = make()
+            means, stds = model.payment_moments(levels, cap=cap)
+            assert means.tobytes() == ref_means.tobytes()
+            assert stds.tobytes() == np.where(ref_means >= cap, 0.0, ref_stds).tobytes()
+            assert bool(model._mean_cache) == (cap < math.inf)  # some spreads skipped
+            means, stds = model.payment_moments(levels)
+            assert means.tobytes() == ref_means.tobytes()
+            assert stds.tobytes() == ref_stds.tobytes()
+            scalar = make()
+            scalar.payment_moments(levels, cap=cap)
+            for xi in levels[::-1]:  # scalar calls, in another order
+                assert scalar.payment_std(xi) == scalar_payment_moments(make(), xi)[1]
+
+
 def test_quadrature_nodes_built_once_per_model():
     """ppf runs on the rule's nodes once per model, however many batches and
     scalar misses follow, and the cached nodes give the same floats as a

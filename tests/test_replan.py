@@ -1,12 +1,15 @@
 """Rolling-horizon replanning under demand shocks."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pgrtb.auction import BidModel
-from pgrtb.market import MarketConfig, TimeGrid
+from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, replan, update_demand
 from pgrtb import solver
 from pgrtb.solver import optimal_plan, replay_revenue
@@ -154,3 +157,56 @@ def test_walk_builds_market_tables_once(monkeypatch):
     replan(cfg, grid, BidModel.uniform(0.0, 1.0), UncertaintySpec(epsilon=0.1))
     assert len(built) == 1
     assert len(priced) == cfg.steps_N + 1
+
+
+# SHA-256 of each walk's plan ``to_dict()`` JSON and of its trace (sorted
+# keys) on the reference market with lognormal bids, recorded before the
+# payment spreads were capped at the value ceiling and the rows below the
+# presold count left unpriced.
+GOLDEN_WALKS = {
+    (0.0, 3): ("0c2750ca4526f740a539cf7fc9ee31a4d2e986daa0f43135d9f23a0b97399b03",
+               "427869b5e8c3d841ebe37b0b91cd2b4c4ca29e8a5ba37308ddfb7c92a4ae1041"),
+    (0.0, 11): ("0c2750ca4526f740a539cf7fc9ee31a4d2e986daa0f43135d9f23a0b97399b03",
+                "427869b5e8c3d841ebe37b0b91cd2b4c4ca29e8a5ba37308ddfb7c92a4ae1041"),
+    (0.1, 3): ("35e3b57651e2fc23e555395531015d64d3a62d2f47901ff276a88d9f2a864594",
+               "94a44f6d5feff2ebfbab4eff17ff0c5b568c3947b1e842bb6daaf290da4559a3"),
+    (0.1, 11): ("9104cf7d3536d0aed005c461bf391ff8dd9f763d10e4921c5a22e577d819279d",
+                "0726a7058e9fb4db469c6b7f3e35959c7db1c505aba9657360f03dc7c2e59eb4"),
+}
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("epsilon, seed", sorted(GOLDEN_WALKS))
+def test_reference_walks_are_golden(epsilon, seed):
+    cfg = reference_config()
+    plan, trace = replan(cfg, TimeGrid.from_config(cfg), BidModel.lognormal(-0.5, 0.5),
+                         UncertaintySpec(epsilon, seed))
+    assert (_digest(plan.to_dict()), _digest([dataclasses.asdict(s) for s in trace])) == \
+        GOLDEN_WALKS[epsilon, seed]
+
+
+def test_rows_below_presold_are_never_read(monkeypatch):
+    """A round's tail solve reads no table row below its presold count: with
+    those rows' means and bounds set to nan the walk is unchanged."""
+    cfg = reference_config()
+    grid = TimeGrid.from_config(cfg)
+    spec = UncertaintySpec(0.1, 5)
+    want = replan(cfg, grid, BidModel.lognormal(-0.5, 0.5), spec)
+    set_demand = solver._MarketTables.set_demand
+    blanked = []
+
+    def blanking(self, model, demand_total, presold=0):
+        set_demand(self, model, demand_total, presold)
+        self.means[:presold] = np.nan
+        self.bounds[:, :presold] = np.nan
+        blanked.append(presold)
+        return self
+
+    monkeypatch.setattr(solver._MarketTables, "set_demand", blanking)
+    plan, trace = replan(cfg, grid, BidModel.lognormal(-0.5, 0.5), spec)
+    assert max(blanked) > 0
+    assert plan.to_dict() == want[0].to_dict()
+    assert trace == want[1]

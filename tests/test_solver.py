@@ -9,6 +9,7 @@ agreement is asserted bit for bit, not within a tolerance.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -573,3 +574,69 @@ def test_scanned_cells_scale_near_linearly_in_supply():
         counts.append(cells[0])
     factors = [b / a for a, b in zip(counts, counts[1:])]
     assert all(f <= 2.4 for f in factors), (counts, factors)
+
+
+# SHA-256 of each plan's ``to_dict()`` JSON (sorted keys), recorded before the
+# payment spreads were capped at the value ceiling.
+GOLDEN_LARGE_PLANS = {
+    4800: "0ad16d14076402d93ba27b1ed46b3347da6ff950e5ea576191a7787d0049aa75",
+    6400: "40ed59f06ccfb28a67c0221319ec79b5e1aa6fb01b8c25b957f0c7cdf5c3282d",
+    7999: "a7f5aa13ca90ca79793deffafade986bb0326d1464c83ba10842b594ee8253f7",
+}
+
+
+def _plan_digest(plan):
+    return hashlib.sha256(json.dumps(plan.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("demand", sorted(GOLDEN_LARGE_PLANS))
+def test_large_plans_are_golden(demand):
+    cfg = _large_market(1600, demand)
+    plan, _ = optimal_plan(cfg, TimeGrid.from_config(cfg), BidModel.uniform(0.0, 1.0))
+    assert _plan_digest(plan) == GOLDEN_LARGE_PLANS[demand]
+
+
+_SPREAD_MODELS = [
+    lambda rng: BidModel.uniform(0.0, float(rng.uniform(0.5, 2.0))),
+    lambda rng: BidModel.lognormal(float(rng.uniform(-1.0, 0.3)), float(rng.uniform(0.2, 1.0))),
+    lambda rng: BidModel.empirical(rng.gamma(2.0, 0.3, size=int(rng.integers(50, 300)))),
+    lambda rng: RevenueCurves(
+        fit_polynomial([(x, 0.3 + 0.04 * x + 0.02 * rng.standard_normal())
+                        for x in np.linspace(1.5, 15.0, 25)], 2),
+        lowess([(x, 0.1 + 0.01 * x + 0.01 * rng.standard_normal())
+                for x in np.linspace(1.5, 15.0, 25)])),
+]
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), law=st.integers(0, 3),
+       ceiling=st.sampled_from(["below", "straddling", "above"]), riskless=st.booleans())
+def test_capped_spreads_leave_bounds_and_plans_unchanged(seed, law, ceiling, riskless):
+    """The tables ask for spreads only below the cap pi; their means, bounds
+    and plan equal those built from every level's full spread, with pi below,
+    among or above the payment means and with zero risk weight too."""
+    rng = np.random.default_rng(seed)
+    cfg = random_market(rng, tiny=False)
+    model_seed = int(rng.integers(2**32))
+    make = lambda: _SPREAD_MODELS[law](np.random.default_rng(model_seed))  # noqa: E731
+    S, D = cfg.supply_S, cfg.demand_Q
+    xi = np.append((D - np.arange(S)) / (S - np.arange(S)), math.inf)
+    means, stds = make().payment_moments(xi, cfg.reserve_price_r0)
+    finite = means[np.isfinite(means)]
+    pi = {"below": 0.5 * finite.min(), "straddling": float(np.median(finite)),
+          "above": 2.0 * finite.max()}[ceiling]
+    cfg = dataclasses.replace(cfg, max_value_pi=max(pi, 1e-3),
+                              risk_level_zeta=0.0 if riskless else cfg.risk_level_zeta)
+    grid = TimeGrid.from_config(cfg)
+    capped = solver._MarketTables(cfg, grid).set_demand(make(), None)
+    full = solver._MarketTables(cfg, grid)
+    full.D, full.means = D, means
+    full.bounds = full.terms.bounds(means, stds)
+    assert capped.means.tobytes() == means.tobytes()
+    assert capped.bounds.tobytes() == full.bounds.tobytes()
+    plan, tables = solver._solve(capped, 0, 0)
+    ref_plan, ref_tables = solver._solve(full, 0, 0)
+    assert plan.to_dict() == ref_plan.to_dict()
+    for ours, ref in zip((tables.H, tables.back_prev, tables.back_price),
+                         (ref_tables.H, ref_tables.back_prev, ref_tables.back_price)):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref))
