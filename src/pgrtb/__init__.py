@@ -12,7 +12,6 @@ from .auction import (
     BidModel,
     FittedCurve,
     RevenueCurves,
-    aggregate_payment_points,
     estimate_max_value,
     fit_payment_curves,
     lowess,
@@ -32,7 +31,7 @@ from .market import (
     TimeGrid,
     reference_config,
 )
-from .replan import ReplanStep, UncertaintySpec, replan, update_demand
+from .replan import ReplanStep, UncertaintySpec, replan
 from .segmentation import (
     Segment,
     SegmentedMarket,
@@ -43,11 +42,7 @@ from .segmentation import (
 from .simulate import (
     SimOutcome,
     evaluate_plan,
-    generate_arrivals,
     generate_log,
-    run_market_once,
-    simulate_purchases,
-    simulate_rtb,
 )
 from .solver import (
     DPTables,
@@ -76,12 +71,10 @@ __all__ = [
     "StepTerms",
     "TimeGrid",
     "UncertaintySpec",
-    "aggregate_payment_points",
     "competition_level",
     "estimate_max_value",
     "evaluate_plan",
     "fit_payment_curves",
-    "generate_arrivals",
     "generate_log",
     "kmeans_1d",
     "lowess",
@@ -92,11 +85,7 @@ __all__ = [
     "reference_config",
     "replan",
     "replay_revenue",
-    "run_market_once",
     "segment_and_optimize",
-    "simulate_purchases",
-    "simulate_rtb",
     "summarize_auctions",
-    "update_demand",
     "write_log_csv",
 ]

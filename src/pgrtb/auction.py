@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "BidModel",
@@ -48,7 +48,6 @@ __all__ = [
     "fit_polynomial",
     "fit_sigmoid",
     "fit_payment_curves",
-    "aggregate_payment_points",
     "estimate_max_value",
     "reference_bid_model",
 ]
@@ -175,8 +174,9 @@ class BidModel:
 
     Construct via :meth:`uniform`, :meth:`lognormal`, or :meth:`empirical`.
     The empirical flavor smooths a sample with a Freedman-Diaconis histogram;
-    its density, CDF, quantile function, and sampler all describe that
-    smoothed law (a zero-spread sample degenerates to an explicit point mass).
+    its quantile function and sampler describe that smoothed law (a
+    zero-spread sample degenerates to an explicit point mass). Parameters
+    and bids must be finite.
     """
 
     def __init__(self, kind, **params):
@@ -186,26 +186,25 @@ class BidModel:
         self._nodes = None
         if kind == "uniform":
             low, high = float(params["low"]), float(params["high"])
-            if not 0.0 <= low < high:
-                raise ValueError("uniform bids need 0 <= low < high")
+            if not 0.0 <= low < high < math.inf:
+                raise ValueError("uniform bids need finite 0 <= low < high")
             self.low, self.high = low, high
         elif kind == "lognormal":
             mu, sigma = float(params["mu"]), float(params["sigma"])
-            if sigma <= 0:
-                raise ValueError("lognormal sigma must be positive")
+            if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
+                raise ValueError("lognormal mu must be finite and sigma positive and finite")
             self.mu, self.sigma = mu, sigma
         elif kind == "empirical":
             sample = np.sort(np.asarray(params["bids"], dtype=float))
             if sample.size == 0:
                 raise ValueError("empirical bid model needs at least one bid")
-            if np.any(sample < 0):
-                raise ValueError("bids must be non-negative")
+            if not np.all((sample >= 0) & (sample < math.inf)):
+                raise ValueError("bids must be finite and non-negative")
             self.sample = sample
             if sample[0] == sample[-1]:
                 self._point = float(sample[0])
                 self._edges = np.array([self._point, self._point])
                 self._cdf_at_edges = np.array([0.0, 1.0])
-                self._densities = np.array([])
             else:
                 self._point = None
                 edges = np.histogram_bin_edges(sample, bins="fd")
@@ -213,8 +212,6 @@ class BidModel:
                 self._edges = edges
                 self._cdf_at_edges = np.concatenate(
                     [[0.0], np.cumsum(counts)]) / sample.size
-                widths = np.diff(edges)
-                self._densities = counts / (sample.size * widths)
         else:
             raise ValueError(f"unknown bid model kind: {kind!r}")
 
@@ -240,38 +237,6 @@ class BidModel:
         if self.kind == "lognormal":
             return (0.0, math.inf)
         return (float(self._edges[0]), float(self._edges[-1]))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            inside = (x >= self.low) & (x <= self.high)
-            return np.where(inside, 1.0 / (self.high - self.low), 0.0)
-        if self.kind == "lognormal":
-            out = np.zeros_like(x)
-            pos = x > 0
-            xp = x[pos]
-            z = (np.log(xp) - self.mu) / self.sigma
-            out[pos] = np.exp(-0.5 * z * z) / (xp * self.sigma * math.sqrt(2 * math.pi))
-            return out
-        if self._point is not None:
-            return np.zeros_like(x)
-        idx = np.searchsorted(self._edges, x, side="right") - 1
-        valid = (idx >= 0) & (idx < self._densities.size) & (x <= self._edges[-1])
-        idx = np.clip(idx, 0, max(self._densities.size - 1, 0))
-        return np.where(valid, self._densities[idx], 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            return np.clip((x - self.low) / (self.high - self.low), 0.0, 1.0)
-        if self.kind == "lognormal":
-            out = np.zeros_like(x)
-            pos = x > 0
-            out[pos] = ndtr((np.log(x[pos]) - self.mu) / self.sigma)
-            return out
-        if self._point is not None:
-            return (x >= self._point).astype(float)
-        return np.interp(x, self._edges, self._cdf_at_edges)
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
@@ -564,7 +529,7 @@ def _best_fit(x, y, *, lowess_fraction, lowess_iterations, poly_degree):
     return min(candidates, key=lambda c: (c.rmse if math.isfinite(c.rmse) else math.inf))
 
 
-def aggregate_payment_points(table, hourly=None):
+def _aggregate_payment_points(table, hourly=None):
     """Aggregate an auction table into (competition, payment mean, payment std) points.
 
     With timestamps the buckets are wall-clock hours (competition = the
@@ -607,7 +572,7 @@ def fit_payment_curves(table, *, lowess_fraction=0.3, lowess_iterations=3,
     if thin.size:
         raise ValueError(f"{thin.size} auctions have fewer than two bids "
                          f"(first: {table.auction_id[thin[0]]})")
-    xi, pay_mean, pay_std = aggregate_payment_points(table, hourly=hourly)
+    xi, pay_mean, pay_std = _aggregate_payment_points(table, hourly=hourly)
     kwargs = dict(lowess_fraction=lowess_fraction,
                   lowess_iterations=lowess_iterations, poly_degree=poly_degree)
     return _best_fit(xi, pay_mean, **kwargs), _best_fit(xi, pay_std, **kwargs)

@@ -151,8 +151,10 @@ def _out_path(rc, args, name):
     return os.path.join(out_dir, name)
 
 
-def _load_fitted(path):
-    """Read a fitted-model file: (curves, bid model or None, value ceiling)."""
+def _load_fitted(path, build):
+    """Read a fitted-model file and ``build`` what one command uses of it:
+    optimize and replan read the curves and value ceiling, and only simulate
+    builds the empirical bid model from the sample."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -161,13 +163,9 @@ def _load_fitted(path):
     except json.JSONDecodeError as exc:
         raise UsageError(f"model {path} is not valid JSON: {exc}") from exc
     try:
-        curves = RevenueCurves.from_dict(payload)
-        ceiling = float(payload["max_value"])
-        bid_model = (BidModel.from_dict(payload["bid_model"])
-                     if "bid_model" in payload else None)
+        return build(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"model {path} is malformed: {exc}") from exc
-    return curves, bid_model, ceiling
 
 
 # -- commands ---------------------------------------------------------------
@@ -241,7 +239,8 @@ def _optimizer_model(rc, args):
     """The model the optimizer runs on, honoring --model; returns (cfg, model)."""
     cfg = rc.require_market()
     if getattr(args, "model", None):
-        curves, _, ceiling = _load_fitted(args.model)
+        curves, ceiling = _load_fitted(args.model, lambda payload: (
+            RevenueCurves.from_dict(payload), float(payload["max_value"])))
         cfg = dataclasses.replace(cfg, max_value_pi=ceiling)
         return cfg, curves
     if rc.bid_model is None:
@@ -288,7 +287,8 @@ def cmd_simulate(rc: RunConfig, args):
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"plan {args.plan} is malformed: {exc}") from exc
     if getattr(args, "model", None):
-        _, bid_model, _ = _load_fitted(args.model)
+        bid_model = _load_fitted(args.model, lambda payload: (
+            BidModel.from_dict(payload["bid_model"]) if "bid_model" in payload else None))
         if bid_model is None:
             raise UsageError(f"model {args.model} carries no bid sample")
     elif rc.bid_model is not None:

@@ -17,7 +17,8 @@ simulator, the replanner and the segmentation all read those arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,6 +68,8 @@ class MarketConfig:
     reserve_price_r0 : float
         Auction reserve; also the payment fallback when fewer than two
         bidders show up.
+
+    Every float field must be finite.
     """
 
     supply_S: int
@@ -85,6 +88,10 @@ class MarketConfig:
     reserve_price_r0: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if not isinstance(self.supply_S, (int, np.integer)) or self.supply_S <= 0:
             raise ValueError("supply_S must be a positive integer")
         if not isinstance(self.demand_Q, (int, np.integer)) or self.demand_Q <= self.supply_S:

@@ -6,6 +6,9 @@ and sales, shock the remaining demand by a relative noise term, and repeat.
 Each shock redraws the tail solve's competition levels and price bounds;
 everything else (arrivals, time grid, bid distribution) stays fixed.
 
+Each round is one tail solve: ``_MarketTables.set_demand`` at the round's
+demand and presold count, then the solver's ``_solve`` from its step.
+
 With ``epsilon = 0`` the committed path reproduces the static plan's floats
 bit for bit. The walk builds the demand-independent market tables once and
 re-prices only the demand-dependent ones per round; the unchanged demand
@@ -26,7 +29,7 @@ import numpy as np
 from .market import MarketConfig, TimeGrid
 from .solver import PricePlan, _MarketTables, _solve
 
-__all__ = ["UncertaintySpec", "ReplanStep", "update_demand", "replan"]
+__all__ = ["UncertaintySpec", "ReplanStep", "replan"]
 
 _NOISE_KINDS = ("gaussian", "rademacher")
 
@@ -61,7 +64,7 @@ class UncertaintySpec:
         return 1.0 if rng.random() < 0.5 else -1.0
 
 
-def update_demand(demand, spec: UncertaintySpec, step, remaining_supply):
+def _update_demand(demand, spec: UncertaintySpec, step, remaining_supply):
     """One multiplicative shock to the remaining demand forecast.
 
     Rounds to the nearest integer and floors at ``remaining_supply + 1`` so
@@ -121,7 +124,7 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
             pg = pg + (tables.coef * p_now) * z_now
         presold += z_now
         if n < N:
-            shocked = update_demand(demand_abs - presold, spec, n, S - presold)
+            shocked = _update_demand(demand_abs - presold, spec, n, S - presold)
             demand_abs = presold + shocked
         trace.append(ReplanStep(
             step=n,

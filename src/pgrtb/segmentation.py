@@ -31,12 +31,11 @@ __all__ = [
 
 @dataclass
 class Segment:
-    """One cluster of observations: indices into the input, plus summary stats."""
+    """One cluster of observations: its indices into the input and its centroid."""
 
     label: str
     members: list
     centroid: float
-    stats: dict
 
 
 def kmeans_1d(values, k=2, seed=0, max_iters=100):
@@ -81,13 +80,9 @@ def kmeans_1d(values, k=2, seed=0, max_iters=100):
     segments = []
     for rank, j in enumerate(order):
         members = np.nonzero(assign == j)[0]
-        group = vals[members]
         label = ("group1_high", "group2_low")[rank] if k == 2 else f"group{rank + 1}"
-        segments.append(Segment(
-            label=label, members=[int(i) for i in members], centroid=float(centroids[j]),
-            stats={"count": int(members.size), "mean": float(group.mean()),
-                   "std": float(group.std(ddof=0)), "min": float(group.min()),
-                   "max": float(group.max())}))
+        segments.append(Segment(label=label, members=[int(i) for i in members],
+                                centroid=float(centroids[j])))
     return segments
 
 
@@ -102,7 +97,6 @@ class SegmentPlan:
     mean_competition: float
     max_value: float
     curves: RevenueCurves
-    bid_model: BidModel
     plan: PricePlan
     rtb_only: bool
 
@@ -178,7 +172,6 @@ def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
         ceiling = estimate_max_value(subs)
         sub_cfg = replace(cfg, supply_S=supply, demand_Q=demand,
                           arrival_rate_lambda=lam, max_value_pi=ceiling)
-        bid_model = BidModel.empirical(subs.bids)
         mean_xi = float(np.mean(subs.xi_observed))
         eligible, curves = subs.take(subs.xi_observed >= 2), None
         if len(eligible):
@@ -186,26 +179,26 @@ def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
                 eligible, lowess_fraction=lowess_fraction,
                 lowess_iterations=lowess_iterations, poly_degree=poly_degree,
                 hourly=hourly))
+        # without a fitted curve the auction is priced from the bids themselves
+        model = curves if curves is not None else BidModel.empirical(subs.bids)
         rtb_only = mean_xi < 2.0 or curves is None
-        plan = (_rtb_only_plan(sub_cfg, grid, curves, bid_model) if rtb_only
+        plan = (_rtb_only_plan(sub_cfg, grid, model) if rtb_only
                 else optimal_plan(sub_cfg, grid, curves)[0])
         plans.append(SegmentPlan(
             label=label, auction_count=len(subs), supply=supply, demand=demand,
             mean_competition=mean_xi, max_value=ceiling, curves=curves,
-            bid_model=bid_model, plan=plan, rtb_only=rtb_only))
+            plan=plan, rtb_only=rtb_only))
         combined += plan.revenue_total
     return SegmentedMarket(segments=plans, combined_revenue=combined,
                            fallback=fallback)
 
 
-def _rtb_only_plan(cfg, grid, curves, bid_model):
+def _rtb_only_plan(cfg, grid, model):
     """All supply to the delivery-day auction; posted steps stay closed.
 
     Used when observed competition is too thin to certify guaranteed prices.
-    The auction revenue still needs a payment estimate: the fitted curve
-    where one exists, otherwise the empirical bid model itself.
+    The auction revenue still needs a payment estimate from ``model``.
     """
-    model = curves if curves is not None else bid_model
     xi0 = competition_level(cfg.demand_Q, cfg.supply_S, 0)
     means, stds = model.payment_moments(np.array([xi0]), cfg.reserve_price_r0)
     bounds = StepTerms(cfg, grid).bounds(means, stds)[:, 0]

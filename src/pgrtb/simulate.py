@@ -23,10 +23,6 @@ from .solver import PricePlan
 
 __all__ = [
     "SimOutcome",
-    "generate_arrivals",
-    "simulate_purchases",
-    "simulate_rtb",
-    "run_market_once",
     "evaluate_plan",
     "generate_log",
 ]
@@ -40,23 +36,19 @@ def _seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
-def generate_arrivals(cfg: MarketConfig, grid: TimeGrid, seed):
+def _arrivals(terms: StepTerms, seed):
     """Sampled contender arrivals per step.
 
-    Poisson(lambda * dt) at every step, plus the deterministic opening block
-    floor(mass * Q) at step 0.
+    Poisson(``rate`` = lambda * dt) at every step, plus the deterministic
+    opening block floor(``waiting`` = mass * Q) at step 0.
     """
-    return _arrivals(StepTerms(cfg, grid), seed)
-
-
-def _arrivals(terms: StepTerms, seed):
     rng = np.random.default_rng(_seed_sequence(seed))
     arrivals = rng.poisson(terms.rate, terms.cum.size)
     arrivals[0] += int(math.floor(terms.waiting))
     return arrivals
 
 
-def simulate_purchases(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, seed):
+def _purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
     """Posted-price sales for one arrival realization.
 
     Contenders accumulate in a waiting pool. At each step the plan leaves
@@ -64,12 +56,8 @@ def simulate_purchases(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, seed)
     ``exp(-price_scale[n] * price)`` of :class:`~pgrtb.market.StepTerms`, the
     ratio the solver inverts; sales are capped by remaining supply. Steps the
     plan closes sell nothing. Returns ``(sold per step, gross contract
-    revenue)``.
+    revenue)``. Only a full-horizon plan can be simulated.
     """
-    return _purchases(plan, cfg, StepTerms(cfg, grid), seed)
-
-
-def _purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
     if plan.start_step != 0:
         raise ValueError("simulation needs a full-horizon plan")
     price_scale = terms.price_scale.tolist()
@@ -96,7 +84,7 @@ def _purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
     return sold, revenue
 
 
-def simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *, reserve=0.0):
+def _simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *, reserve=0.0):
     """Delivery-day second-price auctions over the leftover inventory.
 
     Each remaining contender lands on a uniformly random impression and bids
@@ -132,15 +120,13 @@ class SimOutcome:
     pg_revenue: float
     rtb_revenue: float
     delivered_fraction: float
-    seed: object
 
     @property
     def total_revenue(self) -> float:
         return self.pg_revenue + self.rtb_revenue
 
 
-def run_market_once(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid,
-                    bid_model, seed):
+def _market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
     """One full market realization against a plan.
 
     Purchases first; then each sold contract independently fails to deliver
@@ -148,17 +134,13 @@ def run_market_once(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid,
     impression; the leftover supply then runs auctions against the leftover
     demand (failed buyers rejoin the demand side).
     """
-    return _market_once(plan, cfg, StepTerms(cfg, grid), bid_model, seed)
-
-
-def _market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
     purchase_seed, failure_seed, rtb_seed = _seed_sequence(seed).spawn(3)
     sold, gross = _purchases(plan, cfg, terms, purchase_seed)
     rng = np.random.default_rng(failure_seed)
     failures = rng.binomial(sold, cfg.miss_prob_omega)
     penalty = cfg.penalty_size_varpi * float(np.sum(np.asarray(plan.prices) * failures))
     delivered = int(sold.sum() - failures.sum())
-    rtb_revenue = simulate_rtb(
+    rtb_revenue = _simulate_rtb(
         cfg.supply_S - delivered, cfg.demand_Q - delivered, bid_model, rtb_seed,
         reserve=cfg.reserve_price_r0)
     total_sold = int(sold.sum())
@@ -167,7 +149,6 @@ def _market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model
         pg_revenue=gross - penalty,
         rtb_revenue=rtb_revenue,
         delivered_fraction=delivered / total_sold if total_sold else 1.0,
-        seed=seed,
     )
 
 

@@ -15,6 +15,9 @@ bound at ``(n, y)``. Terminal value adds ``(S - y) * payment_mean(xi(y))``.
 Cumulative sales can never exceed cumulative expected arrivals, which caps
 each step's state set and keeps the table O(N * S).
 
+:func:`optimal_plan` solves the full horizon. The replanner's tail solves
+price the same tables with ``_MarketTables.set_demand`` and run ``_solve``.
+
 A split's price ``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``,
 so each row's feasible predecessors are a prefix, and while those prefixes
 nest a row's best split never moves down as ``y`` rises: large steps find
@@ -240,35 +243,22 @@ class _MarketTables:
         return self
 
 
-def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
-                 start_step=0, presold=0, demand_total=None):
-    """Revenue-maximizing price schedule and allocation.
+def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model):
+    """Revenue-maximizing price schedule and allocation over the full horizon.
 
-    Runs the dynamic program over steps ``start_step..N`` starting from
-    ``presold`` cumulative sales (both default to a fresh full horizon) and
-    returns ``(PricePlan, DPTables)``. ``demand_total`` overrides the
-    config's demand, which is how the replanner re-solves tails after demand
-    shocks without leaving the original time/arrival coordinates.
-
-    ``model`` is a bid distribution or fitted revenue curves; anything with
+    Runs the dynamic program over steps ``0..N`` from no sales at the
+    config's demand and returns ``(PricePlan, DPTables)``. ``model`` is a
+    bid distribution or fitted revenue curves; anything with
     ``payment_moments``. Problems with more than ``_MAX_TABLE_CELLS`` = 2^22
     table cells ``(N + 1) * (S + 1)`` are refused with a ``ValueError``
     before anything is allocated.
     """
-    t = _MarketTables(cfg, grid)
-    N = cfg.steps_N
-    if not 0 <= start_step <= N:
-        raise ValueError(f"start_step outside 0..{N}")
-    if not 0 <= presold <= cfg.supply_S:
-        raise ValueError("presold outside 0..supply_S")
-    t.set_demand(model, demand_total, presold)
-    if presold > t.u[start_step]:
-        raise ValueError("presold exceeds cumulative arrivals at start_step")
-    return _solve(t, start_step, presold)
+    return _solve(_MarketTables(cfg, grid).set_demand(model, None), 0, 0)
 
 
 def _solve(t: _MarketTables, start_step, presold):
-    """The DP on priced tables from ``(start_step, presold)``, and its plan."""
+    """The DP on tables priced from ``presold`` on, from ``(start_step,
+    presold)`` with ``presold <= u[start_step]``, and its plan."""
     tables = DPTables(start_step=start_step, presold=presold)
     h_prev = np.array([0.0])
     u_prev = presold

@@ -20,15 +20,21 @@ bit. ``optimal_pg_revenue`` prices its cells from the scalar references.
 ``backlog_demand`` folds the expected waiting pool step by step from posted
 prices, the reference for the pool the DP prices against.
 ``scalar_payment_moments`` is one payment level's mean and spread by cases,
-the reference for ``BidModel.payment_moments``. ``loop_simulate_rtb`` is the
+the reference for ``BidModel.payment_moments``. ``pdf`` and ``cdf`` are a
+bid model's density and distribution function in value space (closed forms,
+and the histogram of the smoothed empirical law), which the quadrature tests
+integrate as the untransformed order-statistic integral; the package itself
+works in quantile space and needs neither. ``loop_simulate_rtb`` is the
 delivery-day auction run impression by impression, the reference for the
-simulator's grouped version, and can also return the auctions as a bid log.
+simulator's grouped ``_simulate_rtb``, and can also return the auctions as a
+bid log.
 """
 
 import math
 from datetime import timedelta
 
 import numpy as np
+from scipy.special import ndtr
 
 from pgrtb.auction import _payment_points_batch
 from pgrtb.logs import BidLog
@@ -301,11 +307,52 @@ def scalar_payment_moments(model, xi, reserve=0.0):
     return model._moment_cache[float(xi)]
 
 
+def pdf(model, x):
+    """A bid model's density at ``x``: the uniform and lognormal closed forms,
+    the smoothed empirical law's histogram density, 0 for a point mass."""
+    x = np.asarray(x, dtype=float)
+    if model.kind == "uniform":
+        inside = (x >= model.low) & (x <= model.high)
+        return np.where(inside, 1.0 / (model.high - model.low), 0.0)
+    if model.kind == "lognormal":
+        out = np.zeros_like(x)
+        pos = x > 0
+        xp = x[pos]
+        z = (np.log(xp) - model.mu) / model.sigma
+        out[pos] = np.exp(-0.5 * z * z) / (xp * model.sigma * math.sqrt(2 * math.pi))
+        return out
+    if model._point is not None:
+        return np.zeros_like(x)
+    edges = model._edges
+    counts, _ = np.histogram(model.sample, bins=edges)
+    densities = counts / (model.sample.size * np.diff(edges))
+    idx = np.searchsorted(edges, x, side="right") - 1
+    valid = (idx >= 0) & (idx < densities.size) & (x <= edges[-1])
+    return np.where(valid, densities[np.clip(idx, 0, densities.size - 1)], 0.0)
+
+
+def cdf(model, x):
+    """A bid model's distribution function at ``x``: the uniform and lognormal
+    closed forms, the smoothed empirical law's piecewise-linear CDF, a step
+    for a point mass."""
+    x = np.asarray(x, dtype=float)
+    if model.kind == "uniform":
+        return np.clip((x - model.low) / (model.high - model.low), 0.0, 1.0)
+    if model.kind == "lognormal":
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = ndtr((np.log(x[pos]) - model.mu) / model.sigma)
+        return out
+    if model._point is not None:
+        return (x >= model._point).astype(float)
+    return np.interp(x, model._edges, model._cdf_at_edges)
+
+
 def loop_simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,
                       reserve=0.0, slot_id="slot-0", start_time=None):
-    """``simulate_rtb`` one impression at a time: ``(revenue, log)``.
+    """``_simulate_rtb`` one impression at a time: ``(revenue, log)``.
 
-    Same draws and revenue as :func:`pgrtb.simulate.simulate_rtb`; ``log``
+    Same draws and revenue as :func:`pgrtb.simulate._simulate_rtb`; ``log``
     holds one row per bid, each impression an auction stamped at its share
     of a day from ``start_time``.
     """

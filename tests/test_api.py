@@ -1,0 +1,86 @@
+"""The public surface: what the CLI, the demos, the benchmark harness and the
+README's library section use, and no name that only the tests call.
+
+``pgrtb.__all__`` is pinned to the audited set, every module's ``__all__``
+must resolve, and so must every name the benchmark harness in ``perfbench/``
+traces or imports. The harness files are only read here, so a rename that
+would break the benchmark fails the default test run instead.
+"""
+
+import ast
+import dataclasses
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pgrtb
+from pgrtb.solver import DPTables
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+PUBLIC = {
+    "AuctionTable", "BidLog", "BidModel", "DPTables", "FittedCurve", "MarketConfig",
+    "PricePlan", "ReplanStep", "RevenueCurves", "Segment", "SegmentPlan",
+    "SegmentedMarket", "SimOutcome", "StepTerms", "TimeGrid", "UncertaintySpec",
+    "competition_level", "estimate_max_value", "evaluate_plan", "fit_payment_curves",
+    "generate_log", "kmeans_1d", "lowess", "mc_second_price", "optimal_plan",
+    "read_log_csv", "reference_bid_model", "reference_config", "replan",
+    "replay_revenue", "segment_and_optimize", "summarize_auctions", "write_log_csv",
+}
+
+
+def _dotted(node):
+    """``a.b.c`` as ``["a", "b", "c"]``, or None when the chain does not
+    start at a plain name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
+
+
+def test_package_surface_is_the_audited_set():
+    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 33
+    assert set(pgrtb.__all__) == PUBLIC
+
+
+def test_every_module_all_resolves():
+    names = [f"pgrtb.{m.name}" for m in pkgutil.iter_modules(pgrtb.__path__)]
+    for module in [pgrtb] + [importlib.import_module(name) for name in names]:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_benchmark_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans._TARGETS
+    for module_name, owner, attr, *_ in spans._TARGETS:
+        holder = importlib.import_module(module_name)
+        if owner is not None:
+            holder = getattr(holder, owner)
+        assert callable(getattr(holder, attr, None)), (module_name, owner, attr)
+    # the plan counter sums the sizes of the DP's per-step state sets
+    assert "sale_sets" in {f.name for f in dataclasses.fields(DPTables)}
+
+
+def test_benchmark_imported_names_resolve():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    checked = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pgrtb":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                found = hasattr(module, alias.name) or importlib.util.find_spec(
+                    f"{node.module}.{alias.name}") is not None
+                assert found, f"{node.module}.{alias.name}"
+                checked += 1
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] == "pgrtb":
+            obj = pgrtb
+            for part in chain[1:]:
+                obj = getattr(obj, part)
+            checked += 1
+    assert checked

@@ -17,7 +17,7 @@ from pgrtb.auction import (
     BidModel,
     FittedCurve,
     RevenueCurves,
-    aggregate_payment_points,
+    _aggregate_payment_points,
     estimate_max_value,
     fit_payment_curves,
     fit_polynomial,
@@ -28,7 +28,7 @@ from pgrtb.auction import (
 from pgrtb import auction
 from pgrtb.logs import BidLog, summarize_auctions
 
-from oracles import scalar_payment_moments
+from oracles import cdf, pdf, scalar_payment_moments
 
 UTC = timezone.utc
 
@@ -102,8 +102,8 @@ def quad_reference(model, xi, top):
     """
 
     def integrand(x):
-        F = float(model.cdf(x))
-        f = float(model.pdf(x))
+        F = float(cdf(model, x))
+        f = float(pdf(model, x))
         return x * xi * (xi - 1.0) * F ** (xi - 2.0) * (1.0 - F) * f
 
     lo = model.support()[0]
@@ -286,11 +286,10 @@ def test_empirical_model_smoothed_law():
     assert lo <= sample.min() and hi >= sample.max()
     u = np.linspace(0.01, 0.99, 41)
     # the smoothed CDF is continuous and strictly increasing where mass sits
-    np.testing.assert_allclose(model.cdf(model.ppf(u)), u, atol=1e-9)
+    np.testing.assert_allclose(cdf(model, model.ppf(u)), u, atol=1e-9)
     xs = np.linspace(lo, hi, 101)
-    cdf = model.cdf(xs)
-    assert np.all(np.diff(cdf) >= -1e-12)
-    assert model.cdf(lo) == 0.0 and model.cdf(hi) == 1.0
+    assert np.all(np.diff(cdf(model, xs)) >= -1e-12)
+    assert cdf(model, lo) == 0.0 and cdf(model, hi) == 1.0
     # quadrature moments on the smoothed law agree with MC on the same law
     mean, std, se = mc_second_price(4.0, model, 400_000, seed=5)
     assert abs(model.payment_mean(4.0) - mean) < 4 * se
@@ -318,6 +317,16 @@ def test_bid_model_validation():
         BidModel.empirical([0.5, -0.1])
     with pytest.raises(ValueError):
         BidModel("triangular", a=0, b=1)
+    # non-finite parameters and bids
+    for low, high in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            BidModel.uniform(low, high)
+    for mu, sigma in ((math.inf, 0.5), (math.nan, 0.5), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            BidModel.lognormal(mu, sigma)
+    for bids in ([0.5, math.nan], [math.nan], [0.5, math.inf]):
+        with pytest.raises(ValueError):
+            BidModel.empirical(bids)
 
 
 def test_bid_model_serialization_round_trip():
@@ -431,7 +440,7 @@ def _log_for(payments_by_hour, bids_per_auction=3, auctions=8):
 
 def test_aggregate_payment_points_hourly():
     summaries = summarize_auctions(_log_for([0.4, 0.6, 0.8]))
-    xi, mean, std = aggregate_payment_points(summaries)
+    xi, mean, std = _aggregate_payment_points(summaries)
     assert xi.shape == (3,)
     np.testing.assert_allclose(xi, 3.0)
     np.testing.assert_allclose(mean, [0.4, 0.6, 0.8], atol=1e-12)
@@ -446,13 +455,13 @@ def test_aggregate_payment_points_by_count():
         for b in range(k):
             rows.append(("s", f"a{a}", None, 0.1 * (b + 1)))
     summaries = summarize_auctions(BidLog(*zip(*rows)))
-    xi, mean, std = aggregate_payment_points(summaries)
+    xi, mean, std = _aggregate_payment_points(summaries)
     np.testing.assert_array_equal(xi, [2.0, 3.0])
     np.testing.assert_allclose(mean, [0.1, 0.2], atol=1e-12)
     with pytest.raises(ValueError, match="hourly buckets need a timestamp"):
-        aggregate_payment_points(summaries, hourly=True)
+        _aggregate_payment_points(summaries, hourly=True)
     with pytest.raises(ValueError):
-        aggregate_payment_points(summarize_auctions(BidLog([], [], [], [])))
+        _aggregate_payment_points(summarize_auctions(BidLog([], [], [], [])))
 
 
 def test_fit_payment_curves_rejects_thin_auctions():

@@ -170,6 +170,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["optimize", "--config",
                  dump(tmp_path, bad_feature, "k7.json")]) == 2
 
+    # JSON's NaN once planned silently (an all-auction plan at zeta = NaN)
+    nan_market = {**ok, "market": {**MARKET, "risk_level_zeta": float("nan")}}
+    assert main(["optimize", "--config",
+                 dump(tmp_path, nan_market, "k8.json")]) == 2
+    assert "risk_level_zeta must be finite" in capsys.readouterr().err
+
 
 def test_commands_refuse_missing_sections(tmp_path, capsys):
     no_syn = {k: v for k, v in base_config(tmp_path).items() if k != "synthetic"}

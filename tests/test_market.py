@@ -8,7 +8,7 @@ import pytest
 from pgrtb.auction import BidModel
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, replan
-from pgrtb.simulate import evaluate_plan, simulate_purchases
+from pgrtb.simulate import _purchases, evaluate_plan
 from pgrtb.solver import PricePlan, optimal_plan
 
 from oracles import backlog_demand, expected_arrivals
@@ -47,6 +47,20 @@ def test_config_accepts_valid_values():
     ("penalty_size_varpi", -1.0),
     ("max_value_pi", 0.0),
     ("reserve_price_r0", -0.01),
+    ("horizon_T", math.inf),
+    ("arrival_rate_lambda", math.nan),
+    ("initial_arrival_mass", math.nan),
+    ("price_effect_alpha", math.inf),
+    ("time_effect_beta", math.nan),
+    ("risk_level_zeta", math.nan),
+    ("risk_level_zeta", math.inf),
+    ("risk_decay_v", math.inf),
+    ("miss_prob_omega", math.nan),
+    ("penalty_size_varpi", math.nan),
+    ("max_value_pi", math.nan),
+    ("max_value_pi", math.inf),
+    ("reserve_price_r0", math.nan),
+    ("reserve_price_r0", math.inf),
 ])
 def test_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError):
@@ -107,7 +121,7 @@ def test_purchase_ratio_shape():
     plan = PricePlan.from_path([-0.1, 0.3, 0.3], [1, 1, 1], [0.5] * 3, 0.0, 0.0,
                                supply=cfg.supply_S, demand=cfg.demand_Q)
     with pytest.raises(ValueError, match="non-negative"):
-        simulate_purchases(plan, cfg, grid, seed=0)
+        _purchases(plan, cfg, StepTerms(cfg, grid), seed=0)
 
 
 def test_purchase_ratio_value():

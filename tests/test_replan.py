@@ -10,7 +10,7 @@ import pytest
 
 from pgrtb.auction import BidModel
 from pgrtb.market import MarketConfig, TimeGrid, reference_config
-from pgrtb.replan import UncertaintySpec, replan, update_demand
+from pgrtb.replan import UncertaintySpec, _update_demand, replan
 from pgrtb import solver
 from pgrtb.solver import optimal_plan, replay_revenue
 
@@ -53,23 +53,23 @@ def test_draws_are_keyed_by_step():
 
 def test_update_demand():
     calm = UncertaintySpec(epsilon=0.0)
-    assert update_demand(37, calm, 3, remaining_supply=10) == 37
+    assert _update_demand(37, calm, 3, remaining_supply=10) == 37
     # a crushing negative shock floors at remaining supply + 1
     crash = UncertaintySpec(epsilon=10.0, noise_kind="rademacher", noise_seed=1)
     step_down = next(k for k in range(50) if crash.draw(k) < 0)
-    assert update_demand(30, crash, step_down, remaining_supply=8) == 9
+    assert _update_demand(30, crash, step_down, remaining_supply=8) == 9
     with pytest.raises(ValueError):
-        update_demand(0, calm, 0, remaining_supply=5)
+        _update_demand(0, calm, 0, remaining_supply=5)
     with pytest.raises(ValueError):
-        update_demand(10, calm, 0, remaining_supply=-1)
+        _update_demand(10, calm, 0, remaining_supply=-1)
 
 
 def test_update_demand_rounds_to_nearest():
     up = UncertaintySpec(epsilon=0.5, noise_kind="rademacher", noise_seed=1)
     step_up = next(k for k in range(50) if up.draw(k) > 0)
     # 11 * 1.5 = 16.5 rounds bankers-style to 16
-    assert update_demand(11, up, step_up, remaining_supply=0) == 16
-    assert update_demand(10, up, step_up, remaining_supply=0) == 15
+    assert _update_demand(11, up, step_up, remaining_supply=0) == 16
+    assert _update_demand(10, up, step_up, remaining_supply=0) == 15
 
 
 def test_zero_noise_reproduces_static_plan():

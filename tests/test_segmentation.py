@@ -45,21 +45,11 @@ def test_kmeans_recovers_planted_clusters():
     assert [s.label for s in segs] == ["group1_high", "group2_low"]
     assert segs[0].centroid == pytest.approx(4.0, abs=0.05)
     assert segs[1].centroid == pytest.approx(1.0, abs=0.05)
-    assert segs[0].stats["count"] == 40 and segs[1].stats["count"] == 80
+    assert len(segs[0].members) == 40 and len(segs[1].members) == 80
     assert sorted(segs[0].members + segs[1].members) == list(range(120))
-    assert segs[0].stats["min"] > segs[1].stats["max"]
+    assert vals[segs[0].members].min() > vals[segs[1].members].max()
     again = kmeans_1d(vals, k=2, seed=3)
     assert [s.members for s in again] == [s.members for s in segs]
-
-
-def test_kmeans_stats_are_plain_moments():
-    vals = [1.0, 1.2, 5.0, 5.4, 5.8]
-    segs = kmeans_1d(vals, k=2, seed=0)
-    top = segs[0]
-    group = np.array([vals[i] for i in top.members])
-    assert top.stats["mean"] == pytest.approx(group.mean())
-    assert top.stats["std"] == pytest.approx(group.std(ddof=0))
-    assert (top.stats["min"], top.stats["max"]) == (group.min(), group.max())
 
 
 def test_kmeans_three_way_labels():
@@ -133,15 +123,19 @@ def test_thin_competition_goes_auction_only():
         0.9 + 0.01 * rng.standard_normal(60),
     ])
     log = BidLog(["s"] * 120, [f"a{i:03d}" for i in range(120)], [None] * 120, bids)
-    market = segment_and_optimize(summarize_auctions(log), seg_config(), seed=0)
+    table = summarize_auctions(log)
+    market = segment_and_optimize(table, seg_config(), seed=0)
     assert not market.fallback
+    # each segment's own bids, clustered as segment_and_optimize clusters them
+    bids = {s.label: table.take(s.members).bids
+            for s in kmeans_1d(table.winning_bid, k=2, seed=0)}
     for sp in market.segments:
         assert sp.rtb_only
         assert sp.curves is None
         assert sp.plan.gamma == 0.0
         assert int(np.sum(sp.plan.sales)) == 0
         xi0 = competition_level(sp.demand, sp.supply, 0)
-        want = sp.supply * sp.bid_model.payment_mean(xi0, reserve=0.0)
+        want = sp.supply * BidModel.empirical(bids[sp.label]).payment_mean(xi0, reserve=0.0)
         assert sp.plan.revenue_total == pytest.approx(want)
         assert sp.plan.revenue_pg == 0.0
         np.testing.assert_array_equal(sp.plan.prices, sp.plan.bounds)
@@ -160,7 +154,7 @@ def test_auction_only_bounds_equal_the_dp_bounds():
         cfg = dataclasses.replace(reference_config(), max_value_pi=100.0,
                                   risk_level_zeta=zeta, risk_decay_v=v)
         grid = TimeGrid.from_config(cfg)
-        plan = _rtb_only_plan(cfg, grid, None, model)
+        plan = _rtb_only_plan(cfg, grid, model)
         dp = _MarketTables(cfg, grid).set_demand(model, None)
         assert plan.bounds.tolist() == dp.bounds[:, 0].tolist()
 

@@ -21,16 +21,16 @@ from hypothesis import strategies as st
 
 from pgrtb.auction import BidModel
 from pgrtb.logs import summarize_auctions
-from pgrtb.market import MarketConfig, TimeGrid
+from pgrtb.market import MarketConfig, StepTerms, TimeGrid
 from pgrtb.simulate import (
+    _arrivals,
+    _market_once,
+    _purchases,
+    _simulate_rtb,
     evaluate_plan,
-    generate_arrivals,
     generate_log,
-    run_market_once,
-    simulate_purchases,
-    simulate_rtb,
 )
-from pgrtb.solver import PricePlan, optimal_plan
+from pgrtb.solver import PricePlan, _MarketTables, _solve, optimal_plan
 
 from oracles import loop_simulate_rtb
 
@@ -51,8 +51,8 @@ def sim_config():
 def test_generate_arrivals_seeded():
     cfg = sim_config()
     grid = TimeGrid.from_config(cfg)
-    a = generate_arrivals(cfg, grid, seed=1)
-    b = generate_arrivals(cfg, grid, seed=1)
+    a = _arrivals(StepTerms(cfg, grid), seed=1)
+    b = _arrivals(StepTerms(cfg, grid), seed=1)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (cfg.steps_N + 1,)
     # the opening block is deterministic and sits on top of the Poisson draw
@@ -62,7 +62,7 @@ def test_generate_arrivals_seeded():
 def test_generate_arrivals_mean():
     cfg = sim_config()
     grid = TimeGrid.from_config(cfg)
-    draws = np.array([generate_arrivals(cfg, grid, seed=s)[1:].sum()
+    draws = np.array([_arrivals(StepTerms(cfg, grid), seed=s)[1:].sum()
                       for s in range(400)])
     lam_total = cfg.arrival_rate_lambda * cfg.delta_t * cfg.steps_N
     assert abs(draws.mean() - lam_total) < 5 * math.sqrt(lam_total / 400)
@@ -75,7 +75,7 @@ def test_simulate_purchases_closed_plan_sells_nothing():
         prices=np.full(11, 0.5), sales=np.zeros(11, dtype=int),
         bounds=np.full(11, 0.5), gamma=0.0, revenue_pg=0.0,
         revenue_rtb=0.0, revenue_total=0.0, xi_terminal=4.0)
-    sold, revenue = simulate_purchases(plan, cfg, grid, seed=3)
+    sold, revenue = _purchases(plan, cfg, StepTerms(cfg, grid), seed=3)
     assert sold.sum() == 0 and revenue == 0.0
 
 
@@ -90,7 +90,7 @@ def test_simulate_purchases_respects_supply_cap():
         bounds=np.full(11, 1.0), gamma=1.0, revenue_pg=0.0,
         revenue_rtb=0.0, revenue_total=0.0, xi_terminal=math.inf)
     for seed in range(5):
-        sold, _ = simulate_purchases(plan, cfg, grid, seed=seed)
+        sold, _ = _purchases(plan, cfg, StepTerms(cfg, grid), seed=seed)
         assert sold.sum() <= cfg.supply_S
 
 
@@ -99,7 +99,7 @@ def test_simulate_purchases_tracks_plan_means():
     grid = TimeGrid.from_config(cfg)
     plan, _ = optimal_plan(cfg, grid, BidModel.uniform(0.0, 1.0))
     runs = 300
-    sold = np.vstack([simulate_purchases(plan, cfg, grid, seed=s)[0]
+    sold = np.vstack([_purchases(plan, cfg, StepTerms(cfg, grid), seed=s)[0]
                       for s in range(runs)])
     mean = sold.mean(axis=0)
     se = sold.std(axis=0, ddof=0) / math.sqrt(runs)
@@ -113,17 +113,18 @@ def test_simulate_purchases_tracks_plan_means():
 def test_simulate_purchases_rejects_tail_plans():
     cfg = sim_config()
     grid = TimeGrid.from_config(cfg)
-    plan, _ = optimal_plan(cfg, grid, BidModel.uniform(0.0, 1.0), start_step=2)
+    tables = _MarketTables(cfg, grid).set_demand(BidModel.uniform(0.0, 1.0), None)
+    plan, _ = _solve(tables, 2, 0)  # a tail solve from step 2
     with pytest.raises(ValueError):
-        simulate_purchases(plan, cfg, grid, seed=0)
+        _purchases(plan, cfg, StepTerms(cfg, grid), seed=0)
 
 
 def test_simulate_rtb_edges():
     model = BidModel.uniform(0.0, 1.0)
-    assert simulate_rtb(0, 50, model, seed=1) == 0.0
-    assert simulate_rtb(5, 0, model, seed=1, reserve=0.2) == 1.0
+    assert _simulate_rtb(0, 50, model, seed=1) == 0.0
+    assert _simulate_rtb(5, 0, model, seed=1, reserve=0.2) == 1.0
     with pytest.raises(ValueError):
-        simulate_rtb(-1, 5, model, seed=1)
+        _simulate_rtb(-1, 5, model, seed=1)
 
 
 def test_simulate_rtb_log_reconciles_with_revenue():
@@ -132,7 +133,7 @@ def test_simulate_rtb_log_reconciles_with_revenue():
     model = BidModel.uniform(0.1, 1.0)
     supply, demand, reserve = 40, 130, 0.05
     revenue, log = loop_simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
-    assert revenue == simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
+    assert revenue == _simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
     assert len(log) == demand  # every bid lands on exactly one impression
     table = summarize_auctions(log, reserve=reserve)
     covered = sum(table.payment[table.xi_observed >= 2].tolist())
@@ -164,15 +165,15 @@ def test_simulate_rtb_matches_per_impression_oracle(supply, demand, law, reserve
     impression, ties and a reserve included."""
     model = _BID_LAWS[law]
     want, _ = loop_simulate_rtb(supply, demand, model, seed, reserve=reserve)
-    assert simulate_rtb(supply, demand, model, seed, reserve=reserve) == want
+    assert _simulate_rtb(supply, demand, model, seed, reserve=reserve) == want
 
 
 def test_simulate_rtb_deterministic():
     model = BidModel.lognormal(0.0, 0.5)
-    a = simulate_rtb(20, 60, model, seed=12)
-    b = simulate_rtb(20, 60, model, seed=12)
+    a = _simulate_rtb(20, 60, model, seed=12)
+    b = _simulate_rtb(20, 60, model, seed=12)
     assert a == b
-    assert simulate_rtb(20, 60, model, seed=13) != a
+    assert _simulate_rtb(20, 60, model, seed=13) != a
 
 
 def test_run_market_once_accounting():
@@ -180,14 +181,14 @@ def test_run_market_once_accounting():
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
     plan, _ = optimal_plan(cfg, grid, model)
-    out = run_market_once(plan, cfg, grid, model, seed=4)
+    out = _market_once(plan, cfg, StepTerms(cfg, grid), model, seed=4)
     assert 0.0 <= out.delivered_fraction <= 1.0
     assert out.pg_sold.sum() <= cfg.supply_S
     assert out.total_revenue == out.pg_revenue + out.rtb_revenue
     # without delivery failures the realized gross revenue is untouched
     sure = dataclasses.replace(cfg, miss_prob_omega=0.0)
     plan2, _ = optimal_plan(sure, grid, model)
-    out2 = run_market_once(plan2, sure, grid, model, seed=4)
+    out2 = _market_once(plan2, sure, StepTerms(sure, grid), model, seed=4)
     assert out2.delivered_fraction == 1.0
     assert out2.pg_revenue == pytest.approx(
         float(np.sum(np.asarray(plan2.prices) * out2.pg_sold)))

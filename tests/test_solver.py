@@ -47,6 +47,13 @@ from oracles import (
 from test_acceptance import random_market
 
 
+def tail_solve(cfg, grid, model, start_step=0, presold=0, demand_total=None):
+    """A solve from ``(start_step, presold)`` at ``demand_total`` (the config's
+    when None), run the way the replanner runs its tail solves."""
+    tables = solver._MarketTables(cfg, grid).set_demand(model, demand_total, presold)
+    return solver._solve(tables, start_step, presold)
+
+
 def random_tiny_config(rng):
     S = int(rng.integers(2, 9))
     Q = int(rng.integers(S + 1, 17))
@@ -214,7 +221,7 @@ def test_presold_supply_yields_empty_plan():
                        arrival_rate_lambda=1.0, initial_arrival_mass=0.6)
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
-    plan, _ = optimal_plan(cfg, grid, model, start_step=1, presold=3)
+    plan, _ = tail_solve(cfg, grid, model, start_step=1, presold=3)
     assert plan.start_step == 1 and plan.presold == 3
     assert plan.total_sold == 3
     assert np.all(plan.sales == 0)
@@ -233,7 +240,7 @@ def test_tail_solve_agrees_with_static_suffix():
     static, _ = optimal_plan(cfg, grid, model)
     k = 3
     presold = int(static.presold + np.cumsum(static.sales)[k - 1])
-    tail, _ = optimal_plan(cfg, grid, model, start_step=k, presold=presold)
+    tail, _ = tail_solve(cfg, grid, model, start_step=k, presold=presold)
     np.testing.assert_array_equal(tail.sales, static.sales[k:])
     np.testing.assert_array_equal(tail.prices, static.prices[k:])
     assert tail.revenue_rtb == static.revenue_rtb
@@ -247,19 +254,8 @@ def test_optimal_plan_validation():
     other_grid = TimeGrid(np.linspace(0.0, 5.0, 4))
     with pytest.raises(ValueError):
         optimal_plan(cfg, other_grid, model)
-    with pytest.raises(ValueError):
-        optimal_plan(cfg, grid, model, start_step=9)
-    with pytest.raises(ValueError):
-        optimal_plan(cfg, grid, model, presold=-1)
-    with pytest.raises(ValueError):
-        optimal_plan(cfg, grid, model, presold=6)  # exceeds supply
-    with pytest.raises(ValueError):
-        optimal_plan(cfg, grid, model, demand_total=5)
-    # no arrivals at all: any presold exceeds what arrived by the start step
-    empty = MarketConfig(supply_S=5, demand_Q=20, horizon_T=5.0, steps_N=5,
-                         arrival_rate_lambda=0.0, initial_arrival_mass=0.0)
-    with pytest.raises(ValueError, match="presold exceeds cumulative arrivals"):
-        optimal_plan(empty, grid, model, presold=1)
+    with pytest.raises(ValueError, match="total demand must exceed supply"):
+        solver._MarketTables(cfg, grid).set_demand(model, 5)
 
 
 def test_brute_force_guard():
@@ -306,7 +302,7 @@ def test_replay_revenue_with_demand_override():
                        max_value_pi=0.8)
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
-    plan, _ = optimal_plan(cfg, grid, model, demand_total=24)
+    plan, _ = tail_solve(cfg, grid, model, demand_total=24)
     pg, rtb, total = replay_revenue(plan, cfg, grid, model, demand_total=24)
     assert total == plan.revenue_total
 
@@ -324,7 +320,8 @@ def _assert_same_as_dense(cfg, make_model, **kwargs):
     """The blocked solve equals the dense oracle bit for bit: the plan's JSON
     bytes and every step's states, values and backpointers."""
     grid = TimeGrid.from_config(cfg)
-    plan, tables = optimal_plan(cfg, grid, make_model(), **kwargs)
+    solve = tail_solve if kwargs else optimal_plan
+    plan, tables = solve(cfg, grid, make_model(), **kwargs)
     ref_plan, ref = dense_optimal_plan(cfg, grid, make_model(), **kwargs)
     assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict())
     assert len(tables.H) == len(ref.H)
@@ -479,7 +476,7 @@ def test_monotone_schedule_properties(seed, law, block_cells):
         plan, _ = optimal_plan(cfg, grid, model)
         k = 1 + seed % cfg.steps_N
         presold = int(np.cumsum(plan.sales)[k - 1])
-        tail, _ = optimal_plan(cfg, grid, model, start_step=k, presold=presold)
+        tail, _ = tail_solve(cfg, grid, model, start_step=k, presold=presold)
     assert np.all(plan.prices <= plan.bounds)
     pg, rtb, total = replay_revenue(plan, cfg, grid, model)
     assert pg == pytest.approx(plan.revenue_pg, rel=0.0, abs=1e-9)
