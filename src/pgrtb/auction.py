@@ -36,8 +36,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
-from scipy.special import ndtri
+# by name, so that it loads with the package and not on a process's first fit
+from numpy.polynomial import polynomial as npp
 
 __all__ = [
     "BidModel",
@@ -73,6 +73,72 @@ _KRONROD_W = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[:7][::-1]])
 # The 7-point Gauss weights on the odd (embedded) nodes, zero elsewhere.
 _GAUSS_W = np.zeros(15)
 _GAUSS_W[1::2] = [_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]]
+
+
+# Cephes ``ndtri``'s rational approximations, the inverse normal CDF that
+# lognormal quantiles read: P0/Q0 on the centre |u - 1/2| <= 1/2 - exp(-2),
+# P1/Q1 and P2/Q2 in the tails, in 1/t with t = sqrt(-2 log u) below and
+# above 8. Q* leave out their leading coefficient, 1.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _polevl(x, coeffs, monic=False):
+    """Horner's rule in Cephes order; ``monic`` puts a leading 1 first."""
+    out = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(u):
+    """Inverse of the standard normal CDF: Cephes ``ndtri`` operation for
+    operation, so that its floats are those of ``scipy.special.ndtri``. The
+    tail's logarithms are ``math.log``, the C library's, as there. Gives -inf
+    at 0, inf at 1 and nan outside [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    out = np.full(u.shape, np.nan)
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    centre = y > _EXP_M2
+    c = y[centre] - 0.5
+    c2 = c * c
+    out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, True))) * _SQRT_2PI
+    tail = (y > 0.0) & ~centre
+    t = np.sqrt(np.array([math.log(v) for v in y[tail].tolist()]) * -2.0)
+    z = 1.0 / t
+    x1 = np.where(t < 8.0, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True),
+                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, True))
+    x = t - np.array([math.log(v) for v in t.tolist()]) / t - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    out[u == 0.0] = -math.inf
+    out[u == 1.0] = math.inf
+    return out
 
 
 # Panel edges shared by every level: dyadic towards both ends of [0, 1], so
@@ -243,8 +309,7 @@ class BidModel:
         if self.kind == "uniform":
             return self.low + (self.high - self.low) * u
         if self.kind == "lognormal":
-            with np.errstate(divide="ignore"):
-                return np.exp(self.mu + self.sigma * ndtri(u))
+            return np.exp(self.mu + self.sigma * _ndtri(u))
         if self._point is not None:
             return np.full_like(u, self._point)
         return np.interp(u, self._cdf_at_edges, self._edges)
@@ -388,7 +453,7 @@ class FittedCurve:
         if self.method == "lowess":
             out = np.interp(xv, self.knot_x, self.knot_y)
         elif self.method == "polynomial":
-            out = np.polynomial.polynomial.polyval(xv, self.coeffs)
+            out = npp.polyval(xv, self.coeffs)
         elif self.method == "sigmoid":
             base, span, rate, mid = self.coeffs
             out = base + span / (1.0 + np.exp(-rate * (xv - mid)))
@@ -485,37 +550,235 @@ def fit_polynomial(points, degree=2):
     deg = int(min(degree, max(x.size - 1, 0)))
     if np.unique(x).size == 1:
         deg = 0
-    coeffs = np.polynomial.polynomial.polyfit(x, y, deg)
-    fitted = np.polynomial.polynomial.polyval(x, coeffs)
+    coeffs = npp.polyfit(x, y, deg)
+    fitted = npp.polyval(x, coeffs)
     rmse = float(np.sqrt(np.mean((fitted - y) ** 2)))
     return FittedCurve(method="polynomial", x_range=(float(x[0]), float(x[-1])),
                        coeffs=np.asarray(coeffs, dtype=float), rmse=rmse)
 
 
-def _sigmoid(x, base, span, rate, mid):
-    return base + span / (1.0 + np.exp(-rate * (x - mid)))
+# The sigmoid fit searches the curve's logits z0 and z1 at the first and last
+# abscissa. A logit may not pass _SIGMOID_EDGE on the side where the points
+# all sit in one tail: there the best curve is an exponential that a sigmoid
+# reaches only at infinite span, its gain shrinks like exp(-edge), and a
+# larger edge would lose the coefficients' digits to a span of ~exp(edge).
+_SIGMOID_EDGE = 16.0
+# Starting grid: logit spans across the data times centre logits, plus the
+# two edges; each gap between neighbouring abscissae adds a steep step.
+_SIGMOID_SPANS = (0.5, 1.0, 2.0, 3.5, 6.0, 10.0, 16.0, 25.0)
+_SIGMOID_CENTRES = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
+_SIGMOID_GRID = np.array([
+    (c - d / 2, c + d / 2) for d in _SIGMOID_SPANS
+    for c in (-_SIGMOID_EDGE - d / 2,) + _SIGMOID_CENTRES + (_SIGMOID_EDGE + d / 2,)])
+# Descents from the best grid points whose curves differ by more than
+# _SIGMOID_APART of the points' range, as sigmoid fits have local minima.
+_SIGMOID_STARTS = 3
+_SIGMOID_APART = 0.05
+_SIGMOID_ITERATIONS = 100
+# A later descent that comes this close, in logits, to an earlier optimum
+# stops: it is converging to the same one.
+_SIGMOID_NEAR = 0.05
+_PAIRS = ([0, 0, 1], [0, 1, 1])  # the (z0, z0), (z0, z1), (z1, z1) entries
+
+
+def _sums(*arrays):
+    """``math.fsum`` along the last axis of each array (all of one shape): a
+    float for 1-D arrays, a column for 2-D ones."""
+    rows = np.concatenate(arrays).reshape(-1, arrays[0].shape[-1]).tolist()
+    sums = [math.fsum(r) for r in rows]
+    if arrays[0].ndim == 1:
+        return sums
+    return list(np.array(sums).reshape(len(arrays), -1, 1))
+
+
+class _SigmoidFit:
+    """Least squares of ``base + span / (1 + exp(-rate * (x - mid)))`` by
+    variable projection (Golub & Pereyra 1973): at given logits ``z0`` and
+    ``z1`` of the first and last abscissa the best ``base`` and ``span`` have
+    a closed form, so only the two logits are searched. Points that share an
+    abscissa enter as one weighted point. Every sum is a ``math.fsum``, so
+    the fit's floats depend on its points alone.
+    """
+
+    def __init__(self, x, y):
+        self.x0, self.width = float(x[0]), float(x[-1] - x[0])
+        xu, first, w = np.unique(x, return_index=True, return_counts=True)
+        bounds = np.append(first, x.size).tolist()
+        ys = y.tolist()
+        ysum = np.array([math.fsum(ys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        self.n, self.ybar = x.size, math.fsum(ys) / x.size
+        self.xu, self.w, self.ymean = xu, w, ysum / w
+        self.yc = ysum - w * self.ybar  # each abscissa's centred sum
+        spread = y - np.repeat(self.ymean, w)
+        self.within = math.fsum((spread * spread).tolist())
+        tau = (xu - self.x0) / self.width
+        dz = np.stack([1.0 - tau, tau])  # dz/dz0 and dz/dz1 at each abscissa
+        dz2 = dz[_PAIRS[0]] * dz[_PAIRS[1]]
+        self.dz_yc, self.dz_w = dz * self.yc, dz * w
+        self.dz2_yc, self.dz2_w = dz2 * self.yc, dz2 * w
+
+    def profile(self, z0, z1):
+        """The residual sum of squares at logits ``z0, z1`` (floats, or
+        columns of a grid), with ``(base, span, rate, mid)`` and what
+        :meth:`slope` needs. The sum is taken from the curve as evaluated
+        from those coefficients, so it carries their rounding."""
+        n, w = self.n, self.w
+        rate = (z1 - z0) / self.width
+        mid = self.x0 - z0 / rate
+        ep = np.exp(np.minimum(rate * (mid - self.xu), 700.0))
+        den = 1.0 + ep
+        s = 1.0 / den
+        # s less its first value, without cancellation near 1: 1 - s = ep * s
+        u = (ep[..., :1] - ep) * s * s[..., :1]
+        wu = w * u
+        su, suu, suy = _sums(wu, wu * u, u * self.yc)
+        stt = suu - su * su / n
+        span = suy / stt
+        base = self.ybar - span * (s[..., :1] + su / n)
+        res = base + span / den - self.ymean
+        sse = _sums(w * res * res)[0] + self.within
+        return sse, (base, span, rate, mid), (ep, s, u, su, stt, span)
+
+    def slope(self, parts):
+        """Gradient, Hessian and Gauss-Newton matrix in ``(z0, z1)`` of half
+        the profiled sum of squares at one point (the Hessians as their
+        (0, 0), (0, 1), (1, 1) entries)."""
+        ep, s, u, su, stt, span = parts
+        n = self.n
+        dt = ep * s * s  # ds/dz; d2s/dz2 is dt * (1 - 2s) = dt * (ep - 1) * s
+        d2t = dt * (ep - 1.0) * s
+        wd, wh = dt * self.dz_w, d2t * self.dz2_w
+        r = [math.fsum(v) for v in np.concatenate([
+            dt * self.dz_yc, wd, wd * u, (dt * dt) * self.dz2_w, d2t * self.dz2_yc,
+            wh, wh * u]).tolist()]
+        # with d_k = ds/dz_k, h_kl = d2s/dz_k dz_l, tc = u - mean u and
+        # dc_k = d_k - mean d_k: A_k = d_k . yc, B_k = 2 w d_k . tc,
+        # C_kl = w dc_k . dc_l
+        ubar, (kk, ll) = su / n, _PAIRS
+        A = r[0:2]
+        dbar = [v / n for v in r[2:4]]
+        B = [2.0 * (r[4 + k] - ubar * r[2 + k]) for k in range(2)]
+        C = [r[6 + i] - n * dbar[kk[i]] * dbar[ll[i]] for i in range(3)]
+        g = [span * (0.5 * span * B[k] - A[k]) for k in range(2)]
+        dr = [A[k] - 0.5 * span * B[k] for k in range(2)]
+        H, G = [], []
+        for i, (k, l) in enumerate(zip(kk, ll)):
+            bkl = 2.0 * (C[i] + r[15 + i] - ubar * r[12 + i])
+            H.append((span * (A[k] * B[l] + A[l] * B[k]) - A[k] * A[l]
+                      - span * span * B[k] * B[l]) / stt
+                     + span * (0.5 * span * bkl - r[9 + i]))
+            G.append(span * span * (C[i] - 0.25 * B[k] * B[l] / stt) + dr[k] * dr[l] / stt)
+        return g, H, G
+
+    def point(self, z):
+        sse, coeffs, parts = self.profile(z[0], z[1])
+        return sse, coeffs, parts, z
+
+
+def _edge_cut(z, d):
+    """``z + d``, shortened along ``d`` to end on an edge it would pass."""
+    cut = 1.0
+    if z[0] + d[0] > _SIGMOID_EDGE:
+        cut = (_SIGMOID_EDGE - z[0]) / d[0]
+    if z[1] + d[1] < -_SIGMOID_EDGE:
+        cut = min(cut, (-_SIGMOID_EDGE - z[1]) / d[1])
+    return (min(z[0] + cut * d[0], _SIGMOID_EDGE), max(z[1] + cut * d[1], -_SIGMOID_EDGE))
+
+
+def _descend(fit, z, known=None):
+    """Trust-region Newton steps in the logits from ``z``: Newton where the
+    Hessian is positive definite, Gauss-Newton elsewhere. Stops when the
+    model promises less than 1e-14 of the sum of squares, or near ``known``,
+    the logits of an optimum an earlier descent found."""
+    cur = fit.point(z)
+    radius = 2.0
+    for _ in range(_SIGMOID_ITERATIONS):
+        sse = cur[0]
+        (g0, g1), H, G = fit.slope(cur[2])
+        a, b, c = H if H[0] > 0.0 and H[0] * H[2] - H[1] * H[1] > 0.0 else G
+        det = a * c - b * b
+        if not (det > 0.0 and a > 0.0):
+            a, b, c, det = 1.0, 0.0, 1.0, 1.0  # steepest descent
+        d = ((b * g1 - c * g0) / det, (b * g0 - a * g1) / det)
+        # a logit on its edge whose step points out stays there
+        if z[0] >= _SIGMOID_EDGE and d[0] > 0.0:
+            d = (0.0, -g1 / c)
+        elif z[1] <= -_SIGMOID_EDGE and d[1] < 0.0:
+            d = (-g0 / a, 0.0)
+        fall = -(g0 * d[0] + g1 * d[1])
+        if not fall > 1e-14 * sse:
+            return cur
+        pred = 2.0 * fall - (a * d[0] * d[0] + 2.0 * b * d[0] * d[1] + c * d[1] * d[1])
+        size = max(abs(d[0]), abs(d[1]))
+        while True:
+            if size > radius:
+                d, pred = (d[0] * radius / size, d[1] * radius / size), None
+            trial = _edge_cut(z, d)
+            nxt = fit.point(trial) if trial[1] > trial[0] and trial != z else (math.inf,)
+            if nxt[0] < sse:
+                break
+            # a step the model gives under 1e-9 of the sum that still fails
+            # is lost in the rounding of the coefficients
+            radius = min(radius, size) / 4.0
+            if -(g0 * d[0] + g1 * d[1]) < 1e-9 * sse or radius < 1e-12:
+                return cur
+        z, cur = trial, nxt
+        if pred is None:
+            radius *= 2.0
+        elif sse - nxt[0] > 1.1 * pred:
+            # the model underestimates the fall, as along an exponential
+            # tail: go on along d while it pays
+            while z[0] < _SIGMOID_EDGE and z[1] > -_SIGMOID_EDGE:
+                d = (2.0 * d[0], 2.0 * d[1])
+                trial = _edge_cut(z, d)
+                nxt = fit.point(trial)
+                if not nxt[0] < cur[0]:
+                    break
+                z, cur = trial, nxt
+        if known is not None and max(abs(z[0] - known[0]), abs(z[1] - known[1])) < _SIGMOID_NEAR:
+            return cur
+    return cur
 
 
 def fit_sigmoid(points):
-    """Scaled sigmoid fit; a failed optimization is marked with infinite rmse."""
+    """Least-squares ``base + span / (1 + exp(-rate * (x - mid)))``.
+
+    Variable projection over the curve's end logits from a few grid starts
+    (see :class:`_SigmoidFit`); deterministic, with no BLAS. Fewer than four
+    distinct abscissae, or a fit that does not come out finite, give
+    infinite rmse.
+    """
     x, y = _as_xy(points)
+    x_range = (float(x[0]), float(x[-1]))
     if x.size < 4 or np.unique(x).size < 4:
-        coeffs, rmse = [float(y.mean()), 0.0, 1.0, float(x.mean())], math.inf
-    else:
-        span0 = float(y.max() - y.min()) or 1.0
-        p0 = [float(y.min()), span0, 4.0 / max(float(x[-1] - x[0]), 1e-9), float(np.median(x))]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OptimizeWarning)
-                with np.errstate(over="ignore"):
-                    coeffs, _ = curve_fit(_sigmoid, x, y, p0=p0, maxfev=10000)
-            rmse = float(np.sqrt(np.mean((_sigmoid(x, *coeffs) - y) ** 2)))
-            if not math.isfinite(rmse):
-                raise RuntimeError("diverged")
-        except Exception:
-            coeffs, rmse = p0, math.inf
-    return FittedCurve(method="sigmoid", x_range=(float(x[0]), float(x[-1])),
-                       coeffs=np.asarray(coeffs, dtype=float), rmse=rmse)
+        return FittedCurve(method="sigmoid", x_range=x_range, rmse=math.inf,
+                           coeffs=np.array([float(y.mean()), 0.0, 1.0, float(x.mean())]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fit = _SigmoidFit(x, y)
+        xu = fit.xu
+        rate, mid = 8.0 / np.diff(xu), 0.5 * (xu[:-1] + xu[1:])
+        grid = np.concatenate([_SIGMOID_GRID, np.column_stack(
+            [rate * (xu[0] - mid), rate * (xu[-1] - mid)])])
+        sse, (base, span, _, _), (_, s, _, _, _, _) = fit.profile(grid[:, :1], grid[:, 1:])
+        curves = base + span * s
+        apart = _SIGMOID_APART * (float(fit.ymean.max() - fit.ymean.min()) or 1.0)
+        starts = []
+        for i in np.argsort(sse.ravel(), kind="stable").tolist():
+            if all(np.abs(curves[i] - curves[j]).max() > apart for j in starts):
+                starts.append(i)
+                if len(starts) == _SIGMOID_STARTS:
+                    break
+        best = None
+        for i in starts:
+            found = _descend(fit, tuple(grid[i].tolist()), best and best[3])
+            if best is None or found[0] < best[0]:
+                best = found
+        curve = FittedCurve(method="sigmoid", x_range=x_range,
+                            coeffs=np.array([float(np.ravel(v)[0]) for v in best[1]]))
+        res = curve(x) - y
+    rmse = math.sqrt(math.fsum((res * res).tolist()) / x.size)
+    curve.rmse = rmse if math.isfinite(rmse) else math.inf
+    return curve
 
 
 def _best_fit(x, y, *, lowess_fraction, lowess_iterations, poly_degree):

@@ -57,6 +57,14 @@ def _check_keys(section, allowed, where):
         raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _int_setting(section, key, default, where):
+    """``section[key]`` as an int; an infinite value is bad input."""
+    try:
+        return int(section.get(key, default))
+    except OverflowError as exc:
+        raise UsageError(f"{where}.{key} must be finite: {exc}") from exc
+
+
 def _bid_model_from_section(section):
     kind = section.get("kind")
     if kind not in ("uniform", "lognormal", "empirical"):
@@ -113,12 +121,12 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad uncertainty section: {exc}") from exc
         rc.fit_options = dict(raw.get("fit", {}))
-        rc.root_seed = int(raw.get("seeds", {}).get("root", 0))
+        rc.root_seed = _int_setting(raw.get("seeds", {}), "root", 0, "seeds")
         rc.feature = raw.get("segmentation", {}).get("feature", "winning_bid")
         if rc.feature not in ("winning_bid", "all_bids"):
             raise UsageError("segmentation.feature must be winning_bid or all_bids")
         rc.synthetic = dict(raw["synthetic"]) if "synthetic" in raw else None
-        rc.n_runs = int(raw.get("simulate", {}).get("n_runs", rc.n_runs))
+        rc.n_runs = _int_setting(raw.get("simulate", {}), "n_runs", rc.n_runs, "simulate")
         rc.out_dir = str(raw.get("output", {}).get("dir", rc.out_dir))
         return rc
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+# imported by name, so that numpy.random loads with the package and not on a
+# process's first draw (numpy loads some submodules on first attribute use)
+from numpy.random import SeedSequence, default_rng
 
 from .logs import BidLog, _rank_groups
 from .market import MarketConfig, StepTerms, TimeGrid
@@ -31,9 +34,9 @@ _EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def _seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    return SeedSequence(seed)
 
 
 def _arrivals(terms: StepTerms, seed):
@@ -42,7 +45,7 @@ def _arrivals(terms: StepTerms, seed):
     Poisson(``rate`` = lambda * dt) at every step, plus the deterministic
     opening block floor(``waiting`` = mass * Q) at step 0.
     """
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = default_rng(_seed_sequence(seed))
     arrivals = rng.poisson(terms.rate, terms.cum.size)
     arrivals[0] += int(math.floor(terms.waiting))
     return arrivals
@@ -63,7 +66,7 @@ def _purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
     price_scale = terms.price_scale.tolist()
     arrivals_seed, buy_seed = _seed_sequence(seed).spawn(2)
     arrivals = _arrivals(terms, arrivals_seed)
-    rng = np.random.default_rng(buy_seed)
+    rng = default_rng(buy_seed)
     remaining = cfg.supply_S - plan.presold
     pool = 0
     sold = np.zeros(len(price_scale), dtype=int)
@@ -97,7 +100,7 @@ def _simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *, reserv
         raise ValueError("supply and demand must be non-negative")
     if supply == 0:
         return 0.0
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = default_rng(_seed_sequence(seed))
     if demand == 0:
         return float(reserve) * supply
     placement = rng.integers(0, supply, size=demand)
@@ -136,7 +139,7 @@ def _market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model
     """
     purchase_seed, failure_seed, rtb_seed = _seed_sequence(seed).spawn(3)
     sold, gross = _purchases(plan, cfg, terms, purchase_seed)
-    rng = np.random.default_rng(failure_seed)
+    rng = default_rng(failure_seed)
     failures = rng.binomial(sold, cfg.miss_prob_omega)
     penalty = cfg.penalty_size_varpi * float(np.sum(np.asarray(plan.prices) * failures))
     delivered = int(sold.sum() - failures.sum())
@@ -204,7 +207,7 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
     bidders = [int(b) for b in bidders_per_hour]
     if not bidders or any(b < 0 for b in bidders):
         raise ValueError("bidders_per_hour must be non-empty, non-negative ints")
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = default_rng(_seed_sequence(seed))
     start = _EPOCH if start_time is None else start_time
     auction_ids, stamps, bids = [], [], []
     for h in range(hours):

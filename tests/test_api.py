@@ -11,7 +11,10 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pgrtb
@@ -43,6 +46,17 @@ def _dotted(node):
 def test_package_surface_is_the_audited_set():
     assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 33
     assert set(pgrtb.__all__) == PUBLIC
+
+
+def test_import_leaves_scipy_out():
+    """Each CLI command is a fresh process, and importing the package and
+    its CLI loads no scipy module: scipy serves only the tests' oracles."""
+    src = str(Path(pgrtb.__file__).resolve().parents[1])
+    code = ("import sys, pgrtb, pgrtb.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_module_all_resolves():

@@ -27,8 +27,9 @@ from pgrtb.auction import (
 )
 from pgrtb import auction
 from pgrtb.logs import BidLog, summarize_auctions
+from pgrtb.simulate import generate_log
 
-from oracles import cdf, pdf, scalar_payment_moments
+from oracles import cdf, curve_fit_sigmoid, pdf, scalar_payment_moments
 
 UTC = timezone.utc
 
@@ -124,6 +125,30 @@ def test_quadrature_against_scipy_lognormal():
     for xi in (2.0, 2.7, 5.3):
         assert model.payment_mean(xi) == pytest.approx(
             quad_reference(model, xi, 60.0), abs=1e-6)
+
+
+def test_ndtri_is_scipys_on_the_quadrature_nodes(monkeypatch):
+    """The lognormal quantiles read the in-repo Cephes ndtri: on every node
+    of the quadrature its floats are scipy's, so lognormal plans are too."""
+    from scipy.special import ndtri
+    seen, ours = [], auction._ndtri
+    monkeypatch.setattr(auction, "_ndtri", lambda u: seen.append(u) or ours(u))
+    auction._quadrature_nodes(BidModel.lognormal(-0.5, 0.5))
+    (u,) = seen
+    assert u.size == 1200
+    assert ours(u).tobytes() == ndtri(u).tobytes()
+
+
+def test_ndtri_against_scipy_and_at_the_edges():
+    from scipy.special import ndtri
+    rng = np.random.default_rng(12)
+    u = np.concatenate([rng.random(60_000), 10.0 ** -rng.uniform(0.0, 300.0, 20_000),
+                        1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 20_000)])
+    got, want = auction._ndtri(u), ndtri(u)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    edges = auction._ndtri([0.0, 1.0, -1e-300, 1.0 + 1e-15, math.nan, 0.5])
+    assert edges[0] == -math.inf and edges[1] == math.inf
+    assert np.isnan(edges[2:5]).all() and edges[5] == 0.0
 
 
 def test_mc_agrees_with_quadrature():
@@ -409,6 +434,47 @@ def test_fit_sigmoid_recovers_planted_curve():
 def test_fit_sigmoid_degrades_gracefully():
     curve = fit_sigmoid([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
     assert math.isinf(curve.rmse)
+    assert math.isinf(fit_sigmoid([(0.0, 1.0), (1.0, 2.0), (2.0, math.nan), (3.0, 3.0)]).rmse)
+
+
+def _generated_points(k):
+    """The mean and spread points of the k-th of a family of generated logs
+    (uniform or lognormal bids, 24-120 hours, 3-24 hourly bidder counts)."""
+    rng = np.random.default_rng(1000 + k)
+    if k % 2:
+        low = float(rng.uniform(0.0, 0.5))
+        model = BidModel.uniform(low, low + float(rng.uniform(0.2, 2.0)))
+    else:
+        model = BidModel.lognormal(float(rng.uniform(-1.5, 0.5)), float(rng.uniform(0.2, 1.0)))
+    log, _ = generate_log(model, hours=int(rng.integers(24, 121)),
+                          auctions_per_hour=int(rng.integers(5, 61)),
+                          bidders_per_hour=rng.integers(2, 13, int(rng.integers(3, 25))).tolist(),
+                          seed=int(rng.integers(1 << 30)))
+    xi, mean, spread = _aggregate_payment_points(summarize_auctions(log))
+    return np.column_stack([xi, mean]), np.column_stack([xi, spread])
+
+
+def test_fit_sigmoid_at_least_as_good_as_curve_fit():
+    """On generated logs the variable-projection fit's rmse is never above
+    curve_fit's by more than 1e-12 of it."""
+    for k in range(200):
+        for points in _generated_points(k):
+            ours, ref = fit_sigmoid(points), curve_fit_sigmoid(points)
+            assert ours.rmse <= ref.rmse * (1.0 + 1e-12), (k, ours.rmse, ref.rmse)
+
+
+def test_fit_sigmoid_floats_do_not_depend_on_the_heap():
+    """Fits of one input, between allocations of varying sizes that move
+    where the fit's own arrays land, give one set of coefficient and rmse
+    bits."""
+    points = _generated_points(6)[1]
+    held, bits = [], set()
+    for i in range(300):
+        held.append(np.ones(1 + (i * 7919) % 4099))
+        del held[:-40]
+        fit = fit_sigmoid(points)
+        bits.add((fit.coeffs.tobytes(), float(fit.rmse).hex()))
+    assert len(bits) == 1
 
 
 def test_fitted_curve_serialization():

@@ -6,6 +6,7 @@ assertions stay cheap and stderr is captured by pytest as usual.
 
 import hashlib
 import json
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -166,6 +167,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["replan", "--config", dump(tmp_path, bad_unc, "k6.json")]) == 2
     assert "bad uncertainty section" in capsys.readouterr().err
 
+    # json writes float("inf") as Infinity, which json.load reads back
+    for section, key in (("simulate", "n_runs"), ("seeds", "root")):
+        infinite = {**ok, section: {key: math.inf}}
+        assert main(["optimize", "--config",
+                     dump(tmp_path, infinite, f"inf-{key}.json")]) == 2
+        assert f"{section}.{key} must be finite" in capsys.readouterr().err
+
     bad_feature = {**ok, "segmentation": {"feature": "volume"}}
     assert main(["optimize", "--config",
                  dump(tmp_path, bad_feature, "k7.json")]) == 2
@@ -244,6 +252,9 @@ def test_optimize_refuses_an_oversized_market(tmp_path, capsys):
 
 # Golden SHA-256 digests of every CLI output on small fixed inputs (see
 # test_pipeline_outputs_are_golden for what they are tied to).
+# GOLDEN_ALL_BIDS' and GOLDEN_MIXED_OFFSETS' fitted model and segment report
+# hold sigmoid curves; they were re-recorded when the sigmoid fit moved from
+# scipy's curve_fit to variable projection, each rmse at or below the old.
 GOLDEN_PIPELINE = {
     "auction_log.csv":
         "7f9d9f7c00e0e26a0427aedcc75916360ea5bd72f0a2aed811a67de3f0e847af",
@@ -268,15 +279,15 @@ GOLDEN_ALL_BIDS = {
     "auction_log.csv":
         "077b74254ca2f58438cd981b16fdb899f765247719036090c4cd85e5b12cd897",
     "fitted_model.json":
-        "8680e1e6dd379f0c08a0551cb71a8e3b7c8514a4d035cb942d75986b564d58af",
+        "cacb7934de5907e0d2e09bf7620387f2fc446ebf6dfaedbef972abc638c01a7c",
     "segment_report.json":
-        "dcc96f98e64b90bd2c63a6a236ea5620224166aba5dafc4bc484ccc15d088740",
+        "7d2b6158f1d95991a58ed5edddbec84f330483c80dbf8bc547e0d1c97b7cacfc",
 }
 GOLDEN_MIXED_OFFSETS = {
     "fitted_model.json":
-        "dc1a56039e2582455f6d0d6b4c2b504369f0c2b5ab006ccc8169494ef059086c",
+        "0f88a513c4c0af1c0f1fa4d48d4fb486d0f62c0288658087fe47eb9fa2c532cf",
     "segment_report.json":
-        "10e5c6cbdf3e2a414a7c921588fac49c89dbd4fabb9b096bceba41501164d9e1",
+        "40f3d726d39882da97f241743eece3f0c6bc7751a57a0b6d65b07ff995d20abc",
 }
 GOLDEN_SPARSE_STAMPS = {
     "fitted_model.json":
