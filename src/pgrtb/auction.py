@@ -147,8 +147,8 @@ def _ndtri(u):
 _DYADIC = 0.5 ** np.arange(1, 41)
 _EDGES = np.unique(np.concatenate([[0.0, 1.0], _DYADIC, 1.0 - _DYADIC]))
 # Levels integrated per vectorized pass; small, so the two work arrays
-# stay small.
-_CHUNK = 12
+# stay small: a solve can price levels while its DP tables are held.
+_CHUNK = 6
 # A level warns when a moment's K15 - G7 error estimate exceeds this share of it.
 _RTOL = 1e-8
 
@@ -178,6 +178,16 @@ def _moment(f, products, kronrod_w, error_w):
             np.abs(np.einsum("lnp,np->lp", f, error_w)).sum(axis=-1))
 
 
+def _density(f, power, scale, log_u, one_minus_u):
+    """The order-statistic density in u, xi (xi-1) (1-u) u^(xi-2), built in
+    ``f`` (level, node, panel) from each level's ``xi - 2`` and ``xi (xi-1)``."""
+    f[...] = log_u  # then one broadcast operand per pass, so one ufunc buffer
+    f *= power[:, None, None]
+    np.exp(f, out=f)
+    f *= scale[:, None, None]
+    f *= one_minus_u
+
+
 def _payment_points_batch(model, xis, cap=math.inf):
     """Fill the model's moment caches for every new finite level ``xi >= 2``:
     the mean and spread of the second-highest of ``xi`` i.i.d. draws from
@@ -188,16 +198,23 @@ def _payment_points_batch(model, xis, cap=math.inf):
     nodes once per model, and each level only reweights those values. A
     chunk of levels takes the second moment only when some mean in it is
     below ``cap`` (or is nan); otherwise its means go to ``_mean_cache``
-    and a later call that needs their spread recomputes them. Every level is
-    reduced on its own, node products summed in node order and then over
-    panels, so its floats depend on ``xi`` alone, not on which other levels
-    share the call. A level whose K15 - G7 error estimate exceeds ``_RTOL``
-    of a moment it computed emits a RuntimeWarning.
+    and a later call that needs their spread recomputes them, so
+    ``cap=-inf`` computes means alone. Every level is reduced on its own,
+    node products summed in node order and then over panels, so its floats
+    depend on ``xi`` alone, not on which other levels share the call.
+
+    The variance is ``m2 - m1^2``, which keeps about ``log2(m2 / var)``
+    fewer bits than the moments: at large ``xi`` the payment concentrates
+    and the difference cancels. Where that loss, ``4 eps m2 / var``, could
+    exceed ``_RTOL`` the variance takes a second pass on the same nodes,
+    centred on the mean; every other level keeps the one-pass floats. A
+    level whose K15 - G7 error estimate exceeds ``_RTOL`` of a moment it
+    computed emits a RuntimeWarning.
     """
     full, mean_only = model._moment_cache, model._mean_cache
     todo = np.array(sorted({xi for xi in map(float, xis)
                             if math.isfinite(xi) and xi >= 2.0 and xi not in full
-                            and not mean_only.get(xi, -math.inf) >= cap}))
+                            and not (xi in mean_only and mean_only[xi] >= cap)}))
     if not todo.size:
         return
     x, one_minus_u, log_u, kronrod_w, error_w = _quadrature_nodes(model)
@@ -208,22 +225,30 @@ def _payment_points_batch(model, xis, cap=math.inf):
     for lo in range(0, todo.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         f, products = work[:, :todo[part].size]
-        # the order-statistic density in u, xi (xi-1) (1-u) u^(xi-2), built
-        # in place; multiplying by x once and then again gives the integrands
-        # of the first and second moments
-        np.multiply(power[part, None, None], log_u, out=f)
-        np.exp(f, out=f)
-        f *= scale[part, None, None]
-        f *= one_minus_u
+        # multiplying the density by x once and then again gives the
+        # integrands of the first and second moments
+        _density(f, power[part], scale[part], log_u, one_minus_u)
         f *= x
         moments[0, part], errors[0, part] = _moment(f, products, kronrod_w, error_w)
         if not (moments[0, part] >= cap).all():
             f *= x
             moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
             spread[part] = True
-    m1, m2 = moments[:, spread]
+    var = moments[1] - moments[0] * moments[0]
+    loose = np.flatnonzero(spread & (2.0 ** -50 * moments[1] > _RTOL * var))
+    for lo in range(0, loose.size, _CHUNK):
+        part = loose[lo:lo + _CHUNK]
+        f, products = work[:, :part.size]
+        _density(f, power[part], scale[part], log_u, one_minus_u)
+        np.subtract(x, moments[0, part, None, None], out=products)
+        f *= products
+        f *= products
+        # the warning then judges the central moment the spread comes from
+        moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
+        var[part] = moments[1, part]
+    m1 = moments[0, spread]
     full.update(zip(todo[spread].tolist(), zip(
-        m1.tolist(), np.sqrt(np.maximum(m2 - m1 * m1, 0.0)).tolist())))
+        m1.tolist(), np.sqrt(np.maximum(var[spread], 0.0)).tolist())))
     mean_only.update(zip(todo[~spread].tolist(), moments[0, ~spread].tolist()))
     bad = errors > _RTOL * np.abs(moments)  # nan, and so False, for skipped spreads
     if bad.any():

@@ -7,7 +7,14 @@ Each shock redraws the tail solve's competition levels and price bounds;
 everything else (arrivals, time grid, bid distribution) stays fixed.
 
 Each round is one tail solve: ``_MarketTables.set_demand`` at the round's
-demand and presold count, then the solver's ``_solve`` from its step.
+demand and presold count, then the solver's ``_solve`` from its step. A
+round prices only the payment levels it reads (see :mod:`pgrtb.solver`):
+the rows below the first whose mean clears the cap ``pi``, and the terminal
+rows whose total can still be the best. The walk's tables keep the levels
+they priced, and the lowest one seen to clear ``pi``, as bounds for the
+levels of later rounds, so most rounds need no probe and few terminal
+means. The ``ln(cum_n - z1)`` column of a small step is kept while the
+presold count stays, since rounds that sell nothing reuse it.
 
 With ``epsilon = 0`` the committed path reproduces the static plan's floats
 bit for bit. The walk builds the demand-independent market tables once and
@@ -114,7 +121,7 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
     tables = _MarketTables(cfg, grid)
     for n in range(N + 1):
         demand_before = demand_abs - presold
-        tail, _ = _solve(tables.set_demand(model, demand_abs, presold), n, presold)
+        tail = _solve(tables.set_demand(model, demand_abs, presold), n, presold)[0]
         z_now = int(tail.sales[0])
         p_now = float(tail.prices[0])
         prices[n] = p_now

@@ -18,6 +18,23 @@ each step's state set and keeps the table O(N * S).
 :func:`optimal_plan` solves the full horizon. The replanner's tail solves
 price the same tables with ``_MarketTables.set_demand`` and run ``_solve``.
 
+A solve prices only the payment levels it reads. Row ``y``'s competition
+level ``xi = (D - y) / (S - y)`` rises with ``y``, and the second price of
+``xi`` draws, ``ppf`` at a Beta(xi - 1, 2) draw, is stochastically
+increasing in ``xi``, so a bid law's mean payment rises with ``y`` wherever
+``xi >= 2``. The bound rows from the first whose mean clears the cap ``pi``
+are all ``pi``: ``set_demand`` finds that row with a few mean-only probes
+and prices means and spreads only below it. The terminal choice needs means
+only where they can decide the argmax: each priced level bounds the means
+of the levels above and below it, rows whose total cannot reach the best
+one are dropped, and only the rest are priced. A row counts as capped, or
+as dropped, only when it clears its priced neighbour by a relative margin
+``_MARGIN`` of three times the quadrature tolerance; any level whose error
+estimate is larger warns. So plans, tables, ``revenue_rtb`` and
+``xi_terminal`` are those of a full table of means. Rows below ``xi = 2``
+and row ``S`` keep their closed forms, and fitted curves, whose mean need
+not rise with ``xi`` and which cost little, are evaluated at every row.
+
 A split's price ``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``,
 so each row's feasible predecessors are a prefix, and while those prefixes
 nest a row's best split never moves down as ``y`` rises: large steps find
@@ -45,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .auction import _RTOL, BidModel
 from .market import MarketConfig, StepTerms, TimeGrid
 
 __all__ = [
@@ -68,6 +86,14 @@ _SLACK = 2
 # it the prefix is the whole row for any pool below e^30.
 _MIN_LOG_RATIO = 1e-6
 _MAX_LOG_RATIO = 30.0
+# A row counts as capped, or as pruned from the terminal choice, only when it
+# clears its priced neighbour by this relative margin: more than the two
+# quadrature errors, each at most _RTOL on a level that does not warn.
+_MARGIN = 3 * _RTOL
+# Levels per probe round of the cap search, and the stride of the terminal
+# choice's grid of exact means when many rows survive its first bounds.
+_PROBES = 12
+_STRIDE = 8
 
 
 def competition_level(demand_Q, supply_S, sold):
@@ -197,8 +223,10 @@ class _MarketTables:
     """The DP's tables, shared with the test oracles: the market's step terms
     ``cum``, ``risk``, ``price_scale`` and ``coef``, plus what only the DP
     needs, the integer cap ``u`` on cumulative sales and the log tables.
-    ``set_demand`` adds what total demand changes, the payment moments and
-    price bounds, so a replan walk builds the rest only once.
+    ``set_demand`` adds what total demand changes, the price bounds and the
+    payment means a solve reads, so a replan walk builds the rest only once.
+    ``means`` is every row's payment mean, the rows a solve left unpriced
+    priced on first access.
     """
 
     def __init__(self, cfg: MarketConfig, grid: TimeGrid):
@@ -225,12 +253,21 @@ class _MarketTables:
         self.log_z2[S + 2:2 * S + 2] = self.log_k[1:]
         self.z2_rows = sliding_window_view(self.z2, S + 1)
         self.log_z2_rows = sliding_window_view(self.log_z2, S + 1)
+        self._ln_presold, self._ln_desc = None, {}
+        self.model = None
 
     def set_demand(self, model, demand_total, presold=0):
         """Price the tables for ``demand_total`` (the config's when None) on
         the rows a solve from ``presold`` reads, ``y >= presold``; the rows
-        below get the reserve level and no quadrature. Spreads are asked for
-        under the cap ``pi``, where the bounds read them."""
+        below get the reserve level and no quadrature.
+
+        Fitted curves are evaluated at every row. A bid law's mean rises
+        with ``y`` over the rows with ``xi >= 2``, so rows from the first
+        whose mean clears the cap ``pi`` (:meth:`_cap_row`) get the bound
+        ``pi`` and no quadrature, and only the rows below it are priced,
+        spreads included where the mean is below ``pi``. Rows below ``xi =
+        2`` and row ``S`` keep their closed forms.
+        """
         cfg, S = self.cfg, self.S
         self.D = int(demand_total) if demand_total is not None else cfg.demand_Q
         if self.D <= S:
@@ -238,9 +275,94 @@ class _MarketTables:
         y = np.arange(S)
         xi = np.append((self.D - y) / (S - y), math.inf)
         xi[:presold] = 0.0
-        self.means, stds = model.payment_moments(xi, cfg.reserve_price_r0, cfg.max_value_pi)
-        self.bounds = self.terms.bounds(self.means, stds)
+        if model is not self.model:
+            self.model, self._xi_clear = model, math.inf
+            self._known_xi, self._known_mean = np.empty(0), np.empty(0)
+        self.xi = xi
+        pi = cfg.max_value_pi
+        self._priced = np.ones(S + 1, dtype=bool)
+        if isinstance(model, BidModel):
+            self._priced[self._cap_row():S] = False
+        self._means, stds = np.full(S + 1, np.nan), np.zeros(S + 1)
+        self._means[self._priced], stds[self._priced] = model.payment_moments(
+            xi[self._priced], cfg.reserve_price_r0, pi)
+        self.bounds = self.terms.bounds(np.where(self._priced, self._means, pi), stds)
         return self
+
+    @property
+    def means(self):
+        self._price(np.flatnonzero(~self._priced))
+        return self._means
+
+    @means.setter
+    def means(self, values):
+        self._means = np.asarray(values, dtype=float)
+        self._priced = np.ones(self._means.size, dtype=bool)
+
+    def _price(self, rows):
+        """Price the means of ``rows`` not priced yet, in one call."""
+        rows = rows[~self._priced[rows]]
+        if rows.size:
+            self._means[rows] = self._mean_only(self.xi[rows])
+            self._priced[rows] = True
+
+    def _mean_only(self, xi):
+        """The model's means at levels ``xi >= 2``, kept sorted by level as
+        bounds for other levels, with the lowest level whose mean clears
+        ``pi`` by ``_MARGIN``."""
+        means = self.model.payment_moments(xi, self.cfg.reserve_price_r0, -math.inf)[0]
+        known = np.concatenate((self._known_xi, xi))
+        order = np.argsort(known, kind="stable")
+        self._known_xi = known[order]
+        self._known_mean = np.concatenate((self._known_mean, means))[order]
+        clear = xi[means * (1.0 - _MARGIN) >= self.cfg.max_value_pi]
+        self._xi_clear = min(self._xi_clear, clear.min(initial=math.inf))
+        return means
+
+    def _mean_bounds(self, xi):
+        """Means at the nearest known levels at or above and at or below each
+        of ``xi >= 2``: inf and 0 (payments are non-negative) where there is
+        none."""
+        k, m = self._known_xi, self._known_mean
+        return (np.append(m, math.inf)[np.searchsorted(k, xi)],
+                np.append(0.0, m)[np.searchsorted(k, xi, side="right")])
+
+    def _cap_row(self):
+        """First row from which every mean up to row ``S - 1`` reaches ``pi``.
+
+        ``xi`` rises with ``y``, and the second price of ``xi`` draws is
+        ``ppf`` at a Beta(xi - 1, 2) draw, stochastically increasing in
+        ``xi``: so means rise with ``y`` over the rows with ``xi >= 2``.
+        Rows at or above the lowest level known to clear ``pi`` by
+        ``_MARGIN`` need no probe; below it, rounds of up to ``_PROBES``
+        mean-only probes, the first at the lowest such row alone, bisect
+        for the first row that clears; ``S`` when none does. Every row
+        above it then has a mean of at least ``pi`` in floats too, since
+        each level's quadrature error is below ``_RTOL`` or warns.
+        """
+        S, xi = self.S, self.xi
+        lo = int(np.searchsorted(xi[:S], 2.0))
+        hi = int(np.searchsorted(xi[:S], self._xi_clear))
+        probes = np.arange(lo, min(lo + 1, hi))
+        while probes.size:
+            self._mean_only(xi[probes])
+            hi = int(np.searchsorted(xi[:S], self._xi_clear))
+            lo = int(probes[probes < hi].max(initial=lo - 1)) + 1  # past those that fail
+            probes = np.unique(np.linspace(lo, hi - 1, min(_PROBES, hi - lo)).round().astype(int))
+        return hi
+
+    def _ln_avail(self, n, presold, u_prev):
+        """``ln(cum_n - z1)`` for ``z1`` from ``presold`` to ``u_prev``, a
+        view of a column stored from the largest ``z1`` down; kept per ``(n,
+        u_prev)`` until a solve starts from another ``presold``, so
+        consecutive rounds of a walk that sell nothing share it."""
+        if presold != self._ln_presold:
+            self._ln_presold, self._ln_desc = presold, {}
+        col = self._ln_desc.get((n, u_prev))
+        if col is None:
+            col = np.log(self.cum[n] - np.arange(presold, u_prev + 1))[::-1].copy()
+            self._ln_desc[n, u_prev] = col
+        return col[::-1]
 
 
 def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model):
@@ -272,12 +394,9 @@ def _solve(t: _MarketTables, start_step, presold):
             tables.back_price.append(price_pick)
             u_prev = int(t.u[n])
 
-        y_abs = tables.sale_sets[-1]
-        rtb = np.where(y_abs < t.S, (t.S - y_abs) * t.means[y_abs], 0.0)
     h_final = tables.H[-1]
-    total = np.where(np.isfinite(h_final), h_final + rtb, -np.inf)
-    i_star = int(np.argmax(total))
-    y_star = int(y_abs[i_star])
+    i_star, rtb_star = _terminal(t, tables.sale_sets[-1], h_final)
+    y_star = int(tables.sale_sets[-1][i_star])
 
     steps = N - start_step + 1
     prices = np.empty(steps)
@@ -294,10 +413,54 @@ def _solve(t: _MarketTables, start_step, presold):
     if y != presold:
         raise AssertionError("backpointer chain did not return to the start state")
 
-    plan = PricePlan.from_path(prices, sales, bnds, h_final[i_star], rtb[i_star],
+    plan = PricePlan.from_path(prices, sales, bnds, h_final[i_star], rtb_star,
                                supply=t.S, demand=t.D, start_step=start_step,
                                presold=presold)
     return plan, tables
+
+
+def _terminal(t: _MarketTables, y_abs, h):
+    """The best terminal state, as its index in ``y_abs``, and its auction
+    revenue: the largest ``h + (S - y) * mean(y)``, the smallest ``y``
+    among equals, with the floats of a full table of means.
+
+    Rows whose mean the tables left unpriced are chosen among by branch and
+    bound. Means rise with the level, so the nearest levels the tables have
+    priced above and below a row's bound its total; a row whose upper
+    bound, widened by ``_MARGIN`` and float rounding, stays below the best
+    exact total or lower bound can neither win nor tie. When more than
+    ``_STRIDE`` rows survive, exact means on every ``_STRIDE``-th of them
+    and the top one come first and tighten the bounds; the survivors are
+    then priced in one call.
+    """
+    rest = t.S - y_abs
+    live = np.isfinite(h)
+
+    def totals():
+        with np.errstate(invalid="ignore"):
+            rtb = np.where(rest > 0, rest * t._means[y_abs], 0.0)
+        return rtb, np.where(live, h + rtb, -np.inf)
+
+    def survivors(rows):
+        ceiling, floor = t._mean_bounds(t.xi[y_abs[rows]])
+        # h, the sales and the means are non-negative, so rounding moves
+        # each sum by under 2^-49 of itself
+        upper = (h[rows] + rest[rows] * ceiling * (1.0 + _MARGIN)) * (1.0 + 2.0 ** -49)
+        lower = (h[rows] + rest[rows] * floor * (1.0 - _MARGIN)) * (1.0 - 2.0 ** -49)
+        best = max(totals()[1][t._priced[y_abs]].max(initial=-np.inf), lower.max())
+        return rows[~(upper < best)]  # a nan bound keeps its row
+
+    rows = np.flatnonzero(live & ~t._priced[y_abs])
+    if rows.size:
+        rows = survivors(rows)
+        if rows.size > _STRIDE:
+            t._price(y_abs[np.append(rows[::_STRIDE], rows[-1])])
+            rows = survivors(rows[~t._priced[y_abs[rows]]])
+        t._price(y_abs[rows])
+    rtb, total = totals()
+    np.copyto(total, -np.inf, where=~t._priced[y_abs])
+    i_star = int(np.argmax(total))
+    return i_star, rtb[i_star]
 
 
 def _step(t: _MarketTables, n, h_prev, presold, u_prev):
@@ -336,23 +499,26 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     nz = u_prev - presold + 1
     y_abs = np.arange(presold, un + 1)
     bound = t.bounds[n, presold:un + 1]
-    ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
     # rows the scan leaves are worth -inf, so the carry or the dead rule
     # below sets their picks
-    h_n = np.full(ny, -np.inf)
+    h_n = np.empty(ny)
+    h_n.fill(-np.inf)
     prev_pick, price_pick = np.empty(ny, dtype=int), np.empty(ny)
-    blocked = (ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0)
-               or ny * t.cum[n] > 2.0 ** 40)
-    scan = _scan_blocks if blocked else _scan_monotone
-    scan(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick, price_pick)
+    if ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0) or ny * t.cum[n] > 2.0 ** 40:
+        _scan_blocks(t, n, h_prev, t._ln_avail(n, presold, u_prev), bound, presold,
+                     h_n, prev_pick, price_pick)
+    else:
+        ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
+        _scan_monotone(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick, price_pick)
     m = min(ny, nz)
     carry = h_prev[:m] >= h_n[:m]
     np.copyto(h_n[:m], h_prev[:m], where=carry)
     np.copyto(prev_pick[:m], y_abs[:m], where=carry)
-    price_pick[:m][carry] = np.nan
-    dead = ~np.isfinite(h_n)
-    prev_pick[dead] = -1
-    price_pick[dead] = np.nan
+    np.copyto(price_pick[:m], np.nan, where=carry)
+    dead = np.isfinite(h_n)
+    np.logical_not(dead, out=dead)
+    np.copyto(prev_pick, -1, where=dead)
+    np.copyto(price_pick, np.nan, where=dead)
     return y_abs, h_n, prev_pick, price_pick
 
 
@@ -361,31 +527,33 @@ def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale):
 
     The arguments broadcast: ``ln(cum_n - z1)``, ``ln z2`` (nan where nothing
     is sold), ``z2``, the predecessor's value and the target's bound. A cell
-    that fails ``price <= bound`` or leaves a dead state is worth -inf.
+    that fails ``price <= bound`` is worth -inf, and so is one that leaves a
+    dead state, through its sum with ``h = -inf``.
     """
     price = ln_avail - log_z2
     price /= scale
-    ok = price <= bound
-    ok &= np.isfinite(h)
+    fail = price <= bound
+    np.logical_not(fail, out=fail)
     vals = t.coef * price
     vals *= z2
     vals += h  # h + (coef * price) * z2: addition commutes exactly
-    vals[~ok] = -np.inf
+    np.copyto(vals, -np.inf, where=fail)
     return price, vals
 
 
 def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
                  h_n, prev_pick, price_pick):
-    """Fill the sale rows in blocks, each up to its :func:`_window_top`.
+    """Fill the sale rows from :func:`_row_floor` up in blocks, each up to
+    its :func:`_window_top`.
 
     Columns run from the largest ``z1`` down, so ``argmax`` (first maximum)
     keeps the smallest sell-now among equal values.
     """
     ny, nz = h_n.size, h_prev.size
-    ln_desc = ln_avail[::-1].copy()
+    ln_desc = np.ascontiguousarray(ln_avail[::-1])  # no copy for the cached column
     h_desc = h_prev[::-1].copy()
     rows = max(1, _BLOCK_CELLS // nz)
-    for lo in range(0, ny, rows):
+    for lo in range(_row_floor(t, n, ln_avail, bound, presold), ny, rows):
         hi = min(lo + rows, ny)
         top = _window_top(t, n, ln_avail, bound, lo, hi, presold)
         if top < 0:
@@ -396,10 +564,10 @@ def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
         price, vals = _cells(t, ln_desc[cols], t.log_z2_rows[window], t.z2_rows[window],
                              h_desc[cols], bound[lo:hi, None], t.price_scale[n])
         pick = vals.argmax(axis=1)
-        r = np.arange(hi - lo)
-        h_n[lo:hi] = vals[r, pick]
         prev_pick[lo:hi] = presold + top - pick
-        price_pick[lo:hi] = price[r, pick]
+        pick += np.arange(0, vals.size, top + 1)  # flat index of each row's pick
+        h_n[lo:hi] = vals.take(pick)
+        price_pick[lo:hi] = price.take(pick)
 
 
 def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
@@ -447,6 +615,26 @@ def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
         mid = (lo + hi) // 2
 
 
+def _row_floor(t: _MarketTables, n, ln_avail, bound, presold):
+    """First row of step ``n`` whose cheapest split, ``z1 = presold``, passes
+    its bound. A split's float price rises with ``z1`` on rows with ``cum -
+    y >= 1`` while ``ny cum <= 2^40`` (see :func:`_step`), so no row below
+    the floor has a split within its bound, and the carry alone fills them.
+    A top row within 1 of ``cum`` is always scanned, and a step past 2^40
+    scans from row 1 (row 0 sells nothing).
+    """
+    ny = bound.size
+    if ny * t.cum[n] > 2.0 ** 40:
+        return 1
+    price = ln_avail[0] - t.log_k[1:ny]
+    price /= t.price_scale[n]
+    ok = price <= bound[1:]
+    floor = int(ok.argmax()) + 1 if ok.any() else ny
+    if t.cum[n] - (presold + ny - 1) < 1.0:
+        floor = min(floor, ny - 1)
+    return floor
+
+
 def _window_top(t: _MarketTables, n, ln_avail, bound, lo, hi, presold):
     """Last predecessor column that rows ``lo..hi-1`` of step ``n`` must scan.
 
@@ -468,7 +656,7 @@ def _window_top(t: _MarketTables, n, ln_avail, bound, lo, hi, presold):
     if j <= edge:
         first = max(lo, j + 1)  # rows that sell from column j
         price = (ln_avail[j] - t.log_k[first - j:hi - j]) / t.price_scale[n]
-        if np.any(price <= bound[first:hi]):
+        if (price <= bound[first:hi]).any():
             return edge
     return top
 

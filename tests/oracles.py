@@ -11,11 +11,14 @@ transition. ``optimal_pg_revenue`` re-derives one DP cell by a scalar scan,
 and ``brute_force_optimum`` enumerates every sales path of tiny markets.
 
 The dense DP and the exhaustive search share the solver's precomputed market
-tables (cumulative arrivals, price bounds, payment moments, log tables) and
-mirror its float expressions operation for operation; their independence is
-the scan or the exhaustive path enumeration, not a re-derivation of the
-market primitives. That is what lets equality tests compare them bit for
-bit. ``optimal_pg_revenue`` prices its cells from the scalar references.
+tables (cumulative arrivals, log tables) and mirror its float expressions
+operation for operation; their independence is the scan or the exhaustive
+path enumeration, not a re-derivation of the market primitives. That is
+what lets equality tests compare them bit for bit. They price those tables
+through ``EagerTables``, every row's payment moments and bound up front,
+so they are also the reference for the solver's pricing of only the rows a
+solve reads. ``optimal_pg_revenue`` prices its cells from the scalar
+references.
 
 ``backlog_demand`` folds the expected waiting pool step by step from posted
 prices, the reference for the pool the DP prices against.
@@ -90,6 +93,25 @@ def censored_bound(n, xi, cfg: MarketConfig, grid: TimeGrid, model) -> float:
     return min(mean + risk_preference(n, cfg, grid) * spread, cfg.max_value_pi)
 
 
+class EagerTables(_MarketTables):
+    """The solver's market tables with every row priced at once: each
+    level's payment mean and spread (spreads under the cap ``pi``) from one
+    ``payment_moments`` call, and every bound from them."""
+
+    def set_demand(self, model, demand_total, presold=0):
+        cfg, S = self.cfg, self.S
+        self.D = int(demand_total) if demand_total is not None else cfg.demand_Q
+        if self.D <= S:
+            raise ValueError("total demand must exceed supply")
+        y = np.arange(S)
+        xi = np.append((self.D - y) / (S - y), math.inf)
+        xi[:presold] = 0.0
+        means, stds = model.payment_moments(xi, cfg.reserve_price_r0, cfg.max_value_pi)
+        self.means = means
+        self.bounds = self.terms.bounds(means, stds)
+        return self
+
+
 def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
                        start_step=0, presold=0, demand_total=None):
     """The dense DP: ``optimal_plan`` with every step a full (ny x nz) scan.
@@ -103,7 +125,7 @@ def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
         raise ValueError(f"start_step outside 0..{N}")
     if not 0 <= presold <= cfg.supply_S:
         raise ValueError("presold outside 0..supply_S")
-    t = _MarketTables(cfg, grid).set_demand(model, demand_total)
+    t = EagerTables(cfg, grid).set_demand(model, demand_total)
     if presold > t.u[start_step]:
         raise ValueError("presold exceeds cumulative arrivals at start_step")
 
@@ -232,7 +254,7 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
     """
     if cfg.steps_N > 5 or cfg.supply_S > 10:
         raise ValueError("exhaustive search is guarded to steps_N <= 5, supply_S <= 10")
-    t = _MarketTables(cfg, grid).set_demand(model, None)
+    t = EagerTables(cfg, grid).set_demand(model, None)
     N = cfg.steps_N
     ln_avail = []
     prev_top = 0

@@ -607,3 +607,17 @@ def test_revenue_curves_surface():
         assert stds.tolist() == [fitted.payment_std(float(x)) for x in xis]
     clone = RevenueCurves.from_dict(curves.to_dict())
     assert clone.payment_mean(5.5) == curves.payment_mean(5.5)
+
+
+@pytest.mark.parametrize("xi", [1e5, 1e6])
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.5, 2.0)])
+def test_payment_std_keeps_its_digits_at_large_xi(low, high, xi):
+    """Where m2 - m1^2 cancels, the spread comes from a second pass centred
+    on the mean: it matches the Beta(xi - 1, 2) closed form for uniform bids
+    without a warning (the one-pass spread was 28% off at 1e6)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, std = BidModel.uniform(low, high).payment_moments(np.array([xi]))
+    var = 2.0 * (xi - 1.0) / ((xi + 1.0) ** 2 * (xi + 2.0)) * (high - low) ** 2
+    assert float(std[0]) == pytest.approx(math.sqrt(var), rel=1e-9)
+    assert float(mean[0]) == pytest.approx(low + (high - low) * (xi - 1.0) / (xi + 1.0), rel=1e-12)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, _update_demand, replan
 from pgrtb import solver
 from pgrtb.solver import optimal_plan, replay_revenue
+
+from oracles import EagerTables
 
 
 def mid_config():
@@ -200,7 +203,7 @@ def test_rows_below_presold_are_never_read(monkeypatch):
 
     def blanking(self, model, demand_total, presold=0):
         set_demand(self, model, demand_total, presold)
-        self.means[:presold] = np.nan
+        self._means[:presold] = np.nan
         self.bounds[:, :presold] = np.nan
         blanked.append(presold)
         return self
@@ -210,3 +213,33 @@ def test_rows_below_presold_are_never_read(monkeypatch):
     assert max(blanked) > 0
     assert plan.to_dict() == want[0].to_dict()
     assert trace == want[1]
+
+
+WALK_LAWS = {"uniform": lambda: BidModel.uniform(0.0, 1.0),
+             "lognormal": lambda: BidModel.lognormal(-0.5, 0.5)}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("law", sorted(WALK_LAWS))
+def test_walks_match_eager_tables(monkeypatch, law, epsilon, kind):
+    """A walk whose rounds price only the rows they read commits the plan
+    and trace of one whose rounds price every row up front."""
+    cfg = reference_config()
+    grid = TimeGrid.from_config(cfg)
+    spec = UncertaintySpec(epsilon, 13, kind)
+    plan, trace = replan(cfg, grid, WALK_LAWS[law](), spec)
+    monkeypatch.setattr(sys.modules["pgrtb.replan"], "_MarketTables", EagerTables)
+    ref_plan, ref_trace = replan(cfg, grid, WALK_LAWS[law](), spec)
+    assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict())
+    assert trace == ref_trace
+
+
+def test_reference_walk_prices_few_payment_levels():
+    """The reference walk (noise seed 7, epsilon 0.1, gaussian) leaves at
+    most 1,100 levels in a fresh lognormal model's caches; pricing every row
+    of every round took 2,327."""
+    cfg = reference_config()
+    model = BidModel.lognormal(-0.5, 0.5)
+    replan(cfg, TimeGrid.from_config(cfg), model, UncertaintySpec(0.1, 7, "gaussian"))
+    assert len(set(model._moment_cache) | set(model._mean_cache)) <= 1100

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -29,6 +30,7 @@ from pgrtb.auction import (
     reference_bid_model,
 )
 from pgrtb.market import MarketConfig, TimeGrid, reference_config
+from pgrtb.replan import UncertaintySpec, replan
 from pgrtb.solver import (
     PricePlan,
     competition_level,
@@ -37,6 +39,7 @@ from pgrtb.solver import (
 )
 
 from oracles import (
+    EagerTables,
     backlog_demand,
     brute_force_optimum,
     censored_bound,
@@ -637,3 +640,106 @@ def test_capped_spreads_leave_bounds_and_plans_unchanged(seed, law, ceiling, ris
     for ours, ref in zip((tables.H, tables.back_prev, tables.back_price),
                          (ref_tables.H, ref_tables.back_prev, ref_tables.back_price)):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref))
+
+
+def _lazy_scenarios():
+    """Markets and bid laws on the edges of the lazy pricing, each with what
+    its lazy tables must show: how many of rows 0..S-1 are left capped."""
+    ref = reference_config()
+    thin = dataclasses.replace(ref, demand_Q=150, arrival_rate_lambda=0.2 * 150 / 30.0,
+                               reserve_price_r0=0.1)  # xi < 2 on rows below 50
+    uniform = lambda: BidModel.uniform(0.0, 1.0)  # noqa: E731
+    lognormal = lambda: BidModel.lognormal(-0.5, 0.5)  # noqa: E731
+    point = lambda: BidModel.empirical([0.7] * 20)  # noqa: E731
+    return {
+        "reserve, xi below 2, uniform": (thin, uniform, lambda capped: 0 < capped < 50),
+        "reserve, xi below 2, lognormal": (thin, lognormal, lambda capped: 0 < capped <= 50),
+        "pi above every mean, uniform": (dataclasses.replace(ref, max_value_pi=2.0), uniform,
+                                         lambda capped: capped == 0),
+        "pi above every mean, lognormal": (dataclasses.replace(ref, max_value_pi=5.0), lognormal,
+                                           lambda capped: capped == 0),
+        "pi below every mean, uniform": (dataclasses.replace(ref, max_value_pi=0.1), uniform,
+                                         lambda capped: capped == 100),
+        "pi below every mean, lognormal": (dataclasses.replace(ref, max_value_pi=0.1), lognormal,
+                                           lambda capped: capped == 100),
+        "point mass, capped": (ref, point, lambda capped: capped == 100),
+        "point mass, uncapped": (dataclasses.replace(ref, max_value_pi=1.0), point,
+                                 lambda capped: capped == 0),
+        "reference, uniform": (ref, uniform, lambda capped: capped == 99),
+        "reference, lognormal": (ref, lognormal, lambda capped: capped == 100),
+    }
+
+
+LAZY_SCENARIOS = _lazy_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_SCENARIOS))
+def test_lazy_pricing_matches_eager_tables(monkeypatch, name):
+    """Tables that price only the rows a solve reads give the plan, every
+    DP table and every walk of tables that price every row up front (the
+    dense oracle's): full and tail solves, and a replan walk."""
+    cfg, make, expect = LAZY_SCENARIOS[name]
+    grid = TimeGrid.from_config(cfg)
+    t = solver._MarketTables(cfg, grid).set_demand(make(), None)
+    assert expect(int((~t._priced[:cfg.supply_S]).sum()))
+    assert t.bounds.tobytes() == EagerTables(cfg, grid).set_demand(make(), None).bounds.tobytes()
+    _assert_same_as_dense(cfg, make)
+    _assert_same_as_dense(cfg, make, start_step=9, presold=14)
+    _assert_same_as_dense(cfg, make, start_step=20, presold=30, demand_total=cfg.demand_Q + 60)
+    spec = UncertaintySpec(0.1, 5)
+    plan, trace = replan(cfg, grid, make(), spec)
+    monkeypatch.setattr(sys.modules["pgrtb.replan"], "_MarketTables", EagerTables)
+    ref_plan, ref_trace = replan(cfg, grid, make(), spec)
+    assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict())
+    assert trace == ref_trace
+
+
+def test_row_floor_leaves_only_rows_without_a_feasible_split(monkeypatch):
+    """No row below a step's floor has a split within its bound (a dense
+    scan of every step checks it), and with the floor patched out every plan
+    and DP table is the same: random markets, bounds that fall somewhere in
+    y, and tail solves."""
+    rng = np.random.default_rng(8181)
+    cases = [(random_market(rng, tiny=False), MODELS[k % 3], 0, 0) for k in range(24)]
+    falling = dataclasses.replace(reference_config(), risk_level_zeta=40.0, max_value_pi=5.0)
+    cases += [(falling, BidModel.uniform(0.0, 1.0), 0, 0),
+              (falling, BidModel.uniform(0.0, 1.0), 9, 14),
+              (reference_config(), BidModel.lognormal(-0.5, 0.5), 12, 20)]
+    raised = falls = 0
+    for k, (cfg, model, start, presold) in enumerate(cases):
+        grid = TimeGrid.from_config(cfg)
+        t = solver._MarketTables(cfg, grid).set_demand(model, None, presold)
+        u_prev = presold
+        for n in range(start, cfg.steps_N + 1):
+            un = int(t.u[n])
+            ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
+            bound = t.bounds[n, presold:un + 1]
+            floor = solver._row_floor(t, n, ln_avail, bound, presold)
+            i, j = np.meshgrid(np.arange(un - presold + 1), np.arange(u_prev - presold + 1),
+                               indexing="ij")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                price = (ln_avail[j] - t.log_k[np.maximum(i - j, 1)]) / t.price_scale[n]
+            feasible = (i - j >= 1) & (price <= bound[:, None])
+            assert not feasible[:floor].any(), (k, n, floor)
+            raised += floor > 1
+            falls += bool(np.any(np.diff(bound) < 0))
+            u_prev = un
+        plan, tables = solver._solve(t, start, presold)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_row_floor", lambda *args: 1)
+            ref_plan, ref = solver._solve(
+                solver._MarketTables(cfg, grid).set_demand(model, None, presold), start, presold)
+        assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict()), k
+        for ours, theirs in zip((tables.sale_sets, tables.H, tables.back_prev, tables.back_price),
+                                (ref.sale_sets, ref.H, ref.back_prev, ref.back_price)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)), k
+    assert raised and falls
+
+
+def test_large_uniform_solve_prices_few_payment_levels():
+    """An S=1600, Q=6400 solve leaves at most 800 levels in a fresh model's
+    caches; pricing every row took 1,600."""
+    model = BidModel.uniform(0.0, 1.0)
+    cfg = _large_market(1600, 6400)
+    optimal_plan(cfg, TimeGrid.from_config(cfg), model)
+    assert len(set(model._moment_cache) | set(model._mean_cache)) <= 800
