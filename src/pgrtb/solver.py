@@ -41,8 +41,10 @@ nest a row's best split never moves down as ``y`` rises: large steps find
 their row maxima by divide and conquer in O(S log S) cells, the rest scan
 their rows in blocks over each prefix. Every cell repeats a dense scan's
 float operations in order, so plans are bit-identical to one. Time is
-O(N * S log S) on large steps; memory is O(N * S) for the tables, capped by
-``_MAX_TABLE_CELLS``, plus O(_BLOCK_CELLS + S) per step.
+O(N * S log S) on large steps. A solve stores 12 bytes per state, a float64
+value and an int32 backpointer (each step's state set is a view of one
+shared ``arange``, and the path's prices are re-derived from its
+backpointers), within ``_MAX_TABLE_CELLS``, plus O(_BLOCK_CELLS + S) per step.
 
 Tie-breaks are deterministic and documented: among equal-revenue terminal
 states the smallest cumulative sale wins; within a step, the smaller
@@ -73,8 +75,9 @@ __all__ = [
     "replay_revenue",
 ]
 
-# Budget on the DP's stored cells, (N + 1) * (S + 1): its tables keep four
-# 8-byte arrays per step, so this caps them near 128 MiB.
+# Budget on the DP's stored cells, (N + 1) * (S + 1): a solve keeps H (8 B)
+# and back_prev (4 B) per cell and the market's bounds 8 B, so this caps them
+# near 80 MiB, and S + 1 <= 2^22 keeps every backpointer within int32.
 _MAX_TABLE_CELLS = 1 << 22
 # Cells (rows x columns) of one transition block; rows per block follow
 # from the previous step's state count.
@@ -204,11 +207,13 @@ class DPTables:
     """The dynamic program's internals, for inspection and reconstruction.
 
     Lists are indexed by step offset from ``start_step``. ``sale_sets[i]``
-    holds the feasible cumulative sales at that step; ``H[i]`` the best
-    guaranteed revenue per state (-inf marks states no bounded price can
-    reach); ``back_prev``/``back_price`` the chosen predecessor state and
-    price (nan on no-sale carries; -1 and nan on unreachable states). These
-    O(N * S) arrays are all a solve keeps; a step's scans are temporary.
+    holds the feasible cumulative sales at that step, a read-only view of
+    one ``arange(S + 1)`` shared by every step; ``H[i]`` the best guaranteed
+    revenue per state (-inf marks states no bounded price can reach);
+    ``back_prev[i]`` the chosen predecessor state as int32 (the state itself
+    on a no-sale carry, -1 on unreachable states). ``H`` and ``back_prev``,
+    12 bytes per state, are all a solve keeps; a step's scans are temporary
+    and the chosen path's prices are re-derived from its backpointers.
     """
 
     start_step: int
@@ -216,13 +221,13 @@ class DPTables:
     sale_sets: list = field(default_factory=list)
     H: list = field(default_factory=list)
     back_prev: list = field(default_factory=list)
-    back_price: list = field(default_factory=list)
 
 
 class _MarketTables:
     """The DP's tables, shared with the test oracles: the market's step terms
     ``cum``, ``risk``, ``price_scale`` and ``coef``, plus what only the DP
-    needs, the integer cap ``u`` on cumulative sales and the log tables.
+    needs, the integer cap ``u`` on cumulative sales, the log tables and the
+    read-only ``states`` ``arange(S + 1)`` that every step's state set views.
     ``set_demand`` adds what total demand changes, the price bounds and the
     payment means a solve reads, so a replan walk builds the rest only once.
     ``means`` is every row's payment mean, the rows a solve left unpriced
@@ -244,6 +249,8 @@ class _MarketTables:
         self.u = np.minimum(S, np.floor(self.cum)).astype(int)
         with np.errstate(divide="ignore"):
             self.log_k = np.log(np.arange(S + 1, dtype=float))
+        self.states = np.arange(S + 1)
+        self.states.flags.writeable = False
         # Entry S + 1 + d of the flat arrays is z2 = d and its log (nan for
         # z2 < 1, failing every bound test). Row a of the views holds
         # z2 = a - S - 1 + k at column k: one row slice is a block row's
@@ -387,33 +394,27 @@ def _solve(t: _MarketTables, start_step, presold):
     N = len(t.u) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(start_step, N + 1):
-            y_abs, h_prev, prev_pick, price_pick = _step(t, n, h_prev, presold, u_prev)
+            y_abs, h_prev, prev_pick = _step(t, n, h_prev, presold, u_prev)
             tables.sale_sets.append(y_abs)
             tables.H.append(h_prev)
             tables.back_prev.append(prev_pick)
-            tables.back_price.append(price_pick)
             u_prev = int(t.u[n])
 
-    h_final = tables.H[-1]
-    i_star, rtb_star = _terminal(t, tables.sale_sets[-1], h_final)
-    y_star = int(tables.sale_sets[-1][i_star])
+        h_final = tables.H[-1]
+        i_star, rtb_star = _terminal(t, tables.sale_sets[-1], h_final)
+        path = np.empty(N - start_step + 2, dtype=int)  # path[i + 1]: after step i
+        path[-1] = tables.sale_sets[-1][i_star]
+        for i in range(N - start_step, -1, -1):
+            path[i] = tables.back_prev[i][path[i + 1] - presold]
+        if path[0] != presold:
+            raise AssertionError("backpointer chain did not return to the start state")
+        n = np.arange(start_step, N + 1)
+        z1, y = path[:-1], path[1:]
+        # the scan's float operations on each step's split; closed steps
+        # display their bound
+        prices = (np.log(t.cum[n] - z1) - t.log_k[y - z1]) / t.price_scale[n]
 
-    steps = N - start_step + 1
-    prices = np.empty(steps)
-    sales = np.empty(steps, dtype=int)
-    bnds = np.empty(steps)
-    y = y_star
-    for i in range(steps - 1, -1, -1):
-        j = y - presold
-        z1 = int(tables.back_prev[i][j])
-        sales[i] = y - z1
-        bnds[i] = t.bounds[start_step + i, y]
-        prices[i] = tables.back_price[i][j]
-        y = z1
-    if y != presold:
-        raise AssertionError("backpointer chain did not return to the start state")
-
-    plan = PricePlan.from_path(prices, sales, bnds, h_final[i_star], rtb_star,
+    plan = PricePlan.from_path(prices, y - z1, t.bounds[n, y], h_final[i_star], rtb_star,
                                supply=t.S, demand=t.D, start_step=start_step,
                                presold=presold)
     return plan, tables
@@ -464,7 +465,7 @@ def _terminal(t: _MarketTables, y_abs, h):
 
 
 def _step(t: _MarketTables, n, h_prev, presold, u_prev):
-    """One DP transition into step ``n``: ``(y_abs, H, back_prev, back_price)``.
+    """One DP transition into step ``n``: ``(y_abs, H, back_prev)``.
 
     Rows ``i`` are the targets ``y = presold + i``, columns ``j`` the
     predecessors ``z1 = presold + j``. Each row keeps its largest maximising
@@ -497,33 +498,31 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     un = int(t.u[n])
     ny = un - presold + 1
     nz = u_prev - presold + 1
-    y_abs = np.arange(presold, un + 1)
+    y_abs = t.states[presold:un + 1]
     bound = t.bounds[n, presold:un + 1]
     # rows the scan leaves are worth -inf, so the carry or the dead rule
     # below sets their picks
     h_n = np.empty(ny)
     h_n.fill(-np.inf)
-    prev_pick, price_pick = np.empty(ny, dtype=int), np.empty(ny)
+    prev_pick = np.empty(ny, dtype=np.int32)
     if ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0) or ny * t.cum[n] > 2.0 ** 40:
         _scan_blocks(t, n, h_prev, t._ln_avail(n, presold, u_prev), bound, presold,
-                     h_n, prev_pick, price_pick)
+                     h_n, prev_pick)
     else:
         ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
-        _scan_monotone(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick, price_pick)
+        _scan_monotone(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick)
     m = min(ny, nz)
     carry = h_prev[:m] >= h_n[:m]
     np.copyto(h_n[:m], h_prev[:m], where=carry)
     np.copyto(prev_pick[:m], y_abs[:m], where=carry)
-    np.copyto(price_pick[:m], np.nan, where=carry)
     dead = np.isfinite(h_n)
     np.logical_not(dead, out=dead)
     np.copyto(prev_pick, -1, where=dead)
-    np.copyto(price_pick, np.nan, where=dead)
-    return y_abs, h_n, prev_pick, price_pick
+    return y_abs, h_n, prev_pick
 
 
 def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale):
-    """Prices and values of cells, in the dense scan's float order.
+    """Values of cells, in the dense scan's float order.
 
     The arguments broadcast: ``ln(cum_n - z1)``, ``ln z2`` (nan where nothing
     is sold), ``z2``, the predecessor's value and the target's bound. A cell
@@ -538,11 +537,10 @@ def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale):
     vals *= z2
     vals += h  # h + (coef * price) * z2: addition commutes exactly
     np.copyto(vals, -np.inf, where=fail)
-    return price, vals
+    return vals
 
 
-def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
-                 h_n, prev_pick, price_pick):
+def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, prev_pick):
     """Fill the sale rows from :func:`_row_floor` up in blocks, each up to
     its :func:`_window_top`.
 
@@ -561,17 +559,15 @@ def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
         cols = slice(nz - 1 - top, nz)
         # view row S + 1 + i - top starts at row i's sell-now for z1 = presold + top
         window = slice(t.S + 1 + lo - top, t.S + 1 + hi - top), slice(0, top + 1)
-        price, vals = _cells(t, ln_desc[cols], t.log_z2_rows[window], t.z2_rows[window],
-                             h_desc[cols], bound[lo:hi, None], t.price_scale[n])
+        vals = _cells(t, ln_desc[cols], t.log_z2_rows[window], t.z2_rows[window],
+                      h_desc[cols], bound[lo:hi, None], t.price_scale[n])
         pick = vals.argmax(axis=1)
         prev_pick[lo:hi] = presold + top - pick
         pick += np.arange(0, vals.size, top + 1)  # flat index of each row's pick
         h_n[lo:hi] = vals.take(pick)
-        price_pick[lo:hi] = price.take(pick)
 
 
-def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
-                   h_n, prev_pick, price_pick):
+def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, prev_pick):
     """Fill the sale rows by divide and conquer over the monotone argmax.
 
     The top row scans every column; each lower row then scans only its
@@ -596,8 +592,8 @@ def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
         rows = np.repeat(mid, width)
         cols = np.arange(starts[-1] + width[-1]) + np.repeat(first - starts, width)
         k = rows - cols + t.S + 1
-        price, vals = _cells(t, ln_avail[cols], t.log_z2[k], t.z2[k], h_prev[cols],
-                             bound[rows], scale)
+        vals = _cells(t, ln_avail[cols], t.log_z2[k], t.z2[k], h_prev[cols],
+                      bound[rows], scale)
         best = np.maximum.reduceat(vals, starts)
         rep = np.repeat(best, width)
         pick = np.maximum.reduceat(np.where(vals == rep, cols, -1), starts)
@@ -606,7 +602,6 @@ def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold,
         right = np.maximum.reduceat(np.where(near, cols, -1), starts)
         h_n[mid] = best
         prev_pick[mid] = presold + pick
-        price_pick[mid] = price[starts + pick - first]
         lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid - 1, hi))
         first, last = np.concatenate((first, left)), np.concatenate((right, last))
         keep = lo <= hi

@@ -7,8 +7,10 @@ formulas, one step at a time: independent references for the arrays of
 
 ``dense_optimal_plan`` is the dynamic program with every step built as a
 dense ``(ny x nz)`` scan: the bit-identity oracle for the solver's blocked
-transition. ``optimal_pg_revenue`` re-derives one DP cell by a scalar scan,
-and ``brute_force_optimum`` enumerates every sales path of tiny markets.
+transition. Its ``DenseTables`` also keep every state's chosen price, which
+``state_prices`` re-derives from a solve's backpointers.
+``optimal_pg_revenue`` re-derives one DP cell by a scalar scan, and
+``brute_force_optimum`` enumerates every sales path of tiny markets.
 
 The dense DP and the exhaustive search share the solver's precomputed market
 tables (cumulative arrivals, log tables) and mirror its float expressions
@@ -37,6 +39,7 @@ reference for the package's variable-projection ``fit_sigmoid``.
 
 import math
 import warnings
+from dataclasses import dataclass, field
 from datetime import timedelta
 
 import numpy as np
@@ -112,6 +115,29 @@ class EagerTables(_MarketTables):
         return self
 
 
+@dataclass
+class DenseTables(DPTables):
+    """The dense DP's tables: the solver's, plus ``back_price``, each
+    state's chosen price (nan on no-sale carries and unreachable states)."""
+
+    back_price: list = field(default_factory=list)
+
+
+def state_prices(cfg: MarketConfig, grid: TimeGrid, tables: DPTables):
+    """Every state's chosen price, derived from its backpointer by the
+    scan's float operations, ``(ln(cum_n - z1) - ln z2) / scale_n``: nan on
+    no-sale carries and unreachable states, as the dense oracle stores it."""
+    t = _MarketTables(cfg, grid)
+    prices = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (y, z1) in enumerate(zip(tables.sale_sets, tables.back_prev)):
+            n = tables.start_step + i
+            z2 = np.where(z1 >= 0, y - z1, 0)
+            price = (np.log(t.cum[n] - z1) - t.log_k[z2]) / t.price_scale[n]
+            prices.append(np.where(z2 >= 1, price, np.nan))
+    return prices
+
+
 def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
                        start_step=0, presold=0, demand_total=None):
     """The dense DP: ``optimal_plan`` with every step a full (ny x nz) scan.
@@ -129,7 +155,7 @@ def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
     if presold > t.u[start_step]:
         raise ValueError("presold exceeds cumulative arrivals at start_step")
 
-    tables = DPTables(start_step=start_step, presold=presold)
+    tables = DenseTables(start_step=start_step, presold=presold)
     h_prev = np.array([0.0])
     u_prev = presold
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -48,6 +48,13 @@ def test_package_surface_is_the_audited_set():
     assert set(pgrtb.__all__) == PUBLIC
 
 
+def test_dp_tables_fields_are_pinned():
+    """A solve's tables are its states, values and int32 backpointers; the
+    chosen prices are re-derived from the backpointers, not stored."""
+    assert [f.name for f in dataclasses.fields(DPTables)] == [
+        "start_step", "presold", "sale_sets", "H", "back_prev"]
+
+
 def test_import_leaves_scipy_out():
     """Each CLI command is a fresh process, and importing the package and
     its CLI loads no scipy module: scipy serves only the tests' oracles."""

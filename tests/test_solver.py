@@ -46,6 +46,7 @@ from oracles import (
     dense_optimal_plan,
     optimal_pg_revenue,
     purchase_ratio,
+    state_prices,
 )
 from test_acceptance import random_market
 
@@ -321,21 +322,23 @@ def _fitted_curves(fit):
 
 def _assert_same_as_dense(cfg, make_model, **kwargs):
     """The blocked solve equals the dense oracle bit for bit: the plan's JSON
-    bytes and every step's states, values and backpointers."""
+    bytes, every step's states, values and backpointers, and every state's
+    price derived from its backpointer."""
     grid = TimeGrid.from_config(cfg)
     solve = tail_solve if kwargs else optimal_plan
     plan, tables = solve(cfg, grid, make_model(), **kwargs)
     ref_plan, ref = dense_optimal_plan(cfg, grid, make_model(), **kwargs)
     assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict())
     assert len(tables.H) == len(ref.H)
+    prices = state_prices(cfg, grid, tables)
     for i in range(len(ref.H)):
         np.testing.assert_array_equal(tables.sale_sets[i], ref.sale_sets[i])
         np.testing.assert_array_equal(tables.H[i], ref.H[i])
         live = np.isfinite(ref.H[i])
         np.testing.assert_array_equal(tables.back_prev[i][live], ref.back_prev[i][live])
-        np.testing.assert_array_equal(tables.back_price[i][live], ref.back_price[i][live])
+        assert prices[i][live].tobytes() == ref.back_price[i][live].tobytes()
         np.testing.assert_array_equal(tables.back_prev[i][~live], -1)
-        assert np.all(np.isnan(tables.back_price[i][~live]))
+        assert np.all(np.isnan(prices[i][~live]))
 
 
 def _edge_configs():
@@ -442,8 +445,9 @@ def test_prefix_window_never_drops_a_feasible_split(monkeypatch, slack):
 
 
 def test_solve_memory_stays_bounded():
-    """A fresh-model S=1600 solve peaks far below the dense scan's ~125 MiB:
-    the tables are O(N * S) and each transition block O(_BLOCK_CELLS)."""
+    """A fresh-model S=1600 solve peaks far below the dense scan's ~125 MiB,
+    under 3 MiB: the tables keep 12 bytes per state and each transition
+    block is O(_BLOCK_CELLS)."""
     cfg = dataclasses.replace(reference_config(), supply_S=1600, demand_Q=6400,
                               arrival_rate_lambda=0.2 * 6400 / 30.0)
     grid = TimeGrid.from_config(cfg)
@@ -455,7 +459,22 @@ def test_solve_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert plan.total_sold <= cfg.supply_S
-    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_solve_stores_a_value_and_an_int32_backpointer_per_state():
+    """An S=1600 solve keeps 12 bytes per state: every step's state set is a
+    read-only view of one shared buffer, H is float64 and back_prev int32."""
+    cfg = _large_market(1600, 6400)
+    _, tables = optimal_plan(cfg, TimeGrid.from_config(cfg), BidModel.uniform(0.0, 1.0))
+    base = tables.sale_sets[0]
+    for ys in tables.sale_sets:
+        assert np.shares_memory(ys, base) and not ys.flags.writeable
+    assert all(h.dtype == np.float64 for h in tables.H)
+    assert all(b.dtype == np.int32 for b in tables.back_prev)
+    states = sum(ys.size for ys in tables.sale_sets)
+    assert states > 20 * cfg.supply_S
+    assert sum(h.nbytes + b.nbytes for h, b in zip(tables.H, tables.back_prev)) == 12 * states
 
 
 @settings(max_examples=100)
@@ -563,9 +582,9 @@ def test_scanned_cells_scale_near_linearly_in_supply():
         cells = [0]
 
         def counting(*args, kernel=solver._cells):
-            price, vals = kernel(*args)
+            vals = kernel(*args)
             cells[0] += vals.size
-            return price, vals
+            return vals
 
         cfg = _large_market(supply, 4 * supply)
         with pytest.MonkeyPatch.context() as mp:
@@ -637,8 +656,8 @@ def test_capped_spreads_leave_bounds_and_plans_unchanged(seed, law, ceiling, ris
     plan, tables = solver._solve(capped, 0, 0)
     ref_plan, ref_tables = solver._solve(full, 0, 0)
     assert plan.to_dict() == ref_plan.to_dict()
-    for ours, ref in zip((tables.H, tables.back_prev, tables.back_price),
-                         (ref_tables.H, ref_tables.back_prev, ref_tables.back_price)):
+    for ours, ref in zip((tables.sale_sets, tables.H, tables.back_prev),
+                         (ref_tables.sale_sets, ref_tables.H, ref_tables.back_prev)):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref))
 
 
@@ -730,8 +749,8 @@ def test_row_floor_leaves_only_rows_without_a_feasible_split(monkeypatch):
             ref_plan, ref = solver._solve(
                 solver._MarketTables(cfg, grid).set_demand(model, None, presold), start, presold)
         assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict()), k
-        for ours, theirs in zip((tables.sale_sets, tables.H, tables.back_prev, tables.back_price),
-                                (ref.sale_sets, ref.H, ref.back_prev, ref.back_price)):
+        for ours, theirs in zip((tables.sale_sets, tables.H, tables.back_prev),
+                                (ref.sale_sets, ref.H, ref.back_prev)):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)), k
     assert raised and falls
 
