@@ -22,11 +22,6 @@ in a layer of width ~1/xi near u = 1, so a composite Gauss-Kronrod rule
 whose panels halve towards both ends of [0, 1] resolves it at every level.
 The panels depend on the bid model alone, so each level's floats depend on
 ``xi`` alone, whatever other levels are computed with it.
-
-A guaranteed price is capped by ``min(mean + r * spread, cap)`` with
-``r >= 0``, so a level whose mean reaches the cap never needs its spread:
-``payment_moments(..., cap=...)`` reports spread 0 there and the quadrature
-skips the second moment for chunks of such levels.
 """
 
 from __future__ import annotations
@@ -188,20 +183,18 @@ def _density(f, power, scale, log_u, one_minus_u):
     f *= one_minus_u
 
 
-def _payment_points_batch(model, xis, cap=math.inf):
-    """Fill the model's moment caches for every new finite level ``xi >= 2``:
+def _payment_points_batch(model, xis, spread=True):
+    """Fill the model's moment cache for every new finite level ``xi >= 2``:
     the mean and spread of the second-highest of ``xi`` i.i.d. draws from
-    ``model``, or the mean alone for levels whose mean reaches ``cap``.
+    ``model``, or with ``spread=False`` the mean alone, cached with spread
+    nan; a later call that needs such a level's spread recomputes it.
 
     One fixed composite GK15 rule on panels that depend on the model alone
     (the dyadic edges plus the quantile knots): ``ppf`` is evaluated on its
-    nodes once per model, and each level only reweights those values. A
-    chunk of levels takes the second moment only when some mean in it is
-    below ``cap`` (or is nan); otherwise its means go to ``_mean_cache``
-    and a later call that needs their spread recomputes them, so
-    ``cap=-inf`` computes means alone. Every level is reduced on its own,
-    node products summed in node order and then over panels, so its floats
-    depend on ``xi`` alone, not on which other levels share the call.
+    nodes once per model, and each level only reweights those values. Every
+    level is reduced on its own, node products summed in node order and
+    then over panels, so its floats depend on ``xi`` alone, not on which
+    other levels share the call.
 
     The variance is ``m2 - m1^2``, which keeps about ``log2(m2 / var)``
     fewer bits than the moments: at large ``xi`` the payment concentrates
@@ -211,17 +204,15 @@ def _payment_points_batch(model, xis, cap=math.inf):
     level whose K15 - G7 error estimate exceeds ``_RTOL`` of a moment it
     computed emits a RuntimeWarning.
     """
-    full, mean_only = model._moment_cache, model._mean_cache
-    todo = np.array(sorted({xi for xi in map(float, xis)
-                            if math.isfinite(xi) and xi >= 2.0 and xi not in full
-                            and not (xi in mean_only and mean_only[xi] >= cap)}))
+    cache = model._moments
+    todo = np.array(sorted({xi for xi in map(float, xis) if math.isfinite(xi) and xi >= 2.0
+                            and (xi not in cache or spread and math.isnan(cache[xi][1]))}))
     if not todo.size:
         return
     x, one_minus_u, log_u, kronrod_w, error_w = _quadrature_nodes(model)
     work = np.empty((2, min(_CHUNK, todo.size)) + x.shape)
     power, scale = todo - 2.0, todo * (todo - 1.0)
     moments, errors = np.full((2, todo.size), np.nan), np.zeros((2, todo.size))
-    spread = np.zeros(todo.size, dtype=bool)
     for lo in range(0, todo.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         f, products = work[:, :todo[part].size]
@@ -230,12 +221,11 @@ def _payment_points_batch(model, xis, cap=math.inf):
         _density(f, power[part], scale[part], log_u, one_minus_u)
         f *= x
         moments[0, part], errors[0, part] = _moment(f, products, kronrod_w, error_w)
-        if not (moments[0, part] >= cap).all():
+        if spread:
             f *= x
             moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
-            spread[part] = True
     var = moments[1] - moments[0] * moments[0]
-    loose = np.flatnonzero(spread & (2.0 ** -50 * moments[1] > _RTOL * var))
+    loose = np.flatnonzero(2.0 ** -50 * moments[1] > _RTOL * var)  # none without spreads
     for lo in range(0, loose.size, _CHUNK):
         part = loose[lo:lo + _CHUNK]
         f, products = work[:, :part.size]
@@ -246,10 +236,8 @@ def _payment_points_batch(model, xis, cap=math.inf):
         # the warning then judges the central moment the spread comes from
         moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
         var[part] = moments[1, part]
-    m1 = moments[0, spread]
-    full.update(zip(todo[spread].tolist(), zip(
-        m1.tolist(), np.sqrt(np.maximum(var[spread], 0.0)).tolist())))
-    mean_only.update(zip(todo[~spread].tolist(), moments[0, ~spread].tolist()))
+    cache.update(zip(todo.tolist(), zip(
+        moments[0].tolist(), np.sqrt(np.maximum(var, 0.0)).tolist())))
     bad = errors > _RTOL * np.abs(moments)  # nan, and so False, for skipped spreads
     if bad.any():
         i = int(bad.any(axis=0).argmax())
@@ -272,8 +260,7 @@ class BidModel:
 
     def __init__(self, kind, **params):
         self.kind = kind
-        self._moment_cache = {}  # xi -> (mean, std)
-        self._mean_cache = {}  # xi -> mean, for levels computed without their spread
+        self._moments = {}  # xi -> (mean, std), std nan where priced without it
         self._nodes = None
         if kind == "uniform":
             low, high = float(params["low"]), float(params["high"])
@@ -362,20 +349,14 @@ class BidModel:
     def payment_std(self, xi):
         return float(self.payment_moments(xi)[1])
 
-    def payment_moments(self, xis, reserve=0.0, cap=math.inf):
+    def payment_moments(self, xis, reserve=0.0):
         """Mean and spread of the second-price payment at each level of ``xis``.
 
         Below two bidders the payment is the reserve, at infinite competition
         the support's top, and a point mass pays its point (spread 0 in all
-        three). Other levels come from the moment caches, which the fixed
+        three). Other levels come from the moment cache, which the fixed
         quadrature fills once per new level; the rule reduces every level on
         its own, so a level's floats are the same in any call that has it.
-
-        ``cap`` is the ceiling of a bound ``min(mean + r * spread, cap)`` with
-        ``r >= 0``: a level whose mean reaches it reports spread 0, which
-        leaves that bound at ``cap``, and the quadrature skips the second
-        moment where no level needs it. Spreads below the cap, and every
-        spread at the default ``cap=inf``, are the uncapped floats.
         """
         xis = np.asarray(xis, dtype=float)
         means, stds = np.full(xis.shape, float(reserve)), np.zeros(xis.shape)
@@ -385,12 +366,17 @@ class BidModel:
             means[inner] = self._point
         elif inner.any():
             levels = xis[inner].tolist()
-            _payment_points_batch(self, levels, cap)
-            full, mean_only = self._moment_cache, self._mean_cache
-            means[inner], stds[inner] = np.array(
-                [full.get(x) or (mean_only[x], 0.0) for x in levels]).T
-        stds[means >= cap] = 0.0
+            _payment_points_batch(self, levels)
+            means[inner], stds[inner] = np.array([self._moments[x] for x in levels]).T
         return means, stds
+
+    def _payment_means(self, xis):
+        """:meth:`payment_moments`' means at levels ``2 <= xi < inf`` (an
+        array), computed without their spreads."""
+        if self.kind == "empirical" and self._point is not None:
+            return np.full(xis.shape, self._point)
+        _payment_points_batch(self, xis.tolist(), spread=False)
+        return np.array([self._moments[x][0] for x in xis.tolist()])
 
     # -- serialization ------------------------------------------------------
 
@@ -905,13 +891,13 @@ class RevenueCurves:
     def payment_std(self, xi):
         return float(self.payment_moments(xi)[1])
 
-    def payment_moments(self, xis, reserve=0.0, cap=math.inf):
-        """The curves at ``xis``: :meth:`BidModel.payment_moments`'s cases and
-        ``cap`` rule, a level whose mean reaches ``cap`` reporting spread 0."""
+    def payment_moments(self, xis, reserve=0.0):
+        """The curves at ``xis``, with :meth:`BidModel.payment_moments`'
+        reserve below two bidders."""
         xis = np.asarray(xis, dtype=float)
         thin = xis < 2.0
         means = np.where(thin, float(reserve), self.mean_curve(xis))
-        stds = np.where(thin | (means >= cap), 0.0, np.maximum(self.std_curve(xis), 0.0))
+        stds = np.where(thin, 0.0, np.maximum(self.std_curve(xis), 0.0))
         return means, stds
 
     def to_dict(self):

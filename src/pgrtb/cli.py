@@ -65,6 +65,23 @@ def _int_setting(section, key, default, where):
         raise UsageError(f"{where}.{key} must be finite: {exc}") from exc
 
 
+def _load_json(path, what, build):
+    """Read the JSON file at ``path`` and return ``build(payload)``; a file
+    that cannot be read, is not JSON, or that ``build`` rejects (say, a
+    list where an object belongs) is bad input named as ``what``."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+    try:
+        return build(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{what} {path} is malformed: {exc}") from exc
+
+
 def _bid_model_from_section(section):
     kind = section.get("kind")
     if kind not in ("uniform", "lognormal", "empirical"):
@@ -93,13 +110,10 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+        return _load_json(path, "config", cls._from_raw)
+
+    @classmethod
+    def _from_raw(cls, raw):
         _check_keys(raw, {"schema_version", *_SECTIONS}, "top level")
         version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
@@ -157,23 +171,6 @@ def _out_path(rc, args, name):
     out_dir = args.out if args.out is not None else rc.out_dir
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
-
-
-def _load_fitted(path, build):
-    """Read a fitted-model file and ``build`` what one command uses of it:
-    optimize and replan read the curves and value ceiling, and only simulate
-    builds the empirical bid model from the sample."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"model {path} is not valid JSON: {exc}") from exc
-    try:
-        return build(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"model {path} is malformed: {exc}") from exc
 
 
 # -- commands ---------------------------------------------------------------
@@ -247,7 +244,9 @@ def _optimizer_model(rc, args):
     """The model the optimizer runs on, honoring --model; returns (cfg, model)."""
     cfg = rc.require_market()
     if getattr(args, "model", None):
-        curves, ceiling = _load_fitted(args.model, lambda payload: (
+        # optimize and replan read the curves and value ceiling; only
+        # simulate builds the empirical bid model from the sample
+        curves, ceiling = _load_json(args.model, "model", lambda payload: (
             RevenueCurves.from_dict(payload), float(payload["max_value"])))
         cfg = dataclasses.replace(cfg, max_value_pi=ceiling)
         return cfg, curves
@@ -286,16 +285,10 @@ def cmd_optimize(rc: RunConfig, args):
 
 def cmd_simulate(rc: RunConfig, args):
     cfg = rc.require_market()
-    try:
-        with open(args.plan) as fh:
-            payload = json.load(fh)
-        plan = PricePlan.from_dict(payload.get("plan", payload))
-    except OSError as exc:
-        raise UsageError(f"cannot read plan {args.plan}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"plan {args.plan} is malformed: {exc}") from exc
+    plan = _load_json(args.plan, "plan",
+                      lambda payload: PricePlan.from_dict(payload.get("plan", payload)))
     if getattr(args, "model", None):
-        bid_model = _load_fitted(args.model, lambda payload: (
+        bid_model = _load_json(args.model, "model", lambda payload: (
             BidModel.from_dict(payload["bid_model"]) if "bid_model" in payload else None))
         if bid_model is None:
             raise UsageError(f"model {args.model} carries no bid sample")

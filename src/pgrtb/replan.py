@@ -13,8 +13,7 @@ the rows below the first whose mean clears the cap ``pi``, and the terminal
 rows whose total can still be the best. The walk's tables keep the levels
 they priced, and the lowest one seen to clear ``pi``, as bounds for the
 levels of later rounds, so most rounds need no probe and few terminal
-means. The ``ln(cum_n - z1)`` column of a small step is kept while the
-presold count stays, since rounds that sell nothing reuse it.
+means.
 
 With ``epsilon = 0`` the committed path reproduces the static plan's floats
 bit for bit. The walk builds the demand-independent market tables once and

@@ -39,12 +39,12 @@ A split's price ``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``,
 so each row's feasible predecessors are a prefix, and while those prefixes
 nest a row's best split never moves down as ``y`` rises: large steps find
 their row maxima by divide and conquer in O(S log S) cells, the rest scan
-their rows in blocks over each prefix. Every cell repeats a dense scan's
-float operations in order, so plans are bit-identical to one. Time is
-O(N * S log S) on large steps. A solve stores 12 bytes per state, a float64
-value and an int32 backpointer (each step's state set is a view of one
-shared ``arange``, and the path's prices are re-derived from its
-backpointers), within ``_MAX_TABLE_CELLS``, plus O(_BLOCK_CELLS + S) per step.
+their rows in blocks. Every cell repeats a dense scan's float operations in
+order, so plans are bit-identical to one. Time is O(N * S log S) on large
+steps. A solve stores 12 bytes per state, a float64 value and an int32
+backpointer (each step's state set is a view of one shared ``arange``, and
+the path's prices are re-derived from its backpointers), within
+``_MAX_TABLE_CELLS``, plus O(_BLOCK_CELLS + S) per step.
 
 Tie-breaks are deterministic and documented: among equal-revenue terminal
 states the smallest cumulative sale wins; within a step, the smaller
@@ -82,13 +82,6 @@ _MAX_TABLE_CELLS = 1 << 22
 # Cells (rows x columns) of one transition block; rows per block follow
 # from the previous step's state count.
 _BLOCK_CELLS = 1 << 16
-# Columns scanned past the closed-form end of a block's feasible prefix.
-_SLACK = 2
-# The closed-form prefix end is used for log price ratios b * scale in this
-# range: below it exp(b * scale) - 1 keeps too few correct digits, and above
-# it the prefix is the whole row for any pool below e^30.
-_MIN_LOG_RATIO = 1e-6
-_MAX_LOG_RATIO = 30.0
 # A row counts as capped, or as pruned from the terminal choice, only when it
 # clears its priced neighbour by this relative margin: more than the two
 # quadrature errors, each at most _RTOL on a level that does not warn.
@@ -230,8 +223,6 @@ class _MarketTables:
     read-only ``states`` ``arange(S + 1)`` that every step's state set views.
     ``set_demand`` adds what total demand changes, the price bounds and the
     payment means a solve reads, so a replan walk builds the rest only once.
-    ``means`` is every row's payment mean, the rows a solve left unpriced
-    priced on first access.
     """
 
     def __init__(self, cfg: MarketConfig, grid: TimeGrid):
@@ -260,7 +251,6 @@ class _MarketTables:
         self.log_z2[S + 2:2 * S + 2] = self.log_k[1:]
         self.z2_rows = sliding_window_view(self.z2, S + 1)
         self.log_z2_rows = sliding_window_view(self.log_z2, S + 1)
-        self._ln_presold, self._ln_desc = None, {}
         self.model = None
 
     def set_demand(self, model, demand_total, presold=0):
@@ -272,8 +262,8 @@ class _MarketTables:
         with ``y`` over the rows with ``xi >= 2``, so rows from the first
         whose mean clears the cap ``pi`` (:meth:`_cap_row`) get the bound
         ``pi`` and no quadrature, and only the rows below it are priced,
-        spreads included where the mean is below ``pi``. Rows below ``xi =
-        2`` and row ``S`` keep their closed forms.
+        means and spreads. Rows below ``xi = 2`` and row ``S`` keep their
+        closed forms.
         """
         cfg, S = self.cfg, self.S
         self.D = int(demand_total) if demand_total is not None else cfg.demand_Q
@@ -292,19 +282,9 @@ class _MarketTables:
             self._priced[self._cap_row():S] = False
         self._means, stds = np.full(S + 1, np.nan), np.zeros(S + 1)
         self._means[self._priced], stds[self._priced] = model.payment_moments(
-            xi[self._priced], cfg.reserve_price_r0, pi)
+            xi[self._priced], cfg.reserve_price_r0)
         self.bounds = self.terms.bounds(np.where(self._priced, self._means, pi), stds)
         return self
-
-    @property
-    def means(self):
-        self._price(np.flatnonzero(~self._priced))
-        return self._means
-
-    @means.setter
-    def means(self, values):
-        self._means = np.asarray(values, dtype=float)
-        self._priced = np.ones(self._means.size, dtype=bool)
 
     def _price(self, rows):
         """Price the means of ``rows`` not priced yet, in one call."""
@@ -317,7 +297,7 @@ class _MarketTables:
         """The model's means at levels ``xi >= 2``, kept sorted by level as
         bounds for other levels, with the lowest level whose mean clears
         ``pi`` by ``_MARGIN``."""
-        means = self.model.payment_moments(xi, self.cfg.reserve_price_r0, -math.inf)[0]
+        means = self.model._payment_means(xi)
         known = np.concatenate((self._known_xi, xi))
         order = np.argsort(known, kind="stable")
         self._known_xi = known[order]
@@ -357,19 +337,6 @@ class _MarketTables:
             lo = int(probes[probes < hi].max(initial=lo - 1)) + 1  # past those that fail
             probes = np.unique(np.linspace(lo, hi - 1, min(_PROBES, hi - lo)).round().astype(int))
         return hi
-
-    def _ln_avail(self, n, presold, u_prev):
-        """``ln(cum_n - z1)`` for ``z1`` from ``presold`` to ``u_prev``, a
-        view of a column stored from the largest ``z1`` down; kept per ``(n,
-        u_prev)`` until a solve starts from another ``presold``, so
-        consecutive rounds of a walk that sell nothing share it."""
-        if presold != self._ln_presold:
-            self._ln_presold, self._ln_desc = presold, {}
-        col = self._ln_desc.get((n, u_prev))
-        if col is None:
-            col = np.log(self.cum[n] - np.arange(presold, u_prev + 1))[::-1].copy()
-            self._ln_desc[n, u_prev] = col
-        return col[::-1]
 
 
 def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model):
@@ -505,11 +472,10 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     h_n = np.empty(ny)
     h_n.fill(-np.inf)
     prev_pick = np.empty(ny, dtype=np.int32)
+    ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
     if ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0) or ny * t.cum[n] > 2.0 ** 40:
-        _scan_blocks(t, n, h_prev, t._ln_avail(n, presold, u_prev), bound, presold,
-                     h_n, prev_pick)
+        _scan_blocks(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick)
     else:
-        ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
         _scan_monotone(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick)
     m = min(ny, nz)
     carry = h_prev[:m] >= h_n[:m]
@@ -541,20 +507,20 @@ def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale):
 
 
 def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, prev_pick):
-    """Fill the sale rows from :func:`_row_floor` up in blocks, each up to
-    its :func:`_window_top`.
+    """Fill the sale rows from :func:`_row_floor` up in blocks, each over
+    the columns up to its top row's last sale.
 
     Columns run from the largest ``z1`` down, so ``argmax`` (first maximum)
     keeps the smallest sell-now among equal values.
     """
     ny, nz = h_n.size, h_prev.size
-    ln_desc = np.ascontiguousarray(ln_avail[::-1])  # no copy for the cached column
+    ln_desc = ln_avail[::-1].copy()
     h_desc = h_prev[::-1].copy()
     rows = max(1, _BLOCK_CELLS // nz)
     for lo in range(_row_floor(t, n, ln_avail, bound, presold), ny, rows):
         hi = min(lo + rows, ny)
-        top = _window_top(t, n, ln_avail, bound, lo, hi, presold)
-        if top < 0:
+        top = min(nz - 1, hi - 2)
+        if top < 0:  # a floor of 0 on a one-row step: nothing to sell
             continue
         cols = slice(nz - 1 - top, nz)
         # view row S + 1 + i - top starts at row i's sell-now for z1 = presold + top
@@ -628,32 +594,6 @@ def _row_floor(t: _MarketTables, n, ln_avail, bound, presold):
     if t.cum[n] - (presold + ny - 1) < 1.0:
         floor = min(floor, ny - 1)
     return floor
-
-
-def _window_top(t: _MarketTables, n, ln_avail, bound, lo, hi, presold):
-    """Last predecessor column that rows ``lo..hi-1`` of step ``n`` must scan.
-
-    The splits within a bound ``b`` are ``z1 <= (R y - cum) / (R - 1)`` with
-    ``R = exp(b * scale)``, an end that rises with ``y`` and ``R``: the top
-    row and the largest bound give one end for the block, plus ``_SLACK``
-    columns for rounding. The whole row up to the top row's last sale is
-    scanned instead when ``R`` is outside the trusted range or some row's
-    first column past the window passes the float test. -1 scans nothing.
-    """
-    edge = min(ln_avail.size - 1, hi - 2)  # the top row's last column with a sale
-    lam = bound[lo:hi].max() * t.price_scale[n]
-    if not _MIN_LOG_RATIO < lam < _MAX_LOG_RATIO:
-        return edge
-    r = math.exp(lam)
-    end = math.floor((r * (presold + hi - 1) - t.cum[n]) / (r - 1.0)) + _SLACK
-    top = max(min(edge, end - presold), -1)
-    j = top + 1
-    if j <= edge:
-        first = max(lo, j + 1)  # rows that sell from column j
-        price = (ln_avail[j] - t.log_k[first - j:hi - j]) / t.price_scale[n]
-        if (price <= bound[first:hi]).any():
-            return edge
-    return top
 
 
 def replay_revenue(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, model, *,

@@ -17,10 +17,10 @@ tables (cumulative arrivals, log tables) and mirror its float expressions
 operation for operation; their independence is the scan or the exhaustive
 path enumeration, not a re-derivation of the market primitives. That is
 what lets equality tests compare them bit for bit. They price those tables
-through ``EagerTables``, every row's payment moments and bound up front,
+through ``EagerTables``, every row's payment mean and bound up front,
 so they are also the reference for the solver's pricing of only the rows a
-solve reads. ``optimal_pg_revenue`` prices its cells from the scalar
-references.
+solve reads; ``all_means`` completes a lazy table's means for comparison.
+``optimal_pg_revenue`` prices its cells from the scalar references.
 
 ``backlog_demand`` folds the expected waiting pool step by step from posted
 prices, the reference for the pool the DP prices against.
@@ -46,7 +46,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.special import ndtr
 
-from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
+from pgrtb.auction import BidModel, FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import BidLog
 from pgrtb.market import MarketConfig, TimeGrid
 from pgrtb.simulate import _EPOCH, _seed_sequence
@@ -97,9 +97,12 @@ def censored_bound(n, xi, cfg: MarketConfig, grid: TimeGrid, model) -> float:
 
 
 class EagerTables(_MarketTables):
-    """The solver's market tables with every row priced at once: each
-    level's payment mean and spread (spreads under the cap ``pi``) from one
-    ``payment_moments`` call, and every bound from them."""
+    """The solver's market tables with every row priced at once: every
+    level's payment mean, its spread wherever the mean is below ``pi``, and
+    every bound from them. A spread cannot move ``min(mean + risk * spread,
+    pi)`` off ``pi`` once the mean reaches it, so a bid law's levels there
+    skip the second moment: that keeps quadrature, which grows linearly in
+    S, from diluting the quadratic scaling criterion 10 times."""
 
     def set_demand(self, model, demand_total, presold=0):
         cfg, S = self.cfg, self.S
@@ -109,10 +112,24 @@ class EagerTables(_MarketTables):
         y = np.arange(S)
         xi = np.append((self.D - y) / (S - y), math.inf)
         xi[:presold] = 0.0
-        means, stds = model.payment_moments(xi, cfg.reserve_price_r0, cfg.max_value_pi)
-        self.means = means
-        self.bounds = self.terms.bounds(means, stds)
+        self._means, stds = np.full(S + 1, np.nan), np.zeros(S + 1)
+        spread = np.ones(S + 1, dtype=bool)
+        if isinstance(model, BidModel):
+            inner = (xi >= 2.0) & (xi < math.inf)
+            self._means[inner] = model._payment_means(xi[inner])
+            spread[inner] = self._means[inner] < cfg.max_value_pi
+        self._means[spread], stds[spread] = model.payment_moments(
+            xi[spread], cfg.reserve_price_r0)
+        self._priced = np.ones(S + 1, dtype=bool)
+        self.bounds = self.terms.bounds(self._means, stds)
         return self
+
+
+def all_means(t: _MarketTables):
+    """Every row's payment mean in solver tables, pricing the rows a solve
+    left unpriced first."""
+    t._price(np.flatnonzero(~t._priced))
+    return t._means
 
 
 @dataclass
@@ -196,7 +213,7 @@ def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
             u_prev = un
 
         y_abs = tables.sale_sets[-1]
-        rtb = np.where(y_abs < t.S, (t.S - y_abs) * t.means[y_abs], 0.0)
+        rtb = np.where(y_abs < t.S, (t.S - y_abs) * t._means[y_abs], 0.0)
     h_final = tables.H[-1]
     total = np.where(np.isfinite(h_final), h_final + rtb, -np.inf)
     i_star = int(np.argmax(total))
@@ -294,7 +311,7 @@ def brute_force_optimum(cfg: MarketConfig, grid: TimeGrid, model):
 
     def visit(n, y, pg, path):
         if n > N:
-            rtb = 0.0 if y == t.S else (t.S - y) * t.means[y]
+            rtb = 0.0 if y == t.S else (t.S - y) * t._means[y]
             total = pg + rtb
             key = (y,) + tuple(z for z, _ in reversed(path))
             if total > best["rev"] or (total == best["rev"] and key < best["key"]):
@@ -354,9 +371,8 @@ def scalar_payment_moments(model, xi, reserve=0.0):
         return model.support()[1], 0.0
     if model.kind == "empirical" and model._point is not None:
         return model._point, 0.0
-    if float(xi) not in model._moment_cache:
-        _payment_points_batch(model, [float(xi)])
-    return model._moment_cache[float(xi)]
+    _payment_points_batch(model, [float(xi)])
+    return model._moments[float(xi)]
 
 
 def pdf(model, x):

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -53,6 +54,13 @@ def test_dp_tables_fields_are_pinned():
     chosen prices are re-derived from the backpointers, not stored."""
     assert [f.name for f in dataclasses.fields(DPTables)] == [
         "start_step", "presold", "sale_sets", "H", "back_prev"]
+
+
+def test_payment_moments_signature_is_pinned():
+    """Both payment models answer one contract, mean and spread at each
+    level, with no knob past the reserve."""
+    for model in (pgrtb.BidModel, pgrtb.RevenueCurves):
+        assert str(inspect.signature(model.payment_moments)) == "(self, xis, reserve=0.0)"
 
 
 def test_import_leaves_scipy_out():

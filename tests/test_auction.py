@@ -236,29 +236,37 @@ def test_payment_moments_matches_scalar_calls():
             ((), *scalar_payment_moments(make(), 3.5))
 
 
-def test_spreads_skipped_under_a_cap_match_a_fresh_model():
-    """A level priced under a cap its mean reaches reports spread 0 and
-    keeps only its mean; asked later for its spread, with a higher cap or
-    none, it gives a fresh model's floats, and so does every other call."""
+def test_means_priced_alone_match_a_fresh_model():
+    """A level priced by ``_payment_means`` keeps only its mean; asked later
+    for its spread, alone or mixed with other levels in any order, it gives
+    a fresh model's floats, and its mean stays the same: uniform, lognormal,
+    empirical and point-mass laws."""
     levels = np.concatenate([np.linspace(2.0, 9.0, 29), [17.0, 40.0, 1e3]])
     fresh = [lambda: BidModel.uniform(0.1, 0.9),
              lambda: BidModel.lognormal(-0.5, 0.5),
-             lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300))]
+             lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300)),
+             lambda: BidModel.empirical([0.7] * 20)]
+    rng = np.random.default_rng(29)
     for make in fresh:
-        ref_means, ref_stds = make().payment_moments(levels)
-        for cap in (0.0, float(np.median(ref_means)), math.inf):
+        ref = dict(zip(levels.tolist(), zip(*make().payment_moments(levels))))
+        for _ in range(4):
             model = make()
-            means, stds = model.payment_moments(levels, cap=cap)
-            assert means.tobytes() == ref_means.tobytes()
-            assert stds.tobytes() == np.where(ref_means >= cap, 0.0, ref_stds).tobytes()
-            assert bool(model._mean_cache) == (cap < math.inf)  # some spreads skipped
-            means, stds = model.payment_moments(levels)
-            assert means.tobytes() == ref_means.tobytes()
-            assert stds.tobytes() == ref_stds.tobytes()
-            scalar = make()
-            scalar.payment_moments(levels, cap=cap)
-            for xi in levels[::-1]:  # scalar calls, in another order
-                assert scalar.payment_std(xi) == scalar_payment_moments(make(), xi)[1]
+            order = rng.permutation(levels)
+            alone = order[:int(rng.integers(1, order.size))]
+            means = model._payment_means(alone)
+            assert means.tolist() == [ref[xi][0] for xi in alone.tolist()]
+            if getattr(model, "_point", None) is None:  # a point mass needs no quadrature
+                assert all(math.isnan(model._moments[xi][1]) for xi in alone.tolist())
+            cuts = np.sort(rng.choice(np.arange(1, order.size), 3, replace=False))
+            for part in np.split(rng.permutation(order), cuts):
+                means, stds = model.payment_moments(part)
+                assert list(zip(means.tolist(), stds.tolist())) == \
+                    [ref[xi] for xi in part.tolist()]
+            assert model._payment_means(levels).tolist() == [ref[xi][0] for xi in levels.tolist()]
+        scalar = make()
+        scalar._payment_means(levels)
+        for xi in levels[::-1]:  # scalar calls, in another order
+            assert scalar.payment_std(xi) == scalar_payment_moments(make(), xi)[1]
 
 
 def test_quadrature_nodes_built_once_per_model():

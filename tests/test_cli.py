@@ -231,11 +231,16 @@ def test_fit_and_segment_refuse_mixed_stamp_kinds(tmp_path, capsys):
 def test_simulate_rejects_malformed_plan(tmp_path, capsys):
     cfg_path = dump(tmp_path, base_config(tmp_path))
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text("{}")
+    for text in ("{}", "[]"):
+        plan_path.write_text(text)
+        assert main(["simulate", "--config", cfg_path, "--plan", str(plan_path)]) == 2
+        assert f"plan {plan_path} is malformed" in capsys.readouterr().err
+    plan_path.write_text('{"plan": ')
     assert main(["simulate", "--config", cfg_path, "--plan", str(plan_path)]) == 2
-    assert "malformed" in capsys.readouterr().err
+    assert f"plan {plan_path} is not valid JSON" in capsys.readouterr().err
     assert main(["simulate", "--config", cfg_path,
                  "--plan", str(tmp_path / "nope.json")]) == 2
+    assert "cannot read plan" in capsys.readouterr().err
 
 
 def test_optimize_refuses_an_oversized_market(tmp_path, capsys):

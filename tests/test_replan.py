@@ -242,4 +242,4 @@ def test_reference_walk_prices_few_payment_levels():
     cfg = reference_config()
     model = BidModel.lognormal(-0.5, 0.5)
     replan(cfg, TimeGrid.from_config(cfg), model, UncertaintySpec(0.1, 7, "gaussian"))
-    assert len(set(model._moment_cache) | set(model._mean_cache)) <= 1100
+    assert len(model._moments) <= 1100

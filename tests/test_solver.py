@@ -40,6 +40,7 @@ from pgrtb.solver import (
 
 from oracles import (
     EagerTables,
+    all_means,
     backlog_demand,
     brute_force_optimum,
     censored_bound,
@@ -406,44 +407,6 @@ def test_blocked_dp_matches_dense_oracle_at_scale():
     _assert_same_as_dense(cfg, lambda: BidModel.uniform(0.0, 1.0))
 
 
-@pytest.mark.parametrize("slack", [2, -4])
-def test_prefix_window_never_drops_a_feasible_split(monkeypatch, slack):
-    """Every split that passes the float bound test lies inside its block's
-    window. With the slack made negative the closed form falls short, so the
-    check on the first column past the window must widen it."""
-    monkeypatch.setattr(solver, "_SLACK", slack)
-    rng = np.random.default_rng(515)
-    configs = [random_market(rng, tiny=False) for _ in range(15)] + _edge_configs()
-    short = 0  # blocks where the closed form alone would drop a split
-    for k, cfg in enumerate(configs):
-        grid = TimeGrid.from_config(cfg)
-        t = solver._MarketTables(cfg, grid).set_demand(BidModel.lognormal(0.0, 0.5), None)
-        u_prev = 0
-        for n in range(cfg.steps_N + 1):
-            un = int(t.u[n])
-            ln_avail = np.log(t.cum[n] - np.arange(u_prev + 1))
-            bound = t.bounds[n, :un + 1]
-            i, j = np.meshgrid(np.arange(un + 1), np.arange(u_prev + 1), indexing="ij")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                price = (ln_avail[j] - t.log_k[np.maximum(i - j, 1)]) / t.price_scale[n]
-            feasible = (i - j >= 1) & (price <= bound[:, None])
-            for rows in (1, 3, 8):
-                for lo in range(0, un + 1, rows):
-                    hi = min(lo + rows, un + 1)
-                    top = solver._window_top(t, n, ln_avail, bound, lo, hi, 0)
-                    last = np.nonzero(feasible[lo:hi].any(axis=0))[0].max(initial=-1)
-                    assert last <= top, (k, n, lo, hi)
-                    lam = bound[lo:hi].max() * t.price_scale[n]
-                    if 1e-6 < lam < 30.0:
-                        r = math.exp(lam)
-                        end = math.floor((r * (hi - 1) - t.cum[n]) / (r - 1.0)) + slack
-                        short += last > max(end, -1)
-            u_prev = un
-        if slack < 0:
-            _assert_same_as_dense(cfg, lambda: BidModel.lognormal(0.0, 0.5))
-    assert (short > 0) == (slack < 0)
-
-
 def test_solve_memory_stays_bounded():
     """A fresh-model S=1600 solve peaks far below the dense scan's ~125 MiB,
     under 3 MiB: the tables keep 12 bytes per state and each transition
@@ -631,7 +594,7 @@ _SPREAD_MODELS = [
 @given(seed=st.integers(0, 2**32 - 1), law=st.integers(0, 3),
        ceiling=st.sampled_from(["below", "straddling", "above"]), riskless=st.booleans())
 def test_capped_spreads_leave_bounds_and_plans_unchanged(seed, law, ceiling, riskless):
-    """The tables ask for spreads only below the cap pi; their means, bounds
+    """The tables price spreads only below their cap row; their means, bounds
     and plan equal those built from every level's full spread, with pi below,
     among or above the payment means and with zero risk weight too."""
     rng = np.random.default_rng(seed)
@@ -649,9 +612,9 @@ def test_capped_spreads_leave_bounds_and_plans_unchanged(seed, law, ceiling, ris
     grid = TimeGrid.from_config(cfg)
     capped = solver._MarketTables(cfg, grid).set_demand(make(), None)
     full = solver._MarketTables(cfg, grid)
-    full.D, full.means = D, means
+    full.D, full._means, full._priced = D, means, np.ones(S + 1, dtype=bool)
     full.bounds = full.terms.bounds(means, stds)
-    assert capped.means.tobytes() == means.tobytes()
+    assert all_means(capped).tobytes() == means.tobytes()
     assert capped.bounds.tobytes() == full.bounds.tobytes()
     plan, tables = solver._solve(capped, 0, 0)
     ref_plan, ref_tables = solver._solve(full, 0, 0)
@@ -761,4 +724,4 @@ def test_large_uniform_solve_prices_few_payment_levels():
     model = BidModel.uniform(0.0, 1.0)
     cfg = _large_market(1600, 6400)
     optimal_plan(cfg, TimeGrid.from_config(cfg), model)
-    assert len(set(model._moment_cache) | set(model._mean_cache)) <= 800
+    assert len(model._moments) <= 800
