@@ -193,11 +193,11 @@ class StepTerms:
             1.0 + cfg.time_effect_beta * (grid.points[-1] - grid.points))
         self.coef = 1.0 - cfg.miss_prob_omega * cfg.penalty_size_varpi
 
-    def bounds(self, means, stds):
-        """Price bounds per (step, level), ``min(mean + risk * std, pi)``, from
-        the payment moments per competition level (``payment_moments``)."""
-        return np.minimum(means[None, :] + self.risk[:, None] * stds[None, :],
-                          self.max_value_pi)
+    def bound(self, n, means, stds):
+        """Price bounds ``min(mean + risk[n] * std, pi)`` from payment moments;
+        ``n`` broadcasts against them: a step gives its row, steps paired
+        with levels a path's bounds, a column of steps the full table."""
+        return np.minimum(means + self.risk[n] * stds, self.max_value_pi)
 
 
 def reference_config() -> MarketConfig:

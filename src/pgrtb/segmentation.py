@@ -201,7 +201,7 @@ def _rtb_only_plan(cfg, grid, model):
     """
     xi0 = competition_level(cfg.demand_Q, cfg.supply_S, 0)
     means, stds = model.payment_moments(np.array([xi0]), cfg.reserve_price_r0)
-    bounds = StepTerms(cfg, grid).bounds(means, stds)[:, 0]
+    bounds = StepTerms(cfg, grid).bound(np.arange(grid.n_steps + 1), means[0], stds[0])
     revenue = cfg.supply_S * float(means[0])
     return PricePlan.from_path(bounds, np.zeros(grid.n_steps + 1, dtype=int), bounds,
                                0.0, revenue, supply=cfg.supply_S, demand=cfg.demand_Q)

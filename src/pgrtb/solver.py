@@ -41,10 +41,10 @@ nest a row's best split never moves down as ``y`` rises: large steps find
 their row maxima by divide and conquer in O(S log S) cells, the rest scan
 their rows in blocks. Every cell repeats a dense scan's float operations in
 order, so plans are bit-identical to one. Time is O(N * S log S) on large
-steps. A solve stores 12 bytes per state, a float64 value and an int32
-backpointer (each step's state set is a view of one shared ``arange``, and
-the path's prices are re-derived from its backpointers), within
-``_MAX_TABLE_CELLS``, plus O(_BLOCK_CELLS + S) per step.
+steps. A solve stores 4 bytes per state, an int32 backpointer, within
+``_MAX_TABLE_CELLS``, plus O(S) vectors and O(_BLOCK_CELLS + S) per step:
+a step builds its bound row from the payment moments, and the path's prices
+and bounds are re-derived from its backpointers.
 
 Tie-breaks are deterministic and documented: among equal-revenue terminal
 states the smallest cumulative sale wins; within a step, the smaller
@@ -75,9 +75,9 @@ __all__ = [
     "replay_revenue",
 ]
 
-# Budget on the DP's stored cells, (N + 1) * (S + 1): a solve keeps H (8 B)
-# and back_prev (4 B) per cell and the market's bounds 8 B, so this caps them
-# near 80 MiB, and S + 1 <= 2^22 keeps every backpointer within int32.
+# Budget on the DP's stored cells, (N + 1) * (S + 1): a solve keeps back_prev
+# (4 B) per cell, so this caps it at 16 MiB, and S + 1 <= 2^22 keeps every
+# backpointer within int32.
 _MAX_TABLE_CELLS = 1 << 22
 # Cells (rows x columns) of one transition block; rows per block follow
 # from the previous step's state count.
@@ -201,41 +201,39 @@ class DPTables:
 
     Lists are indexed by step offset from ``start_step``. ``sale_sets[i]``
     holds the feasible cumulative sales at that step, a read-only view of
-    one ``arange(S + 1)`` shared by every step; ``H[i]`` the best guaranteed
-    revenue per state (-inf marks states no bounded price can reach);
-    ``back_prev[i]`` the chosen predecessor state as int32 (the state itself
-    on a no-sale carry, -1 on unreachable states). ``H`` and ``back_prev``,
-    12 bytes per state, are all a solve keeps; a step's scans are temporary
-    and the chosen path's prices are re-derived from its backpointers.
+    one ``arange(S + 1)`` shared by every step; ``back_prev[i]`` the chosen
+    predecessor state as int32 (the state itself on a no-sale carry, -1 on
+    unreachable states), all a solve keeps per state; ``h_final`` the last
+    step's best guaranteed revenue per state (-inf: no bounded price).
     """
 
     start_step: int
     presold: int
     sale_sets: list = field(default_factory=list)
-    H: list = field(default_factory=list)
     back_prev: list = field(default_factory=list)
+    h_final: np.ndarray | None = None
 
 
 class _MarketTables:
     """The DP's tables, shared with the test oracles: the market's step terms
-    ``cum``, ``risk``, ``price_scale`` and ``coef``, plus what only the DP
+    ``cum``, ``price_scale`` and ``coef``, plus what only the DP
     needs, the integer cap ``u`` on cumulative sales, the log tables and the
     read-only ``states`` ``arange(S + 1)`` that every step's state set views.
-    ``set_demand`` adds what total demand changes, the price bounds and the
-    payment means a solve reads, so a replan walk builds the rest only once.
+    ``set_demand`` adds what total demand changes, the payment means and the
+    bounds' moments (:meth:`bound`), so a replan walk builds the rest once.
     """
 
     def __init__(self, cfg: MarketConfig, grid: TimeGrid):
-        self.terms = StepTerms(cfg, grid)
         cells = (cfg.steps_N + 1) * (cfg.supply_S + 1)
         if cells > _MAX_TABLE_CELLS:
             raise ValueError(
                 f"problem too large: {cfg.steps_N + 1} steps x {cfg.supply_S + 1} "
                 f"states = {cells:,} DP table cells, above the budget of "
                 f"{_MAX_TABLE_CELLS:,}")
+        self.terms = StepTerms(cfg, grid)
         S = self.S = cfg.supply_S
         self.cfg = cfg
-        self.cum, self.risk = self.terms.cum, self.terms.risk
+        self.cum = self.terms.cum
         self.price_scale, self.coef = self.terms.price_scale, self.terms.coef
         self.u = np.minimum(S, np.floor(self.cum)).astype(int)
         with np.errstate(divide="ignore"):
@@ -276,15 +274,18 @@ class _MarketTables:
             self.model, self._xi_clear = model, math.inf
             self._known_xi, self._known_mean = np.empty(0), np.empty(0)
         self.xi = xi
-        pi = cfg.max_value_pi
         self._priced = np.ones(S + 1, dtype=bool)
         if isinstance(model, BidModel):
             self._priced[self._cap_row():S] = False
-        self._means, stds = np.full(S + 1, np.nan), np.zeros(S + 1)
-        self._means[self._priced], stds[self._priced] = model.payment_moments(
+        self._means, self.bound_stds = np.full(S + 1, np.nan), np.zeros(S + 1)
+        self._means[self._priced], self.bound_stds[self._priced] = model.payment_moments(
             xi[self._priced], cfg.reserve_price_r0)
-        self.bounds = self.terms.bounds(np.where(self._priced, self._means, pi), stds)
+        self.bound_means = np.where(self._priced, self._means, cfg.max_value_pi)
         return self
+
+    def bound(self, n, y):
+        """Bounds at steps ``n`` and rows ``y``, from moments fixed by ``set_demand``."""
+        return self.terms.bound(n, self.bound_means[y], self.bound_stds[y])
 
     def _price(self, rows):
         """Price the means of ``rows`` not priced yet, in one call."""
@@ -363,11 +364,10 @@ def _solve(t: _MarketTables, start_step, presold):
         for n in range(start_step, N + 1):
             y_abs, h_prev, prev_pick = _step(t, n, h_prev, presold, u_prev)
             tables.sale_sets.append(y_abs)
-            tables.H.append(h_prev)
             tables.back_prev.append(prev_pick)
             u_prev = int(t.u[n])
 
-        h_final = tables.H[-1]
+        h_final = tables.h_final = h_prev
         i_star, rtb_star = _terminal(t, tables.sale_sets[-1], h_final)
         path = np.empty(N - start_step + 2, dtype=int)  # path[i + 1]: after step i
         path[-1] = tables.sale_sets[-1][i_star]
@@ -381,7 +381,7 @@ def _solve(t: _MarketTables, start_step, presold):
         # display their bound
         prices = (np.log(t.cum[n] - z1) - t.log_k[y - z1]) / t.price_scale[n]
 
-    plan = PricePlan.from_path(prices, y - z1, t.bounds[n, y], h_final[i_star], rtb_star,
+    plan = PricePlan.from_path(prices, y - z1, t.bound(n, y), h_final[i_star], rtb_star,
                                supply=t.S, demand=t.D, start_step=start_step,
                                presold=presold)
     return plan, tables
@@ -466,7 +466,7 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     ny = un - presold + 1
     nz = u_prev - presold + 1
     y_abs = t.states[presold:un + 1]
-    bound = t.bounds[n, presold:un + 1]
+    bound = t.bound(n, slice(presold, un + 1))
     # rows the scan leaves are worth -inf, so the carry or the dead rule
     # below sets their picks
     h_n = np.empty(ny)

@@ -7,8 +7,10 @@ formulas, one step at a time: independent references for the arrays of
 
 ``dense_optimal_plan`` is the dynamic program with every step built as a
 dense ``(ny x nz)`` scan: the bit-identity oracle for the solver's blocked
-transition. Its ``DenseTables`` also keep every state's chosen price, which
-``state_prices`` re-derives from a solve's backpointers.
+transition. Its ``DenseTables`` also keep every step's values and every
+state's chosen price, which a solve does not: ``solve_with_values`` captures
+a solve's values step by step, and ``state_prices`` re-derives its prices
+from its backpointers.
 ``optimal_pg_revenue`` re-derives one DP cell by a scalar scan, and
 ``brute_force_optimum`` enumerates every sales path of tiny markets.
 
@@ -19,7 +21,8 @@ path enumeration, not a re-derivation of the market primitives. That is
 what lets equality tests compare them bit for bit. They price those tables
 through ``EagerTables``, every row's payment mean and bound up front,
 so they are also the reference for the solver's pricing of only the rows a
-solve reads; ``all_means`` completes a lazy table's means for comparison.
+solve reads; ``all_means`` completes a lazy table's means and
+``bound_table`` builds its full bound table for comparison.
 ``optimal_pg_revenue`` prices its cells from the scalar references.
 
 ``backlog_demand`` folds the expected waiting pool step by step from posted
@@ -46,6 +49,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.special import ndtr
 
+from pgrtb import solver
 from pgrtb.auction import BidModel, FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import BidLog
 from pgrtb.market import MarketConfig, TimeGrid
@@ -99,10 +103,11 @@ def censored_bound(n, xi, cfg: MarketConfig, grid: TimeGrid, model) -> float:
 class EagerTables(_MarketTables):
     """The solver's market tables with every row priced at once: every
     level's payment mean, its spread wherever the mean is below ``pi``, and
-    every bound from them. A spread cannot move ``min(mean + risk * spread,
-    pi)`` off ``pi`` once the mean reaches it, so a bid law's levels there
-    skip the second moment: that keeps quadrature, which grows linearly in
-    S, from diluting the quadratic scaling criterion 10 times."""
+    the full (step, row) table ``bounds`` from them. A spread cannot move
+    ``min(mean + risk * spread, pi)`` off ``pi`` once the mean reaches it,
+    so a bid law's levels there skip the second moment: that keeps
+    quadrature, which grows linearly in S, from diluting the quadratic
+    scaling criterion 10 times."""
 
     def set_demand(self, model, demand_total, presold=0):
         cfg, S = self.cfg, self.S
@@ -121,8 +126,14 @@ class EagerTables(_MarketTables):
         self._means[spread], stds[spread] = model.payment_moments(
             xi[spread], cfg.reserve_price_r0)
         self._priced = np.ones(S + 1, dtype=bool)
-        self.bounds = self.terms.bounds(self._means, stds)
+        self.bound_means, self.bound_stds = self._means.copy(), stds
+        self.bounds = bound_table(self)
         return self
+
+
+def bound_table(t: _MarketTables):
+    """The full (step, row) table of price bounds from tables' moments."""
+    return t.terms.bound(np.arange(len(t.u))[:, None], t.bound_means, t.bound_stds)
 
 
 def all_means(t: _MarketTables):
@@ -134,10 +145,32 @@ def all_means(t: _MarketTables):
 
 @dataclass
 class DenseTables(DPTables):
-    """The dense DP's tables: the solver's, plus ``back_price``, each
-    state's chosen price (nan on no-sale carries and unreachable states)."""
+    """The dense DP's tables: the solver's, plus ``H``, every step's values,
+    and ``back_price``, each state's chosen price (nan on no-sale carries
+    and unreachable states)."""
 
+    H: list = field(default_factory=list)
     back_price: list = field(default_factory=list)
+
+
+def solve_with_values(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, a solver route that returns ``(plan,
+    tables)``, with every DP step's values ``h_n`` in step order, which a
+    solve does not keep: ``(plan, tables, H)``. The values are captured by
+    wrapping ``solver._step``."""
+    H, step = [], solver._step
+
+    def capturing(*step_args):
+        out = step(*step_args)
+        H.append(out[1])
+        return out
+
+    solver._step = capturing
+    try:
+        plan, tables = solve(*args, **kwargs)
+    finally:
+        solver._step = step
+    return plan, tables, H
 
 
 def state_prices(cfg: MarketConfig, grid: TimeGrid, tables: DPTables):
@@ -214,7 +247,7 @@ def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
 
         y_abs = tables.sale_sets[-1]
         rtb = np.where(y_abs < t.S, (t.S - y_abs) * t._means[y_abs], 0.0)
-    h_final = tables.H[-1]
+    h_final = tables.h_final = tables.H[-1]
     total = np.where(np.isfinite(h_final), h_final + rtb, -np.inf)
     i_star = int(np.argmax(total))
     y_star = int(y_abs[i_star])

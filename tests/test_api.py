@@ -50,10 +50,10 @@ def test_package_surface_is_the_audited_set():
 
 
 def test_dp_tables_fields_are_pinned():
-    """A solve's tables are its states, values and int32 backpointers; the
-    chosen prices are re-derived from the backpointers, not stored."""
+    """A solve's tables are its states, int32 backpointers and final values;
+    each step's values, the chosen prices and their bounds are not stored."""
     assert [f.name for f in dataclasses.fields(DPTables)] == [
-        "start_step", "presold", "sale_sets", "H", "back_prev"]
+        "start_step", "presold", "sale_sets", "back_prev", "h_final"]
 
 
 def test_payment_moments_signature_is_pinned():

@@ -169,16 +169,18 @@ def test_censored_bound_reserve_below_two_bidders():
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
     moments = model.payment_moments(np.array([1.0, 0.3]), cfg.reserve_price_r0)
-    bounds = StepTerms(cfg, grid).bounds(*moments)
+    terms = StepTerms(cfg, grid)
+    bounds = terms.bound(np.arange(3)[:, None], *moments)
     assert bounds.shape == (3, 2)
     assert bounds[1].tolist() == [0.15, 0.15]
+    assert terms.bound(1, *moments).tolist() == [0.15, 0.15]
 
 
 def test_censored_bound_censors_at_ceiling():
     cfg = small_config(max_value_pi=0.2, risk_level_zeta=50.0)
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
-    assert StepTerms(cfg, grid).bounds(*model.payment_moments(np.array([6.0])))[0, 0] == 0.2
+    assert StepTerms(cfg, grid).bound(0, *model.payment_moments(np.array([6.0])))[0] == 0.2
 
 
 def test_censored_bound_adds_risk_premium():
@@ -187,10 +189,10 @@ def test_censored_bound_adds_risk_premium():
     grid = TimeGrid.from_config(cfg0)
     model = BidModel.uniform(0.0, 1.0)
     moments = model.payment_moments(np.array([3.0]))
-    base = StepTerms(cfg0, grid).bounds(*moments)[1, 0]
+    base = StepTerms(cfg0, grid).bound(1, *moments)[0]
     assert base == pytest.approx(model.payment_mean(3.0), abs=1e-12)
     terms = StepTerms(cfg1, grid)
-    lifted = terms.bounds(*moments)[1, 0]
+    lifted = terms.bound(1, *moments)[0]
     assert lifted == pytest.approx(base + terms.risk[1] * model.payment_std(3.0), abs=1e-12)
 
 

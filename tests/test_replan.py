@@ -193,7 +193,7 @@ def test_reference_walks_are_golden(epsilon, seed):
 
 def test_rows_below_presold_are_never_read(monkeypatch):
     """A round's tail solve reads no table row below its presold count: with
-    those rows' means and bounds set to nan the walk is unchanged."""
+    those rows' means and bound moments set to nan the walk is unchanged."""
     cfg = reference_config()
     grid = TimeGrid.from_config(cfg)
     spec = UncertaintySpec(0.1, 5)
@@ -204,7 +204,8 @@ def test_rows_below_presold_are_never_read(monkeypatch):
     def blanking(self, model, demand_total, presold=0):
         set_demand(self, model, demand_total, presold)
         self._means[:presold] = np.nan
-        self.bounds[:, :presold] = np.nan
+        self.bound_means[:presold] = np.nan
+        self.bound_stds[:presold] = np.nan
         blanked.append(presold)
         return self
 

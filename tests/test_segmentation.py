@@ -156,7 +156,7 @@ def test_auction_only_bounds_equal_the_dp_bounds():
         grid = TimeGrid.from_config(cfg)
         plan = _rtb_only_plan(cfg, grid, model)
         dp = _MarketTables(cfg, grid).set_demand(model, None)
-        assert plan.bounds.tolist() == dp.bounds[:, 0].tolist()
+        assert plan.bounds.tolist() == dp.bound(np.arange(cfg.steps_N + 1), 0).tolist()
 
 
 def test_degenerate_bids_fall_back_to_one_group():

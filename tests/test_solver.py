@@ -42,11 +42,13 @@ from oracles import (
     EagerTables,
     all_means,
     backlog_demand,
+    bound_table,
     brute_force_optimum,
     censored_bound,
     dense_optimal_plan,
     optimal_pg_revenue,
     purchase_ratio,
+    solve_with_values,
     state_prices,
 )
 from test_acceptance import random_market
@@ -127,13 +129,14 @@ def test_scalar_recursion_matches_dp_tables():
         cfg = random_tiny_config(rng)
         grid = TimeGrid.from_config(cfg)
         model = MODELS[trial % 3]
-        plan, tables = optimal_plan(cfg, grid, model)
+        plan, tables, H = solve_with_values(optimal_plan, cfg, grid, model)
+        assert H[-1] is tables.h_final
         h_prev = {}
         for i, y_set in enumerate(tables.sale_sets):
             h_here = {}
             for j, y in enumerate(y_set):
                 value, pick = optimal_pg_revenue(i, int(y), h_prev, cfg, grid, model)
-                stored = tables.H[i][j]
+                stored = H[i][j]
                 if math.isfinite(stored):
                     # the scalar route recomputes the ceiling through math.exp
                     # while the tables use np.exp, so allow the last ulps
@@ -323,18 +326,20 @@ def _fitted_curves(fit):
 
 def _assert_same_as_dense(cfg, make_model, **kwargs):
     """The blocked solve equals the dense oracle bit for bit: the plan's JSON
-    bytes, every step's states, values and backpointers, and every state's
-    price derived from its backpointer."""
+    bytes, every step's states, values (as each step computed them) and
+    backpointers, the final values the solve keeps, and every state's price
+    derived from its backpointer."""
     grid = TimeGrid.from_config(cfg)
     solve = tail_solve if kwargs else optimal_plan
-    plan, tables = solve(cfg, grid, make_model(), **kwargs)
+    plan, tables, H = solve_with_values(solve, cfg, grid, make_model(), **kwargs)
     ref_plan, ref = dense_optimal_plan(cfg, grid, make_model(), **kwargs)
     assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict())
-    assert len(tables.H) == len(ref.H)
+    assert len(H) == len(tables.sale_sets) == len(tables.back_prev) == len(ref.H)
+    assert tables.h_final.tobytes() == ref.h_final.tobytes()
     prices = state_prices(cfg, grid, tables)
     for i in range(len(ref.H)):
         np.testing.assert_array_equal(tables.sale_sets[i], ref.sale_sets[i])
-        np.testing.assert_array_equal(tables.H[i], ref.H[i])
+        np.testing.assert_array_equal(H[i], ref.H[i])
         live = np.isfinite(ref.H[i])
         np.testing.assert_array_equal(tables.back_prev[i][live], ref.back_prev[i][live])
         assert prices[i][live].tobytes() == ref.back_price[i][live].tobytes()
@@ -409,8 +414,8 @@ def test_blocked_dp_matches_dense_oracle_at_scale():
 
 def test_solve_memory_stays_bounded():
     """A fresh-model S=1600 solve peaks far below the dense scan's ~125 MiB,
-    under 3 MiB: the tables keep 12 bytes per state and each transition
-    block is O(_BLOCK_CELLS)."""
+    under 1 MiB: the tables keep 4 bytes per state, each step builds its own
+    bound row and each transition block is O(_BLOCK_CELLS)."""
     cfg = dataclasses.replace(reference_config(), supply_S=1600, demand_Q=6400,
                               arrival_rate_lambda=0.2 * 6400 / 30.0)
     grid = TimeGrid.from_config(cfg)
@@ -422,22 +427,24 @@ def test_solve_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert plan.total_sold <= cfg.supply_S
-    assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
-def test_solve_stores_a_value_and_an_int32_backpointer_per_state():
-    """An S=1600 solve keeps 12 bytes per state: every step's state set is a
-    read-only view of one shared buffer, H is float64 and back_prev int32."""
+def test_solve_stores_an_int32_backpointer_per_state():
+    """An S=1600 solve keeps 4 bytes per state and one float64 row of final
+    values: every step's state set is a read-only view of one shared
+    buffer, and back_prev is int32."""
     cfg = _large_market(1600, 6400)
     _, tables = optimal_plan(cfg, TimeGrid.from_config(cfg), BidModel.uniform(0.0, 1.0))
     base = tables.sale_sets[0]
     for ys in tables.sale_sets:
         assert np.shares_memory(ys, base) and not ys.flags.writeable
-    assert all(h.dtype == np.float64 for h in tables.H)
     assert all(b.dtype == np.int32 for b in tables.back_prev)
+    assert tables.h_final.dtype == np.float64
+    assert tables.h_final.shape == tables.sale_sets[-1].shape
     states = sum(ys.size for ys in tables.sale_sets)
     assert states > 20 * cfg.supply_S
-    assert sum(h.nbytes + b.nbytes for h, b in zip(tables.H, tables.back_prev)) == 12 * states
+    assert sum(b.nbytes for b in tables.back_prev) == 4 * states
 
 
 @settings(max_examples=100)
@@ -509,13 +516,25 @@ def test_large_steps_take_the_monotone_schedule(monkeypatch):
 
 
 def test_oversized_problems_are_refused():
-    """More table cells than the budget fail before any table is built;
+    """More table cells than the budget fail before any table is built,
+    per-step terms included, whether supply or the step count is large;
     the largest sizes the suite and the benchmark solve stay inside it."""
     model = BidModel.uniform(0.0, 1.0)
     cfg = _large_market(200_000, 800_000)
     assert (cfg.steps_N + 1) * (cfg.supply_S + 1) > solver._MAX_TABLE_CELLS
     with pytest.raises(ValueError, match="problem too large.*budget of 4,194,304"):
         optimal_plan(cfg, TimeGrid.from_config(cfg), model)
+    long = dataclasses.replace(reference_config(), supply_S=4, demand_Q=20,
+                               steps_N=1_000_000, arrival_rate_lambda=0.1)
+    grid = TimeGrid.from_config(long)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="problem too large.*5,000,005 DP table cells"):
+            optimal_plan(long, grid, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB before the refusal"
     assert (31 * 6401) <= solver._MAX_TABLE_CELLS
 
 
@@ -613,14 +632,15 @@ def test_capped_spreads_leave_bounds_and_plans_unchanged(seed, law, ceiling, ris
     capped = solver._MarketTables(cfg, grid).set_demand(make(), None)
     full = solver._MarketTables(cfg, grid)
     full.D, full._means, full._priced = D, means, np.ones(S + 1, dtype=bool)
-    full.bounds = full.terms.bounds(means, stds)
+    full.bound_means, full.bound_stds = means.copy(), stds
     assert all_means(capped).tobytes() == means.tobytes()
-    assert capped.bounds.tobytes() == full.bounds.tobytes()
-    plan, tables = solver._solve(capped, 0, 0)
-    ref_plan, ref_tables = solver._solve(full, 0, 0)
+    assert bound_table(capped).tobytes() == bound_table(full).tobytes()
+    plan, tables, H = solve_with_values(solver._solve, capped, 0, 0)
+    ref_plan, ref_tables, ref_H = solve_with_values(solver._solve, full, 0, 0)
     assert plan.to_dict() == ref_plan.to_dict()
-    for ours, ref in zip((tables.sale_sets, tables.H, tables.back_prev),
-                         (ref_tables.sale_sets, ref_tables.H, ref_tables.back_prev)):
+    for ours, ref in zip((tables.sale_sets, H, tables.back_prev),
+                         (ref_tables.sale_sets, ref_H, ref_tables.back_prev)):
+        assert len(ours) == len(ref)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref))
 
 
@@ -664,7 +684,8 @@ def test_lazy_pricing_matches_eager_tables(monkeypatch, name):
     grid = TimeGrid.from_config(cfg)
     t = solver._MarketTables(cfg, grid).set_demand(make(), None)
     assert expect(int((~t._priced[:cfg.supply_S]).sum()))
-    assert t.bounds.tobytes() == EagerTables(cfg, grid).set_demand(make(), None).bounds.tobytes()
+    eager = EagerTables(cfg, grid).set_demand(make(), None)
+    assert bound_table(t).tobytes() == eager.bounds.tobytes()
     _assert_same_as_dense(cfg, make)
     _assert_same_as_dense(cfg, make, start_step=9, presold=14)
     _assert_same_as_dense(cfg, make, start_step=20, presold=30, demand_total=cfg.demand_Q + 60)
@@ -695,7 +716,7 @@ def test_row_floor_leaves_only_rows_without_a_feasible_split(monkeypatch):
         for n in range(start, cfg.steps_N + 1):
             un = int(t.u[n])
             ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
-            bound = t.bounds[n, presold:un + 1]
+            bound = t.bound(n, slice(presold, un + 1))
             floor = solver._row_floor(t, n, ln_avail, bound, presold)
             i, j = np.meshgrid(np.arange(un - presold + 1), np.arange(u_prev - presold + 1),
                                indexing="ij")
@@ -706,14 +727,16 @@ def test_row_floor_leaves_only_rows_without_a_feasible_split(monkeypatch):
             raised += floor > 1
             falls += bool(np.any(np.diff(bound) < 0))
             u_prev = un
-        plan, tables = solver._solve(t, start, presold)
+        plan, tables, H = solve_with_values(solver._solve, t, start, presold)
         with monkeypatch.context() as m:
             m.setattr(solver, "_row_floor", lambda *args: 1)
-            ref_plan, ref = solver._solve(
-                solver._MarketTables(cfg, grid).set_demand(model, None, presold), start, presold)
+            ref_plan, ref, ref_H = solve_with_values(
+                solver._solve, solver._MarketTables(cfg, grid).set_demand(model, None, presold),
+                start, presold)
         assert json.dumps(plan.to_dict()) == json.dumps(ref_plan.to_dict()), k
-        for ours, theirs in zip((tables.sale_sets, tables.H, tables.back_prev),
-                                (ref.sale_sets, ref.H, ref.back_prev)):
+        for ours, theirs in zip((tables.sale_sets, H, tables.back_prev),
+                                (ref.sale_sets, ref_H, ref.back_prev)):
+            assert len(ours) == len(theirs), k
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)), k
     assert raised and falls
 
