@@ -9,9 +9,8 @@ payment is the second-highest draw. This module provides
   quadrature rule (``xi`` may be any real >= 2, matching average bidder
   counts),
 * a Monte Carlo estimator of the same quantities, used as an oracle,
-* lowess / polynomial / sigmoid curve fitting of payment-vs-competition
-  points aggregated from auction logs, and the ceiling estimate for posted
-  prices.
+* lowess / polynomial curve fitting of payment-vs-competition points
+  aggregated from auction logs, and the ceiling estimate for posted prices.
 
 The quadrature works in quantile space. Substituting u = F(x) into the
 density of the second-highest order statistic turns the payment mean into
@@ -41,7 +40,6 @@ __all__ = [
     "mc_second_price",
     "lowess",
     "fit_polynomial",
-    "fit_sigmoid",
     "fit_payment_curves",
     "estimate_max_value",
     "reference_bid_model",
@@ -444,10 +442,12 @@ _CURVE_ARRAYS = ("knot_x", "knot_y", "coeffs")
 class FittedCurve:
     """One fitted payment curve, evaluable at any competition level.
 
-    ``method`` is one of ``lowess`` (piecewise-linear interpolation through
-    smoothed knots), ``polynomial`` (ascending coefficients), or ``sigmoid``
-    (``base + span / (1 + exp(-rate * (x - mid)))``). Evaluation clamps the
-    input to the training range, so extrapolation holds the boundary value.
+    ``method`` is ``lowess`` (piecewise-linear interpolation through
+    smoothed knots) or ``polynomial`` (ascending coefficients). ``sigmoid``
+    (``base + span / (1 + exp(-rate * (x - mid)))``) is no longer fitted, but
+    curves of that method in files written by earlier versions still load and
+    evaluate. Evaluation clamps the input to the training range, so
+    extrapolation holds the boundary value.
     """
 
     method: str
@@ -568,238 +568,13 @@ def fit_polynomial(points, degree=2):
                        coeffs=np.asarray(coeffs, dtype=float), rmse=rmse)
 
 
-# The sigmoid fit searches the curve's logits z0 and z1 at the first and last
-# abscissa. A logit may not pass _SIGMOID_EDGE on the side where the points
-# all sit in one tail: there the best curve is an exponential that a sigmoid
-# reaches only at infinite span, its gain shrinks like exp(-edge), and a
-# larger edge would lose the coefficients' digits to a span of ~exp(edge).
-_SIGMOID_EDGE = 16.0
-# Starting grid: logit spans across the data times centre logits, plus the
-# two edges; each gap between neighbouring abscissae adds a steep step.
-_SIGMOID_SPANS = (0.5, 1.0, 2.0, 3.5, 6.0, 10.0, 16.0, 25.0)
-_SIGMOID_CENTRES = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
-_SIGMOID_GRID = np.array([
-    (c - d / 2, c + d / 2) for d in _SIGMOID_SPANS
-    for c in (-_SIGMOID_EDGE - d / 2,) + _SIGMOID_CENTRES + (_SIGMOID_EDGE + d / 2,)])
-# Descents from the best grid points whose curves differ by more than
-# _SIGMOID_APART of the points' range, as sigmoid fits have local minima.
-_SIGMOID_STARTS = 3
-_SIGMOID_APART = 0.05
-_SIGMOID_ITERATIONS = 100
-# A later descent that comes this close, in logits, to an earlier optimum
-# stops: it is converging to the same one.
-_SIGMOID_NEAR = 0.05
-_PAIRS = ([0, 0, 1], [0, 1, 1])  # the (z0, z0), (z0, z1), (z1, z1) entries
-
-
-def _sums(*arrays):
-    """``math.fsum`` along the last axis of each array (all of one shape): a
-    float for 1-D arrays, a column for 2-D ones."""
-    rows = np.concatenate(arrays).reshape(-1, arrays[0].shape[-1]).tolist()
-    sums = [math.fsum(r) for r in rows]
-    if arrays[0].ndim == 1:
-        return sums
-    return list(np.array(sums).reshape(len(arrays), -1, 1))
-
-
-class _SigmoidFit:
-    """Least squares of ``base + span / (1 + exp(-rate * (x - mid)))`` by
-    variable projection (Golub & Pereyra 1973): at given logits ``z0`` and
-    ``z1`` of the first and last abscissa the best ``base`` and ``span`` have
-    a closed form, so only the two logits are searched. Points that share an
-    abscissa enter as one weighted point. Every sum is a ``math.fsum``, so
-    the fit's floats depend on its points alone.
-    """
-
-    def __init__(self, x, y):
-        self.x0, self.width = float(x[0]), float(x[-1] - x[0])
-        xu, first, w = np.unique(x, return_index=True, return_counts=True)
-        bounds = np.append(first, x.size).tolist()
-        ys = y.tolist()
-        ysum = np.array([math.fsum(ys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        self.n, self.ybar = x.size, math.fsum(ys) / x.size
-        self.xu, self.w, self.ymean = xu, w, ysum / w
-        self.yc = ysum - w * self.ybar  # each abscissa's centred sum
-        spread = y - np.repeat(self.ymean, w)
-        self.within = math.fsum((spread * spread).tolist())
-        tau = (xu - self.x0) / self.width
-        dz = np.stack([1.0 - tau, tau])  # dz/dz0 and dz/dz1 at each abscissa
-        dz2 = dz[_PAIRS[0]] * dz[_PAIRS[1]]
-        self.dz_yc, self.dz_w = dz * self.yc, dz * w
-        self.dz2_yc, self.dz2_w = dz2 * self.yc, dz2 * w
-
-    def profile(self, z0, z1):
-        """The residual sum of squares at logits ``z0, z1`` (floats, or
-        columns of a grid), with ``(base, span, rate, mid)`` and what
-        :meth:`slope` needs. The sum is taken from the curve as evaluated
-        from those coefficients, so it carries their rounding."""
-        n, w = self.n, self.w
-        rate = (z1 - z0) / self.width
-        mid = self.x0 - z0 / rate
-        ep = np.exp(np.minimum(rate * (mid - self.xu), 700.0))
-        den = 1.0 + ep
-        s = 1.0 / den
-        # s less its first value, without cancellation near 1: 1 - s = ep * s
-        u = (ep[..., :1] - ep) * s * s[..., :1]
-        wu = w * u
-        su, suu, suy = _sums(wu, wu * u, u * self.yc)
-        stt = suu - su * su / n
-        span = suy / stt
-        base = self.ybar - span * (s[..., :1] + su / n)
-        res = base + span / den - self.ymean
-        sse = _sums(w * res * res)[0] + self.within
-        return sse, (base, span, rate, mid), (ep, s, u, su, stt, span)
-
-    def slope(self, parts):
-        """Gradient, Hessian and Gauss-Newton matrix in ``(z0, z1)`` of half
-        the profiled sum of squares at one point (the Hessians as their
-        (0, 0), (0, 1), (1, 1) entries)."""
-        ep, s, u, su, stt, span = parts
-        n = self.n
-        dt = ep * s * s  # ds/dz; d2s/dz2 is dt * (1 - 2s) = dt * (ep - 1) * s
-        d2t = dt * (ep - 1.0) * s
-        wd, wh = dt * self.dz_w, d2t * self.dz2_w
-        r = [math.fsum(v) for v in np.concatenate([
-            dt * self.dz_yc, wd, wd * u, (dt * dt) * self.dz2_w, d2t * self.dz2_yc,
-            wh, wh * u]).tolist()]
-        # with d_k = ds/dz_k, h_kl = d2s/dz_k dz_l, tc = u - mean u and
-        # dc_k = d_k - mean d_k: A_k = d_k . yc, B_k = 2 w d_k . tc,
-        # C_kl = w dc_k . dc_l
-        ubar, (kk, ll) = su / n, _PAIRS
-        A = r[0:2]
-        dbar = [v / n for v in r[2:4]]
-        B = [2.0 * (r[4 + k] - ubar * r[2 + k]) for k in range(2)]
-        C = [r[6 + i] - n * dbar[kk[i]] * dbar[ll[i]] for i in range(3)]
-        g = [span * (0.5 * span * B[k] - A[k]) for k in range(2)]
-        dr = [A[k] - 0.5 * span * B[k] for k in range(2)]
-        H, G = [], []
-        for i, (k, l) in enumerate(zip(kk, ll)):
-            bkl = 2.0 * (C[i] + r[15 + i] - ubar * r[12 + i])
-            H.append((span * (A[k] * B[l] + A[l] * B[k]) - A[k] * A[l]
-                      - span * span * B[k] * B[l]) / stt
-                     + span * (0.5 * span * bkl - r[9 + i]))
-            G.append(span * span * (C[i] - 0.25 * B[k] * B[l] / stt) + dr[k] * dr[l] / stt)
-        return g, H, G
-
-    def point(self, z):
-        sse, coeffs, parts = self.profile(z[0], z[1])
-        return sse, coeffs, parts, z
-
-
-def _edge_cut(z, d):
-    """``z + d``, shortened along ``d`` to end on an edge it would pass."""
-    cut = 1.0
-    if z[0] + d[0] > _SIGMOID_EDGE:
-        cut = (_SIGMOID_EDGE - z[0]) / d[0]
-    if z[1] + d[1] < -_SIGMOID_EDGE:
-        cut = min(cut, (-_SIGMOID_EDGE - z[1]) / d[1])
-    return (min(z[0] + cut * d[0], _SIGMOID_EDGE), max(z[1] + cut * d[1], -_SIGMOID_EDGE))
-
-
-def _descend(fit, z, known=None):
-    """Trust-region Newton steps in the logits from ``z``: Newton where the
-    Hessian is positive definite, Gauss-Newton elsewhere. Stops when the
-    model promises less than 1e-14 of the sum of squares, or near ``known``,
-    the logits of an optimum an earlier descent found."""
-    cur = fit.point(z)
-    radius = 2.0
-    for _ in range(_SIGMOID_ITERATIONS):
-        sse = cur[0]
-        (g0, g1), H, G = fit.slope(cur[2])
-        a, b, c = H if H[0] > 0.0 and H[0] * H[2] - H[1] * H[1] > 0.0 else G
-        det = a * c - b * b
-        if not (det > 0.0 and a > 0.0):
-            a, b, c, det = 1.0, 0.0, 1.0, 1.0  # steepest descent
-        d = ((b * g1 - c * g0) / det, (b * g0 - a * g1) / det)
-        # a logit on its edge whose step points out stays there
-        if z[0] >= _SIGMOID_EDGE and d[0] > 0.0:
-            d = (0.0, -g1 / c)
-        elif z[1] <= -_SIGMOID_EDGE and d[1] < 0.0:
-            d = (-g0 / a, 0.0)
-        fall = -(g0 * d[0] + g1 * d[1])
-        if not fall > 1e-14 * sse:
-            return cur
-        pred = 2.0 * fall - (a * d[0] * d[0] + 2.0 * b * d[0] * d[1] + c * d[1] * d[1])
-        size = max(abs(d[0]), abs(d[1]))
-        while True:
-            if size > radius:
-                d, pred = (d[0] * radius / size, d[1] * radius / size), None
-            trial = _edge_cut(z, d)
-            nxt = fit.point(trial) if trial[1] > trial[0] and trial != z else (math.inf,)
-            if nxt[0] < sse:
-                break
-            # a step the model gives under 1e-9 of the sum that still fails
-            # is lost in the rounding of the coefficients
-            radius = min(radius, size) / 4.0
-            if -(g0 * d[0] + g1 * d[1]) < 1e-9 * sse or radius < 1e-12:
-                return cur
-        z, cur = trial, nxt
-        if pred is None:
-            radius *= 2.0
-        elif sse - nxt[0] > 1.1 * pred:
-            # the model underestimates the fall, as along an exponential
-            # tail: go on along d while it pays
-            while z[0] < _SIGMOID_EDGE and z[1] > -_SIGMOID_EDGE:
-                d = (2.0 * d[0], 2.0 * d[1])
-                trial = _edge_cut(z, d)
-                nxt = fit.point(trial)
-                if not nxt[0] < cur[0]:
-                    break
-                z, cur = trial, nxt
-        if known is not None and max(abs(z[0] - known[0]), abs(z[1] - known[1])) < _SIGMOID_NEAR:
-            return cur
-    return cur
-
-
-def fit_sigmoid(points):
-    """Least-squares ``base + span / (1 + exp(-rate * (x - mid)))``.
-
-    Variable projection over the curve's end logits from a few grid starts
-    (see :class:`_SigmoidFit`); deterministic, with no BLAS. Fewer than four
-    distinct abscissae, or a fit that does not come out finite, give
-    infinite rmse.
-    """
-    x, y = _as_xy(points)
-    x_range = (float(x[0]), float(x[-1]))
-    if x.size < 4 or np.unique(x).size < 4:
-        return FittedCurve(method="sigmoid", x_range=x_range, rmse=math.inf,
-                           coeffs=np.array([float(y.mean()), 0.0, 1.0, float(x.mean())]))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fit = _SigmoidFit(x, y)
-        xu = fit.xu
-        rate, mid = 8.0 / np.diff(xu), 0.5 * (xu[:-1] + xu[1:])
-        grid = np.concatenate([_SIGMOID_GRID, np.column_stack(
-            [rate * (xu[0] - mid), rate * (xu[-1] - mid)])])
-        sse, (base, span, _, _), (_, s, _, _, _, _) = fit.profile(grid[:, :1], grid[:, 1:])
-        curves = base + span * s
-        apart = _SIGMOID_APART * (float(fit.ymean.max() - fit.ymean.min()) or 1.0)
-        starts = []
-        for i in np.argsort(sse.ravel(), kind="stable").tolist():
-            if all(np.abs(curves[i] - curves[j]).max() > apart for j in starts):
-                starts.append(i)
-                if len(starts) == _SIGMOID_STARTS:
-                    break
-        best = None
-        for i in starts:
-            found = _descend(fit, tuple(grid[i].tolist()), best and best[3])
-            if best is None or found[0] < best[0]:
-                best = found
-        curve = FittedCurve(method="sigmoid", x_range=x_range,
-                            coeffs=np.array([float(np.ravel(v)[0]) for v in best[1]]))
-        res = curve(x) - y
-    rmse = math.sqrt(math.fsum((res * res).tolist()) / x.size)
-    curve.rmse = rmse if math.isfinite(rmse) else math.inf
-    return curve
-
-
 def _best_fit(x, y, *, lowess_fraction, lowess_iterations, poly_degree):
     points = np.column_stack([x, y])
     if x.size < 3 or np.unique(x).size < 2:
         # Too little structure for smoothing: a constant curve.
         return fit_polynomial(points, degree=0)
     candidates = [lowess(points, fraction=lowess_fraction, iterations=lowess_iterations),
-                  fit_polynomial(points, degree=poly_degree),
-                  fit_sigmoid(points)]
+                  fit_polynomial(points, degree=poly_degree)]
     return min(candidates, key=lambda c: (c.rmse if math.isfinite(c.rmse) else math.inf))
 
 
@@ -835,9 +610,9 @@ def fit_payment_curves(table, *, lowess_fraction=0.3, lowess_iterations=3,
                        poly_degree=2, hourly=None):
     """Fit payment mean and spread as functions of the competition level.
 
-    Aggregates the log into (xi, payment) points, fits lowess, polynomial and
-    sigmoid candidates to each of the mean and the spread, and keeps the
-    lowest-rmse candidate per curve. Auctions must have at least two bids
+    Aggregates the log into (xi, payment) points, fits lowess and polynomial
+    candidates to each of the mean and the spread, and keeps the lower-rmse
+    candidate per curve (lowess on a tie). Auctions must have at least two bids
     (a lone bid has no second price to learn from).
     """
     if not len(table):

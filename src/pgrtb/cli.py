@@ -58,11 +58,12 @@ def _check_keys(section, allowed, where):
 
 
 def _int_setting(section, key, default, where):
-    """``section[key]`` as an int; an infinite value is bad input."""
-    try:
-        return int(section.get(key, default))
-    except OverflowError as exc:
-        raise UsageError(f"{where}.{key} must be finite: {exc}") from exc
+    """``section[key]``, which must be an int: a float (even a whole or an
+    infinite one) or a bool is bad input, never truncated."""
+    value = section.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{where}.{key} must be finite and an integer, not {value!r}")
+    return value
 
 
 def _load_json(path, what, build):

@@ -57,8 +57,9 @@ class UncertaintySpec:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative")
-        if self.noise_seed < 0:
-            raise ValueError("noise_seed must be non-negative")
+        seed = self.noise_seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"noise_seed must be a non-negative integer, not {seed!r}")
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {_NOISE_KINDS}")
 

@@ -35,22 +35,18 @@ integrate as the untransformed order-statistic integral; the package itself
 works in quantile space and needs neither. ``loop_simulate_rtb`` is the
 delivery-day auction run impression by impression, the reference for the
 simulator's grouped ``_simulate_rtb``, and can also return the auctions as a
-bid log. ``curve_fit_sigmoid`` is the sigmoid fit by scipy's ``curve_fit``
-(Levenberg-Marquardt on all four coefficients from one start), the rmse
-reference for the package's variable-projection ``fit_sigmoid``.
+bid log.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from datetime import timedelta
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.special import ndtr
 
 from pgrtb import solver
-from pgrtb.auction import BidModel, FittedCurve, _as_xy, _payment_points_batch
+from pgrtb.auction import BidModel, _payment_points_batch
 from pgrtb.logs import BidLog
 from pgrtb.market import MarketConfig, TimeGrid
 from pgrtb.simulate import _EPOCH, _seed_sequence
@@ -485,29 +481,3 @@ def loop_simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,
         rows.extend((slot_id, f"{slot_id}-rtb-{i:06d}", ts, float(b)) for b in seg)
     return revenue, BidLog(*zip(*rows))
 
-
-def _sigmoid(x, base, span, rate, mid):
-    return base + span / (1.0 + np.exp(-rate * (x - mid)))
-
-
-def curve_fit_sigmoid(points):
-    """Scaled sigmoid fit by ``curve_fit`` from the start ``(min y, spread of
-    y, 4 / width, median x)``; a failed fit has infinite rmse."""
-    x, y = _as_xy(points)
-    if x.size < 4 or np.unique(x).size < 4:
-        return FittedCurve(method="sigmoid", x_range=(float(x[0]), float(x[-1])), rmse=math.inf,
-                           coeffs=np.array([float(y.mean()), 0.0, 1.0, float(x.mean())]))
-    span0 = float(y.max() - y.min()) or 1.0
-    p0 = [float(y.min()), span0, 4.0 / max(float(x[-1] - x[0]), 1e-9), float(np.median(x))]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            with np.errstate(over="ignore"):
-                coeffs, _ = curve_fit(_sigmoid, x, y, p0=p0, maxfev=10000)
-        rmse = float(np.sqrt(np.mean((_sigmoid(x, *coeffs) - y) ** 2)))
-        if not math.isfinite(rmse):
-            raise RuntimeError("diverged")
-    except (RuntimeError, ValueError):
-        coeffs, rmse = p0, math.inf
-    return FittedCurve(method="sigmoid", x_range=(float(x[0]), float(x[-1])),
-                       coeffs=np.asarray(coeffs, dtype=float), rmse=rmse)

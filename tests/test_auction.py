@@ -21,7 +21,6 @@ from pgrtb.auction import (
     estimate_max_value,
     fit_payment_curves,
     fit_polynomial,
-    fit_sigmoid,
     lowess,
     mc_second_price,
 )
@@ -29,7 +28,7 @@ from pgrtb import auction
 from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.simulate import generate_log
 
-from oracles import cdf, curve_fit_sigmoid, pdf, scalar_payment_moments
+from oracles import cdf, pdf, scalar_payment_moments
 
 UTC = timezone.utc
 
@@ -431,20 +430,6 @@ def test_fit_polynomial_recovers_quadratic():
     assert tiny.coeffs.size == 2
 
 
-def test_fit_sigmoid_recovers_planted_curve():
-    x = np.linspace(0.0, 10.0, 80)
-    y = 0.2 + 0.6 / (1.0 + np.exp(-1.3 * (x - 4.0)))
-    curve = fit_sigmoid(np.column_stack([x, y]))
-    assert curve.rmse < 1e-6
-    np.testing.assert_allclose(curve(x), y, atol=1e-4)
-
-
-def test_fit_sigmoid_degrades_gracefully():
-    curve = fit_sigmoid([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-    assert math.isinf(curve.rmse)
-    assert math.isinf(fit_sigmoid([(0.0, 1.0), (1.0, 2.0), (2.0, math.nan), (3.0, 3.0)]).rmse)
-
-
 def _generated_points(k):
     """The mean and spread points of the k-th of a family of generated logs
     (uniform or lognormal bids, 24-120 hours, 3-24 hourly bidder counts)."""
@@ -462,35 +447,27 @@ def _generated_points(k):
     return np.column_stack([xi, mean]), np.column_stack([xi, spread])
 
 
-def test_fit_sigmoid_at_least_as_good_as_curve_fit():
-    """On generated logs the variable-projection fit's rmse is never above
-    curve_fit's by more than 1e-12 of it."""
-    for k in range(200):
-        for points in _generated_points(k):
-            ours, ref = fit_sigmoid(points), curve_fit_sigmoid(points)
-            assert ours.rmse <= ref.rmse * (1.0 + 1e-12), (k, ours.rmse, ref.rmse)
-
-
-def test_fit_sigmoid_floats_do_not_depend_on_the_heap():
+@pytest.mark.parametrize("fit", [lowess, fit_polynomial], ids=lambda f: f.__name__)
+def test_fit_floats_do_not_depend_on_the_heap(fit):
     """Fits of one input, between allocations of varying sizes that move
-    where the fit's own arrays land, give one set of coefficient and rmse
-    bits."""
+    where the fit's own arrays land, give one set of curve and rmse bits."""
     points = _generated_points(6)[1]
     held, bits = [], set()
     for i in range(300):
         held.append(np.ones(1 + (i * 7919) % 4099))
         del held[:-40]
-        fit = fit_sigmoid(points)
-        bits.add((fit.coeffs.tobytes(), float(fit.rmse).hex()))
+        bits.add(repr(fit(points).to_dict()))  # float repr round-trips exactly
     assert len(bits) == 1
 
 
 def test_fitted_curve_serialization():
     x = np.linspace(2.0, 8.0, 12)
     y = np.sqrt(x)
+    # a sigmoid is no longer fitted, but files written by earlier versions hold them
+    sigmoid = FittedCurve(method="sigmoid", x_range=(2.0, 8.0), rmse=0.01,
+                          coeffs=np.array([1.2, 1.7, 0.6, 4.5]))
     for curve in (lowess(np.column_stack([x, y])),
-                  fit_polynomial(np.column_stack([x, y])),
-                  fit_sigmoid(np.column_stack([x, y]))):
+                  fit_polynomial(np.column_stack([x, y])), sigmoid):
         clone = FittedCurve.from_dict(curve.to_dict())
         probe = np.linspace(1.0, 9.0, 17)
         np.testing.assert_allclose(clone(probe), curve(probe), rtol=0, atol=0)
@@ -603,13 +580,16 @@ def test_revenue_curves_surface():
     assert means[1] == curves.payment_mean(4.0)
     # clamped beyond the training range
     assert means[2] == curves.payment_mean(9.0)
-    # the array path agrees with the scalar calls bit for bit, for every fit
+    # the array path agrees with the scalar calls bit for bit, for every method
     pts_x = np.linspace(2.0, 12.0, 30)
     pts = np.column_stack([pts_x, 0.2 + 0.6 / (1.0 + np.exp(-(pts_x - 6.0)))])
     spread = np.column_stack([pts_x, 0.05 + 0.01 * np.sin(pts_x)])
     xis = np.concatenate([np.linspace(0.5, 15.0, 59), [1.999, 2.0, math.inf]])
-    for fit in (lowess, fit_polynomial, fit_sigmoid):
-        fitted = RevenueCurves(fit(pts), fit(spread))
+    sigmoid = FittedCurve(method="sigmoid", x_range=(2.0, 12.0),
+                          coeffs=np.array([0.2, 0.6, 1.0, 6.0]))
+    for fitted in (RevenueCurves(lowess(pts), lowess(spread)),
+                   RevenueCurves(fit_polynomial(pts), fit_polynomial(spread)),
+                   RevenueCurves(sigmoid, sigmoid)):
         means, stds = fitted.payment_moments(xis, reserve=0.33)
         assert means.tolist() == [fitted.payment_mean(float(x), reserve=0.33) for x in xis]
         assert stds.tolist() == [fitted.payment_std(float(x)) for x in xis]

@@ -185,6 +185,21 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert "risk_level_zeta must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("uncertainty", "noise_seed", 3.7), ("uncertainty", "noise_seed", True),
+    ("simulate", "n_runs", 20.6), ("simulate", "n_runs", 20.0),
+    ("seeds", "root", 7.9), ("seeds", "root", False)])
+def test_integer_settings_refuse_other_values(tmp_path, capsys, section, key, value):
+    """An integer setting given a float or a bool is bad input that names the
+    key, not a value to truncate (a noise seed of 3.7 would draw as seed 3
+    while the plan file recorded 3.7)."""
+    cfg = base_config(tmp_path)
+    cfg[section] = {**cfg.get(section, {"epsilon": 0.1}), key: value}
+    assert main(["replan", "--config", dump(tmp_path, cfg)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "replan_plan.json").exists()
+
+
 def test_commands_refuse_missing_sections(tmp_path, capsys):
     no_syn = {k: v for k, v in base_config(tmp_path).items() if k != "synthetic"}
     assert main(["gen-data", "--config", dump(tmp_path, no_syn, "c1.json")]) == 2
@@ -258,8 +273,9 @@ def test_optimize_refuses_an_oversized_market(tmp_path, capsys):
 # Golden SHA-256 digests of every CLI output on small fixed inputs (see
 # test_pipeline_outputs_are_golden for what they are tied to).
 # GOLDEN_ALL_BIDS' and GOLDEN_MIXED_OFFSETS' fitted model and segment report
-# hold sigmoid curves; they were re-recorded when the sigmoid fit moved from
-# scipy's curve_fit to variable projection, each rmse at or below the old.
+# were re-recorded when the sigmoid candidate left the fit: four of their
+# curves had been sigmoids and are now the better of lowess and polynomial,
+# each with a higher rmse (by 0.3% to 7.7%). The other goldens held no sigmoid.
 GOLDEN_PIPELINE = {
     "auction_log.csv":
         "7f9d9f7c00e0e26a0427aedcc75916360ea5bd72f0a2aed811a67de3f0e847af",
@@ -284,15 +300,15 @@ GOLDEN_ALL_BIDS = {
     "auction_log.csv":
         "077b74254ca2f58438cd981b16fdb899f765247719036090c4cd85e5b12cd897",
     "fitted_model.json":
-        "cacb7934de5907e0d2e09bf7620387f2fc446ebf6dfaedbef972abc638c01a7c",
+        "9e6e3edd82e502f56b20bb3b27b574096e2021a973cfc609d1361cfdeb79469d",
     "segment_report.json":
-        "7d2b6158f1d95991a58ed5edddbec84f330483c80dbf8bc547e0d1c97b7cacfc",
+        "2930373c21ca97605564fba36ea3e746b437895116684468ee8178209d64efb0",
 }
 GOLDEN_MIXED_OFFSETS = {
     "fitted_model.json":
-        "0f88a513c4c0af1c0f1fa4d48d4fb486d0f62c0288658087fe47eb9fa2c532cf",
+        "badeba0a77f40997fe2dfe0eb1e2e2c31a0cb7011880ac5a2569f230f8f784fe",
     "segment_report.json":
-        "40f3d726d39882da97f241743eece3f0c6bc7751a57a0b6d65b07ff995d20abc",
+        "ae4aca885fd035f4ed7c702390a268b3e9eeaa54b184f8f04d8765099245c1c7",
 }
 GOLDEN_SPARSE_STAMPS = {
     "fitted_model.json":
@@ -385,3 +401,34 @@ def test_fit_and_segment_on_a_hand_log_are_golden(tmp_path, stamps, golden):
     for command in ("fit", "segment"):
         assert main([command, "--config", cfg_path, "--log", str(log_path)]) == 0
     assert _digests(tmp_path / "out", golden) == golden
+
+
+# A fitted model as earlier versions wrote it, with sigmoid curves. The fit
+# no longer makes them, but such files are still read, and the digests are
+# those the last version that fitted sigmoids wrote from this file.
+SIGMOID_MODEL = {
+    "schema_version": 1, "n_auctions": 240, "n_used": 240, "max_value": 1.5,
+    "payment_mean_curve": {"method": "sigmoid", "x_range": [2.0, 5.0], "rmse": 0.11,
+                           "coeffs": [0.12, 0.55, 1.3, 3.1]},
+    "payment_std_curve": {"method": "sigmoid", "x_range": [2.0, 5.0], "rmse": 0.04,
+                          "coeffs": [0.21, -0.08, 0.9, 3.5]},
+}
+GOLDEN_SIGMOID_MODEL = {
+    "plan.json":
+        "b0f47e4be436507be0ba1de29477ae586c9e7118a852573c0aa4577f63097808",
+    "plan_curves.csv":
+        "67ba79be74f95a14e9842c55bd7b63b976f30009632b302b5fdff809370c4ab1",
+    "replan_plan.json":
+        "139b2580e4ec1835e878ae2964d0db9d3f5ac2cf727c23a6b420b60c0e08001e",
+    "replan_trace.csv":
+        "770406597ba2ee4af38bb1262bb6f620330e3adb635a47f1b2616beb13fa6369",
+}
+
+
+def test_sigmoid_model_files_still_plan(tmp_path):
+    model = tmp_path / "fitted_model.json"
+    model.write_text(json.dumps(SIGMOID_MODEL))
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    for command in ("optimize", "replan"):
+        assert main([command, "--config", cfg_path, "--model", str(model)]) == 0
+    assert _digests(tmp_path / "out", GOLDEN_SIGMOID_MODEL) == GOLDEN_SIGMOID_MODEL
