@@ -181,11 +181,10 @@ def _density(f, power, scale, log_u, one_minus_u):
     f *= one_minus_u
 
 
-def _payment_points_batch(model, xis, spread=True):
+def _payment_points_batch(model, xis):
     """Fill the model's moment cache for every new finite level ``xi >= 2``:
     the mean and spread of the second-highest of ``xi`` i.i.d. draws from
-    ``model``, or with ``spread=False`` the mean alone, cached with spread
-    nan; a later call that needs such a level's spread recomputes it.
+    ``model``.
 
     One fixed composite GK15 rule on panels that depend on the model alone
     (the dyadic edges plus the quantile knots): ``ppf`` is evaluated on its
@@ -203,14 +202,14 @@ def _payment_points_batch(model, xis, spread=True):
     computed emits a RuntimeWarning.
     """
     cache = model._moments
-    todo = np.array(sorted({xi for xi in map(float, xis) if math.isfinite(xi) and xi >= 2.0
-                            and (xi not in cache or spread and math.isnan(cache[xi][1]))}))
+    todo = np.array(sorted({xi for xi in map(float, xis)
+                            if math.isfinite(xi) and xi >= 2.0 and xi not in cache}))
     if not todo.size:
         return
     x, one_minus_u, log_u, kronrod_w, error_w = _quadrature_nodes(model)
     work = np.empty((2, min(_CHUNK, todo.size)) + x.shape)
     power, scale = todo - 2.0, todo * (todo - 1.0)
-    moments, errors = np.full((2, todo.size), np.nan), np.zeros((2, todo.size))
+    moments, errors = np.empty((2, todo.size)), np.empty((2, todo.size))
     for lo in range(0, todo.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         f, products = work[:, :todo[part].size]
@@ -219,11 +218,10 @@ def _payment_points_batch(model, xis, spread=True):
         _density(f, power[part], scale[part], log_u, one_minus_u)
         f *= x
         moments[0, part], errors[0, part] = _moment(f, products, kronrod_w, error_w)
-        if spread:
-            f *= x
-            moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
+        f *= x
+        moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
     var = moments[1] - moments[0] * moments[0]
-    loose = np.flatnonzero(2.0 ** -50 * moments[1] > _RTOL * var)  # none without spreads
+    loose = np.flatnonzero(2.0 ** -50 * moments[1] > _RTOL * var)
     for lo in range(0, loose.size, _CHUNK):
         part = loose[lo:lo + _CHUNK]
         f, products = work[:, :part.size]
@@ -236,7 +234,7 @@ def _payment_points_batch(model, xis, spread=True):
         var[part] = moments[1, part]
     cache.update(zip(todo.tolist(), zip(
         moments[0].tolist(), np.sqrt(np.maximum(var, 0.0)).tolist())))
-    bad = errors > _RTOL * np.abs(moments)  # nan, and so False, for skipped spreads
+    bad = errors > _RTOL * np.abs(moments)
     if bad.any():
         i = int(bad.any(axis=0).argmax())
         k = int(bad[:, i].argmax())
@@ -258,7 +256,7 @@ class BidModel:
 
     def __init__(self, kind, **params):
         self.kind = kind
-        self._moments = {}  # xi -> (mean, std), std nan where priced without it
+        self._moments = {}  # xi -> (mean, std)
         self._nodes = None
         if kind == "uniform":
             low, high = float(params["low"]), float(params["high"])
@@ -367,14 +365,6 @@ class BidModel:
             _payment_points_batch(self, levels)
             means[inner], stds[inner] = np.array([self._moments[x] for x in levels]).T
         return means, stds
-
-    def _payment_means(self, xis):
-        """:meth:`payment_moments`' means at levels ``2 <= xi < inf`` (an
-        array), computed without their spreads."""
-        if self.kind == "empirical" and self._point is not None:
-            return np.full(xis.shape, self._point)
-        _payment_points_batch(self, xis.tolist(), spread=False)
-        return np.array([self._moments[x][0] for x in xis.tolist()])
 
     # -- serialization ------------------------------------------------------
 
@@ -568,30 +558,26 @@ def fit_polynomial(points, degree=2):
                        coeffs=np.asarray(coeffs, dtype=float), rmse=rmse)
 
 
-def _best_fit(x, y, *, lowess_fraction, lowess_iterations, poly_degree):
+def _best_fit(x, y):
     points = np.column_stack([x, y])
     if x.size < 3 or np.unique(x).size < 2:
         # Too little structure for smoothing: a constant curve.
         return fit_polynomial(points, degree=0)
-    candidates = [lowess(points, fraction=lowess_fraction, iterations=lowess_iterations),
-                  fit_polynomial(points, degree=poly_degree)]
+    candidates = [lowess(points), fit_polynomial(points)]
     return min(candidates, key=lambda c: (c.rmse if math.isfinite(c.rmse) else math.inf))
 
 
-def _aggregate_payment_points(table, hourly=None):
+def _aggregate_payment_points(table):
     """Aggregate an auction table into (competition, payment mean, payment std) points.
 
-    With timestamps the buckets are wall-clock hours (competition = the
-    bucket's average observed bidder count); without, auctions group by their
-    exact bidder count. Returns three aligned arrays sorted by competition.
+    When every auction has a timestamp the buckets are wall-clock hours
+    (competition = the bucket's average observed bidder count); otherwise
+    auctions group by their exact bidder count. Returns three aligned arrays
+    sorted by competition.
     """
     if not len(table):
         raise ValueError("no auctions to aggregate")
-    stamped = table.hour != table.UNSTAMPED
-    if hourly is None:
-        hourly = stamped.all()
-    elif hourly and not stamped.all():
-        raise ValueError("hourly buckets need a timestamp on every auction")
+    hourly = (table.hour != table.UNSTAMPED).all()
     _, inverse, counts = np.unique(table.hour if hourly else table.xi_observed,
                                    return_inverse=True, return_counts=True)
     # each bucket's auctions made contiguous, in order, so that each mean
@@ -606,14 +592,14 @@ def _aggregate_payment_points(table, hourly=None):
     return xi_pts[order], mean_pts[order], std_pts[order]
 
 
-def fit_payment_curves(table, *, lowess_fraction=0.3, lowess_iterations=3,
-                       poly_degree=2, hourly=None):
+def fit_payment_curves(table):
     """Fit payment mean and spread as functions of the competition level.
 
-    Aggregates the log into (xi, payment) points, fits lowess and polynomial
-    candidates to each of the mean and the spread, and keeps the lower-rmse
-    candidate per curve (lowess on a tie). Auctions must have at least two bids
-    (a lone bid has no second price to learn from).
+    Aggregates the log into (xi, payment) points, fits lowess (fraction 0.3,
+    3 robustness passes) and quadratic candidates to each of the mean and
+    the spread, and keeps the lower-rmse candidate per curve (lowess on a
+    tie). Auctions must have at least two bids (a lone bid has no second
+    price to learn from).
     """
     if not len(table):
         raise ValueError("empty auction log")
@@ -621,10 +607,8 @@ def fit_payment_curves(table, *, lowess_fraction=0.3, lowess_iterations=3,
     if thin.size:
         raise ValueError(f"{thin.size} auctions have fewer than two bids "
                          f"(first: {table.auction_id[thin[0]]})")
-    xi, pay_mean, pay_std = _aggregate_payment_points(table, hourly=hourly)
-    kwargs = dict(lowess_fraction=lowess_fraction,
-                  lowess_iterations=lowess_iterations, poly_degree=poly_degree)
-    return _best_fit(xi, pay_mean, **kwargs), _best_fit(xi, pay_std, **kwargs)
+    xi, pay_mean, pay_std = _aggregate_payment_points(table)
+    return _best_fit(xi, pay_mean), _best_fit(xi, pay_std)
 
 
 def estimate_max_value(table):

@@ -1,7 +1,7 @@
 """Command-line driver: generate data, fit, optimize, simulate, replan, segment.
 
-Every command reads one JSON run config (sections: market, bid_model, fit,
-seeds, uncertainty, segmentation, synthetic, simulate, output) plus a few
+Every command reads one JSON run config (sections: market, bid_model, seeds,
+uncertainty, segmentation, synthetic, simulate, output) plus a few
 flag overrides, writes machine-readable outputs into the output directory,
 and prints a one-line human summary. Exit codes: 0 success, 2 bad input or
 unusable config, 1 unexpected failure.
@@ -39,7 +39,6 @@ class UsageError(Exception):
 _SECTIONS = {
     "market": {f.name for f in dataclasses.fields(MarketConfig)},
     "bid_model": {"kind", "low", "high", "mu", "sigma", "bids"},
-    "fit": {"lowess_fraction", "lowess_iterations", "poly_degree", "hourly"},
     "seeds": {"root"},
     "uncertainty": {"epsilon", "noise_seed", "noise_kind"},
     "segmentation": {"feature"},
@@ -57,12 +56,13 @@ def _check_keys(section, allowed, where):
         raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _int_setting(section, key, default, where):
-    """``section[key]``, which must be an int: a float (even a whole or an
-    infinite one) or a bool is bad input, never truncated."""
+def _int_setting(section, key, default, where, least):
+    """``section[key]``, which must be an int of at least ``least``: a float
+    (even a whole or an infinite one) or a bool is bad input, never truncated."""
     value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{where}.{key} must be finite and an integer, not {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise UsageError(f"{where}.{key} must be finite and an integer of at least "
+                         f"{least}, not {value!r}")
     return value
 
 
@@ -101,7 +101,6 @@ class RunConfig:
 
     market: MarketConfig | None = None
     bid_model: BidModel | None = None
-    fit_options: dict = dataclasses.field(default_factory=dict)
     root_seed: int = 0
     uncertainty: UncertaintySpec | None = None
     feature: str = "winning_bid"
@@ -135,13 +134,12 @@ class RunConfig:
                 rc.uncertainty = UncertaintySpec(**raw["uncertainty"])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad uncertainty section: {exc}") from exc
-        rc.fit_options = dict(raw.get("fit", {}))
-        rc.root_seed = _int_setting(raw.get("seeds", {}), "root", 0, "seeds")
+        rc.root_seed = _int_setting(raw.get("seeds", {}), "root", 0, "seeds", 0)
         rc.feature = raw.get("segmentation", {}).get("feature", "winning_bid")
         if rc.feature not in ("winning_bid", "all_bids"):
             raise UsageError("segmentation.feature must be winning_bid or all_bids")
         rc.synthetic = dict(raw["synthetic"]) if "synthetic" in raw else None
-        rc.n_runs = _int_setting(raw.get("simulate", {}), "n_runs", rc.n_runs, "simulate")
+        rc.n_runs = _int_setting(raw.get("simulate", {}), "n_runs", rc.n_runs, "simulate", 1)
         rc.out_dir = str(raw.get("output", {}).get("dir", rc.out_dir))
         return rc
 
@@ -216,7 +214,7 @@ def cmd_fit(rc: RunConfig, args):
     eligible = table.take(table.xi_observed >= 2)
     if not len(eligible):
         raise UsageError("no auction in the log has two or more bids")
-    mean_curve, std_curve = fit_payment_curves(eligible, **rc.fit_options)
+    mean_curve, std_curve = fit_payment_curves(eligible)
     ceiling = estimate_max_value(table)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -345,8 +343,7 @@ def cmd_segment(rc: RunConfig, args):
     cfg = rc.require_market()
     table = _read_table(rc, args.log)
     seed = args.seed if args.seed is not None else rc.root_seed
-    result = segment_and_optimize(table, cfg, feature=rc.feature, seed=seed,
-                                  **rc.fit_options)
+    result = segment_and_optimize(table, cfg, feature=rc.feature, seed=seed)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "feature": rc.feature,
@@ -420,6 +417,9 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, least in (("seed", 0), ("runs", 1)):
+        if (value := getattr(args, flag, None)) is not None and value < least:
+            parser.error(f"argument --{flag}: must be at least {least}")
     try:
         rc = RunConfig.load(args.config)
         return _COMMANDS[args.command](rc, args)

@@ -135,8 +135,7 @@ def _auction_groups(table, feature, seed):
 
 
 def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
-                         seed=0, lowess_fraction=0.3, lowess_iterations=3,
-                         poly_degree=2, hourly=None):
+                         seed=0):
     """Split an auction table into two bid-level groups and solve each market slice.
 
     Supply, demand, and arrival rate are split proportionally to each
@@ -175,10 +174,7 @@ def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
         mean_xi = float(np.mean(subs.xi_observed))
         eligible, curves = subs.take(subs.xi_observed >= 2), None
         if len(eligible):
-            curves = RevenueCurves(*fit_payment_curves(
-                eligible, lowess_fraction=lowess_fraction,
-                lowess_iterations=lowess_iterations, poly_degree=poly_degree,
-                hourly=hourly))
+            curves = RevenueCurves(*fit_payment_curves(eligible))
         # without a fitted curve the auction is priced from the bids themselves
         model = curves if curves is not None else BidModel.empirical(subs.bids)
         rtb_only = mean_xi < 2.0 or curves is None

@@ -12,6 +12,7 @@ randomized piece takes an explicit seed, so a root seed pins the experiment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -202,6 +203,12 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
     Returns ``(log, truth)``: a :class:`~pgrtb.logs.BidLog` with one row per
     bid, and everything needed to check an estimator against the generator.
     """
+    # sizes are counts: a float or a bool is refused, never truncated
+    sizes = [("hours", hours), ("auctions_per_hour", auctions_per_hour),
+             *((f"bidders_per_hour[{i}]", b) for i, b in enumerate(bidders_per_hour))]
+    for name, value in sizes:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if hours < 1 or auctions_per_hour < 1:
         raise ValueError("hours and auctions_per_hour must be positive")
     bidders = [int(b) for b in bidders_per_hour]

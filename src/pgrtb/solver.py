@@ -23,17 +23,19 @@ level ``xi = (D - y) / (S - y)`` rises with ``y``, and the second price of
 ``xi`` draws, ``ppf`` at a Beta(xi - 1, 2) draw, is stochastically
 increasing in ``xi``, so a bid law's mean payment rises with ``y`` wherever
 ``xi >= 2``. The bound rows from the first whose mean clears the cap ``pi``
-are all ``pi``: ``set_demand`` finds that row with a few mean-only probes
-and prices means and spreads only below it. The terminal choice needs means
-only where they can decide the argmax: each priced level bounds the means
-of the levels above and below it, rows whose total cannot reach the best
-one are dropped, and only the rest are priced. A row counts as capped, or
-as dropped, only when it clears its priced neighbour by a relative margin
-``_MARGIN`` of three times the quadrature tolerance; any level whose error
-estimate is larger warns. So plans, tables, ``revenue_rtb`` and
-``xi_terminal`` are those of a full table of means. Rows below ``xi = 2``
-and row ``S`` keep their closed forms, and fitted curves, whose mean need
-not rise with ``xi`` and which cost little, are evaluated at every row.
+are all ``pi``: ``set_demand`` finds that row with a few probes and prices
+the rows below it. Every level, a probe's too, is priced once through the
+model's ``payment_moments``, mean and spread together. The terminal choice
+reads means only where they can decide the argmax: each priced level bounds
+the means of the levels above and below it, rows whose total cannot reach
+the best one are dropped, and only the rest are priced. A row counts as
+capped, or as dropped, only when it clears its priced neighbour by a
+relative margin ``_MARGIN`` of three times the quadrature tolerance; any
+level whose error estimate is larger warns. So plans, tables,
+``revenue_rtb`` and ``xi_terminal`` are those of a full table of means. Rows
+below ``xi = 2`` and row ``S`` keep their closed forms, and fitted curves,
+whose mean need not rise with ``xi`` and which cost little, are evaluated at
+every row.
 
 A split's price ``ln((cum_n - z1) / (y - z1)) / scale`` rises with ``z1``,
 so each row's feasible predecessors are a prefix, and while those prefixes
@@ -298,7 +300,7 @@ class _MarketTables:
         """The model's means at levels ``xi >= 2``, kept sorted by level as
         bounds for other levels, with the lowest level whose mean clears
         ``pi`` by ``_MARGIN``."""
-        means = self.model._payment_means(xi)
+        means = self.model.payment_moments(xi)[0]
         known = np.concatenate((self._known_xi, xi))
         order = np.argsort(known, kind="stable")
         self._known_xi = known[order]
@@ -323,7 +325,7 @@ class _MarketTables:
         ``xi``: so means rise with ``y`` over the rows with ``xi >= 2``.
         Rows at or above the lowest level known to clear ``pi`` by
         ``_MARGIN`` need no probe; below it, rounds of up to ``_PROBES``
-        mean-only probes, the first at the lowest such row alone, bisect
+        probes, the first at the lowest such row alone, bisect
         for the first row that clears; ``S`` when none does. Every row
         above it then has a mean of at least ``pi`` in floats too, since
         each level's quadrature error is below ``_RTOL`` or warns.

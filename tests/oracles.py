@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from pgrtb import solver
-from pgrtb.auction import BidModel, _payment_points_batch
+from pgrtb.auction import _payment_points_batch
 from pgrtb.logs import BidLog
 from pgrtb.market import MarketConfig, TimeGrid
 from pgrtb.simulate import _EPOCH, _seed_sequence
@@ -98,12 +98,8 @@ def censored_bound(n, xi, cfg: MarketConfig, grid: TimeGrid, model) -> float:
 
 class EagerTables(_MarketTables):
     """The solver's market tables with every row priced at once: every
-    level's payment mean, its spread wherever the mean is below ``pi``, and
-    the full (step, row) table ``bounds`` from them. A spread cannot move
-    ``min(mean + risk * spread, pi)`` off ``pi`` once the mean reaches it,
-    so a bid law's levels there skip the second moment: that keeps
-    quadrature, which grows linearly in S, from diluting the quadratic
-    scaling criterion 10 times."""
+    level's payment mean and spread, from one ``payment_moments`` call, and
+    the full (step, row) table ``bounds`` from them."""
 
     def set_demand(self, model, demand_total, presold=0):
         cfg, S = self.cfg, self.S
@@ -113,14 +109,7 @@ class EagerTables(_MarketTables):
         y = np.arange(S)
         xi = np.append((self.D - y) / (S - y), math.inf)
         xi[:presold] = 0.0
-        self._means, stds = np.full(S + 1, np.nan), np.zeros(S + 1)
-        spread = np.ones(S + 1, dtype=bool)
-        if isinstance(model, BidModel):
-            inner = (xi >= 2.0) & (xi < math.inf)
-            self._means[inner] = model._payment_means(xi[inner])
-            spread[inner] = self._means[inner] < cfg.max_value_pi
-        self._means[spread], stds[spread] = model.payment_moments(
-            xi[spread], cfg.reserve_price_r0)
+        self._means, stds = model.payment_moments(xi, cfg.reserve_price_r0)
         self._priced = np.ones(S + 1, dtype=bool)
         self.bound_means, self.bound_stds = self._means.copy(), stds
         self.bounds = bound_table(self)

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import pgrtb
+from pgrtb import cli
 from pgrtb.solver import DPTables
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -61,6 +62,17 @@ def test_payment_moments_signature_is_pinned():
     level, with no knob past the reserve."""
     for model in (pgrtb.BidModel, pgrtb.RevenueCurves):
         assert str(inspect.signature(model.payment_moments)) == "(self, xis, reserve=0.0)"
+
+
+def test_option_surface_is_pinned():
+    """The curve fit and the segmentation take no fitting options, and the
+    run config holds exactly these sections: a new knob changes a pin."""
+    assert str(inspect.signature(pgrtb.fit_payment_curves)) == "(table)"
+    assert str(inspect.signature(pgrtb.segment_and_optimize)) == \
+        "(table, cfg: 'MarketConfig', *, feature='winning_bid', seed=0)"
+    assert set(cli._SECTIONS) == {
+        "market", "bid_model", "seeds", "uncertainty", "segmentation", "synthetic",
+        "simulate", "output"}
 
 
 def test_import_leaves_scipy_out():

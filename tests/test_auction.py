@@ -236,36 +236,36 @@ def test_payment_moments_matches_scalar_calls():
 
 
 def test_means_priced_alone_match_a_fresh_model():
-    """A level priced by ``_payment_means`` keeps only its mean; asked later
-    for its spread, alone or mixed with other levels in any order, it gives
-    a fresh model's floats, and its mean stays the same: uniform, lognormal,
-    empirical and point-mass laws."""
+    """A level's mean and spread do not depend on the levels priced before
+    or beside it: a subset priced first, then the rest split in any order,
+    gives a fresh model's floats, and so do scalar calls after a batch:
+    uniform, lognormal, empirical and point-mass laws."""
     levels = np.concatenate([np.linspace(2.0, 9.0, 29), [17.0, 40.0, 1e3]])
     fresh = [lambda: BidModel.uniform(0.1, 0.9),
              lambda: BidModel.lognormal(-0.5, 0.5),
              lambda: BidModel.empirical(np.random.default_rng(3).uniform(0.2, 1.4, 300)),
              lambda: BidModel.empirical([0.7] * 20)]
     rng = np.random.default_rng(29)
+
+    def priced(model, part):
+        return list(zip(*(m.tolist() for m in model.payment_moments(part))))
+
     for make in fresh:
-        ref = dict(zip(levels.tolist(), zip(*make().payment_moments(levels))))
+        ref = dict(zip(levels.tolist(), priced(make(), levels)))
         for _ in range(4):
             model = make()
             order = rng.permutation(levels)
             alone = order[:int(rng.integers(1, order.size))]
-            means = model._payment_means(alone)
-            assert means.tolist() == [ref[xi][0] for xi in alone.tolist()]
-            if getattr(model, "_point", None) is None:  # a point mass needs no quadrature
-                assert all(math.isnan(model._moments[xi][1]) for xi in alone.tolist())
+            assert priced(model, alone) == [ref[xi] for xi in alone.tolist()]
             cuts = np.sort(rng.choice(np.arange(1, order.size), 3, replace=False))
             for part in np.split(rng.permutation(order), cuts):
-                means, stds = model.payment_moments(part)
-                assert list(zip(means.tolist(), stds.tolist())) == \
-                    [ref[xi] for xi in part.tolist()]
-            assert model._payment_means(levels).tolist() == [ref[xi][0] for xi in levels.tolist()]
+                assert priced(model, part) == [ref[xi] for xi in part.tolist()]
+            assert priced(model, levels) == [ref[xi] for xi in levels.tolist()]
         scalar = make()
-        scalar._payment_means(levels)
+        scalar.payment_moments(levels[::2])
         for xi in levels[::-1]:  # scalar calls, in another order
-            assert scalar.payment_std(xi) == scalar_payment_moments(make(), xi)[1]
+            assert (scalar.payment_mean(xi), scalar.payment_std(xi)) == \
+                scalar_payment_moments(make(), xi)
 
 
 def test_quadrature_nodes_built_once_per_model():
@@ -509,8 +509,6 @@ def test_aggregate_payment_points_by_count():
     xi, mean, std = _aggregate_payment_points(summaries)
     np.testing.assert_array_equal(xi, [2.0, 3.0])
     np.testing.assert_allclose(mean, [0.1, 0.2], atol=1e-12)
-    with pytest.raises(ValueError, match="hourly buckets need a timestamp"):
-        _aggregate_payment_points(summaries, hourly=True)
     with pytest.raises(ValueError):
         _aggregate_payment_points(summarize_auctions(BidLog([], [], [], [])))
 

@@ -200,6 +200,51 @@ def test_integer_settings_refuse_other_values(tmp_path, capsys, section, key, va
     assert not (tmp_path / "out" / "replan_plan.json").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "simulate", "replan"])
+def test_negative_seeds_and_run_counts_are_refused(tmp_path, capsys, command):
+    """A seed below 0 or a run count below 1 is bad input that names its
+    config key or flag, whether it comes from the config or the command
+    line, and nothing is written."""
+    extra = ["--plan", str(tmp_path / "plan.json")] if command == "simulate" else []
+    settings = [({"seeds": {"root": -1}}, "seeds.root"), ({"simulate": {"n_runs": 0}}, "simulate.n_runs")]
+    for changes, key in settings:
+        cfg_path = dump(tmp_path, {**base_config(tmp_path), **changes})
+        assert main([command, "--config", cfg_path, *extra]) == 2
+        assert f"{key} must be finite and an integer of at least" in capsys.readouterr().err
+    flags = [(["--seed", "-3"], "argument --seed: must be at least 0")]
+    if command == "simulate":
+        flags.append((["--runs", "0"], "argument --runs: must be at least 1"))
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    for flag, message in flags:
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", cfg_path, *extra, *flag])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_data_refuses_non_integer_sizes(tmp_path, capsys):
+    """Synthetic sizes are counts: a float or a bool exits 2 naming the
+    field, where it once wrote a truncated log and its ground truth."""
+    for changes, field in (({"bidders_per_hour": [2, 3.9, True]}, "bidders_per_hour[1]"),
+                           ({"bidders_per_hour": [2, 3, True]}, "bidders_per_hour[2]"),
+                           ({"hours": True}, "hours"),
+                           ({"auctions_per_hour": 6.0}, "auctions_per_hour")):
+        cfg = base_config(tmp_path)
+        cfg["synthetic"].update(changes)
+        assert main(["gen-data", "--config", dump(tmp_path, cfg)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_fit_section_is_refused(tmp_path, capsys):
+    """The curve fit has no options: a config with a fit section exits 2
+    and names it."""
+    cfg = {**base_config(tmp_path), "fit": {}}
+    assert main(["optimize", "--config", dump(tmp_path, cfg)]) == 2
+    assert "unknown key(s) in top level: fit" in capsys.readouterr().err
+
+
 def test_commands_refuse_missing_sections(tmp_path, capsys):
     no_syn = {k: v for k, v in base_config(tmp_path).items() if k != "synthetic"}
     assert main(["gen-data", "--config", dump(tmp_path, no_syn, "c1.json")]) == 2

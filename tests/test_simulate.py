@@ -12,6 +12,7 @@ acceptance suite.
 
 import dataclasses
 import math
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -232,6 +233,23 @@ def test_generate_log_structure():
     with pytest.raises(ValueError):
         generate_log(model, hours=2, auctions_per_hour=1,
                      bidders_per_hour=[], seed=0)
+
+
+@pytest.mark.parametrize("sizes, field", [
+    (dict(hours=2.0), "hours"), (dict(hours=True), "hours"),
+    (dict(auctions_per_hour=3.5), "auctions_per_hour"),
+    (dict(bidders_per_hour=[2.7, 3]), "bidders_per_hour[0]"),
+    (dict(bidders_per_hour=[2, False]), "bidders_per_hour[1]")],
+    ids=["hours-float", "hours-bool", "auctions-float", "bidders-float", "bidders-bool"])
+def test_generate_log_refuses_non_integer_sizes(sizes, field):
+    """Sizes are counts: a float or a bool raises, naming the field, and
+    numpy integers count as integers."""
+    args = dict(hours=2, auctions_per_hour=3, bidders_per_hour=[2, 3], seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer")):
+        generate_log(BidModel.uniform(0.0, 1.0), **{**args, **sizes})
+    log, truth = generate_log(BidModel.uniform(0.0, 1.0), hours=np.int64(2),
+                              auctions_per_hour=3, bidders_per_hour=np.array([2, 3]), seed=0)
+    assert truth["bidders_per_hour"] == [2, 3] and len(log) == 15
 
 
 def test_generate_log_custom_start():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgrtb import solver
+from pgrtb import auction, solver
 from pgrtb.auction import (
     BidModel,
     RevenueCurves,
@@ -739,6 +739,28 @@ def test_row_floor_leaves_only_rows_without_a_feasible_split(monkeypatch):
             assert len(ours) == len(theirs), k
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)), k
     assert raised and falls
+
+
+def test_solves_price_each_level_once_through_payment_moments(monkeypatch):
+    """The reference walk (noise seed 7) and an S=400 solve on a fresh
+    lognormal model price every level through ``payment_moments``, the cap
+    probes and terminal means included, so every cached level has a finite
+    spread."""
+    callers = []
+    batch = auction._payment_points_batch
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return batch(*args)
+
+    monkeypatch.setattr(auction, "_payment_points_batch", spy)
+    model = BidModel.lognormal(-0.5, 0.5)
+    cfg = reference_config()
+    replan(cfg, TimeGrid.from_config(cfg), model, UncertaintySpec(0.1, 7, "gaussian"))
+    cfg = _large_market(400, 1600)
+    optimal_plan(cfg, TimeGrid.from_config(cfg), model)
+    assert callers and set(callers) == {"payment_moments"}
+    assert all(math.isfinite(std) for _, std in model._moments.values())
 
 
 def test_large_uniform_solve_prices_few_payment_levels():
