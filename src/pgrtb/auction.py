@@ -622,13 +622,12 @@ def estimate_max_value(table):
         raise ValueError("empty auction log")
     hours, first, inverse, counts = np.unique(
         table.hour, return_index=True, return_inverse=True, return_counts=True)
-    # the buckets in first-seen order, each bucket's bids contiguous and in order
-    seen = np.argsort(first)
-    picked = table.take(np.argsort(first[inverse], kind="stable"))
-    if hours[-1] == table.UNSTAMPED:
-        return float(np.mean(picked.bids))
-    bounds = picked.offsets[np.cumsum(counts[seen])].tolist()
-    return max(float(picked.bids[lo:hi].mean()) for lo, hi in zip([0] + bounds[:-1], bounds))
+    # auctions by bucket (first-seen), then table order: each mean sums a contiguous run
+    picked = np.argsort(first[inverse], kind="stable")
+    ends = np.cumsum(table.xi_observed[picked])[np.cumsum(counts[np.argsort(first)]) - 1]
+    ends = ends[-1:] if hours[-1] == table.UNSTAMPED else ends
+    bids = table.bids[np.argsort(np.repeat(first[inverse], table.xi_observed), kind="stable")]
+    return max(float(bids[lo:hi].mean()) for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()))
 
 
 @dataclass

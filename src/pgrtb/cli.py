@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .auction import BidModel, RevenueCurves, estimate_max_value, fit_payment_curves
-from .logs import read_log_csv, summarize_auctions, write_log_csv
+from .logs import _CHUNK, read_log_csv, summarize_auctions, write_log_csv
 from .market import MarketConfig, TimeGrid
 from .replan import UncertaintySpec, replan as run_replan
 from .segmentation import segment_and_optimize
@@ -226,17 +226,24 @@ def cmd_fit(rc: RunConfig, args):
         "bid_model": {"kind": "empirical", "bids": None},
     }
     path = _out_path(rc, args, "fitted_model.json")
-    # json's indenting encoder is pure Python, slow on a long float list, so
-    # the bids (finite, as the reader checks) are joined at its indent
-    text = json.dumps(_clean(payload), indent=2, sort_keys=True)
-    bids = ",\n      ".join(map(repr, table.bids.tolist()))
-    with open(path, "w") as fh:
-        fh.write(text.replace('"bids": null', f'"bids": [\n      {bids}\n    ]') + "\n")
+    _write_fitted(path, payload, table.bids)
     print(f"fitted {len(eligible)}/{len(table)} auctions: "
           f"mean curve {mean_curve.method} (rmse {mean_curve.rmse:.4f}), "
           f"spread curve {std_curve.method} (rmse {std_curve.rmse:.4f}), "
           f"value ceiling {ceiling:.4f} -> {path}")
     return 0
+
+
+def _write_fitted(path, payload, bids):
+    """Write ``payload`` as indented JSON with ``bids`` (finite, as the reader checks) in place
+    of its ``"bids": null``, joined a chunk at a time: json's indenting encoder is slow."""
+    head, _, tail = json.dumps(_clean(payload), indent=2, sort_keys=True).partition('"bids": null')
+    sep = ",\n      "
+    with open(path, "w") as fh:
+        fh.write(head + '"bids": [\n      ')
+        for lo in range(0, len(bids), _CHUNK):
+            fh.write(sep * (lo > 0) + sep.join(map(repr, bids[lo:lo + _CHUNK].tolist())))
+        fh.write("\n    ]" + tail + "\n")
 
 
 def _optimizer_model(rc, args):
@@ -381,17 +388,18 @@ def _build_parser():
         description="Price guaranteed ad contracts jointly with auction inventory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, seeded=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seeded:  # fit and optimize draw nothing
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         return p
 
     p = add("gen-data", "write a synthetic auction log with known ground truth")
-    p = add("fit", "estimate payment curves and value ceiling from a log")
+    p = add("fit", "estimate payment curves and value ceiling from a log", seeded=False)
     p.add_argument("--log", required=True, help="auction log CSV")
-    p = add("optimize", "compute the revenue-optimal price schedule")
+    p = add("optimize", "compute the revenue-optimal price schedule", seeded=False)
     p.add_argument("--model", default=None, help="fitted model JSON")
     p = add("simulate", "Monte Carlo a plan against the synthetic market")
     p.add_argument("--plan", required=True, help="plan JSON from optimize")

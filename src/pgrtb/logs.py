@@ -8,9 +8,11 @@ as four columns by :class:`BidLog`. Grouping rows by ``auction_id`` yields an
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import re
+from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 
@@ -26,8 +28,8 @@ __all__ = [
 ]
 
 LOG_HEADER = ("slot_id", "auction_id", "timestamp", "bid_cpm")
-_READ_CHUNK = 4096  # rows parsed per pass, which bounds the reader's memory
-_WRITE_CHUNK = 2048  # rows joined per write
+_CHUNK = 1024  # rows per pass of the reader, the writers and ``_runs``, bounding their memory
+_US = timedelta(microseconds=1)
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # fields the csv module quotes
 
 
@@ -42,6 +44,13 @@ class BidLog:
         self.timestamp, self.bid_cpm = list(timestamp), np.asarray(bid_cpm, dtype=float)
         if len(set(map(len, (self.slot_id, self.auction_id, self.timestamp, self.bid_cpm)))) > 1:
             raise ValueError("bid log columns must have equal lengths")
+
+    @classmethod
+    def _adopt(cls, *columns):
+        """A log over these equal-length lists and float array themselves, uncopied."""
+        log = cls.__new__(cls)
+        log.slot_id, log.auction_id, log.timestamp, log.bid_cpm = columns
+        return log
 
     def __len__(self):
         return len(self.bid_cpm)
@@ -105,118 +114,107 @@ def _csv_field(value):
 
 def write_log_csv(log, path):
     """Write a :class:`BidLog` to ``path``; a None timestamp becomes an empty field."""
+    runs = _runs(log)  # the rows of a run share the prefix its first row prints
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
-        for lo in range(0, len(log), _WRITE_CHUNK):
-            hi = min(lo + _WRITE_CHUNK, len(log))
-            # rows of one auction share a prefix: a run of them ends where the
-            # slot or auction id or the stamp changes, the stamp matched by
-            # identity, as equal instants at other offsets print otherwise
-            stamp_ids = np.fromiter(map(id, log.timestamp[lo:hi]), dtype=np.int64, count=hi - lo)
-            slots = np.array(log.slot_id[lo:hi], dtype=object)
-            auctions = np.array(log.auction_id[lo:hi], dtype=object)
-            changed = ((stamp_ids[1:] != stamp_ids[:-1]) | (slots[1:] != slots[:-1])
-                       | (auctions[1:] != auctions[:-1]))
-            ends = np.append(np.flatnonzero(np.append(True, changed)), hi - lo).tolist()
+        for lo in range(0, len(log), _CHUNK):
+            hi = min(lo + _CHUNK, len(log))
+            ends = [lo, *runs[slice(*np.searchsorted(runs, [lo + 1, hi]))].tolist(), hi]
             bids = list(map(repr, log.bid_cpm[lo:hi].tolist()))
             text = []
             for start, end in zip(ends[:-1], ends[1:]):
-                ts = log.timestamp[lo + start]
-                stamp = "" if ts is None else _csv_field(ts.isoformat())
-                prefix = f"{_csv_field(slots[start])},{_csv_field(auctions[start])},{stamp},"
-                text += (prefix, ("\r\n" + prefix).join(bids[start:end]), "\r\n")
+                t = log.timestamp[start]
+                row = log.slot_id[start], log.auction_id[start], "" if t is None else t.isoformat()
+                prefix = ",".join(map(_csv_field, row)) + ","
+                text += (prefix, ("\r\n" + prefix).join(bids[start - lo:end - lo]), "\r\n")
             fh.write("".join(text))
 
 
-def _parse_rows(rows, texts, stamps):
-    """The columns of non-blank CSV rows, or a ValueError naming the first
-    failed check (the row's problem when given one row). ``texts`` and
-    ``stamps`` keep one string per id and one value per timestamp text;
-    ``stamps[None]`` records whether the first stamped row's stamp is naive,
-    and a stamp of the other kind fails."""
-    if set(map(len, rows)) - {len(LOG_HEADER)}:
+def _runs(log):
+    """The first row of each run: consecutive rows that share one slot id, one auction id
+    and one stamp object (equal instants at other offsets print otherwise), by chunks."""
+    parts = [np.zeros(min(len(log), 1), dtype=np.intp)]
+    for lo in range(0, len(log) - 1, _CHUNK):
+        hi = min(lo + _CHUNK + 1, len(log))  # one row of overlap joins the chunks
+        ids = [np.fromiter(map(id, column[lo:hi]), np.int64, hi - lo)
+               for column in (log.slot_id, log.auction_id, log.timestamp)]
+        parts.append(lo + 1 + np.flatnonzero(np.any([c[1:] != c[:-1] for c in ids], axis=0)))
+    return np.concatenate(parts)
+
+
+def _run_head(row, texts, stamps):
+    """A run's first row's slot id, auction id and stamp, interned (one string per id in
+    ``texts``, one value per stamp text in ``stamps``), or a ValueError naming the row's
+    first failed check; a stamp of the other kind than ``stamps[None]``'s fails."""
+    if len(row) != len(LOG_HEADER):
         raise ValueError(f"expected {len(LOG_HEADER)} fields")
-    slots, auctions, ts_texts, bid_texts = (
-        (list(map(str.strip, column)) for column in zip(*rows)) if rows else ([],) * 4)
-    if "" in slots or "" in auctions:
+    slot, auction, text = map(str.strip, row[:3])
+    if not (slot and auction):
         raise ValueError("empty slot or auction id")
-    new = set(ts_texts).difference(stamps)
-    for text in new:
+    if text not in stamps:
         try:  # datetime.fromisoformat on 3.10 rejects a trailing Z
-            stamps[text] = datetime.fromisoformat(
-                text[:-1] + "+00:00" if text.endswith("Z") else text)
+            stamp = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
         except ValueError:
             raise ValueError(f"bad timestamp {text!r}") from None
-    if new:  # a parsed stamp is naive exactly when it has no tzinfo
-        naive = stamps.setdefault(None, stamps[next(filter(None, ts_texts))].tzinfo is None)
-        for text in new:
-            if (stamps[text].tzinfo is None) != naive:
-                raise ValueError(f"timestamp {text!r} is {('naive', 'offset-aware')[naive]}, "
-                                 f"the first stamped row's is {('offset-aware', 'naive')[naive]}")
-    try:
-        bids = np.array(list(map(float, bid_texts)))
-    except ValueError:  # names the bid of a row parsed on its own
-        raise ValueError(f"bad bid {bid_texts[0]!r}") from None
-    if not (np.isfinite(bids) & (bids >= 0)).all():
-        raise ValueError("bid must be finite and non-negative")
-    return (list(map(texts.setdefault, slots, slots)),
-            list(map(texts.setdefault, auctions, auctions)),
-            list(map(stamps.__getitem__, ts_texts)), bids)
+        naive = stamps.setdefault(None, stamp.tzinfo is None)  # naive: no tzinfo
+        if (stamp.tzinfo is None) != naive:
+            raise ValueError(f"timestamp {text!r} is {('naive', 'offset-aware')[naive]}, "
+                             f"the first stamped row's is {('offset-aware', 'naive')[naive]}")
+        stamps[text] = stamp
+    return texts.setdefault(slot, slot), texts.setdefault(auction, auction), stamps[text]
+
+
+def _parse_bids(texts, line, path):
+    """The bids of consecutive lines from ``line`` on; the first bad one raises as ``path:line``."""
+    with contextlib.suppress(ValueError):
+        bids = np.fromiter(map(float, texts), float, len(texts))
+        if (np.isfinite(bids) & (bids >= 0)).all():
+            return bids
+    for i, text in enumerate(texts):
+        try:
+            bid = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{line + i}: bad bid {text.strip()!r}") from None
+        if not (np.isfinite(bid) and bid >= 0):
+            raise ValueError(f"{path}:{line + i}: bid must be finite and non-negative")
 
 
 def read_log_csv(path):
     """Read a :class:`BidLog` from ``path``, validating the header and every
-    field; the first bad row is reported as ``path:line``."""
-    columns, bids, texts, stamps = ([], [], []), [np.empty(0)], {}, {"": None}
+    field; the first bad row is reported as ``path:line``. A run of rows
+    with the same slot, auction and stamp fields is checked and interned
+    once, and bids are converted ``_CHUNK`` lines at a time."""
+    heads, starts, texts, stamps = ([], [], []), array("q"), {}, {"": None}
+    chunks, pending, key, rows = [], [], None, 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != LOG_HEADER:
             raise ValueError(
                 f"{path}: expected header {','.join(LOG_HEADER)}, got {header}")
-        lineno = 2
-        while chunk := list(itertools.islice(reader, _READ_CHUNK)):
-            try:  # blank rows are skipped
-                *parsed, chunk_bids = _parse_rows([row for row in chunk if row], texts, stamps)
-            except ValueError:
-                # the first bad row wins; the stamp kind carries from row to row
-                seen = {"": None, **({None: stamps[None]} if None in stamps else {})}
-                for i, row in enumerate(chunk):
-                    try:
-                        _parse_rows([row] if row else [], {}, seen)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno + i}: {exc}") from None
-                raise
-            for column, part in zip(columns, parsed):
-                column.extend(part)
-            bids.append(chunk_bids)
-            lineno += len(chunk)
-    return BidLog(*columns, np.concatenate(bids))
-
-
-def _rank_groups(codes, bids):
-    """Rows ordered by ascending (non-negative) code, then descending bid
-    (ties in row order), and the position in that order where each code's
-    run starts."""
-    order = np.lexsort((-bids, codes))
-    return order, np.flatnonzero(np.diff(codes[order], prepend=-1))
-
-
-def _instants(stamps):
-    """Each row's stamp as microseconds since the epoch (naive stamps count
-    as UTC; ``UNSTAMPED`` for None), converting each run of rows that share
-    a stamp object once. Naive and aware stamps together raise a ValueError."""
-    ids = np.fromiter(map(id, stamps), dtype=np.int64, count=len(stamps))
-    runs = np.flatnonzero(np.diff(ids, prepend=~ids[:1]))
-    instant, stamped = np.full(len(runs), AuctionTable.UNSTAMPED), ids[runs] != id(None)
-    heads = [stamps[i] for i in runs[stamped].tolist()]
-    aware = bool(heads) and heads[0].utcoffset() is not None
-    epoch, us = datetime(1970, 1, 1, tzinfo=timezone.utc if aware else None), timedelta(0, 0, 1)
-    try:
-        instant[stamped] = [(t - epoch) // us for t in heads]
-    except TypeError:  # a naive and an aware stamp do not subtract
-        raise ValueError("the log mixes naive and offset-aware timestamps") from None
-    return np.repeat(instant, np.diff(np.append(runs, len(stamps))))
+        # a chunk holds consecutive lines' bids: a blank row ends it, and one more the file
+        for lineno, row in enumerate(itertools.chain(reader, [[]]), 2):
+            if not row or len(pending) == _CHUNK:
+                chunks.append(_parse_bids(pending, lineno - len(pending), path))
+                rows, pending = rows + len(pending), []
+                if not row:
+                    continue
+            if row[:-1] != key:  # a new run or a malformed row
+                try:
+                    head = _run_head(row, texts, stamps)
+                except ValueError as exc:
+                    _parse_bids(pending, lineno - len(pending), path)  # an earlier bad bid wins
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                key = row[:-1]
+                starts.append(rows + len(pending))
+                for column, value in zip(heads, head):
+                    column.append(value)
+            pending.append(row[-1])
+    del texts, stamps  # before the columns are built
+    lengths = np.diff(np.frombuffer(starts, dtype=np.int64), append=rows)
+    # each column is its run heads repeated, in an exact-size list
+    columns = [np.repeat(np.array(column, dtype=object), lengths).tolist() for column in heads]
+    return BidLog._adopt(*columns, np.concatenate(chunks))
 
 
 def summarize_auctions(log, reserve=0.0):
@@ -227,22 +225,38 @@ def summarize_auctions(log, reserve=0.0):
     the reserve. A log that mixes naive and offset-aware stamps is refused
     with a ValueError, as the two kinds do not compare.
     """
-    first = {}  # an auction's code is its first row, so codes ascend in first-seen order
-    codes = np.fromiter(map(first.setdefault, log.auction_id, itertools.count()),
-                        dtype=np.intp, count=len(log))
-    order, starts = _rank_groups(codes, log.bid_cpm)
-    bids, offsets, heads = log.bid_cpm[order], np.append(starts, len(log)), codes[order[starts]]
-    instant = _instants(log.timestamp)
-    # rows by auction, then instant: the stable sort keeps the first of equal
-    # instants, and unstamped rows come last
-    earliest = np.lexsort((instant, codes))[starts]
-    timestamp = np.fromiter(map(log.timestamp.__getitem__, earliest.tolist()), object, len(starts))
-    hour = instant[earliest]
-    stamped = hour != AuctionTable.UNSTAMPED
-    hour[stamped] -= np.array([(t.minute * 60 + t.second) * 1_000_000 + t.microsecond
-                               for t in timestamp[stamped]], dtype=np.int64)
-    xi = np.diff(offsets)
+    runs = _runs(log)
+    # each run's auction as its first run's index, so auctions ascend in first-seen order
+    run_first = np.fromiter(map({}.setdefault, map(log.auction_id.__getitem__, runs),
+                                itertools.count()), np.intp, len(runs))
+    heads, run_auction = np.unique(run_first, return_inverse=True)
+    heads = runs[heads]  # each auction's first row
+    auction_id, slot_id = (np.fromiter(map(column.__getitem__, heads), object, len(heads))
+                           for column in (log.auction_id, log.slot_id))
+    lengths = np.diff(runs, append=len(log))
+    xi = np.bincount(run_auction, lengths, len(heads)).astype(np.intp)
+    offsets = np.concatenate([[0], np.cumsum(xi)])
+    # rows by auction (numbered in the narrowest type), then descending bid
+    narrow = run_auction.astype(np.min_scalar_type(len(heads)))
+    bids = log.bid_cpm[np.lexsort((-log.bid_cpm, np.repeat(narrow, lengths)))]
+    del run_first, narrow, lengths
+    stamps = np.fromiter(map(log.timestamp.__getitem__, runs), object, len(runs))
+    stamp = next(filter(None, stamps), None)  # naive stamps count as UTC
+    aware = stamp is not None and stamp.utcoffset() is not None
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc if aware else None)
+    try:  # microseconds since the epoch
+        instant = np.fromiter((AuctionTable.UNSTAMPED if t is None else (t - epoch) // _US
+                               for t in stamps), np.int64, len(stamps))
+    except TypeError:  # a naive and an aware stamp do not subtract
+        raise ValueError("the log mixes naive and offset-aware timestamps") from None
+    # runs by auction, then instant: the stable sort keeps the first of equal
+    # instants, and unstamped runs come last
+    by_auction = np.lexsort((instant, run_auction))
+    earliest = by_auction[np.flatnonzero(np.diff(run_auction[by_auction], prepend=-1))]
+    timestamp, hour = stamps[earliest], instant[earliest]
+    hour -= np.fromiter(((t.minute * 60 + t.second) * 1_000_000 + t.microsecond if t else 0
+                         for t in timestamp), np.int64, len(timestamp))
     return AuctionTable(
-        np.array(log.auction_id, dtype=object)[heads], np.array(log.slot_id, dtype=object)[heads],
-        timestamp, hour, xi, bids[starts],
-        np.where(xi > 1, bids[np.minimum(starts + 1, len(log) - 1)], float(reserve)), bids, offsets)
+        auction_id, slot_id, timestamp, hour, xi, bids[offsets[:-1]],
+        np.where(xi > 1, bids[np.minimum(offsets[:-1] + 1, len(log) - 1)], float(reserve)),
+        bids, offsets)

@@ -172,7 +172,9 @@ def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
         sub_cfg = replace(cfg, supply_S=supply, demand_Q=demand,
                           arrival_rate_lambda=lam, max_value_pi=ceiling)
         mean_xi = float(np.mean(subs.xi_observed))
-        eligible, curves = subs.take(subs.xi_observed >= 2), None
+        # fitting on a second copy of a segment would set the segment command's peak
+        eligible, curves = subs.xi_observed >= 2, None
+        eligible = subs if eligible.all() else subs.take(eligible)
         if len(eligible):
             curves = RevenueCurves(*fit_payment_curves(eligible))
         # without a fitted curve the auction is priced from the bids themselves

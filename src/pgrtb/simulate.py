@@ -21,7 +21,7 @@ import numpy as np
 # process's first draw (numpy loads some submodules on first attribute use)
 from numpy.random import SeedSequence, default_rng
 
-from .logs import BidLog, _rank_groups
+from .logs import BidLog
 from .market import MarketConfig, StepTerms, TimeGrid
 from .solver import PricePlan
 
@@ -106,7 +106,8 @@ def _simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *, reserv
         return float(reserve) * supply
     placement = rng.integers(0, supply, size=demand)
     bids = bid_model.sample_bids(rng, demand)
-    order, starts = _rank_groups(placement, bids)
+    order = np.lexsort((-bids, placement))  # by impression, then descending (ties in draw order)
+    starts = np.flatnonzero(np.diff(placement[order], prepend=-1))
     contested = starts[np.diff(starts, append=demand) >= 2]
     pay = np.full(supply, float(reserve))
     pay[placement[order[contested]]] = bids[order[contested + 1]]
@@ -234,4 +235,4 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         "bid_model": bid_model.to_dict(),
         "start_time": (start.isoformat()),
     }
-    return BidLog([slot_id] * len(auction_ids), auction_ids, stamps, np.concatenate(bids)), truth
+    return BidLog._adopt([slot_id] * len(stamps), auction_ids, stamps, np.concatenate(bids)), truth

@@ -36,8 +36,16 @@ works in quantile space and needs neither. ``loop_simulate_rtb`` is the
 delivery-day auction run impression by impression, the reference for the
 simulator's grouped ``_simulate_rtb``, and can also return the auctions as a
 bid log.
+
+``max_value_by_take`` is the value ceiling with every bucket's auctions
+gathered by ``AuctionTable.take``, the reference that
+``auction.estimate_max_value`` must match bit for bit while it gathers only
+the bids it averages. ``fitted_model_text`` is ``fitted_model.json`` laid out
+by one ``json.dumps`` and one text replacement, the reference for the CLI's
+chunked bid writer.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -470,3 +478,24 @@ def loop_simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,
         rows.extend((slot_id, f"{slot_id}-rtb-{i:06d}", ts, float(b)) for b in seg)
     return revenue, BidLog(*zip(*rows))
 
+
+
+def max_value_by_take(table):
+    """The largest hourly mean bid, each bucket's bids gathered by ``take``;
+    buckets merge in first-seen order when some auction has no stamp."""
+    hours, first, inverse, counts = np.unique(
+        table.hour, return_index=True, return_inverse=True, return_counts=True)
+    seen = np.argsort(first)
+    picked = table.take(np.argsort(first[inverse], kind="stable"))
+    if hours[-1] == table.UNSTAMPED:
+        return float(np.mean(picked.bids))
+    bounds = picked.offsets[np.cumsum(counts[seen])].tolist()
+    return max(float(picked.bids[lo:hi].mean()) for lo, hi in zip([0] + bounds[:-1], bounds))
+
+
+def fitted_model_text(payload, bids):
+    """``fitted_model.json``'s text for ``payload`` (with ``"bids": None``),
+    the bids joined in one piece at the encoder's indent."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    joined = ",\n      ".join(map(repr, np.asarray(bids, dtype=float).tolist()))
+    return text.replace('"bids": null', f'"bids": [\n      {joined}\n    ]') + "\n"

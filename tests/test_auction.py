@@ -28,7 +28,7 @@ from pgrtb import auction
 from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.simulate import generate_log
 
-from oracles import cdf, pdf, scalar_payment_moments
+from oracles import cdf, max_value_by_take, pdf, scalar_payment_moments
 
 UTC = timezone.utc
 
@@ -562,6 +562,35 @@ def test_estimate_max_value_merges_unstamped_rows():
     # 1 + 1 + 2**53 is exact, 1 + 2**53 + 1 rounds down twice
     log = BidLog(["s"] * 3, ["x", "y", "z"], [ts, None, ts], [1.0, 2.0**53, 1.0])
     assert estimate_max_value(summarize_auctions(log)) == (2.0 + 2.0**53) / 3
+
+
+def _hourly_table(seed, n_auctions=400, unstamped=0.0):
+    """A seeded table of 1-7-bid auctions over a few hours at two clock
+    offsets, bids spread over many magnitudes so that the order a mean sums
+    them in shows in its last bits; a share of auctions carry no stamp."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for a in range(n_auctions):
+        zone = timezone(timedelta(hours=int(rng.integers(0, 2))))
+        ts = datetime(2024, 3, 1, tzinfo=UTC) + timedelta(minutes=int(rng.integers(0, 300)))
+        ts = None if rng.random() < unstamped else ts.astimezone(zone)
+        bids = np.exp(rng.normal(0.0, 4.0, size=int(rng.integers(1, 8))))
+        rows += [("s", f"a{a}", ts, float(b)) for b in bids]
+    return summarize_auctions(BidLog(*zip(*rows)))
+
+
+@pytest.mark.parametrize("unstamped", [0.0, 0.2])
+@pytest.mark.parametrize("seed", range(4))
+def test_estimate_max_value_matches_take_bit_for_bit(monkeypatch, seed, unstamped):
+    """In table order and shuffled (hours interleaved), with and without
+    unstamped auctions, the ceiling is the take-based reference's float, and
+    no auction table is copied to get it."""
+    table = _hourly_table(seed, unstamped=unstamped)
+    shuffled = table.take(np.random.default_rng(seed).permutation(len(table)))
+    want = [max_value_by_take(t) for t in (table, shuffled)]
+    monkeypatch.setattr(type(table), "take", None)
+    got = [estimate_max_value(t) for t in (table, shuffled)]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 def test_revenue_curves_surface():

@@ -12,9 +12,12 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from pgrtb import cli, logs
 from pgrtb.cli import main
 from pgrtb.logs import BidLog, write_log_csv
 from pgrtb.solver import PricePlan
+
+from oracles import fitted_model_text
 
 MARKET = {
     "supply_S": 10, "demand_Q": 40, "horizon_T": 5.0, "steps_N": 5,
@@ -128,6 +131,34 @@ def test_seed_flag_changes_replan(tmp_path):
     ra = json.loads((a / "replan_plan.json").read_text())
     rb = json.loads((b / "replan_plan.json").read_text())
     assert ra["noise_seed"] == 1 and rb["noise_seed"] == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("gen-data", []), ("simulate", ["--plan", "plan.json"]), ("replan", []),
+    ("segment", ["--log", "log.csv"]), ("fit", ["--log", "log.csv"]), ("optimize", [])])
+def test_only_commands_that_draw_take_a_seed(capsys, command, extra):
+    """gen-data, simulate, replan and segment draw random numbers and take
+    ``--seed``; fit and optimize draw none, so the flag is refused there."""
+    argv = [command, "--config", "run.json", *extra, "--seed", "1"]
+    if command in ("fit", "optimize"):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    else:
+        assert cli._build_parser().parse_args(argv).seed == 1
+
+
+@pytest.mark.parametrize("n_bids", [1, logs._CHUNK, logs._CHUNK + 1])
+def test_chunked_bid_writer_matches_one_piece_layout(tmp_path, n_bids):
+    """The bid sample written a chunk at a time gives the bytes of one
+    ``json.dumps`` with the whole sample joined in at its indent."""
+    bids = np.random.default_rng(n_bids).lognormal(0.0, 3.0, size=n_bids)
+    payload = {"schema_version": 1, "max_value": 0.5, "n_used": 3,
+               "bid_model": {"kind": "empirical", "bids": None}}
+    cli._write_fitted(tmp_path / "model.json", payload, bids)
+    assert (tmp_path / "model.json").read_text() == fitted_model_text(payload, bids)
+    assert json.loads((tmp_path / "model.json").read_text())["bid_model"]["bids"] == bids.tolist()
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):

@@ -164,12 +164,14 @@ BAD_ROWS = [
 
 
 def _log_with_bad_rows(path, bad):
-    """Over two read chunks of good rows, some blank, then ``bad``: a list of
-    ``(offset, row)`` placed after them. Returns the line of each bad row."""
-    n_good = 2 * logs._READ_CHUNK + 37
-    lines = ["" if i % 1000 == 999 else
+    """Good rows with ``bad``, a list of ``(offset, row)``, placed from row
+    ``n_good`` on. A blank row ends the second read chunk early, so the third
+    holds the bad rows and is parsed when it fills up, not at the end of the
+    file. Returns the line of each bad row."""
+    n_good, blank = 2 * logs._CHUNK + 37, logs._CHUNK + 99
+    lines = ["" if i == blank else
              f"s,a{i // 5},2024-05-01T{i % 24:02d}:00:00+00:00,0.{i}"
-             for i in range(n_good + 12)]
+             for i in range(blank + 1 + logs._CHUNK + 40)]
     for offset, row in bad:
         lines[n_good + offset] = row
     path.write_text("slot_id,auction_id,timestamp,bid_cpm\n" + "\n".join(lines) + "\n")
@@ -292,12 +294,12 @@ def test_mixed_stamp_kinds_across_read_chunks(tmp_path):
     even for a row that opens a chunk."""
     path = tmp_path / "log.csv"
     lines = [f"s,a{i},2024-05-01T{i % 24:02d}:00:00+01:00,0.5"
-             for i in range(logs._READ_CHUNK + 10)]
-    lines[logs._READ_CHUNK] = "s,late,2024-05-01T08:00:00,0.5"
+             for i in range(logs._CHUNK + 10)]
+    lines[logs._CHUNK] = "s,late,2024-05-01T08:00:00,0.5"
     path.write_text("slot_id,auction_id,timestamp,bid_cpm\n" + "\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         read_log_csv(path)
-    assert str(err.value) == (f"{path}:{logs._READ_CHUNK + 2}: timestamp "
+    assert str(err.value) == (f"{path}:{logs._CHUNK + 2}: timestamp "
                               "'2024-05-01T08:00:00' is naive, the first stamped "
                               "row's is offset-aware")
 
