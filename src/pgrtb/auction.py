@@ -66,6 +66,7 @@ _KRONROD_W = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[:7][::-1]])
 # The 7-point Gauss weights on the odd (embedded) nodes, zero elsewhere.
 _GAUSS_W = np.zeros(15)
 _GAUSS_W[1::2] = [_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]]
+_LOWESS_ROWS = 32  # knots per block: lowess holds a few (rows x n) arrays, never n x n
 
 
 # Cephes ``ndtri``'s rational approximations, the inverse normal CDF that
@@ -510,25 +511,22 @@ def lowess(points, fraction=0.3, iterations=3):
         raise ValueError("points need spread in x")
 
     r = min(max(int(math.ceil(fraction * n)), 2), n - 1)
-    dx = x[None, :] - x[:, None]  # row i holds x - x[i]
-    dist = np.abs(dx)
-    h = np.sort(dist, axis=1)[:, r]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(h[:, None] > 0, dist / h[:, None], np.where(dist > 0, 2.0, 0.0))
-    w = (1.0 - np.clip(scaled, 0.0, 1.0) ** 3) ** 3
-    del dist, scaled
-
-    delta = np.ones(n)
+    blocks = [slice(lo, lo + _LOWESS_ROWS) for lo in range(0, n, _LOWESS_ROWS)]
+    h, delta, sums = np.empty(n), np.ones(n), np.empty((5, n))
+    for b in blocks:  # each knot's distance to its r-th nearest point
+        h[b] = np.partition(np.abs(x - x[b, None]), r, axis=1)[:, r]
     for _ in range(iterations + 1):
-        # every knot at once: row i of each product is knot i's weighted
-        # terms, and each row sum is the same contiguous sum a loop would take
-        wi = w * delta
-        sw = wi.sum(axis=1)
-        wdx = wi * dx
-        swx = wdx.sum(axis=1)
-        swy = np.multiply(wi, y, out=wi).sum(axis=1)
-        swxy = np.multiply(wdx, y, out=wi).sum(axis=1)
-        swxx = np.multiply(wdx, dx, out=wdx).sum(axis=1)
+        for b in blocks:
+            # a row per knot of the block, holding its weighted terms: each row
+            # sum is the same contiguous sum a loop over knots would take
+            dx = x - x[b, None]  # x minus the row's knot
+            dist = np.abs(dx)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scaled = np.where(h[b, None] > 0, dist / h[b, None], np.where(dist > 0, 2.0, 0.0))
+            wi = (1.0 - np.clip(scaled, 0.0, 1.0) ** 3) ** 3 * delta
+            wdx = wi * dx
+            sums[:, b] = [t.sum(axis=1) for t in (wi, wdx, wi * y, wdx * y, wdx * dx)]
+        sw, swx, swy, swxy, swxx = sums
         denom = sw * swxx - swx * swx
         with np.errstate(divide="ignore", invalid="ignore"):
             yest = np.where(sw <= 0.0, y, np.where(
@@ -622,12 +620,15 @@ def estimate_max_value(table):
         raise ValueError("empty auction log")
     hours, first, inverse, counts = np.unique(
         table.hour, return_index=True, return_inverse=True, return_counts=True)
-    # auctions by bucket (first-seen), then table order: each mean sums a contiguous run
+    # auctions by bucket (first-seen), then table order; each bucket's bids are
+    # gathered alone, so each mean sums a contiguous run of one bucket's size
     picked = np.argsort(first[inverse], kind="stable")
-    ends = np.cumsum(table.xi_observed[picked])[np.cumsum(counts[np.argsort(first)]) - 1]
-    ends = ends[-1:] if hours[-1] == table.UNSTAMPED else ends
-    bids = table.bids[np.argsort(np.repeat(first[inverse], table.xi_observed), kind="stable")]
-    return max(float(bids[lo:hi].mean()) for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()))
+    bounds = np.cumsum(counts[np.argsort(first)]).tolist()
+    buckets = (table.bids[table._rows(picked[lo:hi])[0]]
+               for lo, hi in zip([0, *bounds[:-1]], bounds))
+    if hours[-1] == table.UNSTAMPED:
+        return float(np.concatenate(list(buckets)).mean())
+    return max(float(bids.mean()) for bids in buckets)
 
 
 @dataclass

@@ -196,8 +196,7 @@ def cmd_gen_data(rc: RunConfig, args):
     truth_path = _out_path(rc, args, "ground_truth.json")
     write_log_csv(log, log_path)
     _write_json(truth_path, {"schema_version": SCHEMA_VERSION, **truth})
-    n_auctions = len(set(log.auction_id))
-    print(f"wrote {n_auctions} auctions ({len(log)} bid rows) to {log_path}")
+    print(f"wrote {log.count_auctions()} auctions ({len(log)} bid rows) to {log_path}")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import operator
 import re
 from array import array
 from dataclasses import dataclass, fields
@@ -28,42 +29,68 @@ __all__ = [
 ]
 
 LOG_HEADER = ("slot_id", "auction_id", "timestamp", "bid_cpm")
-_CHUNK = 1024  # rows per pass of the reader, the writers and ``_runs``, bounding their memory
+_CHUNK = 1024  # rows per pass of the reader and the writers, bounding their memory
 _US = timedelta(microseconds=1)
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # fields the csv module quotes
 
 
 class BidLog:
-    """Bid rows as columns: ``slot_id``, ``auction_id`` and ``timestamp``
-    (None when the source has no clock) are lists, ``bid_cpm`` is a float64
-    array. Logs compare column by column and concatenate with ``+``.
+    """Bid rows stored by run: a block of consecutive rows whose slot id, auction id
+    and stamp (None when the source has no clock) are the same objects. A log holds
+    the float64 ``bid_cpm`` per row and, per run, its first row and one slot id,
+    auction id and stamp. ``slot_id``, ``auction_id`` and ``timestamp`` are per-row
+    lists of those objects, expanded from the runs on every access: O(rows). Logs
+    compare row by row, whatever their runs, and concatenate with ``+``.
     """
 
     def __init__(self, slot_id, auction_id, timestamp, bid_cpm):
-        self.slot_id, self.auction_id = list(slot_id), list(auction_id)
-        self.timestamp, self.bid_cpm = list(timestamp), np.asarray(bid_cpm, dtype=float)
-        if len(set(map(len, (self.slot_id, self.auction_id, self.timestamp, self.bid_cpm)))) > 1:
+        columns = list(slot_id), list(auction_id), list(timestamp)
+        self.bid_cpm = np.asarray(bid_cpm, dtype=float)
+        if len({len(self.bid_cpm), *map(len, columns)}) > 1:
             raise ValueError("bid log columns must have equal lengths")
+        rows = list(zip(*columns))  # a run starts where some field is another object
+        starts = [i for i, row in enumerate(rows)
+                  if not i or any(map(operator.is_not, row, rows[i - 1]))]
+        self._starts = np.array(starts, dtype=np.int64)
+        self._slots, self._auctions, self._stamps = ([c[i] for i in starts] for c in columns)
 
     @classmethod
-    def _adopt(cls, *columns):
-        """A log over these equal-length lists and float array themselves, uncopied."""
+    def _of_runs(cls, starts, slots, auctions, stamps, bid_cpm):
+        """A log over these columns themselves, uncopied: the runs' first rows (int64,
+        ascending from 0), lists of their slot ids, auction ids and stamps, and the
+        float64 bids. Neighbouring runs may share all three fields; they then only
+        cost a run more."""
+        if (len({len(starts), len(slots), len(auctions), len(stamps)}) > 1
+                or starts[:1].tolist() != [0] * bool(len(bid_cpm))
+                or (np.diff(starts, append=len(bid_cpm)) <= 0).any()):
+            raise ValueError("runs must start at row 0, ascend, and have one field of each")
         log = cls.__new__(cls)
-        log.slot_id, log.auction_id, log.timestamp, log.bid_cpm = columns
+        log._starts, log._slots, log._auctions, log._stamps, log.bid_cpm = (
+            starts, slots, auctions, stamps, bid_cpm)
         return log
+
+    def _per_row(self, column):
+        """A per-run column repeated over each run's rows."""
+        lengths = np.diff(self._starts, append=len(self)).tolist()
+        return list(itertools.chain.from_iterable(map(itertools.repeat, column, lengths)))
+
+    slot_id = property(lambda self: self._per_row(self._slots))
+    auction_id = property(lambda self: self._per_row(self._auctions))
+    timestamp = property(lambda self: self._per_row(self._stamps))
 
     def __len__(self):
         return len(self.bid_cpm)
 
+    def count_auctions(self):
+        """The number of distinct auction ids, counted over the runs."""
+        return len(set(self._auctions))
+
     def __eq__(self, other):
-        return (isinstance(other, BidLog) and self.slot_id == other.slot_id
-                and self.auction_id == other.auction_id
-                and self.timestamp == other.timestamp
-                and np.array_equal(self.bid_cpm, other.bid_cpm))
+        return isinstance(other, BidLog) and np.array_equal(self.bid_cpm, other.bid_cpm) and all(
+            getattr(self, name) == getattr(other, name) for name in LOG_HEADER[:3])
 
     def __add__(self, other):
-        return BidLog(self.slot_id + other.slot_id, self.auction_id + other.auction_id,
-                      self.timestamp + other.timestamp,
+        return BidLog(*(getattr(self, name) + getattr(other, name) for name in LOG_HEADER[:3]),
                       np.concatenate([self.bid_cpm, other.bid_cpm]))
 
 
@@ -99,11 +126,18 @@ class AuctionTable:
         """The auctions picked by an index array or a boolean mask, in that
         order (a mask keeps the table's), each with its bids in order."""
         index = np.arange(len(self))[index]
-        counts = self.xi_observed[index]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[index] - offsets[:-1], counts)
+        rows, offsets = self._rows(index)
         per_auction = (getattr(self, f.name)[index] for f in fields(self)[:7])  # per-auction
         return AuctionTable(*per_auction, self.bids[rows], offsets)
+
+    def _rows(self, index):
+        """The bid rows of the auctions at an index array, in its order, and their
+        offsets there: one int64 per row beside the bids, no more."""
+        counts = self.xi_observed[index]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = np.repeat(self.offsets[index] - offsets[:-1], counts)
+        rows += np.arange(len(rows))
+        return rows, offsets
 
 
 def _csv_field(value):
@@ -114,54 +148,52 @@ def _csv_field(value):
 
 def write_log_csv(log, path):
     """Write a :class:`BidLog` to ``path``; a None timestamp becomes an empty field."""
-    runs = _runs(log)  # the rows of a run share the prefix its first row prints
+    starts = log._starts  # the rows of a run share the prefix its fields print
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
         for lo in range(0, len(log), _CHUNK):
             hi = min(lo + _CHUNK, len(log))
-            ends = [lo, *runs[slice(*np.searchsorted(runs, [lo + 1, hi]))].tolist(), hi]
+            first, last = int(np.searchsorted(starts, lo, "right")), int(np.searchsorted(starts, hi))
+            ends = [lo, *starts[first:last].tolist(), hi]
             bids = list(map(repr, log.bid_cpm[lo:hi].tolist()))
             text = []
-            for start, end in zip(ends[:-1], ends[1:]):
-                t = log.timestamp[start]
-                row = log.slot_id[start], log.auction_id[start], "" if t is None else t.isoformat()
+            for run, start, end in zip(range(first - 1, last), ends[:-1], ends[1:]):
+                t = log._stamps[run]
+                row = log._slots[run], log._auctions[run], "" if t is None else t.isoformat()
                 prefix = ",".join(map(_csv_field, row)) + ","
                 text += (prefix, ("\r\n" + prefix).join(bids[start - lo:end - lo]), "\r\n")
             fh.write("".join(text))
 
 
-def _runs(log):
-    """The first row of each run: consecutive rows that share one slot id, one auction id
-    and one stamp object (equal instants at other offsets print otherwise), by chunks."""
-    parts = [np.zeros(min(len(log), 1), dtype=np.intp)]
-    for lo in range(0, len(log) - 1, _CHUNK):
-        hi = min(lo + _CHUNK + 1, len(log))  # one row of overlap joins the chunks
-        ids = [np.fromiter(map(id, column[lo:hi]), np.int64, hi - lo)
-               for column in (log.slot_id, log.auction_id, log.timestamp)]
-        parts.append(lo + 1 + np.flatnonzero(np.any([c[1:] != c[:-1] for c in ids], axis=0)))
-    return np.concatenate(parts)
-
-
-def _run_head(row, texts, stamps):
-    """A run's first row's slot id, auction id and stamp, interned (one string per id in
-    ``texts``, one value per stamp text in ``stamps``), or a ValueError naming the row's
-    first failed check; a stamp of the other kind than ``stamps[None]``'s fails."""
+def _run_head(row, ids, stamps, last, naive):
+    """A run's first row's slot id, auction id and stamp, the stamp's text and value,
+    and whether stamps are naive (None until one is read); or a ValueError naming the
+    row's first failed check, where a stamp not of kind ``naive`` fails. The previous
+    run's stamp (``last``: its text and value) serves the same text unparsed. ``ids``
+    interns the ids, and ``stamps`` the stamps of auctions seen before (equal instants
+    at other offsets stay apart), so a log grouped by auction adds no stamp there."""
     if len(row) != len(LOG_HEADER):
         raise ValueError(f"expected {len(LOG_HEADER)} fields")
     slot, auction, text = map(str.strip, row[:3])
     if not (slot and auction):
         raise ValueError("empty slot or auction id")
-    if text not in stamps:
+    stamp = last[1]
+    if text != last[0]:
         try:  # datetime.fromisoformat on 3.10 rejects a trailing Z
-            stamp = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
+            stamp = None if not text else datetime.fromisoformat(
+                text[:-1] + "+00:00" if text.endswith("Z") else text)
         except ValueError:
             raise ValueError(f"bad timestamp {text!r}") from None
-        naive = stamps.setdefault(None, stamp.tzinfo is None)  # naive: no tzinfo
-        if (stamp.tzinfo is None) != naive:
-            raise ValueError(f"timestamp {text!r} is {('naive', 'offset-aware')[naive]}, "
-                             f"the first stamped row's is {('offset-aware', 'naive')[naive]}")
-        stamps[text] = stamp
-    return texts.setdefault(slot, slot), texts.setdefault(auction, auction), stamps[text]
+        if stamp is not None:
+            naive = stamp.tzinfo is None if naive is None else naive  # naive: no tzinfo
+            if (stamp.tzinfo is None) != naive:
+                raise ValueError(f"timestamp {text!r} is {('naive', 'offset-aware')[naive]}, "
+                                 f"the first stamped row's is {('offset-aware', 'naive')[naive]}")
+    if stamp is not None and auction in ids:
+        earlier = stamps.setdefault(stamp, stamp)
+        stamp = earlier if earlier.utcoffset() == stamp.utcoffset() else stamp
+    head = ids.setdefault(slot, slot), ids.setdefault(auction, auction), stamp
+    return head, (text, stamp), naive
 
 
 def _parse_bids(texts, line, path):
@@ -182,9 +214,11 @@ def _parse_bids(texts, line, path):
 def read_log_csv(path):
     """Read a :class:`BidLog` from ``path``, validating the header and every
     field; the first bad row is reported as ``path:line``. A run of rows
-    with the same slot, auction and stamp fields is checked and interned
-    once, and bids are converted ``_CHUNK`` lines at a time."""
-    heads, starts, texts, stamps = ([], [], []), array("q"), {}, {"": None}
+    with the same slot, auction and stamp fields is checked once, equal ids
+    share one object, as do an interleaved auction's stamps, and bids are
+    converted ``_CHUNK`` lines at a time."""
+    starts, heads, head, ids, stamps = array("q"), ([], [], []), (None,) * 3, {}, {}
+    last, naive = ("", None), None  # the previous run's stamp text and value
     chunks, pending, key, rows = [], [], None, 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -201,20 +235,21 @@ def read_log_csv(path):
                     continue
             if row[:-1] != key:  # a new run or a malformed row
                 try:
-                    head = _run_head(row, texts, stamps)
+                    new, last, naive = _run_head(row, ids, stamps, last, naive)
                 except ValueError as exc:
                     _parse_bids(pending, lineno - len(pending), path)  # an earlier bad bid wins
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 key = row[:-1]
-                starts.append(rows + len(pending))
-                for column, value in zip(heads, head):
-                    column.append(value)
+                if any(map(operator.is_not, new, head)):
+                    starts.append(rows + len(pending))
+                    for column, value in zip(heads, new):
+                        column.append(value)
+                    head = new
             pending.append(row[-1])
-    del texts, stamps  # before the columns are built
-    lengths = np.diff(np.frombuffer(starts, dtype=np.int64), append=rows)
-    # each column is its run heads repeated, in an exact-size list
-    columns = [np.repeat(np.array(column, dtype=object), lengths).tolist() for column in heads]
-    return BidLog._adopt(*columns, np.concatenate(chunks))
+    del ids, stamps  # before the bids are joined
+    bids = np.concatenate(chunks)
+    del chunks  # before the runs are checked
+    return BidLog._of_runs(np.frombuffer(starts, dtype=np.int64), *heads, bids)
 
 
 def summarize_auctions(log, reserve=0.0):
@@ -225,22 +260,21 @@ def summarize_auctions(log, reserve=0.0):
     the reserve. A log that mixes naive and offset-aware stamps is refused
     with a ValueError, as the two kinds do not compare.
     """
-    runs = _runs(log)
+    starts = log._starts
     # each run's auction as its first run's index, so auctions ascend in first-seen order
-    run_first = np.fromiter(map({}.setdefault, map(log.auction_id.__getitem__, runs),
-                                itertools.count()), np.intp, len(runs))
+    run_first = np.fromiter(map({}.setdefault, log._auctions, itertools.count()), np.intp,
+                            len(starts))
     heads, run_auction = np.unique(run_first, return_inverse=True)
-    heads = runs[heads]  # each auction's first row
-    auction_id, slot_id = (np.fromiter(map(column.__getitem__, heads), object, len(heads))
-                           for column in (log.auction_id, log.slot_id))
-    lengths = np.diff(runs, append=len(log))
+    auction_id, slot_id = (np.fromiter(map(column.__getitem__, heads.tolist()), object, len(heads))
+                           for column in (log._auctions, log._slots))
+    lengths = np.diff(starts, append=len(log))
     xi = np.bincount(run_auction, lengths, len(heads)).astype(np.intp)
     offsets = np.concatenate([[0], np.cumsum(xi)])
     # rows by auction (numbered in the narrowest type), then descending bid
     narrow = run_auction.astype(np.min_scalar_type(len(heads)))
     bids = log.bid_cpm[np.lexsort((-log.bid_cpm, np.repeat(narrow, lengths)))]
     del run_first, narrow, lengths
-    stamps = np.fromiter(map(log.timestamp.__getitem__, runs), object, len(runs))
+    stamps = np.fromiter(log._stamps, object, len(starts))
     stamp = next(filter(None, stamps), None)  # naive stamps count as UTC
     aware = stamp is not None and stamp.utcoffset() is not None
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc if aware else None)

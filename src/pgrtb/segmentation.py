@@ -124,8 +124,8 @@ def _auction_groups(table, feature, seed):
                          k=2, seed=seed)
     except ValueError:
         return everything
-    if feature == "winning_bid":
-        return [(s.label, s.members) for s in segs], False
+    if feature == "winning_bid":  # members as arrays: a list holds an int object per auction
+        return [(s.label, np.array(s.members)) for s in segs], False
     # each auction joins the bid cluster nearest its winning bid
     centroids = np.array([s.centroid for s in segs])
     nearest = np.argmin(np.abs(centroids[None, :] - table.winning_bid[:, None]), axis=1)

@@ -217,13 +217,15 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         raise ValueError("bidders_per_hour must be non-empty, non-negative ints")
     rng = default_rng(_seed_sequence(seed))
     start = _EPOCH if start_time is None else start_time
-    auction_ids, stamps, bids = [], [], []
+    rows, starts, auction_ids, stamps, bids = 0, [], [], [], []  # one run per auction
     for h in range(hours):
         k = bidders[h % len(bidders)]
         hour_start = start + timedelta(hours=h)
-        for a in range(auctions_per_hour):
-            auction_ids += [f"{slot_id}-h{h:04d}-a{a:05d}"] * k
-            stamps += [hour_start + timedelta(seconds=3600.0 * a / auctions_per_hour)] * k
+        for a in range(auctions_per_hour if k else 0):  # an auction without bids has no rows
+            starts.append(rows + a * k)
+            auction_ids.append(f"{slot_id}-h{h:04d}-a{a:05d}")
+            stamps.append(hour_start + timedelta(seconds=3600.0 * a / auctions_per_hour))
+        rows += auctions_per_hour * k
         # the hour's auctions draw their bids in turn from one stream
         bids.append(bid_model.sample_bids(rng, auctions_per_hour * k))
     truth = {
@@ -235,4 +237,5 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         "bid_model": bid_model.to_dict(),
         "start_time": (start.isoformat()),
     }
-    return BidLog._adopt([slot_id] * len(stamps), auction_ids, stamps, np.concatenate(bids)), truth
+    return BidLog._of_runs(np.array(starts, dtype=np.int64), [slot_id] * len(starts),
+                           auction_ids, stamps, np.concatenate(bids)), truth

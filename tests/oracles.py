@@ -42,7 +42,9 @@ gathered by ``AuctionTable.take``, the reference that
 ``auction.estimate_max_value`` must match bit for bit while it gathers only
 the bids it averages. ``fitted_model_text`` is ``fitted_model.json`` laid out
 by one ``json.dumps`` and one text replacement, the reference for the CLI's
-chunked bid writer.
+chunked bid writer. ``dense_lowess`` is LOWESS with every knot's weights in
+one n x n array, the reference that ``auction.lowess``, which weighs a block
+of knots at a time, must match bit for bit.
 """
 
 import json
@@ -54,7 +56,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from pgrtb import solver
-from pgrtb.auction import _payment_points_batch
+from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import BidLog
 from pgrtb.market import MarketConfig, TimeGrid
 from pgrtb.simulate import _EPOCH, _seed_sequence
@@ -499,3 +501,40 @@ def fitted_model_text(payload, bids):
     text = json.dumps(payload, indent=2, sort_keys=True)
     joined = ",\n      ".join(map(repr, np.asarray(bids, dtype=float).tolist()))
     return text.replace('"bids": null', f'"bids": [\n      {joined}\n    ]') + "\n"
+
+
+def dense_lowess(points, fraction=0.3, iterations=3):
+    """``auction.lowess`` with every knot's distances, weights and weighted
+    terms in n x n arrays: each row sum is one knot's, over the same values."""
+    x, y = _as_xy(points)
+    n = x.size
+    r = min(max(int(math.ceil(fraction * n)), 2), n - 1)
+    dx = x[None, :] - x[:, None]  # row i holds x - x[i]
+    dist = np.abs(dx)
+    h = np.sort(dist, axis=1)[:, r]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(h[:, None] > 0, dist / h[:, None], np.where(dist > 0, 2.0, 0.0))
+    w = (1.0 - np.clip(scaled, 0.0, 1.0) ** 3) ** 3
+    delta = np.ones(n)
+    for _ in range(iterations + 1):
+        wi = w * delta
+        sw = wi.sum(axis=1)
+        wdx = wi * dx
+        swx = wdx.sum(axis=1)
+        swy = (wi * y).sum(axis=1)
+        swxy = (wdx * y).sum(axis=1)
+        swxx = (wdx * dx).sum(axis=1)
+        denom = sw * swxx - swx * swx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yest = np.where(sw <= 0.0, y, np.where(
+                denom <= 1e-13 * np.maximum(np.abs(sw * swxx), 1e-30),
+                swy / sw, (swxx * swy - swx * swxy) / denom))
+        res = y - yest
+        s = float(np.median(np.abs(res)))
+        if s <= 0.0:
+            break
+        delta = np.clip(res / (6.0 * s), -1.0, 1.0)
+        delta = (1.0 - delta * delta) ** 2
+    rmse = float(np.sqrt(np.mean((yest - y) ** 2)))
+    return FittedCurve(method="lowess", x_range=(float(x[0]), float(x[-1])),
+                       knot_x=x, knot_y=yest, rmse=rmse)

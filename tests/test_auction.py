@@ -6,6 +6,7 @@ Monte Carlo estimator. None of these share code with the production path.
 """
 
 import math
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 
@@ -28,7 +29,7 @@ from pgrtb import auction
 from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.simulate import generate_log
 
-from oracles import cdf, max_value_by_take, pdf, scalar_payment_moments
+from oracles import cdf, dense_lowess, max_value_by_take, pdf, scalar_payment_moments
 
 UTC = timezone.utc
 
@@ -417,6 +418,43 @@ def test_lowess_validation():
         lowess([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
     with pytest.raises(ValueError):
         lowess([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0)], iterations=-1)
+
+
+def _lowess_points(n, outliers):
+    """``n`` noisy points on a curve, with ties in x, and every seventh point
+    thrown far off when ``outliers``."""
+    rng = np.random.default_rng(n)
+    x = np.round(rng.uniform(2.0, 9.0, n), 1)
+    y = 0.5 * np.sqrt(x) + rng.normal(0.0, 0.02, n)
+    if outliers:
+        y[::7] += rng.choice([-3.0, 3.0], y[::7].size)
+    return np.column_stack([x, y])
+
+
+@pytest.mark.parametrize("outliers", [False, True])
+@pytest.mark.parametrize("n", [3, 96, auction._LOWESS_ROWS - 1, auction._LOWESS_ROWS + 1, 600])
+def test_lowess_in_blocks_matches_the_dense_fit_bit_for_bit(n, outliers):
+    """Weighing a block of knots at a time sums each knot's terms over the
+    same values as the n x n oracle, so the fit has the same bits."""
+    for fraction in (0.3, 1.0):
+        points = _lowess_points(n, outliers)
+        got, want = lowess(points, fraction), dense_lowess(points, fraction)
+        assert got.knot_y.tobytes() == want.knot_y.tobytes()
+        assert got.rmse == want.rmse or math.isnan(got.rmse) and math.isnan(want.rmse)
+
+
+def test_lowess_scratch_grows_with_a_block_not_the_square():
+    """At 600 knots an n x n float array is 2.7 MiB and the dense fit holds
+    several; a block of knots' scratch stays far below one."""
+    points = _lowess_points(600, True)
+    lowess(points)
+    tracemalloc.start()
+    try:
+        lowess(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"lowess at 600 knots peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_fit_polynomial_recovers_quadratic():

@@ -39,6 +39,111 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back == log  # column equality, floats exact via repr round trip
 
 
+def test_per_row_views_give_back_the_objects_passed_in():
+    slot, auctions = "slot-a", ["x1", "x2"]
+    stamps = [datetime(2024, 5, 1, 10, tzinfo=UTC), None]
+    log = BidLog([slot] * 3, [auctions[0], auctions[0], auctions[1]],
+                 [stamps[0], stamps[0], stamps[1]], [0.5, 0.25, 1.0])
+    assert all(v is slot for v in log.slot_id)
+    assert [a is b for a, b in zip(log.auction_id, [auctions[0], auctions[0], auctions[1]])] \
+        == [True] * 3
+    assert log.timestamp[0] is stamps[0] and log.timestamp[1] is stamps[0]
+    assert log.timestamp[2] is None
+    with pytest.raises(AttributeError):
+        log.slot_id = ["other"] * 3
+
+
+def test_logs_compare_by_rows_whatever_their_runs():
+    """Equal ids that are distinct objects split a run; the rows compare equal."""
+    one, other = "auction-7", "".join(["auction", "-7"])
+    assert one == other and one is not other
+    merged = BidLog(["s"] * 3, [one] * 3, [None] * 3, [0.1, 0.2, 0.3])
+    split = BidLog(["s"] * 3, [one, other, other], [None] * 3, [0.1, 0.2, 0.3])
+    assert len(merged._starts) == 1 and len(split._starts) == 2
+    assert merged == split and split == merged
+    assert merged != BidLog(["s"] * 3, [one] * 3, [None] * 3, [0.1, 0.2, 0.4])
+    assert merged != BidLog(["s"] * 3, [one, one, "b"], [None] * 3, [0.1, 0.2, 0.3])
+
+
+def test_add_joins_a_run_across_the_boundary():
+    ts = datetime(2024, 5, 1, 10, tzinfo=UTC)
+    head = rows_log([("s", "a", None, 0.5), ("s", "b", ts, 0.4)])
+    tail = BidLog(["s", "s"], [head.auction_id[1], "c"], [ts, ts], [0.3, 0.2])
+    both = head + tail
+    assert len(both) == 4 and len(both._starts) == 3  # b's rows stay one run
+    assert both == rows_log([("s", "a", None, 0.5), ("s", "b", ts, 0.4),
+                             ("s", "b", ts, 0.3), ("s", "c", ts, 0.2)])
+    assert head + rows_log([]) == head and rows_log([]) + head == head
+
+
+def test_reader_keeps_a_run_whose_fields_differ_only_in_spaces(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
+                    "s,a,2024-05-01T10:00:00,0.5\n"
+                    " s , a ,2024-05-01T10:00:00 ,0.4\n"
+                    "s,b,2024-05-01T10:00:00,0.3\n")
+    log = read_log_csv(path)
+    assert log._starts.tolist() == [0, 2]
+    assert log.timestamp[2] is log.timestamp[0]  # the previous run's stamp, read once
+
+
+def test_reader_holds_an_interleaved_auctions_id_and_stamp_once(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
+                    "s,a,2024-05-01T10:00:00+00:00,0.5\n"
+                    "s,b,2024-05-01T10:00:00+00:00,0.4\n"
+                    "s,a,2024-05-01T10:00:00Z,0.3\n"
+                    "s,b,2024-05-01T10:00:00+00:00,0.2\n"
+                    "s,a,2024-05-01T11:00:00+01:00,0.1\n")
+    log = read_log_csv(path)
+    assert len(log._starts) == 5
+    slots, auctions, stamps = log.slot_id, log.auction_id, log.timestamp
+    assert all(s is slots[0] for s in slots)
+    assert auctions[2] is auctions[0] and auctions[3] is auctions[1]
+    assert stamps[1] is stamps[0]  # the previous run's stamp text, read once
+    assert stamps[3] is stamps[2]  # a later run of an auction shares an equal stamp
+    # an equal instant at another offset keeps its own stamp, and prints as read
+    assert stamps[4] == stamps[2] and stamps[4].utcoffset() == timedelta(hours=1)
+    again = tmp_path / "again.csv"
+    write_log_csv(log, again)
+    assert again.read_text().splitlines()[-1] == "s,a,2024-05-01T11:00:00+01:00,0.1"
+
+
+def test_runs_are_checked_where_a_log_adopts_them():
+    bids = np.array([0.5, 0.4, 0.3])
+    log = BidLog._of_runs(np.array([0, 2]), ["s", "s"], ["a", "b"], [None, None], bids)
+    assert log == rows_log([("s", "a", None, 0.5), ("s", "a", None, 0.4),
+                            ("s", "b", None, 0.3)])
+    assert log.count_auctions() == 2
+    assert BidLog._of_runs(np.array([], dtype=np.int64), [], [], [], np.array([])) \
+        == rows_log([])
+    for starts, auctions in [([0, 2], ["a"]), ([1, 2], ["a", "b"]), ([0, 3], ["a", "b"]),
+                             ([0, 2, 2], ["a", "b", "c"]), ([], [])]:
+        k = len(starts)
+        with pytest.raises(ValueError, match="runs must"):
+            BidLog._of_runs(np.array(starts, dtype=np.int64), ["s"] * k, auctions,
+                            [None] * k, bids)
+
+
+@pytest.mark.parametrize("text", [
+    # an auction's rows that are not consecutive
+    "s,a,,0.5\r\ns,b,,0.4\r\ns,a,,0.3\r\ns,b,,0.2\r\n",
+    # stamps that differ inside an auction
+    "s,a,2024-05-01T10:00:00+00:00,0.5\r\ns,a,2024-05-01T10:05:00+00:00,0.4\r\n"
+    "s,a,2024-05-01T10:05:00+00:00,0.3\r\n",
+    # equal instants at two offsets, in one auction and across two
+    "s,a,2024-05-01T12:00:00+00:00,0.5\r\ns,a,2024-05-01T13:00:00+01:00,0.4\r\n"
+    "s,b,2024-05-01T13:00:00+01:00,0.3\r\ns,b,2024-05-01T12:00:00+00:00,0.2\r\n",
+    # unstamped rows between stamped ones
+    "s,a,,0.5\r\ns,a,2024-05-01T10:00:00,0.4\r\ns,a,,0.3\r\nt,a,,0.2\r\n",
+])
+def test_read_then_write_gives_the_same_bytes(tmp_path, text):
+    path, again = tmp_path / "log.csv", tmp_path / "again.csv"
+    path.write_bytes(("slot_id,auction_id,timestamp,bid_cpm\r\n" + text).encode())
+    write_log_csv(read_log_csv(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def _csv_writer_bytes(rows):
     """The log as the csv module writes it, one ``writerow`` per bid row."""
     buf = io.StringIO(newline="")

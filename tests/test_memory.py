@@ -1,19 +1,23 @@
 """Memory bounds of the log path, measured with tracemalloc.
 
-Each stage may hold one bounded chunk beyond what it returns: the reader
-keeps its text a run and a chunk of bids at a time, the summary builds its
-per-auction columns from run heads, and ``fit`` writes the bid sample a
+A log stores its slot id, auction id and stamp once per run of rows. Each
+stage may hold one bounded chunk beyond what it returns: the reader keeps
+its text a run and a chunk of bids at a time, the summary builds its
+per-auction columns from the runs, and ``fit`` writes the bid sample a
 chunk at a time. Allocation counts are deterministic, so the bounds are too.
 """
 
+import contextlib
 import gc
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pgrtb import BidModel, cli
-from pgrtb.logs import read_log_csv, summarize_auctions, write_log_csv
+from pgrtb.logs import BidLog, read_log_csv, summarize_auctions, write_log_csv
 from pgrtb.simulate import generate_log
 
 MIB = 1024 * 1024
@@ -43,6 +47,37 @@ def log_path(tmp_path_factory):
     return path
 
 
+def test_held_log_costs_under_45_bytes_a_row(log_path):
+    """Per row, the float64 bid; per run of 4.9 rows, its first row, three
+    list slots, the auction id string and the stamp."""
+    read_log_csv(log_path)
+    log, held, _ = _traced(read_log_csv, log_path)
+    assert held < 45 * len(log), f"{held / len(log):.1f} bytes a row"
+
+
+@pytest.fixture(scope="module")
+def shuffled_path(log_path):
+    """The same rows in a random order: nearly every row is a run of its own."""
+    log = read_log_csv(log_path)
+    order = np.random.default_rng(0).permutation(len(log)).tolist()
+    columns = ([column[i] for i in order] for column in (log.slot_id, log.auction_id,
+                                                          log.timestamp))
+    path = log_path.with_name("shuffled.csv")
+    write_log_csv(BidLog(*columns, log.bid_cpm[order]), path)
+    return path
+
+
+def test_a_shuffled_log_holds_each_auction_id_once(shuffled_path):
+    """Per row-run, its bid, first row and three list slots; once per auction,
+    its id and up to two stamps (the first run's, and the one its later runs
+    share). Runs that each held their own id and stamp would cost 158 B/row."""
+    read_log_csv(shuffled_path)
+    log, held, peak = _traced(read_log_csv, shuffled_path)
+    assert len(log._starts) > 0.9 * len(log)
+    assert held < 80 * len(log), f"{held / len(log):.1f} bytes a row"
+    assert peak <= 1.6 * held, f"peak {peak / MIB:.3f} MiB, log {held / MIB:.3f} MiB"
+
+
 def test_reader_peak_is_within_a_chunk_of_the_log(log_path):
     read_log_csv(log_path)  # module state (the csv module, numpy's caches) off the count
     log, held, peak = _traced(read_log_csv, log_path)
@@ -55,7 +90,7 @@ def test_summary_peak_above_its_table_is_below_one_row_column_set(log_path):
     summarize_auctions(log)
     table, held, peak = _traced(summarize_auctions, log)
     assert len(table) == 4_000
-    # a row's four columns: three list slots and one float64
+    # four 8-byte columns per row
     row_columns = 4 * 8 * len(log)
     assert peak - held < row_columns, \
         f"peak {peak / MIB:.3f} MiB above a table of {held / MIB:.3f} MiB"
@@ -66,3 +101,16 @@ def test_bid_sample_write_adds_less_than_half_a_mib(log_path, tmp_path):
     payload = {"schema_version": 1, "bid_model": {"kind": "empirical", "bids": None}}
     _, _, peak = _traced(cli._write_fitted, tmp_path / "model.json", payload, bids)
     assert peak < 0.5 * MIB, f"writing {len(bids)} bids peaked at {peak / MIB:.3f} MiB"
+
+
+def test_fit_command_peak_per_log_row(log_path, tmp_path):
+    """``fit`` peaks while it copies the auctions with two bids beside its
+    table, at 78 bytes a log row."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"schema_version": 1, "output": {"dir": str(tmp_path)}}))
+    argv = ["fit", "--config", str(config), "--log", str(log_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        code, _, peak = _traced(cli.main, argv)
+    assert code == 0
+    assert peak < 85 * 19_700, f"fit peaked at {peak / 19_700:.1f} bytes a log row"
