@@ -140,6 +140,9 @@ def _ndtri(u):
 # u = 1 and onto the u^(xi-2) kink at u = 0 whatever the level.
 _DYADIC = 0.5 ** np.arange(1, 41)
 _EDGES = np.unique(np.concatenate([[0.0, 1.0], _DYADIC, 1.0 - _DYADIC]))
+# The largest u the rule reads: the top node of the last panel.
+_TOP_NODE = 0.5 * (_EDGES[-2] + _EDGES[-1]) + 0.5 * (_EDGES[-1] - _EDGES[-2]) * _NODES[-1]
+_Z_TOP = float(_ndtri(_TOP_NODE))
 # Levels integrated per vectorized pass; small, so the two work arrays
 # stay small: a solve can price levels while its DP tables are held.
 _CHUNK = 6
@@ -200,7 +203,8 @@ def _payment_points_batch(model, xis):
     exceed ``_RTOL`` the variance takes a second pass on the same nodes,
     centred on the mean; every other level keeps the one-pass floats. A
     level whose K15 - G7 error estimate exceeds ``_RTOL`` of a moment it
-    computed emits a RuntimeWarning.
+    computed emits a RuntimeWarning; a centred pass's error is judged
+    against the raw second moment, the scale its spread loses bits against.
     """
     cache = model._moments
     todo = np.array(sorted({xi for xi in map(float, xis)
@@ -222,6 +226,7 @@ def _payment_points_batch(model, xis):
         f *= x
         moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
     var = moments[1] - moments[0] * moments[0]
+    against = np.abs(moments)  # what each error is judged against
     loose = np.flatnonzero(2.0 ** -50 * moments[1] > _RTOL * var)
     for lo in range(0, loose.size, _CHUNK):
         part = loose[lo:lo + _CHUNK]
@@ -230,18 +235,19 @@ def _payment_points_batch(model, xis):
         np.subtract(x, moments[0, part, None, None], out=products)
         f *= products
         f *= products
-        # the warning then judges the central moment the spread comes from
+        # the warning then judges the central moment's error against the raw
+        # moment: a spread at rounding level is no miss
         moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
         var[part] = moments[1, part]
     cache.update(zip(todo.tolist(), zip(
         moments[0].tolist(), np.sqrt(np.maximum(var, 0.0)).tolist())))
-    bad = errors > _RTOL * np.abs(moments)
+    bad = errors > _RTOL * against
     if bad.any():
         i = int(bad.any(axis=0).argmax())
         k = int(bad[:, i].argmax())
         warnings.warn(
             "payment quadrature error %.3g on a moment of %.6g at xi=%.6g "
-            "exceeds the relative tolerance %.3g" % (errors[k, i], moments[k, i], todo[i], _RTOL),
+            "exceeds the relative tolerance %.3g" % (errors[k, i], against[k, i], todo[i], _RTOL),
             RuntimeWarning, stacklevel=3)
 
 
@@ -249,10 +255,12 @@ class BidModel:
     """A bid distribution and the moments of its second-highest order statistic.
 
     Construct via :meth:`uniform`, :meth:`lognormal`, or :meth:`empirical`.
-    The empirical flavor smooths a sample with a Freedman-Diaconis histogram;
-    its quantile function and sampler describe that smoothed law (a
-    zero-spread sample degenerates to an explicit point mass). Parameters
-    and bids must be finite.
+    The empirical flavor smooths a sample with a Freedman-Diaconis histogram
+    and keeps only that histogram, its edges and integer counts; its quantile
+    function and sampler describe the smoothed law (a zero-spread sample
+    degenerates to an explicit point mass). Parameters and bids must be
+    finite, and the squares of the largest values the payment quadrature
+    reads must be finite floats: ``lognormal(700, 1)`` is refused.
     """
 
     def __init__(self, kind, **params):
@@ -270,25 +278,27 @@ class BidModel:
                 raise ValueError("lognormal mu must be finite and sigma positive and finite")
             self.mu, self.sigma = mu, sigma
         elif kind == "empirical":
-            sample = np.sort(np.asarray(params["bids"], dtype=float))
-            if sample.size == 0:
-                raise ValueError("empirical bid model needs at least one bid")
-            if not np.all((sample >= 0) & (sample < math.inf)):
-                raise ValueError("bids must be finite and non-negative")
-            self.sample = sample
-            if sample[0] == sample[-1]:
-                self._point = float(sample[0])
-                self._edges = np.array([self._point, self._point])
-                self._cdf_at_edges = np.array([0.0, 1.0])
+            if "bids" in params:
+                edges, counts = _histogram(np.asarray(params["bids"], dtype=float))
             else:
-                self._point = None
-                edges = np.histogram_bin_edges(sample, bins="fd")
-                counts, edges = np.histogram(sample, bins=edges)
-                self._edges = edges
-                self._cdf_at_edges = np.concatenate(
-                    [[0.0], np.cumsum(counts)]) / sample.size
+                edges = np.asarray(params["edges"], dtype=float)
+                counts = np.asarray(params["counts"])
+                if not (edges.ndim == counts.ndim == 1 and edges.size == counts.size + 1 >= 2
+                        and np.issubdtype(counts.dtype, np.integer) and (counts >= 0).all()
+                        and counts.sum() > 0 and (np.diff(edges) >= 0).all()
+                        and 0.0 <= edges[0] and edges[-1] < math.inf):
+                    raise ValueError("empirical edges must be finite, non-negative and "
+                                     "ascending, with one non-negative integer count per bin")
+            self._edges, self._counts = edges, counts
+            self._point = float(edges[0]) if edges[0] == edges[-1] else None
+            self._cdf_at_edges = (np.array([0.0, 1.0]) if self._point is not None else
+                                  np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum())
         else:
             raise ValueError(f"unknown bid model kind: {kind!r}")
+        top = self._top()
+        if not math.isfinite(top * top):
+            raise ValueError(f"{self!r} has payments whose squares overflow: its quantile "
+                             f"at the quadrature's top node is {top:.6g}")
 
     # -- constructors -----------------------------------------------------
 
@@ -332,6 +342,13 @@ class BidModel:
             return np.full(size, self._point)
         return self.ppf(rng.random(size))
 
+    def _top(self):
+        """The quantile at the quadrature's top node, or a bound on it."""
+        if self.kind == "lognormal":
+            with np.errstate(over="ignore"):
+                return float(np.exp(self.mu + self.sigma * _Z_TOP))
+        return self.support()[1]
+
     def _quantile_knots(self):
         """Interior CDF levels where the quantile function has kinks."""
         if self.kind == "empirical" and self._point is None:
@@ -370,20 +387,27 @@ class BidModel:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
+        """The model's parameters; an empirical model's are its histogram's edges
+        (each float's ``repr`` round-trips through JSON) and counts."""
         if self.kind == "uniform":
             return {"kind": "uniform", "low": self.low, "high": self.high}
         if self.kind == "lognormal":
             return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
-        return {"kind": "empirical", "bids": [float(b) for b in self.sample]}
+        return {"kind": "empirical", "edges": self._edges.tolist(),
+                "counts": self._counts.tolist()}
 
     @classmethod
     def from_dict(cls, d):
+        """The model of :meth:`to_dict`'s dict; an empirical one may instead hold its
+        sample as ``bids``, as model files written by earlier versions do."""
         kind = d.get("kind")
         if kind == "uniform":
             return cls.uniform(d["low"], d["high"])
         if kind == "lognormal":
             return cls.lognormal(d["mu"], d["sigma"])
         if kind == "empirical":
+            if "edges" in d:
+                return cls("empirical", edges=d["edges"], counts=d["counts"])
             return cls.empirical(d["bids"])
         raise ValueError(f"unknown bid model kind: {kind!r}")
 
@@ -392,7 +416,21 @@ class BidModel:
             return f"BidModel.uniform({self.low}, {self.high})"
         if self.kind == "lognormal":
             return f"BidModel.lognormal({self.mu}, {self.sigma})"
-        return f"BidModel.empirical(<{self.sample.size} bids>)"
+        return f"BidModel.empirical(<{int(self._counts.sum())} bids>)"
+
+
+def _histogram(bids):
+    """A bid sample's Freedman-Diaconis edges and counts; a sample without spread
+    is one bin of zero width."""
+    if bids.size == 0:
+        raise ValueError("empirical bid model needs at least one bid")
+    if not np.all((bids >= 0) & (bids < math.inf)):
+        raise ValueError("bids must be finite and non-negative")
+    low, high = bids.min(), bids.max()
+    if low == high:
+        return np.array([low, high]), np.array([bids.size])
+    counts, edges = np.histogram(bids, bins=np.histogram_bin_edges(bids, bins="fd"))
+    return edges, counts
 
 
 def mc_second_price(xi, bid_model, trials, seed):

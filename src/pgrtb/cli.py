@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .auction import BidModel, RevenueCurves, estimate_max_value, fit_payment_curves
-from .logs import _CHUNK, read_log_csv, summarize_auctions, write_log_csv
+from .logs import read_log_csv, summarize_auctions, write_log_csv
 from .market import MarketConfig, TimeGrid
 from .replan import UncertaintySpec, replan as run_replan
 from .segmentation import segment_and_optimize
@@ -68,8 +69,9 @@ def _int_setting(section, key, default, where, least):
 
 def _load_json(path, what, build):
     """Read the JSON file at ``path`` and return ``build(payload)``; a file
-    that cannot be read, is not JSON, or that ``build`` rejects (say, a
-    list where an object belongs) is bad input named as ``what``."""
+    that cannot be read, is not JSON, has a ``schema_version`` other than
+    this one's, or that ``build`` rejects (say, a list where an object
+    belongs) is bad input named as ``what``."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -77,6 +79,9 @@ def _load_json(path, what, build):
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if (isinstance(payload, dict)
+            and (version := payload.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION):
+        raise UsageError(f"{what} {path} has unsupported schema_version {version!r}")
     try:
         return build(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -115,9 +120,6 @@ class RunConfig:
     @classmethod
     def _from_raw(cls, raw):
         _check_keys(raw, {"schema_version", *_SECTIONS}, "top level")
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise UsageError(f"unsupported schema_version {version!r}")
         for name, allowed in _SECTIONS.items():
             if name in raw:
                 _check_keys(raw[name], allowed, name)
@@ -210,7 +212,8 @@ def _read_table(rc, log_path):
 
 def cmd_fit(rc: RunConfig, args):
     table = _read_table(rc, args.log)
-    eligible = table.take(table.xi_observed >= 2)
+    two = table.xi_observed >= 2
+    eligible = table if two.all() else table.take(two)  # no copy when every auction has two
     if not len(eligible):
         raise UsageError("no auction in the log has two or more bids")
     mean_curve, std_curve = fit_payment_curves(eligible)
@@ -222,10 +225,10 @@ def cmd_fit(rc: RunConfig, args):
         "max_value": ceiling,
         "payment_mean_curve": mean_curve.to_dict(),
         "payment_std_curve": std_curve.to_dict(),
-        "bid_model": {"kind": "empirical", "bids": None},
+        "bid_model": BidModel.empirical(table.bids).to_dict(),
     }
     path = _out_path(rc, args, "fitted_model.json")
-    _write_fitted(path, payload, table.bids)
+    _write_json(path, payload)
     print(f"fitted {len(eligible)}/{len(table)} auctions: "
           f"mean curve {mean_curve.method} (rmse {mean_curve.rmse:.4f}), "
           f"spread curve {std_curve.method} (rmse {std_curve.rmse:.4f}), "
@@ -233,24 +236,12 @@ def cmd_fit(rc: RunConfig, args):
     return 0
 
 
-def _write_fitted(path, payload, bids):
-    """Write ``payload`` as indented JSON with ``bids`` (finite, as the reader checks) in place
-    of its ``"bids": null``, joined a chunk at a time: json's indenting encoder is slow."""
-    head, _, tail = json.dumps(_clean(payload), indent=2, sort_keys=True).partition('"bids": null')
-    sep = ",\n      "
-    with open(path, "w") as fh:
-        fh.write(head + '"bids": [\n      ')
-        for lo in range(0, len(bids), _CHUNK):
-            fh.write(sep * (lo > 0) + sep.join(map(repr, bids[lo:lo + _CHUNK].tolist())))
-        fh.write("\n    ]" + tail + "\n")
-
-
 def _optimizer_model(rc, args):
     """The model the optimizer runs on, honoring --model; returns (cfg, model)."""
     cfg = rc.require_market()
     if getattr(args, "model", None):
         # optimize and replan read the curves and value ceiling; only
-        # simulate builds the empirical bid model from the sample
+        # simulate reads the fitted bid law
         curves, ceiling = _load_json(args.model, "model", lambda payload: (
             RevenueCurves.from_dict(payload), float(payload["max_value"])))
         cfg = dataclasses.replace(cfg, max_value_pi=ceiling)
@@ -296,7 +287,7 @@ def cmd_simulate(rc: RunConfig, args):
         bid_model = _load_json(args.model, "model", lambda payload: (
             BidModel.from_dict(payload["bid_model"]) if "bid_model" in payload else None))
         if bid_model is None:
-            raise UsageError(f"model {args.model} carries no bid sample")
+            raise UsageError(f"model {args.model} carries no bid model")
     elif rc.bid_model is not None:
         bid_model = rc.bid_model
     else:
@@ -381,6 +372,7 @@ def cmd_segment(rc: RunConfig, args):
 # -- argument plumbing ------------------------------------------------------
 
 
+@functools.cache  # one parser per process: each holds reference cycles
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pgrtb",

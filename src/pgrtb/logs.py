@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import operator
 import re
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 LOG_HEADER = ("slot_id", "auction_id", "timestamp", "bid_cpm")
-_CHUNK = 1024  # rows per pass of the reader and the writers, bounding their memory
+_CHUNK = 256  # rows per pass of the reader and the writer, bounding their memory
 _US = timedelta(microseconds=1)
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # fields the csv module quotes
 
@@ -165,16 +166,17 @@ def write_log_csv(log, path):
             fh.write("".join(text))
 
 
-def _run_head(row, ids, stamps, last, naive):
-    """A run's first row's slot id, auction id and stamp, the stamp's text and value,
-    and whether stamps are naive (None until one is read); or a ValueError naming the
-    row's first failed check, where a stamp not of kind ``naive`` fails. The previous
-    run's stamp (``last``: its text and value) serves the same text unparsed. ``ids``
-    interns the ids, and ``stamps`` the stamps of auctions seen before (equal instants
-    at other offsets stay apart), so a log grouped by auction adds no stamp there."""
-    if len(row) != len(LOG_HEADER):
+def _run_head(head, ids, stamps, last, naive):
+    """A run's slot id, auction id and stamp from the fields before its first row's bid,
+    the stamp's text and value, and whether stamps are naive (None until one is read);
+    or a ValueError naming the row's first failed check, where a stamp not of kind
+    ``naive`` fails. The previous run's stamp (``last``: its text and value) serves the
+    same text unparsed. ``ids`` interns the ids, and ``stamps`` the stamps of auctions
+    seen before (equal instants at other offsets stay apart), so a log grouped by
+    auction adds no stamp there."""
+    if len(head) != len(LOG_HEADER) - 1:
         raise ValueError(f"expected {len(LOG_HEADER)} fields")
-    slot, auction, text = map(str.strip, row[:3])
+    slot, auction, text = map(str.strip, head)
     if not (slot and auction):
         raise ValueError("empty slot or auction id")
     stamp = last[1]
@@ -199,7 +201,7 @@ def _run_head(row, ids, stamps, last, naive):
 def _parse_bids(texts, line, path):
     """The bids of consecutive lines from ``line`` on; the first bad one raises as ``path:line``."""
     with contextlib.suppress(ValueError):
-        bids = np.fromiter(map(float, texts), float, len(texts))
+        bids = np.array(texts, dtype=float)  # each text as float() reads it
         if (np.isfinite(bids) & (bids >= 0)).all():
             return bids
     for i, text in enumerate(texts):
@@ -211,45 +213,89 @@ def _parse_bids(texts, line, path):
             raise ValueError(f"{path}:{line + i}: bid must be finite and non-negative")
 
 
+def _has_quotes(path):
+    """Whether the file holds a ``"`` or a NUL: only the csv module reads those."""
+    with open(path, "rb") as fh:
+        return any(b'"' in block or b"\0" in block
+                   for block in iter(functools.partial(fh.read, 1 << 16), b""))
+
+
+def _split_lines(lines):
+    """Unquoted lines' keys, the text before the last comma, and bid texts, the rest.
+    The csv module would split a key at its commas."""
+    parts = list(map(str.rpartition, lines, itertools.repeat(",")))
+    return list(map(operator.itemgetter(0), parts)), list(map(operator.itemgetter(2), parts))
+
+
+def _split_rows(rows):
+    """csv rows' keys, the fields before the bid, and bid texts."""
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
+def _segments(source):
+    """The items of ``source`` read ``_CHUNK`` at a time, as lists of consecutive ones
+    that are not empty, each with its first item's index in ``source``."""
+    for base in itertools.count(0, _CHUNK):
+        items = list(itertools.islice(source, _CHUNK))
+        if not items:
+            return
+        cuts = list(itertools.compress(itertools.count(), map(operator.not_, items)))
+        for lo, hi in zip([0, *(c + 1 for c in cuts)], [*cuts, len(items)]):
+            if lo < hi:
+                yield items[lo:hi], base + lo
+
+
 def read_log_csv(path):
     """Read a :class:`BidLog` from ``path``, validating the header and every
-    field; the first bad row is reported as ``path:line``. A run of rows
-    with the same slot, auction and stamp fields is checked once, equal ids
-    share one object, as do an interleaved auction's stamps, and bids are
-    converted ``_CHUNK`` lines at a time."""
-    starts, heads, head, ids, stamps = array("q"), ([], [], []), (None,) * 3, {}, {}
+    field; the first bad row is reported as ``path:line``. A file without a
+    ``"`` or a NUL is split at each line's last comma, and only a line whose
+    text before it differs from the line before's has that text split into
+    fields; a file with one goes through the csv module. Either way a run
+    of rows with the same slot, auction and stamp fields is checked once,
+    equal ids share one object, as do an interleaved auction's stamps, and
+    bids are converted ``_CHUNK`` lines at a time."""
+    quoted = _has_quotes(path)
+    starts, slots, auctions, run_stamps = array("q"), [], [], []
+    head, ids, stamps = (None,) * 3, {}, {}
     last, naive = ("", None), None  # the previous run's stamp text and value
-    chunks, pending, key, rows = [], [], None, 0
+    chunks, key, rows = [], None, 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh)  # which reads one line a row from ``fh``
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != LOG_HEADER:
             raise ValueError(
                 f"{path}: expected header {','.join(LOG_HEADER)}, got {header}")
-        # a chunk holds consecutive lines' bids: a blank row ends it, and one more the file
-        for lineno, row in enumerate(itertools.chain(reader, [[]]), 2):
-            if not row or len(pending) == _CHUNK:
-                chunks.append(_parse_bids(pending, lineno - len(pending), path))
-                rows, pending = rows + len(pending), []
-                if not row:
-                    continue
-            if row[:-1] != key:  # a new run or a malformed row
+        # a line without its line break; a blank one is empty, as a blank csv row is
+        source, split = ((reader, _split_rows) if quoted else
+                         (map(str.rstrip, fh, itertools.repeat("\r\n")), _split_lines))
+        for items, offset in _segments(source):
+            keys, bids = split(items)
+            line = 2 + offset  # the header is line 1
+            # a row whose key differs from the row before's starts a run or is malformed
+            at = list(itertools.compress(itertools.count(),
+                                         map(operator.ne, keys, itertools.chain([key], keys))))
+            fields = map(keys.__getitem__, at)
+            for i, head_fields in zip(at, fields if quoted else
+                                      map(str.split, fields, itertools.repeat(","))):
                 try:
-                    new, last, naive = _run_head(row, ids, stamps, last, naive)
+                    new, last, naive = _run_head(head_fields, ids, stamps, last, naive)
                 except ValueError as exc:
-                    _parse_bids(pending, lineno - len(pending), path)  # an earlier bad bid wins
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                key = row[:-1]
-                if any(map(operator.is_not, new, head)):
-                    starts.append(rows + len(pending))
-                    for column, value in zip(heads, new):
-                        column.append(value)
+                    _parse_bids(bids[:i], line, path)  # an earlier bad bid wins
+                    raise ValueError(f"{path}:{line + i}: {exc}") from None
+                if new[1] is not head[1] or new[2] is not head[2] or new[0] is not head[0]:
+                    starts.append(rows + i)
+                    slots.append(new[0])
+                    auctions.append(new[1])
+                    run_stamps.append(new[2])
                     head = new
-            pending.append(row[-1])
+            key = keys[-1]
+            chunks.append(_parse_bids(bids, line, path))
+            rows += len(bids)
     del ids, stamps  # before the bids are joined
-    bids = np.concatenate(chunks)
+    bids = np.concatenate(chunks) if chunks else np.empty(0)
     del chunks  # before the runs are checked
-    return BidLog._of_runs(np.frombuffer(starts, dtype=np.int64), *heads, bids)
+    return BidLog._of_runs(np.frombuffer(starts, dtype=np.int64), slots, auctions, run_stamps,
+                           bids)
 
 
 def summarize_auctions(log, reserve=0.0):

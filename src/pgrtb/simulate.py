@@ -5,8 +5,9 @@ The simulator is the plan's reality check. Arrivals are Poisson draws around
 the expected schedule, purchases are binomial thinning of the waiting pool at
 the posted price, sold contracts fail independently at delivery (costing the
 penalty), and the leftover impressions run second-price auctions against the
-leftover demand, all at once through the log summaries' grouping kernel. Each
-randomized piece takes an explicit seed, so a root seed pins the experiment.
+leftover demand. Markets are drawn in fixed blocks, each block's arrivals,
+purchases, failures and auctions in a few vector draws from its own stream,
+so a root seed pins the experiment.
 """
 
 from __future__ import annotations
@@ -32,89 +33,13 @@ __all__ = [
 ]
 
 _EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+_BLOCK = 32  # markets per block: a reference-market block holds ~11k bids, 0.1 MiB an array
 
 
 def _seed_sequence(seed):
     if isinstance(seed, SeedSequence):
         return seed
     return SeedSequence(seed)
-
-
-def _arrivals(terms: StepTerms, seed):
-    """Sampled contender arrivals per step.
-
-    Poisson(``rate`` = lambda * dt) at every step, plus the deterministic
-    opening block floor(``waiting`` = mass * Q) at step 0.
-    """
-    rng = default_rng(_seed_sequence(seed))
-    arrivals = rng.poisson(terms.rate, terms.cum.size)
-    arrivals[0] += int(math.floor(terms.waiting))
-    return arrivals
-
-
-def _purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
-    """Posted-price sales for one arrival realization.
-
-    Contenders accumulate in a waiting pool. At each step the plan leaves
-    open, every waiting contender buys independently with the purchase ratio
-    ``exp(-price_scale[n] * price)`` of :class:`~pgrtb.market.StepTerms`, the
-    ratio the solver inverts; sales are capped by remaining supply. Steps the
-    plan closes sell nothing. Returns ``(sold per step, gross contract
-    revenue)``. Only a full-horizon plan can be simulated.
-    """
-    if plan.start_step != 0:
-        raise ValueError("simulation needs a full-horizon plan")
-    price_scale = terms.price_scale.tolist()
-    arrivals_seed, buy_seed = _seed_sequence(seed).spawn(2)
-    arrivals = _arrivals(terms, arrivals_seed)
-    rng = default_rng(buy_seed)
-    remaining = cfg.supply_S - plan.presold
-    pool = 0
-    sold = np.zeros(len(price_scale), dtype=int)
-    revenue = 0.0
-    for n in range(len(price_scale)):
-        pool += int(arrivals[n])
-        if plan.sales[n] == 0 or remaining == 0 or pool == 0:
-            continue
-        price = float(plan.prices[n])
-        if price < 0:
-            raise ValueError("price must be non-negative")
-        want = int(rng.binomial(pool, math.exp(-price_scale[n] * price)))
-        take = min(want, remaining)
-        sold[n] = take
-        pool -= take
-        remaining -= take
-        revenue += price * take
-    return sold, revenue
-
-
-def _simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *, reserve=0.0):
-    """Delivery-day second-price auctions over the leftover inventory.
-
-    Each remaining contender lands on a uniformly random impression and bids
-    a fresh draw from ``bid_model``. An impression with two or more bidders
-    pays its second-highest bid, otherwise the reserve. Returns the revenue,
-    summed impression by impression.
-    """
-    supply, demand = int(remaining_supply), int(remaining_demand)
-    if supply < 0 or demand < 0:
-        raise ValueError("supply and demand must be non-negative")
-    if supply == 0:
-        return 0.0
-    rng = default_rng(_seed_sequence(seed))
-    if demand == 0:
-        return float(reserve) * supply
-    placement = rng.integers(0, supply, size=demand)
-    bids = bid_model.sample_bids(rng, demand)
-    order = np.lexsort((-bids, placement))  # by impression, then descending (ties in draw order)
-    starts = np.flatnonzero(np.diff(placement[order], prepend=-1))
-    contested = starts[np.diff(starts, append=demand) >= 2]
-    pay = np.full(supply, float(reserve))
-    pay[placement[order[contested]]] = bids[order[contested + 1]]
-    revenue = 0.0
-    for p in pay.tolist():  # a running total, in impression order
-        revenue += p
-    return revenue
 
 
 @dataclass
@@ -131,50 +56,93 @@ class SimOutcome:
         return self.pg_revenue + self.rtb_revenue
 
 
-def _market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
-    """One full market realization against a plan.
+def _auctions(supply, demand, bid_model, rng, reserve):
+    """Delivery-day second-price auctions over each market's leftover inventory.
 
-    Purchases first; then each sold contract independently fails to deliver
-    with probability omega, costing ``varpi * price`` and releasing the
-    impression; the leftover supply then runs auctions against the leftover
-    demand (failed buyers rejoin the demand side).
+    Market ``i``'s ``demand[i]`` contenders each land on a uniformly random one
+    of its ``supply[i]`` impressions (the integer part of a uniform draw times
+    ``supply[i]``) and bid a fresh draw from ``bid_model``; all markets' places
+    are drawn first, then all bids. An impression with two or more bidders pays
+    its second-highest bid, otherwise the reserve, and a market without
+    impressions has no auctions. Returns each market's revenue, summed
+    impression by impression.
     """
-    purchase_seed, failure_seed, rtb_seed = _seed_sequence(seed).spawn(3)
-    sold, gross = _purchases(plan, cfg, terms, purchase_seed)
-    rng = default_rng(failure_seed)
+    demand = np.where(supply > 0, demand, 0)
+    first = np.cumsum(supply) - supply  # each market's first impression
+    u = rng.random(int(demand.sum()))
+    bids = bid_model.sample_bids(rng, u.size)
+    place = np.repeat(first, demand) + (u * np.repeat(supply, demand)).astype(np.int64)
+    order = np.lexsort((-bids, place))  # by impression, then descending (ties in draw order)
+    starts = np.flatnonzero(np.diff(place[order], prepend=-1))
+    contested = starts[np.diff(starts, append=u.size) >= 2]
+    pay = np.full(int(supply.sum()), float(reserve))
+    pay[place[order[contested]]] = bids[order[contested + 1]]
+    return np.bincount(np.repeat(np.arange(supply.size), supply), pay, supply.size)
+
+
+def _block(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
+    """``_BLOCK`` market realizations against a plan, all from one stream.
+
+    Per market: contenders arrive by Poisson(``rate`` = lambda * dt) each
+    step, plus the opening block floor(``waiting`` = mass * Q) at step 0, and
+    wait in a pool. At each step the plan leaves open, every waiting
+    contender buys independently with the purchase ratio
+    ``exp(-price_scale[n] * price)`` of :class:`~pgrtb.market.StepTerms`,
+    the ratio the solver inverts; sales are capped by remaining supply.
+    Each sold contract then fails to deliver with probability omega,
+    costing ``varpi * price`` and releasing its impression, and the
+    leftover supply runs :func:`_auctions` against the leftover demand
+    (failed buyers rejoin the demand side). The block draws its arrivals,
+    then one binomial per open step across its markets, its failures and
+    its auctions. Returns per market the sales per step, the net contract
+    revenue, the auction revenue and the delivered count.
+    """
+    rng = default_rng(seed)
+    prices = np.asarray(plan.prices, dtype=float)
+    arrived = rng.poisson(terms.rate, (_BLOCK, terms.cum.size))
+    arrived[:, 0] += int(math.floor(terms.waiting))
+    np.cumsum(arrived, axis=1, out=arrived)  # by the end of each step
+    sold = np.zeros_like(arrived)
+    taken, supply = np.zeros(_BLOCK, dtype=arrived.dtype), cfg.supply_S - plan.presold
+    for n in np.flatnonzero(plan.sales).tolist():  # the pool waiting is arrived - taken
+        want = rng.binomial(arrived[:, n] - taken, math.exp(-terms.price_scale[n] * prices[n]))
+        sold[:, n] = np.minimum(want, supply - taken)
+        taken += sold[:, n]
     failures = rng.binomial(sold, cfg.miss_prob_omega)
-    penalty = cfg.penalty_size_varpi * float(np.sum(np.asarray(plan.prices) * failures))
-    delivered = int(sold.sum() - failures.sum())
-    rtb_revenue = _simulate_rtb(
-        cfg.supply_S - delivered, cfg.demand_Q - delivered, bid_model, rtb_seed,
-        reserve=cfg.reserve_price_r0)
-    total_sold = int(sold.sum())
-    return SimOutcome(
-        pg_sold=sold,
-        pg_revenue=gross - penalty,
-        rtb_revenue=rtb_revenue,
-        delivered_fraction=delivered / total_sold if total_sold else 1.0,
-    )
+    pg = (sold * prices).sum(axis=1) - cfg.penalty_size_varpi * (failures * prices).sum(axis=1)
+    delivered = taken - failures.sum(axis=1)
+    rtb = _auctions(cfg.supply_S - delivered, cfg.demand_Q - delivered, bid_model, rng,
+                    cfg.reserve_price_r0)
+    return sold, pg, rtb, delivered
 
 
 def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
                   n_runs, seed):
     """Monte Carlo summary of a plan over ``n_runs`` independent markets.
 
-    Deterministic for a given seed: run k always uses the k-th spawned child
-    stream.
+    Markets are drawn in blocks of ``_BLOCK`` (see :func:`_block`): block
+    ``b`` holds markets ``b * _BLOCK`` onwards and draws from the ``b``-th
+    child spawned from ``seed``, and it always draws all its markets. So
+    market ``k``'s outcome depends on the seed and ``k`` alone, and the
+    outcomes of ``n_runs`` markets are the first ``n_runs`` of those of any
+    larger count. Only a full-horizon plan can be simulated, and a step it
+    leaves open must post a non-negative price.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    terms = StepTerms(cfg, grid)  # built once for every run
-    outcomes = [_market_once(plan, cfg, terms, bid_model, child)
-                for child in _seed_sequence(seed).spawn(n_runs)]
+    if plan.start_step != 0:
+        raise ValueError("simulation needs a full-horizon plan")
+    if (np.asarray(plan.prices)[np.asarray(plan.sales) != 0] < 0).any():
+        raise ValueError("price must be non-negative")
+    terms = StepTerms(cfg, grid)  # built once for every block
+    blocks = [_block(plan, cfg, terms, bid_model, child)
+              for child in _seed_sequence(seed).spawn(-(-n_runs // _BLOCK))]
+    sold, pg, rtb, delivered = (np.concatenate(parts)[:n_runs] for parts in zip(*blocks))
+    total_sold = sold.sum(axis=1)
+    fraction = np.divide(delivered, total_sold, out=np.ones(n_runs), where=total_sold > 0)
+    outcomes = [SimOutcome(*o) for o in zip(sold, pg.tolist(), rtb.tolist(), fraction.tolist())]
 
-    totals = np.array([o.total_revenue for o in outcomes])
-    pg = np.array([o.pg_revenue for o in outcomes])
-    rtb = np.array([o.rtb_revenue for o in outcomes])
-    sold = np.vstack([o.pg_sold for o in outcomes])
-    delivered = np.array([o.delivered_fraction for o in outcomes])
+    totals = pg + rtb
     qlevels = (0.05, 0.25, 0.5, 0.75, 0.95)
     qvals = np.quantile(totals, qlevels)
     summary = {
@@ -185,7 +153,7 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
         "se_total": float(totals.std(ddof=0) / math.sqrt(n_runs)),
         "mean_pg": float(pg.mean()),
         "mean_rtb": float(rtb.mean()),
-        "mean_delivered_fraction": float(delivered.mean()),
+        "mean_delivered_fraction": float(fraction.mean()),
         "quantiles": {f"q{int(100 * q):02d}": float(v)
                       for q, v in zip(qlevels, qvals)},
         "mean_sold_per_step": [float(v) for v in sold.mean(axis=0)],

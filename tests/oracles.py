@@ -32,22 +32,22 @@ the reference for ``BidModel.payment_moments``. ``pdf`` and ``cdf`` are a
 bid model's density and distribution function in value space (closed forms,
 and the histogram of the smoothed empirical law), which the quadrature tests
 integrate as the untransformed order-statistic integral; the package itself
-works in quantile space and needs neither. ``loop_simulate_rtb`` is the
-delivery-day auction run impression by impression, the reference for the
-simulator's grouped ``_simulate_rtb``, and can also return the auctions as a
-bid log.
+works in quantile space and needs neither. ``loop_auctions`` is the
+delivery-day auctions run impression by impression, the reference for the
+simulator's grouped ``_auctions``, and can also return the auctions as bid
+logs; ``loop_simulate_rtb`` is one market's. ``arrivals``, ``purchases``
+and ``market_once`` are one market at a time from its own spawned streams,
+step by step: the independent replay that ``evaluate_plan``'s block draws
+must agree with in distribution.
 
 ``max_value_by_take`` is the value ceiling with every bucket's auctions
 gathered by ``AuctionTable.take``, the reference that
 ``auction.estimate_max_value`` must match bit for bit while it gathers only
-the bids it averages. ``fitted_model_text`` is ``fitted_model.json`` laid out
-by one ``json.dumps`` and one text replacement, the reference for the CLI's
-chunked bid writer. ``dense_lowess`` is LOWESS with every knot's weights in
+the bids it averages. ``dense_lowess`` is LOWESS with every knot's weights in
 one n x n array, the reference that ``auction.lowess``, which weighs a block
 of knots at a time, must match bit for bit.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -58,8 +58,8 @@ from scipy.special import ndtr
 from pgrtb import solver
 from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import BidLog
-from pgrtb.market import MarketConfig, TimeGrid
-from pgrtb.simulate import _EPOCH, _seed_sequence
+from pgrtb.market import MarketConfig, StepTerms, TimeGrid
+from pgrtb.simulate import _EPOCH, SimOutcome, _seed_sequence
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
 
 
@@ -420,8 +420,8 @@ def pdf(model, x):
     if model._point is not None:
         return np.zeros_like(x)
     edges = model._edges
-    counts, _ = np.histogram(model.sample, bins=edges)
-    densities = counts / (model.sample.size * np.diff(edges))
+    counts = model._counts
+    densities = counts / (counts.sum() * np.diff(edges))
     idx = np.searchsorted(edges, x, side="right") - 1
     valid = (idx >= 0) & (idx < densities.size) & (x <= edges[-1])
     return np.where(valid, densities[np.clip(idx, 0, densities.size - 1)], 0.0)
@@ -444,42 +444,122 @@ def cdf(model, x):
     return np.interp(x, model._edges, model._cdf_at_edges)
 
 
+def loop_auctions(supply, demand, bid_model, rng, *, reserve=0.0, slot_id="slot-0",
+                  start_time=None):
+    """``pgrtb.simulate._auctions`` one impression at a time: ``(revenues, logs)``.
+
+    The same draws: every market's places (the integer part of a uniform
+    draw times its supply), then every bid, in market order, and none for a
+    market without impressions. Each market's revenue is summed impression
+    by impression from 0.0; its log holds one row per bid, each impression
+    an auction stamped at its share of a day from ``start_time``.
+    """
+    supply, demand = [int(s) for s in supply], [int(d) for d in demand]
+    if min(supply + demand, default=0) < 0:
+        raise ValueError("supply and demand must be non-negative")
+    demand = [d if s else 0 for s, d in zip(supply, demand)]
+    u = rng.random(sum(demand))
+    bids = bid_model.sample_bids(rng, u.size)
+    start = _EPOCH if start_time is None else start_time
+    revenues, logs, lo = [], [], 0
+    for s, d in zip(supply, demand):
+        place = (u[lo:lo + d] * s).astype(np.int64).tolist()
+        mine = bids[lo:lo + d].tolist()
+        lo += d
+        by_impression, revenue, rows = {}, 0.0, []
+        for p, b in zip(place, mine):
+            by_impression.setdefault(p, []).append(b)
+        for i in range(s):
+            seg = by_impression.get(i, [])
+            revenue += sorted(seg)[-2] if len(seg) >= 2 else float(reserve)
+            ts = start + timedelta(hours=24.0 * i / s)
+            rows.extend((slot_id, f"{slot_id}-rtb-{i:06d}", ts, b) for b in seg)
+        revenues.append(revenue)
+        logs.append(BidLog(*zip(*rows)) if rows else BidLog([], [], [], []))
+    return revenues, logs
+
+
 def loop_simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,
                       reserve=0.0, slot_id="slot-0", start_time=None):
-    """``_simulate_rtb`` one impression at a time: ``(revenue, log)``.
+    """One market's :func:`loop_auctions` from ``seed``: ``(revenue, log)``."""
+    (revenue,), (log,) = loop_auctions(
+        [remaining_supply], [remaining_demand], bid_model,
+        np.random.default_rng(_seed_sequence(seed)), reserve=reserve, slot_id=slot_id,
+        start_time=start_time)
+    return revenue, log
 
-    Same draws and revenue as :func:`pgrtb.simulate._simulate_rtb`; ``log``
-    holds one row per bid, each impression an auction stamped at its share
-    of a day from ``start_time``.
-    """
-    supply = int(remaining_supply)
-    demand = int(remaining_demand)
-    if supply < 0 or demand < 0:
-        raise ValueError("supply and demand must be non-negative")
-    if supply == 0:
-        return 0.0, BidLog([], [], [], [])
+
+def arrivals(terms: StepTerms, seed):
+    """One market's sampled contender arrivals per step: Poisson(``rate`` =
+    lambda * dt) at every step, plus the deterministic opening block
+    floor(``waiting`` = mass * Q) at step 0."""
     rng = np.random.default_rng(_seed_sequence(seed))
-    start = _EPOCH if start_time is None else start_time
-    if demand == 0:
-        return float(reserve) * supply, BidLog([], [], [], [])
-    placement = rng.integers(0, supply, size=demand)
-    bids = bid_model.sample_bids(rng, demand)
-    order = np.argsort(placement, kind="stable")
-    sorted_bids = bids[order]
-    counts = np.bincount(placement, minlength=supply)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    revenue = 0.0
-    rows = []
-    for i in range(supply):
-        seg = sorted_bids[offsets[i]:offsets[i + 1]]
-        if seg.size >= 2:
-            revenue += float(np.partition(seg, seg.size - 2)[seg.size - 2])
-        else:
-            revenue += float(reserve)
-        ts = start + timedelta(hours=24.0 * i / supply)
-        rows.extend((slot_id, f"{slot_id}-rtb-{i:06d}", ts, float(b)) for b in seg)
-    return revenue, BidLog(*zip(*rows))
+    out = rng.poisson(terms.rate, terms.cum.size)
+    out[0] += int(math.floor(terms.waiting))
+    return out
 
+
+def purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
+    """One market's posted-price sales, step by step: ``(sold per step, gross
+    contract revenue)``.
+
+    Contenders accumulate in a waiting pool. At each step the plan leaves
+    open, every waiting contender buys independently with the purchase ratio
+    ``exp(-price_scale[n] * price)``; sales are capped by remaining supply.
+    Steps the plan closes sell nothing. Only a full-horizon plan can be
+    simulated, and an open step's price must be non-negative.
+    """
+    if plan.start_step != 0:
+        raise ValueError("simulation needs a full-horizon plan")
+    price_scale = terms.price_scale.tolist()
+    arrivals_seed, buy_seed = _seed_sequence(seed).spawn(2)
+    arrived = arrivals(terms, arrivals_seed)
+    rng = np.random.default_rng(buy_seed)
+    remaining = cfg.supply_S - plan.presold
+    pool = 0
+    sold = np.zeros(len(price_scale), dtype=int)
+    revenue = 0.0
+    for n in range(len(price_scale)):
+        pool += int(arrived[n])
+        if plan.sales[n] == 0 or remaining == 0 or pool == 0:
+            continue
+        price = float(plan.prices[n])
+        if price < 0:
+            raise ValueError("price must be non-negative")
+        want = int(rng.binomial(pool, math.exp(-price_scale[n] * price)))
+        take = min(want, remaining)
+        sold[n] = take
+        pool -= take
+        remaining -= take
+        revenue += price * take
+    return sold, revenue
+
+
+def market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
+    """One full market realization against a plan, from its own streams: the
+    independent replay of ``pgrtb.simulate.evaluate_plan``'s markets.
+
+    Purchases first; then each sold contract independently fails to deliver
+    with probability omega, costing ``varpi * price`` and releasing the
+    impression; the leftover supply then runs auctions against the leftover
+    demand (failed buyers rejoin the demand side).
+    """
+    purchase_seed, failure_seed, rtb_seed = _seed_sequence(seed).spawn(3)
+    sold, gross = purchases(plan, cfg, terms, purchase_seed)
+    rng = np.random.default_rng(failure_seed)
+    failures = rng.binomial(sold, cfg.miss_prob_omega)
+    penalty = cfg.penalty_size_varpi * float(np.sum(np.asarray(plan.prices) * failures))
+    delivered = int(sold.sum() - failures.sum())
+    rtb_revenue, _ = loop_simulate_rtb(
+        cfg.supply_S - delivered, cfg.demand_Q - delivered, bid_model, rtb_seed,
+        reserve=cfg.reserve_price_r0)
+    total_sold = int(sold.sum())
+    return SimOutcome(
+        pg_sold=sold,
+        pg_revenue=gross - penalty,
+        rtb_revenue=rtb_revenue,
+        delivered_fraction=delivered / total_sold if total_sold else 1.0,
+    )
 
 
 def max_value_by_take(table):
@@ -493,14 +573,6 @@ def max_value_by_take(table):
         return float(np.mean(picked.bids))
     bounds = picked.offsets[np.cumsum(counts[seen])].tolist()
     return max(float(picked.bids[lo:hi].mean()) for lo, hi in zip([0] + bounds[:-1], bounds))
-
-
-def fitted_model_text(payload, bids):
-    """``fitted_model.json``'s text for ``payload`` (with ``"bids": None``),
-    the bids joined in one piece at the encoder's indent."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    joined = ",\n      ".join(map(repr, np.asarray(bids, dtype=float).tolist()))
-    return text.replace('"bids": null', f'"bids": [\n      {joined}\n    ]') + "\n"
 
 
 def dense_lowess(points, fraction=0.3, iterations=3):

@@ -5,6 +5,7 @@ uniform bids, scipy.integrate.quad on the untransformed integrand, and the
 Monte Carlo estimator. None of these share code with the production path.
 """
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -309,6 +310,66 @@ def test_payment_quadrature_silent_on_supported_laws():
         warnings.simplefilter("error")
         for model in models:
             model.payment_moments(levels)
+
+
+def test_quadrature_judges_a_spread_at_rounding_level_against_the_raw_moment():
+    """uniform(1, 1 + 1e-15) pays 1 to rounding: the centred pass's error
+    estimate (about 3.5e-32) is tiny against the raw second moment, though
+    not against the central moment it integrates (about 9e-30)."""
+    model = BidModel.uniform(1.0, 1.0 + 1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, stds = model.payment_moments([2.0, 5.0, 100.0])
+    assert np.all(np.abs(means - 1.0) < 1e-14) and np.all(stds < 1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda: BidModel.lognormal(700.0, 1.0),
+                                  lambda: BidModel.lognormal(354.0, 1.0),
+                                  lambda: BidModel.uniform(0.0, 1e200),
+                                  lambda: BidModel.empirical([1.0, 2e154])],
+                         ids=["lognormal-700", "lognormal-354", "uniform", "empirical"])
+def test_laws_whose_payments_overflow_are_refused(make):
+    """A law whose quantile at the quadrature's top node has no finite square
+    would integrate to overflow (lognormal(700, 1) solved to 1.6e306 with
+    numpy warnings): it is refused when it is built."""
+    with pytest.raises(ValueError, match="squares overflow"):
+        make()
+
+
+def test_near_the_overflow_limit_payments_stay_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, stds = BidModel.lognormal(340.0, 1.0).payment_moments([2.0, 40.0, 1e4])
+    assert np.all(np.isfinite(means) & np.isfinite(stds))
+
+
+def test_empirical_model_keeps_its_histogram_not_its_sample():
+    """An empirical model holds the sample's Freedman-Diaconis edges and
+    counts; its dict carries them, builds the same law (the same CDF floats
+    and draws), and a dict with the sample builds it too."""
+    sample = np.random.default_rng(4).gamma(2.0, 0.3, size=3000)
+    model = BidModel.empirical(sample)
+    assert not hasattr(model, "sample")
+    d = model.to_dict()
+    assert set(d) == {"kind", "edges", "counts"} and sum(d["counts"]) == 3000
+    for other in (BidModel.from_dict(json.loads(json.dumps(d))),
+                  BidModel.from_dict({"kind": "empirical", "bids": sample.tolist()[::-1]})):
+        assert other._cdf_at_edges.tobytes() == model._cdf_at_edges.tobytes()
+        assert other._edges.tobytes() == model._edges.tobytes()
+        draws = [m.sample_bids(np.random.default_rng(1), 50) for m in (model, other)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+    point = BidModel.empirical([0.7] * 5)
+    assert point.to_dict() == {"kind": "empirical", "edges": [0.7, 0.7], "counts": [5]}
+    assert BidModel.from_dict(point.to_dict())._point == 0.7
+    assert repr(model) == "BidModel.empirical(<3000 bids>)"
+
+
+@pytest.mark.parametrize("edges, counts", [
+    ([0.1, 0.5], [1, 2]), ([0.5, 0.1], [3]), ([-0.1, 0.5], [3]), ([0.1, math.inf], [3]),
+    ([0.1, 0.5], [0]), ([0.1, 0.5], [-1]), ([0.1, 0.5], [1.5]), ([0.1], []), ([0.1, 0.5], [True])])
+def test_empirical_histograms_are_checked(edges, counts):
+    with pytest.raises(ValueError, match="empirical edges"):
+        BidModel.from_dict({"kind": "empirical", "edges": edges, "counts": counts})
 
 
 def test_empirical_model_smoothed_law():

@@ -4,6 +4,8 @@ Calls ``main(argv)`` in-process; every command returns its exit code, so
 assertions stay cheap and stderr is captured by pytest as usual.
 """
 
+import argparse
+import gc
 import hashlib
 import json
 import math
@@ -12,12 +14,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from pgrtb import cli, logs
+from pgrtb import cli
 from pgrtb.cli import main
-from pgrtb.logs import BidLog, write_log_csv
+from pgrtb.logs import BidLog, read_log_csv, summarize_auctions, write_log_csv
 from pgrtb.solver import PricePlan
-
-from oracles import fitted_model_text
 
 MARKET = {
     "supply_S": 10, "demand_Q": 40, "horizon_T": 5.0, "steps_N": 5,
@@ -149,16 +149,104 @@ def test_only_commands_that_draw_take_a_seed(capsys, command, extra):
         assert cli._build_parser().parse_args(argv).seed == 1
 
 
-@pytest.mark.parametrize("n_bids", [1, logs._CHUNK, logs._CHUNK + 1])
-def test_chunked_bid_writer_matches_one_piece_layout(tmp_path, n_bids):
-    """The bid sample written a chunk at a time gives the bytes of one
-    ``json.dumps`` with the whole sample joined in at its indent."""
-    bids = np.random.default_rng(n_bids).lognormal(0.0, 3.0, size=n_bids)
-    payload = {"schema_version": 1, "max_value": 0.5, "n_used": 3,
-               "bid_model": {"kind": "empirical", "bids": None}}
-    cli._write_fitted(tmp_path / "model.json", payload, bids)
-    assert (tmp_path / "model.json").read_text() == fitted_model_text(payload, bids)
-    assert json.loads((tmp_path / "model.json").read_text())["bid_model"]["bids"] == bids.tolist()
+def test_repeated_commands_leave_no_parser_cycles(tmp_path):
+    """Each argparse parser holds reference cycles; one parser serves every
+    call, so repeated commands leave none for the cyclic collector."""
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+
+    def parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    assert main(["optimize", "--config", cfg_path]) == 0
+    gc.collect()
+    before = parsers()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert main(["optimize", "--config", cfg_path]) == 0
+        assert parsers() == before
+    finally:
+        gc.enable()
+
+
+def _fit(tmp_path, changes=None):
+    """gen-data and fit on the base config (``changes`` to its synthetic section);
+    returns the config path and the output directory."""
+    cfg = base_config(tmp_path)
+    cfg["synthetic"].update(changes or {})
+    cfg_path = dump(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["fit", "--config", cfg_path, "--log", str(out / "auction_log.csv")]) == 0
+    return cfg_path, out
+
+
+def test_a_model_file_holding_the_bid_sample_plans_and_simulates_the_same(tmp_path):
+    """A model file as earlier versions wrote it, with the bid sample, gives
+    the same bytes from optimize, simulate and replan as one that holds the
+    sample's histogram."""
+    cfg_path, out = _fit(tmp_path)
+    fitted = json.loads((out / "fitted_model.json").read_text())
+    assert set(fitted["bid_model"]) == {"kind", "edges", "counts"}
+    sample = summarize_auctions(read_log_csv(out / "auction_log.csv")).bids
+    old = tmp_path / "old_model.json"
+    old.write_text(json.dumps({**fitted, "bid_model": {"kind": "empirical",
+                                                       "bids": sample.tolist()}}))
+    assert main(["optimize", "--config", cfg_path, "--model",
+                 str(out / "fitted_model.json")]) == 0  # the plan both simulate
+    digests = []
+    for model, name in ((out / "fitted_model.json", "new"), (old, "old")):
+        where = tmp_path / name
+        for argv in (["optimize"], ["simulate", "--plan", str(out / "plan.json")], ["replan"]):
+            assert main([argv[0], "--config", cfg_path, "--out", str(where),
+                         "--model", str(model), *argv[1:]]) == 0
+        names = sorted(p.name for p in where.iterdir())
+        digests.append(_digests(where, names))
+    assert digests[0] == digests[1]
+    assert set(digests[0]) == {"plan.json", "plan_curves.csv", "simulation_summary.json",
+                               "replan_plan.json", "replan_trace.csv"}
+
+
+def test_model_file_size_does_not_grow_with_the_log(tmp_path):
+    """The model file holds the law's edges and counts, not the bids: a log
+    ten times longer over the same hours adds a few histogram bins (their
+    number grows as the cube root of the bids) where the bids would add
+    about 200 KB."""
+    sizes = []
+    for auctions in (6, 60):
+        (tmp_path / str(auctions)).mkdir()
+        _, out = _fit(tmp_path / str(auctions), {"auctions_per_hour": auctions})
+        sizes.append((out / "fitted_model.json").stat().st_size)
+    assert sizes[1] - sizes[0] < 1024, sizes
+
+
+def test_model_and_plan_files_must_carry_this_schema_version(tmp_path, capsys):
+    """optimize, simulate and replan refuse a model or plan file whose
+    schema_version is not 1, naming the file, and write nothing."""
+    cfg_path, out = _fit(tmp_path)
+    assert main(["optimize", "--config", cfg_path, "--model",
+                 str(out / "fitted_model.json")]) == 0
+    for name in ("fitted_model.json", "plan.json"):
+        payload = json.loads((out / name).read_text())
+        (tmp_path / name).write_text(json.dumps({**payload, "schema_version": 2}))
+    model, plan = tmp_path / "fitted_model.json", tmp_path / "plan.json"
+    fresh = tmp_path / "fresh"
+    for argv, path in ((["optimize", "--model", str(model)], model),
+                       (["replan", "--model", str(model)], model),
+                       (["simulate", "--plan", str(plan)], plan),
+                       (["simulate", "--plan", str(out / "plan.json"), "--model", str(model)],
+                        model)):
+        assert main(argv[:1] + ["--config", cfg_path, "--out", str(fresh)] + argv[1:]) == 2
+        assert f"{path} has unsupported schema_version 2" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
+def test_a_bid_law_whose_payments_overflow_is_refused(tmp_path, capsys):
+    cfg = {**base_config(tmp_path), "bid_model": {"kind": "lognormal", "mu": 700.0,
+                                                  "sigma": 1.0}}
+    assert main(["optimize", "--config", dump(tmp_path, cfg)]) == 2
+    assert "squares overflow" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
@@ -352,19 +440,23 @@ def test_optimize_refuses_an_oversized_market(tmp_path, capsys):
 # were re-recorded when the sigmoid candidate left the fit: four of their
 # curves had been sigmoids and are now the better of lowess and polynomial,
 # each with a higher rmse (by 0.3% to 7.7%). The other goldens held no sigmoid.
+# Every fitted_model.json was re-recorded when the file came to hold the bid
+# law as histogram edges and counts, not the bid sample (its other keys are
+# the same bytes), and simulation_summary.json when markets came to be drawn
+# in blocks from one stream each.
 GOLDEN_PIPELINE = {
     "auction_log.csv":
         "7f9d9f7c00e0e26a0427aedcc75916360ea5bd72f0a2aed811a67de3f0e847af",
     "ground_truth.json":
         "0095ec3c5199e17ca23d41523c2ea787dc18cab064ef81400e8e371173ee0a29",
     "fitted_model.json":
-        "3e6ad7908e4a8ea3b69981796d5587cc62874483cb2265e6ac41435810114701",
+        "3c062dcfc5912c6fde59dbf764b74ef9dd72d5b7bdbfc1009db5dfd6d1a7c8af",
     "plan.json":
         "f215d06ea637976287495f0a62c1f358ab8e101bec9f432bb769ab93f2b1806e",
     "plan_curves.csv":
         "cdd03c6eadeb279a9d75b3d328d8cafd1e3f185d1da3c18ae107b1b05775d408",
     "simulation_summary.json":
-        "25b7a5f598e037b31fd1571b30fdb318a7405b4814067567cb0f7a3c6fe434c4",
+        "ca3d57d8f09790d47db13b23671f8ad8ba2c57953864cc462697532205a6ae14",
     "replan_plan.json":
         "aa12be1e7c36844e52e680c6f2bbcfc6e14518977e0b603d44522cbe8048ef87",
     "replan_trace.csv":
@@ -376,25 +468,25 @@ GOLDEN_ALL_BIDS = {
     "auction_log.csv":
         "077b74254ca2f58438cd981b16fdb899f765247719036090c4cd85e5b12cd897",
     "fitted_model.json":
-        "9e6e3edd82e502f56b20bb3b27b574096e2021a973cfc609d1361cfdeb79469d",
+        "6bb81acd86d97e397e8f8b67b75cb6ddf6e092aecd22932bd24bcc6d47ed85b7",
     "segment_report.json":
         "2930373c21ca97605564fba36ea3e746b437895116684468ee8178209d64efb0",
 }
 GOLDEN_MIXED_OFFSETS = {
     "fitted_model.json":
-        "badeba0a77f40997fe2dfe0eb1e2e2c31a0cb7011880ac5a2569f230f8f784fe",
+        "05ffe86bc0bf76fca9e9b2c535fb87011892b27c7cf3146528d00699a94008fe",
     "segment_report.json":
         "ae4aca885fd035f4ed7c702390a268b3e9eeaa54b184f8f04d8765099245c1c7",
 }
 GOLDEN_SPARSE_STAMPS = {
     "fitted_model.json":
-        "fb1daafd3f92a836c0877339be351e60cc470a2806466480caf9e8797d544a85",
+        "6b1a6aed10e3e15f53764712760705cc3fa42798155b3221aa1d43be51eb38fc",
     "segment_report.json":
         "9fa91db76fa4f20274e47e3d7524d416c3045562869d7ad52f33c92217b40407",
 }
 GOLDEN_NO_STAMPS = {
     "fitted_model.json":
-        "fb1daafd3f92a836c0877339be351e60cc470a2806466480caf9e8797d544a85",
+        "6b1a6aed10e3e15f53764712760705cc3fa42798155b3221aa1d43be51eb38fc",
     "segment_report.json":
         "e3f225d6eb8497fd47f318a5272f035c68100dcef818bcb978593431ad6fed56",
 }

@@ -1,5 +1,6 @@
 """Bid-log CSV round trips and per-auction summaries."""
 
+import contextlib
 import csv
 import io
 from datetime import datetime, timedelta, timezone
@@ -19,6 +20,41 @@ from pgrtb.logs import (
 
 UTC = timezone.utc
 PLUS1 = timezone(timedelta(hours=1))
+
+
+def _runs(log):
+    """A log's runs: first rows, fields (stamps with their offsets), and which
+    runs share each field's object."""
+    shared = [[next(j for j, y in enumerate(column) if y is x) for x in column]
+              for column in (log._slots, log._auctions, log._stamps)]
+    stamps = [None if t is None else t.isoformat() for t in log._stamps]
+    return log._starts.tolist(), log._slots, log._auctions, stamps, shared
+
+
+def read_both_paths(path):
+    """``read_log_csv`` on the path it picks and on the csv module's path, which
+    must give equal logs with the same runs, or the same error."""
+    results = []
+    for force_csv in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if force_csv:
+                mp.setattr(logs, "_has_quotes", lambda _: True)
+            try:
+                results.append(logs.read_log_csv(path))
+            except ValueError as exc:
+                results.append(exc)
+    picked, by_csv = results
+    if isinstance(picked, ValueError):
+        assert isinstance(by_csv, ValueError) and str(by_csv) == str(picked)
+        raise picked
+    assert picked == by_csv and _runs(picked) == _runs(by_csv)
+    return picked
+
+
+@pytest.fixture(autouse=True)
+def both_reader_paths(monkeypatch):
+    """Every read in this module runs on both reader paths."""
+    monkeypatch.setitem(globals(), "read_log_csv", read_both_paths)
 
 
 def rows_log(rows):
@@ -186,6 +222,56 @@ def test_round_trip_property(tmp_path, auctions):
         [None if t is None else t.isoformat() for t in log.timestamp]
 
 
+_SLOTS = st.sampled_from(["s", " s", "t"])
+_AUCTION_IDS = st.sampled_from(["a", "b", " a ", "c-1"])
+_STAMP_TEXTS = st.sampled_from(["", "2024-05-01T10:00:00+00:00", "2024-05-01T10:00:00Z",
+                                "2024-05-01T11:00:00+01:00", "2024-05-01T10:00:00 "])
+_BID_TEXTS = st.sampled_from(["0.5", " 0.25", "1e3", "0.1 ", "7"])
+_GOOD_ROWS = st.builds(lambda *fields: ",".join(fields), _SLOTS, _AUCTION_IDS, _STAMP_TEXTS,
+                       _BID_TEXTS)
+_ODD_ROWS = st.sampled_from(["", "  ", "s,a,,abc", "s,a,,-1", "s,,,0.5", "s,a,0.5",
+                             "s,a,,0.5,x", "s,a,2024-05-01T10:00:00,0.5", "s,a,noon,0.5",
+                             "s,a,,nan", "junk"])
+
+
+@given(rows=st.lists(_GOOD_ROWS | _ODD_ROWS, max_size=40),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]), chunk=st.sampled_from([2, 3, 256]))
+@example(rows=["s,a,,0.5", "", "s,a,,0.4", "", "", "s,b,,0.3", "s,a,,0.2"], ending="\n",
+         chunk=256)
+@example(rows=["s,y,2024-05-01T10:00:00Z,0.5", "s,w,2024-05-01T11:00:00Z,0.4",
+               "s,y,2024-05-01T10:00:00Z,0.3", "s,x,2024-05-01T10:00:00+00:00,0.2", "",
+               "s,x,2024-05-01T10:00:00+00:00,0.1"], ending="\r\n", chunk=256)
+def test_both_reader_paths_give_equal_logs(tmp_path_factory, rows, ending, chunk):
+    """Unquoted logs with blank lines, spaces, stamps at several offsets,
+    interleaved auctions and bad rows, read in chunks of a few lines too:
+    the line path gives the csv module's path's log, with the same runs and
+    shared objects, or its error."""
+    path = tmp_path_factory.mktemp("both") / "log.csv"
+    path.write_text(ending.join(["slot_id,auction_id,timestamp,bid_cpm", *rows]) + ending,
+                    newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logs, "_CHUNK", chunk)
+        with contextlib.suppress(ValueError):
+            read_both_paths(path)
+
+
+def test_a_blank_line_does_not_end_a_run(tmp_path):
+    """The row after a blank line continues its run unchecked: were it checked
+    again, x's second row would take y's equal stamp object from the
+    interned stamps and start a run of its own."""
+    path = tmp_path / "log.csv"
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
+                    "s,y,2024-05-01T10:00:00Z,0.5\n"
+                    "s,w,2024-05-01T11:00:00Z,0.4\n"
+                    "s,y,2024-05-01T10:00:00Z,0.3\n"
+                    "s,x,2024-05-01T10:00:00+00:00,0.2\n"
+                    "\n"
+                    "s,x,2024-05-01T10:00:00+00:00,0.1\n")
+    log = read_log_csv(path)
+    assert log._starts.tolist() == [0, 1, 2, 3]
+    assert log.timestamp[4] is log.timestamp[3] is not log.timestamp[2]
+
+
 def test_round_trip_ids_with_commas_and_quotes(tmp_path):
     log = rows_log([
         ("slot,a", 'auction "1"', None, 0.5),
@@ -301,6 +387,18 @@ def test_first_of_two_bad_rows_wins(tmp_path, first, second):
     with pytest.raises(ValueError) as err:
         read_log_csv(path)
     assert str(err.value) == f"{path}:{line}: {BAD_ROWS[first][1]}"
+
+
+def test_bids_are_read_as_float_reads_them(tmp_path):
+    """The reader converts a chunk's bid texts at once; each gives the bits
+    ``float`` gives it: signs, underscores, bare points, spaces, exponents,
+    subnormals and the largest double."""
+    texts = [" 1_0 ", "+.5", "5.", "1e3", "0.1000000000000000055511151231257827",
+             "4.9e-324", "1.7976931348623157e308", "0", "00.25"]
+    path = tmp_path / "log.csv"
+    path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
+                    + "".join(f"s,a,,{t}\n" for t in texts))
+    assert read_log_csv(path).bid_cpm.tolist() == [float(t) for t in texts]
 
 
 def test_read_skips_blank_lines(tmp_path):

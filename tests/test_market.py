@@ -8,10 +8,10 @@ import pytest
 from pgrtb.auction import BidModel
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, replan
-from pgrtb.simulate import _purchases, evaluate_plan
+from pgrtb.simulate import evaluate_plan
 from pgrtb.solver import PricePlan, optimal_plan
 
-from oracles import backlog_demand, expected_arrivals
+from oracles import backlog_demand, expected_arrivals, purchases
 
 
 def small_config(**overrides):
@@ -121,7 +121,7 @@ def test_purchase_ratio_shape():
     plan = PricePlan.from_path([-0.1, 0.3, 0.3], [1, 1, 1], [0.5] * 3, 0.0, 0.0,
                                supply=cfg.supply_S, demand=cfg.demand_Q)
     with pytest.raises(ValueError, match="non-negative"):
-        _purchases(plan, cfg, StepTerms(cfg, grid), seed=0)
+        purchases(plan, cfg, StepTerms(cfg, grid), seed=0)
 
 
 def test_purchase_ratio_value():

@@ -23,17 +23,11 @@ from hypothesis import strategies as st
 from pgrtb.auction import BidModel
 from pgrtb.logs import summarize_auctions
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid
-from pgrtb.simulate import (
-    _arrivals,
-    _market_once,
-    _purchases,
-    _simulate_rtb,
-    evaluate_plan,
-    generate_log,
-)
+from pgrtb.market import reference_config
+from pgrtb.simulate import _BLOCK, _auctions, evaluate_plan, generate_log
 from pgrtb.solver import PricePlan, _MarketTables, _solve, optimal_plan
 
-from oracles import loop_simulate_rtb
+from oracles import arrivals, loop_auctions, loop_simulate_rtb, market_once, purchases
 
 UTC = timezone.utc
 
@@ -52,8 +46,8 @@ def sim_config():
 def test_generate_arrivals_seeded():
     cfg = sim_config()
     grid = TimeGrid.from_config(cfg)
-    a = _arrivals(StepTerms(cfg, grid), seed=1)
-    b = _arrivals(StepTerms(cfg, grid), seed=1)
+    a = arrivals(StepTerms(cfg, grid), seed=1)
+    b = arrivals(StepTerms(cfg, grid), seed=1)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (cfg.steps_N + 1,)
     # the opening block is deterministic and sits on top of the Poisson draw
@@ -63,7 +57,7 @@ def test_generate_arrivals_seeded():
 def test_generate_arrivals_mean():
     cfg = sim_config()
     grid = TimeGrid.from_config(cfg)
-    draws = np.array([_arrivals(StepTerms(cfg, grid), seed=s)[1:].sum()
+    draws = np.array([arrivals(StepTerms(cfg, grid), seed=s)[1:].sum()
                       for s in range(400)])
     lam_total = cfg.arrival_rate_lambda * cfg.delta_t * cfg.steps_N
     assert abs(draws.mean() - lam_total) < 5 * math.sqrt(lam_total / 400)
@@ -76,7 +70,7 @@ def test_simulate_purchases_closed_plan_sells_nothing():
         prices=np.full(11, 0.5), sales=np.zeros(11, dtype=int),
         bounds=np.full(11, 0.5), gamma=0.0, revenue_pg=0.0,
         revenue_rtb=0.0, revenue_total=0.0, xi_terminal=4.0)
-    sold, revenue = _purchases(plan, cfg, StepTerms(cfg, grid), seed=3)
+    sold, revenue = purchases(plan, cfg, StepTerms(cfg, grid), seed=3)
     assert sold.sum() == 0 and revenue == 0.0
 
 
@@ -91,7 +85,7 @@ def test_simulate_purchases_respects_supply_cap():
         bounds=np.full(11, 1.0), gamma=1.0, revenue_pg=0.0,
         revenue_rtb=0.0, revenue_total=0.0, xi_terminal=math.inf)
     for seed in range(5):
-        sold, _ = _purchases(plan, cfg, StepTerms(cfg, grid), seed=seed)
+        sold, _ = purchases(plan, cfg, StepTerms(cfg, grid), seed=seed)
         assert sold.sum() <= cfg.supply_S
 
 
@@ -100,7 +94,7 @@ def test_simulate_purchases_tracks_plan_means():
     grid = TimeGrid.from_config(cfg)
     plan, _ = optimal_plan(cfg, grid, BidModel.uniform(0.0, 1.0))
     runs = 300
-    sold = np.vstack([_purchases(plan, cfg, StepTerms(cfg, grid), seed=s)[0]
+    sold = np.vstack([purchases(plan, cfg, StepTerms(cfg, grid), seed=s)[0]
                       for s in range(runs)])
     mean = sold.mean(axis=0)
     se = sold.std(axis=0, ddof=0) / math.sqrt(runs)
@@ -117,15 +111,21 @@ def test_simulate_purchases_rejects_tail_plans():
     tables = _MarketTables(cfg, grid).set_demand(BidModel.uniform(0.0, 1.0), None)
     plan, _ = _solve(tables, 2, 0)  # a tail solve from step 2
     with pytest.raises(ValueError):
-        _purchases(plan, cfg, StepTerms(cfg, grid), seed=0)
+        purchases(plan, cfg, StepTerms(cfg, grid), seed=0)
+
+
+def block_rtb(supply, demand, model, seed, reserve=0.0):
+    """``_auctions`` on one market, from ``seed``'s stream."""
+    return float(_auctions(np.array([supply]), np.array([demand]), model,
+                           np.random.default_rng(seed), reserve)[0])
 
 
 def test_simulate_rtb_edges():
     model = BidModel.uniform(0.0, 1.0)
-    assert _simulate_rtb(0, 50, model, seed=1) == 0.0
-    assert _simulate_rtb(5, 0, model, seed=1, reserve=0.2) == 1.0
+    assert loop_simulate_rtb(0, 50, model, seed=1)[0] == 0.0
+    assert loop_simulate_rtb(5, 0, model, seed=1, reserve=0.2)[0] == 1.0
     with pytest.raises(ValueError):
-        _simulate_rtb(-1, 5, model, seed=1)
+        loop_simulate_rtb(-1, 5, model, seed=1)
 
 
 def test_simulate_rtb_log_reconciles_with_revenue():
@@ -134,7 +134,7 @@ def test_simulate_rtb_log_reconciles_with_revenue():
     model = BidModel.uniform(0.1, 1.0)
     supply, demand, reserve = 40, 130, 0.05
     revenue, log = loop_simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
-    assert revenue == _simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
+    assert revenue == block_rtb(supply, demand, model, seed=8, reserve=reserve)
     assert len(log) == demand  # every bid lands on exactly one impression
     table = summarize_auctions(log, reserve=reserve)
     covered = sum(table.payment[table.xi_observed >= 2].tolist())
@@ -166,15 +166,31 @@ def test_simulate_rtb_matches_per_impression_oracle(supply, demand, law, reserve
     impression, ties and a reserve included."""
     model = _BID_LAWS[law]
     want, _ = loop_simulate_rtb(supply, demand, model, seed, reserve=reserve)
-    assert _simulate_rtb(supply, demand, model, seed, reserve=reserve) == want
+    assert block_rtb(supply, demand, model, seed, reserve=reserve) == want
+
+
+@given(markets=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 40)), min_size=1,
+                        max_size=6),
+       law=st.sampled_from(sorted(_BID_LAWS)), reserve=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(markets=[(0, 9), (3, 0), (1, 4), (0, 0)], law="uniform", reserve=0.3, seed=6)
+def test_block_auctions_match_per_impression_oracle(markets, law, reserve, seed):
+    """Several markets' auctions at once, markets without impressions or
+    without bidders among them: each market's revenue is the loop's, bit for
+    bit, from the same stream."""
+    supply, demand = (np.array(column) for column in zip(*markets))
+    got = _auctions(supply, demand, _BID_LAWS[law], np.random.default_rng(seed), reserve)
+    want, _ = loop_auctions(supply, demand, _BID_LAWS[law], np.random.default_rng(seed),
+                            reserve=reserve)
+    assert got.tolist() == want
 
 
 def test_simulate_rtb_deterministic():
     model = BidModel.lognormal(0.0, 0.5)
-    a = _simulate_rtb(20, 60, model, seed=12)
-    b = _simulate_rtb(20, 60, model, seed=12)
+    a = loop_simulate_rtb(20, 60, model, seed=12)[0]
+    b = loop_simulate_rtb(20, 60, model, seed=12)[0]
     assert a == b
-    assert _simulate_rtb(20, 60, model, seed=13) != a
+    assert loop_simulate_rtb(20, 60, model, seed=13)[0] != a
 
 
 def test_run_market_once_accounting():
@@ -182,14 +198,14 @@ def test_run_market_once_accounting():
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
     plan, _ = optimal_plan(cfg, grid, model)
-    out = _market_once(plan, cfg, StepTerms(cfg, grid), model, seed=4)
+    out = market_once(plan, cfg, StepTerms(cfg, grid), model, seed=4)
     assert 0.0 <= out.delivered_fraction <= 1.0
     assert out.pg_sold.sum() <= cfg.supply_S
     assert out.total_revenue == out.pg_revenue + out.rtb_revenue
     # without delivery failures the realized gross revenue is untouched
     sure = dataclasses.replace(cfg, miss_prob_omega=0.0)
     plan2, _ = optimal_plan(sure, grid, model)
-    out2 = _market_once(plan2, sure, StepTerms(sure, grid), model, seed=4)
+    out2 = market_once(plan2, sure, StepTerms(sure, grid), model, seed=4)
     assert out2.delivered_fraction == 1.0
     assert out2.pg_revenue == pytest.approx(
         float(np.sum(np.asarray(plan2.prices) * out2.pg_sold)))
@@ -209,6 +225,84 @@ def test_evaluate_plan_summary():
     assert len(s1["mean_sold_per_step"]) == cfg.steps_N + 1
     with pytest.raises(ValueError):
         evaluate_plan(plan, cfg, grid, model, n_runs=0, seed=1)
+
+
+def test_block_markets_follow_the_plan():
+    """Simulated markets sell nothing at closed steps, never more than the
+    supply, book a failure-free market's contract revenue at the posted
+    prices, and refuse tail plans and negative open prices."""
+    cfg = sim_config()
+    grid = TimeGrid.from_config(cfg)
+    model = BidModel.uniform(0.0, 1.0)
+    closed = PricePlan(
+        prices=np.full(11, 0.5), sales=np.zeros(11, dtype=int),
+        bounds=np.full(11, 0.5), gamma=0.0, revenue_pg=0.0,
+        revenue_rtb=0.0, revenue_total=0.0, xi_terminal=4.0)
+    _, outcomes = evaluate_plan(closed, cfg, grid, model, n_runs=40, seed=3)
+    assert all(o.pg_sold.sum() == 0 and o.pg_revenue == 0.0 for o in outcomes)
+    sales = np.zeros(11, dtype=int)
+    sales[0] = cfg.supply_S  # a giveaway price: everyone waiting buys, which must stop at S
+    giveaway = dataclasses.replace(closed, prices=np.full(11, 1e-9), sales=sales)
+    _, outcomes = evaluate_plan(giveaway, cfg, grid, model, n_runs=40, seed=3)
+    assert max(o.pg_sold.sum() for o in outcomes) == cfg.supply_S
+    sure = dataclasses.replace(cfg, miss_prob_omega=0.0)
+    plan, _ = optimal_plan(sure, grid, model)
+    _, outcomes = evaluate_plan(plan, sure, grid, model, n_runs=40, seed=4)
+    for out in outcomes:
+        assert out.delivered_fraction == 1.0
+        assert out.total_revenue == out.pg_revenue + out.rtb_revenue
+        assert out.pg_revenue == pytest.approx(float(np.sum(plan.prices * out.pg_sold)))
+    tables = _MarketTables(cfg, grid).set_demand(model, None)
+    tail, _ = _solve(tables, 2, 0)  # a tail solve from step 2
+    with pytest.raises(ValueError, match="full-horizon"):
+        evaluate_plan(tail, cfg, grid, model, n_runs=1, seed=0)
+    negative = dataclasses.replace(giveaway, prices=np.full(11, -0.1))
+    with pytest.raises(ValueError, match="non-negative"):
+        evaluate_plan(negative, cfg, grid, model, n_runs=1, seed=0)
+
+
+def test_outcomes_keep_the_n_runs_prefix():
+    """Market k is drawn from its block's stream alone, and a block always
+    draws all its markets: any run count's outcomes are the first of a
+    larger count's, across block ends too."""
+    cfg = sim_config()
+    grid = TimeGrid.from_config(cfg)
+    model = BidModel.lognormal(-0.5, 0.5)
+    plan, _ = optimal_plan(cfg, grid, model)
+    _, full = evaluate_plan(plan, cfg, grid, model, n_runs=4 * _BLOCK + 5, seed=21)
+    for n_runs in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        _, some = evaluate_plan(plan, cfg, grid, model, n_runs=n_runs, seed=21)
+        assert len(some) == n_runs
+        for got, want in zip(some, full):
+            assert got.pg_sold.tolist() == want.pg_sold.tolist()
+            assert (got.pg_revenue, got.rtb_revenue, got.delivered_fraction) == \
+                (want.pg_revenue, want.rtb_revenue, want.delivered_fraction)
+
+
+def test_block_streams_agree_with_the_per_market_oracle():
+    """Over 4,000 reference markets, the block draws and the one-market-at-a-
+    time replay agree within 3 standard errors of their difference on the
+    mean total revenue, on every step's mean sales and on the delivery rate."""
+    cfg = reference_config()
+    grid = TimeGrid.from_config(cfg)
+    model = BidModel.uniform(0.0, 1.0)
+    plan, _ = optimal_plan(cfg, grid, model)
+    runs = 4000
+    _, blocks = evaluate_plan(plan, cfg, grid, model, n_runs=runs, seed=2024)
+    terms = StepTerms(cfg, grid)
+    replay = [market_once(plan, cfg, terms, model, child)
+              for child in np.random.SeedSequence(2025).spawn(runs)]
+
+    def agree(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / runs)
+        dev = np.abs(a.mean(axis=0) - b.mean(axis=0))
+        return np.all((dev <= 3 * se) | ((se == 0) & (dev == 0)))
+
+    assert agree([o.total_revenue for o in blocks], [o.total_revenue for o in replay])
+    assert agree([o.pg_sold for o in blocks], [o.pg_sold for o in replay])
+    assert agree([o.delivered_fraction for o in blocks],
+                 [o.delivered_fraction for o in replay])
 
 
 def test_generate_log_structure():
