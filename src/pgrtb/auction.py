@@ -239,8 +239,10 @@ def _payment_points_batch(model, xis):
         # moment: a spread at rounding level is no miss
         moments[1, part], errors[1, part] = _moment(f, products, kronrod_w, error_w)
         var[part] = moments[1, part]
-    cache.update(zip(todo.tolist(), zip(
-        moments[0].tolist(), np.sqrt(np.maximum(var, 0.0)).tolist())))
+    low, high = model.support()  # a spread is at most (high - low) / 2 (Popoviciu),
+    # which rounding can pass on a narrow law; a lognormal's width is infinite
+    spread = np.minimum(np.sqrt(np.maximum(var, 0.0)), (high - low) / 2)
+    cache.update(zip(todo.tolist(), zip(moments[0].tolist(), spread.tolist())))
     bad = errors > _RTOL * against
     if bad.any():
         i = int(bad.any(axis=0).argmax())
@@ -642,7 +644,7 @@ def fit_payment_curves(table):
     thin = np.flatnonzero(table.xi_observed < 2)
     if thin.size:
         raise ValueError(f"{thin.size} auctions have fewer than two bids "
-                         f"(first: {table.auction_id[thin[0]]})")
+                         f"(first: auction {thin[0]}, counting from 0 in table order)")
     xi, pay_mean, pay_std = _aggregate_payment_points(table)
     return _best_fit(xi, pay_mean), _best_fit(xi, pay_std)
 

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 LOG_HEADER = ("slot_id", "auction_id", "timestamp", "bid_cpm")
-_CHUNK = 256  # rows per pass of the reader and the writer, bounding their memory
+_CHUNK = 256  # rows per pass of the reader, the writer and the ranking, bounding their memory
 _US = timedelta(microseconds=1)
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # fields the csv module quotes
 
@@ -41,7 +41,9 @@ class BidLog:
     the float64 ``bid_cpm`` per row and, per run, its first row and one slot id,
     auction id and stamp. ``slot_id``, ``auction_id`` and ``timestamp`` are per-row
     lists of those objects, expanded from the runs on every access: O(rows). Logs
-    compare row by row, whatever their runs, and concatenate with ``+``.
+    compare row by row, whatever their runs, and concatenate with ``+``. Auction ids
+    must be orderable among themselves, as strings are: the auctions are counted and
+    summarized by sorting them.
     """
 
     def __init__(self, slot_id, auction_id, timestamp, bid_cpm):
@@ -83,8 +85,9 @@ class BidLog:
         return len(self.bid_cpm)
 
     def count_auctions(self):
-        """The number of distinct auction ids, counted over the runs."""
-        return len(set(self._auctions))
+        """The number of distinct auction ids, by one sort of the runs'."""
+        ids = sorted(self._auctions)
+        return sum(map(operator.ne, ids[1:], ids)) + bool(ids)
 
     def __eq__(self, other):
         return isinstance(other, BidLog) and np.array_equal(self.bid_cpm, other.bid_cpm) and all(
@@ -97,20 +100,17 @@ class BidLog:
 
 @dataclass(eq=False)
 class AuctionTable:
-    """Per-auction summaries as columns, one entry per auction in first-seen order.
+    """Per-auction summaries as numeric columns, one entry per auction in
+    first-seen order, which names an auction, as the table keeps no ids.
 
     Auction ``i``'s bids, descending (ties in row order), are
     ``bids[offsets[i]:offsets[i + 1]]``; ``xi_observed`` counts them,
     ``winning_bid`` is the first and ``payment`` the second (the reserve for
-    a lone bid). ``auction_id``, ``slot_id`` (its first row's) and
-    ``timestamp`` (its earliest, or None) are object arrays. ``hour`` is that
-    stamp's wall-clock hour in its own offset as int64 microseconds since
-    the epoch (naive stamps count as UTC), or ``UNSTAMPED``.
+    a lone bid). ``hour`` is the auction's earliest stamp's wall-clock hour
+    in that stamp's own offset as int64 microseconds since the epoch (naive
+    stamps count as UTC), or ``UNSTAMPED``.
     """
 
-    auction_id: np.ndarray
-    slot_id: np.ndarray
-    timestamp: np.ndarray
     hour: np.ndarray
     xi_observed: np.ndarray
     winning_bid: np.ndarray
@@ -128,7 +128,7 @@ class AuctionTable:
         order (a mask keeps the table's), each with its bids in order."""
         index = np.arange(len(self))[index]
         rows, offsets = self._rows(index)
-        per_auction = (getattr(self, f.name)[index] for f in fields(self)[:7])  # per-auction
+        per_auction = (getattr(self, f.name)[index] for f in fields(self)[:4])  # per-auction
         return AuctionTable(*per_auction, self.bids[rows], offsets)
 
     def _rows(self, index):
@@ -301,42 +301,50 @@ def read_log_csv(path):
 def summarize_auctions(log, reserve=0.0):
     """Group a :class:`BidLog`'s rows into an :class:`AuctionTable`.
 
-    An auction's timestamp is the earliest of its rows (the first row's of
-    equal instants; None if no row carries one). Single-bid auctions pay
-    the reserve. A log that mixes naive and offset-aware stamps is refused
-    with a ValueError, as the two kinds do not compare.
+    Equal auction ids (which must be orderable) are one auction; its timestamp is
+    its rows' earliest (the first row's of equal instants), and a lone bid pays the
+    reserve. Naive and offset-aware stamps do not compare: a log that mixes them is
+    refused with a ValueError. Rows already grouped by auction are not sorted.
     """
-    starts = log._starts
-    # each run's auction as its first run's index, so auctions ascend in first-seen order
-    run_first = np.fromiter(map({}.setdefault, log._auctions, itertools.count()), np.intp,
-                            len(starts))
-    heads, run_auction = np.unique(run_first, return_inverse=True)
-    auction_id, slot_id = (np.fromiter(map(column.__getitem__, heads.tolist()), object, len(heads))
-                           for column in (log._auctions, log._slots))
-    lengths = np.diff(starts, append=len(log))
-    xi = np.bincount(run_auction, lengths, len(heads)).astype(np.intp)
-    offsets = np.concatenate([[0], np.cumsum(xi)])
-    # rows by auction (numbered in the narrowest type), then descending bid
-    narrow = run_auction.astype(np.min_scalar_type(len(heads)))
-    bids = log.bid_cpm[np.lexsort((-log.bid_cpm, np.repeat(narrow, lengths)))]
-    del run_first, narrow, lengths
-    stamps = np.fromiter(log._stamps, object, len(starts))
-    stamp = next(filter(None, stamps), None)  # naive stamps count as UTC
+    heads, run_auction = np.unique(np.fromiter(log._auctions, object, len(log._auctions)),
+                                   return_index=True, return_inverse=True)[1:]
+    # each run's auction numbered by its first run's rank: in first-seen order
+    run_auction = np.argsort(np.argsort(heads))[run_auction]
+    del heads
+    stamp = next(filter(None, log._stamps), None)  # naive stamps count as UTC
     aware = stamp is not None and stamp.utcoffset() is not None
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc if aware else None)
     try:  # microseconds since the epoch
         instant = np.fromiter((AuctionTable.UNSTAMPED if t is None else (t - epoch) // _US
-                               for t in stamps), np.int64, len(stamps))
+                               for t in log._stamps), np.int64, len(log._stamps))
     except TypeError:  # a naive and an aware stamp do not subtract
         raise ValueError("the log mixes naive and offset-aware timestamps") from None
     # runs by auction, then instant: the stable sort keeps the first of equal
     # instants, and unstamped runs come last
     by_auction = np.lexsort((instant, run_auction))
     earliest = by_auction[np.flatnonzero(np.diff(run_auction[by_auction], prepend=-1))]
-    timestamp, hour = stamps[earliest], instant[earliest]
+    del by_auction
+    hour = instant[earliest]
     hour -= np.fromiter(((t.minute * 60 + t.second) * 1_000_000 + t.microsecond if t else 0
-                         for t in timestamp), np.int64, len(timestamp))
-    return AuctionTable(
-        auction_id, slot_id, timestamp, hour, xi, bids[offsets[:-1]],
-        np.where(xi > 1, bids[np.minimum(offsets[:-1] + 1, len(log) - 1)], float(reserve)),
-        bids, offsets)
+                         for t in map(log._stamps.__getitem__, earliest)), np.int64, len(hour))
+    lengths = np.diff(log._starts, append=len(log))
+    xi = np.bincount(run_auction, lengths, len(hour)).astype(np.intp)
+    offsets = np.concatenate([[0], np.cumsum(xi)])
+    # each auction's runs, and so its rows, are consecutive: no row sort
+    grouped = (np.diff(run_auction) >= 0).all()
+    rows = None if grouped else np.argsort(np.repeat(run_auction, lengths), kind="stable")
+    del run_auction, instant, earliest, lengths
+    bids = log.bid_cpm.copy() if grouped else log.bid_cpm[rows]  # grouped by auction
+    del rows
+    # each auction's bids descending, ties in row order: a stable sort of the negated
+    # bids, _CHUNK at a time, of auctions of one count
+    for k in np.unique(xi[xi > 1]).tolist():
+        at, per = offsets[:-1][xi == k], max(1, _CHUNK // k)
+        for lo in range(0, at.size, per):
+            block = at[lo:lo + per, None] + np.arange(k)
+            ranked = np.negative(bids[block])
+            ranked.sort(axis=1, kind="stable")
+            bids[block] = np.negative(ranked, out=ranked)
+    payment = np.take(bids[1:], offsets[:-1], mode="clip") if len(bids) > 1 else np.empty(len(xi))
+    payment[xi < 2] = reserve  # the second bid, or the reserve for a lone bid
+    return AuctionTable(hour, xi, bids[offsets[:-1]], payment, bids, offsets)

@@ -36,12 +36,6 @@ _EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 _BLOCK = 32  # markets per block: a reference-market block holds ~11k bids, 0.1 MiB an array
 
 
-def _seed_sequence(seed):
-    if isinstance(seed, SeedSequence):
-        return seed
-    return SeedSequence(seed)
-
-
 @dataclass
 class SimOutcome:
     """One market realization: sales path, net revenues, delivery rate."""
@@ -121,8 +115,9 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
     """Monte Carlo summary of a plan over ``n_runs`` independent markets.
 
     Markets are drawn in blocks of ``_BLOCK`` (see :func:`_block`): block
-    ``b`` holds markets ``b * _BLOCK`` onwards and draws from the ``b``-th
-    child spawned from ``seed``, and it always draws all its markets. So
+    ``b`` holds markets ``b * _BLOCK`` onwards and draws from child ``b`` of
+    ``seed`` (as a fresh ``spawn`` makes it; a ``SeedSequence`` passed in is
+    not advanced), and it always draws all its markets. So
     market ``k``'s outcome depends on the seed and ``k`` alone, and the
     outcomes of ``n_runs`` markets are the first ``n_runs`` of those of any
     larger count. Only a full-horizon plan can be simulated, and a step it
@@ -135,8 +130,10 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
     if (np.asarray(plan.prices)[np.asarray(plan.sales) != 0] < 0).any():
         raise ValueError("price must be non-negative")
     terms = StepTerms(cfg, grid)  # built once for every block
-    blocks = [_block(plan, cfg, terms, bid_model, child)
-              for child in _seed_sequence(seed).spawn(-(-n_runs // _BLOCK))]
+    root = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    children = [SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,),
+                             pool_size=root.pool_size) for b in range(-(-n_runs // _BLOCK))]
+    blocks = [_block(plan, cfg, terms, bid_model, child) for child in children]
     sold, pg, rtb, delivered = (np.concatenate(parts)[:n_runs] for parts in zip(*blocks))
     total_sold = sold.sum(axis=1)
     fraction = np.divide(delivered, total_sold, out=np.ones(n_runs), where=total_sold > 0)
@@ -183,19 +180,21 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
     bidders = [int(b) for b in bidders_per_hour]
     if not bidders or any(b < 0 for b in bidders):
         raise ValueError("bidders_per_hour must be non-empty, non-negative ints")
-    rng = default_rng(_seed_sequence(seed))
+    rng = default_rng(seed)
     start = _EPOCH if start_time is None else start_time
-    rows, starts, auction_ids, stamps, bids = 0, [], [], [], []  # one run per auction
-    for h in range(hours):
-        k = bidders[h % len(bidders)]
+    per_hour = np.resize(np.array(bidders, dtype=np.int64), hours)  # each hour's bidders
+    bids = np.empty(int(per_hour.sum()) * auctions_per_hour)
+    for part in np.split(bids, np.cumsum(per_hour)[:-1] * auctions_per_hour):
+        part[:] = bid_model.sample_bids(rng, part.size)  # hour by hour, from one stream
+    starts = np.repeat(per_hour[per_hour > 0], auctions_per_hour)  # one run per auction
+    starts = np.cumsum(starts) - starts
+    steps = [timedelta(seconds=3600.0 * a / auctions_per_hour) for a in range(auctions_per_hour)]
+    auction_ids, stamps = [], []
+    for h in np.flatnonzero(per_hour).tolist():  # an auction without bids has no rows
         hour_start = start + timedelta(hours=h)
-        for a in range(auctions_per_hour if k else 0):  # an auction without bids has no rows
-            starts.append(rows + a * k)
+        for a, step in enumerate(steps):
             auction_ids.append(f"{slot_id}-h{h:04d}-a{a:05d}")
-            stamps.append(hour_start + timedelta(seconds=3600.0 * a / auctions_per_hour))
-        rows += auctions_per_hour * k
-        # the hour's auctions draw their bids in turn from one stream
-        bids.append(bid_model.sample_bids(rng, auctions_per_hour * k))
+            stamps.append(hour_start + step)
     truth = {
         "slot_id": slot_id,
         "hours": int(hours),
@@ -205,5 +204,4 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         "bid_model": bid_model.to_dict(),
         "start_time": (start.isoformat()),
     }
-    return BidLog._of_runs(np.array(starts, dtype=np.int64), [slot_id] * len(starts),
-                           auction_ids, stamps, np.concatenate(bids)), truth
+    return BidLog._of_runs(starts, [slot_id] * len(starts), auction_ids, stamps, bids), truth

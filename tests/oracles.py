@@ -59,8 +59,12 @@ from pgrtb import solver
 from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import BidLog
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid
-from pgrtb.simulate import _EPOCH, SimOutcome, _seed_sequence
+from pgrtb.simulate import _EPOCH, SimOutcome
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
+
+
+def _seed_sequence(seed):
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def _check_step(n, last):

@@ -323,6 +323,23 @@ def test_quadrature_judges_a_spread_at_rounding_level_against_the_raw_moment():
     assert np.all(np.abs(means - 1.0) < 1e-14) and np.all(stds < 1e-12)
 
 
+def test_a_spread_is_at_most_half_the_laws_width():
+    """A payment inside [low, high] spreads by at most (high - low) / 2
+    (Popoviciu). On uniform(1, 1 + 1e-15) rounding read spreads of 3.0e-15
+    and 9.6e-13; the cache caps them there. On the reference law and a
+    fitted one the cap is far from every level's spread, and a lognormal's
+    infinite support caps nothing."""
+    levels = np.concatenate([np.linspace(2.0, 50.0, 97), np.geomspace(50.0, 1e7, 40)])
+    narrow = BidModel.uniform(1.0, 1.0 + 1e-15)
+    half = (narrow.high - narrow.low) / 2
+    assert narrow.payment_moments([2.0, 1e6])[1].tolist() == [half, half]
+    fitted = BidModel.empirical(np.random.default_rng(5).uniform(0.0, 1.0, 2000))
+    for model in (BidModel.uniform(0.0, 1.0), fitted):
+        low, high = model.support()
+        assert (model.payment_moments(levels)[1] < 0.75 * (high - low) / 2).all()
+    assert np.isfinite(BidModel.lognormal(-0.5, 0.5).payment_moments(levels)[1]).all()
+
+
 @pytest.mark.parametrize("make", [lambda: BidModel.lognormal(700.0, 1.0),
                                   lambda: BidModel.lognormal(354.0, 1.0),
                                   lambda: BidModel.uniform(0.0, 1e200),
@@ -613,8 +630,9 @@ def test_aggregate_payment_points_by_count():
 
 
 def test_fit_payment_curves_rejects_thin_auctions():
-    log = BidLog(["s"], ["solo"], [None], [0.5])
-    with pytest.raises(ValueError, match="solo"):
+    log = BidLog(["s"] * 4, ["pair", "solo", "pair", "late"], [None] * 4, [0.5, 0.4, 0.3, 0.2])
+    with pytest.raises(ValueError, match=r"^2 auctions .* \(first: auction 1, counting from 0 "
+                                         r"in table order\)$"):
         fit_payment_curves(summarize_auctions(log))
     with pytest.raises(ValueError):
         fit_payment_curves(summarize_auctions(BidLog([], [], [], [])))

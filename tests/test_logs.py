@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pgrtb import logs
 from pgrtb.logs import (
+    AuctionTable,
     BidLog,
     read_log_csv,
     summarize_auctions,
@@ -20,6 +21,7 @@ from pgrtb.logs import (
 
 UTC = timezone.utc
 PLUS1 = timezone(timedelta(hours=1))
+IST = timezone(timedelta(hours=5, minutes=30))
 
 
 def _runs(log):
@@ -305,10 +307,12 @@ def test_equal_instants_keep_their_offsets(tmp_path):
     assert [t.utcoffset() for t in back.timestamp] == \
         [timedelta(0), timedelta(hours=1), timedelta(hours=1), timedelta(0), timedelta(0)]
     # of equal earliest instants an auction keeps its first row's, not the
-    # highest bid's
-    table = summarize_auctions(back)
-    assert table.timestamp[0].utcoffset() == timedelta(0)
-    assert table.timestamp[1].utcoffset() == timedelta(hours=1)
+    # highest bid's: at +05:30 its hour starts half an hour off UTC's
+    ist = [datetime(2024, 5, 1, 17, 30, tzinfo=IST), datetime(2024, 5, 1, 12, tzinfo=UTC)]
+    table = summarize_auctions(rows_log([("s", "a", ist[0], 0.4), ("s", "a", ist[1], 0.5),
+                                         ("s", "b", ist[1], 0.4), ("s", "b", ist[0], 0.5)]))
+    assert table.hour.tolist() == [_hour_key(ist[0]), _hour_key(ist[1])]
+    assert _hour_key(ist[0]) == _hour_key(ist[1]) - 30 * 60 * 10**6
 
 
 def test_read_accepts_zulu_timestamps(tmp_path):
@@ -417,20 +421,19 @@ def test_summarize_auctions():
         ("s", "solo", t1, 0.3),
     ])
     table = summarize_auctions(log, reserve=0.05)
-    assert table.auction_id.tolist() == ["big", "solo"]  # first-seen order
+    # first-seen order: "big", then "solo"
     np.testing.assert_array_equal(table.bids, [0.9, 0.7, 0.4, 0.3])
     np.testing.assert_array_equal(table.offsets, [0, 3, 4])
     np.testing.assert_array_equal(table.xi_observed, [3, 1])
     np.testing.assert_array_equal(table.winning_bid, [0.9, 0.3])
     np.testing.assert_array_equal(table.payment, [0.7, 0.05])  # reserve fallback
-    assert table.timestamp.tolist() == [t1, t1]  # earliest stamped row
+    assert table.hour.tolist() == [_hour_key(t1)] * 2  # earliest stamped row
     assert len(summarize_auctions(rows_log([]))) == 0
 
 
 def test_summarize_without_timestamps():
     log = rows_log([("s", "a", None, 0.2), ("s", "a", None, 0.8)])
     table = summarize_auctions(log)
-    assert table.timestamp.tolist() == [None]
     assert table.hour.tolist() == [table.UNSTAMPED]
     assert table.payment.tolist() == [0.2]
 
@@ -442,13 +445,13 @@ def test_take_keeps_the_order_asked_for():
     table = summarize_auctions(rows_log([
         ("s", "a", None, 0.5), ("s", "b", t1, 0.2), ("s", "a", None, 0.9),
         ("s", "c", t1, 0.7), ("s", "b", t1, 0.4), ("s", "b", t1, 0.3)]))
-    picked = table.take([2, 0])
-    assert picked.auction_id.tolist() == ["c", "a"]
+    picked = table.take([2, 0])  # "c", then "a"
     np.testing.assert_array_equal(picked.bids, [0.7, 0.9, 0.5])
     np.testing.assert_array_equal(picked.offsets, [0, 1, 3])
-    assert picked.timestamp.tolist() == [t1, None]
-    masked = table.take(table.xi_observed >= 2)
-    assert masked.auction_id.tolist() == ["a", "b"]
+    np.testing.assert_array_equal(picked.xi_observed, [1, 2])
+    np.testing.assert_array_equal(picked.winning_bid, [0.7, 0.9])
+    assert picked.hour.tolist() == [_hour_key(t1), table.UNSTAMPED]
+    masked = table.take(table.xi_observed >= 2)  # "a", then "b"
     np.testing.assert_array_equal(masked.bids, [0.9, 0.5, 0.4, 0.3, 0.2])
     np.testing.assert_array_equal(masked.payment, [0.5, 0.3])
     assert masked.hour.tolist() == [table.UNSTAMPED, table.hour[1]]
@@ -507,40 +510,67 @@ def test_mixed_stamp_kinds_across_read_chunks(tmp_path):
                               "row's is offset-aware")
 
 
-def _dict_grouped(rows, reserve):
-    """Per-auction summaries by grouping rows in a dict, one row at a time."""
+def _hour_key(stamp):
+    """An auction's ``hour`` from its stamp: the wall-clock hour in the stamp's
+    own offset, as microseconds since the epoch (naive stamps count as UTC)."""
+    if stamp is None:
+        return AuctionTable.UNSTAMPED
+    epoch = datetime(1970, 1, 1, tzinfo=stamp.tzinfo and UTC)
+    return (stamp.replace(minute=0, second=0, microsecond=0) - epoch) // timedelta(microseconds=1)
+
+
+def _replayed(rows, reserve):
+    """Each auction's table entries from a replay of its rows, grouped in a dict
+    in first-seen order: its bids sorted descending (a stable sort, so ties keep
+    row order), and its earliest stamp, the first of equal instants."""
     grouped = {}
     for row in rows:
         grouped.setdefault(row[1], []).append(row)
     out = []
-    for auction_id, group in grouped.items():
-        bids = np.sort(np.array([r[3] for r in group], dtype=float))[::-1]
-        stamps = [r[2] for r in group if r[2] is not None]
-        out.append((auction_id, group[0][0], min(stamps) if stamps else None,
-                    bids.tolist(), len(bids), float(bids[0]),
-                    float(bids[1]) if len(bids) >= 2 else float(reserve)))
+    for group in grouped.values():
+        bids = sorted((r[3] for r in group), reverse=True)
+        earliest = min((r[2] for r in group if r[2] is not None), default=None)
+        out.append((_hour_key(earliest), len(bids), bids[0],
+                    bids[1] if len(bids) > 1 else reserve, bids))
     return out
 
 
+def _columns(table):
+    """A table's entries per auction; floats as their reprs, so -0.0 is not 0.0."""
+    bids = [table.bids[lo:hi].tolist() for lo, hi in zip(table.offsets[:-1], table.offsets[1:])]
+    got = zip(table.hour.tolist(), table.xi_observed.tolist(), table.winning_bid.tolist(),
+              table.payment.tolist(), bids)
+    return [(h, xi, repr(w), repr(p), list(map(repr, b))) for h, xi, w, p, b in got]
+
+
 @given(rows=st.lists(st.tuples(
-    st.sampled_from(["s1", "s2"]), st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.sampled_from(["s1", "s2"]),
+    # each draw a new string object, so equal ids are distinct objects
+    st.sampled_from("abcde").map(lambda c: "".join(["auction-", c])),
     st.none() | st.sampled_from([
         datetime(2024, 5, 1, 12, tzinfo=UTC), datetime(2024, 5, 1, 13, tzinfo=PLUS1),
-        datetime(2024, 5, 1, 11, tzinfo=UTC), datetime(2024, 5, 1, 12, 30, tzinfo=PLUS1)]),
-    st.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=30),
-    reserve=st.sampled_from([0.0, 0.05]))
-@example(rows=[("s1", "a", datetime(2024, 5, 1, 13, tzinfo=PLUS1), 0.25),
-               ("s2", "a", datetime(2024, 5, 1, 12, tzinfo=UTC), 1.0),
-               ("s1", "b", None, 0.5)], reserve=0.05)
-def test_summarize_matches_dict_grouping(rows, reserve):
-    """Shuffled rows with tied bids and equal instants at two offsets: the
-    grouping kernel gives the dict oracle's first-seen order, earliest stamp
-    (the first of equal ones), descending bids and reserve for single bids."""
-    t = summarize_auctions(rows_log(rows), reserve)
-    got = list(zip(t.auction_id.tolist(), t.slot_id.tolist(), t.timestamp.tolist(),
-                   [t.bids[lo:hi].tolist() for lo, hi in zip(t.offsets[:-1], t.offsets[1:])],
-                   t.xi_observed.tolist(), t.winning_bid.tolist(), t.payment.tolist()))
-    want = _dict_grouped(rows, reserve)
-    assert got == want
-    assert [None if g[2] is None else g[2].utcoffset() for g in got] == \
-        [None if w[2] is None else w[2].utcoffset() for w in want]
+        datetime(2024, 5, 1, 17, 30, tzinfo=IST), datetime(2024, 5, 1, 11, tzinfo=UTC),
+        datetime(2024, 5, 1, 12, 30, tzinfo=PLUS1), datetime(2024, 5, 1, 16, 45, tzinfo=IST),
+        datetime(1969, 12, 31, 23, tzinfo=UTC)]),
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])), max_size=40),
+    by_auction=st.booleans(), reserve=st.sampled_from([0.0, 0.05]))
+@example(rows=[("s1", "a", datetime(2024, 5, 1, 17, 30, tzinfo=IST), 0.25),
+               ("s2", "a", datetime(2024, 5, 1, 12, tzinfo=UTC), -0.0),
+               ("s1", "b", None, 0.5), ("s1", "a", None, 0.0)], by_auction=False, reserve=0.05)
+@example(rows=[("s1", "a", None, 0.5), ("s1", "a", datetime(1969, 12, 31, 23, tzinfo=UTC), 0.25)],
+         by_auction=True, reserve=0.0)
+def test_summarize_matches_dict_grouping(rows, by_auction, reserve):
+    """Every table column equals a per-auction replay of the log: interleaved
+    auctions and, with ``by_auction``, the same rows grouped by auction (the
+    path that sorts no rows); equal ids held as distinct objects; tied bids
+    and -0.0; single bids; unstamped rows, also before a stamp earlier than
+    1970; equal instants at +00:00, +01:00 and +05:30, whose hours differ.
+    Ranking one bid at a time gives the same table."""
+    if by_auction:
+        rows = sorted(rows, key=lambda row: row[1])
+    want = [(h, xi, repr(w), repr(p), list(map(repr, b)))
+            for h, xi, w, p, b in _replayed(rows, reserve)]
+    assert _columns(summarize_auctions(rows_log(rows), reserve)) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logs, "_CHUNK", 1)
+        assert _columns(summarize_auctions(rows_log(rows), reserve)) == want

@@ -3,11 +3,13 @@
 A log stores its slot id, auction id and stamp once per run of rows. Each
 stage may hold one bounded chunk beyond what it returns: the reader keeps
 a chunk of lines and of bids at a time, on either of its paths, and the
-summary builds its per-auction columns from the runs. Allocation counts are
-deterministic, so the bounds are too.
+summary builds its per-auction columns from the runs and ranks the bids in
+place, a bounded block at a time. Allocation counts are deterministic, so
+the bounds are too.
 """
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -18,6 +20,7 @@ import pytest
 
 from pgrtb import BidModel, cli, logs
 from pgrtb.logs import BidLog, read_log_csv, summarize_auctions, write_log_csv
+from pgrtb.market import reference_config
 from pgrtb.simulate import generate_log
 
 MIB = 1024 * 1024
@@ -97,21 +100,53 @@ def test_summary_peak_above_its_table_is_below_one_row_column_set(log_path):
     summarize_auctions(log)
     table, held, peak = _traced(summarize_auctions, log)
     assert len(table) == 4_000
-    # four 8-byte columns per row
-    row_columns = 4 * 8 * len(log)
-    assert peak - held < row_columns, \
+    # the summary peaks as its table is completed: its run arrays are freed
+    # by then, and it ranks the bids in place on the table's copy, a bounded
+    # block at a time. Before, it peaked 11.7 bytes a row above its table,
+    # under a bound of four 8-byte columns per row
+    assert peak - held < 2 * len(log), \
         f"peak {peak / MIB:.3f} MiB above a table of {held / MIB:.3f} MiB"
 
 
-def test_fit_command_peak_per_log_row(log_path, tmp_path):
-    """``fit`` peaks while the summary ranks the bids with the log held, at
-    72.5 bytes a log row. Where every auction has two bids it uses its table
-    whole: copying the auctions with two bids beside it peaked at 78."""
+def _command_peak(tmp_path, *argv):
+    """A CLI command's traced peak, run once untraced first, on a config that
+    generates the ``log_path`` log and prices the reference market."""
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"schema_version": 1, "output": {"dir": str(tmp_path)}}))
-    argv = ["fit", "--config", str(config), "--log", str(log_path)]
+    config.write_text(json.dumps({
+        "schema_version": 1, "output": {"dir": str(tmp_path)},
+        "market": dataclasses.asdict(reference_config()),
+        "bid_model": {"kind": "uniform", "low": 0.0, "high": 1.0},
+        "synthetic": {"hours": 80, "auctions_per_hour": 50,
+                      "bidders_per_hour": [2, 3, 4, 5, 6, 7, 8]},
+        "seeds": {"root": 3}}))
+    argv = [argv[0], "--config", str(config), *argv[1:]]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
         code, _, peak = _traced(cli.main, argv)
     assert code == 0
-    assert peak < 75 * 19_700, f"fit peaked at {peak / 19_700:.1f} bytes a log row"
+    return peak
+
+
+def test_gen_data_command_peak_per_log_row(tmp_path):
+    """``gen-data`` peaks while it writes the log it holds, at 45.2 bytes a
+    row. Counting the auction ids in a set, after joining per-hour bid arrays,
+    peaked at 58.4."""
+    peak = _command_peak(tmp_path, "gen-data")
+    assert (tmp_path / "auction_log.csv").read_bytes().count(b"\n") == 19_700 + 1
+    assert peak < 48 * 19_700, f"gen-data peaked at {peak / 19_700:.1f} bytes a log row"
+
+
+def test_fit_command_peak_per_log_row(log_path, tmp_path):
+    """``fit`` peaks as the summary ends, with the log and its table held, at
+    56.2 bytes a log row; ranking beside the log's negated bids peaked at
+    72.5. Where every auction has two bids it uses its table whole: copying
+    the auctions with two bids beside it peaked at 78."""
+    peak = _command_peak(tmp_path, "fit", "--log", str(log_path))
+    assert peak < 60 * 19_700, f"fit peaked at {peak / 19_700:.1f} bytes a log row"
+
+
+def test_segment_command_peak_per_log_row(log_path, tmp_path):
+    """``segment`` peaks where ``fit`` does, in the summary, at 56.2 bytes a
+    log row; before the summary ranked in place, 73.7."""
+    peak = _command_peak(tmp_path, "segment", "--log", str(log_path))
+    assert peak < 60 * 19_700, f"segment peaked at {peak / 19_700:.1f} bytes a log row"

@@ -227,6 +227,27 @@ def test_evaluate_plan_summary():
         evaluate_plan(plan, cfg, grid, model, n_runs=0, seed=1)
 
 
+def test_a_seed_sequence_draws_the_same_markets_every_call():
+    """Block seeds derive from a passed SeedSequence without spawning from it,
+    so it is not advanced: every call draws the markets of its int seed. A
+    spawned child's blocks hang below its own spawn key."""
+    cfg = reference_config()
+    grid = TimeGrid.from_config(cfg)
+    model = BidModel.uniform(0.0, 1.0)
+    plan, _ = optimal_plan(cfg, grid, model)
+    root = np.random.SeedSequence(5)
+    first, _ = evaluate_plan(plan, cfg, grid, model, n_runs=40, seed=root)
+    again, _ = evaluate_plan(plan, cfg, grid, model, n_runs=40, seed=root)
+    by_int, _ = evaluate_plan(plan, cfg, grid, model, n_runs=40, seed=5)
+    assert first == again == by_int
+    assert root.n_children_spawned == 0
+    child = np.random.SeedSequence(5).spawn(2)[1]
+    by_child, _ = evaluate_plan(plan, cfg, grid, model, n_runs=40, seed=child)
+    assert by_child != by_int
+    assert by_child == evaluate_plan(plan, cfg, grid, model, n_runs=40,
+                                     seed=np.random.SeedSequence(5, spawn_key=(1,)))[0]
+
+
 def test_block_markets_follow_the_plan():
     """Simulated markets sell nothing at closed steps, never more than the
     supply, book a failure-free market's contract revenue at the posted
@@ -313,9 +334,9 @@ def test_generate_log_structure():
     assert truth["bid_model"] == {"kind": "uniform", "low": 0.2, "high": 0.9}
     table = summarize_auctions(log)
     assert len(table) == 20
-    by_hour = {}
-    for stamp, xi in zip(table.timestamp, table.xi_observed.tolist()):
-        by_hour.setdefault(stamp.hour, set()).add(xi)
+    by_hour = {}  # hour keys count microseconds from a midnight
+    for hour, xi in zip(table.hour.tolist(), table.xi_observed.tolist()):
+        by_hour.setdefault(hour // 3_600_000_000 % 24, set()).add(xi)
     # the planted pattern alternates bidder counts by hour
     assert by_hour == {0: {2}, 1: {3}, 2: {2}, 3: {3}, 4: {2}}
     again, _ = generate_log(model, hours=5, auctions_per_hour=4,
