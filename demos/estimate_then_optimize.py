@@ -22,7 +22,7 @@ def main():
     print(f"log: {len(table)} auctions, {len(records)} bids, "
           f"bidder pattern {truth['bidders_per_hour']} by hour")
 
-    mean_curve, std_curve = fit_payment_curves(table.take(table.xi_observed >= 2))
+    mean_curve, std_curve = fit_payment_curves(table)
     print(f"\nfitted curves: mean {mean_curve.method} "
           f"(rmse {mean_curve.rmse:.4f}), spread {std_curve.method} "
           f"(rmse {std_curve.rmse:.4f})")

@@ -5,8 +5,10 @@ run-of-network filler (uniform on [0, 1]), clusters the auctions by winning
 bid, and solves a separate guaranteed-price schedule for each slice.
 """
 
+import numpy as np
+
 from pgrtb.auction import BidModel
-from pgrtb.logs import summarize_auctions
+from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.market import MarketConfig
 from pgrtb.segmentation import segment_and_optimize
 from pgrtb.simulate import generate_log
@@ -20,7 +22,10 @@ def main():
     filler, _ = generate_log(BidModel.uniform(0.0, 1.0), hours=48,
                              auctions_per_hour=8, bidders_per_hour=cycle,
                              seed=11, slot_id="filler")
-    summaries = summarize_auctions(premium + filler)
+    mixed = BidLog(premium.slot_id + filler.slot_id, premium.auction_id + filler.auction_id,
+                   premium.timestamp + filler.timestamp,
+                   np.concatenate([premium.bid_cpm, filler.bid_cpm]))
+    summaries = summarize_auctions(mixed)
     print(f"mixed log: {len(summaries)} auctions from two populations")
 
     cfg = MarketConfig(

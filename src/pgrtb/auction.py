@@ -67,6 +67,8 @@ _KRONROD_W = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[:7][::-1]])
 _GAUSS_W = np.zeros(15)
 _GAUSS_W[1::2] = [_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]]
 _LOWESS_ROWS = 32  # knots per block: lowess holds a few (rows x n) arrays, never n x n
+_LOWESS_FRACTION = 0.3  # of the points that weigh in each knot's local line
+_LOWESS_ITERATIONS = 3  # robustness passes after the first fit
 
 
 # Cephes ``ndtri``'s rational approximations, the inverse normal CDF that
@@ -527,14 +529,14 @@ def _as_xy(points):
     return pts[order, 0], pts[order, 1]
 
 
-def lowess(points, fraction=0.3, iterations=3):
+def lowess(points):
     """Locally weighted robust scatterplot smoothing.
 
     Classic tricube-weighted local linear regression: at each knot the
-    nearest ``ceil(fraction * n)`` points get tricube weights and a weighted
-    line (centered at the knot for conditioning) supplies the smoothed value.
-    ``iterations`` extra passes reweight by bisquare weights of the residuals,
-    which shrugs off isolated outliers.
+    nearest ``ceil(_LOWESS_FRACTION * n)`` points get tricube weights and a
+    weighted line (centered at the knot for conditioning) supplies the
+    smoothed value. ``_LOWESS_ITERATIONS`` extra passes reweight by bisquare
+    weights of the residuals, which shrugs off isolated outliers.
 
     Returns a :class:`FittedCurve` whose knots are the training abscissae;
     between knots it interpolates linearly, outside it clamps.
@@ -543,19 +545,15 @@ def lowess(points, fraction=0.3, iterations=3):
     n = x.size
     if n < 3:
         raise ValueError("lowess needs at least three points")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
     if x[0] == x[-1]:
         raise ValueError("points need spread in x")
 
-    r = min(max(int(math.ceil(fraction * n)), 2), n - 1)
+    r = min(max(int(math.ceil(_LOWESS_FRACTION * n)), 2), n - 1)
     blocks = [slice(lo, lo + _LOWESS_ROWS) for lo in range(0, n, _LOWESS_ROWS)]
     h, delta, sums = np.empty(n), np.ones(n), np.empty((5, n))
     for b in blocks:  # each knot's distance to its r-th nearest point
         h[b] = np.partition(np.abs(x - x[b, None]), r, axis=1)[:, r]
-    for _ in range(iterations + 1):
+    for _ in range(_LOWESS_ITERATIONS + 1):
         for b in blocks:
             # a row per knot of the block, holding its weighted terms: each row
             # sum is the same contiguous sum a loop over knots would take
@@ -608,20 +606,23 @@ def _best_fit(x, y):
 def _aggregate_payment_points(table):
     """Aggregate an auction table into (competition, payment mean, payment std) points.
 
-    When every auction has a timestamp the buckets are wall-clock hours
-    (competition = the bucket's average observed bidder count); otherwise
-    auctions group by their exact bidder count. Returns three aligned arrays
-    sorted by competition.
+    Only auctions with two or more bids have a second-price payment, their
+    second bid, to learn from; the others are left out. When every auction
+    left has a timestamp the buckets are wall-clock hours (competition = the
+    bucket's average observed bidder count); otherwise auctions group by their
+    exact bidder count. Returns three aligned arrays sorted by competition.
     """
-    if not len(table):
-        raise ValueError("no auctions to aggregate")
-    hourly = (table.hour != table.UNSTAMPED).all()
-    _, inverse, counts = np.unique(table.hour if hourly else table.xi_observed,
+    xi = table.xi_observed
+    two = np.flatnonzero(xi >= 2)
+    if not two.size:
+        raise ValueError("no auction has two or more bids")
+    hourly = (table.hour[two] != table.UNSTAMPED).all()
+    _, inverse, counts = np.unique((table.hour if hourly else xi)[two],
                                    return_inverse=True, return_counts=True)
     # each bucket's auctions made contiguous, in order, so that each mean
     # sums the same values in the same order as over the bucket alone
-    grouped = np.argsort(inverse, kind="stable")
-    xi, pays = table.xi_observed[grouped], table.payment[grouped]
+    grouped = two[np.argsort(inverse, kind="stable")]
+    xi, pays = xi[grouped], table.bids[table.offsets[grouped] + 1]
     bounds = np.cumsum(counts).tolist()
     xi_pts, mean_pts, std_pts = np.array([
         (np.mean(xi[lo:hi]), pays[lo:hi].mean(), pays[lo:hi].std(ddof=0))
@@ -633,18 +634,12 @@ def _aggregate_payment_points(table):
 def fit_payment_curves(table):
     """Fit payment mean and spread as functions of the competition level.
 
-    Aggregates the log into (xi, payment) points, fits lowess (fraction 0.3,
-    3 robustness passes) and quadratic candidates to each of the mean and
+    Aggregates the auctions with two or more bids into (xi, payment) points,
+    where the payment is the second bid (a lone bid has no second price to
+    learn from), fits lowess and quadratic candidates to each of the mean and
     the spread, and keeps the lower-rmse candidate per curve (lowess on a
-    tie). Auctions must have at least two bids (a lone bid has no second
-    price to learn from).
+    tie). A table with no auction of two bids is refused with a ValueError.
     """
-    if not len(table):
-        raise ValueError("empty auction log")
-    thin = np.flatnonzero(table.xi_observed < 2)
-    if thin.size:
-        raise ValueError(f"{thin.size} auctions have fewer than two bids "
-                         f"(first: auction {thin[0]}, counting from 0 in table order)")
     xi, pay_mean, pay_std = _aggregate_payment_points(table)
     return _best_fit(xi, pay_mean), _best_fit(xi, pay_std)
 

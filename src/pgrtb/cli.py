@@ -202,26 +202,22 @@ def cmd_gen_data(rc: RunConfig, args):
     return 0
 
 
-def _read_table(rc, log_path):
+def _read_table(log_path):
     log = read_log_csv(log_path)
     if not len(log):
         raise UsageError(f"auction log {log_path} has no bid rows")
-    reserve = rc.market.reserve_price_r0 if rc.market is not None else 0.0
-    return summarize_auctions(log, reserve=reserve)
+    return summarize_auctions(log)
 
 
 def cmd_fit(rc: RunConfig, args):
-    table = _read_table(rc, args.log)
-    two = table.xi_observed >= 2
-    eligible = table if two.all() else table.take(two)  # no copy when every auction has two
-    if not len(eligible):
-        raise UsageError("no auction in the log has two or more bids")
-    mean_curve, std_curve = fit_payment_curves(eligible)
+    table = _read_table(args.log)
+    mean_curve, std_curve = fit_payment_curves(table)
+    n_used = int((table.xi_observed >= 2).sum())
     ceiling = estimate_max_value(table)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n_auctions": len(table),
-        "n_used": len(eligible),
+        "n_used": n_used,
         "max_value": ceiling,
         "payment_mean_curve": mean_curve.to_dict(),
         "payment_std_curve": std_curve.to_dict(),
@@ -229,7 +225,7 @@ def cmd_fit(rc: RunConfig, args):
     }
     path = _out_path(rc, args, "fitted_model.json")
     _write_json(path, payload)
-    print(f"fitted {len(eligible)}/{len(table)} auctions: "
+    print(f"fitted {n_used}/{len(table)} auctions: "
           f"mean curve {mean_curve.method} (rmse {mean_curve.rmse:.4f}), "
           f"spread curve {std_curve.method} (rmse {std_curve.rmse:.4f}), "
           f"value ceiling {ceiling:.4f} -> {path}")
@@ -338,7 +334,7 @@ def cmd_replan(rc: RunConfig, args):
 
 def cmd_segment(rc: RunConfig, args):
     cfg = rc.require_market()
-    table = _read_table(rc, args.log)
+    table = _read_table(args.log)
     seed = args.seed if args.seed is not None else rc.root_seed
     result = segment_and_optimize(table, cfg, feature=rc.feature, seed=seed)
     payload = {

@@ -2,8 +2,8 @@
 
 A log is one row per bid: ``slot_id, auction_id, timestamp, bid_cpm``, held
 as four columns by :class:`BidLog`. Grouping rows by ``auction_id`` yields an
-:class:`AuctionTable`: per-auction columns with the observed competition
-(number of bids), the winning bid, and the second-price payment.
+:class:`AuctionTable`: each auction's bids, ranked, and its hour, from which
+the observed competition (number of bids) and the winning bid are read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import operator
 import re
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -41,9 +41,9 @@ class BidLog:
     the float64 ``bid_cpm`` per row and, per run, its first row and one slot id,
     auction id and stamp. ``slot_id``, ``auction_id`` and ``timestamp`` are per-row
     lists of those objects, expanded from the runs on every access: O(rows). Logs
-    compare row by row, whatever their runs, and concatenate with ``+``. Auction ids
-    must be orderable among themselves, as strings are: the auctions are counted and
-    summarized by sorting them.
+    compare row by row, whatever their runs. Auction ids must be orderable among
+    themselves, as strings are: the auctions are counted and summarized by sorting
+    them.
     """
 
     def __init__(self, slot_id, auction_id, timestamp, bid_cpm):
@@ -93,10 +93,6 @@ class BidLog:
         return isinstance(other, BidLog) and np.array_equal(self.bid_cpm, other.bid_cpm) and all(
             getattr(self, name) == getattr(other, name) for name in LOG_HEADER[:3])
 
-    def __add__(self, other):
-        return BidLog(*(getattr(self, name) + getattr(other, name) for name in LOG_HEADER[:3]),
-                      np.concatenate([self.bid_cpm, other.bid_cpm]))
-
 
 @dataclass(eq=False)
 class AuctionTable:
@@ -104,39 +100,39 @@ class AuctionTable:
     first-seen order, which names an auction, as the table keeps no ids.
 
     Auction ``i``'s bids, descending (ties in row order), are
-    ``bids[offsets[i]:offsets[i + 1]]``; ``xi_observed`` counts them,
-    ``winning_bid`` is the first and ``payment`` the second (the reserve for
-    a lone bid). ``hour`` is the auction's earliest stamp's wall-clock hour
-    in that stamp's own offset as int64 microseconds since the epoch (naive
-    stamps count as UTC), or ``UNSTAMPED``.
+    ``bids[offsets[i]:offsets[i + 1]]``; ``xi_observed`` counts them and
+    ``winning_bid`` is the first, both read off ``offsets`` on each access.
+    ``hour`` is the auction's earliest stamp's wall-clock hour in that
+    stamp's own offset as int64 microseconds since the epoch (naive stamps
+    count as UTC), or ``UNSTAMPED``.
     """
 
     hour: np.ndarray
-    xi_observed: np.ndarray
-    winning_bid: np.ndarray
-    payment: np.ndarray
     bids: np.ndarray
     offsets: np.ndarray
 
     UNSTAMPED = np.iinfo(np.int64).max  # sorts after every stamp
 
+    xi_observed = property(lambda self: np.diff(self.offsets))
+    winning_bid = property(lambda self: self.bids[self.offsets[:-1]])
+
     def __len__(self):
-        return len(self.xi_observed)
+        return len(self.hour)
 
     def take(self, index):
         """The auctions picked by an index array or a boolean mask, in that
         order (a mask keeps the table's), each with its bids in order."""
         index = np.arange(len(self))[index]
         rows, offsets = self._rows(index)
-        per_auction = (getattr(self, f.name)[index] for f in fields(self)[:4])  # per-auction
-        return AuctionTable(*per_auction, self.bids[rows], offsets)
+        return AuctionTable(self.hour[index], self.bids[rows], offsets)
 
     def _rows(self, index):
         """The bid rows of the auctions at an index array, in its order, and their
         offsets there: one int64 per row beside the bids, no more."""
-        counts = self.xi_observed[index]
+        starts = self.offsets[index]
+        counts = self.offsets[index + 1] - starts  # not xi_observed, which is O(len(self))
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        rows = np.repeat(self.offsets[index] - offsets[:-1], counts)
+        rows = np.repeat(starts - offsets[:-1], counts)
         rows += np.arange(len(rows))
         return rows, offsets
 
@@ -298,13 +294,13 @@ def read_log_csv(path):
                            bids)
 
 
-def summarize_auctions(log, reserve=0.0):
+def summarize_auctions(log):
     """Group a :class:`BidLog`'s rows into an :class:`AuctionTable`.
 
     Equal auction ids (which must be orderable) are one auction; its timestamp is
-    its rows' earliest (the first row's of equal instants), and a lone bid pays the
-    reserve. Naive and offset-aware stamps do not compare: a log that mixes them is
-    refused with a ValueError. Rows already grouped by auction are not sorted.
+    its rows' earliest (the first row's of equal instants). Naive and offset-aware
+    stamps do not compare: a log that mixes them is refused with a ValueError. Rows
+    already grouped by auction are not sorted.
     """
     heads, run_auction = np.unique(np.fromiter(log._auctions, object, len(log._auctions)),
                                    return_index=True, return_inverse=True)[1:]
@@ -345,6 +341,4 @@ def summarize_auctions(log, reserve=0.0):
             ranked = np.negative(bids[block])
             ranked.sort(axis=1, kind="stable")
             bids[block] = np.negative(ranked, out=ranked)
-    payment = np.take(bids[1:], offsets[:-1], mode="clip") if len(bids) > 1 else np.empty(len(xi))
-    payment[xi < 2] = reserve  # the second bid, or the reserve for a lone bid
-    return AuctionTable(hour, xi, bids[offsets[:-1]], payment, bids, offsets)
+    return AuctionTable(hour, bids, offsets)

@@ -172,11 +172,9 @@ def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
         sub_cfg = replace(cfg, supply_S=supply, demand_Q=demand,
                           arrival_rate_lambda=lam, max_value_pi=ceiling)
         mean_xi = float(np.mean(subs.xi_observed))
-        # fitting on a second copy of a segment would set the segment command's peak
-        eligible, curves = subs.xi_observed >= 2, None
-        eligible = subs if eligible.all() else subs.take(eligible)
-        if len(eligible):
-            curves = RevenueCurves(*fit_payment_curves(eligible))
+        curves = None
+        if (subs.xi_observed >= 2).any():  # some auction has a second price to fit
+            curves = RevenueCurves(*fit_payment_curves(subs))
         # without a fitted curve the auction is priced from the bids themselves
         model = curves if curves is not None else BidModel.empirical(subs.bids)
         rtb_only = mean_xi < 2.0 or curves is None

@@ -31,7 +31,7 @@ from pgrtb.auction import (
     mc_second_price,
     reference_bid_model,
 )
-from pgrtb.logs import summarize_auctions
+from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, replan
 from pgrtb.segmentation import segment_and_optimize
@@ -388,7 +388,9 @@ def test_criterion_11_two_population_segmentation():
     low, _ = generate_log(BidModel.uniform(0.0, 1.0), hours=60,
                           auctions_per_hour=10, bidders_per_hour=cycle,
                           seed=222, slot_id="pop-low")
-    summaries = summarize_auctions(high + low)
+    summaries = summarize_auctions(BidLog(
+        high.slot_id + low.slot_id, high.auction_id + low.auction_id,
+        high.timestamp + low.timestamp, np.concatenate([high.bid_cpm, low.bid_cpm])))
     cfg = MarketConfig(
         supply_S=20, demand_Q=80, horizon_T=10.0, steps_N=10,
         arrival_rate_lambda=1.6, initial_arrival_mass=0.2,

@@ -57,6 +57,13 @@ def test_dp_tables_fields_are_pinned():
         "start_step", "presold", "sale_sets", "back_prev", "h_final"]
 
 
+def test_auction_table_fields_are_pinned():
+    """An auction table keeps each auction's hour, its ranked bids and their
+    offsets; its bid count and winning bid are read off those."""
+    assert [f.name for f in dataclasses.fields(pgrtb.AuctionTable)] == [
+        "hour", "bids", "offsets"]
+
+
 def test_payment_moments_signature_is_pinned():
     """Both payment models answer one contract, mean and spread at each
     level, with no knob past the reserve."""
@@ -65,9 +72,12 @@ def test_payment_moments_signature_is_pinned():
 
 
 def test_option_surface_is_pinned():
-    """The curve fit and the segmentation take no fitting options, and the
-    run config holds exactly these sections: a new knob changes a pin."""
+    """The summary, the curve fit, its smoother and the segmentation take no
+    fitting options, and the run config holds exactly these sections: a new
+    knob changes a pin."""
+    assert str(inspect.signature(pgrtb.summarize_auctions)) == "(log)"
     assert str(inspect.signature(pgrtb.fit_payment_curves)) == "(table)"
+    assert str(inspect.signature(pgrtb.lowess)) == "(points)"
     assert str(inspect.signature(pgrtb.segment_and_optimize)) == \
         "(table, cfg: 'MarketConfig', *, feature='winning_bid', seed=0)"
     assert set(cli._SECTIONS) == {

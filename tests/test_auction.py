@@ -466,7 +466,7 @@ def test_lowess_reproduces_a_line():
     rng = np.random.default_rng(21)
     x = np.sort(rng.uniform(0.0, 10.0, 40))
     y = 1.5 + 0.75 * x
-    curve = lowess(np.column_stack([x, y]), fraction=0.4)
+    curve = lowess(np.column_stack([x, y]))
     assert curve.method == "lowess"
     np.testing.assert_allclose(curve(x), y, atol=1e-8)
     assert curve.rmse < 1e-8
@@ -480,7 +480,7 @@ def test_lowess_shrugs_off_an_outlier():
     x = np.linspace(0.0, 10.0, 60)
     y = 2.0 - 0.1 * x + rng.normal(0.0, 0.01, 60)
     y[30] += 10.0
-    curve = lowess(np.column_stack([x, y]), fraction=0.3, iterations=3)
+    curve = lowess(np.column_stack([x, y]))
     clean = 2.0 - 0.1 * x
     keep = np.ones(60, dtype=bool)
     keep[30] = False
@@ -491,11 +491,7 @@ def test_lowess_validation():
     with pytest.raises(ValueError):
         lowess([(0.0, 1.0), (1.0, 2.0)])
     with pytest.raises(ValueError):
-        lowess([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0)], fraction=0.0)
-    with pytest.raises(ValueError):
         lowess([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
-    with pytest.raises(ValueError):
-        lowess([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0)], iterations=-1)
 
 
 def _lowess_points(n, outliers):
@@ -513,10 +509,13 @@ def _lowess_points(n, outliers):
 @pytest.mark.parametrize("n", [3, 96, auction._LOWESS_ROWS - 1, auction._LOWESS_ROWS + 1, 600])
 def test_lowess_in_blocks_matches_the_dense_fit_bit_for_bit(n, outliers):
     """Weighing a block of knots at a time sums each knot's terms over the
-    same values as the n x n oracle, so the fit has the same bits."""
+    same values as the n x n oracle, so the fit has the same bits, also with
+    every point in each knot's neighbourhood."""
     for fraction in (0.3, 1.0):
         points = _lowess_points(n, outliers)
-        got, want = lowess(points, fraction), dense_lowess(points, fraction)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(auction, "_LOWESS_FRACTION", fraction)
+            got, want = lowess(points), dense_lowess(points, fraction)
         assert got.knot_y.tobytes() == want.knot_y.tobytes()
         assert got.rmse == want.rmse or math.isnan(got.rmse) and math.isnan(want.rmse)
 
@@ -630,12 +629,44 @@ def test_aggregate_payment_points_by_count():
 
 
 def test_fit_payment_curves_rejects_thin_auctions():
+    """Only an auction with two bids has a payment to learn from, its second
+    bid: the lone bids are left out, and a table without a pair is refused."""
     log = BidLog(["s"] * 4, ["pair", "solo", "pair", "late"], [None] * 4, [0.5, 0.4, 0.3, 0.2])
-    with pytest.raises(ValueError, match=r"^2 auctions .* \(first: auction 1, counting from 0 "
-                                         r"in table order\)$"):
-        fit_payment_curves(summarize_auctions(log))
-    with pytest.raises(ValueError):
-        fit_payment_curves(summarize_auctions(BidLog([], [], [], [])))
+    table = summarize_auctions(log)
+    pairs = np.flatnonzero(table.xi_observed >= 2)
+    assert pairs.tolist() == [0] and table.bids[table.offsets[pairs] + 1].tolist() == [0.3]
+    mean_curve, std_curve = fit_payment_curves(table)
+    assert mean_curve(2.0) == pytest.approx(0.3, abs=1e-15) and std_curve(2.0) == 0.0
+    for thin in (table.take([1, 2]), summarize_auctions(BidLog([], [], [], []))):
+        with pytest.raises(ValueError, match="^no auction has two or more bids$"):
+            fit_payment_curves(thin)
+
+
+def _log_with_lone_bids(unstamped_bids):
+    """240 auctions stamped over 24 hours with one to five bids each, a fifth of
+    them lone, and one more auction, unstamped, of ``unstamped_bids`` bids."""
+    rng = np.random.default_rng(41)
+    base = datetime(2024, 3, 1, tzinfo=UTC)
+    rows = []
+    for a in range(240):
+        stamp = base + timedelta(minutes=6 * a)
+        rows += [("s", f"a{a}", stamp, bid)
+                 for bid in np.round(rng.uniform(0.1, 1.0, 1 + a % 5), 4).tolist()]
+    rows += [("s", "unstamped", None, 0.5 + 0.1 * j) for j in range(unstamped_bids)]
+    return BidLog(*zip(*rows))
+
+
+@pytest.mark.parametrize("unstamped_bids, buckets", [(1, 24), (2, 4)])
+def test_fit_payment_curves_leaves_lone_bids_out(unstamped_bids, buckets):
+    """A table with lone bids fits the same bits as its auctions with two bids
+    alone, bucketed over those: an unstamped lone bid leaves the buckets
+    hourly, an unstamped pair makes them bidder counts."""
+    table = summarize_auctions(_log_with_lone_bids(unstamped_bids))
+    pairs = table.take(table.xi_observed >= 2)
+    assert len(pairs) < len(table)
+    assert _aggregate_payment_points(table)[0].size == buckets
+    for got, want in zip(fit_payment_curves(table), fit_payment_curves(pairs)):
+        assert repr(got.to_dict()) == repr(want.to_dict())
 
 
 def test_fit_payment_curves_on_planted_shape():

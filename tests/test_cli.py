@@ -303,6 +303,18 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  dump(tmp_path, nan_market, "k8.json")]) == 2
     assert "risk_level_zeta must be finite" in capsys.readouterr().err
 
+    listed_market = {**ok, "market": [1]}
+    assert main(["optimize", "--config", dump(tmp_path, listed_market, "k9.json")]) == 2
+    assert "config section 'market' must be a JSON object" in capsys.readouterr().err
+
+    short_bids = {**ok, "bid_model": {"kind": "uniform", "low": 0.1}}
+    assert main(["optimize", "--config", dump(tmp_path, short_bids, "k10.json")]) == 2
+    assert "bid_model 'uniform' is missing 'high'" in capsys.readouterr().err
+
+    bad_start = {**ok, "synthetic": {**ok["synthetic"], "start_time": "noon"}}
+    assert main(["gen-data", "--config", dump(tmp_path, bad_start, "k11.json")]) == 2
+    assert "bad synthetic.start_time" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("section, key, value", [
     ("uncertainty", "noise_seed", 3.7), ("uncertainty", "noise_seed", True),
@@ -373,6 +385,8 @@ def test_commands_refuse_missing_sections(tmp_path, capsys):
                 if k != "bid_model"}
     assert main(["optimize", "--config", dump(tmp_path, no_model, "c2.json")]) == 2
     assert "need either --model or a bid_model" in capsys.readouterr().err
+    assert main(["gen-data", "--config", dump(tmp_path, no_model, "c2.json")]) == 2
+    assert "gen-data needs a bid_model section" in capsys.readouterr().err
 
     no_market = {k: v for k, v in base_config(tmp_path).items() if k != "market"}
     assert main(["optimize", "--config", dump(tmp_path, no_market, "c3.json")]) == 2
@@ -392,6 +406,44 @@ def test_fit_rejects_log_of_solo_auctions(tmp_path, capsys):
     empty.write_text("slot_id,auction_id,timestamp,bid_cpm\n")
     assert main(["fit", "--config", cfg_path, "--log", str(empty)]) == 2
     assert "no bid rows" in capsys.readouterr().err
+
+
+def test_fit_leaves_lone_bids_out(tmp_path):
+    """Auctions of one bid, stamped in an hour of their own at a low bid, count
+    among the auctions but not among those fitted: the curves, the value
+    ceiling and so the plan are the bytes of the log without them."""
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    log = read_log_csv(tmp_path / "out" / "auction_log.csv")
+    day_before = log.timestamp[0] - timedelta(days=1)
+    lone = BidLog(log.slot_id + ["slot-a"] * 12,
+                  log.auction_id + [f"lone-{i}" for i in range(12)],
+                  log.timestamp + [day_before] * 12, np.append(log.bid_cpm, [0.05] * 12))
+    write_log_csv(lone, tmp_path / "lone.csv")
+    plans, models = [], []
+    for name in ("out/auction_log.csv", "lone.csv"):
+        out = tmp_path / f"fit-{len(plans)}"
+        assert main(["fit", "--config", cfg_path, "--log", str(tmp_path / name),
+                     "--out", str(out)]) == 0
+        assert main(["optimize", "--config", cfg_path, "--model",
+                     str(out / "fitted_model.json"), "--out", str(out)]) == 0
+        models.append(json.loads((out / "fitted_model.json").read_text()))
+        plans.append((out / "plan.json").read_bytes())
+    assert models[0]["n_auctions"] == models[0]["n_used"] == models[1]["n_used"] == 240
+    assert models[1]["n_auctions"] == 252
+    for key in ("payment_mean_curve", "payment_std_curve", "max_value"):
+        assert models[0][key] == models[1][key]
+    assert plans[0] == plans[1]
+
+
+def test_simulate_refuses_a_model_without_a_bid_law(tmp_path, capsys):
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["optimize", "--config", cfg_path]) == 0
+    model = tmp_path / "curves_only.json"
+    model.write_text(json.dumps({"schema_version": 1, "max_value": 0.5}))
+    assert main(["simulate", "--config", cfg_path, "--plan", str(tmp_path / "out" / "plan.json"),
+                 "--model", str(model)]) == 2
+    assert f"model {model} carries no bid model" in capsys.readouterr().err
 
 
 def test_fit_and_segment_refuse_mixed_stamp_kinds(tmp_path, capsys):

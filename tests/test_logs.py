@@ -103,17 +103,6 @@ def test_logs_compare_by_rows_whatever_their_runs():
     assert merged != BidLog(["s"] * 3, [one, one, "b"], [None] * 3, [0.1, 0.2, 0.3])
 
 
-def test_add_joins_a_run_across_the_boundary():
-    ts = datetime(2024, 5, 1, 10, tzinfo=UTC)
-    head = rows_log([("s", "a", None, 0.5), ("s", "b", ts, 0.4)])
-    tail = BidLog(["s", "s"], [head.auction_id[1], "c"], [ts, ts], [0.3, 0.2])
-    both = head + tail
-    assert len(both) == 4 and len(both._starts) == 3  # b's rows stay one run
-    assert both == rows_log([("s", "a", None, 0.5), ("s", "b", ts, 0.4),
-                             ("s", "b", ts, 0.3), ("s", "c", ts, 0.2)])
-    assert head + rows_log([]) == head and rows_log([]) + head == head
-
-
 def test_reader_keeps_a_run_whose_fields_differ_only_in_spaces(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
@@ -420,13 +409,13 @@ def test_summarize_auctions():
         ("s", "big", None, 0.7),
         ("s", "solo", t1, 0.3),
     ])
-    table = summarize_auctions(log, reserve=0.05)
+    table = summarize_auctions(log)
     # first-seen order: "big", then "solo"
     np.testing.assert_array_equal(table.bids, [0.9, 0.7, 0.4, 0.3])
     np.testing.assert_array_equal(table.offsets, [0, 3, 4])
     np.testing.assert_array_equal(table.xi_observed, [3, 1])
     np.testing.assert_array_equal(table.winning_bid, [0.9, 0.3])
-    np.testing.assert_array_equal(table.payment, [0.7, 0.05])  # reserve fallback
+    assert (table.xi_observed.dtype, table.winning_bid.dtype) == (np.intp, np.float64)
     assert table.hour.tolist() == [_hour_key(t1)] * 2  # earliest stamped row
     assert len(summarize_auctions(rows_log([]))) == 0
 
@@ -435,7 +424,7 @@ def test_summarize_without_timestamps():
     log = rows_log([("s", "a", None, 0.2), ("s", "a", None, 0.8)])
     table = summarize_auctions(log)
     assert table.hour.tolist() == [table.UNSTAMPED]
-    assert table.payment.tolist() == [0.2]
+    assert table.bids.tolist() == [0.8, 0.2]
 
 
 def test_take_keeps_the_order_asked_for():
@@ -453,7 +442,7 @@ def test_take_keeps_the_order_asked_for():
     assert picked.hour.tolist() == [_hour_key(t1), table.UNSTAMPED]
     masked = table.take(table.xi_observed >= 2)  # "a", then "b"
     np.testing.assert_array_equal(masked.bids, [0.9, 0.5, 0.4, 0.3, 0.2])
-    np.testing.assert_array_equal(masked.payment, [0.5, 0.3])
+    np.testing.assert_array_equal(masked.bids[masked.offsets[:-1] + 1], [0.5, 0.3])
     assert masked.hour.tolist() == [table.UNSTAMPED, table.hour[1]]
     assert len(table.take([])) == 0
 
@@ -519,7 +508,7 @@ def _hour_key(stamp):
     return (stamp.replace(minute=0, second=0, microsecond=0) - epoch) // timedelta(microseconds=1)
 
 
-def _replayed(rows, reserve):
+def _replayed(rows):
     """Each auction's table entries from a replay of its rows, grouped in a dict
     in first-seen order: its bids sorted descending (a stable sort, so ties keep
     row order), and its earliest stamp, the first of equal instants."""
@@ -530,17 +519,15 @@ def _replayed(rows, reserve):
     for group in grouped.values():
         bids = sorted((r[3] for r in group), reverse=True)
         earliest = min((r[2] for r in group if r[2] is not None), default=None)
-        out.append((_hour_key(earliest), len(bids), bids[0],
-                    bids[1] if len(bids) > 1 else reserve, bids))
+        out.append((_hour_key(earliest), len(bids), bids[0], bids))
     return out
 
 
 def _columns(table):
     """A table's entries per auction; floats as their reprs, so -0.0 is not 0.0."""
     bids = [table.bids[lo:hi].tolist() for lo, hi in zip(table.offsets[:-1], table.offsets[1:])]
-    got = zip(table.hour.tolist(), table.xi_observed.tolist(), table.winning_bid.tolist(),
-              table.payment.tolist(), bids)
-    return [(h, xi, repr(w), repr(p), list(map(repr, b))) for h, xi, w, p, b in got]
+    got = zip(table.hour.tolist(), table.xi_observed.tolist(), table.winning_bid.tolist(), bids)
+    return [(h, xi, repr(w), list(map(repr, b))) for h, xi, w, b in got]
 
 
 @given(rows=st.lists(st.tuples(
@@ -553,13 +540,13 @@ def _columns(table):
         datetime(2024, 5, 1, 12, 30, tzinfo=PLUS1), datetime(2024, 5, 1, 16, 45, tzinfo=IST),
         datetime(1969, 12, 31, 23, tzinfo=UTC)]),
     st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])), max_size=40),
-    by_auction=st.booleans(), reserve=st.sampled_from([0.0, 0.05]))
+    by_auction=st.booleans())
 @example(rows=[("s1", "a", datetime(2024, 5, 1, 17, 30, tzinfo=IST), 0.25),
                ("s2", "a", datetime(2024, 5, 1, 12, tzinfo=UTC), -0.0),
-               ("s1", "b", None, 0.5), ("s1", "a", None, 0.0)], by_auction=False, reserve=0.05)
+               ("s1", "b", None, 0.5), ("s1", "a", None, 0.0)], by_auction=False)
 @example(rows=[("s1", "a", None, 0.5), ("s1", "a", datetime(1969, 12, 31, 23, tzinfo=UTC), 0.25)],
-         by_auction=True, reserve=0.0)
-def test_summarize_matches_dict_grouping(rows, by_auction, reserve):
+         by_auction=True)
+def test_summarize_matches_dict_grouping(rows, by_auction):
     """Every table column equals a per-auction replay of the log: interleaved
     auctions and, with ``by_auction``, the same rows grouped by auction (the
     path that sorts no rows); equal ids held as distinct objects; tied bids
@@ -568,9 +555,8 @@ def test_summarize_matches_dict_grouping(rows, by_auction, reserve):
     Ranking one bid at a time gives the same table."""
     if by_auction:
         rows = sorted(rows, key=lambda row: row[1])
-    want = [(h, xi, repr(w), repr(p), list(map(repr, b)))
-            for h, xi, w, p, b in _replayed(rows, reserve)]
-    assert _columns(summarize_auctions(rows_log(rows), reserve)) == want
+    want = [(h, xi, repr(w), list(map(repr, b))) for h, xi, w, b in _replayed(rows)]
+    assert _columns(summarize_auctions(rows_log(rows))) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logs, "_CHUNK", 1)
-        assert _columns(summarize_auctions(rows_log(rows), reserve)) == want
+        assert _columns(summarize_auctions(rows_log(rows))) == want

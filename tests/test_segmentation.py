@@ -32,7 +32,9 @@ def two_population_summaries(seed=5):
     low, _ = generate_log(BidModel.uniform(0.2, 0.7), hours=30,
                           auctions_per_hour=5, bidders_per_hour=[2, 3, 4],
                           seed=seed + 1, slot_id="slot-low")
-    return summarize_auctions(high + low)
+    return summarize_auctions(BidLog(
+        high.slot_id + low.slot_id, high.auction_id + low.auction_id,
+        high.timestamp + low.timestamp, np.concatenate([high.bid_cpm, low.bid_cpm])))
 
 
 # -- kmeans --------------------------------------------------------------

@@ -136,8 +136,8 @@ def test_simulate_rtb_log_reconciles_with_revenue():
     revenue, log = loop_simulate_rtb(supply, demand, model, seed=8, reserve=reserve)
     assert revenue == block_rtb(supply, demand, model, seed=8, reserve=reserve)
     assert len(log) == demand  # every bid lands on exactly one impression
-    table = summarize_auctions(log, reserve=reserve)
-    covered = sum(table.payment[table.xi_observed >= 2].tolist())
+    table = summarize_auctions(log)
+    covered = sum(table.bids[table.offsets[:-1][table.xi_observed >= 2] + 1].tolist())
     thin = int(np.sum(table.xi_observed == 1))
     empty = supply - len(table)
     assert revenue == pytest.approx(covered + reserve * (thin + empty), abs=1e-9)
