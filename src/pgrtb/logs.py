@@ -32,44 +32,55 @@ __all__ = [
 LOG_HEADER = ("slot_id", "auction_id", "timestamp", "bid_cpm")
 _CHUNK = 256  # rows per pass of the reader, the writer and the ranking, bounding their memory
 _US = timedelta(microseconds=1)
+_HOUR = 3_600_000_000  # microseconds
+_EPOCH, _UTC_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE = np.iinfo(np.int64).min  # the offset of a naive stamp, or of none
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # fields the csv module quotes
 
 
 class BidLog:
-    """Bid rows stored by run: a block of consecutive rows whose slot id, auction id
-    and stamp (None when the source has no clock) are the same objects. A log holds
-    the float64 ``bid_cpm`` per row and, per run, its first row and one slot id,
-    auction id and stamp. ``slot_id``, ``auction_id`` and ``timestamp`` are per-row
-    lists of those objects, expanded from the runs on every access: O(rows). Logs
-    compare row by row, whatever their runs. Auction ids must be orderable among
-    themselves, as strings are: the auctions are counted and summarized by sorting
-    them.
+    """Bid rows stored by run: a block of consecutive rows whose slot id and auction id
+    are the same objects and whose stamps (None when the source has no clock) are the
+    same instant at the same offset. A log holds the float64 ``bid_cpm`` per row and,
+    per run, its first row, one slot id and auction id, and its stamp as two int64
+    numbers: ``_instant``, microseconds since 1970-01-01 (UTC for an offset-aware stamp,
+    the wall clock for a naive one, ``AuctionTable.UNSTAMPED`` for none), and
+    ``_offset``, the stamp's ``utcoffset()`` in microseconds (``_NAIVE`` for a naive or
+    missing stamp). ``slot_id``, ``auction_id`` and ``timestamp`` are per-row lists,
+    expanded from the runs on every access: O(rows). ``timestamp`` rebuilds one
+    ``datetime`` per run, at its offset as a ``datetime.timezone``: equal to the stamp
+    passed in, with its offset and naivety, but a new object. Logs compare row by row,
+    whatever their runs. Auction ids must be orderable among themselves, as strings
+    are: the auctions are counted and summarized by sorting them.
     """
 
     def __init__(self, slot_id, auction_id, timestamp, bid_cpm):
-        columns = list(slot_id), list(auction_id), list(timestamp)
+        slots, auctions = list(slot_id), list(auction_id)
+        stamps = list(map(_stamp_numbers, timestamp))
         self.bid_cpm = np.asarray(bid_cpm, dtype=float)
-        if len({len(self.bid_cpm), *map(len, columns)}) > 1:
+        if len({len(self.bid_cpm), len(slots), len(auctions), len(stamps)}) > 1:
             raise ValueError("bid log columns must have equal lengths")
-        rows = list(zip(*columns))  # a run starts where some field is another object
-        starts = [i for i, row in enumerate(rows)
-                  if not i or any(map(operator.is_not, row, rows[i - 1]))]
+        # a run starts where an id is another object or the stamp another number
+        keys = list(zip(map(id, slots), map(id, auctions), stamps))
+        starts = [i for i, key in enumerate(keys) if not i or key != keys[i - 1]]
         self._starts = np.array(starts, dtype=np.int64)
-        self._slots, self._auctions, self._stamps = ([c[i] for i in starts] for c in columns)
+        self._slots, self._auctions = ([c[i] for i in starts] for c in (slots, auctions))
+        self._instant, self._offset = np.array([stamps[i] for i in starts],
+                                               dtype=np.int64).reshape(-1, 2).T.copy()
 
     @classmethod
-    def _of_runs(cls, starts, slots, auctions, stamps, bid_cpm):
+    def _of_runs(cls, starts, slots, auctions, instant, offset, bid_cpm):
         """A log over these columns themselves, uncopied: the runs' first rows (int64,
-        ascending from 0), lists of their slot ids, auction ids and stamps, and the
-        float64 bids. Neighbouring runs may share all three fields; they then only
-        cost a run more."""
-        if (len({len(starts), len(slots), len(auctions), len(stamps)}) > 1
+        ascending from 0), lists of their slot ids and auction ids, their stamps'
+        int64 ``_instant`` and ``_offset`` numbers, and the float64 bids. Neighbouring
+        runs may share all their fields; they then only cost a run more."""
+        if (len({len(starts), len(slots), len(auctions), len(instant), len(offset)}) > 1
                 or starts[:1].tolist() != [0] * bool(len(bid_cpm))
                 or (np.diff(starts, append=len(bid_cpm)) <= 0).any()):
             raise ValueError("runs must start at row 0, ascend, and have one field of each")
         log = cls.__new__(cls)
-        log._starts, log._slots, log._auctions, log._stamps, log.bid_cpm = (
-            starts, slots, auctions, stamps, bid_cpm)
+        log._starts, log._slots, log._auctions, log._instant, log._offset, log.bid_cpm = (
+            starts, slots, auctions, instant, offset, bid_cpm)
         return log
 
     def _per_row(self, column):
@@ -79,7 +90,8 @@ class BidLog:
 
     slot_id = property(lambda self: self._per_row(self._slots))
     auction_id = property(lambda self: self._per_row(self._auctions))
-    timestamp = property(lambda self: self._per_row(self._stamps))
+    timestamp = property(lambda self: self._per_row(
+        map(_stamp_of, self._instant.tolist(), self._offset.tolist())))
 
     def __len__(self):
         return len(self.bid_cpm)
@@ -92,6 +104,24 @@ class BidLog:
     def __eq__(self, other):
         return isinstance(other, BidLog) and np.array_equal(self.bid_cpm, other.bid_cpm) and all(
             getattr(self, name) == getattr(other, name) for name in LOG_HEADER[:3])
+
+
+def _stamp_numbers(stamp):
+    """A stamp's ``(instant, offset)`` as :class:`BidLog` stores them."""
+    offset = None if stamp is None else stamp.utcoffset()
+    if offset is None:
+        return (AuctionTable.UNSTAMPED if stamp is None else (stamp - _EPOCH) // _US), _NAIVE
+    return (stamp - _UTC_EPOCH) // _US, offset // _US
+
+
+def _stamp_of(instant, offset):
+    """The stamp that :func:`_stamp_numbers` gives these numbers, at its wall clock."""
+    if instant == AuctionTable.UNSTAMPED:
+        return None
+    if offset == _NAIVE:
+        return _EPOCH + timedelta(microseconds=instant)
+    return (_EPOCH + timedelta(microseconds=instant + offset)).replace(
+        tzinfo=timezone(timedelta(microseconds=offset)))
 
 
 @dataclass(eq=False)
@@ -143,8 +173,22 @@ def _csv_field(value):
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
+def _stamp_texts(instant, offset):
+    """Runs' stamps as ``datetime.isoformat`` prints them, ``""`` for none: the wall
+    clocks in one numpy call, each offset's suffix once."""
+    naive = offset == _NAIVE
+    local = instant + np.where(naive, 0, offset)
+    texts = np.datetime_as_string(local.astype("M8[us]"), unit="us").tolist()
+    suffixes = {o: _stamp_of(-o, o).isoformat()[19:] for o in set(offset[~naive].tolist())}
+    suffixes[_NAIVE] = ""
+    return ["" if i == AuctionTable.UNSTAMPED else
+            (t[:-7] if t.endswith(".000000") else t) + suffixes[o]
+            for t, i, o in zip(texts, instant.tolist(), offset.tolist())]
+
+
 def write_log_csv(log, path):
-    """Write a :class:`BidLog` to ``path``; a None timestamp becomes an empty field."""
+    """Write a :class:`BidLog` to ``path``, each stamp as ``datetime.isoformat`` prints
+    it and a None timestamp as an empty field, ``_CHUNK`` rows at a time."""
     starts = log._starts  # the rows of a run share the prefix its fields print
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
@@ -153,45 +197,44 @@ def write_log_csv(log, path):
             first, last = int(np.searchsorted(starts, lo, "right")), int(np.searchsorted(starts, hi))
             ends = [lo, *starts[first:last].tolist(), hi]
             bids = list(map(repr, log.bid_cpm[lo:hi].tolist()))
+            stamps = _stamp_texts(log._instant[first - 1:last], log._offset[first - 1:last])
             text = []
-            for run, start, end in zip(range(first - 1, last), ends[:-1], ends[1:]):
-                t = log._stamps[run]
-                row = log._slots[run], log._auctions[run], "" if t is None else t.isoformat()
-                prefix = ",".join(map(_csv_field, row)) + ","
+            for run, stamp, start, end in zip(range(first - 1, last), stamps, ends[:-1], ends[1:]):
+                prefix = f"{_csv_field(log._slots[run])},{_csv_field(log._auctions[run])},{stamp},"
                 text += (prefix, ("\r\n" + prefix).join(bids[start - lo:end - lo]), "\r\n")
             fh.write("".join(text))
 
 
-def _run_head(head, ids, stamps, last, naive):
-    """A run's slot id, auction id and stamp from the fields before its first row's bid,
-    the stamp's text and value, and whether stamps are naive (None until one is read);
-    or a ValueError naming the row's first failed check, where a stamp not of kind
-    ``naive`` fails. The previous run's stamp (``last``: its text and value) serves the
-    same text unparsed. ``ids`` interns the ids, and ``stamps`` the stamps of auctions
-    seen before (equal instants at other offsets stay apart), so a log grouped by
-    auction adds no stamp there."""
+def _run_head(head, ids, zones, last, naive):
+    """A run's slot id, auction id and stamp numbers from the fields before its first
+    row's bid, the stamp's text and numbers, and whether stamps are naive (None until
+    one is read); or a ValueError naming the row's first failed check, where a stamp
+    not of kind ``naive`` fails. The previous run's stamp (``last``: its text and
+    numbers) serves the same text unparsed. ``ids`` interns the ids, and ``zones``
+    holds each tzinfo's epoch and offset, so a stamp costs one subtraction."""
     if len(head) != len(LOG_HEADER) - 1:
         raise ValueError(f"expected {len(LOG_HEADER)} fields")
     slot, auction, text = map(str.strip, head)
     if not (slot and auction):
         raise ValueError("empty slot or auction id")
-    stamp = last[1]
     if text != last[0]:
         try:  # datetime.fromisoformat on 3.10 rejects a trailing Z
             stamp = None if not text else datetime.fromisoformat(
                 text[:-1] + "+00:00" if text.endswith("Z") else text)
         except ValueError:
             raise ValueError(f"bad timestamp {text!r}") from None
-        if stamp is not None:
+        if stamp is None:
+            last = text, AuctionTable.UNSTAMPED, _NAIVE
+        else:
             naive = stamp.tzinfo is None if naive is None else naive  # naive: no tzinfo
             if (stamp.tzinfo is None) != naive:
                 raise ValueError(f"timestamp {text!r} is {('naive', 'offset-aware')[naive]}, "
                                  f"the first stamped row's is {('offset-aware', 'naive')[naive]}")
-    if stamp is not None and auction in ids:
-        earlier = stamps.setdefault(stamp, stamp)
-        stamp = earlier if earlier.utcoffset() == stamp.utcoffset() else stamp
-    head = ids.setdefault(slot, slot), ids.setdefault(auction, auction), stamp
-    return head, (text, stamp), naive
+            epoch, offset = zones.get(stamp.tzinfo) or zones.setdefault(
+                stamp.tzinfo, (_UTC_EPOCH, stamp.utcoffset() // _US))
+            last = text, (stamp - epoch) // _US, offset
+    return (ids.setdefault(slot, slot), ids.setdefault(auction, auction), last[1], last[2]), \
+        last, naive
 
 
 def _parse_bids(texts, line, path):
@@ -248,12 +291,13 @@ def read_log_csv(path):
     text before it differs from the line before's has that text split into
     fields; a file with one goes through the csv module. Either way a run
     of rows with the same slot, auction and stamp fields is checked once,
-    equal ids share one object, as do an interleaved auction's stamps, and
-    bids are converted ``_CHUNK`` lines at a time."""
+    equal ids share one object, each run's stamp is kept as its two numbers
+    (see :class:`BidLog`), and bids are converted ``_CHUNK`` lines at a time.
+    A run goes on while its ids and its stamp's numbers do."""
     quoted = _has_quotes(path)
-    starts, slots, auctions, run_stamps = array("q"), [], [], []
-    head, ids, stamps = (None,) * 3, {}, {}
-    last, naive = ("", None), None  # the previous run's stamp text and value
+    starts, slots, auctions, instants, offsets = array("q"), [], [], array("q"), array("q")
+    head, ids, zones = (None,) * 4, {}, {None: (_EPOCH, _NAIVE)}
+    last, naive = ("", AuctionTable.UNSTAMPED, _NAIVE), None  # the previous run's stamp
     chunks, key, rows = [], None, 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)  # which reads one line a row from ``fh``
@@ -274,67 +318,68 @@ def read_log_csv(path):
             for i, head_fields in zip(at, fields if quoted else
                                       map(str.split, fields, itertools.repeat(","))):
                 try:
-                    new, last, naive = _run_head(head_fields, ids, stamps, last, naive)
+                    new, last, naive = _run_head(head_fields, ids, zones, last, naive)
                 except ValueError as exc:
                     _parse_bids(bids[:i], line, path)  # an earlier bad bid wins
                     raise ValueError(f"{path}:{line + i}: {exc}") from None
-                if new[1] is not head[1] or new[2] is not head[2] or new[0] is not head[0]:
+                if new != head:  # the ids are interned: equal is the same object
                     starts.append(rows + i)
                     slots.append(new[0])
                     auctions.append(new[1])
-                    run_stamps.append(new[2])
+                    instants.append(new[2])
+                    offsets.append(new[3])
                     head = new
             key = keys[-1]
             chunks.append(_parse_bids(bids, line, path))
             rows += len(bids)
-    del ids, stamps  # before the bids are joined
+    del ids  # before the bids are joined
     bids = np.concatenate(chunks) if chunks else np.empty(0)
     del chunks  # before the runs are checked
-    return BidLog._of_runs(np.frombuffer(starts, dtype=np.int64), slots, auctions, run_stamps,
-                           bids)
+    starts, instants, offsets = (np.frombuffer(c, dtype=np.int64)
+                                 for c in (starts, instants, offsets))
+    return BidLog._of_runs(starts, slots, auctions, instants, offsets, bids)
 
 
 def summarize_auctions(log):
     """Group a :class:`BidLog`'s rows into an :class:`AuctionTable`.
 
     Equal auction ids (which must be orderable) are one auction; its timestamp is
-    its rows' earliest (the first row's of equal instants). Naive and offset-aware
-    stamps do not compare: a log that mixes them is refused with a ValueError. Rows
-    already grouped by auction are not sorted.
+    its rows' earliest instant (the first row's of equal ones), read off the log's
+    numbers, and its hour that stamp's wall-clock hour in its own offset. Naive and
+    offset-aware stamps do not compare: a log that mixes them is refused with a
+    ValueError. Rows already grouped by auction are not sorted.
     """
     heads, run_auction = np.unique(np.fromiter(log._auctions, object, len(log._auctions)),
                                    return_index=True, return_inverse=True)[1:]
     # each run's auction numbered by its first run's rank: in first-seen order
     run_auction = np.argsort(np.argsort(heads))[run_auction]
     del heads
-    stamp = next(filter(None, log._stamps), None)  # naive stamps count as UTC
-    aware = stamp is not None and stamp.utcoffset() is not None
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc if aware else None)
-    try:  # microseconds since the epoch
-        instant = np.fromiter((AuctionTable.UNSTAMPED if t is None else (t - epoch) // _US
-                               for t in log._stamps), np.int64, len(log._stamps))
-    except TypeError:  # a naive and an aware stamp do not subtract
-        raise ValueError("the log mixes naive and offset-aware timestamps") from None
+    instant, offset = log._instant, log._offset
+    if len(np.unique(offset[instant != AuctionTable.UNSTAMPED] == _NAIVE)) > 1:
+        raise ValueError("the log mixes naive and offset-aware timestamps")
     # runs by auction, then instant: the stable sort keeps the first of equal
     # instants, and unstamped runs come last
     by_auction = np.lexsort((instant, run_auction))
     earliest = by_auction[np.flatnonzero(np.diff(run_auction[by_auction], prepend=-1))]
     del by_auction
-    hour = instant[earliest]
-    hour -= np.fromiter(((t.minute * 60 + t.second) * 1_000_000 + t.microsecond if t else 0
-                         for t in map(log._stamps.__getitem__, earliest)), np.int64, len(hour))
+    hour, local = instant[earliest], offset[earliest]
+    local[local == _NAIVE] = 0  # naive stamps count as UTC
+    local += hour
+    local %= _HOUR  # the wall clock's time past its hour
+    local[hour == AuctionTable.UNSTAMPED] = 0
+    hour -= local
     lengths = np.diff(log._starts, append=len(log))
     xi = np.bincount(run_auction, lengths, len(hour)).astype(np.intp)
     offsets = np.concatenate([[0], np.cumsum(xi)])
     # each auction's runs, and so its rows, are consecutive: no row sort
     grouped = (np.diff(run_auction) >= 0).all()
     rows = None if grouped else np.argsort(np.repeat(run_auction, lengths), kind="stable")
-    del run_auction, instant, earliest, lengths
+    del run_auction, earliest, local, lengths
     bids = log.bid_cpm.copy() if grouped else log.bid_cpm[rows]  # grouped by auction
     del rows
     # each auction's bids descending, ties in row order: a stable sort of the negated
     # bids, _CHUNK at a time, of auctions of one count
-    for k in np.unique(xi[xi > 1]).tolist():
+    for k in (np.flatnonzero(np.bincount(xi)[2:]) + 2).tolist():
         at, per = offsets[:-1][xi == k], max(1, _CHUNK // k)
         for lo in range(0, at.size, per):
             block = at[lo:lo + per, None] + np.arange(k)

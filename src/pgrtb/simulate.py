@@ -22,7 +22,7 @@ import numpy as np
 # process's first draw (numpy loads some submodules on first attribute use)
 from numpy.random import SeedSequence, default_rng
 
-from .logs import BidLog
+from .logs import _HOUR, _US, BidLog, _stamp_numbers
 from .market import MarketConfig, StepTerms, TimeGrid
 from .solver import PricePlan
 
@@ -166,8 +166,12 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
 
     Hour ``h`` runs ``auctions_per_hour`` auctions, each with
     ``bidders_per_hour[h mod len]`` independent bids from ``bid_model``.
-    Returns ``(log, truth)``: a :class:`~pgrtb.logs.BidLog` with one row per
-    bid, and everything needed to check an estimator against the generator.
+    Auction ``a`` of hour ``h`` is stamped ``start_time + timedelta(hours=h) +
+    timedelta(seconds=3600 a / auctions_per_hour)``, kept as the log's two numbers:
+    one vector sum when ``start_time`` is naive or at a fixed offset, and per stamp
+    when its zone's offset may change (one run per auction). Returns ``(log,
+    truth)``: a :class:`~pgrtb.logs.BidLog` with one row per bid, and everything
+    needed to check an estimator against the generator.
     """
     # sizes are counts: a float or a bool is refused, never truncated
     sizes = [("hours", hours), ("auctions_per_hour", auctions_per_hour),
@@ -189,12 +193,19 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
     starts = np.repeat(per_hour[per_hour > 0], auctions_per_hour)  # one run per auction
     starts = np.cumsum(starts) - starts
     steps = [timedelta(seconds=3600.0 * a / auctions_per_hour) for a in range(auctions_per_hour)]
-    auction_ids, stamps = [], []
-    for h in np.flatnonzero(per_hour).tolist():  # an auction without bids has no rows
-        hour_start = start + timedelta(hours=h)
-        for a, step in enumerate(steps):
-            auction_ids.append(f"{slot_id}-h{h:04d}-a{a:05d}")
-            stamps.append(hour_start + step)
+    stamped = np.flatnonzero(per_hour).tolist()  # an auction without bids has no rows
+    auction_ids = [f"{slot_id}-h{h:04d}-a{a:05d}" for h in stamped for a in range(auctions_per_hour)]
+    if start.tzinfo is None or isinstance(start.tzinfo, timezone):  # one offset for all
+        if stamped:  # past year 9999 this raises, as the datetime arithmetic does
+            start + timedelta(hours=stamped[-1]) + steps[-1]
+        instant, offset = _stamp_numbers(start)
+        instants = (np.array(stamped, dtype=np.int64)[:, None] * _HOUR + instant
+                    + np.array([step // _US for step in steps], dtype=np.int64)).ravel()
+        offsets = np.full(instants.size, offset)
+    else:  # a zone's offset changes with its wall clock
+        instants, offsets = np.array(
+            [_stamp_numbers(start + timedelta(hours=h) + step) for h in stamped for step in steps],
+            dtype=np.int64).reshape(-1, 2).T.copy()
     truth = {
         "slot_id": slot_id,
         "hours": int(hours),
@@ -204,4 +215,5 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
         "bid_model": bid_model.to_dict(),
         "start_time": (start.isoformat()),
     }
-    return BidLog._of_runs(starts, [slot_id] * len(starts), auction_ids, stamps, bids), truth
+    return BidLog._of_runs(starts, [slot_id] * len(starts), auction_ids, instants, offsets,
+                           bids), truth

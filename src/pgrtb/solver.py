@@ -489,19 +489,20 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     return y_abs, h_n, prev_pick
 
 
-def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale):
+def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale, out=None):
     """Values of cells, in the dense scan's float order.
 
     The arguments broadcast: ``ln(cum_n - z1)``, ``ln z2`` (nan where nothing
     is sold), ``z2``, the predecessor's value and the target's bound. A cell
     that fails ``price <= bound`` is worth -inf, and so is one that leaves a
-    dead state, through its sum with ``h = -inf``.
+    dead state, through its sum with ``h = -inf``. ``out``, when given, is
+    the array the values are computed in (it may be ``ln_avail`` itself).
     """
-    price = ln_avail - log_z2
+    price = np.subtract(ln_avail, log_z2, out=out)
     price /= scale
     fail = price <= bound
     np.logical_not(fail, out=fail)
-    vals = t.coef * price
+    vals = np.multiply(t.coef, price, out=price)
     vals *= z2
     vals += h  # h + (coef * price) * z2: addition commutes exactly
     np.copyto(vals, -np.inf, where=fail)
@@ -536,13 +537,15 @@ def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, pre
 
 
 def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, prev_pick):
-    """Fill the sale rows by divide and conquer over the monotone argmax.
+    """Fill the sale rows from :func:`_row_floor` up by divide and conquer
+    over the monotone argmax.
 
     The top row scans every column; each lower row then scans only its
     bracket, from the pick of the row below it to that of the row above
     (widened by near-ties, see :func:`_step`), one recursion depth per numpy
     pass over all of the depth's segments: about log2(S) passes of O(S)
-    cells.
+    cells. A segment's columns lie below its row (the first column of a
+    range is below its lowest row), so each cell sells ``z2 = row - col >= 1``.
     """
     ny, nz = h_n.size, h_prev.size
     scale = t.price_scale[n]
@@ -550,24 +553,27 @@ def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, p
     tol = 2.0 ** -40 * (np.abs(h_prev[live]).max(initial=0.0) + t.coef * ny * (
         bound.max() + (1.0 + math.log(t.cum[n] + 1.0)) / scale))
     # pending row ranges [lo, hi] whose picks lie in columns [first, last]
-    lo, hi = np.array([1]), np.array([ny - 1])
+    lo, hi = np.array([max(1, _row_floor(t, n, ln_avail, bound, presold))]), np.array([ny - 1])
     first, last = np.array([0]), np.array([nz - 1])
-    mid = hi  # the top row first, over every column
+    mid = hi[lo <= hi]  # the top row first, over every column
     while mid.size:
         end = np.maximum(first, np.minimum(last, mid - 1))
         width = end - first + 1
         starts = np.cumsum(width) - width
         rows = np.repeat(mid, width)
         cols = np.arange(starts[-1] + width[-1]) + np.repeat(first - starts, width)
-        k = rows - cols + t.S + 1
-        vals = _cells(t, ln_avail[cols], t.log_z2[k], t.z2[k], h_prev[cols],
-                      bound[rows], scale)
+        z2 = rows - cols
+        vals = ln_avail[cols]
+        _cells(t, vals, t.log_k[z2], z2, h_prev[cols], bound[rows], scale, vals)
         best = np.maximum.reduceat(vals, starts)
         rep = np.repeat(best, width)
-        pick = np.maximum.reduceat(np.where(vals == rep, cols, -1), starts)
         near = vals >= rep - tol
-        left = np.minimum.reduceat(np.where(near, cols, nz), starts)
-        right = np.maximum.reduceat(np.where(near, cols, -1), starts)
+        pick = np.maximum.reduceat(np.where(vals == rep, cols, -1), starts)
+        if np.count_nonzero(near) == best.size:  # each segment's pick is its one near cell
+            left = right = pick
+        else:
+            left = np.minimum.reduceat(np.where(near, cols, nz), starts)
+            right = np.maximum.reduceat(np.where(near, cols, -1), starts)
         h_n[mid] = best
         prev_pick[mid] = presold + pick
         lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid - 1, hi))

@@ -45,9 +45,14 @@ gathered by ``AuctionTable.take``, the reference that
 ``auction.estimate_max_value`` must match bit for bit while it gathers only
 the bids it averages. ``dense_lowess`` is LOWESS with every knot's weights in
 one n x n array, the reference that ``auction.lowess``, which weighs a block
-of knots at a time, must match bit for bit.
+of knots at a time, must match bit for bit. ``isoformat_log_bytes`` is a
+log's CSV as the csv module writes its rows, each stamp printed by
+``datetime.isoformat``: the byte-for-byte reference for ``write_log_csv``,
+which prints a chunk's stamps from their numbers in one numpy call.
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -57,7 +62,7 @@ from scipy.special import ndtr
 
 from pgrtb import solver
 from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
-from pgrtb.logs import BidLog
+from pgrtb.logs import LOG_HEADER, BidLog
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid
 from pgrtb.simulate import _EPOCH, SimOutcome
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
@@ -614,3 +619,15 @@ def dense_lowess(points, fraction=0.3, iterations=3):
     rmse = float(np.sqrt(np.mean((yest - y) ** 2)))
     return FittedCurve(method="lowess", x_range=(float(x[0]), float(x[-1])),
                        knot_x=x, knot_y=yest, rmse=rmse)
+
+
+def isoformat_log_bytes(rows):
+    """The CSV bytes of ``(slot_id, auction_id, timestamp, bid)`` rows, one
+    ``writerow`` each: a stamp as its ``isoformat()``, None as an empty field."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(LOG_HEADER)
+    for slot_id, auction_id, stamp, bid in rows:
+        writer.writerow([slot_id, auction_id, "" if stamp is None else stamp.isoformat(),
+                         repr(float(bid))])
+    return buf.getvalue().encode()

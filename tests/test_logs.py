@@ -1,8 +1,6 @@
 """Bid-log CSV round trips and per-auction summaries."""
 
 import contextlib
-import csv
-import io
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -19,18 +17,20 @@ from pgrtb.logs import (
     write_log_csv,
 )
 
+from oracles import isoformat_log_bytes
+
 UTC = timezone.utc
 PLUS1 = timezone(timedelta(hours=1))
 IST = timezone(timedelta(hours=5, minutes=30))
 
 
 def _runs(log):
-    """A log's runs: first rows, fields (stamps with their offsets), and which
-    runs share each field's object."""
+    """A log's runs: first rows, ids, stamps as their two numbers, and which runs
+    share each id's object."""
     shared = [[next(j for j, y in enumerate(column) if y is x) for x in column]
-              for column in (log._slots, log._auctions, log._stamps)]
-    stamps = [None if t is None else t.isoformat() for t in log._stamps]
-    return log._starts.tolist(), log._slots, log._auctions, stamps, shared
+              for column in (log._slots, log._auctions)]
+    return (log._starts.tolist(), log._slots, log._auctions, log._instant.tolist(),
+            log._offset.tolist(), shared)
 
 
 def read_both_paths(path):
@@ -85,8 +85,8 @@ def test_per_row_views_give_back_the_objects_passed_in():
     assert all(v is slot for v in log.slot_id)
     assert [a is b for a, b in zip(log.auction_id, [auctions[0], auctions[0], auctions[1]])] \
         == [True] * 3
-    assert log.timestamp[0] is stamps[0] and log.timestamp[1] is stamps[0]
-    assert log.timestamp[2] is None
+    assert log.timestamp == [stamps[0], stamps[0], None]
+    assert log.timestamp[0].utcoffset() == timedelta(0)
     with pytest.raises(AttributeError):
         log.slot_id = ["other"] * 3
 
@@ -111,7 +111,7 @@ def test_reader_keeps_a_run_whose_fields_differ_only_in_spaces(tmp_path):
                     "s,b,2024-05-01T10:00:00,0.3\n")
     log = read_log_csv(path)
     assert log._starts.tolist() == [0, 2]
-    assert log.timestamp[2] is log.timestamp[0]  # the previous run's stamp, read once
+    assert log._instant.tolist() == [log._instant[0]] * 2  # the previous run's stamp, read once
 
 
 def test_reader_holds_an_interleaved_auctions_id_and_stamp_once(tmp_path):
@@ -127,8 +127,8 @@ def test_reader_holds_an_interleaved_auctions_id_and_stamp_once(tmp_path):
     slots, auctions, stamps = log.slot_id, log.auction_id, log.timestamp
     assert all(s is slots[0] for s in slots)
     assert auctions[2] is auctions[0] and auctions[3] is auctions[1]
-    assert stamps[1] is stamps[0]  # the previous run's stamp text, read once
-    assert stamps[3] is stamps[2]  # a later run of an auction shares an equal stamp
+    # one stamp's numbers for the first four runs, whatever its text
+    assert len({*zip(log._instant[:4].tolist(), log._offset[:4].tolist())}) == 1
     # an equal instant at another offset keeps its own stamp, and prints as read
     assert stamps[4] == stamps[2] and stamps[4].utcoffset() == timedelta(hours=1)
     again = tmp_path / "again.csv"
@@ -138,18 +138,20 @@ def test_reader_holds_an_interleaved_auctions_id_and_stamp_once(tmp_path):
 
 def test_runs_are_checked_where_a_log_adopts_them():
     bids = np.array([0.5, 0.4, 0.3])
-    log = BidLog._of_runs(np.array([0, 2]), ["s", "s"], ["a", "b"], [None, None], bids)
+    none = np.array([AuctionTable.UNSTAMPED] * 2), np.array([logs._NAIVE] * 2)
+    log = BidLog._of_runs(np.array([0, 2]), ["s", "s"], ["a", "b"], *none, bids)
     assert log == rows_log([("s", "a", None, 0.5), ("s", "a", None, 0.4),
                             ("s", "b", None, 0.3)])
     assert log.count_auctions() == 2
-    assert BidLog._of_runs(np.array([], dtype=np.int64), [], [], [], np.array([])) \
+    empty = np.array([], dtype=np.int64)
+    assert BidLog._of_runs(empty, [], [], empty, empty, np.array([])) \
         == rows_log([])
     for starts, auctions in [([0, 2], ["a"]), ([1, 2], ["a", "b"]), ([0, 3], ["a", "b"]),
                              ([0, 2, 2], ["a", "b", "c"]), ([], [])]:
         k = len(starts)
         with pytest.raises(ValueError, match="runs must"):
             BidLog._of_runs(np.array(starts, dtype=np.int64), ["s"] * k, auctions,
-                            [None] * k, bids)
+                            none[0][:k], none[1][:k], bids)
 
 
 @pytest.mark.parametrize("text", [
@@ -169,17 +171,6 @@ def test_read_then_write_gives_the_same_bytes(tmp_path, text):
     path.write_bytes(("slot_id,auction_id,timestamp,bid_cpm\r\n" + text).encode())
     write_log_csv(read_log_csv(path), again)
     assert again.read_bytes() == path.read_bytes()
-
-
-def _csv_writer_bytes(rows):
-    """The log as the csv module writes it, one ``writerow`` per bid row."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(logs.LOG_HEADER)
-    for slot_id, auction_id, ts, bid in rows:
-        writer.writerow([slot_id, auction_id, "" if ts is None else ts.isoformat(),
-                         repr(float(bid))])
-    return buf.getvalue().encode()
 
 
 _ID_CHARS = st.sampled_from('ab7-_.,"\r\n ')
@@ -206,11 +197,70 @@ def test_round_trip_property(tmp_path, auctions):
     log = rows_log(rows)
     path = tmp_path / "log.csv"
     write_log_csv(log, path)
-    assert path.read_bytes() == _csv_writer_bytes(rows)
+    assert path.read_bytes() == isoformat_log_bytes(rows)
     back = read_log_csv(path)
     assert back == log
     assert [None if t is None else t.isoformat() for t in back.timestamp] == \
         [None if t is None else t.isoformat() for t in log.timestamp]
+
+
+_US = timedelta(microseconds=1)
+# fixed offsets of whole minutes, and with seconds or microseconds, within a day
+_OFFSETS = st.builds(lambda minutes, seconds, us: timezone(timedelta(
+    minutes=minutes, seconds=seconds, microseconds=us)), st.integers(-1439, 1439),
+    st.sampled_from([0, 0, 15, -59]), st.sampled_from([0, 0, 1, 999_999]))
+
+
+def _exact_stamps(zones):
+    """None, or any stamp of years 1-9999 at ``zones`` (st.none(): naive), with
+    and without microseconds."""
+    stamps = st.datetimes(timezones=zones)
+    return st.none() | stamps | stamps.map(lambda t: t.replace(microsecond=0))
+
+
+def _stamp_numbers(stamp):
+    """A stamp's instant and offset in microseconds as a log stores them."""
+    if stamp is None:
+        return AuctionTable.UNSTAMPED, logs._NAIVE
+    if stamp.tzinfo is None:
+        return (stamp - datetime(1970, 1, 1)) // _US, logs._NAIVE
+    return (stamp - datetime(1970, 1, 1, tzinfo=UTC)) // _US, stamp.utcoffset() // _US
+
+
+def _row_numbers(log):
+    """A log's stamps per row, as ``(instant, offset)`` pairs."""
+    lengths = np.diff(log._starts, append=len(log))
+    return list(zip(np.repeat(log._instant, lengths).tolist(),
+                    np.repeat(log._offset, lengths).tolist()))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stamps=st.lists(_exact_stamps(st.none()), max_size=12)
+       | st.lists(_exact_stamps(_OFFSETS), max_size=12), chunk=st.sampled_from([1, 3, 256]))
+@example(chunk=256, stamps=[
+    datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=23, minutes=59))),
+    datetime(1969, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone(-timedelta(seconds=1, microseconds=1))),
+    None, datetime(9999, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone(-timedelta(hours=23)))])
+@example(chunk=3, stamps=[
+    datetime(1, 1, 1), datetime(1969, 12, 31, 23, 59, 59, 1), None, datetime(1970, 1, 1),
+    datetime(9999, 12, 31, 23, 59, 59, 999_999)])
+def test_stamps_print_and_read_back_exactly(tmp_path, stamps, chunk):
+    """Random stamps, naive or at offsets with seconds or microseconds, before
+    1970, with and without microseconds, and None: ``timestamp`` gives back
+    values equal to them at their offsets, the written bytes are those of the
+    ``isoformat`` oracle, and a read gives back their numbers."""
+    rows = [("s", f"a{i // 3}", t, 0.5) for i, t in enumerate(stamps)]
+    log = rows_log(rows)
+    assert log.timestamp == stamps
+    assert [t and (t.isoformat(), t.utcoffset()) for t in log.timestamp] == \
+        [t and (t.isoformat(), t.utcoffset()) for t in stamps]
+    assert _row_numbers(log) == list(map(_stamp_numbers, stamps))
+    path = tmp_path / "log.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logs, "_CHUNK", chunk)
+        write_log_csv(log, path)
+        assert path.read_bytes() == isoformat_log_bytes(rows)
+        assert _row_numbers(read_log_csv(path)) == _row_numbers(log)
 
 
 _SLOTS = st.sampled_from(["s", " s", "t"])
@@ -247,9 +297,7 @@ def test_both_reader_paths_give_equal_logs(tmp_path_factory, rows, ending, chunk
 
 
 def test_a_blank_line_does_not_end_a_run(tmp_path):
-    """The row after a blank line continues its run unchecked: were it checked
-    again, x's second row would take y's equal stamp object from the
-    interned stamps and start a run of its own."""
+    """The row after a blank line continues its run: a blank line is no row."""
     path = tmp_path / "log.csv"
     path.write_text("slot_id,auction_id,timestamp,bid_cpm\n"
                     "s,y,2024-05-01T10:00:00Z,0.5\n"
@@ -260,7 +308,7 @@ def test_a_blank_line_does_not_end_a_run(tmp_path):
                     "s,x,2024-05-01T10:00:00+00:00,0.1\n")
     log = read_log_csv(path)
     assert log._starts.tolist() == [0, 1, 2, 3]
-    assert log.timestamp[4] is log.timestamp[3] is not log.timestamp[2]
+    assert log.timestamp[4] == log.timestamp[3] == log.timestamp[2]
 
 
 def test_round_trip_ids_with_commas_and_quotes(tmp_path):

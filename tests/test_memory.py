@@ -1,6 +1,7 @@
 """Memory bounds of the log path, measured with tracemalloc.
 
-A log stores its slot id, auction id and stamp once per run of rows. Each
+A log stores its slot id and auction id once per run of rows, and the run's
+stamp as two int64 numbers. Each
 stage may hold one bounded chunk beyond what it returns: the reader keeps
 a chunk of lines and of bids at a time, on either of its paths, and the
 summary builds its per-auction columns from the runs and ranks the bids in
@@ -60,11 +61,12 @@ def log_path(tmp_path_factory):
     return path
 
 
-def test_held_log_costs_under_45_bytes_a_row(log_path):
-    """Per row, the float64 bid; per run of 4.9 rows, its first row, three
-    list slots, the auction id string and the stamp."""
+def test_held_log_costs_under_36_bytes_a_row(log_path):
+    """Per row, the float64 bid; per run of 4.9 rows, its first row, two list
+    slots, the auction id string and the stamp's two int64 numbers: 31.6 bytes
+    a row, against 39.5 when each run held a ``datetime``."""
     for log, held, _ in _traced_reads(log_path):
-        assert held < 45 * len(log), f"{held / len(log):.1f} bytes a row"
+        assert held < 36 * len(log), f"{held / len(log):.1f} bytes a row"
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +82,9 @@ def shuffled_path(log_path):
 
 
 def test_a_shuffled_log_holds_each_auction_id_once(shuffled_path):
-    """Per row-run, its bid, first row and three list slots; once per auction,
-    its id and up to two stamps (the first run's, and the one its later runs
-    share). Runs that each held their own id and stamp would cost 158 B/row."""
+    """Per row-run, its bid, first row, two list slots and two stamp numbers;
+    once per auction, its id: 64.7 bytes a row. Runs that each held their
+    own id and stamp would cost 158 B/row."""
     for log, held, peak in _traced_reads(shuffled_path):
         assert len(log._starts) > 0.9 * len(log)
         assert held < 80 * len(log), f"{held / len(log):.1f} bytes a row"
@@ -102,11 +104,10 @@ def test_summary_peak_above_its_table_is_below_one_row_column_set(log_path):
     assert len(table) == 4_000
     # the summary peaks as it ranks the bids in place on the table's copy, a
     # bounded block at a time, its run arrays freed by then; beside the table
-    # it still holds the bid counts it ranks by, and the table keeps neither
-    # those nor the winning bids and payments: 24 bytes an auction. Before,
-    # it peaked 11.7 bytes a row above a table that kept all three, under a
-    # bound of four 8-byte columns per row
-    assert peak - held < 1.75 * len(log) + 24 * len(table), \
+    # it holds the bid counts it ranks by, 8 bytes an auction, and one count's
+    # positions: 12.3 bytes an auction. Listing the counts by np.unique, two
+    # more copies of them, peaked at 24.8
+    assert peak - held < 16 * len(table), \
         f"peak {peak / MIB:.3f} MiB above a table of {held / MIB:.3f} MiB"
 
 
@@ -130,25 +131,27 @@ def _command_peak(tmp_path, *argv):
 
 
 def test_gen_data_command_peak_per_log_row(tmp_path):
-    """``gen-data`` peaks while it writes the log it holds, at 45.2 bytes a
-    row. Counting the auction ids in a set, after joining per-hour bid arrays,
-    peaked at 58.4."""
+    """``gen-data`` peaks while it writes the log it holds, at 37.1 bytes a
+    row; with a ``datetime`` per run, 44.7. Counting the auction ids in a
+    set, after joining per-hour bid arrays, peaked at 58.4."""
     peak = _command_peak(tmp_path, "gen-data")
     assert (tmp_path / "auction_log.csv").read_bytes().count(b"\n") == 19_700 + 1
-    assert peak < 48 * 19_700, f"gen-data peaked at {peak / 19_700:.1f} bytes a log row"
+    assert peak < 40 * 19_700, f"gen-data peaked at {peak / 19_700:.1f} bytes a log row"
 
 
 def test_fit_command_peak_per_log_row(log_path, tmp_path):
-    """``fit`` peaks in the summary, with the log held, at 56.1 bytes a log
-    row; ranking beside the log's negated bids peaked at 72.5. It fits its
-    table whole, and the fit leaves out the auctions with one bid: copying
-    the auctions with two bids beside the table peaked at 78."""
+    """``fit`` peaks in ``read_log_csv``, at 45.6 bytes a log row; with a
+    ``datetime`` per run it peaked in the summary, at 56.1, and ranking beside
+    the log's negated bids at 72.5. It fits its table whole, and the fit
+    leaves out the auctions with one bid: copying the auctions with two bids
+    beside the table peaked at 78."""
     peak = _command_peak(tmp_path, "fit", "--log", str(log_path))
-    assert peak < 60 * 19_700, f"fit peaked at {peak / 19_700:.1f} bytes a log row"
+    assert peak < 49 * 19_700, f"fit peaked at {peak / 19_700:.1f} bytes a log row"
 
 
 def test_segment_command_peak_per_log_row(log_path, tmp_path):
-    """``segment`` peaks where ``fit`` does, in the summary, at 56.1 bytes a
-    log row; before the summary ranked in place, 73.7."""
+    """``segment`` peaks where ``fit`` does, in ``read_log_csv``, at 45.6
+    bytes a log row; with a ``datetime`` per run, 56.1 in the summary, and
+    before the summary ranked in place, 73.7."""
     peak = _command_peak(tmp_path, "segment", "--log", str(log_path))
-    assert peak < 60 * 19_700, f"segment peaked at {peak / 19_700:.1f} bytes a log row"
+    assert peak < 49 * 19_700, f"segment peaked at {peak / 19_700:.1f} bytes a log row"

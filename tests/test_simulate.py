@@ -13,7 +13,8 @@ acceptance suite.
 import dataclasses
 import math
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pgrtb.auction import BidModel
+from pgrtb import logs
 from pgrtb.logs import summarize_auctions
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid
 from pgrtb.market import reference_config
@@ -374,6 +376,39 @@ def test_generate_log_custom_start():
                               bidders_per_hour=[2], seed=0, start_time=start)
     assert log.timestamp[0] == start
     assert truth["start_time"] == start.isoformat()
+
+
+BERLIN = ZoneInfo("Europe/Berlin")
+
+
+@pytest.mark.parametrize("start", [
+    datetime(2024, 3, 30, 23, tzinfo=BERLIN), datetime(2024, 10, 26, 23, 30, tzinfo=BERLIN),
+    datetime(1969, 12, 31, 22, 0, 0, 7, tzinfo=timezone(-timedelta(hours=3, seconds=15))),
+    datetime(1969, 12, 31, 23, 59, 59, 999_999)],
+    ids=["berlin-spring", "berlin-autumn", "fixed-offset-before-1970", "naive"])
+def test_generate_log_stamps_are_the_datetime_arithmetic(start):
+    """Auction ``a`` of hour ``h`` is stamped ``start + timedelta(hours=h) +
+    step``: the same numbers and, rebuilt, the same stamps with the same
+    offsets, across a zone's daylight-saving changes (its offset differs
+    between auctions) as at a fixed offset or none, hours without bidders
+    skipped."""
+    pattern = [1, 0, 2]
+    log, _ = generate_log(BidModel.uniform(0.0, 1.0), hours=6, auctions_per_hour=7,
+                          bidders_per_hour=pattern, seed=3, start_time=start)
+    steps = [timedelta(seconds=3600.0 * a / 7) for a in range(7)]
+    want = [start + timedelta(hours=h) + step for h in range(6) if pattern[h % 3]
+            for step in steps]
+    epoch = datetime(1970, 1, 1, tzinfo=start.tzinfo and timezone.utc)
+    us = timedelta(microseconds=1)
+    assert log._instant.tolist() == [(t - epoch) // us for t in want]
+    assert log._offset.tolist() == [logs._NAIVE if t.tzinfo is None else t.utcoffset() // us
+                                    for t in want]
+    # not ==: a zone's wall time in a gap equals no time at another zone (PEP 495)
+    got = [log.timestamp[i] for i in log._starts.tolist()]
+    assert [(t.isoformat(), t.utcoffset()) for t in got] == \
+        [(t.isoformat(), t.utcoffset()) for t in want]
+    if start.tzinfo is BERLIN:
+        assert len({t.utcoffset() for t in want}) == 2
 
 
 @pytest.mark.parametrize("law", sorted(_BID_LAWS))
