@@ -1,8 +1,8 @@
 """One slot, two advertiser populations: price each on its own curve.
 
 Builds a log that mixes premium retargeting bids (uniform on [2, 3]) with
-run-of-network filler (uniform on [0, 1]), clusters the auctions by winning
-bid, and solves a separate guaranteed-price schedule for each slice.
+run-of-network filler (uniform on [0, 1]), splits the auctions in two by
+winning bid, and solves a separate guaranteed-price schedule for each slice.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ def main():
         miss_prob_omega=0.02, penalty_size_varpi=0.5,
         max_value_pi=1.0,
     )
-    market = segment_and_optimize(summaries, cfg, seed=0)
+    market = segment_and_optimize(summaries, cfg)
 
     for seg in market.segments:
         plan = seg.plan

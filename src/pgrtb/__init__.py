@@ -33,7 +33,6 @@ from .market import (
 )
 from .replan import ReplanStep, UncertaintySpec, replan
 from .segmentation import (
-    Segment,
     SegmentedMarket,
     SegmentPlan,
     kmeans_1d,
@@ -64,7 +63,6 @@ __all__ = [
     "PricePlan",
     "ReplanStep",
     "RevenueCurves",
-    "Segment",
     "SegmentPlan",
     "SegmentedMarket",
     "SimOutcome",

@@ -335,8 +335,7 @@ def cmd_replan(rc: RunConfig, args):
 def cmd_segment(rc: RunConfig, args):
     cfg = rc.require_market()
     table = _read_table(args.log)
-    seed = args.seed if args.seed is not None else rc.root_seed
-    result = segment_and_optimize(table, cfg, feature=rc.feature, seed=seed)
+    result = segment_and_optimize(table, cfg, feature=rc.feature)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "feature": rc.feature,
@@ -379,7 +378,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="output directory override")
-        if seeded:  # fit and optimize draw nothing
+        if seeded:  # fit, optimize and segment draw nothing
             p.add_argument("--seed", type=int, default=None, help="seed override")
         return p
 
@@ -394,7 +393,8 @@ def _build_parser():
     p.add_argument("--runs", type=int, default=None, help="number of runs")
     p = add("replan", "roll the horizon forward under demand noise")
     p.add_argument("--model", default=None, help="fitted model JSON")
-    p = add("segment", "cluster the bid landscape and optimize per group")
+    p = add("segment", "split the bid landscape in two and optimize per group",
+            seeded=False)
     p.add_argument("--log", required=True, help="auction log CSV")
     return parser
 

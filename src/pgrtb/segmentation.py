@@ -3,10 +3,10 @@ and optimize each separately.
 
 A slot whose auctions mix two bidder populations (say, retargeting campaigns
 against run-of-network filler) has a bimodal bid landscape; a single fitted
-payment curve splits the difference and misprices both. Clustering the
-observed bids into two groups, splitting supply and demand proportionally,
-and solving each group on its own fitted curves recovers a coherent plan per
-group.
+payment curve splits the difference and misprices both. Splitting the
+observed bids at their exact two-group cut, splitting supply and demand
+proportionally, and solving each group on its own fitted curves recovers a
+coherent plan per group.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .market import MarketConfig, StepTerms, TimeGrid
 from .solver import PricePlan, competition_level, optimal_plan
 
 __all__ = [
-    "Segment",
     "SegmentPlan",
     "SegmentedMarket",
     "kmeans_1d",
@@ -29,61 +28,28 @@ __all__ = [
 ]
 
 
-@dataclass
-class Segment:
-    """One cluster of observations: its indices into the input and its centroid."""
+def kmeans_1d(values):
+    """The exact two-group split of scalars: ``(centroids, high)``, the high
+    group's mean then the low group's, and the mask of the high group.
 
-    label: str
-    members: list
-    centroid: float
-
-
-def kmeans_1d(values, k=2, seed=0, max_iters=100):
-    """Seeded k-means on scalars: k-means++ start, Lloyd iterations.
-
-    Deterministic for a given seed. Clusters that empty out are refilled
-    with the point farthest from its current centroid. Raises ValueError
-    when the data cannot support k clusters (fewer than k distinct values).
-    Segments come back ordered by descending centroid, labelled
-    ``group1_high``/``group2_low`` for k = 2 and ``group<i>`` otherwise.
+    An optimal 2-means partition of scalars is contiguous in sorted order,
+    so one scan finds it: of the cuts between distinct values, the one with
+    the largest ``S_lo^2 / n_lo + S_hi^2 / n_hi`` (sums of the values less
+    their mean) has the least within-group sum of squares; on a tie the
+    lowest cut wins. The split depends on the values alone, not on their
+    order, and never separates equal values. Raises ValueError when there
+    are fewer than two distinct values.
     """
     vals = np.asarray(values, dtype=float).ravel()
-    if vals.size == 0:
-        raise ValueError("no values to cluster")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if np.unique(vals).size < k:
-        raise ValueError(f"need at least {k} distinct values to form {k} clusters")
-    rng = np.random.default_rng(seed)
-
-    centroids = [float(vals[rng.integers(vals.size)])]
-    while len(centroids) < k:
-        d2 = np.min(np.abs(vals[:, None] - np.array(centroids)[None, :]), axis=1) ** 2
-        centroids.append(float(vals[rng.choice(vals.size, p=d2 / d2.sum())]))
-    centroids = np.array(centroids)
-
-    assign = None
-    for _ in range(max_iters):
-        dist = np.abs(vals[:, None] - centroids[None, :])
-        new_assign = np.argmin(dist, axis=1)
-        for j in range(k):
-            if not np.any(new_assign == j):
-                spread = np.abs(vals - centroids[new_assign])
-                new_assign[int(np.argmax(spread))] = j
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for j in range(k):
-            centroids[j] = vals[assign == j].mean()
-
-    order = np.argsort(-centroids, kind="stable")
-    segments = []
-    for rank, j in enumerate(order):
-        members = np.nonzero(assign == j)[0]
-        label = ("group1_high", "group2_low")[rank] if k == 2 else f"group{rank + 1}"
-        segments.append(Segment(label=label, members=[int(i) for i in members],
-                                centroid=float(centroids[j])))
-    return segments
+    ordered = np.sort(vals)
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # low group sizes
+    if not cuts.size:
+        raise ValueError("need at least 2 distinct values to split in two")
+    centred = np.cumsum(ordered - ordered.mean())
+    low, total = centred[cuts - 1], centred[-1]
+    cut = int(cuts[np.argmax(low**2 / cuts + (total - low)**2 / (vals.size - cuts))])
+    centroids = np.array([ordered[cut:].mean(), ordered[:cut].mean()])
+    return centroids, vals > ordered[cut - 1]
 
 
 @dataclass
@@ -110,8 +76,8 @@ class SegmentedMarket:
     fallback: bool
 
 
-def _auction_groups(table, feature, seed):
-    """Cluster auctions into two groups by the chosen bid feature.
+def _auction_groups(table, feature):
+    """Split auctions into two groups by the chosen bid feature.
 
     Returns ``(groups, fallback)`` where groups is a list of
     ``(label, indices)`` ordered high bids first.
@@ -120,38 +86,38 @@ def _auction_groups(table, feature, seed):
         raise ValueError(f"unknown feature {feature!r}; use winning_bid or all_bids")
     everything = [("all", np.arange(len(table)))], True
     try:
-        segs = kmeans_1d(table.winning_bid if feature == "winning_bid" else table.bids,
-                         k=2, seed=seed)
+        centroids, high = kmeans_1d(table.winning_bid if feature == "winning_bid"
+                                    else table.bids)
     except ValueError:
         return everything
-    if feature == "winning_bid":  # members as arrays: a list holds an int object per auction
-        return [(s.label, np.array(s.members)) for s in segs], False
-    # each auction joins the bid cluster nearest its winning bid
-    centroids = np.array([s.centroid for s in segs])
-    nearest = np.argmin(np.abs(centroids[None, :] - table.winning_bid[:, None]), axis=1)
-    groups = [(s.label, np.flatnonzero(nearest == j)) for j, s in enumerate(segs)]
-    groups = [(label, members) for label, members in groups if members.size]
-    return (groups, False) if len(groups) == 2 else everything
+    if feature == "all_bids":  # each auction joins the bid group nearest its winning bid
+        high = (np.abs(centroids[0] - table.winning_bid)
+                <= np.abs(centroids[1] - table.winning_bid))
+        if high.all() or not high.any():
+            return everything
+    return [("group1_high", np.flatnonzero(high)), ("group2_low", np.flatnonzero(~high))], False
 
 
-def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid",
-                         seed=0):
+def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid"):
     """Split an auction table into two bid-level groups and solve each market slice.
 
-    Supply, demand, and arrival rate are split proportionally to each
-    group's auction share (demand floored at supply + 1 to keep every slice
-    oversubscribed); each group gets its own fitted payment curves and value
-    ceiling. A group whose mean observed competition is below 2 gets no
-    guaranteed sales (its payment curves are censored there) and is priced
-    as auction-only inventory.
+    The groups are :func:`kmeans_1d`'s split of the winning bids, or of
+    every bid (``feature="all_bids"``), each auction then joining the group
+    whose centroid is nearest its winning bid; the same auctions in any
+    order form the same groups. Supply, demand, and arrival rate are split
+    proportionally to each group's auction share (demand floored at supply
+    + 1 to keep every slice oversubscribed); each group gets its own fitted
+    payment curves and value ceiling. A group whose mean observed
+    competition is below 2 gets no guaranteed sales (its payment curves are
+    censored there) and is priced as auction-only inventory.
 
-    When the bids carry no usable structure (a single distinct level), the
-    clusterer cannot split them; a warning is issued and the whole market is
-    solved as one segment.
+    When the bids cannot be split (a single distinct level, or every
+    auction nearest one centroid), a warning is issued and the whole market
+    is solved as one segment.
     """
     if not len(table):
         raise ValueError("no auctions to segment")
-    groups, fallback = _auction_groups(table, feature, seed)
+    groups, fallback = _auction_groups(table, feature)
     if fallback:
         warnings.warn("bid values cannot support two clusters; keeping one group",
                       RuntimeWarning, stacklevel=2)

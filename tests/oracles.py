@@ -49,6 +49,11 @@ of knots at a time, must match bit for bit. ``isoformat_log_bytes`` is a
 log's CSV as the csv module writes its rows, each stamp printed by
 ``datetime.isoformat``: the byte-for-byte reference for ``write_log_csv``,
 which prints a chunk's stamps from their numbers in one numpy call.
+
+``best_two_split`` tries every cut of the sorted values and scores each
+group by its mean first, then its squared deviations:
+``segmentation.kmeans_1d`` picks its cut from prefix sums instead, and must
+reach the same least within-group sum of squares.
 """
 
 import csv
@@ -631,3 +636,28 @@ def isoformat_log_bytes(rows):
         writer.writerow([slot_id, auction_id, "" if stamp is None else stamp.isoformat(),
                          repr(float(bid))])
     return buf.getvalue().encode()
+
+
+def within_sum_of_squares(values, high):
+    """The two groups' squared deviations from their own means, each mean
+    taken first over the group's sorted values, so that a group scores the
+    same in any order; ``high`` masks one group."""
+    vals = np.asarray(values, dtype=float)
+    parts = (np.sort(vals[high]), np.sort(vals[~high]))
+    return sum(float(np.sum((part - part.mean()) ** 2)) for part in parts)
+
+
+def best_two_split(values):
+    """Every cut between distinct sorted values, scored directly:
+    ``(least, runner_up, high)``, the least within-group sum of squares, the
+    least among the other cuts (inf with one cut), and the high group's mask
+    at the lowest cut reaching the least."""
+    vals = np.asarray(values, dtype=float)
+    ordered = np.sort(vals)
+    cuts = [i for i in range(1, ordered.size) if ordered[i] != ordered[i - 1]]
+    scores = np.array([within_sum_of_squares(ordered, np.arange(ordered.size) >= i)
+                       for i in cuts])
+    best = int(np.argmin(scores))
+    rest = np.delete(scores, best)
+    return (float(scores[best]), float(rest.min(initial=math.inf)),
+            vals > ordered[cuts[best] - 1])

@@ -406,7 +406,7 @@ def test_criterion_11_two_population_segmentation():
         miss_prob_omega=0.02, penalty_size_varpi=0.5,
         max_value_pi=0.8,
     )
-    market = segment_and_optimize(summaries, cfg, seed=0)
+    market = segment_and_optimize(summaries, cfg)
     split_ok = (not market.fallback
                 and [sp.label for sp in market.segments]
                 == ["group1_high", "group2_low"])

@@ -26,8 +26,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PUBLIC = {
     "AuctionTable", "BidLog", "BidModel", "DPTables", "FittedCurve", "MarketConfig",
-    "PricePlan", "ReplanStep", "RevenueCurves", "Segment", "SegmentPlan",
-    "SegmentedMarket", "SimOutcome", "StepTerms", "TimeGrid", "UncertaintySpec",
+    "PricePlan", "ReplanStep", "RevenueCurves", "SegmentPlan", "SegmentedMarket",
+    "SimOutcome", "StepTerms", "TimeGrid", "UncertaintySpec",
     "competition_level", "estimate_max_value", "evaluate_plan", "fit_payment_curves",
     "generate_log", "kmeans_1d", "lowess", "mc_second_price", "optimal_plan",
     "read_log_csv", "reference_bid_model", "reference_config", "replan",
@@ -46,7 +46,7 @@ def _dotted(node):
 
 
 def test_package_surface_is_the_audited_set():
-    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 33
+    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 32
     assert set(pgrtb.__all__) == PUBLIC
 
 
@@ -79,7 +79,8 @@ def test_option_surface_is_pinned():
     assert str(inspect.signature(pgrtb.fit_payment_curves)) == "(table)"
     assert str(inspect.signature(pgrtb.lowess)) == "(points)"
     assert str(inspect.signature(pgrtb.segment_and_optimize)) == \
-        "(table, cfg: 'MarketConfig', *, feature='winning_bid', seed=0)"
+        "(table, cfg: 'MarketConfig', *, feature='winning_bid')"
+    assert str(inspect.signature(pgrtb.kmeans_1d)) == "(values)"
     assert set(cli._SECTIONS) == {
         "market", "bid_model", "seeds", "uncertainty", "segmentation", "synthetic",
         "simulate", "output"}

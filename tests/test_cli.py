@@ -137,16 +137,32 @@ def test_seed_flag_changes_replan(tmp_path):
     ("gen-data", []), ("simulate", ["--plan", "plan.json"]), ("replan", []),
     ("segment", ["--log", "log.csv"]), ("fit", ["--log", "log.csv"]), ("optimize", [])])
 def test_only_commands_that_draw_take_a_seed(capsys, command, extra):
-    """gen-data, simulate, replan and segment draw random numbers and take
-    ``--seed``; fit and optimize draw none, so the flag is refused there."""
+    """gen-data, simulate and replan draw random numbers and take ``--seed``;
+    fit, optimize and segment draw none, so the flag is refused there."""
     argv = [command, "--config", "run.json", *extra, "--seed", "1"]
-    if command in ("fit", "optimize"):
+    if command in ("fit", "optimize", "segment"):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     else:
         assert cli._build_parser().parse_args(argv).seed == 1
+
+
+def test_segment_report_does_not_depend_on_the_root_seed(tmp_path):
+    """The split draws nothing: configs that differ only in ``seeds.root``
+    write the same report, byte for byte, on the same log."""
+    cfg = base_config(tmp_path)
+    log = str(tmp_path / "out" / "auction_log.csv")
+    assert main(["gen-data", "--config", dump(tmp_path, cfg)]) == 0
+    reports = []
+    for root in (11, 12):
+        cfg["seeds"]["root"] = root
+        out = tmp_path / f"seed{root}"
+        argv = ["segment", "--config", dump(tmp_path, cfg), "--log", log, "--out", str(out)]
+        assert main(argv) == 0
+        reports.append((out / "segment_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_repeated_commands_leave_no_parser_cycles(tmp_path):

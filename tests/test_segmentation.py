@@ -1,9 +1,11 @@
-"""Clustering mixed bid landscapes and solving each slice on its own curves."""
+"""Splitting mixed bid landscapes in two and solving each slice on its own curves."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pgrtb.auction import BidModel, reference_bid_model
 from pgrtb.logs import BidLog, summarize_auctions
@@ -11,6 +13,8 @@ from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.segmentation import _rtb_only_plan, kmeans_1d, segment_and_optimize
 from pgrtb.simulate import generate_log
 from pgrtb.solver import _MarketTables, competition_level
+
+from oracles import best_two_split, within_sum_of_squares
 
 
 def seg_config():
@@ -37,43 +41,82 @@ def two_population_summaries(seed=5):
         high.timestamp + low.timestamp, np.concatenate([high.bid_cpm, low.bid_cpm])))
 
 
-# -- kmeans --------------------------------------------------------------
+# -- the exact two-group split ---------------------------------------------
 
 
 def test_kmeans_recovers_planted_clusters():
     rng = np.random.default_rng(0)
     vals = np.concatenate([rng.normal(1.0, 0.05, 80), rng.normal(4.0, 0.05, 40)])
-    segs = kmeans_1d(vals, k=2, seed=3)
-    assert [s.label for s in segs] == ["group1_high", "group2_low"]
-    assert segs[0].centroid == pytest.approx(4.0, abs=0.05)
-    assert segs[1].centroid == pytest.approx(1.0, abs=0.05)
-    assert len(segs[0].members) == 40 and len(segs[1].members) == 80
-    assert sorted(segs[0].members + segs[1].members) == list(range(120))
-    assert vals[segs[0].members].min() > vals[segs[1].members].max()
-    again = kmeans_1d(vals, k=2, seed=3)
-    assert [s.members for s in again] == [s.members for s in segs]
-
-
-def test_kmeans_three_way_labels():
-    vals = np.array([0.0, 0.1, 2.0, 2.1, 7.0, 7.1])
-    segs = kmeans_1d(vals, k=3, seed=1)
-    assert [s.label for s in segs] == ["group1", "group2", "group3"]
-    assert segs[0].centroid > segs[1].centroid > segs[2].centroid
-
-
-def test_kmeans_single_cluster():
-    segs = kmeans_1d([3.0, 4.0, 5.0], k=1, seed=0)
-    assert len(segs) == 1 and segs[0].label == "group1"
-    assert segs[0].members == [0, 1, 2]
+    centroids, high = kmeans_1d(vals)
+    assert centroids[0] == pytest.approx(4.0, abs=0.05)
+    assert centroids[1] == pytest.approx(1.0, abs=0.05)
+    assert high.tolist() == [False] * 80 + [True] * 40
+    assert vals[high].min() > vals[~high].max()
+    assert centroids == pytest.approx([vals[high].mean(), vals[~high].mean()], rel=1e-15)
 
 
 def test_kmeans_rejects_unclusterable_input():
-    with pytest.raises(ValueError, match="distinct"):
-        kmeans_1d([2.0, 2.0, 2.0], k=2)
-    with pytest.raises(ValueError, match="no values"):
-        kmeans_1d([], k=2)
-    with pytest.raises(ValueError, match="positive"):
-        kmeans_1d([1.0, 2.0], k=0)
+    for values in ([2.0, 2.0, 2.0], [7.5], []):
+        with pytest.raises(ValueError, match="distinct"):
+            kmeans_1d(values)
+
+
+def test_kmeans_ties_take_the_lowest_split():
+    """Both cuts of 0, 1, 1, 2 leave a sum of squares of 2/3; the lower wins."""
+    centroids, high = kmeans_1d([0.0, 1.0, 1.0, 2.0])
+    assert high.tolist() == [False, True, True, True]
+    assert centroids.tolist() == [4.0 / 3.0, 0.0]
+
+
+def test_kmeans_never_separates_equal_values():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        vals = rng.integers(0, 6, size=int(rng.integers(2, 40))).astype(float)
+        if np.unique(vals).size < 2:
+            continue
+        _, high = kmeans_1d(vals)
+        for v in np.unique(vals):
+            assert np.unique(high[vals == v]).size == 1
+
+
+def test_kmeans_follows_a_permutation_of_its_input():
+    rng = np.random.default_rng(6)
+    vals = np.round(np.concatenate([rng.normal(1.0, 0.4, 70), rng.normal(2.5, 0.6, 50)]), 2)
+    centroids, high = kmeans_1d(vals)
+    for _ in range(5):
+        order = rng.permutation(vals.size)
+        moved, moved_high = kmeans_1d(vals[order])
+        assert moved.tobytes() == centroids.tobytes()
+        assert np.array_equal(moved_high, high[order])
+
+
+def _assert_matches_oracle(vals):
+    """The split's sum of squares is the exhaustive minimum within 1e-12
+    relative, and the partition is the oracle's wherever its best cut wins
+    by more than 1e-9 relative."""
+    _, high = kmeans_1d(vals)
+    best, runner_up, oracle_high = best_two_split(vals)
+    chosen = within_sum_of_squares(vals, high)
+    assert chosen <= best * (1.0 + 1e-12)
+    if runner_up > best * (1.0 + 1e-9):
+        assert np.array_equal(high, oracle_high)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3, allow_subnormal=False),
+                          st.integers(-5, 5).map(float)),
+                min_size=2, max_size=300))
+def test_kmeans_matches_the_exhaustive_oracle(values):
+    vals = np.array(values)
+    assume(np.unique(vals).size >= 2)
+    _assert_matches_oracle(vals)
+
+
+def test_kmeans_matches_the_exhaustive_oracle_on_two_populations():
+    """5,760 values, the size of a long log's winning bids."""
+    rng = np.random.default_rng(12)
+    vals = np.concatenate([rng.uniform(2.0, 3.0, 2880), rng.uniform(0.0, 1.0, 2880)])
+    _assert_matches_oracle(rng.permutation(vals))
 
 
 # -- segment_and_optimize -------------------------------------------------
@@ -82,7 +125,7 @@ def test_kmeans_rejects_unclusterable_input():
 def test_two_population_split():
     summaries = two_population_summaries()
     cfg = seg_config()
-    market = segment_and_optimize(summaries, cfg, seed=2)
+    market = segment_and_optimize(summaries, cfg)
     assert not market.fallback
     assert [sp.label for sp in market.segments] == ["group1_high", "group2_low"]
     hi, lo = market.segments
@@ -108,8 +151,8 @@ def test_two_population_split():
 def test_all_bids_feature_agrees_on_clean_split():
     summaries = two_population_summaries()
     cfg = seg_config()
-    by_win = segment_and_optimize(summaries, cfg, feature="winning_bid", seed=2)
-    by_all = segment_and_optimize(summaries, cfg, feature="all_bids", seed=2)
+    by_win = segment_and_optimize(summaries, cfg, feature="winning_bid")
+    by_all = segment_and_optimize(summaries, cfg, feature="all_bids")
     for a, b in zip(by_win.segments, by_all.segments):
         assert a.label == b.label
         assert a.auction_count == b.auction_count
@@ -126,11 +169,11 @@ def test_thin_competition_goes_auction_only():
     ])
     log = BidLog(["s"] * 120, [f"a{i:03d}" for i in range(120)], [None] * 120, bids)
     table = summarize_auctions(log)
-    market = segment_and_optimize(table, seg_config(), seed=0)
+    market = segment_and_optimize(table, seg_config())
     assert not market.fallback
-    # each segment's own bids, clustered as segment_and_optimize clusters them
-    bids = {s.label: table.take(s.members).bids
-            for s in kmeans_1d(table.winning_bid, k=2, seed=0)}
+    # each segment's own bids, split as segment_and_optimize splits them
+    _, high = kmeans_1d(table.winning_bid)
+    bids = {"group1_high": table.take(high).bids, "group2_low": table.take(~high).bids}
     for sp in market.segments:
         assert sp.rtb_only
         assert sp.curves is None
@@ -166,7 +209,7 @@ def test_degenerate_bids_fall_back_to_one_group():
                  [0.5] * 80)
     cfg = seg_config()
     with pytest.warns(RuntimeWarning, match="cannot support two clusters"):
-        market = segment_and_optimize(summarize_auctions(log), cfg, seed=0)
+        market = segment_and_optimize(summarize_auctions(log), cfg)
     assert market.fallback
     assert len(market.segments) == 1
     only = market.segments[0]

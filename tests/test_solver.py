@@ -515,6 +515,120 @@ def test_large_steps_take_the_monotone_schedule(monkeypatch):
     assert calls["monotone"] >= 0.9 * (cfg.steps_N + 1), calls
 
 
+def _dense_row_picks(t, n, h_prev, ln_avail, bound):
+    """Each row's best cell over every column and the largest column that
+    reaches it, by the dense oracle's float expression: -inf (and pick 0)
+    where no cell passes its bound."""
+    i, j = np.meshgrid(np.arange(bound.size), np.arange(h_prev.size), indexing="ij")
+    z2 = np.maximum(i - j, 1)
+    price = (ln_avail[j] - t.log_k[z2]) / t.price_scale[n]
+    vals = h_prev[j] + (t.coef * price) * z2
+    ok = (i - j >= 1) & (price <= bound[:, None]) & np.isfinite(h_prev)[j]
+    vals = np.where(ok, vals, -np.inf)[:, ::-1]
+    return vals.max(axis=1), h_prev.size - 1 - vals.argmax(axis=1)
+
+
+def _flat_row(t, n, h_prev, ln_avail, bound, row, rng):
+    """``h_prev`` reshaped so every feasible cell of ``row`` is worth ``coef
+    S pi`` (the most guaranteed revenue the ceiling allows) up to rounding,
+    then the columns around the row's best moved by 1-3 ulps each."""
+    j = np.arange(h_prev.size)
+    z2 = np.maximum(row - j, 1)
+    price = (ln_avail - t.log_k[z2]) / t.price_scale[n]
+    gain = (t.coef * price) * z2
+    feasible = (row - j >= 1) & (price <= bound[row])
+    top = t.coef * t.S * t.cfg.max_value_pi
+    h = np.where(feasible, top - gain, h_prev)
+    vals = np.where(feasible, h + gain, -np.inf)
+    best = int(np.flatnonzero(vals == vals.max())[-1])
+    for col in np.flatnonzero(feasible[max(0, best - 4):best + 5]) + max(0, best - 4):
+        for _ in range(int(rng.integers(1, 4))):
+            h[col] = np.nextafter(h[col], math.inf if rng.random() < 0.5 else -math.inf)
+    return h
+
+
+def _scan_markets():
+    """``(name, tables, step, h_prev)``: step 20 of an S=300 reference market,
+    whose ``h_prev`` is the solve's own, and step 1 of S=300 markets with
+    10^10 advertisers waiting, ``ny cum`` a part in 10^9 either side of
+    2^40. Each also comes with a ceiling of several 10^12: next to prices of
+    a few units, cells worth about ``coef S pi`` lie within a few ulps of
+    each other. No bound falls in ``y``."""
+    for pi in (0.6, 6e12):
+        cfg = dataclasses.replace(_large_market(300, 1200), risk_level_zeta=0.0,
+                                  max_value_pi=pi)
+        t = solver._MarketTables(cfg, TimeGrid.from_config(cfg)).set_demand(
+            BidModel.uniform(0.0, pi / 0.6), None)
+        _, _, H = solve_with_values(solver._solve, t, 0, 0)
+        yield f"reference pi={pi}", t, 20, H[19]
+    for side in (-1, 1):
+        for pi in (0.5, 5e12):
+            cum = 2.0 ** 40 * (1.0 + side * 1e-9) / 301
+            cfg = MarketConfig(supply_S=300, demand_Q=10**10, horizon_T=1.0, steps_N=1,
+                               arrival_rate_lambda=0.0, initial_arrival_mass=cum / 1e10,
+                               price_effect_alpha=40.0, max_value_pi=pi)
+            t = solver._MarketTables(cfg, TimeGrid.from_config(cfg)).set_demand(
+                BidModel.uniform(0.0, 2.0 * pi), None)
+            yield (f"2^40 {'+-'[side < 0]} pi={pi}", t, 1,
+                   0.4 * t.coef * pi * np.arange(301.0))
+
+
+def test_monotone_scan_picks_the_dense_argmax_on_near_ties(monkeypatch):
+    """``_scan_monotone`` called directly gives every row the dense scan's
+    best value and largest best column, and ``_step`` gives the dense
+    transition's, on adversarial predecessor values: a solve's own, exact
+    ties (plateaus of equal values, some dead), and rows made flat at the
+    largest ``|h|`` the ceiling allows with columns a few ulps apart. Steps
+    with ``ny cum`` just under 2^40 take the monotone scan and compute their
+    row floor; just over, ``_step`` falls back to the blocked scan, and the
+    floor returns row 1 early."""
+    rng = np.random.default_rng(40)
+    taken = []
+
+    def spying(name, scan):
+        def wrapped(*args):
+            taken.append(name)
+            return scan(*args)
+        return wrapped
+
+    monkeypatch.setattr(solver, "_scan_blocks", spying("blocks", solver._scan_blocks))
+    monkeypatch.setattr(solver, "_scan_monotone", spying("monotone", solver._scan_monotone))
+    floors, sides = set(), set()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for name, t, n, base in _scan_markets():
+            ny = nz = 301
+            ln_avail = np.log(t.cum[n] - np.arange(nz))
+            bound = t.bound(n, slice(0, ny))
+            assert not np.any(np.diff(bound) < 0), name
+            floor = solver._row_floor(t, n, ln_avail, bound, 0)
+            floors.add(floor)
+            ties = np.repeat(base[::7], 7)[:nz]
+            ties[3::11] = -np.inf
+            cases = {"own": base, "ties": ties}
+            for row in (ny - 1, (ny + floor) // 2, max(floor, 40)):
+                cases[f"flat row {row}"] = _flat_row(t, n, base, ln_avail, bound, row, rng)
+            for case, h_prev in cases.items():
+                best, pick = _dense_row_picks(t, n, h_prev, ln_avail, bound)
+                h_n = np.full(ny, -np.inf)
+                prev_pick = np.zeros(ny, dtype=np.int32)
+                solver._scan_monotone(t, n, h_prev, ln_avail, bound, 0, h_n, prev_pick)
+                live = np.isfinite(best)
+                assert h_n.tobytes() == best.tobytes(), (name, case)
+                assert np.array_equal(prev_pick[live], pick[live]), (name, case)
+
+                taken.clear()
+                _, h_step, back = solver._step(t, n, h_prev, 0, nz - 1)
+                above = ny * t.cum[n] > 2.0 ** 40
+                sides.add(above)
+                assert taken == ["blocks" if above else "monotone"], (name, case)
+                carry = h_prev >= best
+                best = np.where(carry, h_prev, best)
+                pick = np.where(np.isfinite(best), np.where(carry, np.arange(ny), pick), -1)
+                assert h_step.tobytes() == best.tobytes(), (name, case)
+                assert np.array_equal(back, pick), (name, case)
+    assert 1 in floors and max(floors) > 1 and sides == {False, True}
+
+
 def test_oversized_problems_are_refused():
     """More table cells than the budget fail before any table is built,
     per-step terms included, whether supply or the step count is large;
