@@ -6,9 +6,16 @@ and sales, shock the remaining demand by a relative noise term, and repeat.
 Each shock redraws the tail solve's competition levels and price bounds;
 everything else (arrivals, time grid, bid distribution) stays fixed.
 
-Each round is one tail solve: ``_MarketTables.set_demand`` at the round's
-demand and presold count, then the solver's ``_solve`` from its step. A
-round prices only the payment levels it reads (see :mod:`pgrtb.solver`):
+Each round is one tail solve, on tables priced at its demand and presold
+count (``_MarketTables.set_demand``); up to ``_PASS_ROUNDS`` are solved in
+one pass. The rounds after its first assume no sale: they keep its presold
+count, and one joins only if its bound moments equal the first's from that
+row on. Every step's bounds and cell blocks are then the same for all, and
+``_solve_rounds`` builds them once; each round adds its own values, and as
+``h + g`` is the float ``g + h`` its plan is bit for bit its own solve's. A
+pass stops at the first round that sells, discarding the rest.
+
+A round prices only the payment levels it reads (see :mod:`pgrtb.solver`):
 the rows below the first whose mean clears the cap ``pi``, and the terminal
 rows whose total can still be the best. The walk's tables keep the levels
 they priced, and the lowest one seen to clear ``pi``, as bounds for the
@@ -28,16 +35,18 @@ tie-break rules coincide.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .market import MarketConfig, TimeGrid
-from .solver import PricePlan, _MarketTables, _solve
+from .solver import PricePlan, _MarketTables, _small_buffers, _solve_rounds
 
 __all__ = ["UncertaintySpec", "ReplanStep", "replan"]
 
 _NOISE_KINDS = ("gaussian", "rademacher")
+_PASS_ROUNDS = 4  # rounds solved in one pass over the DP's steps
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,7 @@ class ReplanStep:
     forecast_revenue: float
 
 
+@_small_buffers()
 def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
     """Walk the horizon committing one step per tail solve.
 
@@ -117,31 +127,39 @@ def replan(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
     bnds = np.empty(N + 1)
     pg = 0.0
     trace = []
-    tail = None
     tables = _MarketTables(cfg, grid)
-    for n in range(N + 1):
-        demand_before = demand_abs - presold
-        tail = _solve(tables.set_demand(model, demand_abs, presold), n, presold)[0]
-        z_now = int(tail.sales[0])
-        p_now = float(tail.prices[0])
-        prices[n] = p_now
-        sales[n] = z_now
-        bnds[n] = float(tail.bounds[0])
-        if z_now > 0:
-            pg = pg + (tables.coef * p_now) * z_now
-        presold += z_now
-        if n < N:
-            shocked = _update_demand(demand_abs - presold, spec, n, S - presold)
-            demand_abs = presold + shocked
-        trace.append(ReplanStep(
-            step=n,
-            sell_now=z_now,
-            price=p_now,
-            demand_before=demand_before,
-            demand_after=demand_abs - presold,
-            remaining_supply=S - presold,
-            forecast_revenue=float(tail.revenue_total),
-        ))
+    ahead = []  # tables priced for rounds n, n + 1, ... if none of them sells
+    n = 0
+    while n <= N:
+        if not ahead:
+            ahead.append(copy.copy(tables.set_demand(model, demand_abs, presold)))
+        joined = 1  # the first rounds ahead, whose cells are the same
+        while joined == len(ahead) < _PASS_ROUNDS and n + joined <= N:
+            shocked = _update_demand(ahead[-1].D - presold, spec, n + joined - 1, S - presold)
+            ahead.append(copy.copy(tables.set_demand(model, presold + shocked, presold)))
+            rows = slice(presold, None)
+            joined += (np.array_equal(ahead[0].bound_means[rows], ahead[-1].bound_means[rows])
+                       and np.array_equal(ahead[0].bound_stds[rows], ahead[-1].bound_stds[rows]))
+        for tail in _solve_rounds(ahead[:joined], n, presold)[0]:
+            del ahead[0]
+            demand_before = demand_abs - presold
+            z_now = int(tail.sales[0])
+            p_now = float(tail.prices[0])
+            prices[n], sales[n], bnds[n] = p_now, z_now, float(tail.bounds[0])
+            if z_now > 0:
+                pg = pg + (tables.coef * p_now) * z_now
+                ahead.clear()  # priced for a presold count that has passed
+            presold += z_now
+            if ahead:  # the next round's demand, already drawn
+                demand_abs = ahead[0].D
+            elif n < N:
+                demand_abs = presold + _update_demand(demand_abs - presold, spec, n, S - presold)
+            trace.append(ReplanStep(step=n, sell_now=z_now, price=p_now,
+                                    demand_before=demand_before,
+                                    demand_after=demand_abs - presold,
+                                    remaining_supply=S - presold,
+                                    forecast_revenue=float(tail.revenue_total)))
+            n += 1
     realized = PricePlan.from_path(prices, sales, bnds, pg, tail.revenue_rtb,
                                    supply=S, demand=demand_abs)
     return realized, trace

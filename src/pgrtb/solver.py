@@ -15,8 +15,9 @@ bound at ``(n, y)``. Terminal value adds ``(S - y) * payment_mean(xi(y))``.
 Cumulative sales can never exceed cumulative expected arrivals, which caps
 each step's state set and keeps the table O(N * S).
 
-:func:`optimal_plan` solves the full horizon. The replanner's tail solves
-price the same tables with ``_MarketTables.set_demand`` and run ``_solve``.
+:func:`optimal_plan` solves the full horizon. The replanner's rounds price
+copies of the same tables with ``_MarketTables.set_demand``, and
+``_solve_rounds`` runs several of them in one pass over the steps.
 
 A solve prices only the payment levels it reads. Row ``y``'s competition
 level ``xi = (D - y) / (S - y)`` rises with ``y``, and the second price of
@@ -46,7 +47,10 @@ order, so plans are bit-identical to one. Time is O(N * S log S) on large
 steps. A solve stores 4 bytes per state, an int32 backpointer, within
 ``_MAX_TABLE_CELLS``, plus O(S) vectors and O(_BLOCK_CELLS + S) per step:
 a step builds its bound row from the payment moments, and the path's prices
-and bounds are re-derived from its backpointers.
+and bounds are re-derived from its backpointers. numpy buffers a block's
+strided operands, 64 KiB each by default; ``optimal_plan`` and ``replan``
+hold each to ``_BUFSIZE`` elements, 8 KiB. ``R`` rounds keep ``R``
+backpointers per state.
 
 Tie-breaks are deterministic and documented: among equal-revenue terminal
 states the smallest cumulative sale wins; within a step, the smaller
@@ -60,6 +64,7 @@ reconstruction prefers the smallest sell-now at each node.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -84,6 +89,8 @@ _MAX_TABLE_CELLS = 1 << 22
 # Cells (rows x columns) of one transition block; rows per block follow
 # from the previous step's state count.
 _BLOCK_CELLS = 1 << 16
+# numpy's iterator buffer size while pricing and solving: 8 KiB, not 64 KiB.
+_BUFSIZE = 1024
 # A row counts as capped, or as pruned from the terminal choice, only when it
 # clears its priced neighbour by this relative margin: more than the two
 # quadrature errors, each at most _RTOL on a level that does not warn.
@@ -92,6 +99,16 @@ _MARGIN = 3 * _RTOL
 # choice's grid of exact means when many rows survive its first bounds.
 _PROBES = 12
 _STRIDE = 8
+
+
+@contextlib.contextmanager
+def _small_buffers():
+    """numpy's iterator buffers at ``_BUFSIZE`` elements, restored on exit."""
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
 
 
 def competition_level(demand_Q, supply_S, sold):
@@ -272,9 +289,9 @@ class _MarketTables:
         y = np.arange(S)
         xi = np.append((self.D - y) / (S - y), math.inf)
         xi[:presold] = 0.0
-        if model is not self.model:
-            self.model, self._xi_clear = model, math.inf
-            self._known_xi, self._known_mean = np.empty(0), np.empty(0)
+        if model is not self.model:  # the levels known so far, shared by copies
+            self.model = model
+            self._known = {"xi": np.empty(0), "mean": np.empty(0), "clear": math.inf}
         self.xi = xi
         self._priced = np.ones(S + 1, dtype=bool)
         if isinstance(model, BidModel):
@@ -300,20 +317,19 @@ class _MarketTables:
         """The model's means at levels ``xi >= 2``, kept sorted by level as
         bounds for other levels, with the lowest level whose mean clears
         ``pi`` by ``_MARGIN``."""
-        means = self.model.payment_moments(xi)[0]
-        known = np.concatenate((self._known_xi, xi))
-        order = np.argsort(known, kind="stable")
-        self._known_xi = known[order]
-        self._known_mean = np.concatenate((self._known_mean, means))[order]
+        means, known = self.model.payment_moments(xi)[0], self._known
+        levels = np.concatenate((known["xi"], xi))
+        order = np.argsort(levels, kind="stable")
+        known["xi"], known["mean"] = levels[order], np.concatenate((known["mean"], means))[order]
         clear = xi[means * (1.0 - _MARGIN) >= self.cfg.max_value_pi]
-        self._xi_clear = min(self._xi_clear, clear.min(initial=math.inf))
+        known["clear"] = min(known["clear"], clear.min(initial=math.inf))
         return means
 
     def _mean_bounds(self, xi):
         """Means at the nearest known levels at or above and at or below each
         of ``xi >= 2``: inf and 0 (payments are non-negative) where there is
         none."""
-        k, m = self._known_xi, self._known_mean
+        k, m = self._known["xi"], self._known["mean"]
         return (np.append(m, math.inf)[np.searchsorted(k, xi)],
                 np.append(0.0, m)[np.searchsorted(k, xi, side="right")])
 
@@ -332,16 +348,17 @@ class _MarketTables:
         """
         S, xi = self.S, self.xi
         lo = int(np.searchsorted(xi[:S], 2.0))
-        hi = int(np.searchsorted(xi[:S], self._xi_clear))
+        hi = int(np.searchsorted(xi[:S], self._known["clear"]))
         probes = np.arange(lo, min(lo + 1, hi))
         while probes.size:
             self._mean_only(xi[probes])
-            hi = int(np.searchsorted(xi[:S], self._xi_clear))
+            hi = int(np.searchsorted(xi[:S], self._known["clear"]))
             lo = int(probes[probes < hi].max(initial=lo - 1)) + 1  # past those that fail
             probes = np.unique(np.linspace(lo, hi - 1, min(_PROBES, hi - lo)).round().astype(int))
         return hi
 
 
+@_small_buffers()
 def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model):
     """Revenue-maximizing price schedule and allocation over the full horizon.
 
@@ -358,35 +375,60 @@ def optimal_plan(cfg: MarketConfig, grid: TimeGrid, model):
 def _solve(t: _MarketTables, start_step, presold):
     """The DP on tables priced from ``presold`` on, from ``(start_step,
     presold)`` with ``presold <= u[start_step]``, and its plan."""
-    tables = DPTables(start_step=start_step, presold=presold)
-    h_prev = np.array([0.0])
+    plans, tables = _solve_rounds([t], start_step, presold)
+    return plans[0], tables
+
+
+def _solve_rounds(rounds, start_step, presold):
+    """The plans of rounds ``k = 0, 1, ...`` from ``(start_step + k, presold)``
+    on ``rounds[k]``, up to the first that sells in its first step, and its
+    DPTables. Their bound moments agree from row ``presold`` on, so one pass
+    builds each step's bounds, row floor and cells for all rounds in flight;
+    a round's first step and monotone-scan steps run per round."""
+    t, N = rounds[0], len(rounds[0].u) - 1
+    sale_sets, firsts, shared = [], [], []  # backpointers: first steps, then the rest
+    h = None  # the values of the rounds in flight, one row each past the first
     u_prev = presold
-    N = len(t.u) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(start_step, N + 1):
-            y_abs, h_prev, prev_pick = _step(t, n, h_prev, presold, u_prev)
-            tables.sale_sets.append(y_abs)
-            tables.back_prev.append(prev_pick)
+            if h is not None:
+                y_abs, h, picks = _step(t, n, h, presold, u_prev)
+                shared.append(picks)
+            if n - start_step < len(rounds):  # a round starts at this step
+                y_abs, h_first, pick = _step(t, n, np.zeros(1), presold, presold)
+                firsts.append(pick)
+                h = h_first if h is None else np.vstack((h, h_first))
+            sale_sets.append(y_abs)
             u_prev = int(t.u[n])
+        plans = []
+        for k, (r, h_final) in enumerate(zip(rounds, h if len(rounds) > 1 else [h])):
+            tables = DPTables(start_step + k, presold, sale_sets[k:], h_final=h_final)
+            i_star, rtb_star = _terminal(r, sale_sets[-1], h_final)
+            tables.back_prev = [firsts[k]] + [p[k] if p.ndim > 1 else p for p in shared[k:]]
+            plans.append(_plan(r, tables, i_star, rtb_star))
+            if plans[-1].sales[0]:
+                break
+    return plans, tables
 
-        h_final = tables.h_final = h_prev
-        i_star, rtb_star = _terminal(t, tables.sale_sets[-1], h_final)
-        path = np.empty(N - start_step + 2, dtype=int)  # path[i + 1]: after step i
-        path[-1] = tables.sale_sets[-1][i_star]
-        for i in range(N - start_step, -1, -1):
-            path[i] = tables.back_prev[i][path[i + 1] - presold]
-        if path[0] != presold:
-            raise AssertionError("backpointer chain did not return to the start state")
-        n = np.arange(start_step, N + 1)
-        z1, y = path[:-1], path[1:]
-        # the scan's float operations on each step's split; closed steps
-        # display their bound
-        prices = (np.log(t.cum[n] - z1) - t.log_k[y - z1]) / t.price_scale[n]
 
-    plan = PricePlan.from_path(prices, y - z1, t.bound(n, y), h_final[i_star], rtb_star,
+def _plan(t: _MarketTables, tables: DPTables, i_star, rtb_star):
+    """A round's plan from its terminal choice and backpointers."""
+    start_step, presold, h_final = tables.start_step, tables.presold, tables.h_final
+    N = len(t.u) - 1
+    path = np.empty(N - start_step + 2, dtype=int)  # path[i + 1]: after step i
+    path[-1] = tables.sale_sets[-1][i_star]
+    for i in range(N - start_step, -1, -1):
+        path[i] = tables.back_prev[i][path[i + 1] - presold]
+    if path[0] != presold:
+        raise AssertionError("backpointer chain did not return to the start state")
+    n = np.arange(start_step, N + 1)
+    z1, y = path[:-1], path[1:]
+    # the scan's float operations on each step's split; closed steps
+    # display their bound
+    prices = (np.log(t.cum[n] - z1) - t.log_k[y - z1]) / t.price_scale[n]
+    return PricePlan.from_path(prices, y - z1, t.bound(n, y), h_final[i_star], rtb_star,
                                supply=t.S, demand=t.D, start_step=start_step,
                                presold=presold)
-    return plan, tables
 
 
 def _terminal(t: _MarketTables, y_abs, h):
@@ -435,6 +477,7 @@ def _terminal(t: _MarketTables, y_abs, h):
 
 def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     """One DP transition into step ``n``: ``(y_abs, H, back_prev)``.
+    ``h_prev``, and then ``H`` and ``back_prev``, may hold one row per round.
 
     Rows ``i`` are the targets ``y = presold + i``, columns ``j`` the
     predecessors ``z1 = presold + j``. Each row keeps its largest maximising
@@ -471,32 +514,34 @@ def _step(t: _MarketTables, n, h_prev, presold, u_prev):
     bound = t.bound(n, slice(presold, un + 1))
     # rows the scan leaves are worth -inf, so the carry or the dead rule
     # below sets their picks
-    h_n = np.empty(ny)
+    h_n = np.empty(h_prev.shape[:-1] + (ny,))
     h_n.fill(-np.inf)
-    prev_pick = np.empty(ny, dtype=np.int32)
+    prev_pick = np.empty(h_n.shape, dtype=np.int32)
     ln_avail = np.log(t.cum[n] - np.arange(presold, u_prev + 1))
     if ny * nz <= _BLOCK_CELLS or np.any(np.diff(bound) < 0) or ny * t.cum[n] > 2.0 ** 40:
         _scan_blocks(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick)
     else:
-        _scan_monotone(t, n, h_prev, ln_avail, bound, presold, h_n, prev_pick)
+        for h, out, pick in zip(*(a.reshape(-1, a.shape[-1]) for a in (h_prev, h_n, prev_pick))):
+            _scan_monotone(t, n, h, ln_avail, bound, presold, out, pick)
     m = min(ny, nz)
-    carry = h_prev[:m] >= h_n[:m]
-    np.copyto(h_n[:m], h_prev[:m], where=carry)
-    np.copyto(prev_pick[:m], y_abs[:m], where=carry)
+    carry = h_prev[..., :m] >= h_n[..., :m]
+    np.copyto(h_n[..., :m], h_prev[..., :m], where=carry)
+    np.copyto(prev_pick[..., :m], y_abs[:m], where=carry)
     dead = np.isfinite(h_n)
     np.logical_not(dead, out=dead)
     np.copyto(prev_pick, -1, where=dead)
     return y_abs, h_n, prev_pick
 
 
-def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale, out=None):
-    """Values of cells, in the dense scan's float order.
+def _cells(t: _MarketTables, ln_avail, log_z2, z2, bound, scale, out=None):
+    """Sales revenue ``(coef * price) * z2`` of cells, in the dense scan's
+    float order; callers add the predecessor's value (``h + g == g + h``).
 
     The arguments broadcast: ``ln(cum_n - z1)``, ``ln z2`` (nan where nothing
-    is sold), ``z2``, the predecessor's value and the target's bound. A cell
-    that fails ``price <= bound`` is worth -inf, and so is one that leaves a
-    dead state, through its sum with ``h = -inf``. ``out``, when given, is
-    the array the values are computed in (it may be ``ln_avail`` itself).
+    is sold), ``z2`` and the target's bound. A cell that fails ``price <=
+    bound`` is worth -inf, with any ``h``, and so is one that leaves a dead
+    state, through its sum with ``h = -inf``. ``out``, when given, is the
+    array the values are computed in (it may be ``ln_avail`` itself).
     """
     price = np.subtract(ln_avail, log_z2, out=out)
     price /= scale
@@ -504,7 +549,6 @@ def _cells(t: _MarketTables, ln_avail, log_z2, z2, h, bound, scale, out=None):
     np.logical_not(fail, out=fail)
     vals = np.multiply(t.coef, price, out=price)
     vals *= z2
-    vals += h  # h + (coef * price) * z2: addition commutes exactly
     np.copyto(vals, -np.inf, where=fail)
     return vals
 
@@ -514,11 +558,13 @@ def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, pre
     the columns up to its top row's last sale.
 
     Columns run from the largest ``z1`` down, so ``argmax`` (first maximum)
-    keeps the smallest sell-now among equal values.
+    keeps the smallest sell-now among equal values. One row per round: each
+    block's cells are built once, and each round adds its values to them.
     """
-    ny, nz = h_n.size, h_prev.size
+    ny, nz = h_n.shape[-1], h_prev.shape[-1]
+    h_n, prev_pick = h_n.reshape(-1, ny), prev_pick.reshape(-1, ny)
     ln_desc = ln_avail[::-1].copy()
-    h_desc = h_prev[::-1].copy()
+    h_desc = h_prev.reshape(-1, nz)[:, ::-1].copy()
     rows = max(1, _BLOCK_CELLS // nz)
     for lo in range(_row_floor(t, n, ln_avail, bound, presold), ny, rows):
         hi = min(lo + rows, ny)
@@ -528,12 +574,16 @@ def _scan_blocks(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, pre
         cols = slice(nz - 1 - top, nz)
         # view row S + 1 + i - top starts at row i's sell-now for z1 = presold + top
         window = slice(t.S + 1 + lo - top, t.S + 1 + hi - top), slice(0, top + 1)
-        vals = _cells(t, ln_desc[cols], t.log_z2_rows[window], t.z2_rows[window],
-                      h_desc[cols], bound[lo:hi, None], t.price_scale[n])
-        pick = vals.argmax(axis=1)
-        prev_pick[lo:hi] = presold + top - pick
-        pick += np.arange(0, vals.size, top + 1)  # flat index of each row's pick
-        h_n[lo:hi] = vals.take(pick)
+        cells = _cells(t, ln_desc[cols], t.log_z2_rows[window], t.z2_rows[window],
+                       bound[lo:hi, None], t.price_scale[n])
+        flat = np.arange(0, cells.size, top + 1)  # flat index of each row's first cell
+        vals = None  # one block for every round but the last, which adds in place
+        for r, h in enumerate(h_desc):
+            vals = np.add(cells, h[cols], out=cells if r == len(h_desc) - 1 else vals)
+            pick = vals.argmax(axis=1)
+            prev_pick[r, lo:hi] = presold + top - pick
+            pick += flat
+            h_n[r, lo:hi] = vals.take(pick)
 
 
 def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, prev_pick):
@@ -564,7 +614,8 @@ def _scan_monotone(t: _MarketTables, n, h_prev, ln_avail, bound, presold, h_n, p
         cols = np.arange(starts[-1] + width[-1]) + np.repeat(first - starts, width)
         z2 = rows - cols
         vals = ln_avail[cols]
-        _cells(t, vals, t.log_k[z2], z2, h_prev[cols], bound[rows], scale, vals)
+        _cells(t, vals, t.log_k[z2], z2, bound[rows], scale, vals)
+        vals += h_prev[cols]
         best = np.maximum.reduceat(vals, starts)
         rep = np.repeat(best, width)
         near = vals >= rep - tol

@@ -13,6 +13,9 @@ a solve's values step by step, and ``state_prices`` re-derives its prices
 from its backpointers.
 ``optimal_pg_revenue`` re-derives one DP cell by a scalar scan, and
 ``brute_force_optimum`` enumerates every sales path of tiny markets.
+``replan_walk`` is the replan walk with one tail solve per round, each
+priced and run on its own: the reference for ``replan``'s passes, which
+solve several rounds together.
 
 The dense DP and the exhaustive search share the solver's precomputed market
 tables (cumulative arrivals, log tables) and mirror its float expressions
@@ -69,6 +72,7 @@ from pgrtb import solver
 from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import LOG_HEADER, BidLog
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid
+from pgrtb.replan import ReplanStep, UncertaintySpec, _update_demand
 from pgrtb.simulate import _EPOCH, SimOutcome
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
 
@@ -280,6 +284,37 @@ def dense_optimal_plan(cfg: MarketConfig, grid: TimeGrid, model, *,
                                supply=t.S, demand=t.D, start_step=start_step,
                                presold=presold)
     return plan, tables
+
+
+def replan_walk(cfg: MarketConfig, grid: TimeGrid, model, spec: UncertaintySpec):
+    """``replan``'s ``(PricePlan, trace)`` by one tail solve per round: each
+    round prices the tables at its own demand and presold count and solves
+    from its step alone."""
+    N, S = cfg.steps_N, cfg.supply_S
+    presold, demand_abs = 0, cfg.demand_Q
+    prices, sales, bnds = np.empty(N + 1), np.empty(N + 1, dtype=int), np.empty(N + 1)
+    pg = 0.0
+    trace = []
+    tables = _MarketTables(cfg, grid)
+    for n in range(N + 1):
+        demand_before = demand_abs - presold
+        tail = solver._solve(tables.set_demand(model, demand_abs, presold), n, presold)[0]
+        z_now = int(tail.sales[0])
+        p_now = float(tail.prices[0])
+        prices[n], sales[n], bnds[n] = p_now, z_now, float(tail.bounds[0])
+        if z_now > 0:
+            pg = pg + (tables.coef * p_now) * z_now
+        presold += z_now
+        if n < N:
+            demand_abs = presold + _update_demand(demand_abs - presold, spec, n, S - presold)
+        trace.append(ReplanStep(step=n, sell_now=z_now, price=p_now,
+                                demand_before=demand_before,
+                                demand_after=demand_abs - presold,
+                                remaining_supply=S - presold,
+                                forecast_revenue=float(tail.revenue_total)))
+    realized = PricePlan.from_path(prices, sales, bnds, pg, tail.revenue_rtb,
+                                   supply=S, demand=demand_abs)
+    return realized, trace
 
 
 def optimal_pg_revenue(n, y, h_prev, cfg: MarketConfig, grid: TimeGrid, model):

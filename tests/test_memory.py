@@ -21,7 +21,8 @@ import pytest
 
 from pgrtb import BidModel, cli, logs
 from pgrtb.logs import BidLog, read_log_csv, summarize_auctions, write_log_csv
-from pgrtb.market import reference_config
+from pgrtb.market import TimeGrid, reference_config
+from pgrtb.replan import UncertaintySpec, replan
 from pgrtb.simulate import generate_log
 
 MIB = 1024 * 1024
@@ -155,3 +156,20 @@ def test_segment_command_peak_per_log_row(log_path, tmp_path):
     before the summary ranked in place, 73.7."""
     peak = _command_peak(tmp_path, "segment", "--log", str(log_path))
     assert peak < 49 * 19_700, f"segment peaked at {peak / 19_700:.1f} bytes a log row"
+
+
+def test_reference_walk_peak():
+    """The reference walk (lognormal bids, noise seed 7, epsilon 0.1) on a
+    fresh model peaks at 0.284 MiB, as a quadrature call in a terminal choice
+    runs beside a pass's backpointers: four rounds' worth, and numpy's
+    iterator buffers held to 8 KiB each. One solve per round, with 64 KiB
+    buffers, peaked at 0.304 MiB in a DP step."""
+    cfg = reference_config()
+    grid = TimeGrid.from_config(cfg)
+
+    def walk():
+        return replan(cfg, grid, BidModel.lognormal(-0.5, 0.5), UncertaintySpec(0.1, 7))
+
+    walk()
+    _, _, peak = _traced(walk)
+    assert peak < 0.29 * MIB, f"the walk peaked at {peak / MIB:.4f} MiB"

@@ -5,17 +5,22 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pgrtb.auction import BidModel
+from pgrtb.auction import BidModel, RevenueCurves, fit_payment_curves
+from pgrtb.logs import summarize_auctions
 from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.replan import UncertaintySpec, _update_demand, replan
 from pgrtb import solver
+from pgrtb.simulate import generate_log
 from pgrtb.solver import optimal_plan, replay_revenue
 
-from oracles import EagerTables
+from oracles import EagerTables, replan_walk
+
+replan_module = sys.modules["pgrtb.replan"]
 
 
 def mid_config():
@@ -147,8 +152,10 @@ def test_replan_determinism():
 
 
 def test_walk_builds_market_tables_once(monkeypatch):
-    """The demand-independent tables are built once per walk; each round
-    only re-prices them for its demand."""
+    """The demand-independent tables are built once per walk. Every round
+    re-prices them for its demand once, and so does each round a pass
+    prices and then discards: at most ``_PASS_ROUNDS - 1`` of those for
+    each round that sells."""
     cfg = mid_config()
     grid = TimeGrid.from_config(cfg)
     built, priced = [], []
@@ -156,10 +163,18 @@ def test_walk_builds_market_tables_once(monkeypatch):
     monkeypatch.setattr(solver._MarketTables, "__init__",
                         lambda self, *a: (built.append(1), init(self, *a))[1])
     monkeypatch.setattr(solver._MarketTables, "set_demand",
-                        lambda self, *a: (priced.append(1), set_demand(self, *a))[1])
-    replan(cfg, grid, BidModel.uniform(0.0, 1.0), UncertaintySpec(epsilon=0.1))
+                        lambda self, *a: (priced.append(a[1:]), set_demand(self, *a))[1])
+    _, trace = replan(cfg, grid, BidModel.uniform(0.0, 1.0), UncertaintySpec(epsilon=0.1))
     assert len(built) == 1
-    assert len(priced) == cfg.steps_N + 1
+    committed = []
+    for row in trace:  # (demand, presold) of each committed round
+        presold = cfg.supply_S - row.remaining_supply - row.sell_now
+        committed.append((row.demand_before + presold, presold))
+    discarded = Counter(priced) - Counter(committed)
+    assert not Counter(committed) - Counter(priced)
+    assert len(priced) == len(committed) + discarded.total()
+    sellers = sum(row.sell_now > 0 for row in trace)
+    assert sellers and discarded.total() <= (replan_module._PASS_ROUNDS - 1) * sellers
 
 
 # SHA-256 of each walk's plan ``to_dict()`` JSON and of its trace (sorted
@@ -244,3 +259,75 @@ def test_reference_walk_prices_few_payment_levels():
     model = BidModel.lognormal(-0.5, 0.5)
     replan(cfg, TimeGrid.from_config(cfg), model, UncertaintySpec(0.1, 7, "gaussian"))
     assert len(model._moments) <= 1100
+
+
+def fitted_curves():
+    """Revenue curves fitted to a small generated log of uniform bids."""
+    log, _ = generate_log(BidModel.uniform(0.0, 1.0), hours=40, auctions_per_hour=30,
+                          bidders_per_hour=[2, 3, 4, 5, 6, 7, 8], seed=5)
+    return RevenueCurves(*fit_payment_curves(summarize_auctions(log)))
+
+
+PASS_MODELS = dict(WALK_LAWS, fitted=fitted_curves)
+
+
+def _walks(monkeypatch, cfg, make_model, spec):
+    """``replan`` and the one-solve-per-round oracle walk on fresh models,
+    the JSON bytes of each plan and trace, and what the passes did: the
+    rounds each pass solved against the plans it kept, and whether any
+    blocked step scanned for more than one round."""
+    passes, shared = [], []
+    solve_rounds, scan_blocks = solver._solve_rounds, solver._scan_blocks
+
+    def solving(rounds, *args):
+        out = solve_rounds(rounds, *args)
+        passes.append((len(rounds), len(out[0])))
+        return out
+
+    def scanning(t, n, h_prev, *args):
+        shared.append(h_prev.ndim > 1)
+        return scan_blocks(t, n, h_prev, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(replan_module, "_solve_rounds", solving)
+        mp.setattr(solver, "_scan_blocks", scanning)
+        walks = [replan(cfg, TimeGrid.from_config(cfg), make_model(), spec)]
+    walks.append(replan_walk(cfg, TimeGrid.from_config(cfg), make_model(), spec))
+    docs = [(json.dumps(plan.to_dict()), json.dumps([dataclasses.asdict(s) for s in trace]))
+            for plan, trace in walks]
+    return docs, passes, any(shared)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("law", sorted(PASS_MODELS))
+def test_passes_match_one_solve_per_round(monkeypatch, law, epsilon, kind):
+    """Solving rounds in passes commits the plan and trace bytes of a walk
+    that prices and solves every round on its own; on lognormal bids some
+    cell blocks are shared by several rounds."""
+    docs, passes, shared = _walks(monkeypatch, reference_config(), PASS_MODELS[law],
+                                  UncertaintySpec(epsilon, 13, kind))
+    assert docs[0] == docs[1]
+    assert sum(kept for _, kept in passes) == reference_config().steps_N + 1
+    if law == "lognormal":
+        assert shared
+
+
+def test_passes_discard_rounds_after_a_sale(monkeypatch):
+    """A walk whose passes hold rounds after one that sells discards them
+    and still commits the oracle walk's bytes."""
+    docs, passes, shared = _walks(monkeypatch, mid_config(), WALK_LAWS["lognormal"],
+                                  UncertaintySpec(0.1, 3))
+    assert docs[0] == docs[1]
+    assert shared and any(kept < solved for solved, kept in passes)
+
+
+def test_passes_hold_one_round_when_bounds_differ(monkeypatch):
+    """With a ceiling far above every payment mean no bound is capped, so
+    each round's bound moments follow its own demand: every pass holds one
+    round, and the walk still commits the oracle walk's bytes."""
+    cfg = dataclasses.replace(reference_config(), max_value_pi=50.0)
+    docs, passes, shared = _walks(monkeypatch, cfg, WALK_LAWS["lognormal"],
+                                  UncertaintySpec(0.1, 13))
+    assert docs[0] == docs[1]
+    assert not shared and all(solved == 1 for solved, _ in passes)

@@ -629,6 +629,36 @@ def test_monotone_scan_picks_the_dense_argmax_on_near_ties(monkeypatch):
     assert 1 in floors and max(floors) > 1 and sides == {False, True}
 
 
+def test_solves_restore_the_callers_buffer_size(monkeypatch):
+    """A solve and a walk run with numpy's iterator buffers at
+    ``_BUFSIZE`` elements and hand back the caller's size, also when the
+    DP raises part-way."""
+    cfg = reference_config()
+    grid = TimeGrid.from_config(cfg)
+    model = BidModel.lognormal(-0.5, 0.5)
+    seen, step = [], solver._step
+
+    def failing(*args):
+        seen.append(np.getbufsize())
+        if len(seen) == 3:
+            raise RuntimeError("step 2 failed")
+        return step(*args)
+
+    old = np.setbufsize(4096)
+    try:
+        optimal_plan(cfg, grid, model)
+        assert np.getbufsize() == 4096
+        replan(cfg, grid, model, UncertaintySpec(0.1, 7))
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(solver, "_step", failing)
+        with pytest.raises(RuntimeError, match="step 2 failed"):
+            optimal_plan(cfg, grid, model)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+    assert seen == [solver._BUFSIZE] * 3
+
+
 def test_oversized_problems_are_refused():
     """More table cells than the budget fail before any table is built,
     per-step terms included, whether supply or the step count is large;
