@@ -28,7 +28,7 @@ def main():
           f"(rmse {std_curve.rmse:.4f})")
     print(f"{'xi':>4} {'true payment':>13} {'fitted':>8} {'error':>8}")
     for xi in range(2, 9):
-        true_phi = true_model.payment_mean(float(xi))
+        true_phi = float(true_model.payment_moments(xi)[0])
         fit_phi = float(mean_curve(float(xi)))
         print(f"{xi:>4} {true_phi:>13.4f} {fit_phi:>8.4f} "
               f"{fit_phi - true_phi:>+8.4f}")

@@ -42,7 +42,7 @@ def main():
               f"{plan.bounds[n]:>8.3f} {int(plan.sales[n]):>5} {cum:>4}{marker}")
 
     xi0 = competition_level(cfg.demand_Q, cfg.supply_S, 0)
-    auction_only = cfg.supply_S * model.payment_mean(xi0)
+    auction_only = cfg.supply_S * float(model.payment_moments(xi0)[0])
     print(f"\nforward-sold share     {plan.gamma:.2f}")
     print(f"contract revenue       {plan.revenue_pg:.3f}")
     print(f"auction revenue        {plan.revenue_rtb:.3f}")

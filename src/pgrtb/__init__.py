@@ -15,7 +15,6 @@ from .auction import (
     estimate_max_value,
     fit_payment_curves,
     lowess,
-    mc_second_price,
     reference_bid_model,
 )
 from .logs import (
@@ -39,7 +38,6 @@ from .segmentation import (
     segment_and_optimize,
 )
 from .simulate import (
-    SimOutcome,
     evaluate_plan,
     generate_log,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "RevenueCurves",
     "SegmentPlan",
     "SegmentedMarket",
-    "SimOutcome",
     "StepTerms",
     "TimeGrid",
     "UncertaintySpec",
@@ -76,7 +73,6 @@ __all__ = [
     "generate_log",
     "kmeans_1d",
     "lowess",
-    "mc_second_price",
     "optimal_plan",
     "read_log_csv",
     "reference_bid_model",

@@ -8,7 +8,6 @@ payment is the second-highest draw. This module provides
 * the mean and spread of the second-highest of ``xi`` draws, by one fixed
   quadrature rule (``xi`` may be any real >= 2, matching average bidder
   counts),
-* a Monte Carlo estimator of the same quantities, used as an oracle,
 * lowess / polynomial curve fitting of payment-vs-competition points
   aggregated from auction logs, and the ceiling estimate for posted prices.
 
@@ -37,7 +36,6 @@ __all__ = [
     "BidModel",
     "FittedCurve",
     "RevenueCurves",
-    "mc_second_price",
     "lowess",
     "fit_polynomial",
     "fit_payment_curves",
@@ -361,12 +359,6 @@ class BidModel:
 
     # -- payment moments ---------------------------------------------------
 
-    def payment_mean(self, xi, reserve=0.0):
-        return float(self.payment_moments(xi, reserve)[0])
-
-    def payment_std(self, xi):
-        return float(self.payment_moments(xi)[1])
-
     def payment_moments(self, xis, reserve=0.0):
         """Mean and spread of the second-price payment at each level of ``xis``.
 
@@ -403,7 +395,7 @@ class BidModel:
     @classmethod
     def from_dict(cls, d):
         """The model of :meth:`to_dict`'s dict; an empirical one may instead hold its
-        sample as ``bids``, as model files written by earlier versions do."""
+        sample as ``bids``, as a config's ``bid_model`` section does."""
         kind = d.get("kind")
         if kind == "uniform":
             return cls.uniform(d["low"], d["high"])
@@ -437,38 +429,12 @@ def _histogram(bids):
     return edges, counts
 
 
-def mc_second_price(xi, bid_model, trials, seed):
-    """Monte Carlo estimate of the second-price payment moments.
-
-    Simulates ``trials`` auctions of ``ceil(xi)`` i.i.d. bids each and
-    returns ``(mean, std, std_error)`` of the second-highest bid, where
-    ``std_error`` is the standard error of the mean. Deterministic per seed.
-    """
-    if xi < 2:
-        raise ValueError("need at least two bidders for a second price")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError("trials must be a positive integer")
-    m = int(math.ceil(xi))
-    rng = np.random.default_rng(seed)
-    chunk = max(1, int(5_000_000 // m))
-    payments = np.empty(trials)
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        draws = bid_model.sample_bids(rng, (k, m))
-        payments[done:done + k] = np.partition(draws, m - 2, axis=1)[:, m - 2]
-        done += k
-    mean = float(payments.mean())
-    std = float(payments.std(ddof=0))
-    return mean, std, std / math.sqrt(trials)
-
-
 # ---------------------------------------------------------------------------
 # Curve fitting of payment-vs-competition points
 # ---------------------------------------------------------------------------
 
 
-_CURVE_ARRAYS = ("knot_x", "knot_y", "coeffs")
+_CURVE_ARRAYS = {"lowess": ("knot_x", "knot_y"), "polynomial": ("coeffs",)}  # what each reads
 
 
 @dataclass
@@ -476,11 +442,10 @@ class FittedCurve:
     """One fitted payment curve, evaluable at any competition level.
 
     ``method`` is ``lowess`` (piecewise-linear interpolation through
-    smoothed knots) or ``polynomial`` (ascending coefficients). ``sigmoid``
-    (``base + span / (1 + exp(-rate * (x - mid)))``) is no longer fitted, but
-    curves of that method in files written by earlier versions still load and
-    evaluate. Evaluation clamps the input to the training range, so
-    extrapolation holds the boundary value.
+    smoothed knots) or ``polynomial`` (ascending coefficients), each with its
+    non-empty arrays; another, such as earlier files' ``sigmoid``, is refused.
+    Evaluation clamps the input to the training range, so extrapolation holds
+    the boundary value.
     """
 
     method: str
@@ -490,33 +455,31 @@ class FittedCurve:
     coeffs: np.ndarray | None = None
     rmse: float = math.nan
 
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        xv = np.clip(arr, self.x_range[0], self.x_range[1])
-        if self.method == "lowess":
-            out = np.interp(xv, self.knot_x, self.knot_y)
-        elif self.method == "polynomial":
-            out = npp.polyval(xv, self.coeffs)
-        elif self.method == "sigmoid":
-            base, span, rate, mid = self.coeffs
-            out = base + span / (1.0 + np.exp(-rate * (xv - mid)))
-        else:
+    def __post_init__(self):
+        keys = _CURVE_ARRAYS.get(self.method)
+        if keys is None:
             raise ValueError(f"unknown curve method: {self.method!r}")
-        return float(out) if scalar else out
+        sizes = {np.size(a) if np.ndim(a) == 1 else 0 for a in (getattr(self, k) for k in keys)}
+        if len(sizes) > 1 or 0 in sizes:
+            raise ValueError(f"a {self.method} curve needs {'/'.join(keys)} of one non-zero length")
+
+    def __call__(self, x):
+        xv = np.clip(np.asarray(x, dtype=float), self.x_range[0], self.x_range[1])
+        if self.method == "lowess":
+            return np.interp(xv, self.knot_x, self.knot_y)
+        return npp.polyval(xv, self.coeffs)
 
     def to_dict(self):
         d = {"method": self.method,
              "x_range": [float(self.x_range[0]), float(self.x_range[1])],
              "rmse": float(self.rmse)}
-        for key in _CURVE_ARRAYS:
-            if getattr(self, key) is not None:
-                d[key] = [float(v) for v in getattr(self, key)]
+        for key in _CURVE_ARRAYS[self.method]:
+            d[key] = [float(v) for v in getattr(self, key)]
         return d
 
     @classmethod
     def from_dict(cls, d):
-        arrays = {key: np.asarray(d[key], dtype=float) for key in _CURVE_ARRAYS if key in d}
+        arrays = {k: np.asarray(d[k], float) for k in _CURVE_ARRAYS.get(d["method"], ()) if k in d}
         return cls(method=d["method"], x_range=(d["x_range"][0], d["x_range"][1]),
                    rmse=d.get("rmse", math.nan), **arrays)
 
@@ -670,24 +633,16 @@ def estimate_max_value(table):
 class RevenueCurves:
     """Fitted stand-in for a bid model inside the optimizer.
 
-    Exposes the same ``payment_mean`` / ``payment_std`` surface as
-    :class:`BidModel`, but evaluates fitted curves instead of integrating a
-    distribution. The scalar calls read ``payment_moments``, which applies
-    the reserve below two expected bidders and clips the spread at 0.
+    Answers :class:`BidModel`'s ``payment_moments`` contract, but evaluates
+    fitted curves instead of integrating a distribution: the reserve below
+    two expected bidders, and the spread clipped at 0.
     """
 
     mean_curve: FittedCurve
     std_curve: FittedCurve
 
-    def payment_mean(self, xi, reserve=0.0):
-        return float(self.payment_moments(xi, reserve)[0])
-
-    def payment_std(self, xi):
-        return float(self.payment_moments(xi)[1])
-
     def payment_moments(self, xis, reserve=0.0):
-        """The curves at ``xis``, with :meth:`BidModel.payment_moments`'
-        reserve below two bidders."""
+        """The curves at ``xis``, and the reserve below two bidders."""
         xis = np.asarray(xis, dtype=float)
         thin = xis < 2.0
         means = np.where(thin, float(reserve), self.mean_curve(xis))

@@ -275,13 +275,19 @@ def cmd_optimize(rc: RunConfig, args):
     return 0
 
 
+def _simulated_law(payload):
+    """A model file's bid law, or None; the curves it holds must load too."""
+    if {"payment_mean_curve", "payment_std_curve"} & set(payload):
+        RevenueCurves.from_dict(payload)
+    return BidModel.from_dict(payload["bid_model"]) if "bid_model" in payload else None
+
+
 def cmd_simulate(rc: RunConfig, args):
     cfg = rc.require_market()
     plan = _load_json(args.plan, "plan",
                       lambda payload: PricePlan.from_dict(payload.get("plan", payload)))
     if getattr(args, "model", None):
-        bid_model = _load_json(args.model, "model", lambda payload: (
-            BidModel.from_dict(payload["bid_model"]) if "bid_model" in payload else None))
+        bid_model = _load_json(args.model, "model", _simulated_law)
         if bid_model is None:
             raise UsageError(f"model {args.model} carries no bid model")
     elif rc.bid_model is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -27,27 +26,12 @@ from .market import MarketConfig, StepTerms, TimeGrid
 from .solver import PricePlan
 
 __all__ = [
-    "SimOutcome",
     "evaluate_plan",
     "generate_log",
 ]
 
 _EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 _BLOCK = 32  # markets per block: a reference-market block holds ~11k bids, 0.1 MiB an array
-
-
-@dataclass
-class SimOutcome:
-    """One market realization: sales path, net revenues, delivery rate."""
-
-    pg_sold: np.ndarray
-    pg_revenue: float
-    rtb_revenue: float
-    delivered_fraction: float
-
-    @property
-    def total_revenue(self) -> float:
-        return self.pg_revenue + self.rtb_revenue
 
 
 def _auctions(supply, demand, bid_model, rng, reserve):
@@ -117,11 +101,14 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
     Markets are drawn in blocks of ``_BLOCK`` (see :func:`_block`): block
     ``b`` holds markets ``b * _BLOCK`` onwards and draws from child ``b`` of
     ``seed`` (as a fresh ``spawn`` makes it; a ``SeedSequence`` passed in is
-    not advanced), and it always draws all its markets. So
-    market ``k``'s outcome depends on the seed and ``k`` alone, and the
-    outcomes of ``n_runs`` markets are the first ``n_runs`` of those of any
-    larger count. Only a full-horizon plan can be simulated, and a step it
-    leaves open must post a non-negative price.
+    not advanced), and it always draws all its markets. So market ``k``'s
+    outcome depends on the seed and ``k`` alone, and the outcomes of
+    ``n_runs`` markets are the first ``n_runs`` of those of any larger count.
+    Only a full-horizon plan can be simulated, and a step it leaves open must
+    post a non-negative price. Returns ``(summary, markets)``, ``markets`` a
+    structured array of each market's sales per step ``pg_sold`` (N + 1 ints),
+    net contract revenue ``pg_revenue``, auction revenue ``rtb_revenue`` and
+    ``delivered_fraction`` (1 if it sold none).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -137,7 +124,10 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
     sold, pg, rtb, delivered = (np.concatenate(parts)[:n_runs] for parts in zip(*blocks))
     total_sold = sold.sum(axis=1)
     fraction = np.divide(delivered, total_sold, out=np.ones(n_runs), where=total_sold > 0)
-    outcomes = [SimOutcome(*o) for o in zip(sold, pg.tolist(), rtb.tolist(), fraction.tolist())]
+    markets = np.empty(n_runs, [("pg_sold", sold.dtype, sold.shape[1]), ("pg_revenue", float),
+                                ("rtb_revenue", float), ("delivered_fraction", float)])
+    for name, column in zip(markets.dtype.names, (sold, pg, rtb, fraction)):
+        markets[name] = column
 
     totals = pg + rtb
     qlevels = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -157,7 +147,7 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
         "se_sold_per_step": [float(v) for v in
                              sold.std(axis=0, ddof=0) / math.sqrt(n_runs)],
     }
-    return summary, outcomes
+    return summary, markets
 
 
 def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,

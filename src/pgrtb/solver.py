@@ -11,7 +11,7 @@ program over states ``(step, cumulative sold)``:
     H[n][y] = max over y = z1 + z2 of  H[n-1][z1] + (1 - omega*varpi) * p * z2
 
 with the split infeasible whenever its implied price exceeds the censored
-bound at ``(n, y)``. Terminal value adds ``(S - y) * payment_mean(xi(y))``.
+bound at ``(n, y)``. Terminal value adds ``(S - y) * mean_payment(xi(y))``.
 Cumulative sales can never exceed cumulative expected arrivals, which caps
 each step's state set and keeps the table O(N * S).
 
@@ -675,5 +675,5 @@ def replay_revenue(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, model, *,
         rtb = 0.0
     else:
         xi = (D - y) / (S - y)
-        rtb = (S - y) * model.payment_mean(xi, reserve=cfg.reserve_price_r0)
+        rtb = (S - y) * float(model.payment_moments(xi, cfg.reserve_price_r0)[0])
     return pg, rtb, pg + rtb

@@ -31,11 +31,13 @@ solve reads; ``all_means`` completes a lazy table's means and
 ``backlog_demand`` folds the expected waiting pool step by step from posted
 prices, the reference for the pool the DP prices against.
 ``scalar_payment_moments`` is one payment level's mean and spread by cases,
-the reference for ``BidModel.payment_moments``. ``pdf`` and ``cdf`` are a
-bid model's density and distribution function in value space (closed forms,
-and the histogram of the smoothed empirical law), which the quadrature tests
-integrate as the untransformed order-statistic integral; the package itself
-works in quantile space and needs neither. ``loop_auctions`` is the
+the reference for ``BidModel.payment_moments``, and ``mc_second_price``
+estimates the same moments by Monte Carlo. ``moments_at`` reads one level's
+mean and spread off a model's ``payment_moments`` as two floats. ``pdf``
+and ``cdf`` are a bid model's density and distribution function in value
+space (closed forms, and the histogram of the smoothed empirical law), which
+the quadrature tests integrate as the untransformed order-statistic
+integral; the package itself works in quantile space and needs neither. ``loop_auctions`` is the
 delivery-day auctions run impression by impression, the reference for the
 simulator's grouped ``_auctions``, and can also return the auctions as bid
 logs; ``loop_simulate_rtb`` is one market's. ``arrivals``, ``purchases``
@@ -73,7 +75,7 @@ from pgrtb.auction import FittedCurve, _as_xy, _payment_points_batch
 from pgrtb.logs import LOG_HEADER, BidLog
 from pgrtb.market import MarketConfig, StepTerms, TimeGrid
 from pgrtb.replan import ReplanStep, UncertaintySpec, _update_demand
-from pgrtb.simulate import _EPOCH, SimOutcome
+from pgrtb.simulate import _EPOCH
 from pgrtb.solver import DPTables, PricePlan, _MarketTables
 
 
@@ -113,14 +115,18 @@ def risk_preference(n, cfg: MarketConfig, grid: TimeGrid) -> float:
     return cfg.risk_level_zeta * math.exp(-cfg.risk_decay_v * grid.points[n])
 
 
+def moments_at(model, xi, reserve=0.0):
+    """``(mean, spread)`` of the payment at the one level ``xi``, as floats."""
+    return tuple(float(m) for m in model.payment_moments(xi, reserve))
+
+
 def censored_bound(n, xi, cfg: MarketConfig, grid: TimeGrid, model) -> float:
     """Price ceiling at step ``n`` and level ``xi``: the reserve at or below
-    one bidder, else ``min(payment_mean + risk * payment_std, max_value_pi)``."""
+    one bidder, else ``min(mean + risk * spread, max_value_pi)`` of the payment."""
     _check_step(n, grid.n_steps)
     if xi <= 1.0:
         return cfg.reserve_price_r0
-    mean = model.payment_mean(xi, reserve=cfg.reserve_price_r0)
-    spread = model.payment_std(xi)
+    mean, spread = moments_at(model, xi, cfg.reserve_price_r0)
     return min(mean + risk_preference(n, cfg, grid) * spread, cfg.max_value_pi)
 
 
@@ -586,7 +592,8 @@ def purchases(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, seed):
 
 def market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model, seed):
     """One full market realization against a plan, from its own streams: the
-    independent replay of ``pgrtb.simulate.evaluate_plan``'s markets.
+    independent replay of ``pgrtb.simulate.evaluate_plan``'s markets, as a
+    dict holding the fields of one of its entries.
 
     Purchases first; then each sold contract independently fails to deliver
     with probability omega, costing ``varpi * price`` and releasing the
@@ -603,12 +610,34 @@ def market_once(plan: PricePlan, cfg: MarketConfig, terms: StepTerms, bid_model,
         cfg.supply_S - delivered, cfg.demand_Q - delivered, bid_model, rtb_seed,
         reserve=cfg.reserve_price_r0)
     total_sold = int(sold.sum())
-    return SimOutcome(
-        pg_sold=sold,
-        pg_revenue=gross - penalty,
-        rtb_revenue=rtb_revenue,
-        delivered_fraction=delivered / total_sold if total_sold else 1.0,
-    )
+    return {"pg_sold": sold, "pg_revenue": gross - penalty, "rtb_revenue": rtb_revenue,
+            "delivered_fraction": delivered / total_sold if total_sold else 1.0}
+
+
+def mc_second_price(xi, bid_model, trials, seed):
+    """Monte Carlo estimate of the second-price payment moments.
+
+    Simulates ``trials`` auctions of ``ceil(xi)`` i.i.d. bids each and
+    returns ``(mean, std, std_error)`` of the second-highest bid, where
+    ``std_error`` is the standard error of the mean. Deterministic per seed.
+    """
+    if xi < 2:
+        raise ValueError("need at least two bidders for a second price")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError("trials must be a positive integer")
+    m = int(math.ceil(xi))
+    rng = np.random.default_rng(seed)
+    chunk = max(1, int(5_000_000 // m))
+    payments = np.empty(trials)
+    done = 0
+    while done < trials:
+        k = min(chunk, trials - done)
+        draws = bid_model.sample_bids(rng, (k, m))
+        payments[done:done + k] = np.partition(draws, m - 2, axis=1)[:, m - 2]
+        done += k
+    mean = float(payments.mean())
+    std = float(payments.std(ddof=0))
+    return mean, std, std / math.sqrt(trials)
 
 
 def max_value_by_take(table):

@@ -29,7 +29,6 @@ from pgrtb.auction import (
     BidModel,
     RevenueCurves,
     fit_payment_curves,
-    mc_second_price,
     reference_bid_model,
 )
 from pgrtb.logs import BidLog, summarize_auctions
@@ -39,7 +38,8 @@ from pgrtb.segmentation import segment_and_optimize
 from pgrtb.simulate import evaluate_plan, generate_log
 from pgrtb.solver import competition_level, optimal_plan, replay_revenue
 
-from oracles import brute_force_optimum, censored_bound, dense_optimal_plan
+from oracles import (brute_force_optimum, censored_bound, dense_optimal_plan, mc_second_price,
+                     moments_at)
 
 REPORT_LINES = []
 
@@ -126,8 +126,7 @@ def dominance_instances():
         grid = TimeGrid.from_config(cfg)
         plan, _ = optimal_plan(cfg, grid, model)
         xi0 = competition_level(cfg.demand_Q, cfg.supply_S, 0)
-        auction_only = cfg.supply_S * model.payment_mean(
-            xi0, reserve=cfg.reserve_price_r0)
+        auction_only = cfg.supply_S * moments_at(model, xi0, reserve=cfg.reserve_price_r0)[0]
         rows.append((cfg, grid, model, plan, auction_only))
     return rows
 
@@ -135,7 +134,7 @@ def dominance_instances():
 def test_criterion_01_uniform_closed_form():
     t0 = perf_counter()
     model = BidModel.uniform(0.0, 1.0)
-    worst = max(abs(model.payment_mean(float(xi)) - (xi - 1.0) / (xi + 1.0))
+    worst = max(abs(moments_at(model, float(xi))[0] - (xi - 1.0) / (xi + 1.0))
                 for xi in range(2, 11))
     dt = perf_counter() - t0
     report(1, worst <= 1e-6 and dt < 1.0,
@@ -155,8 +154,7 @@ def test_criterion_02_quadrature_vs_monte_carlo():
     seed = 60000
     for name, model in models.items():
         for xi in range(2, 9):
-            phi = model.payment_mean(float(xi))
-            psi = model.payment_std(float(xi))
+            phi, psi = moments_at(model, float(xi))
             mean, _, se = mc_second_price(float(xi), model, 10**6, seed)
             worst_mean_z = max(worst_mean_z, abs(mean - phi) / se)
             seed += 1
@@ -411,8 +409,8 @@ def test_criterion_11_two_population_segmentation():
                 and [sp.label for sp in market.segments]
                 == ["group1_high", "group2_low"])
     hi, lo = market.segments
-    min_margin = min(hi.curves.payment_mean(float(xi))
-                     - lo.curves.payment_mean(float(xi))
+    min_margin = min(moments_at(hi.curves, float(xi))[0]
+                     - moments_at(lo.curves, float(xi))[0]
                      for xi in cycle)
     dominance_ok = min_margin > 0.0
     sub_ok = True
@@ -423,8 +421,7 @@ def test_criterion_11_two_population_segmentation():
             max_value_pi=sp.max_value)
         sub_grid = TimeGrid.from_config(sub_cfg)
         xi0 = competition_level(sp.demand, sp.supply, 0)
-        auction_only = sp.supply * sp.curves.payment_mean(
-            xi0, reserve=sub_cfg.reserve_price_r0)
+        auction_only = sp.supply * moments_at(sp.curves, xi0, reserve=sub_cfg.reserve_price_r0)[0]
         prices = np.asarray(sp.plan.prices)
         bounds = np.asarray(sp.plan.bounds)
         sub_ok &= sp.plan.revenue_total >= auction_only

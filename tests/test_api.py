@@ -3,8 +3,9 @@ README's library section use, and no name that only the tests call.
 
 ``pgrtb.__all__`` is pinned to the audited set, every module's ``__all__``
 must resolve, and so must every name the benchmark harness in ``perfbench/``
-traces or imports. The harness files are only read here, so a rename that
-would break the benchmark fails the default test run instead.
+traces or imports; each of its counters must read a real call's arguments
+and result. The harness files are only read here, so a change that would
+break the benchmark fails the default test run instead.
 """
 
 import ast
@@ -16,7 +17,10 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 import pgrtb
 from pgrtb import cli
@@ -27,9 +31,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PUBLIC = {
     "AuctionTable", "BidLog", "BidModel", "DPTables", "FittedCurve", "MarketConfig",
     "PricePlan", "ReplanStep", "RevenueCurves", "SegmentPlan", "SegmentedMarket",
-    "SimOutcome", "StepTerms", "TimeGrid", "UncertaintySpec",
+    "StepTerms", "TimeGrid", "UncertaintySpec",
     "competition_level", "estimate_max_value", "evaluate_plan", "fit_payment_curves",
-    "generate_log", "kmeans_1d", "lowess", "mc_second_price", "optimal_plan",
+    "generate_log", "kmeans_1d", "lowess", "optimal_plan",
     "read_log_csv", "reference_bid_model", "reference_config", "replan",
     "replay_revenue", "segment_and_optimize", "summarize_auctions", "write_log_csv",
 }
@@ -46,7 +50,7 @@ def _dotted(node):
 
 
 def test_package_surface_is_the_audited_set():
-    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 32
+    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 30
     assert set(pgrtb.__all__) == PUBLIC
 
 
@@ -104,18 +108,59 @@ def test_every_module_all_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_benchmark_traced_names_resolve():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def _traced(module_name, owner, attr):
+    holder = importlib.import_module(module_name)
+    return getattr(holder if owner is None else getattr(holder, owner), attr, None)
+
+
+def test_benchmark_traced_names_resolve():
+    spans = _spans()
     assert spans._TARGETS
     for module_name, owner, attr, *_ in spans._TARGETS:
-        holder = importlib.import_module(module_name)
-        if owner is not None:
-            holder = getattr(holder, owner)
-        assert callable(getattr(holder, attr, None)), (module_name, owner, attr)
+        assert callable(_traced(module_name, owner, attr)), (module_name, owner, attr)
     # the plan counter sums the sizes of the DP's per-step state sets
     assert "sale_sets" in {f.name for f in dataclasses.fields(DPTables)}
+
+
+def test_benchmark_counters_read_real_calls(tmp_path):
+    """Each counter the harness records beside a span runs on a small real
+    call's arguments and result, passed the way the CLI passes them, and
+    the simulation counts one market per run."""
+    cfg = pgrtb.MarketConfig(supply_S=20, demand_Q=80, horizon_T=6.0, steps_N=6,
+                             arrival_rate_lambda=4.0, max_value_pi=0.6)
+    grid = pgrtb.TimeGrid.from_config(cfg)
+    model = pgrtb.BidModel.uniform(0.0, 1.0)
+    plan, _ = pgrtb.optimal_plan(cfg, grid, model)
+    log, _ = pgrtb.generate_log(model, hours=6, auctions_per_hour=4,
+                                bidders_per_hour=[2, 3, 4], seed=1)
+    curves = pgrtb.RevenueCurves(*pgrtb.fit_payment_curves(pgrtb.summarize_auctions(log)))
+    levels = np.array([1.5, 2.0, 3.5])
+    calls = {  # a small real call's positional arguments per traced function
+        ("pgrtb.solver", None, "optimal_plan"): (cfg, grid, model),
+        ("pgrtb.auction", "BidModel", "payment_moments"): (model, levels),
+        ("pgrtb.auction", "RevenueCurves", "payment_moments"): (curves, levels),
+        ("pgrtb.auction", None, "lowess"): (np.column_stack([levels, levels / 4]),),
+        ("pgrtb.logs", None, "write_log_csv"): (log, tmp_path / "log.csv"),
+        ("pgrtb.simulate", None, "evaluate_plan"): (plan, cfg, grid, model, 5, 3),
+        ("pgrtb.replan", None, "replan"): (cfg, grid, model, pgrtb.UncertaintySpec(0.1, 7)),
+    }
+    counted = [target for target in _spans()._TARGETS if target[4] is not None]
+    assert {tuple(target[:3]) for target in counted} == set(calls)
+    counts = defaultdict(float)
+    for module_name, owner, attr, _, count in counted:
+        args = calls[module_name, owner, attr]
+        count(counts, args, {}, _traced(module_name, owner, attr)(*args))
+    assert counts["simulate.markets"] == 5
+    assert counts["replan.rounds"] == cfg.steps_N + 1
+    assert counts["auction.payment_moments.levels"] == 2 * levels.size
+    assert counts["logs.rows"] == len(log)
 
 
 def test_benchmark_imported_names_resolve():

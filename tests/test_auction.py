@@ -2,7 +2,7 @@
 
 The quadrature is checked against three independent routes: closed forms for
 uniform bids, scipy.integrate.quad on the untransformed integrand, and the
-Monte Carlo estimator. None of these share code with the production path.
+Monte Carlo oracle. None of these share code with the production path.
 """
 
 import json
@@ -24,13 +24,13 @@ from pgrtb.auction import (
     fit_payment_curves,
     fit_polynomial,
     lowess,
-    mc_second_price,
 )
 from pgrtb import auction
 from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.simulate import generate_log
 
-from oracles import cdf, dense_lowess, max_value_by_take, pdf, scalar_payment_moments
+from oracles import (cdf, dense_lowess, max_value_by_take, mc_second_price, moments_at, pdf,
+                     scalar_payment_moments)
 
 UTC = timezone.utc
 
@@ -52,47 +52,47 @@ def uniform_std(lo, hi, xi):
 def test_uniform_closed_form_mean():
     model = BidModel.uniform(0.0, 1.0)
     for xi in range(2, 11):
-        assert abs(model.payment_mean(xi) - uniform_mean(0.0, 1.0, xi)) < 1e-9
+        assert abs(moments_at(model, xi)[0] - uniform_mean(0.0, 1.0, xi)) < 1e-9
 
 
 def test_uniform_closed_form_general_interval():
     model = BidModel.uniform(0.5, 2.0)
-    assert model.payment_mean(4.0) == pytest.approx(1.4, abs=1e-9)
+    assert moments_at(model, 4.0)[0] == pytest.approx(1.4, abs=1e-9)
     for xi in (2.0, 3.5, 7.0, 25.0):
-        assert model.payment_mean(xi) == pytest.approx(uniform_mean(0.5, 2.0, xi), abs=1e-9)
-        assert model.payment_std(xi) == pytest.approx(uniform_std(0.5, 2.0, xi), abs=1e-9)
+        assert moments_at(model, xi)[0] == pytest.approx(uniform_mean(0.5, 2.0, xi), abs=1e-9)
+        assert moments_at(model, xi)[1] == pytest.approx(uniform_std(0.5, 2.0, xi), abs=1e-9)
     # deep in the boundary layer near the top of the support the payment
     # spread is tiny next to its mean, so it is checked relative to itself
     for lo, hi in ((0.0, 1.0), (0.5, 2.0)):
         model = BidModel.uniform(lo, hi)
         for xi in (1000.0, 3000.0, 6400.0, 1e5):
-            assert abs(model.payment_mean(xi) - uniform_mean(lo, hi, xi)) < 1e-11
+            assert abs(moments_at(model, xi)[0] - uniform_mean(lo, hi, xi)) < 1e-11
             if xi <= 6400.0:
-                assert model.payment_std(xi) == pytest.approx(
+                assert moments_at(model, xi)[1] == pytest.approx(
                     uniform_std(lo, hi, xi), rel=1e-6)
 
 
 def test_uniform_closed_form_std_frozen():
     model = BidModel.uniform(0.0, 1.0)
-    assert model.payment_std(2.0) == pytest.approx(0.23570226039551584, abs=1e-9)
-    assert model.payment_std(3.0) == pytest.approx(0.22360679774997896, abs=1e-9)
+    assert moments_at(model, 2.0)[1] == pytest.approx(0.23570226039551584, abs=1e-9)
+    assert moments_at(model, 3.0)[1] == pytest.approx(0.22360679774997896, abs=1e-9)
 
 
 def test_fractional_xi_monotone():
     """More competition pushes the expected payment up toward the support top."""
     model = BidModel.uniform(0.0, 1.0)
-    values = [model.payment_mean(xi) for xi in (2.0, 2.5, 3.25, 6.0, 40.0, 400.0)]
+    values = [moments_at(model, xi)[0] for xi in (2.0, 2.5, 3.25, 6.0, 40.0, 400.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < 1.0
-    assert model.payment_mean(math.inf) == 1.0
-    assert model.payment_std(math.inf) == 0.0
+    assert moments_at(model, math.inf)[0] == 1.0
+    assert moments_at(model, math.inf)[1] == 0.0
 
 
 def test_below_two_bidders_pays_reserve():
     model = BidModel.uniform(0.0, 1.0)
-    assert model.payment_mean(1.5, reserve=0.3) == 0.3
-    assert model.payment_mean(0.0) == 0.0
-    assert model.payment_std(1.9) == 0.0
+    assert moments_at(model, 1.5, reserve=0.3)[0] == 0.3
+    assert moments_at(model, 0.0)[0] == 0.0
+    assert moments_at(model, 1.9)[1] == 0.0
 
 
 def quad_reference(model, xi, top):
@@ -117,14 +117,14 @@ def quad_reference(model, xi, top):
 def test_quadrature_against_scipy_uniform():
     model = BidModel.uniform(0.2, 1.1)
     for xi in (2.0, 3.7, 9.0):
-        assert model.payment_mean(xi) == pytest.approx(
+        assert moments_at(model, xi)[0] == pytest.approx(
             quad_reference(model, xi, 1.1), abs=1e-7)
 
 
 def test_quadrature_against_scipy_lognormal():
     model = BidModel.lognormal(0.0, 0.5)
     for xi in (2.0, 2.7, 5.3):
-        assert model.payment_mean(xi) == pytest.approx(
+        assert moments_at(model, xi)[0] == pytest.approx(
             quad_reference(model, xi, 60.0), abs=1e-6)
 
 
@@ -156,9 +156,9 @@ def test_mc_agrees_with_quadrature():
     # MC rounds xi up to a whole bidder count, so compare at an integer
     model = BidModel.lognormal(0.1, 0.4)
     mean, std, se = mc_second_price(4.0, model, 200_000, seed=11)
-    assert abs(model.payment_mean(4.0) - mean) < 5 * se
+    assert abs(moments_at(model, 4.0)[0] - mean) < 5 * se
     # the std of the payment is also in the MC return
-    assert abs(model.payment_std(4.0) - std) < 0.01
+    assert abs(moments_at(model, 4.0)[1] - std) < 0.01
 
 
 def test_mc_determinism_and_edges():
@@ -178,7 +178,7 @@ def test_mc_determinism_and_edges():
 
 
 def test_payment_moments_matches_scalar_calls():
-    """Arrays and scalar calls give the per-level reference bit for bit: the
+    """Arrays and one-level calls give the per-level reference bit for bit: the
     reserve below two bidders, the support top at infinite competition, the
     point of a point mass, else the quadrature run on that level alone."""
     xis = np.array([2.0, 2.5, 17.0, 33.3, 1.0, math.inf])
@@ -188,8 +188,8 @@ def test_payment_moments_matches_scalar_calls():
     for i, xi in enumerate(xis):
         assert (means[i], stds[i]) == scalar_payment_moments(reference, xi, reserve=0.25)
     # within one instance the cache makes repeat lookups bit-identical
-    assert batch_model.payment_mean(2.5, reserve=0.25) == means[1]
-    assert batch_model.payment_std(33.3) == stds[3]
+    assert moments_at(batch_model, 2.5, reserve=0.25)[0] == means[1]
+    assert moments_at(batch_model, 33.3)[1] == stds[3]
     # a level's floats depend on xi alone: one-level batches on a fresh model
     # are the reference, and shuffled batches of random sizes on other fresh
     # models, in any order and mix, must reproduce them exactly
@@ -209,8 +209,7 @@ def test_payment_moments_matches_scalar_calls():
         ref = {float(xi): scalar_payment_moments(reference, xi) for xi in levels}
         scalar = make()
         for xi in rng.permutation(levels)[:30]:
-            assert (scalar.payment_mean(float(xi)), scalar.payment_std(float(xi))) == \
-                ref[float(xi)]
+            assert moments_at(scalar, float(xi)) == ref[float(xi)]
         for _ in range(6):
             model = make()
             order = rng.permutation(levels)
@@ -230,8 +229,7 @@ def test_payment_moments_matches_scalar_calls():
         assert means.tobytes() == want[..., 0].tobytes()
         assert stds.tobytes() == want[..., 1].tobytes()
         for xi, mean, std in zip(grid.ravel(), want[..., 0].ravel(), want[..., 1].ravel()):
-            assert scalar.payment_mean(xi, reserve=0.3) == mean
-            assert scalar.payment_std(xi) == std
+            assert moments_at(scalar, xi, reserve=0.3) == (mean, std)
         mean0, std0 = make().payment_moments(np.float64(3.5))
         assert (mean0.shape, float(mean0), float(std0)) == \
             ((), *scalar_payment_moments(make(), 3.5))
@@ -266,8 +264,7 @@ def test_means_priced_alone_match_a_fresh_model():
         scalar = make()
         scalar.payment_moments(levels[::2])
         for xi in levels[::-1]:  # scalar calls, in another order
-            assert (scalar.payment_mean(xi), scalar.payment_std(xi)) == \
-                scalar_payment_moments(make(), xi)
+            assert moments_at(scalar, xi) == scalar_payment_moments(make(), xi)
 
 
 def test_quadrature_nodes_built_once_per_model():
@@ -284,13 +281,12 @@ def test_quadrature_nodes_built_once_per_model():
         model.payment_moments(np.array([2.0, 3.5, 8.0]))
         model.payment_moments(np.linspace(2.0, 90.0, 37))
         model.payment_moments(np.array([2.0, 3.5]))
-        model.payment_mean(11.25)
-        model.payment_std(400.0)
+        moments_at(model, 11.25)
+        moments_at(model, 400.0)
         assert len(calls) == 1
         for xi in (11.25, 400.0, 90.0):
             other = make()
-            assert other.payment_mean(xi) == model.payment_mean(xi)
-            assert other.payment_std(xi) == model.payment_std(xi)
+            assert moments_at(other, xi) == moments_at(model, xi)
 
 
 def test_payment_quadrature_warns_past_its_tolerance(monkeypatch):
@@ -298,7 +294,7 @@ def test_payment_quadrature_warns_past_its_tolerance(monkeypatch):
     with pytest.warns(RuntimeWarning, match="payment quadrature error .* exceeds"):
         BidModel.lognormal(0.0, 1.0).payment_moments(np.array([2.0, 40.0]))
     with pytest.warns(RuntimeWarning, match="payment quadrature error"):
-        BidModel.uniform(0.0, 1.0).payment_mean(3.0)
+        moments_at(BidModel.uniform(0.0, 1.0), 3.0)[0]
 
 
 def test_payment_quadrature_silent_on_supported_laws():
@@ -403,14 +399,14 @@ def test_empirical_model_smoothed_law():
     assert cdf(model, lo) == 0.0 and cdf(model, hi) == 1.0
     # quadrature moments on the smoothed law agree with MC on the same law
     mean, std, se = mc_second_price(4.0, model, 400_000, seed=5)
-    assert abs(model.payment_mean(4.0) - mean) < 4 * se
+    assert abs(moments_at(model, 4.0)[0] - mean) < 4 * se
 
 
 def test_empirical_point_mass():
     model = BidModel.empirical([0.7, 0.7, 0.7])
-    assert model.payment_mean(5.0) == 0.7
-    assert model.payment_std(5.0) == 0.0
-    assert model.payment_mean(1.0, reserve=0.2) == 0.2
+    assert moments_at(model, 5.0)[0] == 0.7
+    assert moments_at(model, 5.0)[1] == 0.0
+    assert moments_at(model, 1.0, reserve=0.2)[0] == 0.2
     rng = np.random.default_rng(0)
     assert np.all(model.sample_bids(rng, 10) == 0.7)
 
@@ -446,7 +442,7 @@ def test_bid_model_serialization_round_trip():
                   BidModel.empirical([0.3, 0.9, 0.9, 1.4])):
         clone = BidModel.from_dict(model.to_dict())
         assert clone.kind == model.kind
-        assert clone.payment_mean(3.0) == model.payment_mean(3.0)
+        assert moments_at(clone, 3.0)[0] == moments_at(model, 3.0)[0]
     with pytest.raises(ValueError):
         BidModel.from_dict({"kind": "cauchy"})
 
@@ -578,16 +574,29 @@ def test_fit_floats_do_not_depend_on_the_heap(fit):
 def test_fitted_curve_serialization():
     x = np.linspace(2.0, 8.0, 12)
     y = np.sqrt(x)
-    # a sigmoid is no longer fitted, but files written by earlier versions hold them
-    sigmoid = FittedCurve(method="sigmoid", x_range=(2.0, 8.0), rmse=0.01,
-                          coeffs=np.array([1.2, 1.7, 0.6, 4.5]))
-    for curve in (lowess(np.column_stack([x, y])),
-                  fit_polynomial(np.column_stack([x, y])), sigmoid):
+    for curve in (lowess(np.column_stack([x, y])), fit_polynomial(np.column_stack([x, y]))):
         clone = FittedCurve.from_dict(curve.to_dict())
         probe = np.linspace(1.0, 9.0, 17)
         np.testing.assert_allclose(clone(probe), curve(probe), rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        FittedCurve(method="spline", x_range=(0.0, 1.0))(0.5)
+    with pytest.raises(ValueError, match="unknown curve method: 'spline'"):
+        FittedCurve(method="spline", x_range=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("curve, message", [
+    ({"method": "sigmoid", "coeffs": [1.2, 1.7, 0.6, 4.5]}, "unknown curve method: 'sigmoid'"),
+    ({"method": "spline", "knot_x": [2.0, 5.0], "knot_y": [0.1, 0.2]}, "unknown curve method"),
+    ({"method": "lowess", "knot_x": [2.0, 5.0]}, "lowess curve needs knot_x/knot_y"),
+    ({"method": "lowess", "knot_x": [2.0, 5.0], "knot_y": [0.1]}, "of one non-zero length"),
+    ({"method": "lowess", "knot_x": [], "knot_y": []}, "of one non-zero length"),
+    ({"method": "polynomial", "knot_x": [2.0], "knot_y": [0.1]}, "polynomial curve needs coeffs"),
+    ({"method": "polynomial", "coeffs": 0.3}, "polynomial curve needs coeffs"),
+], ids=["sigmoid", "spline", "lowess-no-knot_y", "lowess-unequal", "lowess-empty",
+        "polynomial-no-coeffs", "polynomial-scalar"])
+def test_a_curve_loads_only_with_its_method_and_arrays(curve, message):
+    """A curve is lowess or polynomial, each with its non-empty arrays; a
+    sigmoid of earlier versions' files is refused when it loads."""
+    with pytest.raises(ValueError, match=message):
+        FittedCurve.from_dict({"x_range": [2.0, 5.0], "rmse": 0.1, **curve})
 
 
 def _log_for(payments_by_hour, bids_per_auction=3, auctions=8):
@@ -747,29 +756,25 @@ def test_revenue_curves_surface():
         mean_curve=fit_polynomial(np.column_stack([x, 0.1 + 0.05 * x]), degree=1),
         std_curve=fit_polynomial(np.column_stack([x, 0.02 * np.ones_like(x)]), degree=0),
     )
-    assert curves.payment_mean(1.2, reserve=0.33) == 0.33
-    assert curves.payment_std(1.2) == 0.0
-    assert curves.payment_mean(4.0) == pytest.approx(0.3, abs=1e-10)
+    assert moments_at(curves, 1.2, reserve=0.33) == (0.33, 0.0)
+    assert moments_at(curves, 4.0)[0] == pytest.approx(0.3, abs=1e-10)
     means, stds = curves.payment_moments(np.array([1.0, 4.0, 20.0]), reserve=0.33)
     assert means[0] == 0.33
-    assert means[1] == curves.payment_mean(4.0)
+    assert means[1] == moments_at(curves, 4.0)[0]
     # clamped beyond the training range
-    assert means[2] == curves.payment_mean(9.0)
-    # the array path agrees with the scalar calls bit for bit, for every method
+    assert means[2] == moments_at(curves, 9.0)[0]
+    # an array of levels agrees with one level at a time bit for bit, for each method
     pts_x = np.linspace(2.0, 12.0, 30)
     pts = np.column_stack([pts_x, 0.2 + 0.6 / (1.0 + np.exp(-(pts_x - 6.0)))])
     spread = np.column_stack([pts_x, 0.05 + 0.01 * np.sin(pts_x)])
     xis = np.concatenate([np.linspace(0.5, 15.0, 59), [1.999, 2.0, math.inf]])
-    sigmoid = FittedCurve(method="sigmoid", x_range=(2.0, 12.0),
-                          coeffs=np.array([0.2, 0.6, 1.0, 6.0]))
     for fitted in (RevenueCurves(lowess(pts), lowess(spread)),
-                   RevenueCurves(fit_polynomial(pts), fit_polynomial(spread)),
-                   RevenueCurves(sigmoid, sigmoid)):
+                   RevenueCurves(fit_polynomial(pts), fit_polynomial(spread))):
         means, stds = fitted.payment_moments(xis, reserve=0.33)
-        assert means.tolist() == [fitted.payment_mean(float(x), reserve=0.33) for x in xis]
-        assert stds.tolist() == [fitted.payment_std(float(x)) for x in xis]
+        assert means.tolist() == [moments_at(fitted, float(x), reserve=0.33)[0] for x in xis]
+        assert stds.tolist() == [moments_at(fitted, float(x))[1] for x in xis]
     clone = RevenueCurves.from_dict(curves.to_dict())
-    assert clone.payment_mean(5.5) == curves.payment_mean(5.5)
+    assert moments_at(clone, 5.5)[0] == moments_at(curves, 5.5)[0]
 
 
 @pytest.mark.parametrize("xi", [1e5, 1e6])

@@ -639,9 +639,8 @@ def test_fit_and_segment_on_a_hand_log_are_golden(tmp_path, stamps, golden):
     assert _digests(tmp_path / "out", golden) == golden
 
 
-# A fitted model as earlier versions wrote it, with sigmoid curves. The fit
-# no longer makes them, but such files are still read, and the digests are
-# those the last version that fitted sigmoids wrote from this file.
+# A fitted model as earlier versions wrote it, with sigmoid curves, which no
+# version since has fitted.
 SIGMOID_MODEL = {
     "schema_version": 1, "n_auctions": 240, "n_used": 240, "max_value": 1.5,
     "payment_mean_curve": {"method": "sigmoid", "x_range": [2.0, 5.0], "rmse": 0.11,
@@ -649,22 +648,33 @@ SIGMOID_MODEL = {
     "payment_std_curve": {"method": "sigmoid", "x_range": [2.0, 5.0], "rmse": 0.04,
                           "coeffs": [0.21, -0.08, 0.9, 3.5]},
 }
-GOLDEN_SIGMOID_MODEL = {
-    "plan.json":
-        "b0f47e4be436507be0ba1de29477ae586c9e7118a852573c0aa4577f63097808",
-    "plan_curves.csv":
-        "67ba79be74f95a14e9842c55bd7b63b976f30009632b302b5fdff809370c4ab1",
-    "replan_plan.json":
-        "139b2580e4ec1835e878ae2964d0db9d3f5ac2cf727c23a6b420b60c0e08001e",
-    "replan_trace.csv":
-        "770406597ba2ee4af38bb1262bb6f620330e3adb635a47f1b2616beb13fa6369",
-}
 
 
-def test_sigmoid_model_files_still_plan(tmp_path):
-    model = tmp_path / "fitted_model.json"
-    model.write_text(json.dumps(SIGMOID_MODEL))
-    cfg_path = dump(tmp_path, base_config(tmp_path))
-    for command in ("optimize", "replan"):
-        assert main([command, "--config", cfg_path, "--model", str(model)]) == 0
-    assert _digests(tmp_path / "out", GOLDEN_SIGMOID_MODEL) == GOLDEN_SIGMOID_MODEL
+def test_model_files_with_curves_that_do_not_load_are_refused(tmp_path, capsys):
+    """optimize, replan and simulate refuse a model file whose curve has a
+    method other than lowess or polynomial (a sigmoid of earlier versions'
+    files, or an unknown one) or lacks its arrays: each exits 2 naming the
+    file and writes nothing."""
+    cfg_path, out = _fit(tmp_path)
+    assert main(["optimize", "--config", cfg_path, "--model",
+                 str(out / "fitted_model.json")]) == 0
+    fitted = json.loads((out / "fitted_model.json").read_text())
+    mean_curve = fitted["payment_mean_curve"]
+    bad = {
+        "sigmoid": ({**SIGMOID_MODEL, "bid_model": fitted["bid_model"]},
+                    "unknown curve method: 'sigmoid'"),
+        "spline": ({**fitted, "payment_mean_curve": {**mean_curve, "method": "spline"}},
+                   "unknown curve method: 'spline'"),
+        "bare": ({**fitted, "payment_std_curve": {"method": "lowess", "x_range": [2.0, 5.0],
+                                                  "knot_x": [2.0, 5.0]}},
+                 "a lowess curve needs knot_x/knot_y"),
+    }
+    fresh = tmp_path / "fresh"
+    for name, (payload, reason) in bad.items():
+        model = tmp_path / f"{name}_model.json"
+        model.write_text(json.dumps(payload))
+        for argv in (["optimize"], ["replan"], ["simulate", "--plan", str(out / "plan.json")]):
+            assert main([argv[0], "--config", cfg_path, "--out", str(fresh),
+                         "--model", str(model), *argv[1:]]) == 2
+            assert f"model {model} is malformed: {reason}" in capsys.readouterr().err
+    assert not fresh.exists()

@@ -11,7 +11,7 @@ from pgrtb.replan import UncertaintySpec, replan
 from pgrtb.simulate import evaluate_plan
 from pgrtb.solver import PricePlan, optimal_plan
 
-from oracles import backlog_demand, expected_arrivals, purchases
+from oracles import backlog_demand, expected_arrivals, moments_at, purchases
 
 
 def small_config(**overrides):
@@ -190,10 +190,10 @@ def test_censored_bound_adds_risk_premium():
     model = BidModel.uniform(0.0, 1.0)
     moments = model.payment_moments(np.array([3.0]))
     base = StepTerms(cfg0, grid).bound(1, *moments)[0]
-    assert base == pytest.approx(model.payment_mean(3.0), abs=1e-12)
+    assert base == pytest.approx(moments_at(model, 3.0)[0], abs=1e-12)
     terms = StepTerms(cfg1, grid)
     lifted = terms.bound(1, *moments)[0]
-    assert lifted == pytest.approx(base + terms.risk[1] * model.payment_std(3.0), abs=1e-12)
+    assert lifted == pytest.approx(base + terms.risk[1] * moments_at(model, 3.0)[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("points", [

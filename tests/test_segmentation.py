@@ -14,7 +14,7 @@ from pgrtb.segmentation import _rtb_only_plan, kmeans_1d, segment_and_optimize
 from pgrtb.simulate import generate_log
 from pgrtb.solver import _MarketTables, competition_level
 
-from oracles import best_two_split, within_sum_of_squares
+from oracles import best_two_split, moments_at, within_sum_of_squares
 
 
 def seg_config():
@@ -180,7 +180,7 @@ def test_thin_competition_goes_auction_only():
         assert sp.plan.gamma == 0.0
         assert int(np.sum(sp.plan.sales)) == 0
         xi0 = competition_level(sp.demand, sp.supply, 0)
-        want = sp.supply * BidModel.empirical(bids[sp.label]).payment_mean(xi0, reserve=0.0)
+        want = sp.supply * moments_at(BidModel.empirical(bids[sp.label]), xi0, reserve=0.0)[0]
         assert sp.plan.revenue_total == pytest.approx(want)
         assert sp.plan.revenue_pg == 0.0
         np.testing.assert_array_equal(sp.plan.prices, sp.plan.bounds)

@@ -201,19 +201,20 @@ def test_run_market_once_accounting():
     model = BidModel.uniform(0.0, 1.0)
     plan, _ = optimal_plan(cfg, grid, model)
     out = market_once(plan, cfg, StepTerms(cfg, grid), model, seed=4)
-    assert 0.0 <= out.delivered_fraction <= 1.0
-    assert out.pg_sold.sum() <= cfg.supply_S
-    assert out.total_revenue == out.pg_revenue + out.rtb_revenue
+    assert 0.0 <= out["delivered_fraction"] <= 1.0
+    assert out["pg_sold"].sum() <= cfg.supply_S
     # without delivery failures the realized gross revenue is untouched
     sure = dataclasses.replace(cfg, miss_prob_omega=0.0)
     plan2, _ = optimal_plan(sure, grid, model)
     out2 = market_once(plan2, sure, StepTerms(sure, grid), model, seed=4)
-    assert out2.delivered_fraction == 1.0
-    assert out2.pg_revenue == pytest.approx(
-        float(np.sum(np.asarray(plan2.prices) * out2.pg_sold)))
+    assert out2["delivered_fraction"] == 1.0
+    assert out2["pg_revenue"] == pytest.approx(
+        float(np.sum(np.asarray(plan2.prices) * out2["pg_sold"])))
 
 
 def test_evaluate_plan_summary():
+    """The summary and the per-market array repeat per seed, and the
+    summary's means are those of the array's fields."""
     cfg = sim_config()
     grid = TimeGrid.from_config(cfg)
     model = BidModel.uniform(0.0, 1.0)
@@ -221,7 +222,16 @@ def test_evaluate_plan_summary():
     s1, o1 = evaluate_plan(plan, cfg, grid, model, n_runs=40, seed=9)
     s2, o2 = evaluate_plan(plan, cfg, grid, model, n_runs=40, seed=9)
     assert s1 == s2
-    assert [o.total_revenue for o in o1] == [o.total_revenue for o in o2]
+    assert o1.tobytes() == o2.tobytes()
+    assert o1.shape == (40,) and o1.dtype.names == (
+        "pg_sold", "pg_revenue", "rtb_revenue", "delivered_fraction")
+    assert o1["pg_sold"].shape == (40, cfg.steps_N + 1)
+    assert o1["pg_sold"].dtype.kind == "i"
+    assert s1["mean_total"] == float((o1["pg_revenue"] + o1["rtb_revenue"]).mean())
+    assert (s1["mean_pg"], s1["mean_rtb"], s1["mean_delivered_fraction"]) == (
+        float(o1["pg_revenue"].mean()), float(o1["rtb_revenue"].mean()),
+        float(o1["delivered_fraction"].mean()))
+    assert s1["mean_sold_per_step"] == o1["pg_sold"].mean(axis=0).tolist()
     assert s1["se_total"] == pytest.approx(s1["std_total"] / math.sqrt(40))
     assert set(s1["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
     assert len(s1["mean_sold_per_step"]) == cfg.steps_N + 1
@@ -261,20 +271,19 @@ def test_block_markets_follow_the_plan():
         prices=np.full(11, 0.5), sales=np.zeros(11, dtype=int),
         bounds=np.full(11, 0.5), gamma=0.0, revenue_pg=0.0,
         revenue_rtb=0.0, revenue_total=0.0, xi_terminal=4.0)
-    _, outcomes = evaluate_plan(closed, cfg, grid, model, n_runs=40, seed=3)
-    assert all(o.pg_sold.sum() == 0 and o.pg_revenue == 0.0 for o in outcomes)
+    _, markets = evaluate_plan(closed, cfg, grid, model, n_runs=40, seed=3)
+    assert (markets["pg_sold"] == 0).all() and (markets["pg_revenue"] == 0.0).all()
     sales = np.zeros(11, dtype=int)
     sales[0] = cfg.supply_S  # a giveaway price: everyone waiting buys, which must stop at S
     giveaway = dataclasses.replace(closed, prices=np.full(11, 1e-9), sales=sales)
-    _, outcomes = evaluate_plan(giveaway, cfg, grid, model, n_runs=40, seed=3)
-    assert max(o.pg_sold.sum() for o in outcomes) == cfg.supply_S
+    _, markets = evaluate_plan(giveaway, cfg, grid, model, n_runs=40, seed=3)
+    assert markets["pg_sold"].sum(axis=1).max() == cfg.supply_S
     sure = dataclasses.replace(cfg, miss_prob_omega=0.0)
     plan, _ = optimal_plan(sure, grid, model)
-    _, outcomes = evaluate_plan(plan, sure, grid, model, n_runs=40, seed=4)
-    for out in outcomes:
-        assert out.delivered_fraction == 1.0
-        assert out.total_revenue == out.pg_revenue + out.rtb_revenue
-        assert out.pg_revenue == pytest.approx(float(np.sum(plan.prices * out.pg_sold)))
+    _, markets = evaluate_plan(plan, sure, grid, model, n_runs=40, seed=4)
+    for out in markets:
+        assert out["delivered_fraction"] == 1.0
+        assert out["pg_revenue"] == pytest.approx(float(np.sum(plan.prices * out["pg_sold"])))
     tables = _MarketTables(cfg, grid).set_demand(model, None)
     tail, _ = _solve(tables, 2, 0)  # a tail solve from step 2
     with pytest.raises(ValueError, match="full-horizon"):
@@ -296,10 +305,7 @@ def test_outcomes_keep_the_n_runs_prefix():
     for n_runs in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
         _, some = evaluate_plan(plan, cfg, grid, model, n_runs=n_runs, seed=21)
         assert len(some) == n_runs
-        for got, want in zip(some, full):
-            assert got.pg_sold.tolist() == want.pg_sold.tolist()
-            assert (got.pg_revenue, got.rtb_revenue, got.delivered_fraction) == \
-                (want.pg_revenue, want.rtb_revenue, want.delivered_fraction)
+        assert some.tobytes() == full[:n_runs].tobytes()
 
 
 def test_block_streams_agree_with_the_per_market_oracle():
@@ -322,10 +328,13 @@ def test_block_streams_agree_with_the_per_market_oracle():
         dev = np.abs(a.mean(axis=0) - b.mean(axis=0))
         return np.all((dev <= 3 * se) | ((se == 0) & (dev == 0)))
 
-    assert agree([o.total_revenue for o in blocks], [o.total_revenue for o in replay])
-    assert agree([o.pg_sold for o in blocks], [o.pg_sold for o in replay])
-    assert agree([o.delivered_fraction for o in blocks],
-                 [o.delivered_fraction for o in replay])
+    def field(name):
+        return blocks[name], [out[name] for out in replay]
+
+    total = blocks["pg_revenue"] + blocks["rtb_revenue"]
+    assert agree(total, [out["pg_revenue"] + out["rtb_revenue"] for out in replay])
+    assert agree(*field("pg_sold"))
+    assert agree(*field("delivered_fraction"))
 
 
 def test_generate_log_structure():

@@ -46,6 +46,7 @@ from oracles import (
     brute_force_optimum,
     censored_bound,
     dense_optimal_plan,
+    moments_at,
     optimal_pg_revenue,
     purchase_ratio,
     solve_with_values,
@@ -220,7 +221,7 @@ def test_fully_censored_market_sells_nothing():
     assert plan.total_sold == 0
     assert plan.gamma == 0.0
     assert plan.revenue_pg == 0.0
-    assert plan.revenue_rtb == cfg.supply_S * model.payment_mean(12 / 4)
+    assert plan.revenue_rtb == cfg.supply_S * moments_at(model, 12 / 4)[0]
     np.testing.assert_array_equal(plan.prices, plan.bounds)
 
 
