@@ -1,10 +1,10 @@
 """Command-line driver: generate data, fit, optimize, simulate, replan, segment.
 
 Every command reads one JSON run config (sections: market, bid_model, seeds,
-uncertainty, segmentation, synthetic, simulate, output) plus a few
-flag overrides, writes machine-readable outputs into the output directory,
-and prints a one-line human summary. Exit codes: 0 success, 2 bad input or
-unusable config, 1 unexpected failure.
+uncertainty, synthetic, simulate, output) plus a few flag overrides, writes
+machine-readable outputs into the output directory, and prints a one-line
+human summary. Exit codes: 0 success, 2 bad input or unusable config, 1
+unexpected failure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ _SECTIONS = {
     "bid_model": {"kind", "low", "high", "mu", "sigma", "bids"},
     "seeds": {"root"},
     "uncertainty": {"epsilon", "noise_seed", "noise_kind"},
-    "segmentation": {"feature"},
     "synthetic": {"hours", "auctions_per_hour", "bidders_per_hour", "slot_id", "start_time"},
     "simulate": {"n_runs"},
     "output": {"dir"},
@@ -108,7 +107,6 @@ class RunConfig:
     bid_model: BidModel | None = None
     root_seed: int = 0
     uncertainty: UncertaintySpec | None = None
-    feature: str = "winning_bid"
     synthetic: dict | None = None
     n_runs: int = 200
     out_dir: str = "."
@@ -137,9 +135,6 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad uncertainty section: {exc}") from exc
         rc.root_seed = _int_setting(raw.get("seeds", {}), "root", 0, "seeds", 0)
-        rc.feature = raw.get("segmentation", {}).get("feature", "winning_bid")
-        if rc.feature not in ("winning_bid", "all_bids"):
-            raise UsageError("segmentation.feature must be winning_bid or all_bids")
         rc.synthetic = dict(raw["synthetic"]) if "synthetic" in raw else None
         rc.n_runs = _int_setting(raw.get("simulate", {}), "n_runs", rc.n_runs, "simulate", 1)
         rc.out_dir = str(raw.get("output", {}).get("dir", rc.out_dir))
@@ -237,11 +232,12 @@ def _optimizer_model(rc, args):
     cfg = rc.require_market()
     if getattr(args, "model", None):
         # optimize and replan read the curves and value ceiling; only
-        # simulate reads the fitted bid law
-        curves, ceiling = _load_json(args.model, "model", lambda payload: (
-            RevenueCurves.from_dict(payload), float(payload["max_value"])))
-        cfg = dataclasses.replace(cfg, max_value_pi=ceiling)
-        return cfg, curves
+        # simulate reads the fitted bid law. The config is built with the
+        # file, so a ceiling it refuses names the file.
+        def build(payload):
+            curves = RevenueCurves.from_dict(payload)
+            return dataclasses.replace(cfg, max_value_pi=float(payload["max_value"])), curves
+        return _load_json(args.model, "model", build)
     if rc.bid_model is None:
         raise UsageError("need either --model or a bid_model section")
     return cfg, rc.bid_model
@@ -341,10 +337,10 @@ def cmd_replan(rc: RunConfig, args):
 def cmd_segment(rc: RunConfig, args):
     cfg = rc.require_market()
     table = _read_table(args.log)
-    result = segment_and_optimize(table, cfg, feature=rc.feature)
+    result = segment_and_optimize(table, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "feature": rc.feature,
+        "feature": "winning_bid",  # the one split; kept so schema-1 reports keep their bytes
         "fallback_single_group": result.fallback,
         "combined_revenue": result.combined_revenue,
         "segments": [{

@@ -4,9 +4,9 @@ and optimize each separately.
 A slot whose auctions mix two bidder populations (say, retargeting campaigns
 against run-of-network filler) has a bimodal bid landscape; a single fitted
 payment curve splits the difference and misprices both. Splitting the
-observed bids at their exact two-group cut, splitting supply and demand
-proportionally, and solving each group on its own fitted curves recovers a
-coherent plan per group.
+auctions at the exact two-group cut of their winning bids, splitting supply
+and demand proportionally, and solving each group on its own fitted curves
+recovers a coherent plan per group.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ __all__ = [
 
 
 def kmeans_1d(values):
-    """The exact two-group split of scalars: ``(centroids, high)``, the high
-    group's mean then the low group's, and the mask of the high group.
+    """The exact two-group split of scalars: the mask of the high group.
 
     An optimal 2-means partition of scalars is contiguous in sorted order,
     so one scan finds it: of the cuts between distinct values, the one with
@@ -48,8 +47,7 @@ def kmeans_1d(values):
     centred = np.cumsum(ordered - ordered.mean())
     low, total = centred[cuts - 1], centred[-1]
     cut = int(cuts[np.argmax(low**2 / cuts + (total - low)**2 / (vals.size - cuts))])
-    centroids = np.array([ordered[cut:].mean(), ordered[:cut].mean()])
-    return centroids, vals > ordered[cut - 1]
+    return vals > ordered[cut - 1]
 
 
 @dataclass
@@ -76,48 +74,39 @@ class SegmentedMarket:
     fallback: bool
 
 
-def _auction_groups(table, feature):
-    """Split auctions into two groups by the chosen bid feature.
+def _auction_groups(table):
+    """Split auctions in two at :func:`kmeans_1d`'s cut of their winning bids.
 
-    Returns ``(groups, fallback)`` where groups is a list of
-    ``(label, indices)`` ordered high bids first.
+    Returns ``(groups, fallback)``, groups a list of ``(label, indices)``
+    ordered high bids first; with fewer than two distinct winning bids it
+    is one group of every auction and fallback is True.
     """
-    if feature not in ("winning_bid", "all_bids"):
-        raise ValueError(f"unknown feature {feature!r}; use winning_bid or all_bids")
-    everything = [("all", np.arange(len(table)))], True
     try:
-        centroids, high = kmeans_1d(table.winning_bid if feature == "winning_bid"
-                                    else table.bids)
+        high = kmeans_1d(table.winning_bid)
     except ValueError:
-        return everything
-    if feature == "all_bids":  # each auction joins the bid group nearest its winning bid
-        high = (np.abs(centroids[0] - table.winning_bid)
-                <= np.abs(centroids[1] - table.winning_bid))
-        if high.all() or not high.any():
-            return everything
+        return [("all", np.arange(len(table)))], True
     return [("group1_high", np.flatnonzero(high)), ("group2_low", np.flatnonzero(~high))], False
 
 
-def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid"):
+def segment_and_optimize(table, cfg: MarketConfig):
     """Split an auction table into two bid-level groups and solve each market slice.
 
-    The groups are :func:`kmeans_1d`'s split of the winning bids, or of
-    every bid (``feature="all_bids"``), each auction then joining the group
-    whose centroid is nearest its winning bid; the same auctions in any
-    order form the same groups. Supply, demand, and arrival rate are split
-    proportionally to each group's auction share (demand floored at supply
-    + 1 to keep every slice oversubscribed); each group gets its own fitted
-    payment curves and value ceiling. A group whose mean observed
-    competition is below 2 gets no guaranteed sales (its payment curves are
-    censored there) and is priced as auction-only inventory.
+    The groups are :func:`kmeans_1d`'s split of the winning bids; the same
+    auctions in any order form the same groups. Supply, demand, and arrival
+    rate are split proportionally to each group's auction share (demand
+    floored at supply + 1 to keep every slice oversubscribed); each group
+    gets its own fitted payment curves and value ceiling. A group whose mean
+    observed competition is below 2 gets no guaranteed sales (its payment
+    curves are censored there) and is priced as auction-only inventory.
 
-    When the bids cannot be split (a single distinct level, or every
-    auction nearest one centroid), a warning is issued and the whole market
-    is solved as one segment.
+    When the winning bids cannot be split (a single distinct level), a
+    warning is issued and the whole market is solved as one segment, whose
+    share of 1 leaves the config's supply, demand and arrival rate as they
+    are.
     """
     if not len(table):
         raise ValueError("no auctions to segment")
-    groups, fallback = _auction_groups(table, feature)
+    groups, fallback = _auction_groups(table)
     if fallback:
         warnings.warn("bid values cannot support two clusters; keeping one group",
                       RuntimeWarning, stacklevel=2)
@@ -128,15 +117,15 @@ def segment_and_optimize(table, cfg: MarketConfig, *, feature="winning_bid"):
     for label, members in groups:
         subs = table.take(members)
         share = len(subs) / len(table)
-        if len(groups) == 1:
-            supply, demand = cfg.supply_S, cfg.demand_Q
-        else:
-            supply = max(1, int(round(cfg.supply_S * share)))
-            demand = max(int(round(cfg.demand_Q * share)), supply + 1)
+        supply = max(1, int(round(cfg.supply_S * share)))
+        demand = max(int(round(cfg.demand_Q * share)), supply + 1)
         lam = cfg.arrival_rate_lambda * (demand / cfg.demand_Q)
         ceiling = estimate_max_value(subs)
-        sub_cfg = replace(cfg, supply_S=supply, demand_Q=demand,
-                          arrival_rate_lambda=lam, max_value_pi=ceiling)
+        try:
+            sub_cfg = replace(cfg, supply_S=supply, demand_Q=demand,
+                              arrival_rate_lambda=lam, max_value_pi=ceiling)
+        except ValueError as exc:  # a group bidding only 0 has no value ceiling
+            raise ValueError(f"segment {label}: {exc}") from exc
         mean_xi = float(np.mean(subs.xi_observed))
         curves = None
         if (subs.xi_observed >= 2).any():  # some auction has a second price to fit

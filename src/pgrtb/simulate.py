@@ -104,8 +104,9 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
     not advanced), and it always draws all its markets. So market ``k``'s
     outcome depends on the seed and ``k`` alone, and the outcomes of
     ``n_runs`` markets are the first ``n_runs`` of those of any larger count.
-    Only a full-horizon plan can be simulated, and a step it leaves open must
-    post a non-negative price. Returns ``(summary, markets)``, ``markets`` a
+    Only a full-horizon plan with a price, a sale count and a bound at each
+    of the market's N + 1 steps can be simulated, and a step it leaves open
+    must post a non-negative price. Returns ``(summary, markets)``, ``markets`` a
     structured array of each market's sales per step ``pg_sold`` (N + 1 ints),
     net contract revenue ``pg_revenue``, auction revenue ``rtb_revenue`` and
     ``delivered_fraction`` (1 if it sold none).
@@ -114,6 +115,10 @@ def evaluate_plan(plan: PricePlan, cfg: MarketConfig, grid: TimeGrid, bid_model,
         raise ValueError("n_runs must be at least 1")
     if plan.start_step != 0:
         raise ValueError("simulation needs a full-horizon plan")
+    sizes = (len(plan.prices), len(plan.sales), len(plan.bounds))
+    if sizes != (cfg.steps_N + 1,) * 3:
+        raise ValueError("plan holds {} prices, {} sales and {} bounds; the market has "
+                         "{} steps (steps_N={})".format(*sizes, cfg.steps_N + 1, cfg.steps_N))
     if (np.asarray(plan.prices)[np.asarray(plan.sales) != 0] < 0).any():
         raise ValueError("price must be non-negative")
     terms = StepTerms(cfg, grid)  # built once for every block

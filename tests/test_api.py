@@ -82,12 +82,10 @@ def test_option_surface_is_pinned():
     assert str(inspect.signature(pgrtb.summarize_auctions)) == "(log)"
     assert str(inspect.signature(pgrtb.fit_payment_curves)) == "(table)"
     assert str(inspect.signature(pgrtb.lowess)) == "(points)"
-    assert str(inspect.signature(pgrtb.segment_and_optimize)) == \
-        "(table, cfg: 'MarketConfig', *, feature='winning_bid')"
+    assert str(inspect.signature(pgrtb.segment_and_optimize)) == "(table, cfg: 'MarketConfig')"
     assert str(inspect.signature(pgrtb.kmeans_1d)) == "(values)"
     assert set(cli._SECTIONS) == {
-        "market", "bid_model", "seeds", "uncertainty", "segmentation", "synthetic",
-        "simulate", "output"}
+        "market", "bid_model", "seeds", "uncertainty", "synthetic", "simulate", "output"}
 
 
 def test_import_leaves_scipy_out():

@@ -312,6 +312,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     bad_feature = {**ok, "segmentation": {"feature": "volume"}}
     assert main(["optimize", "--config",
                  dump(tmp_path, bad_feature, "k7.json")]) == 2
+    assert "unknown key(s) in top level: segmentation" in capsys.readouterr().err
 
     # JSON's NaN once planned silently (an all-auction plan at zeta = NaN)
     nan_market = {**ok, "market": {**MARKET, "risk_level_zeta": float("nan")}}
@@ -490,6 +491,51 @@ def test_simulate_rejects_malformed_plan(tmp_path, capsys):
     assert "cannot read plan" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_plan_of_another_length(tmp_path, capsys):
+    """A plan simulated under a market of more or fewer steps than it was
+    planned for exits 2 and names both lengths."""
+    short = base_config(tmp_path)
+    long = {**short, "market": {**MARKET, "steps_N": 10, "horizon_T": 10.0}}
+    paths = {n: dump(tmp_path, cfg, f"steps-{n}.json") for n, cfg in ((5, short), (10, long))}
+    for n, path in paths.items():
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / f"plan-{n}")]) == 0
+    capsys.readouterr()
+    for planned, simulated in ((10, 5), (5, 10)):
+        plan = str(tmp_path / f"plan-{planned}" / "plan.json")
+        assert main(["simulate", "--config", paths[simulated], "--plan", plan]) == 2
+        err = capsys.readouterr().err
+        assert (f"plan holds {planned + 1} prices, {planned + 1} sales and {planned + 1} "
+                f"bounds; the market has {simulated + 1} steps") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_model_with_a_zero_value_ceiling_is_refused_by_name(tmp_path, capsys):
+    """A log bidding only 0 fits a value ceiling of 0, which optimize and
+    replan refuse as a malformed model file."""
+    log = BidLog(["s"] * 120, [f"a{i // 2:03d}" for i in range(120)], [None] * 120, [0.0] * 120)
+    write_log_csv(log, tmp_path / "zero.csv")
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["fit", "--config", cfg_path, "--log", str(tmp_path / "zero.csv")]) == 0
+    model = tmp_path / "out" / "fitted_model.json"
+    assert json.loads(model.read_text())["max_value"] == 0.0
+    for command in ("optimize", "replan"):
+        assert main([command, "--config", cfg_path, "--model", str(model)]) == 2
+        assert (f"model {model} is malformed: max_value_pi must be positive"
+                in capsys.readouterr().err)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fitted_model.json"]
+
+
+def test_segment_names_a_group_without_a_value_ceiling(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    bids = np.concatenate([np.round(rng.uniform(0.5, 0.9, 120), 4), [0.0] * 120])
+    log = BidLog(["s"] * 240, [f"a{i // 2:03d}" for i in range(240)], [None] * 240, bids)
+    write_log_csv(log, tmp_path / "half.csv")
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["segment", "--config", cfg_path, "--log", str(tmp_path / "half.csv")]) == 2
+    assert "segment group2_low: max_value_pi must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_refuses_an_oversized_market(tmp_path, capsys):
     """A market past the solver's table budget exits 2 with the sizes named,
     before any output is written."""
@@ -532,13 +578,13 @@ GOLDEN_PIPELINE = {
     "segment_report.json":
         "6a095f7c2b4385d690dee06d468b7e8da4622921df809b26e6bbdba08592ca42",
 }
-GOLDEN_ALL_BIDS = {
+GOLDEN_THIN_AUCTIONS = {
     "auction_log.csv":
         "077b74254ca2f58438cd981b16fdb899f765247719036090c4cd85e5b12cd897",
     "fitted_model.json":
         "6bb81acd86d97e397e8f8b67b75cb6ddf6e092aecd22932bd24bcc6d47ed85b7",
     "segment_report.json":
-        "2930373c21ca97605564fba36ea3e746b437895116684468ee8178209d64efb0",
+        "4a9009c7e1b835a9179ce5e84abda80e77194b0ab3f931ebe58c1b7b1ce66898",
 }
 GOLDEN_MIXED_OFFSETS = {
     "fitted_model.json":
@@ -583,11 +629,10 @@ def test_pipeline_outputs_are_golden(tmp_path):
     assert _digests(out, GOLDEN_PIPELINE) == GOLDEN_PIPELINE
 
 
-def test_all_bids_segmentation_is_golden(tmp_path):
-    """Clustering on every bid, on a log with single-bid auctions and a
-    half-hour clock offset."""
+def test_segmentation_with_thin_auctions_is_golden(tmp_path):
+    """Segmenting a log with single-bid auctions and a half-hour clock
+    offset: its low group is thin enough to be sold at auction only."""
     cfg = base_config(tmp_path)
-    cfg["segmentation"] = {"feature": "all_bids"}
     cfg["synthetic"].update(bidders_per_hour=[1, 3, 5, 2],
                             start_time="2024-03-01T05:50:00+05:30")
     cfg_path = dump(tmp_path, cfg)
@@ -595,7 +640,13 @@ def test_all_bids_segmentation_is_golden(tmp_path):
     for command in ("gen-data", "fit", "segment"):
         argv = [command, "--config", cfg_path] + (["--log", log] if command != "gen-data" else [])
         assert main(argv) == 0
-    assert _digests(tmp_path / "out", GOLDEN_ALL_BIDS) == GOLDEN_ALL_BIDS
+    assert read_log_csv(log).timestamp[0].utcoffset() == timedelta(hours=5, minutes=30)
+    report = json.loads((tmp_path / "out" / "segment_report.json").read_text())
+    assert report["feature"] == "winning_bid"
+    assert [(seg["label"], seg["auction_count"], seg["rtb_only"])
+            for seg in report["segments"]] == [("group1_high", 172, False),
+                                               ("group2_low", 68, True)]
+    assert _digests(tmp_path / "out", GOLDEN_THIN_AUCTIONS) == GOLDEN_THIN_AUCTIONS
 
 
 def _hand_log(stamps):

@@ -12,7 +12,7 @@ from pgrtb.logs import BidLog, summarize_auctions
 from pgrtb.market import MarketConfig, TimeGrid, reference_config
 from pgrtb.segmentation import _rtb_only_plan, kmeans_1d, segment_and_optimize
 from pgrtb.simulate import generate_log
-from pgrtb.solver import _MarketTables, competition_level
+from pgrtb.solver import _MarketTables, competition_level, optimal_plan
 
 from oracles import best_two_split, moments_at, within_sum_of_squares
 
@@ -47,12 +47,11 @@ def two_population_summaries(seed=5):
 def test_kmeans_recovers_planted_clusters():
     rng = np.random.default_rng(0)
     vals = np.concatenate([rng.normal(1.0, 0.05, 80), rng.normal(4.0, 0.05, 40)])
-    centroids, high = kmeans_1d(vals)
-    assert centroids[0] == pytest.approx(4.0, abs=0.05)
-    assert centroids[1] == pytest.approx(1.0, abs=0.05)
+    high = kmeans_1d(vals)
+    assert vals[high].mean() == pytest.approx(4.0, abs=0.05)
+    assert vals[~high].mean() == pytest.approx(1.0, abs=0.05)
     assert high.tolist() == [False] * 80 + [True] * 40
     assert vals[high].min() > vals[~high].max()
-    assert centroids == pytest.approx([vals[high].mean(), vals[~high].mean()], rel=1e-15)
 
 
 def test_kmeans_rejects_unclusterable_input():
@@ -63,9 +62,10 @@ def test_kmeans_rejects_unclusterable_input():
 
 def test_kmeans_ties_take_the_lowest_split():
     """Both cuts of 0, 1, 1, 2 leave a sum of squares of 2/3; the lower wins."""
-    centroids, high = kmeans_1d([0.0, 1.0, 1.0, 2.0])
+    vals = np.array([0.0, 1.0, 1.0, 2.0])
+    high = kmeans_1d(vals)
     assert high.tolist() == [False, True, True, True]
-    assert centroids.tolist() == [4.0 / 3.0, 0.0]
+    assert [vals[high].mean(), vals[~high].mean()] == [4.0 / 3.0, 0.0]
 
 
 def test_kmeans_never_separates_equal_values():
@@ -74,7 +74,7 @@ def test_kmeans_never_separates_equal_values():
         vals = rng.integers(0, 6, size=int(rng.integers(2, 40))).astype(float)
         if np.unique(vals).size < 2:
             continue
-        _, high = kmeans_1d(vals)
+        high = kmeans_1d(vals)
         for v in np.unique(vals):
             assert np.unique(high[vals == v]).size == 1
 
@@ -82,19 +82,17 @@ def test_kmeans_never_separates_equal_values():
 def test_kmeans_follows_a_permutation_of_its_input():
     rng = np.random.default_rng(6)
     vals = np.round(np.concatenate([rng.normal(1.0, 0.4, 70), rng.normal(2.5, 0.6, 50)]), 2)
-    centroids, high = kmeans_1d(vals)
+    high = kmeans_1d(vals)
     for _ in range(5):
         order = rng.permutation(vals.size)
-        moved, moved_high = kmeans_1d(vals[order])
-        assert moved.tobytes() == centroids.tobytes()
-        assert np.array_equal(moved_high, high[order])
+        assert np.array_equal(kmeans_1d(vals[order]), high[order])
 
 
 def _assert_matches_oracle(vals):
     """The split's sum of squares is the exhaustive minimum within 1e-12
     relative, and the partition is the oracle's wherever its best cut wins
     by more than 1e-9 relative."""
-    _, high = kmeans_1d(vals)
+    high = kmeans_1d(vals)
     best, runner_up, oracle_high = best_two_split(vals)
     chosen = within_sum_of_squares(vals, high)
     assert chosen <= best * (1.0 + 1e-12)
@@ -148,18 +146,6 @@ def test_two_population_split():
     assert hi.plan.revenue_total > lo.plan.revenue_total
 
 
-def test_all_bids_feature_agrees_on_clean_split():
-    summaries = two_population_summaries()
-    cfg = seg_config()
-    by_win = segment_and_optimize(summaries, cfg, feature="winning_bid")
-    by_all = segment_and_optimize(summaries, cfg, feature="all_bids")
-    for a, b in zip(by_win.segments, by_all.segments):
-        assert a.label == b.label
-        assert a.auction_count == b.auction_count
-    with pytest.raises(ValueError, match="unknown feature"):
-        segment_and_optimize(summaries, cfg, feature="bogus")
-
-
 def test_thin_competition_goes_auction_only():
     # every auction has one bid, so no payment curve can be certified
     rng = np.random.default_rng(9)
@@ -172,7 +158,7 @@ def test_thin_competition_goes_auction_only():
     market = segment_and_optimize(table, seg_config())
     assert not market.fallback
     # each segment's own bids, split as segment_and_optimize splits them
-    _, high = kmeans_1d(table.winning_bid)
+    high = kmeans_1d(table.winning_bid)
     bids = {"group1_high": table.take(high).bids, "group2_low": table.take(~high).bids}
     for sp in market.segments:
         assert sp.rtb_only
@@ -216,6 +202,10 @@ def test_degenerate_bids_fall_back_to_one_group():
     assert only.label == "all"
     assert only.supply == cfg.supply_S and only.demand == cfg.demand_Q
     assert only.max_value == pytest.approx(0.5)
+    # the one group's share of 1 leaves the market itself, arrival rate included
+    alone = optimal_plan(dataclasses.replace(cfg, max_value_pi=only.max_value),
+                         TimeGrid.from_config(cfg), only.curves)[0]
+    assert not only.rtb_only and only.plan.to_dict() == alone.to_dict()
 
 
 def test_empty_input_raises():
