@@ -42,7 +42,6 @@ from .simulate import (
     generate_log,
 )
 from .solver import (
-    DPTables,
     PricePlan,
     competition_level,
     optimal_plan,
@@ -55,7 +54,6 @@ __all__ = [
     "AuctionTable",
     "BidLog",
     "BidModel",
-    "DPTables",
     "FittedCurve",
     "MarketConfig",
     "PricePlan",

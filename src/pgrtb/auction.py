@@ -293,8 +293,7 @@ class BidModel:
                                      "ascending, with one non-negative integer count per bin")
             self._edges, self._counts = edges, counts
             self._point = float(edges[0]) if edges[0] == edges[-1] else None
-            self._cdf_at_edges = (np.array([0.0, 1.0]) if self._point is not None else
-                                  np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum())
+            self._cdf_at_edges = np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum()
         else:
             raise ValueError(f"unknown bid model kind: {kind!r}")
         top = self._top()
@@ -331,8 +330,6 @@ class BidModel:
             return self.low + (self.high - self.low) * u
         if self.kind == "lognormal":
             return np.exp(self.mu + self.sigma * _ndtri(u))
-        if self._point is not None:
-            return np.full_like(u, self._point)
         return np.interp(u, self._cdf_at_edges, self._edges)
 
     def sample_bids(self, rng, size):

@@ -112,10 +112,6 @@ class RunConfig:
     out_dir: str = "."
 
     @classmethod
-    def load(cls, path):
-        return _load_json(path, "config", cls._from_raw)
-
-    @classmethod
     def _from_raw(cls, raw):
         _check_keys(raw, {"schema_version", *_SECTIONS}, "top level")
         for name, allowed in _SECTIONS.items():
@@ -146,21 +142,11 @@ class RunConfig:
         return self.market
 
 
-def _clean(value):
-    """Make a payload json-serializable: non-finite floats become null."""
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _write_json(path, payload):
+    """Write ``payload`` as JSON; a non-finite float raises before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_clean(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _out_path(rc, args, name):
@@ -206,9 +192,11 @@ def _read_table(log_path):
 
 def cmd_fit(rc: RunConfig, args):
     table = _read_table(args.log)
+    ceiling = estimate_max_value(table)
+    if ceiling == 0:  # bids are non-negative, so every bid is 0
+        raise UsageError(f"auction log {args.log} bids only 0, so it has no value ceiling")
     mean_curve, std_curve = fit_payment_curves(table)
     n_used = int((table.xi_observed >= 2).sum())
-    ceiling = estimate_max_value(table)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n_auctions": len(table),
@@ -418,7 +406,7 @@ def main(argv=None):
         if (value := getattr(args, flag, None)) is not None and value < least:
             parser.error(f"argument --{flag}: must be at least {least}")
     try:
-        rc = RunConfig.load(args.config)
+        rc = _load_json(args.config, "config", RunConfig._from_raw)
         return _COMMANDS[args.command](rc, args)
     except (UsageError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

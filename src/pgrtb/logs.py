@@ -21,7 +21,6 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 __all__ = [
-    "LOG_HEADER",
     "AuctionTable",
     "BidLog",
     "read_log_csv",

@@ -2,9 +2,10 @@
 
 Total demand is only a forecast. The replanner walks the posting window one
 step at a time: solve the remaining horizon, commit the first step's price
-and sales, shock the remaining demand by a relative noise term, and repeat.
-Each shock redraws the tail solve's competition levels and price bounds;
-everything else (arrivals, time grid, bid distribution) stays fixed.
+and sales, shock the remaining demand by a relative Gaussian noise term,
+and repeat. Each shock redraws the tail solve's competition levels and
+price bounds; everything else (arrivals, time grid, bid distribution) stays
+fixed.
 
 Each round is one tail solve, on tables priced at its demand and presold
 count (``_MarketTables.set_demand``); up to ``_PASS_ROUNDS`` are solved in
@@ -45,7 +46,6 @@ from .solver import PricePlan, _MarketTables, _small_buffers, _solve_rounds
 
 __all__ = ["UncertaintySpec", "ReplanStep", "replan"]
 
-_NOISE_KINDS = ("gaussian", "rademacher")
 _PASS_ROUNDS = 4  # rounds solved in one pass over the DP's steps
 
 
@@ -53,10 +53,10 @@ _PASS_ROUNDS = 4  # rounds solved in one pass over the DP's steps
 class UncertaintySpec:
     """Relative demand noise: one draw per step, reproducible per seed.
 
-    ``epsilon`` scales the draw; ``gaussian`` draws a standard normal,
-    ``rademacher`` a fair +/-1 coin. Each step's draw comes from its own
-    seed sequence keyed ``(noise_seed, step)``, so step k's shock does not
-    depend on how many draws earlier steps consumed.
+    ``epsilon`` scales a standard normal draw; ``noise_kind`` names that law
+    and ``"gaussian"`` is the one it accepts. Each step's draw comes from its
+    own seed sequence keyed ``(noise_seed, step)``, so step k's shock does
+    not depend on how many draws earlier steps consumed.
     """
 
     epsilon: float
@@ -69,15 +69,12 @@ class UncertaintySpec:
         seed = self.noise_seed
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"noise_seed must be a non-negative integer, not {seed!r}")
-        if self.noise_kind not in _NOISE_KINDS:
-            raise ValueError(f"noise_kind must be one of {_NOISE_KINDS}")
+        if self.noise_kind != "gaussian":
+            raise ValueError(f"noise_kind must be 'gaussian', not {self.noise_kind!r}")
 
     def draw(self, step):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(self.noise_seed), int(step))))
-        if self.noise_kind == "gaussian":
-            return float(rng.standard_normal())
-        return 1.0 if rng.random() < 0.5 else -1.0
+        seq = np.random.SeedSequence((int(self.noise_seed), int(step)))
+        return float(np.random.default_rng(seq).standard_normal())
 
 
 def _update_demand(demand, spec: UncertaintySpec, step, remaining_supply):
@@ -85,12 +82,8 @@ def _update_demand(demand, spec: UncertaintySpec, step, remaining_supply):
 
     Rounds to the nearest integer and floors at ``remaining_supply + 1`` so
     demand keeps exceeding supply (the market model needs more contenders
-    than impressions).
+    than impressions). The walk keeps ``demand > remaining_supply >= 0``.
     """
-    if demand <= 0:
-        raise ValueError("demand must be positive")
-    if remaining_supply < 0:
-        raise ValueError("remaining_supply must be non-negative")
     shocked = demand * (1.0 + spec.epsilon * spec.draw(step))
     return max(int(round(shocked)), int(remaining_supply) + 1)
 

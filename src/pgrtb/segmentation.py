@@ -74,30 +74,17 @@ class SegmentedMarket:
     fallback: bool
 
 
-def _auction_groups(table):
-    """Split auctions in two at :func:`kmeans_1d`'s cut of their winning bids.
-
-    Returns ``(groups, fallback)``, groups a list of ``(label, indices)``
-    ordered high bids first; with fewer than two distinct winning bids it
-    is one group of every auction and fallback is True.
-    """
-    try:
-        high = kmeans_1d(table.winning_bid)
-    except ValueError:
-        return [("all", np.arange(len(table)))], True
-    return [("group1_high", np.flatnonzero(high)), ("group2_low", np.flatnonzero(~high))], False
-
-
 def segment_and_optimize(table, cfg: MarketConfig):
     """Split an auction table into two bid-level groups and solve each market slice.
 
-    The groups are :func:`kmeans_1d`'s split of the winning bids; the same
-    auctions in any order form the same groups. Supply, demand, and arrival
-    rate are split proportionally to each group's auction share (demand
-    floored at supply + 1 to keep every slice oversubscribed); each group
-    gets its own fitted payment curves and value ceiling. A group whose mean
-    observed competition is below 2 gets no guaranteed sales (its payment
-    curves are censored there) and is priced as auction-only inventory.
+    The groups are :func:`kmeans_1d`'s split of the winning bids, high bids
+    first; the same auctions in any order form the same groups. Supply,
+    demand, and arrival rate are split proportionally to each group's auction
+    share (demand floored at supply + 1 to keep every slice oversubscribed);
+    each group gets its own fitted payment curves and value ceiling. A group
+    whose mean observed competition is below 2 gets no guaranteed sales (its
+    payment curves are censored there) and is priced as auction-only
+    inventory.
 
     When the winning bids cannot be split (a single distinct level), a
     warning is issued and the whole market is solved as one segment, whose
@@ -106,10 +93,13 @@ def segment_and_optimize(table, cfg: MarketConfig):
     """
     if not len(table):
         raise ValueError("no auctions to segment")
-    groups, fallback = _auction_groups(table)
-    if fallback:
+    try:
+        high = kmeans_1d(table.winning_bid)
+        groups = [("group1_high", np.flatnonzero(high)), ("group2_low", np.flatnonzero(~high))]
+    except ValueError:
         warnings.warn("bid values cannot support two clusters; keeping one group",
                       RuntimeWarning, stacklevel=2)
+        groups = [("all", np.arange(len(table)))]
 
     grid = TimeGrid.from_config(cfg)
     plans = []
@@ -141,7 +131,7 @@ def segment_and_optimize(table, cfg: MarketConfig):
             plan=plan, rtb_only=rtb_only))
         combined += plan.revenue_total
     return SegmentedMarket(segments=plans, combined_revenue=combined,
-                           fallback=fallback)
+                           fallback=len(groups) == 1)
 
 
 def _rtb_only_plan(cfg, grid, model):

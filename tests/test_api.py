@@ -29,7 +29,7 @@ from pgrtb.solver import DPTables
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PUBLIC = {
-    "AuctionTable", "BidLog", "BidModel", "DPTables", "FittedCurve", "MarketConfig",
+    "AuctionTable", "BidLog", "BidModel", "FittedCurve", "MarketConfig",
     "PricePlan", "ReplanStep", "RevenueCurves", "SegmentPlan", "SegmentedMarket",
     "StepTerms", "TimeGrid", "UncertaintySpec",
     "competition_level", "estimate_max_value", "evaluate_plan", "fit_payment_curves",
@@ -50,7 +50,7 @@ def _dotted(node):
 
 
 def test_package_surface_is_the_audited_set():
-    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 30
+    assert len(pgrtb.__all__) == len(set(pgrtb.__all__)) == 29
     assert set(pgrtb.__all__) == PUBLIC
 
 

@@ -409,6 +409,10 @@ def test_empirical_point_mass():
     assert moments_at(model, 1.0, reserve=0.2)[0] == 0.2
     rng = np.random.default_rng(0)
     assert np.all(model.sample_bids(rng, 10) == 0.7)
+    # its quantile interpolates over zero-width bins, however many were stored
+    stored = BidModel.from_dict({"kind": "empirical", "edges": [0.7] * 3, "counts": [0, 3]})
+    for law in (model, stored):
+        assert np.all(law.ppf(np.linspace(0.0, 1.0, 5)) == 0.7)
 
 
 def test_bid_model_validation():

@@ -302,6 +302,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["replan", "--config", dump(tmp_path, bad_unc, "k6.json")]) == 2
     assert "bad uncertainty section" in capsys.readouterr().err
 
+    coin = {**ok, "uncertainty": {"epsilon": 0.1, "noise_kind": "rademacher"}}
+    assert main(["replan", "--config", dump(tmp_path, coin, "k6b.json")]) == 2
+    assert "noise_kind must be 'gaussian', not 'rademacher'" in capsys.readouterr().err
+
     # json writes float("inf") as Infinity, which json.load reads back
     for section, key in (("simulate", "n_runs"), ("seeds", "root")):
         infinite = {**ok, section: {key: math.inf}}
@@ -331,6 +335,21 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     bad_start = {**ok, "synthetic": {**ok["synthetic"], "start_time": "noon"}}
     assert main(["gen-data", "--config", dump(tmp_path, bad_start, "k11.json")]) == 2
     assert "bad synthetic.start_time" in capsys.readouterr().err
+
+
+def test_write_json_refuses_non_finite_floats_before_writing(tmp_path):
+    """A non-finite float is a fault, not a null: nothing of the file is
+    written. A finite payload's bytes are ``json.dump``'s and a newline."""
+    payload = {"b": [1.5, (2, "x")], "a": {"c": None}}
+    cli._write_json(tmp_path / "ok.json", payload)
+    with open(tmp_path / "dumped.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "ok.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
+        with pytest.raises(ValueError, match="Out of range float"):
+            cli._write_json(tmp_path / "bad.json", {"a": 1.0, "z": [bad]})
+        assert not (tmp_path / "bad.json").exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -509,20 +528,34 @@ def test_simulate_refuses_a_plan_of_another_length(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_model_with_a_zero_value_ceiling_is_refused_by_name(tmp_path, capsys):
-    """A log bidding only 0 fits a value ceiling of 0, which optimize and
-    replan refuse as a malformed model file."""
-    log = BidLog(["s"] * 120, [f"a{i // 2:03d}" for i in range(120)], [None] * 120, [0.0] * 120)
-    write_log_csv(log, tmp_path / "zero.csv")
+def test_fit_refuses_a_log_that_bids_only_zero(tmp_path, capsys):
+    """A log bidding only 0 has no value ceiling: fit exits 2 naming the log
+    and writes no model file."""
+    log_path = tmp_path / "zero.csv"
+    write_log_csv(BidLog(["s"] * 60, [f"a{i // 2:03d}" for i in range(60)], [None] * 60,
+                         [0.0] * 60), log_path)
     cfg_path = dump(tmp_path, base_config(tmp_path))
-    assert main(["fit", "--config", cfg_path, "--log", str(tmp_path / "zero.csv")]) == 0
+    assert main(["fit", "--config", cfg_path, "--log", str(log_path)]) == 2
+    assert f"auction log {log_path} bids only 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_model_with_a_zero_value_ceiling_is_refused_by_name(tmp_path, capsys):
+    """A model file whose value ceiling is 0 is refused by optimize and
+    replan as malformed, naming the file."""
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["fit", "--config", cfg_path, "--log",
+                 str(tmp_path / "out" / "auction_log.csv")]) == 0
     model = tmp_path / "out" / "fitted_model.json"
-    assert json.loads(model.read_text())["max_value"] == 0.0
+    model.write_text(json.dumps({**json.loads(model.read_text()), "max_value": 0.0}))
+    capsys.readouterr()
     for command in ("optimize", "replan"):
         assert main([command, "--config", cfg_path, "--model", str(model)]) == 2
         assert (f"model {model} is malformed: max_value_pi must be positive"
                 in capsys.readouterr().err)
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fitted_model.json"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "auction_log.csv", "fitted_model.json", "ground_truth.json"]
 
 
 def test_segment_names_a_group_without_a_value_ceiling(tmp_path, capsys):

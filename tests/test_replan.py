@@ -43,10 +43,20 @@ def test_spec_validation():
         UncertaintySpec(epsilon=0.1, noise_seed=-1)
     with pytest.raises(ValueError):
         UncertaintySpec(epsilon=0.1, noise_kind="cauchy")
+    with pytest.raises(ValueError, match="noise_kind must be 'gaussian'"):
+        UncertaintySpec(epsilon=0.1, noise_kind="rademacher")
+
+
+def coin_draw(spec, step):
+    """A fair +/-1 coin keyed like :meth:`UncertaintySpec.draw`: patched in
+    for it, its whole steps keep a shock's arithmetic exact."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(spec.noise_seed), int(step))))
+    return 1.0 if rng.random() < 0.5 else -1.0
 
 
 def test_draws_are_keyed_by_step():
-    """Step k's shock is a pure function of (seed, k), not of draw order."""
+    """Step k's shock is a pure function of (seed, k), not of draw order:
+    a standard normal from the seed sequence keyed ``(seed, k)``."""
     spec = UncertaintySpec(epsilon=0.2, noise_seed=42)
     first = [spec.draw(k) for k in range(5)]
     again = [spec.draw(k) for k in reversed(range(5))]
@@ -54,26 +64,23 @@ def test_draws_are_keyed_by_step():
     assert len(set(first)) == 5
     other = UncertaintySpec(epsilon=0.2, noise_seed=43)
     assert other.draw(0) != spec.draw(0)
-    coin = UncertaintySpec(epsilon=1.0, noise_seed=7, noise_kind="rademacher")
-    flips = {coin.draw(k) for k in range(32)}
-    assert flips == {-1.0, 1.0}
+    keyed = np.random.default_rng(np.random.SeedSequence((42, 3)))
+    assert spec.draw(3) == float(keyed.standard_normal())
 
 
-def test_update_demand():
+def test_update_demand(monkeypatch):
     calm = UncertaintySpec(epsilon=0.0)
     assert _update_demand(37, calm, 3, remaining_supply=10) == 37
     # a crushing negative shock floors at remaining supply + 1
-    crash = UncertaintySpec(epsilon=10.0, noise_kind="rademacher", noise_seed=1)
+    monkeypatch.setattr(UncertaintySpec, "draw", coin_draw)
+    crash = UncertaintySpec(epsilon=10.0, noise_seed=1)
     step_down = next(k for k in range(50) if crash.draw(k) < 0)
     assert _update_demand(30, crash, step_down, remaining_supply=8) == 9
-    with pytest.raises(ValueError):
-        _update_demand(0, calm, 0, remaining_supply=5)
-    with pytest.raises(ValueError):
-        _update_demand(10, calm, 0, remaining_supply=-1)
 
 
-def test_update_demand_rounds_to_nearest():
-    up = UncertaintySpec(epsilon=0.5, noise_kind="rademacher", noise_seed=1)
+def test_update_demand_rounds_to_nearest(monkeypatch):
+    monkeypatch.setattr(UncertaintySpec, "draw", coin_draw)
+    up = UncertaintySpec(epsilon=0.5, noise_seed=1)
     step_up = next(k for k in range(50) if up.draw(k) > 0)
     # 11 * 1.5 = 16.5 rounds bankers-style to 16
     assert _update_demand(11, up, step_up, remaining_supply=0) == 16
@@ -235,6 +242,14 @@ WALK_LAWS = {"uniform": lambda: BidModel.uniform(0.0, 1.0),
              "lognormal": lambda: BidModel.lognormal(-0.5, 0.5)}
 
 
+def _noise(monkeypatch, kind, epsilon):
+    """The spec of a walk under ``kind`` noise: a ``"rademacher"`` walk draws
+    :func:`coin_draw`'s whole +/-1 steps in place of the gaussian."""
+    if kind == "rademacher":
+        monkeypatch.setattr(UncertaintySpec, "draw", coin_draw)
+    return UncertaintySpec(epsilon, 13)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
 @pytest.mark.parametrize("law", sorted(WALK_LAWS))
@@ -243,7 +258,7 @@ def test_walks_match_eager_tables(monkeypatch, law, epsilon, kind):
     and trace of one whose rounds price every row up front."""
     cfg = reference_config()
     grid = TimeGrid.from_config(cfg)
-    spec = UncertaintySpec(epsilon, 13, kind)
+    spec = _noise(monkeypatch, kind, epsilon)
     plan, trace = replan(cfg, grid, WALK_LAWS[law](), spec)
     monkeypatch.setattr(sys.modules["pgrtb.replan"], "_MarketTables", EagerTables)
     ref_plan, ref_trace = replan(cfg, grid, WALK_LAWS[law](), spec)
@@ -306,7 +321,7 @@ def test_passes_match_one_solve_per_round(monkeypatch, law, epsilon, kind):
     that prices and solves every round on its own; on lognormal bids some
     cell blocks are shared by several rounds."""
     docs, passes, shared = _walks(monkeypatch, reference_config(), PASS_MODELS[law],
-                                  UncertaintySpec(epsilon, 13, kind))
+                                  _noise(monkeypatch, kind, epsilon))
     assert docs[0] == docs[1]
     assert sum(kept for _, kept in passes) == reference_config().steps_N + 1
     if law == "lognormal":
