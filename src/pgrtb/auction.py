@@ -156,7 +156,8 @@ def _quadrature_nodes(model):
     15 nodes sum along a leading axis, faster than many 15-long reductions.
     """
     if model._nodes is None:
-        edges = np.unique(np.concatenate([_EDGES, model._quantile_knots()]))
+        knots = [] if model.kind == "lognormal" else model._cdf_at_edges[1:-1]  # ppf's kinks
+        edges = np.unique(np.concatenate([_EDGES, knots]))
         half = 0.5 * np.diff(edges)
         u = 0.5 * (edges[:-1] + edges[1:]) + half * _NODES[:, None]
         kronrod_w = half * _KRONROD_W[:, None]
@@ -257,12 +258,12 @@ class BidModel:
     """A bid distribution and the moments of its second-highest order statistic.
 
     Construct via :meth:`uniform`, :meth:`lognormal`, or :meth:`empirical`.
-    The empirical flavor smooths a sample with a Freedman-Diaconis histogram
-    and keeps only that histogram, its edges and integer counts; its quantile
-    function and sampler describe the smoothed law (a zero-spread sample
-    degenerates to an explicit point mass). Parameters and bids must be
-    finite, and the squares of the largest values the payment quadrature
-    reads must be finite floats: ``lognormal(700, 1)`` is refused.
+    The empirical flavor keeps only a sample's Freedman-Diaconis histogram
+    (given both, ``edges`` win over ``bids``) and a uniform law is the one bin
+    [low, high]: every law but the lognormal reads its quantiles and draws off
+    one linear interpolation, which holds a zero-spread sample's point. Numbers
+    must be finite and not booleans, and the squares of the largest values the
+    payment quadrature reads finite floats: ``lognormal(700, 1)`` is refused.
     """
 
     def __init__(self, kind, **params):
@@ -270,33 +271,36 @@ class BidModel:
         self._moments = {}  # xi -> (mean, std)
         self._nodes = None
         if kind == "uniform":
-            low, high = float(params["low"]), float(params["high"])
+            low, high = (float(_no_booleans(params[k], k)) for k in ("low", "high"))
             if not 0.0 <= low < high < math.inf:
                 raise ValueError("uniform bids need finite 0 <= low < high")
             self.low, self.high = low, high
+            edges, counts = np.array([low, high]), np.array([1])
         elif kind == "lognormal":
-            mu, sigma = float(params["mu"]), float(params["sigma"])
+            mu, sigma = (float(_no_booleans(params[k], k)) for k in ("mu", "sigma"))
             if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
                 raise ValueError("lognormal mu must be finite and sigma positive and finite")
             self.mu, self.sigma = mu, sigma
+            with np.errstate(over="ignore"):  # the quantile at the quadrature's top node
+                top = float(np.exp(mu + sigma * _Z_TOP))
+        elif kind == "empirical" and "edges" in params:
+            edges = np.asarray(_no_booleans(params["edges"], "edges"), float)
+            counts = np.asarray(params["counts"])
+            if not (edges.ndim == counts.ndim == 1 and edges.size == counts.size + 1 >= 2
+                    and np.issubdtype(counts.dtype, np.integer) and (counts >= 0).all()
+                    and counts.sum() > 0 and (np.diff(edges) >= 0).all()
+                    and 0.0 <= edges[0] and edges[-1] < math.inf):
+                raise ValueError("empirical edges must be finite, non-negative and "
+                                 "ascending, with one non-negative integer count per bin")
         elif kind == "empirical":
-            if "bids" in params:
-                edges, counts = _histogram(np.asarray(params["bids"], dtype=float))
-            else:
-                edges = np.asarray(params["edges"], dtype=float)
-                counts = np.asarray(params["counts"])
-                if not (edges.ndim == counts.ndim == 1 and edges.size == counts.size + 1 >= 2
-                        and np.issubdtype(counts.dtype, np.integer) and (counts >= 0).all()
-                        and counts.sum() > 0 and (np.diff(edges) >= 0).all()
-                        and 0.0 <= edges[0] and edges[-1] < math.inf):
-                    raise ValueError("empirical edges must be finite, non-negative and "
-                                     "ascending, with one non-negative integer count per bin")
+            edges, counts = _histogram(np.asarray(_no_booleans(params["bids"], "bids"), float))
+        else:
+            raise ValueError(f"unknown bid model kind: {kind!r}")
+        if kind != "lognormal":
             self._edges, self._counts = edges, counts
             self._point = float(edges[0]) if edges[0] == edges[-1] else None
             self._cdf_at_edges = np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum()
-        else:
-            raise ValueError(f"unknown bid model kind: {kind!r}")
-        top = self._top()
+            top = float(edges[-1])  # a bound on the quantile at the top node
         if not math.isfinite(top * top):
             raise ValueError(f"{self!r} has payments whose squares overflow: its quantile "
                              f"at the quadrature's top node is {top:.6g}")
@@ -318,41 +322,20 @@ class BidModel:
     # -- distribution surface ---------------------------------------------
 
     def support(self):
-        if self.kind == "uniform":
-            return (self.low, self.high)
         if self.kind == "lognormal":
             return (0.0, math.inf)
         return (float(self._edges[0]), float(self._edges[-1]))
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind == "uniform":
-            return self.low + (self.high - self.low) * u
         if self.kind == "lognormal":
             return np.exp(self.mu + self.sigma * _ndtri(u))
         return np.interp(u, self._cdf_at_edges, self._edges)
 
     def sample_bids(self, rng, size):
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high, size)
         if self.kind == "lognormal":
             return rng.lognormal(self.mu, self.sigma, size)
-        if self._point is not None:
-            return np.full(size, self._point)
         return self.ppf(rng.random(size))
-
-    def _top(self):
-        """The quantile at the quadrature's top node, or a bound on it."""
-        if self.kind == "lognormal":
-            with np.errstate(over="ignore"):
-                return float(np.exp(self.mu + self.sigma * _Z_TOP))
-        return self.support()[1]
-
-    def _quantile_knots(self):
-        """Interior CDF levels where the quantile function has kinks."""
-        if self.kind == "empirical" and self._point is None:
-            return [float(v) for v in self._cdf_at_edges[1:-1]]
-        return []
 
     # -- payment moments ---------------------------------------------------
 
@@ -369,7 +352,7 @@ class BidModel:
         means, stds = np.full(xis.shape, float(reserve)), np.zeros(xis.shape)
         means[xis == math.inf] = self.support()[1]
         inner = ~((xis < 2.0) | (xis == math.inf))
-        if self.kind == "empirical" and self._point is not None:
+        if self.kind != "lognormal" and self._point is not None:
             means[inner] = self._point
         elif inner.any():
             levels = xis[inner].tolist()
@@ -393,16 +376,7 @@ class BidModel:
     def from_dict(cls, d):
         """The model of :meth:`to_dict`'s dict; an empirical one may instead hold its
         sample as ``bids``, as a config's ``bid_model`` section does."""
-        kind = d.get("kind")
-        if kind == "uniform":
-            return cls.uniform(d["low"], d["high"])
-        if kind == "lognormal":
-            return cls.lognormal(d["mu"], d["sigma"])
-        if kind == "empirical":
-            if "edges" in d:
-                return cls("empirical", edges=d["edges"], counts=d["counts"])
-            return cls.empirical(d["bids"])
-        raise ValueError(f"unknown bid model kind: {kind!r}")
+        return cls(d.get("kind"), **{k: v for k, v in d.items() if k != "kind"})
 
     def __repr__(self):
         if self.kind == "uniform":
@@ -410,6 +384,14 @@ class BidModel:
         if self.kind == "lognormal":
             return f"BidModel.lognormal({self.mu}, {self.sigma})"
         return f"BidModel.empirical(<{int(self._counts.sum())} bids>)"
+
+
+def _no_booleans(value, name):
+    """``value``, a number or a list or an array of them, if it holds no boolean."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if np.asarray(value).dtype == bool or any(isinstance(v, (bool, np.bool_)) for v in items):
+        raise ValueError(f"{name} must be a number, not a boolean")
+    return value
 
 
 def _histogram(bids):

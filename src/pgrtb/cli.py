@@ -88,13 +88,10 @@ def _load_json(path, what, build):
 
 
 def _bid_model_from_section(section):
-    kind = section.get("kind")
-    if kind not in ("uniform", "lognormal", "empirical"):
-        raise UsageError("bid_model.kind must be uniform, lognormal, or empirical")
     try:
         return BidModel.from_dict(section)
     except KeyError as exc:
-        raise UsageError(f"bid_model {kind!r} is missing {exc}") from exc
+        raise UsageError(f"bid_model {section.get('kind')!r} is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad bid_model: {exc}") from exc
 
@@ -133,7 +130,9 @@ class RunConfig:
         rc.root_seed = _int_setting(raw.get("seeds", {}), "root", 0, "seeds", 0)
         rc.synthetic = dict(raw["synthetic"]) if "synthetic" in raw else None
         rc.n_runs = _int_setting(raw.get("simulate", {}), "n_runs", rc.n_runs, "simulate", 1)
-        rc.out_dir = str(raw.get("output", {}).get("dir", rc.out_dir))
+        rc.out_dir = raw.get("output", {}).get("dir", rc.out_dir)
+        if not isinstance(rc.out_dir, str):
+            raise UsageError(f"output.dir must be a string, not {rc.out_dir!r}")
         return rc
 
     def require_market(self):

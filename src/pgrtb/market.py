@@ -69,7 +69,7 @@ class MarketConfig:
         Auction reserve; also the payment fallback when fewer than two
         bidders show up.
 
-    Every float field must be finite.
+    Every field must be a number, not a boolean, and every float field finite.
     """
 
     supply_S: int
@@ -90,6 +90,8 @@ class MarketConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):  # never read as 0 or 1
+                raise ValueError(f"{f.name} must be a number, not {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if not isinstance(self.supply_S, (int, np.integer)) or self.supply_S <= 0:

@@ -64,8 +64,9 @@ class UncertaintySpec:
     noise_kind: str = "gaussian"
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be finite and non-negative")
+        if isinstance(self.epsilon, (bool, np.bool_)) or not (
+                np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and non-negative, not {self.epsilon!r}")
         seed = self.noise_seed
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"noise_seed must be a non-negative integer, not {seed!r}")

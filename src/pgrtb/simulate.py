@@ -174,6 +174,8 @@ def generate_log(bid_model, *, hours, auctions_per_hour, bidders_per_hour,
     for name, value in sizes:
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not str(slot_id).strip():  # a log reader refuses a blank id
+        raise ValueError(f"slot_id {slot_id!r} is blank")
     if hours < 1 or auctions_per_hour < 1:
         raise ValueError("hours and auctions_per_hour must be positive")
     bidders = [int(b) for b in bidders_per_hour]

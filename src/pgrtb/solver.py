@@ -170,6 +170,11 @@ class PricePlan:
 
     @classmethod
     def from_dict(cls, d):
+        """The plan of :meth:`to_dict`'s dict. A sale count that is a bool, a
+        float (even a whole one) or negative is refused, never truncated."""
+        for s in d["sales"]:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+                raise ValueError(f"sales must be non-negative integers, not {s!r}")
         xi = d.get("xi_terminal")
         return cls(
             prices=np.asarray(d["prices"], dtype=float),

@@ -413,6 +413,7 @@ def test_empirical_point_mass():
     stored = BidModel.from_dict({"kind": "empirical", "edges": [0.7] * 3, "counts": [0, 3]})
     for law in (model, stored):
         assert np.all(law.ppf(np.linspace(0.0, 1.0, 5)) == 0.7)
+        assert law.sample_bids(rng, (4, 3)).tolist() == [[0.7] * 3] * 4
 
 
 def test_bid_model_validation():
@@ -449,6 +450,67 @@ def test_bid_model_serialization_round_trip():
         assert moments_at(clone, 3.0)[0] == moments_at(model, 3.0)[0]
     with pytest.raises(ValueError):
         BidModel.from_dict({"kind": "cauchy"})
+
+
+def test_uniform_law_is_its_one_bin_histogram():
+    """A uniform law is the one-bin histogram on [low, high]: the two give
+    the same quantile floats on every quadrature node, the same draws from
+    one seed and the same payment moments, and those quantiles and draws
+    are the closed form ``low + (high - low) u`` and ``rng.uniform``'s."""
+    pairs = np.random.default_rng(32).uniform(0.0, 10.0, (40, 2))
+    levels = [2.0, 2.5, 7.0, 1e4, math.inf]
+    for low, high in [(0.0, 1.0), (0.1, 0.9), *np.sort(pairs, axis=1).tolist()]:
+        uniform = BidModel.uniform(low, high)
+        histogram = BidModel("empirical", edges=[low, high], counts=[1])
+        assert uniform.support() == histogram.support() == (low, high)
+        u = 0.5 * (auction._EDGES[:-1] + auction._EDGES[1:])
+        u = u + 0.5 * np.diff(auction._EDGES) * auction._NODES[:, None]
+        nodes = auction._quadrature_nodes(uniform)[0]
+        assert nodes.tobytes() == auction._quadrature_nodes(histogram)[0].tobytes()
+        assert nodes.tobytes() == (low + (high - low) * u).tobytes()
+        draws = [m.sample_bids(np.random.default_rng(9), 64) for m in (uniform, histogram)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+        assert draws[0].tobytes() == np.random.default_rng(9).uniform(low, high, 64).tobytes()
+        for a, b in zip(uniform.payment_moments(levels), histogram.payment_moments(levels)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", [BidModel.uniform(0.1, 1.5), BidModel.lognormal(-0.2, 0.6),
+                                   BidModel.empirical([0.3, 0.9, 0.9, 1.4])],
+                         ids=lambda m: m.kind)
+def test_every_route_builds_the_constructors_law(model):
+    """``from_dict`` of a model's dict and of a config section build through
+    the constructor, for every kind: the same parameters, quantiles and
+    moments. An empirical section may hold its sample as ``bids``; beside
+    ``edges``, the edges win."""
+    section = {"kind": model.kind, **{"uniform": {"low": 0.1, "high": 1.5},
+                                       "lognormal": {"mu": -0.2, "sigma": 0.6},
+                                       "empirical": {"bids": [0.3, 0.9, 0.9, 1.4]}}[model.kind]}
+    u = np.linspace(0.0, 0.999, 41)
+    for other in (BidModel.from_dict(json.loads(json.dumps(model.to_dict()))),
+                  BidModel.from_dict(section)):
+        assert repr(other) == repr(model) and other.to_dict() == model.to_dict()
+        assert other.ppf(u).tobytes() == model.ppf(u).tobytes()
+        assert moments_at(other, 3.0) == moments_at(model, 3.0)
+    if model.kind == "empirical":
+        histogram = {k: v for k, v in model.to_dict().items() if k != "kind"}
+        for both in (BidModel.from_dict({**model.to_dict(), "bids": [5.0, 6.0]}),
+                     BidModel("empirical", bids=[5.0, 6.0], **histogram)):
+            assert both.to_dict() == model.to_dict()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("uniform", {"low": False, "high": True}), ("uniform", {"low": 0.0, "high": True}),
+    ("lognormal", {"mu": 0.0, "sigma": True}), ("lognormal", {"mu": np.True_, "sigma": 1.0}),
+    ("empirical", {"bids": [True, 0.5, 0.9]}), ("empirical", {"bids": np.array([True, False])}),
+    ("empirical", {"edges": [False, True], "counts": [1]})])
+def test_bid_laws_refuse_booleans(kind, params):
+    """A boolean is not a number: uniform(False, True) once planned as
+    uniform(0, 1)."""
+    with pytest.raises(ValueError, match="must be a number, not a boolean"):
+        BidModel(kind, **params)
+    BidModel(kind, **{k: np.asarray(v, dtype=float).tolist() if k != "counts" else v
+                      for k, v in params.items()})  # the same numbers build
 
 
 def test_sample_bids_deterministic():

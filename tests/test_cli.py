@@ -297,6 +297,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     bad_bids = {**ok, "bid_model": {"kind": "triangular"}}
     assert main(["optimize", "--config",
                  dump(tmp_path, bad_bids, "k5.json")]) == 2
+    assert "bad bid_model: unknown bid model kind: 'triangular'" in capsys.readouterr().err
 
     bad_unc = {**ok, "uncertainty": {"epsilon": -0.5}}
     assert main(["replan", "--config", dump(tmp_path, bad_unc, "k6.json")]) == 2
@@ -335,6 +336,39 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     bad_start = {**ok, "synthetic": {**ok["synthetic"], "start_time": "noon"}}
     assert main(["gen-data", "--config", dump(tmp_path, bad_start, "k11.json")]) == 2
     assert "bad synthetic.start_time" in capsys.readouterr().err
+
+    # a JSON boolean is not a number: each of these once ran as 0 or 1
+    booleans = [
+        ("optimize", "market", {**MARKET, "supply_S": True}, "bad market section: supply_S"),
+        ("optimize", "market", {**MARKET, "horizon_T": True}, "bad market section: horizon_T"),
+        ("optimize", "market", {**MARKET, "steps_N": True}, "bad market section: steps_N"),
+        ("optimize", "market", {**MARKET, "max_value_pi": False}, "bad market section: max_value_pi"),
+        ("replan", "uncertainty", {"epsilon": True}, "bad uncertainty section: epsilon"),
+        ("optimize", "bid_model", {"kind": "uniform", "low": False, "high": True},
+         "bad bid_model: low must be a number"),
+        ("optimize", "bid_model", {"kind": "lognormal", "mu": 0.0, "sigma": True},
+         "bad bid_model: sigma must be a number"),
+        ("optimize", "bid_model", {"kind": "empirical", "bids": [0.2, True]},
+         "bad bid_model: bids must be a number"),
+    ]
+    for i, (command, section, value, message) in enumerate(booleans):
+        assert main([command, "--config", dump(tmp_path, {**ok, section: value}, f"b{i}.json")]) == 2
+        assert message in capsys.readouterr().err
+    # JSON ints in float fields stay numbers
+    whole = {**ok, "market": {**MARKET, "horizon_T": 5, "max_value_pi": 1},
+             "uncertainty": {"epsilon": 0}, "bid_model": {"kind": "uniform", "low": 0, "high": 1}}
+    assert main(["replan", "--config", dump(tmp_path, whole, "whole.json")]) == 0
+    capsys.readouterr()
+
+    for value in (None, 3, ["out"]):
+        nameless = {**ok, "output": {"dir": value}}
+        assert main(["optimize", "--config", dump(tmp_path, nameless, "k12.json")]) == 2
+        assert f"output.dir must be a string, not {value!r}" in capsys.readouterr().err
+
+    for blank in ("", " "):
+        unnamed = {**ok, "synthetic": {**ok["synthetic"], "slot_id": blank}}
+        assert main(["gen-data", "--config", dump(tmp_path, unnamed, "k13.json")]) == 2
+        assert f"bad synthetic section: slot_id {blank!r} is blank" in capsys.readouterr().err
 
 
 def test_write_json_refuses_non_finite_floats_before_writing(tmp_path):
@@ -480,6 +514,23 @@ def test_simulate_refuses_a_model_without_a_bid_law(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path, "--plan", str(tmp_path / "out" / "plan.json"),
                  "--model", str(model)]) == 2
     assert f"model {model} carries no bid model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sale", [True, 1.5, 2.0, -1])
+def test_simulate_refuses_a_plan_whose_sales_are_not_counts(tmp_path, capsys, sale):
+    """A sale count that is a bool, a float or negative is refused, not
+    truncated: sales of [true, 5, 1.5, 3] once simulated as [1, 5, 1, 3]."""
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["optimize", "--config", cfg_path]) == 0
+    doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+    doc["plan"]["sales"][1] = sale
+    plan_path = tmp_path / "edited.json"
+    plan_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--plan", str(plan_path)]) == 2
+    assert (f"plan {plan_path} is malformed: sales must be non-negative integers, "
+            f"not {sale!r}") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulation_summary.json").exists()
 
 
 def test_fit_and_segment_refuse_mixed_stamp_kinds(tmp_path, capsys):

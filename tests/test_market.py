@@ -1,5 +1,6 @@
 """Market primitives: arrivals, purchase ratio, backlog, risk, price ceiling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_config_accepts_valid_values():
 def test_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError):
         small_config(**{field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MarketConfig)])
+def test_config_refuses_booleans(field):
+    """A boolean is not a number: supply_S, horizon_T and steps_N of true
+    once solved a one-impression, one-step market."""
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match=f"{field} must be a number, not "):
+            small_config(**{field: flag})
 
 
 def test_config_rejects_arrivals_exceeding_demand():

@@ -45,6 +45,11 @@ def test_spec_validation():
         UncertaintySpec(epsilon=0.1, noise_kind="cauchy")
     with pytest.raises(ValueError, match="noise_kind must be 'gaussian'"):
         UncertaintySpec(epsilon=0.1, noise_kind="rademacher")
+    # an epsilon of true once replanned at 100% noise; an int is a number
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="epsilon must be finite and non-negative, not"):
+            UncertaintySpec(epsilon=flag)
+    assert UncertaintySpec(epsilon=1).epsilon == 1
 
 
 def coin_draw(spec, step):

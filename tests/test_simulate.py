@@ -378,6 +378,14 @@ def test_generate_log_refuses_non_integer_sizes(sizes, field):
     assert truth["bidders_per_hour"] == [2, 3] and len(log) == 15
 
 
+@pytest.mark.parametrize("slot_id", ["", " ", "\t"])
+def test_generate_log_refuses_a_blank_slot_id(slot_id):
+    """A log reader refuses a blank id, so the generator does not write one."""
+    with pytest.raises(ValueError, match=re.escape(f"slot_id {slot_id!r} is blank")):
+        generate_log(BidModel.uniform(0.0, 1.0), hours=1, auctions_per_hour=2,
+                     bidders_per_hour=[2], seed=0, slot_id=slot_id)
+
+
 def test_generate_log_custom_start():
     model = BidModel.uniform(0.0, 1.0)
     start = datetime(2023, 7, 1, 12, tzinfo=UTC)
