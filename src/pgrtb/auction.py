@@ -32,6 +32,8 @@ import numpy as np
 # by name, so that it loads with the package and not on a process's first fit
 from numpy.polynomial import polynomial as npp
 
+from .market import _numbers
+
 __all__ = [
     "BidModel",
     "FittedCurve",
@@ -262,8 +264,9 @@ class BidModel:
     (given both, ``edges`` win over ``bids``) and a uniform law is the one bin
     [low, high]: every law but the lognormal reads its quantiles and draws off
     one linear interpolation, which holds a zero-spread sample's point. Numbers
-    must be finite and not booleans, and the squares of the largest values the
-    payment quadrature reads finite floats: ``lognormal(700, 1)`` is refused.
+    must be finite and neither booleans nor strings, and the squares of the
+    largest values the payment quadrature reads finite floats:
+    ``lognormal(700, 1)`` is refused.
     """
 
     def __init__(self, kind, **params):
@@ -271,29 +274,30 @@ class BidModel:
         self._moments = {}  # xi -> (mean, std)
         self._nodes = None
         if kind == "uniform":
-            low, high = (float(_no_booleans(params[k], k)) for k in ("low", "high"))
+            low, high = (float(_numbers(params[k], k)) for k in ("low", "high"))
             if not 0.0 <= low < high < math.inf:
                 raise ValueError("uniform bids need finite 0 <= low < high")
             self.low, self.high = low, high
             edges, counts = np.array([low, high]), np.array([1])
         elif kind == "lognormal":
-            mu, sigma = (float(_no_booleans(params[k], k)) for k in ("mu", "sigma"))
+            mu, sigma = (float(_numbers(params[k], k)) for k in ("mu", "sigma"))
             if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
                 raise ValueError("lognormal mu must be finite and sigma positive and finite")
             self.mu, self.sigma = mu, sigma
             with np.errstate(over="ignore"):  # the quantile at the quadrature's top node
                 top = float(np.exp(mu + sigma * _Z_TOP))
         elif kind == "empirical" and "edges" in params:
-            edges = np.asarray(_no_booleans(params["edges"], "edges"), float)
+            edges = np.asarray(_numbers(params["edges"], "edges", many=True), float)
             counts = np.asarray(params["counts"])
             if not (edges.ndim == counts.ndim == 1 and edges.size == counts.size + 1 >= 2
                     and np.issubdtype(counts.dtype, np.integer) and (counts >= 0).all()
                     and counts.sum() > 0 and (np.diff(edges) >= 0).all()
                     and 0.0 <= edges[0] and edges[-1] < math.inf):
                 raise ValueError("empirical edges must be finite, non-negative and "
-                                 "ascending, with one non-negative integer count per bin")
+                                 "ascending, and counts one non-negative integer per bin")
         elif kind == "empirical":
-            edges, counts = _histogram(np.asarray(_no_booleans(params["bids"], "bids"), float))
+            bids = np.asarray(_numbers(params["bids"], "bids", many=True), float)
+            edges, counts = _histogram(bids)
         else:
             raise ValueError(f"unknown bid model kind: {kind!r}")
         if kind != "lognormal":
@@ -386,19 +390,11 @@ class BidModel:
         return f"BidModel.empirical(<{int(self._counts.sum())} bids>)"
 
 
-def _no_booleans(value, name):
-    """``value``, a number or a list or an array of them, if it holds no boolean."""
-    items = value if isinstance(value, (list, tuple)) else [value]
-    if np.asarray(value).dtype == bool or any(isinstance(v, (bool, np.bool_)) for v in items):
-        raise ValueError(f"{name} must be a number, not a boolean")
-    return value
-
-
 def _histogram(bids):
     """A bid sample's Freedman-Diaconis edges and counts; a sample without spread
     is one bin of zero width."""
     if bids.size == 0:
-        raise ValueError("empirical bid model needs at least one bid")
+        raise ValueError("bids must hold at least one bid")
     if not np.all((bids >= 0) & (bids < math.inf)):
         raise ValueError("bids must be finite and non-negative")
     low, high = bids.min(), bids.max()

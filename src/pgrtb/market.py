@@ -18,6 +18,7 @@ simulator, the replanner and the segmentation all read those arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +29,22 @@ __all__ = [
     "TimeGrid",
     "reference_config",
 ]
+
+
+def _numbers(value, name, many=False):
+    """``value`` if it is a real number or, with ``many``, a flat list, tuple or
+    array of them: a string, a boolean, None or a list where a number belongs
+    is refused, never converted."""
+    if many and isinstance(value, np.ndarray):
+        bad = [] if value.dtype.kind in "iuf" else value.ravel()[:1].tolist() or [value.dtype]
+    else:
+        items = value if many and isinstance(value, (list, tuple)) else [value]
+        bad = [v for v in items if not (type(v) in (int, float) or (
+            isinstance(v, numbers.Real) and not isinstance(v, bool)))]
+    if bad:
+        what = "a boolean" if isinstance(bad[0], (bool, np.bool_)) else repr(bad[0])
+        raise ValueError(f"{name} must be a number, not {what}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,8 @@ class MarketConfig:
         Auction reserve; also the payment fallback when fewer than two
         bidders show up.
 
-    Every field must be a number, not a boolean, and every float field finite.
+    Every field must be a number, not a boolean or a string, and every float
+    field finite.
     """
 
     supply_S: int
@@ -89,9 +107,7 @@ class MarketConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (bool, np.bool_)):  # never read as 0 or 1
-                raise ValueError(f"{f.name} must be a number, not {value!r}")
+            value = _numbers(getattr(self, f.name), f.name)  # never true read as 1, or "30" as 30
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if not isinstance(self.supply_S, (int, np.integer)) or self.supply_S <= 0:

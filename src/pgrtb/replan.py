@@ -37,6 +37,7 @@ tie-break rules coincide.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,10 @@ class UncertaintySpec:
     noise_kind: str = "gaussian"
 
     def __post_init__(self):
-        if isinstance(self.epsilon, (bool, np.bool_)) or not (
-                np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and non-negative, not {self.epsilon!r}")
+        eps = self.epsilon  # a string or a boolean is not a number
+        if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+                and np.isfinite(eps) and eps >= 0):
+            raise ValueError(f"epsilon must be finite and non-negative, not {eps!r}")
         seed = self.noise_seed
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"noise_seed must be a non-negative integer, not {seed!r}")

@@ -41,20 +41,22 @@ def _auctions(supply, demand, bid_model, rng, reserve):
     of its ``supply[i]`` impressions (the integer part of a uniform draw times
     ``supply[i]``) and bid a fresh draw from ``bid_model``; all markets' places
     are drawn first, then all bids. An impression with two or more bidders pays
-    its second-highest bid, otherwise the reserve, and a market without
-    impressions has no auctions. Returns each market's revenue, summed
-    impression by impression.
+    its second-highest bid (its top bid when two tie there), otherwise the
+    reserve, and a market without impressions has no auctions. Returns each
+    market's revenue, summed impression by impression.
     """
     demand = np.where(supply > 0, demand, 0)
     first = np.cumsum(supply) - supply  # each market's first impression
     u = rng.random(int(demand.sum()))
     bids = bid_model.sample_bids(rng, u.size)
     place = np.repeat(first, demand) + (u * np.repeat(supply, demand)).astype(np.int64)
-    order = np.lexsort((-bids, place))  # by impression, then descending (ties in draw order)
-    starts = np.flatnonzero(np.diff(place[order], prepend=-1))
-    contested = starts[np.diff(starts, append=u.size) >= 2]
     pay = np.full(int(supply.sum()), float(reserve))
-    pay[place[order[contested]]] = bids[order[contested + 1]]
+    top, below = np.full((2, pay.size), -np.inf)
+    np.maximum.at(top, place, bids)  # scatter maxima: top and runner-up, no sort
+    tied = bids == top[place]  # each impression's top bid, and any bid equal to it
+    np.maximum.at(below, place, np.where(tied, -np.inf, bids))
+    np.copyto(below, top, where=np.bincount(place[tied], minlength=pay.size) >= 2)
+    np.copyto(pay, below, where=np.bincount(place, minlength=pay.size) >= 2)
     return np.bincount(np.repeat(np.arange(supply.size), supply), pay, supply.size)
 
 

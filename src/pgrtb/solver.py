@@ -72,7 +72,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .auction import _RTOL, BidModel
-from .market import MarketConfig, StepTerms, TimeGrid
+from .market import MarketConfig, StepTerms, TimeGrid, _numbers
 
 __all__ = [
     "PricePlan",
@@ -171,15 +171,16 @@ class PricePlan:
     @classmethod
     def from_dict(cls, d):
         """The plan of :meth:`to_dict`'s dict. A sale count that is a bool, a
-        float (even a whole one) or negative is refused, never truncated."""
+        float (even a whole one) or negative is refused, never truncated, and
+        prices and bounds must be numbers, not strings."""
         for s in d["sales"]:
             if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
                 raise ValueError(f"sales must be non-negative integers, not {s!r}")
         xi = d.get("xi_terminal")
         return cls(
-            prices=np.asarray(d["prices"], dtype=float),
+            prices=np.asarray(_numbers(d["prices"], "prices", many=True), dtype=float),
             sales=np.asarray(d["sales"], dtype=int),
-            bounds=np.asarray(d["bounds"], dtype=float),
+            bounds=np.asarray(_numbers(d["bounds"], "bounds", many=True), dtype=float),
             gamma=float(d["gamma"]),
             revenue_pg=float(d["revenue_pg"]),
             revenue_rtb=float(d["revenue_rtb"]),

@@ -40,10 +40,12 @@ the quadrature tests integrate as the untransformed order-statistic
 integral; the package itself works in quantile space and needs neither. ``loop_auctions`` is the
 delivery-day auctions run impression by impression, the reference for the
 simulator's grouped ``_auctions``, and can also return the auctions as bid
-logs; ``loop_simulate_rtb`` is one market's. ``arrivals``, ``purchases``
-and ``market_once`` are one market at a time from its own spawned streams,
-step by step: the independent replay that ``evaluate_plan``'s block draws
-must agree with in distribution.
+logs; ``loop_simulate_rtb`` is one market's. ``sorted_auctions`` is the
+grouped auctions by one sort of every bid, which ``_auctions``, taking each
+impression's top two bids as scatter maxima, must match byte for byte.
+``arrivals``, ``purchases`` and ``market_once`` are one market at a time from
+its own spawned streams, step by step: the independent replay that
+``evaluate_plan``'s block draws must agree with in distribution.
 
 ``max_value_by_take`` is the value ceiling with every bucket's auctions
 gathered by ``AuctionTable.take``, the reference that
@@ -532,6 +534,23 @@ def loop_auctions(supply, demand, bid_model, rng, *, reserve=0.0, slot_id="slot-
         revenues.append(revenue)
         logs.append(BidLog(*zip(*rows)) if rows else BidLog([], [], [], []))
     return revenues, logs
+
+
+def sorted_auctions(supply, demand, bid_model, rng, reserve):
+    """``pgrtb.simulate._auctions`` by one sort: the same draws, then every bid
+    ordered by impression and, within one, from the highest down (ties in draw
+    order), so each impression's second bid in that order is its payment."""
+    demand = np.where(supply > 0, demand, 0)
+    first = np.cumsum(supply) - supply
+    u = rng.random(int(demand.sum()))
+    bids = bid_model.sample_bids(rng, u.size)
+    place = np.repeat(first, demand) + (u * np.repeat(supply, demand)).astype(np.int64)
+    order = np.lexsort((-bids, place))
+    starts = np.flatnonzero(np.diff(place[order], prepend=-1))
+    contested = starts[np.diff(starts, append=u.size) >= 2]
+    pay = np.full(int(supply.sum()), float(reserve))
+    pay[place[order[contested]]] = bids[order[contested + 1]]
+    return np.bincount(np.repeat(np.arange(supply.size), supply), pay, supply.size)
 
 
 def loop_simulate_rtb(remaining_supply, remaining_demand, bid_model, seed, *,

@@ -513,6 +513,24 @@ def test_bid_laws_refuse_booleans(kind, params):
                       for k, v in params.items()})  # the same numbers build
 
 
+@pytest.mark.parametrize("kind, params, key", [
+    ("uniform", {"low": "0.1", "high": 0.9}, "low"),
+    ("uniform", {"low": 0.1, "high": [0.9]}, "high"),
+    ("lognormal", {"mu": None, "sigma": 1.0}, "mu"),
+    ("lognormal", {"mu": 0.0, "sigma": "1"}, "sigma"),
+    ("empirical", {"bids": ["0.2", "0.5"]}, "bids"), ("empirical", {"bids": "0.5"}, "bids"),
+    ("empirical", {"bids": np.array(["0.2", "0.5"])}, "bids"),
+    ("empirical", {"bids": [0.2, None]}, "bids"), ("empirical", {"bids": [[0.2, 0.5]]}, "bids"),
+    ("empirical", {"edges": ["0.1", "0.9"], "counts": [1]}, "edges"),
+    ("empirical", {"edges": [0.1, 0.9], "counts": ["1"]}, "counts")])
+def test_bid_laws_refuse_strings_nulls_and_lists(kind, params, key):
+    """A string is not a number: a uniform law of "0.1" and "0.9" once built
+    uniform(0.1, 0.9), and string bids an empirical law. Counts are integers."""
+    counts = "and counts one non-negative integer"
+    with pytest.raises(ValueError, match=counts if key == "counts" else f"^{key} must be a number"):
+        BidModel.from_dict({"kind": kind, **params})
+
+
 def test_sample_bids_deterministic():
     model = BidModel.empirical(np.linspace(0.2, 1.0, 50))
     a = model.sample_bids(np.random.default_rng(7), 100)

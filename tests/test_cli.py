@@ -5,7 +5,9 @@ assertions stay cheap and stderr is captured by pytest as usual.
 """
 
 import argparse
+import contextlib
 import gc
+import io
 import hashlib
 import json
 import math
@@ -13,6 +15,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgrtb import cli
 from pgrtb.cli import main
@@ -371,6 +375,80 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert f"bad synthetic section: slot_id {blank!r} is blank" in capsys.readouterr().err
 
 
+def test_strings_where_numbers_belong_exit_2_naming_the_key(tmp_path, capsys):
+    """A JSON string is not a number: the first two once ran as uniform(0.1,
+    0.9) and as an empirical law, and the others exited 2 naming no key."""
+    ok = base_config(tmp_path)
+    strings = [
+        ("optimize", "bid_model", {"kind": "uniform", "low": "0.1", "high": "0.9"},
+         "bad bid_model: low must be a number, not '0.1'"),
+        ("optimize", "bid_model", {"kind": "empirical", "bids": ["0.2", "0.5", "0.7"]},
+         "bad bid_model: bids must be a number, not '0.2'"),
+        ("optimize", "market", {**MARKET, "horizon_T": "30"},
+         "bad market section: horizon_T must be a number, not '30'"),
+        ("simulate", "market", {**MARKET, "reserve_price_r0": None},
+         "bad market section: reserve_price_r0 must be a number, not None"),
+        ("replan", "uncertainty", {"epsilon": "0.1"},
+         "bad uncertainty section: epsilon must be finite and non-negative, not '0.1'"),
+    ]
+    for i, (command, section, value, message) in enumerate(strings):
+        extra = ["--plan", str(tmp_path / "plan.json")] if command == "simulate" else []
+        cfg_path = dump(tmp_path, {**ok, section: value}, f"s{i}.json")
+        assert main([command, "--config", cfg_path, *extra]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# the numeric keys of each config section; a bid law's are those of its kind
+_NUMERIC_KEYS = ([("market", key, None) for key in MARKET]
+                 + [("bid_model", key, "uniform") for key in ("low", "high")]
+                 + [("bid_model", key, "lognormal") for key in ("mu", "sigma")]
+                 + [("bid_model", "bids", "empirical"), ("uncertainty", "epsilon", None),
+                    ("uncertainty", "noise_seed", None), ("simulate", "n_runs", None),
+                    ("seeds", "root", None)])
+_NOT_NUMBERS = st.one_of(
+    st.sampled_from(["30", "0.1", "1e3", "NaN", ""]), st.text(max_size=4), st.booleans(),
+    st.none(), st.lists(st.one_of(st.floats(0.0, 1.0), st.text(max_size=2), st.booleans(),
+                                  st.none()), max_size=3))
+
+
+@pytest.fixture(scope="module")
+def planned(tmp_path_factory):
+    """A directory holding a good config's plan, for ``simulate``."""
+    where = tmp_path_factory.mktemp("planned")
+    assert main(["optimize", "--config", dump(where, base_config(where))]) == 0
+    return where
+
+
+@settings(max_examples=60)
+@given(slot=st.sampled_from(_NUMERIC_KEYS), value=_NOT_NUMBERS)
+@example(slot=("market", "horizon_T", None), value="30")
+@example(slot=("bid_model", "low", "uniform"), value="0.1")
+@example(slot=("bid_model", "bids", "empirical"), value=[])
+@example(slot=("bid_model", "bids", "empirical"), value=[0.5, 0.25])
+def test_a_non_number_in_a_numeric_key_exits_0_or_2_naming_it(planned, slot, value):
+    """A string, boolean, null or list in one numeric key of a config: each of
+    ``optimize``, ``simulate`` and ``replan`` exits 2 naming the key, never 1,
+    unless the value is a list of bids, which is a sample and exits 0."""
+    section, key, kind = slot
+    cfg = base_config(planned)
+    cfg["uncertainty"] = {"epsilon": 0.1, "noise_seed": 3}
+    if kind is not None:
+        cfg["bid_model"] = {"uniform": {"low": 0.1, "high": 0.9}, "lognormal": {
+            "mu": -0.5, "sigma": 0.5}, "empirical": {}}[kind] | {"kind": kind}
+    cfg.setdefault(section, {})[key] = value
+    cfg_path = dump(planned, cfg, "probe.json")
+    sample = (key == "bids" and isinstance(value, list) and len(value) > 0
+              and all(isinstance(v, float) for v in value))
+    for command in ("optimize", "simulate", "replan"):
+        extra = ["--plan", str(planned / "out" / "plan.json")] if command == "simulate" else []
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg_path, "--out", str(planned / "probe"), *extra])
+        assert code == (0 if sample else 2), err.getvalue()
+        assert sample or f"{key} must" in err.getvalue(), err.getvalue()
+
+
 def test_write_json_refuses_non_finite_floats_before_writing(tmp_path):
     """A non-finite float is a fault, not a null: nothing of the file is
     written. A finite payload's bytes are ``json.dump``'s and a newline."""
@@ -530,6 +608,23 @@ def test_simulate_refuses_a_plan_whose_sales_are_not_counts(tmp_path, capsys, sa
     assert main(["simulate", "--config", cfg_path, "--plan", str(plan_path)]) == 2
     assert (f"plan {plan_path} is malformed: sales must be non-negative integers, "
             f"not {sale!r}") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulation_summary.json").exists()
+
+
+def test_simulate_refuses_a_plan_whose_prices_are_not_numbers(tmp_path, capsys):
+    """A string price or bound is refused, not read as its number: prices of
+    "0.5" once simulated as 0.5."""
+    cfg_path = dump(tmp_path, base_config(tmp_path))
+    assert main(["optimize", "--config", cfg_path]) == 0
+    for key in ("prices", "bounds"):
+        doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+        doc["plan"][key] = [str(v) for v in doc["plan"][key]]
+        plan_path = tmp_path / f"{key}.json"
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg_path, "--plan", str(plan_path)]) == 2
+        assert f"plan {plan_path} is malformed: {key} must be a number, not '" in (
+            capsys.readouterr().err)
     assert not (tmp_path / "out" / "simulation_summary.json").exists()
 
 

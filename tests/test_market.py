@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_config_refuses_booleans(field):
     for flag in (True, np.True_):
         with pytest.raises(ValueError, match=f"{field} must be a number, not "):
             small_config(**{field: flag})
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MarketConfig)])
+def test_config_refuses_strings_nulls_and_lists(field):
+    """A JSON string, null or list is not a number: a horizon_T of "30" once
+    failed comparing a str with an int, naming no field."""
+    for value in ("1", None, [1]):
+        message = f"{field} must be a number, not {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: value})
 
 
 def test_config_rejects_arrivals_exceeding_demand():

@@ -50,6 +50,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="epsilon must be finite and non-negative, not"):
             UncertaintySpec(epsilon=flag)
     assert UncertaintySpec(epsilon=1).epsilon == 1
+    # nor is a string, a null or a list: "0.1" once failed in np.isfinite, naming nothing
+    for value in ("0.1", None, [0.1]):
+        with pytest.raises(ValueError, match="epsilon must be finite and non-negative, not"):
+            UncertaintySpec(epsilon=value)
 
 
 def coin_draw(spec, step):

@@ -29,7 +29,8 @@ from pgrtb.market import reference_config
 from pgrtb.simulate import _BLOCK, _auctions, evaluate_plan, generate_log
 from pgrtb.solver import PricePlan, _MarketTables, _solve, optimal_plan
 
-from oracles import arrivals, loop_auctions, loop_simulate_rtb, market_once, purchases
+from oracles import (arrivals, loop_auctions, loop_simulate_rtb, market_once, purchases,
+                     sorted_auctions)
 
 UTC = timezone.utc
 
@@ -185,6 +186,57 @@ def test_block_auctions_match_per_impression_oracle(markets, law, reserve, seed)
     want, _ = loop_auctions(supply, demand, _BID_LAWS[law], np.random.default_rng(seed),
                             reserve=reserve)
     assert got.tolist() == want
+
+
+# laws whose bids tie: every bid, and the atoms at 0.5 and at the top 0.9
+_TIED_LAWS = {**_BID_LAWS, "repeated bids": BidModel(
+    "empirical", edges=[0.2, 0.5, 0.5, 0.9, 0.9], counts=[1, 3, 1, 2])}
+
+
+@given(markets=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 40)), min_size=1,
+                        max_size=6),
+       law=st.sampled_from(sorted(_TIED_LAWS)), reserve=st.sampled_from([0.0, 0.3, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(markets=[(0, 9), (3, 0), (1, 4), (0, 0)], law="repeated bids", reserve=0.3, seed=6)
+@example(markets=[(2, 40), (5, 1)], law="point mass", reserve=2.0, seed=7)
+@example(markets=[(1, 30), (4, 25)], law="repeated bids", reserve=2.0, seed=8)
+def test_auctions_match_the_sorted_oracle_byte_for_byte(markets, law, reserve, seed):
+    """Each impression's top two bids as scatter maxima pay what sorting every
+    bid pays, byte for byte: ties at the top and below it, a reserve above every
+    bid, and markets without impressions or without bidders included."""
+    supply, demand = (np.array(column) for column in zip(*markets))
+    got, want = (run(supply, demand, _TIED_LAWS[law], np.random.default_rng(seed), reserve)
+                 for run in (_auctions, sorted_auctions))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law", ["uniform", "point mass", "repeated bids"])
+def test_evaluate_plan_matches_the_sorted_oracle(law, monkeypatch):
+    """A plan's summary and per-market array are those of the sorted auctions."""
+    cfg = sim_config()
+    grid = TimeGrid.from_config(cfg)
+    model = _TIED_LAWS[law]
+    plan, _ = optimal_plan(cfg, grid, BidModel.uniform(0.0, 1.0))
+    got = evaluate_plan(plan, cfg, grid, model, n_runs=70, seed=4)
+    monkeypatch.setattr("pgrtb.simulate._auctions", sorted_auctions)
+    want = evaluate_plan(plan, cfg, grid, model, n_runs=70, seed=4)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_auctions_sort_nothing(monkeypatch):
+    """No sort creeps back into the auctions: with numpy's sorts refusing, every
+    law's auctions still run, and the sorted oracle is refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the auctions sorted their bids")
+
+    for name in ("lexsort", "argsort", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    supply, demand = np.array([5, 0, 3, 1]), np.array([30, 4, 9, 1])
+    for model in _TIED_LAWS.values():
+        _auctions(supply, demand, model, np.random.default_rng(1), 0.1)
+    with pytest.raises(AssertionError, match="sorted"):
+        sorted_auctions(supply, demand, _BID_LAWS["uniform"], np.random.default_rng(1), 0.1)
 
 
 def test_simulate_rtb_deterministic():
